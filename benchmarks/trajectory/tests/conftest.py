@@ -1,0 +1,13 @@
+"""The harness modules import each other by bare name, and ``inputs``
+imports the program: put both directories on the path."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.dirname(HERE)
+ROOT = os.path.dirname(os.path.dirname(BENCH))
+
+for path in (os.path.join(ROOT, "src"), BENCH):
+    if path not in sys.path:
+        sys.path.insert(0, path)
