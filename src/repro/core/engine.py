@@ -16,9 +16,8 @@ from ..cloud.gateway import CloudGateway
 from ..cloud.resilience import BreakerPolicy, HealthMonitor, ResilientGateway
 from ..debug.correlate import Diagnosis, IaCDebugger
 from ..deploy.executor import (
+    EXECUTORS,
     ApplyResult,
-    BestEffortExecutor,
-    CriticalPathExecutor,
     PlanExecutor,
     RetryPolicy,
     SequentialExecutor,
@@ -45,12 +44,6 @@ from ..validate.pipeline import (
     ValidationPipeline,
     ValidationReport,
 )
-
-EXECUTORS = {
-    "sequential": SequentialExecutor,
-    "best-effort": BestEffortExecutor,
-    "critical-path": CriticalPathExecutor,
-}
 
 Sources = Union[str, Dict[str, str], Configuration]
 

@@ -1,7 +1,8 @@
 """Plan executors.
 
 The discrete-event engine that walks an execution plan against the
-simulated clouds. Three scheduling strategies reproduce the spectrum in
+simulated clouds -- the only dispatch loop in ``src/`` besides the
+frozen reference. Three scheduling strategies reproduce the spectrum in
 3.3:
 
 * :class:`SequentialExecutor` -- one operation at a time (the floor).
@@ -10,6 +11,12 @@ simulated clouds. Three scheduling strategies reproduce the spectrum in
 * :class:`CriticalPathExecutor` -- the cloudless scheduler: ready
   operations are dispatched longest-remaining-path first, optionally
   rate-limit aware, with retry handling for transient faults.
+
+:meth:`PlanExecutor.apply` runs the whole plan or, for a pool worker of
+:mod:`repro.deploy.sharded`, a member subset of its DAG with earlier
+outcomes applied; sharded and pool applies are this loop plus
+bookkeeping, so they share its WAL, crash, health-gating and retry
+behaviour by construction.
 
 Scale notes (see ``docs/performance.md``): the dispatch loop pulls from
 a per-strategy ready *queue* (FIFO deque or priority heap) instead of
@@ -26,7 +33,17 @@ import dataclasses
 import heapq
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import (
+    AbstractSet,
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from ..cloud.base import CloudAPIError, PendingOperation
 from ..cloud.clock import EventQueue
@@ -275,7 +292,7 @@ class _GroupedRateAwareReady(_ReadyQueue):
         if rtype not in self._limiter_by_rtype:
             try:
                 plane = self._gateway.plane_for(rtype)
-            except Exception:
+            except CloudAPIError:  # no provider routes this type
                 self._limiter_by_rtype[rtype] = None
             else:
                 self._limiter_by_rtype[rtype] = plane.limiter
@@ -317,30 +334,6 @@ class _GroupedRateAwareReady(_ReadyQueue):
         return self._size
 
 
-class _PickNextReady(_ReadyQueue):
-    """Compatibility queue for subclasses that only override ``pick_next``.
-
-    Preserves the pre-optimization behaviour (a plain list the picker
-    scans) so custom schedulers keep working unchanged -- at the old
-    O(n) cost.
-    """
-
-    def __init__(self, pick: Callable[[List[str]], str]):
-        self._pick = pick
-        self._items: List[str] = []
-
-    def push(self, cid: str) -> None:
-        self._items.append(cid)
-
-    def pop(self) -> str:
-        cid = self._pick(self._items)
-        self._items.remove(cid)
-        return cid
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
 class PlanExecutor:
     """Base discrete-event executor; subclasses pick scheduling order."""
 
@@ -372,12 +365,11 @@ class PlanExecutor:
 
         Contract: must return an element of ``ready`` (the caller
         removes it). This is the *reference* statement of each
-        strategy's scheduling order; the hot path dispatches through
-        :meth:`_make_ready_queue`, whose pop order must match it
-        exactly (heap variants preserve determinism by tie-breaking on
-        the change id). Subclasses that override only ``pick_next``
-        still work -- the dispatch loop detects that and falls back to
-        a list-based queue driven by this method.
+        strategy's scheduling order, and what the frozen executors in
+        :mod:`repro.deploy.reference` run; :meth:`apply` dispatches
+        through :meth:`_make_ready_queue`, whose pop order must match
+        it exactly (heap variants preserve determinism by tie-breaking
+        on the change id).
         """
         return ready[0]
 
@@ -389,19 +381,6 @@ class PlanExecutor:
         """
         return _FifoReady()
 
-    def _ready_queue(self) -> _ReadyQueue:
-        cls = type(self)
-        pick_depth = next(
-            i for i, k in enumerate(cls.__mro__) if "pick_next" in vars(k)
-        )
-        queue_depth = next(
-            i for i, k in enumerate(cls.__mro__) if "_make_ready_queue" in vars(k)
-        )
-        if pick_depth < queue_depth:
-            # a subclass customized the picker without supplying a queue
-            return _PickNextReady(self.pick_next)
-        return self._make_ready_queue()
-
     # -- main loop -------------------------------------------------------------
 
     def apply(
@@ -409,6 +388,10 @@ class PlanExecutor:
         plan: Plan,
         wal: Optional[IntentJournal] = None,
         crash_hook: Optional[Callable[[int], None]] = None,
+        *,
+        dag: Optional[Dag] = None,
+        only: Optional[AbstractSet[str]] = None,
+        pre_dead: AbstractSet[str] = frozenset(),
     ) -> ApplyResult:
         """Execute the plan; mutates ``plan.state`` as the new state.
 
@@ -422,6 +405,16 @@ class PlanExecutor:
         process dying at exactly that boundary. Both default to ``None``
         and add zero work on that path -- scheduling stays byte-identical
         to the golden reference.
+
+        ``only`` runs a member subset of the execution DAG, as a pool
+        worker does for its plane group (the whole plan is the subset
+        that leaves nothing out): a predecessor outside ``only`` ran
+        earlier and is satisfied, unless ``pre_dead`` names it as
+        failed or skipped, in which case its members downstream are
+        skipped here too. Priorities are still computed over the whole
+        DAG -- pass it as ``dag`` when the caller already built it --
+        and ``plan.state`` is left for the caller to bump once every
+        subset has merged.
         """
         clock = self.gateway.clock
         started = clock.now
@@ -429,14 +422,13 @@ class PlanExecutor:
         result = ApplyResult(started_at=started, finished_at=started)
         state = plan.state
 
-        dag = plan.execution_dag()
-        self.prepare(plan, dag)
+        whole = dag if dag is not None else plan.execution_dag()
+        self.prepare(plan, whole)
         PERF.count("executor.applies")
+        dag = whole if only is None else whole.subgraph(only)
 
         indeg: Dict[str, int] = dag.in_degrees()
-        ready = self._ready_queue()
-        for cid in sorted(n for n, d in indeg.items() if d == 0):
-            ready.push(cid)
+        ready = self._make_ready_queue()
         running: Dict[str, _Running] = {}
         done: Set[str] = set()
         dead: Set[str] = set()  # failed, skipped, or quarantined
@@ -445,6 +437,35 @@ class PlanExecutor:
         #: (provider, region) -> change ids held back while that
         #: partition's half-open breaker has its probe in flight
         paused: Dict[Tuple[str, str], List[str]] = {}
+
+        def skip_downstream(cid: str) -> None:
+            """Mark ``cid``'s live descendant closure skipped. The walk
+            prunes at nodes that are already dead: whenever a node is
+            marked dead, its entire live descendant closure is marked in
+            the same pass, so an already-dead node has nothing new below
+            it. (No descendant can be done or running -- it would have
+            needed ``cid`` to finish first.)"""
+            stack = [cid]
+            while stack:
+                cur = stack.pop()
+                for succ in sorted(dag.successors(cur)):
+                    if succ in dead:
+                        continue
+                    dead.add(succ)
+                    result.skipped.append(succ)
+                    stack.append(succ)
+
+        if only is not None and pre_dead:
+            for cid in sorted(only):
+                if cid not in dead and not pre_dead.isdisjoint(
+                    whole.predecessors(cid)
+                ):
+                    dead.add(cid)
+                    result.skipped.append(cid)
+                    skip_downstream(cid)
+        for cid in sorted(n for n, d in indeg.items() if d == 0):
+            if cid not in dead:
+                ready.push(cid)
 
         def release_successors(cid: str) -> None:
             for succ in sorted(dag.successors(cid)):
@@ -469,21 +490,7 @@ class PlanExecutor:
                 return
             dead.add(cid)
             result.failed[cid] = error
-            # Skip everything downstream. The walk prunes at nodes that
-            # are already dead: whenever a node is marked dead, its
-            # entire live descendant closure is marked in the same
-            # pass, so an already-dead node has nothing new below it.
-            # (No descendant can be done or running -- it would have
-            # needed this change to finish first.)
-            stack = [cid]
-            while stack:
-                cur = stack.pop()
-                for succ in sorted(dag.successors(cur)):
-                    if succ in dead:
-                        continue
-                    dead.add(succ)
-                    result.skipped.append(succ)
-                    stack.append(succ)
+            skip_downstream(cid)
 
         def quarantine_change(
             cid: str, reason: str, part: Tuple[str, str]
@@ -766,7 +773,8 @@ class PlanExecutor:
         result.finished_at = clock.now
         result.state = state
         result.api_calls = self.gateway.total_api_calls() - calls_before
-        state.bump()
+        if only is None:
+            state.bump()
         return result
 
     # -- operation submission / commit -------------------------------------------
@@ -981,7 +989,7 @@ class CriticalPathExecutor(PlanExecutor):
             change = self._plan.changes[cid]
             try:
                 plane = self.gateway.plane_for(change.rtype)
-            except Exception:
+            except CloudAPIError:  # no provider routes this type
                 return now
             return plane.limiter.available_at("write", now)
 
@@ -995,3 +1003,11 @@ class CriticalPathExecutor(PlanExecutor):
             assert self._plan is not None  # prepare() ran
             return _GroupedRateAwareReady(self._priority, self._plan, self.gateway)
         return _PriorityReady(self._priority)
+
+
+#: strategy name -> executor class; the one table the engine and the
+#: sharded executor both pick a scheduling discipline from
+EXECUTORS = {
+    cls.name: cls
+    for cls in (SequentialExecutor, BestEffortExecutor, CriticalPathExecutor)
+}

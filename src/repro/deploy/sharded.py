@@ -1,94 +1,67 @@
-"""Sharded plan execution: per-shard executors over a partitioned DAG.
+"""Sharded plan execution: one dispatch loop over a partitioned DAG.
 
 The estate's execution DAG is cut into shards (:mod:`repro.graph.partition`)
-and one logical executor runs per shard. Two modes share that structure:
+and applied by the strategy's ordinary executor from
+:mod:`repro.deploy.executor` -- there is no second loop here. Two modes:
 
-**Interleaved** (default): every shard executor advances on the shared
-simulated clock, arbitrated so that the *global* dispatch order is
-provably identical to the corresponding single-executor strategy --
-identical sim makespan, byte-identical final state. The wall-clock win
-comes from shard-compiled *dispatch programs*: per-change precomputed
-steps, successors, commit dependencies, and a selective attribute
-evaluator that reuses the planner's concrete values instead of
-re-walking every expression at dispatch time (sound because the
-language is pure and a value concrete at plan time can only change if
-an upstream change mutates state -- exactly the cases the compiler
-detects and routes to full re-evaluation).
+**Interleaved** (default): the whole plan runs through
+:meth:`PlanExecutor.apply` once, so the op stream, sim makespan and final
+state are the single executor's by construction, as are its WAL, crash
+hook, health gating and retry behaviour. Sharding adds the partition and
+the bookkeeping derived from it after the run -- per-shard summaries,
+cross-shard releases, the ``shard.*`` counters. It buys no wall-clock:
+``benchmarks/BENCH_shard.json`` has the sharded arm *behind* the single
+executor (2.73 s vs 2.35 s at 10k, 26.5 s vs 24.2 s at 100k, one
+``state_sha``) -- the price of the partition pass and the accounting.
 
 **Pool** (``workers > 1``): shards are grouped by provider (a simulated
 control plane mints ids and computed attributes from sequential
 per-plane streams, so a worker must own whole planes) and plane groups
-run in forked worker processes, wave by wave over the shard-level
-dependency graph. Workers inherit the plan via fork copy-on-write and
-return picklable deltas -- committed state entries, resolver overrides,
-and plane runtime (records, id counter, RNG stream) -- which the parent
-merges through the copy-on-write :class:`StateDocument`, so merging
-stays O(changed). Pool mode reproduces single-executor results when
-plane groups are independent and concurrency is not binding; with
-cross-group edges the coarse wave barriers can only delay operations,
-never reorder them within a plane.
+run in forked worker processes over the shard-level dependency graph,
+either on a ready frontier (``overlap``, the default) or in
+barrier-separated waves. Each worker runs the same
+:meth:`PlanExecutor.apply` over its member subset, inherits the plan via
+fork copy-on-write and returns picklable deltas -- committed state
+entries, resolver overrides, and plane runtime (records, id counter,
+RNG stream) -- which the parent merges through the copy-on-write
+:class:`StateDocument`, so merging stays O(changed). Pool mode
+reproduces single-executor results when plane groups are independent
+and concurrency is not binding; with cross-group edges the coarse
+barriers can only delay operations, never reorder them within a plane.
 
-Cross-shard dependency edges are satisfied through a
-:class:`CompletionLedger` guarded by fencing tokens: each shard
-executor holds the ledger's current token for its shard, publications
-with a stale token are rejected, and a downstream shard releases a
-change only once every cross-shard predecessor is published. A shard
-whose (provider, region) partition goes dark parks alone -- its
-completions stop, other shards keep draining, exactly the blast-radius
-containment the quarantine layer (PR 5) establishes per-change.
+Cross-shard completions are recorded in a :class:`CompletionLedger`
+guarded by fencing tokens: every apply grants each shard a fresh token,
+publishes under it the succeeded changes some other shard waits on, and
+a publication with a stale token is rejected. A shard whose
+(provider, region) partition goes dark parks alone -- the executor's
+quarantine layer contains the blast radius per change, and the shard's
+summary carries the parked work.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import itertools
 import os
 import pickle
 import selectors
+import signal
 import time
-from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from ..cloud.base import CloudAPIError, PendingOperation
-from ..cloud.clock import EventQueue
 from ..cloud.gateway import CloudGateway
-from ..cloud.resilience import (
-    GATE_OPEN,
-    GATE_WAIT,
-    HealthMonitor,
-    RetryPolicy,
-    is_outage_error,
-)
-from ..graph.critical_path import analyze
+from ..cloud.resilience import HealthMonitor, RetryPolicy
 from ..graph.dag import Dag
-from ..graph.partition import PlanPartition, change_partition, partition_plan
+from ..graph.partition import PlanPartition, partition_plan
 from ..graph.plan import Action, Plan
-from ..lang.ast_nodes import (
-    AttrAccess,
-    FunctionCall,
-    IndexAccess,
-    ListExpr,
-    Literal,
-    ObjectExpr,
-    ScopeRef,
-    SplatExpr,
-    TemplateExpr,
-)
-from ..lang.context import DeferredResolver
-from ..lang.diagnostics import CLCEvalError
-from ..lang.evaluator import access_attr
-from ..lang.functions import call_function
-from ..lang.values import UNKNOWN, Unknown, is_unknown, to_string, type_name
 from ..perf import PERF
-from ..state.document import ResourceState, StateDocument
+from ..state.document import ResourceState
 from .executor import (
-    _STEPS,
-    _RevStr,
+    EXECUTORS,
     ApplyResult,
-    OperationRecord,
-    Quarantine,
-    _UnresolvedValueError,
+    CriticalPathExecutor,
+    PlanExecutor,
+    SequentialExecutor,
 )
 from .wal import IntentJournal
 
@@ -175,525 +148,21 @@ class ShardedApplyResult(ApplyResult):
         return len(self.shard_summaries)
 
 
-class _Prog:
-    """One change's compiled dispatch program."""
-
-    __slots__ = (
-        "change",
-        "steps",
-        "succs",
-        "deps",
-        "part",
-        "shard",
-        "cross_preds",
-        "full_eval",
-        "eval_names",
-        "eval_progs",
-        "plane",
-        "rtype",
-        "provider",
-        "region",
-    )
-
-
-# -- expression compilation ---------------------------------------------------
-#
-# Dispatch-time evaluation of an unknown attribute is a walk of the
-# same small expression tree every time: resolve a reference, access an
-# attr, maybe wrap in a list or a function call. Compiling each such
-# expression once into nested closures removes the per-dispatch tree
-# walk, Scope/Evaluator construction, and root-identifier resolution --
-# semantics are preserved by reusing the evaluator's own helpers
-# (``access_attr``, ``call_function``) and by bailing out to the real
-# Evaluator for any node shape not explicitly handled.
-
-
-class _Bail(Exception):
-    """Expression shape the compiler does not handle; use the Evaluator."""
-
-
-#: root identifiers with reserved resolution (never managed types)
-_RESERVED_ROOTS = frozenset(("var", "local", "data", "module", "path"))
-
-
-def _compile_expr(expr: Any, ctx: Any, bindings: Dict[str, Any]):
-    """Compile ``expr`` to ``(is_const, value, closure)``.
-
-    ``is_const`` marks values that cannot change between dispatches
-    (literals, instance bindings, variables); they are folded eagerly.
-    Raises :class:`_Bail` for shapes left to the Evaluator.
-    """
-    kind = type(expr)
-
-    if kind is Literal:
-        return (True, expr.value, None)
-
-    if kind is ScopeRef:
-        name = expr.name
-        if name in bindings:
-            return (True, bindings[name], None)
-        if name == "var":
-            return (True, ctx.variables, None)
-        raise _Bail()  # local/data/module/path/bare-resource roots
-
-    if kind is AttrAccess:
-        # resource reference root: TYPE.NAME -> resolver, bypassing
-        # the scope chain (bindings can only bind count/each, checked
-        # above via the ScopeRef branch being tried first)
-        obj = expr.obj
-        if (
-            type(obj) is ScopeRef
-            and obj.name not in _RESERVED_ROOTS
-            and obj.name not in bindings
-            and ("managed", obj.name, expr.name) in ctx.config.resources
-        ):
-            resolver = ctx.resolver
-            if isinstance(resolver, DeferredResolver) and resolver.target:
-                # the planner has already pointed the indirection slot
-                # at the live resolver; it stays put for the whole apply
-                resolver = resolver.target
-            resolve = resolver.resolve
-            mp = ctx.module_path
-            rtype, rname, span = obj.name, expr.name, obj.span
-
-            def ref_closure(
-                resolve=resolve, mp=mp, rtype=rtype, rname=rname, span=span
-            ):
-                return resolve(mp, "managed", rtype, rname, span)
-
-            return (False, None, ref_closure)
-        is_const, value, closure = _compile_expr(obj, ctx, bindings)
-        name, span = expr.name, expr.span
-        if is_const:
-            # static base (bindings/var): fold the access now; the
-            # result cannot change between dispatches
-            return (True, access_attr(value, name, span), None)
-
-        def attr_closure(closure=closure, name=name, span=span):
-            return access_attr(closure(), name, span)
-
-        return (False, None, attr_closure)
-
-    if kind is IndexAccess:
-        obj_c = _compile_expr(expr.obj, ctx, bindings)
-        idx_c = _compile_expr(expr.index, ctx, bindings)
-        span = expr.span
-        if obj_c[0] and idx_c[0]:
-            raise _Bail()  # constant indexing is rare; keep exact errors
-        obj_f = _as_thunk(obj_c)
-        idx_f = _as_thunk(idx_c)
-
-        def index_closure(obj_f=obj_f, idx_f=idx_f, span=span):
-            return _index_value(obj_f(), idx_f(), span)
-
-        return (False, None, index_closure)
-
-    if kind is SplatExpr:
-        obj_c = _compile_expr(expr.obj, ctx, bindings)
-        obj_f = _as_thunk(obj_c)
-        attrs, span = tuple(expr.attrs), expr.span
-
-        def splat_closure(obj_f=obj_f, attrs=attrs, span=span):
-            obj = obj_f()
-            if isinstance(obj, Unknown):
-                return obj
-            if obj is None:
-                return []
-            items = obj if isinstance(obj, list) else [obj]
-            out = []
-            for item in items:
-                value = item
-                for name in attrs:
-                    value = access_attr(value, name, span)
-                out.append(value)
-            return out
-
-        return (False, None, splat_closure)
-
-    if kind is TemplateExpr:
-        parts = [_compile_expr(p, ctx, bindings) for p in expr.parts]
-        if all(c[0] for c in parts):
-            values = [c[1] for c in parts]
-            if not any(is_unknown(v) for v in values):
-                return (True, "".join(to_string(v) for v in values), None)
-            raise _Bail()
-        thunks = [_as_thunk(c) for c in parts]
-
-        def template_closure(thunks=thunks):
-            values = [f() for f in thunks]
-            if any(is_unknown(v) for v in values):
-                origins = [
-                    v.origin for v in values if isinstance(v, Unknown) and v.origin
-                ]
-                return Unknown(origins[0]) if origins else UNKNOWN
-            return "".join(to_string(v) for v in values)
-
-        return (False, None, template_closure)
-
-    if kind is ListExpr:
-        items = [_as_thunk(_compile_expr(i, ctx, bindings)) for i in expr.items]
-
-        def list_closure(items=items):
-            return [f() for f in items]
-
-        return (False, None, list_closure)
-
-    if kind is ObjectExpr:
-        entries = [
-            (
-                _as_thunk(_compile_expr(k, ctx, bindings)),
-                _as_thunk(_compile_expr(v, ctx, bindings)),
-            )
-            for k, v in expr.entries
-        ]
-        spans = [k.span for k, _ in expr.entries]
-
-        def object_closure(entries=entries, spans=spans):
-            out: Dict[str, Any] = {}
-            for (key_f, value_f), span in zip(entries, spans):
-                key = key_f()
-                if isinstance(key, Unknown):
-                    return UNKNOWN
-                if not isinstance(key, str):
-                    raise CLCEvalError(
-                        f"object key must be string, got {type_name(key)}", span
-                    )
-                out[key] = value_f()
-            return out
-
-        return (False, None, object_closure)
-
-    if kind is FunctionCall:
-        if expr.expand_final:
-            raise _Bail()
-        arg_fs = [_as_thunk(_compile_expr(a, ctx, bindings)) for a in expr.args]
-        fname, span = expr.name, expr.span
-
-        def call_closure(arg_fs=arg_fs, fname=fname, span=span):
-            from ..lang.diagnostics import CLCEvalError
-
-            args = [f() for f in arg_fs]
-            try:
-                return call_function(fname, args)
-            except CLCEvalError as exc:
-                if exc.span is None:
-                    raise CLCEvalError(exc.message, span)
-                raise
-
-        return (False, None, call_closure)
-
-    raise _Bail()  # operators, conditionals, for-exprs: Evaluator
-
-
-def _as_thunk(compiled) -> Callable[[], Any]:
-    is_const, value, closure = compiled
-    if is_const:
-        return lambda value=value: value
-    return closure
-
-
-def _index_value(obj: Any, index: Any, span: Any) -> Any:
-    """Mirror of ``Evaluator._eval_IndexAccess`` post-evaluation."""
-    from collections.abc import Mapping
-
-    from ..lang.diagnostics import CLCEvalError
-    from ..lang.values import Unknown, type_name
-
-    if isinstance(obj, Unknown):
-        return obj
-    if isinstance(index, Unknown):
-        return index
-    if isinstance(obj, list):
-        if not isinstance(index, (int, float)) or isinstance(index, bool):
-            raise CLCEvalError(
-                f"list index must be a number, got {type_name(index)}", span
-            )
-        i = int(index)
-        if not 0 <= i < len(obj):
-            raise CLCEvalError(
-                f"list index {i} out of range (length {len(obj)})", span
-            )
-        return obj[i]
-    if isinstance(obj, Mapping):
-        if not isinstance(index, str):
-            raise CLCEvalError(
-                f"map key must be a string, got {type_name(index)}", span
-            )
-        if index not in obj:
-            raise CLCEvalError(f"map has no key {index!r}", span)
-        return obj[index]
-    raise CLCEvalError(f"cannot index a {type_name(obj)}", span)
-
-
-#: predecessor actions that can change a value that was concrete at plan
-#: time (an UPDATE/REPLACE rewrites state attrs the dependent may have
-#: read; CREATE cannot -- anything read from a CREATE was Unknown)
-_MUTATING_PRED = (Action.UPDATE, Action.REPLACE)
-_EVAL_ACTIONS = (Action.CREATE, Action.UPDATE, Action.REPLACE)
-
-
-def _compile_programs(
-    plan: Plan,
-    dag: Dag,
-    partition: PlanPartition,
-    gateway: CloudGateway,
-    state: StateDocument,
-) -> Dict[str, _Prog]:
-    """Shard-compile the plan: precompute everything the dispatch loop
-    would otherwise recompute per operation."""
-    changes = plan.changes
-    graph_dag = plan.graph.dag
-    nodes = plan.graph.nodes
-    shard_of = partition.shard_of
-    progs: Dict[str, _Prog] = {}
-    part_of = partition.part_of
-    for cid in dag.nodes:
-        change = changes[cid]
-        p = _Prog()
-        p.change = change
-        p.steps = _STEPS[change.action]
-        p.succs = sorted(dag.successors(cid))
-        p.shard = shard_of[cid]
-        p.part = part_of.get(cid) or change_partition(change, state, gateway)
-        p.rtype = change.rtype
-        p.region = change.region
-        try:
-            p.plane = gateway.plane_for(p.rtype)
-        except CloudAPIError:
-            p.plane = None
-        p.provider = change.provider or p.part[0]
-        home = p.shard
-        p.cross_preds = tuple(
-            pred for pred in dag.predecessors(cid) if shard_of[pred] != home
-        )
-        if cid in nodes:
-            p.deps = sorted(
-                pred
-                for pred in graph_dag.predecessors(cid)
-                if pred in nodes and nodes[pred].address.mode == "managed"
-            )
-        else:
-            p.deps = []
-        p.full_eval = False
-        p.eval_names = ()
-        p.eval_progs = None
-        if change.action in _EVAL_ACTIONS and change.node is not None:
-            if any(
-                (pc := changes.get(pred)) is not None
-                and pc.action in _MUTATING_PRED
-                for pred in graph_dag.predecessors(cid)
-            ):
-                p.full_eval = True
-            else:
-                p.eval_names = tuple(
-                    name
-                    for name, value in change.desired.items()
-                    if is_unknown(value)
-                )
-                if p.eval_names:
-                    node = change.node
-                    ctx = node.context
-                    bindings = node.instance_bindings()
-                    body_attrs = node.decl.body.attributes
-                    try:
-                        p.eval_progs = tuple(
-                            _as_thunk(
-                                _compile_expr(
-                                    body_attrs[name].expr, ctx, bindings
-                                )
-                            )
-                            for name in p.eval_names
-                        )
-                    except _Bail:
-                        p.eval_progs = None
-        progs[cid] = p
-    return progs
-
-
-# -- equivalence-preserving shard arbiters -----------------------------------
-#
-# Each arbiter keeps one ready structure per shard and pops the element
-# the corresponding single-executor queue would pop: the global order is
-# the merge of per-shard orders under the strategy's exact comparison
-# key, so argmin over shard tops == argmin over the whole ready set.
-
-
-class _ShardMinId:
-    """Sequential strategy: global min change id over shard-heap tops."""
-
-    def __init__(self, shard_of: Dict[str, str]):
-        self._shard_of = shard_of
-        self._heaps: Dict[str, List[str]] = {}
-        self._size = 0
-
-    def push(self, cid: str) -> None:
-        heapq.heappush(self._heaps.setdefault(self._shard_of[cid], []), cid)
-        self._size += 1
-
-    def pop(self) -> str:
-        best_sid = min(
-            (sid for sid, h in self._heaps.items() if h),
-            key=lambda sid: self._heaps[sid][0],
-        )
-        heap = self._heaps[best_sid]
-        cid = heapq.heappop(heap)
-        if not heap:
-            del self._heaps[best_sid]
-        self._size -= 1
-        return cid
-
-    def __len__(self) -> int:
-        return self._size
-
-
-class _ShardFifo:
-    """Best-effort strategy: global arrival order via a shared sequence
-    stamp; pop = min stamp over shard-queue fronts."""
-
-    def __init__(self, shard_of: Dict[str, str]):
-        self._shard_of = shard_of
-        self._queues: Dict[str, Deque[Tuple[int, str]]] = {}
-        self._seq = 0
-        self._size = 0
-
-    def push(self, cid: str) -> None:
-        self._queues.setdefault(self._shard_of[cid], deque()).append(
-            (self._seq, cid)
-        )
-        self._seq += 1
-        self._size += 1
-
-    def pop(self) -> str:
-        best_sid = min(
-            (sid for sid, q in self._queues.items() if q),
-            key=lambda sid: self._queues[sid][0][0],
-        )
-        queue = self._queues[best_sid]
-        cid = queue.popleft()[1]
-        if not queue:
-            del self._queues[best_sid]
-        self._size -= 1
-        return cid
-
-    def __len__(self) -> int:
-        return self._size
-
-
-class _ShardPriority:
-    """Critical-path (non-rate-aware): min ``(-pri, _RevStr(cid))`` over
-    shard-heap tops -- highest priority, ties to max cid, globally."""
-
-    def __init__(self, shard_of: Dict[str, str], priority: Dict[str, float]):
-        self._shard_of = shard_of
-        self._priority = priority
-        self._heaps: Dict[str, List[Tuple[float, _RevStr, str]]] = {}
-        self._size = 0
-
-    def push(self, cid: str) -> None:
-        pri = self._priority.get(cid, 0.0)
-        heapq.heappush(
-            self._heaps.setdefault(self._shard_of[cid], []),
-            (-pri, _RevStr(cid), cid),
-        )
-        self._size += 1
-
-    def pop(self) -> str:
-        best_sid = min(
-            (sid for sid, h in self._heaps.items() if h),
-            key=lambda sid: self._heaps[sid][0][:2],
-        )
-        heap = self._heaps[best_sid]
-        cid = heapq.heappop(heap)[2]
-        if not heap:
-            del self._heaps[best_sid]
-        self._size -= 1
-        return cid
-
-    def __len__(self) -> int:
-        return self._size
-
-
-class _ShardRateAware:
-    """Rate-aware critical path over per-(shard, limiter) heaps.
-
-    Identical pop order to the single executor's grouped queue: the
-    priority band is computed over *all* group tops, and the winner is
-    the min of ``(est, -pri, cid)`` over in-band tops. Splitting a
-    limiter's group by shard refines the partition without changing
-    either aggregate (max of maxes, min of mins).
-    """
-
-    def __init__(
-        self,
-        shard_of: Dict[str, str],
-        priority: Dict[str, float],
-        progs: Dict[str, _Prog],
-        gateway: CloudGateway,
-    ):
-        self._shard_of = shard_of
-        self._priority = priority
-        self._progs = progs
-        self._gateway = gateway
-        #: (shard, limiter-id) -> (limiter, heap of (-pri, cid))
-        self._groups: Dict[Tuple[str, Any], Tuple[Any, List[Tuple[float, str]]]] = {}
-        self._size = 0
-
-    def push(self, cid: str) -> None:
-        plane = self._progs[cid].plane
-        limiter = plane.limiter if plane is not None else None
-        key = (self._shard_of[cid], id(limiter) if limiter is not None else None)
-        group = self._groups.get(key)
-        if group is None:
-            group = (limiter, [])
-            self._groups[key] = group
-        heapq.heappush(group[1], (-self._priority.get(cid, 0.0), cid))
-        self._size += 1
-
-    def pop(self) -> str:
-        now = self._gateway.clock.now
-        band = 0.8 * max(-heap[0][0] for _, heap in self._groups.values())
-        best_key: Any = None
-        best: Optional[Tuple[float, float, str]] = None
-        est_cache: Dict[Any, float] = {}
-        for key, (limiter, heap) in self._groups.items():
-            neg_pri, cid = heap[0]
-            if -neg_pri < band:
-                continue
-            lid = id(limiter) if limiter is not None else None
-            est = est_cache.get(lid)
-            if est is None:
-                est = (
-                    limiter.available_at("write", now)
-                    if limiter is not None
-                    else now
-                )
-                est_cache[lid] = est
-            cand = (est, neg_pri, cid)
-            if best is None or cand < best:
-                best = cand
-                best_key = key
-        limiter, heap = self._groups[best_key]
-        cid = heapq.heappop(heap)[1]
-        if not heap:
-            del self._groups[best_key]
-        self._size -= 1
-        return cid
-
-    def __len__(self) -> int:
-        return self._size
+#: one pool worker's assignment: (shard ids of its plane group, the
+#: change ids in them)
+_Job = Tuple[List[str], Set[str]]
 
 
 class ShardedExecutor:
-    """Partitioned apply: parallel shard executors over one plan.
+    """Partitioned apply over one plan.
 
-    ``strategy`` selects the scheduling discipline to reproduce
-    (``"critical-path"`` (default), ``"best-effort"``,
-    ``"sequential"``); the interleaved dispatch order -- and therefore
-    the sim makespan and final state -- is identical to the
-    corresponding single executor. ``workers > 1`` switches to pool
-    mode (forked process per plane group, wave-scheduled); pool mode
-    does not support WAL journaling, health gating, or crash hooks and
-    falls back to interleaved execution when any is requested.
+    ``strategy`` selects the scheduling discipline (``"critical-path"``
+    (default), ``"best-effort"``, ``"sequential"``); the interleaved
+    apply *is* that executor's apply, plus shard bookkeeping.
+    ``workers > 1`` switches to pool mode (forked process per plane
+    group); pool mode does not support WAL journaling, health gating,
+    or crash hooks and falls back to interleaved execution when any is
+    requested.
     """
 
     name = "sharded"
@@ -711,7 +180,7 @@ class ShardedExecutor:
         workers: int = 1,
         overlap: bool = True,
     ):
-        if strategy not in ("critical-path", "best-effort", "sequential"):
+        if strategy not in EXECUTORS:
             raise ValueError(f"unknown sharded strategy {strategy!r}")
         self.gateway = gateway
         self.concurrency = 1 if strategy == "sequential" else max(1, concurrency)
@@ -729,6 +198,15 @@ class ShardedExecutor:
         self.overlap = overlap
         self.ledger = CompletionLedger()
         self.partition: Optional[PlanPartition] = None
+
+    def _strategy_executor(self) -> PlanExecutor:
+        cls = EXECUTORS[self.strategy]
+        kwargs: Dict[str, Any] = {}
+        if cls is not SequentialExecutor:
+            kwargs["concurrency"] = self.concurrency
+        if cls is CriticalPathExecutor:
+            kwargs["rate_aware"] = self.rate_aware
+        return cls(self.gateway, retry=self.retry, health=self.health, **kwargs)
 
     # -- entry ---------------------------------------------------------------
 
@@ -748,11 +226,9 @@ class ShardedExecutor:
         )
         self.partition = partition
         plan.resolver.enable_decl_cache()
-        progs = _compile_programs(plan, dag, partition, self.gateway, plan.state)
-        priority: Dict[str, float] = {}
-        if self.strategy == "critical-path":
-            analysis = analyze(plan, self.gateway.mean_latency, execution_dag=dag)
-            priority = analysis.priorities
+        PERF.count("shard.applies")
+        inner = self._strategy_executor()
+        tokens = {sid: self.ledger.grant(sid) for sid in partition.shard_ids()}
         if (
             self.workers > 1
             and wal is None
@@ -760,583 +236,74 @@ class ShardedExecutor:
             and crash_hook is None
             and len(partition.plane_groups()) > 1
         ):
-            return self._apply_pool(plan, dag, partition, progs, priority)
-        return self._apply_interleaved(
-            plan, dag, partition, progs, priority, wal, crash_hook
-        )
-
-    def _make_arbiter(
-        self,
-        partition: PlanPartition,
-        progs: Dict[str, _Prog],
-        priority: Dict[str, float],
-        shard_of: Dict[str, str],
-    ) -> Any:
-        if self.strategy == "sequential":
-            return _ShardMinId(shard_of)
-        if self.strategy == "best-effort":
-            return _ShardFifo(shard_of)
-        if self.rate_aware:
-            return _ShardRateAware(shard_of, priority, progs, self.gateway)
-        return _ShardPriority(shard_of, priority)
-
-    # -- interleaved mode ----------------------------------------------------
-
-    def _apply_interleaved(
-        self,
-        plan: Plan,
-        dag: Dag,
-        partition: PlanPartition,
-        progs: Dict[str, _Prog],
-        priority: Dict[str, float],
-        wal: Optional[IntentJournal],
-        crash_hook: Optional[Callable[[int], None]],
-        only: Optional[Set[str]] = None,
-        pre_done: Optional[Set[str]] = None,
-        pre_dead: Optional[Set[str]] = None,
-        result: Optional[ShardedApplyResult] = None,
-    ) -> ShardedApplyResult:
-        """The shared-clock sharded loop.
-
-        ``only``/``pre_done``/``pre_dead`` support pool workers running
-        a subset of the DAG with earlier waves' outcomes applied.
-        """
-        gateway = self.gateway
-        clock = gateway.clock
-        state = plan.state
-        started = clock.now
-        calls_before = gateway.total_api_calls()
-        if result is None:
-            result = ShardedApplyResult(started_at=started, finished_at=started)
-        ledger = self.ledger
-        changes = plan.changes
-        health = self.health
-        retry = self.retry
-        PERF.count("shard.applies")
-
-        members: Set[str] = set(progs) if only is None else set(only)
-        shard_of = {cid: progs[cid].shard for cid in members}
-        tokens: Dict[str, int] = {}
-        summaries = result.shard_summaries
-        for sid in sorted({shard_of[cid] for cid in members}):
-            tokens[sid] = ledger.grant(sid)
-            if sid not in summaries:
-                summaries[sid] = ShardSummary(sid)
-        for cid in members:
-            summaries[shard_of[cid]].changes += 1
-
-        pre_done = pre_done or set()
-        pre_dead = pre_dead or set()
-
-        # per-change split indegree: intra-shard edges release directly,
-        # cross-shard edges release through the ledger
-        intra: Dict[str, int] = {}
-        cross: Dict[str, int] = {}
-        for cid in members:
-            p = progs[cid]
-            n_intra = 0
-            n_cross = 0
-            for pred in dag.predecessors(cid):
-                if pred in pre_done or pred not in members:
-                    continue
-                if progs[pred].shard == p.shard:
-                    n_intra += 1
-                else:
-                    n_cross += 1
-            intra[cid] = n_intra
-            cross[cid] = n_cross
-
-        arbiter = self._make_arbiter(partition, progs, priority, shard_of)
-        running: Dict[str, Any] = {}
-        done: Set[str] = set(pre_done)
-        dead: Set[str] = set()
-        events = EventQueue(clock)
-        paused: Dict[Tuple[str, str], List[str]] = {}
-        resolver = plan.resolver
-        barrier_waits = 0
-
-        # kill downstream closure of changes already dead in earlier waves
-        for cid in sorted(members):
-            if any(
-                pred in pre_dead
-                for pred in dag.predecessors(cid)
-                if pred not in members
-            ):
-                if cid not in dead:
-                    dead.add(cid)
-                    result.skipped.append(cid)
-                    stack = [cid]
-                    while stack:
-                        cur = stack.pop()
-                        for succ in progs[cur].succs:
-                            if succ in members and succ not in dead:
-                                dead.add(succ)
-                                result.skipped.append(succ)
-                                stack.append(succ)
-
-        for cid in sorted(c for c in members if not intra[c] and not cross[c]):
-            if cid not in dead:
-                arbiter.push(cid)
-
-        # -- inner helpers (mirror executor.PlanExecutor.apply) -------------
-
-        def release_successors(cid: str) -> None:
-            nonlocal barrier_waits
-            p = progs[cid]
-            if any(
-                s in members and progs[s].shard != p.shard for s in p.succs
-            ):
-                ledger.publish(p.shard, tokens[p.shard], cid)
-            for succ in p.succs:
-                if succ not in members:
-                    continue
-                if progs[succ].shard == p.shard:
-                    intra[succ] -= 1
-                else:
-                    # cross-shard edge: the downstream shard re-checks
-                    # the ledger before trusting the release
-                    if not ledger.completed(cid):
-                        raise FencingError(
-                            f"release of {succ} before {cid} was published"
-                        )
-                    cross[succ] -= 1
-                    barrier_waits += 1
-                    summaries[progs[succ].shard].barrier_releases += 1
-                if not intra[succ] and not cross[succ] and succ not in dead:
-                    arbiter.push(succ)
-
-        def finish_change(cid: str, ok: bool, error: str = "") -> None:
-            rc = running.pop(cid, None)
-            if (
-                wal is not None
-                and not ok
-                and rc is not None
-                and rc.open_iid is not None
-            ):
-                wal.log_abort(rc.open_iid, error=error)
-                rc.open_iid = None
-            if ok:
-                done.add(cid)
-                result.succeeded.append(cid)
-                summaries[shard_of[cid]].succeeded += 1
-                release_successors(cid)
-                return
-            dead.add(cid)
-            result.failed[cid] = error
-            summaries[shard_of[cid]].failed += 1
-            stack = [cid]
-            while stack:
-                cur = stack.pop()
-                for succ in progs[cur].succs:
-                    if succ not in members or succ in dead:
-                        continue
-                    dead.add(succ)
-                    result.skipped.append(succ)
-                    stack.append(succ)
-
-        def quarantine_change(cid: str, reason: str, part: Tuple[str, str]) -> None:
-            rc = running.pop(cid, None)
-            if wal is not None and rc is not None and rc.open_iid is not None:
-                wal.log_abort(rc.open_iid, error=f"quarantined: {reason}")
-                rc.open_iid = None
-            if cid in dead or cid in done:
-                return
-            dead.add(cid)
-            result.quarantined[cid] = Quarantine(
-                cid, part[0], part[1], reason, clock.now
+            # forked workers inherit the critical-path analysis through
+            # the plan's cache instead of each redoing it
+            inner.prepare(plan, dag)
+            pool = (
+                self._apply_pool_overlapped
+                if self.overlap
+                else self._apply_pool_barrier
             )
-            summaries[shard_of[cid]].quarantined += 1
-            PERF.count("executor.quarantined")
-            PERF.count("shard.parked_changes")
-            stack = [cid]
-            while stack:
-                cur = stack.pop()
-                for succ in progs[cur].succs:
-                    if succ not in members or succ in dead:
-                        continue
-                    dead.add(succ)
-                    result.quarantined[succ] = Quarantine(
-                        succ,
-                        part[0],
-                        part[1],
-                        f"depends on quarantined {cur}",
-                        clock.now,
-                    )
-                    summaries[shard_of[succ]].quarantined += 1
-                    stack.append(succ)
-
-        def quarantine_paused(part: Tuple[str, str], reason: str) -> None:
-            for held in paused.pop(part, []):
-                if held not in dead and held not in done:
-                    quarantine_change(held, reason, part)
-
-        def drain_paused(part: Tuple[str, str]) -> None:
-            for held in paused.pop(part, []):
-                if held in dead or held in done:
-                    continue
-                held_rc = running.get(held)
-                if held_rc is not None:
-                    submit_step(held, held_rc)
-
-        def materialize(p: _Prog) -> Dict[str, Any]:
-            """Dispatch-time attribute values via the compiled program."""
-            change = p.change
-            if p.full_eval:
-                attrs = change.node.evaluate_attrs()
-                unknowns = sorted(
-                    name for name, value in attrs.items() if is_unknown(value)
-                )
-                if unknowns:
-                    raise _UnresolvedValueError(
-                        f"{change.id}: attributes still unknown at apply "
-                        f"time: {', '.join(unknowns)}"
-                    )
-                return attrs
-            if not p.eval_names:
-                return change.desired
-            attrs = dict(change.desired)
-            unknowns: List[str] = []
-            if p.eval_progs is not None:
-                for name, prog in zip(p.eval_names, p.eval_progs):
-                    value = prog()
-                    if is_unknown(value):
-                        unknowns.append(name)
-                    attrs[name] = value
-            else:
-                from ..lang.evaluator import Evaluator
-
-                node = change.node
-                evaluator = Evaluator(
-                    node.context.scope(node.instance_bindings())
-                )
-                body_attrs = node.decl.body.attributes
-                for name in p.eval_names:
-                    value = evaluator.evaluate(body_attrs[name].expr)
-                    if is_unknown(value):
-                        unknowns.append(name)
-                    attrs[name] = value
-            if unknowns:
-                raise _UnresolvedValueError(
-                    f"{change.id}: attributes still unknown at apply time: "
-                    f"{', '.join(sorted(unknowns))}"
-                )
-            return attrs
-
-        def submit_operation(p: _Prog, rc: Any, token: str) -> PendingOperation:
-            change = p.change
-            op = rc.steps[rc.step_idx]
-            if op == "delete":
-                prior = change.prior if change.prior else state.get(change.address)
-                if prior is None:
-                    raise _UnresolvedValueError(
-                        f"{change.id}: nothing in state to delete"
-                    )
-                return gateway.submit(
-                    "delete", p.rtype, resource_id=prior.resource_id
-                )
-            attrs = materialize(p)
-            region = p.region or gateway.region_for(p.rtype, attrs)
-            if op == "create":
-                payload = {k: v for k, v in attrs.items() if v is not None}
-                return gateway.submit(
-                    "create",
-                    p.rtype,
-                    attrs=payload,
-                    region=region,
-                    idempotency_token=token,
-                )
-            changed_names = [d.name for d in change.diffs]
-            prior = change.prior if change.prior else state.get(change.address)
-            if prior is None:
-                raise _UnresolvedValueError(
-                    f"{change.id}: nothing in state to update"
-                )
-            payload = {
-                name: attrs[name]
-                for name in changed_names
-                if name in attrs and attrs[name] is not None
-            }
-            return gateway.submit(
-                "update", p.rtype, resource_id=prior.resource_id, attrs=payload
+            result = pool(plan, dag, partition, inner)
+        else:
+            result = ShardedApplyResult(
+                **vars(inner.apply(plan, wal, crash_hook, dag=dag))
             )
-
-        def commit_step(p: _Prog, op: str, response: Any, now: float) -> None:
-            change = p.change
-            if op == "delete":
-                state.remove(change.address)
-                resolver.drop_override(change.id)
-                return
-            provider = p.provider or self.gateway.provider_of(p.rtype)
-            region = change.region or gateway.region_for(p.rtype, response)
-            if op == "create":
-                state.set(
-                    ResourceState(
-                        address=change.address,
-                        resource_id=response["id"],
-                        provider=provider,
-                        attrs=dict(response),
-                        region=region,
-                        created_at=now,
-                        updated_at=now,
-                        dependencies=p.deps,
-                    )
-                )
-            else:
-                entry = state.get(change.address) or change.prior
-                if entry is not None:
-                    state.set(
-                        entry.replace(
-                            attrs=dict(response),
-                            updated_at=now,
-                            dependencies=p.deps or list(entry.dependencies),
-                        )
-                    )
-            resolver.set_override(change.id, dict(response))
-
-        def start(cid: str) -> None:
-            p = progs[cid]
-            if not p.steps:  # READ: resolved at plan time
-                result.operations.append(
-                    OperationRecord(cid, "read", clock.now, clock.now, True)
-                )
-                done.add(cid)
-                result.succeeded.append(cid)
-                summaries[shard_of[cid]].succeeded += 1
-                release_successors(cid)
-                return
-            rc = _ShardRunning(p.change, p.steps)
-            running[cid] = rc
-            submit_step(cid, rc)
-
-        def submit_step(cid: str, rc: Any) -> None:
-            p = progs[cid]
-            if health is not None:
-                part = p.part
-                if part[0]:
-                    verdict = health.gate(part[0], part[1], clock.now)
-                    if verdict == GATE_OPEN:
-                        PERF.count("executor.fast_fails")
-                        quarantine_change(
-                            cid,
-                            f"partition {part[0]}/{part[1] or '*'} "
-                            f"unreachable (circuit open)",
-                            part,
-                        )
-                        return
-                    if verdict == GATE_WAIT:
-                        paused.setdefault(part, []).append(cid)
-                        return
-            rc.attempts += 1
-            token = ""
-            if wal is not None:
-                op_name = rc.steps[rc.step_idx]
-                if op_name == "create":
-                    token = f"{wal.run_id}/{cid}/{rc.step_idx}"
-                if rc.attempts == 1:
-                    prior_id = ""
-                    if op_name in ("delete", "update"):
-                        prior = (
-                            rc.change.prior
-                            if rc.change.prior
-                            else state.get(rc.change.address)
-                        )
-                        if prior is not None:
-                            prior_id = prior.resource_id
-                    rc.open_iid = wal.log_intent(
-                        cid,
-                        op_name,
-                        p.rtype,
-                        address=str(rc.change.address),
-                        token=token,
-                        resource_id=prior_id,
-                    )
-            try:
-                pending = submit_operation(p, rc, token)
-            except CloudAPIError as exc:
-                result.operations.append(
-                    OperationRecord(
-                        cid, rc.steps[rc.step_idx], clock.now, clock.now,
-                        False, exc.code, rc.attempts,
-                    )
-                )
-                finish_change(cid, False, str(exc))
-                return
-            except _UnresolvedValueError as exc:
-                result.operations.append(
-                    OperationRecord(
-                        cid, rc.steps[rc.step_idx], clock.now, clock.now,
-                        False, "UnresolvedValue", rc.attempts,
-                    )
-                )
-                finish_change(cid, False, str(exc))
-                return
-            rc.pending = pending
-            events.schedule(pending.t_complete, ("complete", cid))
-
-        def on_complete(cid: str) -> None:
-            rc = running.get(cid)
-            if rc is None or rc.pending is None:
-                return
-            p = progs[cid]
-            op_name = rc.steps[rc.step_idx]
-            try:
-                response = rc.pending.resolve()
-            except CloudAPIError as exc:
-                result.operations.append(
-                    OperationRecord(
-                        cid, op_name, rc.pending.t_submit, clock.now,
-                        False, exc.code, rc.attempts,
-                    )
-                )
-                if health is not None:
-                    part = p.part
-                    outage = is_outage_error(exc)
-                    if part[0]:
-                        health.record(
-                            part[0],
-                            part[1],
-                            ok=False,
-                            now=clock.now,
-                            latency_s=clock.now - rc.pending.t_submit,
-                            code=exc.code,
-                            outage=outage,
-                        )
-                    if outage and part[0]:
-                        if health.blocked(part[0], part[1], clock.now):
-                            reason = (
-                                f"partition {part[0]}/{part[1] or '*'} "
-                                f"unreachable: {exc.code}"
-                            )
-                            quarantine_change(cid, reason, part)
-                            quarantine_paused(part, reason)
-                            return
-                        if not (
-                            exc.transient and rc.attempts < retry.max_attempts
-                        ):
-                            quarantine_change(
-                                cid,
-                                f"retries exhausted against "
-                                f"{part[0]}/{part[1] or '*'}: {exc.code}",
-                                part,
-                            )
-                            return
-                if exc.transient and rc.attempts < retry.max_attempts:
-                    delay = retry.backoff(rc.attempts)
-                    PERF.count("resilience.retries")
-                    PERF.observe("resilience.backoff_sim_s", delay)
-                    events.schedule(clock.now + delay, ("retry", cid))
-                else:
-                    if exc.transient:
-                        PERF.count("resilience.gave_up")
-                    finish_change(cid, False, str(exc))
-                return
-            result.operations.append(
-                OperationRecord(
-                    cid, op_name, rc.pending.t_submit, clock.now, True,
-                    "", rc.attempts,
-                )
-            )
-            if health is not None:
-                part = p.part
-                if part[0]:
-                    health.record(
-                        part[0],
-                        part[1],
-                        ok=True,
-                        now=clock.now,
-                        latency_s=clock.now - rc.pending.t_submit,
-                    )
-                    if paused:
-                        drain_paused(part)
-            commit_step(p, op_name, response, clock.now)
-            if wal is not None and rc.open_iid is not None:
-                committed_id = (
-                    response.get("id", "") if isinstance(response, dict) else ""
-                )
-                wal.log_commit(rc.open_iid, resource_id=committed_id)
-                rc.open_iid = None
-            rc.step_idx += 1
-            rc.attempts = 0
-            if rc.step_idx < len(rc.steps):
-                submit_step(cid, rc)
-            else:
-                finish_change(cid, True)
-
-        # -- drive the event loop -------------------------------------------
-
-        concurrency = self.concurrency
-        event_index = 0
-        dispatches = 0
-        while True:
-            while len(arbiter) and len(running) < concurrency:
-                cid = arbiter.pop()
-                if cid in dead:
-                    continue
-                dispatches += 1
-                start(cid)
-            if not running:
-                if not len(arbiter):
-                    break
-                continue
-            popped = events.pop()
-            if popped is None:
-                break
-            if crash_hook is not None:
-                crash_hook(event_index)
-                event_index += 1
-            _, (kind, cid) = popped
-            if kind == "complete":
-                on_complete(cid)
-            elif kind == "retry":
-                rc = running.get(cid)
-                if rc is not None:
-                    submit_step(cid, rc)
-
-        for part in sorted(paused):
-            quarantine_paused(
-                part,
-                f"partition {part[0]}/{part[1] or '*'} probe did not "
-                f"resolve before the run ended",
-            )
-
-        t_merge = time.perf_counter()
-        PERF.count("shard.dispatches", dispatches)
-        if barrier_waits:
-            PERF.count("shard.barrier_waits", barrier_waits)
-        result.finished_at = clock.now
-        result.state = state
-        result.api_calls = gateway.total_api_calls() - calls_before
-        result.barrier_waits = barrier_waits
-        if only is None:
-            state.bump()
-            PERF.observe(
-                "shard.merge_ms", (time.perf_counter() - t_merge) * 1000.0
-            )
+        self._account(result, partition, tokens)
         return result
 
-    # -- pool mode -----------------------------------------------------------
-
-    def _apply_pool(
+    def _account(
         self,
-        plan: Plan,
-        dag: Dag,
+        result: ShardedApplyResult,
         partition: PlanPartition,
-        progs: Dict[str, _Prog],
-        priority: Dict[str, float],
-    ) -> ShardedApplyResult:
-        """Forked plane-group workers, overlapped or barrier-waved."""
-        if self.overlap:
-            return self._apply_pool_overlapped(
-                plan, dag, partition, progs, priority
+        tokens: Dict[str, int],
+    ) -> None:
+        """Shard bookkeeping, derived from the finished run and the
+        partition: per-shard summaries, cross-shard releases, ledger
+        publications under this run's ``tokens``, ``shard.*`` counters."""
+        t_account = time.perf_counter()
+        shard_of = partition.shard_of
+        summaries = {
+            sid: ShardSummary(sid, changes=len(partition.shards[sid]))
+            for sid in partition.shard_ids()
+        }
+        for cid in result.succeeded:
+            summaries[shard_of[cid]].succeeded += 1
+        for cid in result.failed:
+            summaries[shard_of[cid]].failed += 1
+        for cid in result.quarantined:
+            summaries[shard_of[cid]].quarantined += 1
+        done = set(result.succeeded)
+        for before, after in partition.cross_edges:
+            if before in done:
+                home = shard_of[before]
+                self.ledger.publish(home, tokens[home], before)
+                summaries[shard_of[after]].barrier_releases += 1
+        result.shard_summaries = summaries
+        result.barrier_waits = sum(
+            s.barrier_releases for s in summaries.values()
+        )
+        if PERF.enabled:
+            # changes that issued at least one operation
+            PERF.count(
+                "shard.dispatches",
+                len({op.change_id for op in result.operations}),
             )
-        return self._apply_pool_barrier(plan, dag, partition, progs, priority)
+            if result.barrier_waits:
+                PERF.count("shard.barrier_waits", result.barrier_waits)
+            if result.quarantined:
+                PERF.count("shard.parked_changes", len(result.quarantined))
+            PERF.observe(
+                "shard.merge_ms", (time.perf_counter() - t_account) * 1000.0
+            )
+
+    # -- pool mode -----------------------------------------------------------
 
     def _merge_outcome(
         self,
         result: ShardedApplyResult,
         outcome: Dict[str, Any],
         plan: Plan,
-        done: Set[str],
         dead: Set[str],
     ) -> float:
         """Fold one worker's outcome into the parent; returns its
@@ -1347,17 +314,8 @@ class ShardedExecutor:
         result.failed.update(outcome["failed"])
         result.skipped.extend(outcome["skipped"])
         result.operations.extend(outcome["operations"])
-        done.update(outcome["succeeded"])
         dead.update(outcome["failed"])
         dead.update(outcome["skipped"])
-        for sid, summary in outcome["summaries"].items():
-            mine = result.shard_summaries[sid]
-            mine.changes += summary.changes
-            mine.succeeded += summary.succeeded
-            mine.failed += summary.failed
-            mine.quarantined += summary.quarantined
-            mine.barrier_releases += summary.barrier_releases
-        result.barrier_waits += outcome["barrier_waits"]
         # merge shard-local state deltas through the COW document
         for entry in outcome["entries"]:
             state.set(entry)
@@ -1371,10 +329,6 @@ class ShardedExecutor:
         # runtime (touched records, counters, RNG stream, log suffix)
         for provider, delta in outcome["planes"].items():
             _import_plane_delta(self.gateway.planes[provider], delta)
-        for sid in outcome["tokens"]:
-            self.ledger.grant(sid)
-            for cid in outcome["published"].get(sid, ()):
-                self.ledger.publish(sid, self.ledger.current_token(sid), cid)
         PERF.observe(
             "shard.merge_ms", (time.perf_counter() - t_merge) * 1000.0
         )
@@ -1385,8 +339,7 @@ class ShardedExecutor:
         plan: Plan,
         dag: Dag,
         partition: PlanPartition,
-        progs: Dict[str, _Prog],
-        priority: Dict[str, float],
+        inner: PlanExecutor,
     ) -> ShardedApplyResult:
         """Historical pool mode: barrier-separated waves."""
         gateway = self.gateway
@@ -1398,14 +351,11 @@ class ShardedExecutor:
         )
         waves = partition.pool_waves()
         result.waves = len(waves)
-        done: Set[str] = set()
         dead: Set[str] = set()
-        for sid in partition.shard_ids():
-            result.shard_summaries[sid] = ShardSummary(sid)
 
         for wave in waves:
             # one worker per plane group in this wave
-            jobs: List[Tuple[List[str], Set[str]]] = []
+            jobs: List[_Job] = []
             for group in wave:
                 members = {
                     cid
@@ -1416,14 +366,11 @@ class ShardedExecutor:
                     jobs.append((group, members))
             if not jobs:
                 continue
-            outcomes = _run_forked(
-                self, plan, dag, partition, progs, priority, jobs, done, dead
-            )
+            outcomes = _run_forked(inner, plan, dag, partition, jobs, dead)
             wave_end = clock.now
             for outcome in outcomes:
                 wave_end = max(
-                    wave_end,
-                    self._merge_outcome(result, outcome, plan, done, dead),
+                    wave_end, self._merge_outcome(result, outcome, plan, dead)
                 )
             clock.advance_to(wave_end)
 
@@ -1438,8 +385,7 @@ class ShardedExecutor:
         plan: Plan,
         dag: Dag,
         partition: PlanPartition,
-        progs: Dict[str, _Prog],
-        priority: Dict[str, float],
+        inner: PlanExecutor,
     ) -> ShardedApplyResult:
         """Ready-frontier pool: fork each provider unit the moment its
         own cross-group predecessors have merged.
@@ -1464,12 +410,9 @@ class ShardedExecutor:
         )
         units, unit_deps = partition.pool_units()
         groups = partition.plane_groups()
-        done: Set[str] = set()
         dead: Set[str] = set()
-        for sid in partition.shard_ids():
-            result.shard_summaries[sid] = ShardSummary(sid)
 
-        jobs: List[Tuple[List[str], Set[str]]] = []
+        jobs: List[_Job] = []
         for unit in units:
             group = [sid for p in unit for sid in groups.get(p, [])]
             members = {
@@ -1499,7 +442,7 @@ class ShardedExecutor:
             return max([started] + [unit_end[d] for d in unit_deps[i]])
 
         def finalize(i: int, outcome: Dict[str, Any]) -> None:
-            end = self._merge_outcome(result, outcome, plan, done, dead)
+            end = self._merge_outcome(result, outcome, plan, dead)
             unit_end[i] = end
             merged.add(i)
 
@@ -1509,60 +452,65 @@ class ShardedExecutor:
             start_at = start_time(i)
             if not can_fork:  # pragma: no cover - non-posix fallback
                 clock.advance_to(start_at)
-                outcome = _pool_job(
-                    self, plan, dag, partition, progs, priority,
-                    group, members, done, dead,
+                finalize(
+                    i, _pool_job(inner, plan, dag, partition, group, members, dead)
                 )
-                finalize(i, outcome)
                 return
             pid, read_fd = _fork_job(
-                self, plan, dag, partition, progs, priority,
-                group, members, done, dead, start_at,
+                inner, plan, dag, partition, group, members, dead, start_at
             )
             inflight[i] = (pid, read_fd)
             buffers[i] = bytearray()
             assert sel is not None
             sel.register(read_fd, selectors.EVENT_READ, data=i)
 
-        while len(merged) < n:
-            frontier = sorted(
-                i
-                for i in range(n)
-                if i not in launched and unit_deps[i] <= merged
-            )
-            for i in frontier:
-                if len(inflight) >= self.workers:
-                    break
-                launch(i)
-            if not inflight:
-                if len(merged) < n and not any(
-                    i not in launched and unit_deps[i] <= merged
+        try:
+            while len(merged) < n:
+                frontier = sorted(
+                    i
                     for i in range(n)
-                ):  # pragma: no cover - pool_units condenses cycles
-                    raise RuntimeError("pool schedule stalled (cycle?)")
-                continue
-            assert sel is not None
-            for key, _mask in sel.select():
-                i = key.data
-                fd = key.fileobj
-                chunk = os.read(fd, 1 << 20)
-                if chunk:
-                    buffers[i] += chunk
+                    if i not in launched and unit_deps[i] <= merged
+                )
+                for i in frontier:
+                    if len(inflight) >= self.workers:
+                        break
+                    launch(i)
+                if not inflight:
+                    if len(merged) < n and not any(
+                        i not in launched and unit_deps[i] <= merged
+                        for i in range(n)
+                    ):  # pragma: no cover - pool_units condenses cycles
+                        raise RuntimeError("pool schedule stalled (cycle?)")
                     continue
-                # EOF: worker finished; reap and merge
-                sel.unregister(fd)
+                assert sel is not None
+                for key, _mask in sel.select():
+                    i = key.data
+                    fd = key.fileobj
+                    chunk = os.read(fd, 1 << 20)
+                    if chunk:
+                        buffers[i] += chunk
+                        continue
+                    # EOF: worker finished; reap and merge
+                    sel.unregister(fd)
+                    os.close(fd)
+                    pid, _ = inflight.pop(i)
+                    _, status = os.waitpid(pid, 0)
+                    payload = bytes(buffers.pop(i))
+                    if not payload:
+                        raise RuntimeError(
+                            f"pool worker {pid} died (status {status})"
+                        )
+                    finalize(i, pickle.loads(payload))
+        finally:
+            # empty unless a worker died or its outcome failed to merge:
+            # the siblings' results are void, so stop and reap them
+            # rather than leave children and pipes behind the error
+            for pid, fd in inflight.values():
                 os.close(fd)
-                pid, _ = inflight.pop(i)
-                _, status = os.waitpid(pid, 0)
-                payload = bytes(buffers.pop(i))
-                if not payload:
-                    raise RuntimeError(
-                        f"pool worker {pid} died (status {status})"
-                    )
-                finalize(i, pickle.loads(payload))
-
-        if sel is not None:
-            sel.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            if sel is not None:
+                sel.close()
         # independent units merge in wall-clock completion order, which
         # is nondeterministic run to run; canonicalize the merged
         # artifacts so a pool apply is byte-stable regardless of which
@@ -1580,16 +528,6 @@ class ShardedExecutor:
         result.api_calls = gateway.total_api_calls() - calls_before_total
         plan.state.bump()
         return result
-
-
-@dataclasses.dataclass
-class _ShardRunning:
-    change: Any
-    steps: List[str]
-    step_idx: int = 0
-    attempts: int = 0
-    pending: Optional[PendingOperation] = None
-    open_iid: Optional[int] = None
 
 
 def _export_plane_delta(
@@ -1658,16 +596,14 @@ def _import_plane_delta(plane: Any, delta: Dict[str, Any]) -> None:
     plane.log.extend_from(delta["log_suffix"])
 
 
+
 def _fork_job(
-    executor: ShardedExecutor,
+    inner: PlanExecutor,
     plan: Plan,
     dag: Dag,
     partition: PlanPartition,
-    progs: Dict[str, _Prog],
-    priority: Dict[str, float],
     group: List[str],
     members: Set[str],
-    done: Set[str],
     dead: Set[str],
     start_at: Optional[float] = None,
 ) -> Tuple[int, int]:
@@ -1685,11 +621,8 @@ def _fork_job(
         code = 1
         try:
             if start_at is not None:
-                executor.gateway.clock.advance_to(start_at)
-            outcome = _pool_job(
-                executor, plan, dag, partition, progs, priority,
-                group, members, done, dead,
-            )
+                inner.gateway.clock.advance_to(start_at)
+            outcome = _pool_job(inner, plan, dag, partition, group, members, dead)
             payload = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
             with os.fdopen(write_fd, "wb") as out:
                 out.write(payload)
@@ -1701,14 +634,11 @@ def _fork_job(
 
 
 def _run_forked(
-    executor: ShardedExecutor,
+    inner: PlanExecutor,
     plan: Plan,
     dag: Dag,
     partition: PlanPartition,
-    progs: Dict[str, _Prog],
-    priority: Dict[str, float],
-    jobs: List[Tuple[List[str], Set[str]]],
-    done: Set[str],
+    jobs: List[_Job],
     dead: Set[str],
 ) -> List[Dict[str, Any]]:
     """Run one wave's plane-group jobs in forked children.
@@ -1719,18 +649,13 @@ def _run_forked(
     """
     if not hasattr(os, "fork"):  # pragma: no cover - non-posix fallback
         return [
-            _pool_job(executor, plan, dag, partition, progs, priority,
-                      group, members, done, dead)
+            _pool_job(inner, plan, dag, partition, group, members, dead)
             for group, members in jobs
         ]
-    procs: List[Tuple[int, int]] = []
-    for group, members in jobs:
-        procs.append(
-            _fork_job(
-                executor, plan, dag, partition, progs, priority,
-                group, members, done, dead,
-            )
-        )
+    procs = [
+        _fork_job(inner, plan, dag, partition, group, members, dead)
+        for group, members in jobs
+    ]
     outcomes: List[Dict[str, Any]] = []
     errors: List[str] = []
     for pid, read_fd in procs:
@@ -1747,20 +672,17 @@ def _run_forked(
 
 
 def _pool_job(
-    executor: ShardedExecutor,
+    inner: PlanExecutor,
     plan: Plan,
     dag: Dag,
     partition: PlanPartition,
-    progs: Dict[str, _Prog],
-    priority: Dict[str, float],
     group: List[str],
     members: Set[str],
-    done: Set[str],
     dead: Set[str],
 ) -> Dict[str, Any]:
-    """One plane-group worker: run the interleaved loop over a subset
-    and export a picklable outcome."""
-    gateway = executor.gateway
+    """One plane-group worker: run the executor's loop over the group's
+    members and export a picklable outcome."""
+    gateway = inner.gateway
     state = plan.state
     providers = sorted(
         {partition.shards[sid].provider for sid in group if partition.shards[sid].provider}
@@ -1775,43 +697,25 @@ def _pool_job(
         )
         for provider in providers
     }
-    sub = ShardedApplyResult(
-        started_at=gateway.clock.now, finished_at=gateway.clock.now, mode="pool"
-    )
-    executor._apply_interleaved(
-        plan, dag, partition, progs, priority,
-        wal=None, crash_hook=None,
-        only=members, pre_done=done, pre_dead=dead, result=sub,
-    )
+    sub = inner.apply(plan, dag=dag, only=members, pre_dead=dead)
     committed: List[ResourceState] = []
     removed: List[Any] = []
     dropped: List[str] = []
     for cid in sub.succeeded:
-        p = progs.get(cid)
-        if p is None:
-            continue
-        if p.change.action == Action.DELETE:
-            removed.append(p.change.address)
+        change = plan.changes[cid]
+        if change.action == Action.DELETE:
+            removed.append(change.address)
             dropped.append(cid)
             continue
-        entry = state.get(p.change.address)
+        entry = state.get(change.address)
         if entry is not None:
             committed.append(entry)
-    published: Dict[str, List[str]] = {}
-    for cid in sub.succeeded:
-        p = progs.get(cid)
-        if p is None:
-            continue
-        if any(s in progs and progs[s].shard != p.shard for s in p.succs):
-            published.setdefault(p.shard, []).append(cid)
     return {
         "finished_at": sub.finished_at,
         "succeeded": sub.succeeded,
         "failed": sub.failed,
         "skipped": sub.skipped,
         "operations": sub.operations,
-        "summaries": sub.shard_summaries,
-        "barrier_waits": sub.barrier_waits,
         "entries": committed,
         "removed": removed,
         "overrides": {
@@ -1826,6 +730,4 @@ def _pool_job(
             )
             for provider in providers
         },
-        "tokens": {sid: partition.shards[sid].provider for sid in group},
-        "published": published,
     }

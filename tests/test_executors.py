@@ -123,6 +123,50 @@ class TestSchedulingStrategies:
         assert peak <= 2
 
 
+    def test_rate_aware_pick_with_unroutable_type(self):
+        """A type no provider routes counts as startable now -- its
+        submit then fails typed -- while any other routing error is a
+        defect and surfaces instead of being scheduled around."""
+
+        class FlatPriority(CriticalPathExecutor):
+            # the critical-path analysis prices every type, so it
+            # rejects the unroutable one before any queue sees it
+            def prepare(self, plan, dag):
+                self._priority = {cid: 1.0 for cid in dag.nodes}
+                self._plan = plan
+
+        gateway = CloudGateway.simulated(seed=12)
+        source = (
+            'resource "aws_vpc" "v" {\n  name = "v"\n  cidr_block = "10.0.0.0/16"\n}\n'
+            'resource "gcp_bucket" "b" {\n  name = "b"\n}\n'
+        )
+        plan = Planner(spec_lookup=gateway.try_spec).plan(
+            build_graph(Configuration.parse(source)), StateDocument()
+        )
+        executor = FlatPriority(gateway)
+        result = executor.apply(plan)
+        assert result.succeeded == ["aws_vpc.v"]
+        assert list(result.failed) == ["gcp_bucket.b"]
+        assert [op.error_code for op in result.errors_for("gcp_bucket.b")] == [
+            "UnknownResourceType"
+        ]
+        # the heap and the reference statement agree on the order
+        ready = sorted(plan.changes)
+        queue = executor._make_ready_queue()
+        for cid in ready:
+            queue.push(cid)
+        assert queue.pop() == executor.pick_next(ready)
+
+        def broken_routing(rtype):
+            raise KeyError(rtype)
+
+        gateway.plane_for = broken_routing
+        with pytest.raises(KeyError):
+            executor.pick_next(ready)
+        with pytest.raises(KeyError):
+            executor._make_ready_queue().push("gcp_bucket.b")
+
+
 class TestFailures:
     def test_permanent_failure_skips_descendants(self):
         gateway = CloudGateway.simulated(seed=6)

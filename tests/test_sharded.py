@@ -1,9 +1,10 @@
 """Sharded apply: partitioning, equivalence, fencing, incremental replan.
 
 The sharding layer must be *invisible* in every observable except wall
-time: the interleaved sharded executor makes byte-identical scheduling
-decisions to the single executor it mirrors (same op stream, same sim
-makespan, same final state), the partitioner covers the plan exactly
+time: the interleaved sharded executor runs the single executor's own
+dispatch loop (same op stream, same sim makespan, same final state,
+with or without faults, a WAL, or a crash), the partitioner covers the
+plan exactly
 (every change in one shard, every edge intra-shard or declared
 cross-shard), pool mode is deterministic and wiring-equivalent, and
 incremental re-planning yields the same plan the full pipeline would.
@@ -11,13 +12,15 @@ incremental re-planning yields the same plan the full pipeline would.
 
 import hashlib
 import json
+import os
 import re
+import time
 
 import pytest
 
 from repro import perf
-from repro.cloud import CloudGateway, HealthMonitor, BreakerPolicy
-from repro.cloud.faults import OutageSpec
+from repro.cloud import CloudGateway, HealthMonitor, BreakerPolicy, RetryPolicy
+from repro.cloud.faults import FaultSpec, OutageSpec
 from repro.core.engine import CloudlessEngine
 from repro.deploy import (
     BestEffortExecutor,
@@ -25,8 +28,12 @@ from repro.deploy import (
     CriticalPathExecutor,
     FencingError,
     IncrementalSession,
+    IntentJournal,
+    PlanExecutor,
     SequentialExecutor,
     ShardedExecutor,
+    SimulatedCrash,
+    sharded as sharded_module,
 )
 from repro.deploy.incremental import read_data_sources
 from repro.graph import Planner, build_graph, partition_plan
@@ -49,9 +56,10 @@ STRATEGIES = {
 }
 
 
-def make_plan(source, seed=0, synthetic=0, state=None):
+def make_plan(source, seed=0, synthetic=0, state=None, gateway=None):
     clear_analysis_cache()
-    gateway = CloudGateway.simulated(seed=seed, synthetic=synthetic)
+    if gateway is None:
+        gateway = CloudGateway.simulated(seed=seed, synthetic=synthetic)
     graph = build_graph(Configuration.parse(source))
     planner = Planner(
         spec_lookup=gateway.try_spec,
@@ -207,39 +215,158 @@ class TestPartitioner:
 # -- interleaved equivalence --------------------------------------------------
 
 
+#: a 0.15 fault rate must not exhaust an apply (p_fail ~ 0.15^6)
+PATIENT = RetryPolicy(max_attempts=6, base_backoff_s=2.0)
+
+ESTATES = {
+    "web": web_tier,
+    "micro": microservices,
+    "multi": multi_cloud,
+    "two_region": lambda: two_region_estate(40),
+}
+
+
+def run_arm(workload, make_executor, wal_path):
+    """One arm of the equivalence matrix: apply ``workload`` with the
+    executor ``make_executor(gateway, **kwargs)`` builds and return the
+    result to compare, plus the WAL bytes where one is attached."""
+    if workload in ESTATES:
+        gateway, plan = make_plan(ESTATES[workload](), seed=11)
+        return make_executor(gateway).apply(plan), None
+    if workload == "day2":
+        # converge, then edit: one plan with every mutating action
+        gateway, plan = make_plan(multi_cloud(3), seed=11)
+        assert CriticalPathExecutor(gateway).apply(plan).ok
+        edited = (
+            multi_cloud(2)
+            .replace('engine     = "postgres"', 'engine     = "mysql"')
+            .replace('size    = "medium"', 'size    = "large"')
+        )
+        _, plan = make_plan(edited, gateway=gateway, state=plan.state)
+        actions = {c.action.name for c in plan.actionable()}
+        assert {"UPDATE", "REPLACE", "DELETE"} <= actions
+        return make_executor(gateway).apply(plan), None
+    if workload == "faults":
+        gateway, plan = make_plan(multi_cloud(), seed=11)
+        for plane in gateway.planes.values():
+            plane.faults.set_transient_rate(0.15)
+        result = make_executor(gateway, retry=PATIENT).apply(plan)
+        assert any(op.attempt > 1 for op in result.operations)
+        return result, None
+    if workload == "wal":
+        gateway, plan = make_plan(multi_cloud(), seed=11)
+        journal = IntentJournal(wal_path)
+        journal.begin_run("equivalence")
+        result = make_executor(gateway).apply(plan, wal=journal)
+        journal.close()
+        with open(wal_path, "rb") as handle:
+            return result, handle.read()
+    assert workload == "crash_resume"
+    engine = CloudlessEngine(seed=11, wal_path=wal_path)
+    engine._executor = lambda: make_executor(
+        engine.gateway, health=engine.health
+    )
+
+    def die_at_boundary_five(index):
+        if index == 5:
+            raise SimulatedCrash("boundary 5")
+
+    with pytest.raises(SimulatedCrash):
+        engine.apply(multi_cloud(), crash_hook=die_at_boundary_five)
+    resumed = engine.resume(multi_cloud())
+    assert resumed.recovery is not None and resumed.recovery.adopted
+    return resumed.result.apply, None
+
+
 class TestShardedEquivalence:
     @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
     @pytest.mark.parametrize(
         "workload",
-        ["web", "micro", "multi", "two_region"],
+        [*ESTATES, "day2", "faults", "wal", "crash_resume"],
     )
-    def test_byte_identical_to_single_executor(self, strategy, workload):
-        source = {
-            "web": web_tier(),
-            "micro": microservices(),
-            "multi": multi_cloud(),
-            "two_region": two_region_estate(40),
-        }[workload]
-        gateway1, plan1 = make_plan(source, seed=11)
-        single = STRATEGIES[strategy](gateway1).apply(plan1)
-        gateway2, plan2 = make_plan(source, seed=11)
-        sharded = ShardedExecutor(gateway2, strategy=strategy).apply(plan2)
+    def test_byte_identical_to_single_executor(
+        self, strategy, workload, tmp_path
+    ):
+        single, single_wal = run_arm(
+            workload,
+            lambda gw, **kw: STRATEGIES[strategy](gw, **kw),
+            str(tmp_path / "single.wal"),
+        )
+        sharded, sharded_wal = run_arm(
+            workload,
+            lambda gw, **kw: ShardedExecutor(gw, strategy=strategy, **kw),
+            str(tmp_path / "sharded.wal"),
+        )
         assert sharded.mode == "interleaved"
-        assert sharded.ok == single.ok
+        assert single.ok and sharded.ok
         assert sharded.makespan_s == single.makespan_s
         assert ops_fingerprint(sharded) == ops_fingerprint(single)
         assert sharded.state.to_json() == single.state.to_json()
+        assert sharded.state.content_hash() == single.state.content_hash()
+        assert sharded_wal == single_wal
+        if workload != "day2":
+            return
+        # pool declines WAL and crash hooks by design; the day-2 plan
+        # is the input whose deletes and replaces it must still merge
+        for overlap in (True, False):
+            pool, _ = run_arm(
+                workload,
+                lambda gw, **kw: ShardedExecutor(
+                    gw, strategy=strategy, workers=4, overlap=overlap, **kw
+                ),
+                "",
+            )
+            assert pool.mode == "pool" and pool.overlapped == overlap
+            assert pool.ok
+            assert pool.state.content_hash() == single.state.content_hash()
+
+    def test_every_mode_runs_the_one_dispatch_loop(self, monkeypatch):
+        """Interleaved applies and pool workers both go through
+        ``PlanExecutor.apply``; nothing else in ``sharded`` dispatches."""
+        calls = []
+        real_apply = PlanExecutor.apply
+
+        def counting_apply(self, plan, *args, **kwargs):
+            calls.append(kwargs.get("only"))
+            return real_apply(self, plan, *args, **kwargs)
+
+        monkeypatch.setattr(PlanExecutor, "apply", counting_apply)
+        gateway, plan = make_plan(multi_cloud(), seed=7)
+        assert ShardedExecutor(gateway).apply(plan).ok
+        assert calls == [None]
+
+        # without fork the barrier pool runs its workers in-process,
+        # where the patched method can see them
+        calls.clear()
+        monkeypatch.delattr(os, "fork")
+        gateway, plan = make_plan(multi_cloud(), seed=7)
+        result = ShardedExecutor(gateway, workers=2, overlap=False).apply(plan)
+        assert result.mode == "pool" and result.ok
+        # one subset run per plane group, together covering the plan
+        assert len(calls) == 2 and None not in calls
+        assert set().union(*calls) == set(plan.execution_dag().nodes)
 
     def test_synthetic_estate_equivalence(self):
         source = scale_estate_sharded(210, providers=3, cross_link_every=4)
         gateway1, plan1 = make_plan(source, seed=5, synthetic=3)
         single = CriticalPathExecutor(gateway1).apply(plan1)
         gateway2, plan2 = make_plan(source, seed=5, synthetic=3)
-        sharded = ShardedExecutor(gateway2).apply(plan2)
+        executor = ShardedExecutor(gateway2)
+        sharded = executor.apply(plan2)
         assert single.ok and sharded.ok
         assert sharded.makespan_s == single.makespan_s
         assert sharded.state.to_json() == single.state.to_json()
         assert sharded.shard_count >= 3
+        # the ledger holds exactly the completions another shard waited
+        # on, published under this run's grants
+        ledger, partition = executor.ledger, executor.partition
+        awaited = {before for before, _ in partition.cross_edges}
+        assert awaited and len(ledger) == len(awaited)
+        assert all(ledger.completed(cid) for cid in awaited)
+        assert sharded.barrier_waits == len(partition.cross_edges)
+        sid = partition.shard_of[min(awaited)]
+        with pytest.raises(FencingError):
+            ledger.publish(sid, ledger.current_token(sid) - 1, "zombie")
 
     def test_shard_summaries_account_for_everything(self):
         gateway, plan = make_plan(multi_cloud(), seed=7)
@@ -414,6 +541,54 @@ class TestOverlappedPool:
         assert (
             overlapped.state.content_hash() == barrier.state.content_hash()
         )
+
+
+    def test_failure_in_one_plane_skips_its_dependents_in_another(self):
+        """A worker's subset inherits earlier outcomes: what hangs off
+        another plane's failed change is skipped, as in the single run."""
+
+        def run(factory):
+            gateway, plan = make_plan(
+                self.staggered_source(), seed=9, synthetic=4
+            )
+            gateway.planes["syn0"].faults.add_rule(
+                FaultSpec(
+                    error_code="InsufficientCapacity",
+                    message="no capacity",
+                    match_type="syn0_load_balancer",
+                    transient=False,
+                    max_strikes=99,
+                )
+            )
+            return factory(gateway).apply(plan)
+
+        single = run(CriticalPathExecutor)
+        assert any(cid.startswith("syn1_") for cid in single.skipped)
+        for overlap in (True, False):
+            pool = run(
+                lambda gw: ShardedExecutor(gw, workers=4, overlap=overlap)
+            )
+            assert pool.mode == "pool"
+            assert set(pool.failed) == set(single.failed)
+            assert sorted(pool.skipped) == sorted(single.skipped)
+            assert pool.state.content_hash() == single.state.content_hash()
+
+    def test_dead_worker_is_an_error_with_nothing_left_behind(
+        self, monkeypatch
+    ):
+        def job(inner, plan, dag, partition, group, members, dead):
+            if any(sid.startswith("syn0/") for sid in group):
+                os._exit(7)
+            time.sleep(30)  # siblings are mid-run when the death is seen
+
+        monkeypatch.setattr(sharded_module, "_pool_job", job)
+        gateway, plan = make_plan(self.staggered_source(), seed=9, synthetic=4)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(RuntimeError, match="died"):
+            ShardedExecutor(gateway, workers=4).apply(plan)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert len(os.listdir("/proc/self/fd")) == open_fds
 
 
 # -- quarantine composition (PR 5) -------------------------------------------
