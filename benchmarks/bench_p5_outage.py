@@ -39,13 +39,11 @@ from typing import Any, Dict, List, Optional
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(_HERE, "..", "src"))
-sys.path.insert(0, os.path.join(_HERE, ".."))  # tests.* canonical helpers
 
+from repro.chaos import assert_converged_like
 from repro.cloud import OutageSpec
 from repro.core import CloudlessEngine
 from repro.workloads import two_region_estate
-
-from tests.chaos.test_crash_recovery import assert_converged_like
 
 DARK_REGION = "westus2"
 REGIONS = ("eastus", "westus2")

@@ -2,7 +2,7 @@
 
 Three claims, each gated:
 
-* **Golden equivalence**: the interleaved sharded executor's apply is
+* **Golden equivalence**: the sharded executor's apply is
   byte-identical to the single ``CriticalPathExecutor`` -- same
   simulated makespan, same final state JSON -- at every size run,
   including the 100k-resource scaling tier.
@@ -10,10 +10,6 @@ Three claims, each gated:
   (``bench_p1_scale.py --reference``), the sharded apply is compared
   against the frozen pre-optimization executor from
   ``repro.deploy.reference``; ``--min-speedup`` gates the ratio.
-  A pool-mode arm (``--workers N``) is also timed, but its
-  parallel-speedup gate only arms when the host actually has ``N``
-  cores (``--min-pool-speedup`` is skipped on smaller hosts -- the CI
-  container has one core, where pool mode cannot win wall-clock).
 * **Incremental re-plan**: a 1%-dirty decl patch through
   ``IncrementalSession.replan`` must beat the full re-plan by
   ``--min-incremental-speedup`` (default 10x).
@@ -24,7 +20,7 @@ CI runs the smoke tier::
         --reference --min-speedup 2.0 --out /tmp/BENCH_shard.json
 
 The checked-in ``BENCH_shard.json`` is the full run
-(``--sizes 10000,100000 --reference --workers 4``).
+(``--sizes 10000,100000 --reference``).
 """
 
 from __future__ import annotations
@@ -74,8 +70,7 @@ def state_sha(result) -> str:
 
 
 def content_sha(result) -> str:
-    """Canonical state fingerprint: excludes timestamps/serial, so pool
-    workers' legitimately-different wall-clock budgets don't show."""
+    """Canonical state fingerprint: excludes timestamps and serial."""
     return result.state.content_hash()
 
 
@@ -115,10 +110,6 @@ def run_arm(graph, seed: int, synthetic: int, factory, label: str) -> Dict[str, 
     merge = snap["timers"].get("shard.merge_ms")
     if merge:
         row["shard.merge_ms"] = round(merge["total_s"], 3)
-    if hasattr(result, "mode"):
-        row["mode"] = result.mode
-        row["waves"] = result.waves
-        row["overlapped"] = getattr(result, "overlapped", False)
     return row
 
 
@@ -232,39 +223,6 @@ def bench(args: argparse.Namespace) -> Dict[str, Any]:
                     f"< gate {args.min_speedup}x"
                 )
 
-        if args.workers > 1:
-            pool = run_arm(
-                graph, args.seed, args.providers,
-                lambda gw: ShardedExecutor(
-                    gw, concurrency=args.concurrency, workers=args.workers
-                ),
-                "sharded-pool",
-            )
-            pool["size"] = size
-            pool_speedup = single["apply_wall_s"] / max(
-                pool["apply_wall_s"], 1e-9
-            )
-            pool["speedup_vs_single"] = round(pool_speedup, 2)
-            rows.append(pool)
-            # pool equivalence: identity-keyed id minting + the
-            # timestamp-free content hash make worker scheduling
-            # invisible in the canonical final state
-            if pool["content_sha"] != single["content_sha"]:
-                failures.append(
-                    f"{size}: pool final state diverged "
-                    f"({pool['content_sha'][:12]} vs "
-                    f"{single['content_sha'][:12]})"
-                )
-            if (
-                args.min_pool_speedup
-                and cpus >= args.workers
-                and pool_speedup < args.min_pool_speedup
-            ):
-                failures.append(
-                    f"{size}: pool speedup {pool_speedup:.2f}x "
-                    f"< gate {args.min_pool_speedup}x ({cpus} cpus)"
-                )
-
         inc = bench_incremental(
             source, args.seed, args.providers, args.dirty_frac
         )
@@ -307,7 +265,6 @@ def bench(args: argparse.Namespace) -> Dict[str, Any]:
         "seed": args.seed,
         "providers": args.providers,
         "concurrency": args.concurrency,
-        "workers": args.workers,
         "cpus": cpus,
         "sizes": args.sizes,
         "results": rows,
@@ -329,12 +286,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--concurrency", type=int, default=10)
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="also time a pool-mode arm with this many workers",
-    )
-    parser.add_argument(
         "--reference",
         action="store_true",
         help="run the frozen pre-optimization executor and gate the speedup",
@@ -346,12 +297,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="skip the reference arm above this size (it is O(n^2)-slow)",
     )
     parser.add_argument("--min-speedup", type=float, default=2.0)
-    parser.add_argument(
-        "--min-pool-speedup",
-        type=float,
-        default=0.0,
-        help="pool-mode wall-clock gate; only armed when cpu count >= --workers",
-    )
     parser.add_argument("--min-incremental-speedup", type=float, default=10.0)
     parser.add_argument(
         "--dirty-frac",

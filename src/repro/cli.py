@@ -61,20 +61,13 @@ def _save_engine(args, engine: CloudlessEngine) -> None:
 
 
 def _attach_cache(args, engine: CloudlessEngine) -> None:
-    """Wire the compiled-artifact cache onto a (possibly old) world.
-
-    Worlds persisted by earlier versions predate ``compile_cache``;
-    set the attributes unconditionally rather than trusting the
-    pickle. ``--no-cache`` forces every compile cold."""
-    engine._cache_ctx = None
-    if getattr(args, "no_cache", False):
-        engine.compile_cache = None
+    """Wire the compiled-artifact cache onto a freshly loaded world;
+    ``--no-cache`` forces every compile cold."""
+    if args.no_cache:
         return
     from .compilecache import CompileCache
 
-    cache_dir = getattr(args, "cache_dir", None) or os.path.join(
-        args.chdir, ".clc-cache"
-    )
+    cache_dir = args.cache_dir or os.path.join(args.chdir, ".clc-cache")
     engine.compile_cache = CompileCache(cache_dir)
 
 
@@ -166,12 +159,9 @@ def cmd_apply(args) -> int:
     engine = _load_engine(args)
     _attach_cache(args, engine)
     engine.wal_path = _world_path(args) + ".wal"
-    if getattr(args, "shards", None) is not None:
-        # worlds persisted by older versions lack the shard attrs;
-        # set them unconditionally rather than trusting the pickle
+    if args.shards is not None:
         engine.executor_name = "sharded"
         engine.shards = args.shards or None
-        engine.shard_workers = getattr(args, "shard_workers", 1)
     sources = _read_sources(args)
     try:
         result = engine.apply(sources, variables=_parse_vars(args.var))
@@ -722,14 +712,6 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help="sharded apply: cap on shard count "
                 "(0 = one shard per provider/region partition)",
-            )
-            p.add_argument(
-                "--shard-workers",
-                type=int,
-                default=1,
-                dest="shard_workers",
-                help="process-pool workers for sharded apply "
-                "(>1 runs independent provider planes in parallel)",
             )
         p.set_defaults(fn=fn)
 

@@ -1069,9 +1069,8 @@ class ControlPlane:
 
         The historical counter id (``vm-00000007``) depends on how many
         creates this plane has already resolved, so two schedules of the
-        same plan -- interleaved vs pool-forked, barrier vs overlapped
-        -- minted different ids and every dependent attribute diverged
-        with them. Keying the id on (type, region, name, generation)
+        same plan -- sequential vs critical-path, say -- minted
+        different ids and every dependent attribute diverged with them. Keying the id on (type, region, name, generation)
         makes it a pure function of what is being created; the
         generation counter keeps a delete/recreate of the same identity
         from colliding. Unnamed resources keep the sequential fallback.

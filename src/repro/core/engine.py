@@ -20,7 +20,7 @@ from ..deploy.executor import (
     ApplyResult,
     PlanExecutor,
     RetryPolicy,
-    SequentialExecutor,
+    make_executor,
 )
 from ..deploy.incremental import read_data_sources
 from ..deploy.recovery import CrashRecovery, RecoveryReport
@@ -212,7 +212,6 @@ class CloudlessEngine:
         health: Optional[HealthMonitor] = None,
         breaker_policy: Optional[BreakerPolicy] = None,
         shards: Optional[int] = None,
-        shard_workers: int = 1,
         cache_dir: Optional[str] = None,
     ):
         self.seed = seed
@@ -236,9 +235,8 @@ class CloudlessEngine:
         self.concurrency = concurrency
         self.retry = retry
         #: sharded apply: cap on shard count (None = one per
-        #: (provider, region) partition) and pool-worker count
+        #: (provider, region) partition)
         self.shards = shards
-        self.shard_workers = shard_workers
         self.state = StateDocument()
         self.history = SnapshotHistory()
         self.controller = InfrastructureController()
@@ -325,14 +323,11 @@ class CloudlessEngine:
                 retry=self.retry,
                 health=self.health,
                 max_shards=self.shards,
-                workers=self.shard_workers,
             )
-        cls = EXECUTORS.get(self.executor_name)
-        if cls is None:
+        if self.executor_name not in EXECUTORS:
             raise EngineError(f"unknown executor {self.executor_name!r}")
-        if cls is SequentialExecutor:
-            return cls(self.gateway, retry=self.retry, health=self.health)
-        return cls(
+        return make_executor(
+            self.executor_name,
             self.gateway,
             concurrency=self.concurrency,
             retry=self.retry,
@@ -456,14 +451,9 @@ class CloudlessEngine:
         if journal is None and self.wal_path:
             journal = IntentJournal(self.wal_path)
             journal.begin_run()
-        if journal is not None or crash_hook is not None:
-            result = self._executor().apply(
-                plan, wal=journal, crash_hook=crash_hook
-            )
-        else:
-            # no WAL, no crash hook: the historical call, byte-identical
-            # scheduling to the golden reference
-            result = self._executor().apply(plan)
+        result = self._executor().apply(
+            plan, wal=journal, crash_hook=crash_hook
+        )
         if journal is not None and result.ok:
             journal.mark_clean()
             journal.close()

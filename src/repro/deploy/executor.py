@@ -12,11 +12,10 @@ frozen reference. Three scheduling strategies reproduce the spectrum in
   operations are dispatched longest-remaining-path first, optionally
   rate-limit aware, with retry handling for transient faults.
 
-:meth:`PlanExecutor.apply` runs the whole plan or, for a pool worker of
-:mod:`repro.deploy.sharded`, a member subset of its DAG with earlier
-outcomes applied; sharded and pool applies are this loop plus
-bookkeeping, so they share its WAL, crash, health-gating and retry
-behaviour by construction.
+:meth:`PlanExecutor.apply` always runs a whole plan; a sharded apply
+(:mod:`repro.deploy.sharded`) is this loop plus bookkeeping, so it
+shares its WAL, crash, health-gating and retry behaviour by
+construction.
 
 Scale notes (see ``docs/performance.md``): the dispatch loop pulls from
 a per-strategy ready *queue* (FIFO deque or priority heap) instead of
@@ -33,17 +32,7 @@ import dataclasses
 import heapq
 import time
 from collections import deque
-from typing import (
-    AbstractSet,
-    Any,
-    Callable,
-    Deque,
-    Dict,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..cloud.base import CloudAPIError, PendingOperation
 from ..cloud.clock import EventQueue
@@ -390,8 +379,6 @@ class PlanExecutor:
         crash_hook: Optional[Callable[[int], None]] = None,
         *,
         dag: Optional[Dag] = None,
-        only: Optional[AbstractSet[str]] = None,
-        pre_dead: AbstractSet[str] = frozenset(),
     ) -> ApplyResult:
         """Execute the plan; mutates ``plan.state`` as the new state.
 
@@ -404,17 +391,8 @@ class PlanExecutor:
         :class:`~repro.deploy.wal.SimulatedCrash` from it models the
         process dying at exactly that boundary. Both default to ``None``
         and add zero work on that path -- scheduling stays byte-identical
-        to the golden reference.
-
-        ``only`` runs a member subset of the execution DAG, as a pool
-        worker does for its plane group (the whole plan is the subset
-        that leaves nothing out): a predecessor outside ``only`` ran
-        earlier and is satisfied, unless ``pre_dead`` names it as
-        failed or skipped, in which case its members downstream are
-        skipped here too. Priorities are still computed over the whole
-        DAG -- pass it as ``dag`` when the caller already built it --
-        and ``plan.state`` is left for the caller to bump once every
-        subset has merged.
+        to the golden reference. ``dag`` is the plan's execution DAG
+        when the caller has already built it.
         """
         clock = self.gateway.clock
         started = clock.now
@@ -422,13 +400,18 @@ class PlanExecutor:
         result = ApplyResult(started_at=started, finished_at=started)
         state = plan.state
 
-        whole = dag if dag is not None else plan.execution_dag()
-        self.prepare(plan, whole)
+        if dag is None:
+            dag = plan.execution_dag()
+        self.prepare(plan, dag)
+        # every reference an attribute evaluates from here on resolves
+        # through the per-declaration cache (plan time stays uncached)
+        plan.resolver.cache_declarations()
         PERF.count("executor.applies")
-        dag = whole if only is None else whole.subgraph(only)
 
         indeg: Dict[str, int] = dag.in_degrees()
         ready = self._make_ready_queue()
+        for cid in sorted(n for n, d in indeg.items() if d == 0):
+            ready.push(cid)
         running: Dict[str, _Running] = {}
         done: Set[str] = set()
         dead: Set[str] = set()  # failed, skipped, or quarantined
@@ -437,35 +420,6 @@ class PlanExecutor:
         #: (provider, region) -> change ids held back while that
         #: partition's half-open breaker has its probe in flight
         paused: Dict[Tuple[str, str], List[str]] = {}
-
-        def skip_downstream(cid: str) -> None:
-            """Mark ``cid``'s live descendant closure skipped. The walk
-            prunes at nodes that are already dead: whenever a node is
-            marked dead, its entire live descendant closure is marked in
-            the same pass, so an already-dead node has nothing new below
-            it. (No descendant can be done or running -- it would have
-            needed ``cid`` to finish first.)"""
-            stack = [cid]
-            while stack:
-                cur = stack.pop()
-                for succ in sorted(dag.successors(cur)):
-                    if succ in dead:
-                        continue
-                    dead.add(succ)
-                    result.skipped.append(succ)
-                    stack.append(succ)
-
-        if only is not None and pre_dead:
-            for cid in sorted(only):
-                if cid not in dead and not pre_dead.isdisjoint(
-                    whole.predecessors(cid)
-                ):
-                    dead.add(cid)
-                    result.skipped.append(cid)
-                    skip_downstream(cid)
-        for cid in sorted(n for n, d in indeg.items() if d == 0):
-            if cid not in dead:
-                ready.push(cid)
 
         def release_successors(cid: str) -> None:
             for succ in sorted(dag.successors(cid)):
@@ -490,7 +444,21 @@ class PlanExecutor:
                 return
             dead.add(cid)
             result.failed[cid] = error
-            skip_downstream(cid)
+            # Skip everything downstream. The walk prunes at nodes that
+            # are already dead: whenever a node is marked dead, its
+            # entire live descendant closure is marked in the same
+            # pass, so an already-dead node has nothing new below it.
+            # (No descendant can be done or running -- it would have
+            # needed this change to finish first.)
+            stack = [cid]
+            while stack:
+                cur = stack.pop()
+                for succ in sorted(dag.successors(cur)):
+                    if succ in dead:
+                        continue
+                    dead.add(succ)
+                    result.skipped.append(succ)
+                    stack.append(succ)
 
         def quarantine_change(
             cid: str, reason: str, part: Tuple[str, str]
@@ -773,8 +741,7 @@ class PlanExecutor:
         result.finished_at = clock.now
         result.state = state
         result.api_calls = self.gateway.total_api_calls() - calls_before
-        if only is None:
-            state.bump()
+        state.bump()
         return result
 
     # -- operation submission / commit -------------------------------------------
@@ -1011,3 +978,22 @@ EXECUTORS = {
     cls.name: cls
     for cls in (SequentialExecutor, BestEffortExecutor, CriticalPathExecutor)
 }
+
+
+def make_executor(
+    strategy: str,
+    gateway: CloudGateway,
+    concurrency: int = 10,
+    retry: Optional[RetryPolicy] = None,
+    health: Optional[HealthMonitor] = None,
+    rate_aware: bool = True,
+) -> PlanExecutor:
+    """Build ``EXECUTORS[strategy]``, passing each class only the
+    arguments its constructor takes."""
+    cls = EXECUTORS[strategy]
+    kwargs: Dict[str, Any] = {}
+    if cls is not SequentialExecutor:
+        kwargs["concurrency"] = concurrency
+    if cls is CriticalPathExecutor:
+        kwargs["rate_aware"] = rate_aware
+    return cls(gateway, retry=retry, health=health, **kwargs)

@@ -11,7 +11,6 @@ from .critical_path import CriticalPathAnalysis, analyze, estimate_change_durati
 from .dag import CycleError, Dag
 from .impact import ConfigDelta, ImpactAnalyzer, diff_configurations
 from .partition import (
-    PartitionError,
     PlanPartition,
     Shard,
     change_partition,
@@ -39,7 +38,6 @@ __all__ = [
     "GraphBuildError",
     "GraphBuilder",
     "ImpactAnalyzer",
-    "PartitionError",
     "Plan",
     "PlanError",
     "PlanPartition",

@@ -10,18 +10,18 @@ cross-shard edge. Shard ids are deterministic across runs (pure
 functions of the plan), so ledgers, resumes, and tests can refer to
 them stably.
 
-The sharded executor layer (:mod:`repro.deploy.sharded`) schedules one
-executor per shard; cross-shard edges become barriers satisfied through
-a fencing-token-checked completion ledger. The shard-level graph may be
-cyclic even though the change-level DAG is not (two shards can feed
-each other through different changes), so pool scheduling condenses
-strongly-connected shard groups into one unit per wave.
+The sharded executor layer (:mod:`repro.deploy.sharded`) runs the whole
+plan through one ordinary executor and derives its per-shard accounting
+from this partition; a cross-shard edge whose source succeeded is
+published to a fencing-token-checked completion ledger. Shards are
+never scheduled as units, so it does not matter that the shard-level
+graph can be cyclic where the change-level DAG is not.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..perf import PERF
 from .dag import Dag
@@ -78,10 +78,6 @@ class Shard:
         return len(self.change_ids)
 
 
-class PartitionError(ValueError):
-    """Raised when a plan cannot be partitioned as requested."""
-
-
 class PlanPartition:
     """The result of cutting one plan's execution DAG into shards.
 
@@ -101,9 +97,6 @@ class PlanPartition:
         #: (before, after) change-id pairs whose endpoints live in
         #: different shards; sorted for determinism
         self.cross_edges: List[Tuple[str, str]] = []
-        #: shard-id -> set of shard-ids it must hear from (union over
-        #: cross edges); the shard-level graph, possibly cyclic
-        self.upstream: Dict[str, Set[str]] = {}
 
     # -- views -------------------------------------------------------------
 
@@ -128,137 +121,6 @@ class PlanPartition:
             for s in self.shards.values()
             if s.provider == provider and (not region or s.region == region)
         )
-
-    # -- pool scheduling ---------------------------------------------------
-
-    def plane_groups(self) -> Dict[str, List[str]]:
-        """Shard ids grouped by provider (= simulated control plane).
-
-        Resource ids and computed attributes are minted by per-plane
-        sequential counters and RNG streams in *resolve order*, so a
-        parallel worker must own a whole plane to reproduce the
-        single-executor byte stream: the plane is the unit of process
-        parallelism, the shard the unit of scheduling.
-        """
-        groups: Dict[str, List[str]] = {}
-        for sid in sorted(self.shards):
-            groups.setdefault(self.shards[sid].provider, []).append(sid)
-        return groups
-
-    def pool_units(self) -> Tuple[List[List[str]], List[Set[int]]]:
-        """The condensed provider-unit DAG for pool scheduling.
-
-        Returns ``(units, unit_deps)``: ``units[i]`` is a sorted list
-        of providers forming one schedulable unit (providers that feed
-        each other condense into one), ``unit_deps[i]`` the indices of
-        units that must complete before unit ``i`` may start. This is
-        the ready-frontier form -- the overlapped pool dispatches a
-        unit the moment its own predecessors have merged, instead of
-        waiting on a whole barrier wave.
-        """
-        groups = self.plane_groups()
-        provider_of_shard = {
-            sid: s.provider for sid, s in self.shards.items()
-        }
-        # provider-level dependency graph from shard-level upstream sets
-        dep: Dict[str, Set[str]] = {p: set() for p in groups}
-        for sid, ups in self.upstream.items():
-            for up in ups:
-                a, b = provider_of_shard[up], provider_of_shard[sid]
-                if a != b:
-                    dep[b].add(a)
-        units = _condense(dep)
-        unit_of = {}
-        for i, unit in enumerate(units):
-            for p in unit:
-                unit_of[p] = i
-        unit_deps: List[Set[int]] = [set() for _ in units]
-        for b, ups in dep.items():
-            for a in ups:
-                if unit_of[a] != unit_of[b]:
-                    unit_deps[unit_of[b]].add(unit_of[a])
-        return units, unit_deps
-
-    def pool_waves(self) -> List[List[List[str]]]:
-        """Plane groups scheduled into barrier-separated waves.
-
-        Each wave is a list of plane groups (each a list of shard ids)
-        with no unsatisfied cross-group dependency; groups that feed
-        each other (a cycle at group level) are condensed into one
-        unit. Returns ``[[group, ...], ...]`` outermost in execution
-        order. Kahn over :meth:`pool_units`, deterministic by smallest
-        member.
-        """
-        groups = self.plane_groups()
-        units, unit_deps = self.pool_units()
-        remaining = set(range(len(units)))
-        waves: List[List[List[str]]] = []
-        satisfied: Set[int] = set()
-        while remaining:
-            level = sorted(
-                i for i in remaining if unit_deps[i] <= satisfied
-            )
-            if not level:  # pragma: no cover - _condense guarantees progress
-                raise PartitionError("cyclic plane-group schedule")
-            wave: List[List[str]] = []
-            for i in level:
-                for provider in sorted(units[i]):
-                    wave.append(list(groups[provider]))
-            waves.append(wave)
-            satisfied |= set(level)
-            remaining -= set(level)
-        return waves
-
-
-def _condense(dep: Dict[str, Set[str]]) -> List[List[str]]:
-    """Strongly-connected components of a small digraph (iterative
-    Tarjan), each returned sorted, ordered by smallest member."""
-    index: Dict[str, int] = {}
-    low: Dict[str, int] = {}
-    on_stack: Set[str] = set()
-    stack: List[str] = []
-    result: List[List[str]] = []
-    counter = [0]
-
-    for root in sorted(dep):
-        if root in index:
-            continue
-        work: List[Tuple[str, Iterable[str]]] = [(root, iter(sorted(dep[root])))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(sorted(dep[nxt]))))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                result.append(sorted(component))
-    result.sort(key=lambda comp: comp[0])
-    return result
 
 
 def partition_plan(
@@ -349,10 +211,8 @@ def partition_plan(
     # 4. classify edges
     cross: List[Tuple[str, str]] = []
     for before, after in dag.iter_edges():
-        sa, sb = part.shard_of[before], part.shard_of[after]
-        if sa != sb:
+        if part.shard_of[before] != part.shard_of[after]:
             cross.append((before, after))
-            part.upstream.setdefault(sb, set()).add(sa)
     cross.sort()
     part.cross_edges = cross
     PERF.count("shard.shards", len(part.shards))

@@ -92,98 +92,81 @@ class ValueResolver:
         #: addresses whose state values must NOT be used (planned for
         #: replacement -- their computed attrs change at apply)
         self.pending: set = set()
-        #: opt-in declaration-level resolve cache (see enable_decl_cache)
-        self._decl_cache: Optional[Dict[Tuple, Any]] = None
-        self._decl_of: Dict[str, Tuple] = {}
+        #: per-declaration resolve cache, decl key -> [kind, instance
+        #: nodes in container order, their values or None]; ``None``
+        #: until an apply starts (:meth:`cache_declarations`), so a plan
+        #: pickled into the compile cache never carries it
+        self._decl_cache: Optional[Dict[Tuple, List[Any]]] = None
 
-    def enable_decl_cache(self) -> None:
-        """Memoize per-declaration resolve shapes and values.
+    def cache_declarations(self) -> None:
+        """Start a fresh per-declaration resolve cache; every
+        :meth:`PlanExecutor.apply` calls this before it dispatches.
 
-        ``resolve()`` normally re-sorts a declaration's instances and
+        Uncached, ``resolve()`` re-sorts a declaration's instances and
         re-assembles the container on *every* reference evaluation --
         O(instances) per evaluated attribute, the dominant apply-time
-        cost at estate scale. With the cache on, the container shape is
-        computed once and the per-instance values are rebuilt only when
-        an instance of that declaration commits (``set_override``) --
-        between commits a resolve is a shallow container copy. The copy
-        keeps aliasing behaviour identical to the uncached path (each
-        call returns a fresh container; per-instance dicts are shared
-        either way). Off by default; the sharded executor turns it on.
+        cost at estate scale. Cached, the container shape is computed
+        once and the per-instance values are rebuilt only when an
+        instance of that declaration commits (``set_override``) --
+        between commits a resolve is a shallow container copy, which
+        keeps aliasing identical to the uncached path (each call returns
+        a fresh container; per-instance dicts are shared either way).
         """
-        if self._decl_cache is None:
-            self._decl_cache = {}
-            self._decl_of = {
-                nid: (
-                    node.address.module_path,
-                    node.address.mode,
-                    node.address.type,
-                    node.address.name,
-                )
-                for nid, node in self.graph.nodes.items()
-            }
+        self._decl_cache = {}
 
     def _invalidate(self, address: str) -> None:
-        cache = self._decl_cache
-        if cache is not None:
-            key = self._decl_of.get(address)
-            if key is not None:
-                entry = cache.get(key)
-                if entry is not None:
-                    entry[2] = None  # drop values, keep shape
+        if not self._decl_cache:
+            return
+        node = self.graph.nodes.get(address)
+        if node is not None:  # a DELETE of a removed resource has none
+            a = node.address
+            decl_key = (a.module_path, a.mode, a.type, a.name)
+            entry = self._decl_cache.get(decl_key)
+            if entry is not None:
+                entry[2] = None  # drop values, keep shape
 
     def set_override(self, address: str, attrs: Dict[str, Any]) -> None:
         self.overrides[address] = dict(attrs)
         self.pending.discard(address)
-        if self._decl_cache is not None:
-            self._invalidate(address)
+        self._invalidate(address)
 
     def drop_override(self, address: str) -> None:
         self.overrides.pop(address, None)
-        if self._decl_cache is not None:
-            self._invalidate(address)
+        self._invalidate(address)
 
     def mark_pending(self, address: str) -> None:
         self.pending.add(address)
-        if self._decl_cache is not None:
-            self._invalidate(address)
+        self._invalidate(address)
 
     def resolve(self, module_path, mode, rtype, name, span=None):
         decl_key = (tuple(module_path), mode, rtype, name)
-        cache = self._decl_cache
-        if cache is not None:
-            entry = cache.get(decl_key)
-            if entry is not None:
-                kind, ordered, values = entry
-                if values is None:
-                    values = [self._value_for(n) for n in ordered]
-                    entry[2] = values
-                if kind == "single":
-                    return values[0]
-                if kind == "list":
-                    return list(values)
-                return {
-                    str(n.instance_key): v for n, v in zip(ordered, values)
-                }
-        ids = self.graph.decl_instances.get(decl_key)
-        prefix = "data." if mode == DATA else ""
-        mods = "".join(f"module.{m}." for m in module_path)
-        base_text = f"{mods}{prefix}{rtype}.{name}"
-        if not ids:
-            return Unknown(base_text)
-        nodes = [self.graph.nodes[i] for i in ids]
-        keys = [n.instance_key for n in nodes]
-        if keys == [None]:
-            if cache is not None:
-                cache[decl_key] = ["single", nodes, None]
-            return self._value_for(nodes[0])
-        if all(isinstance(k, int) for k in keys):
-            ordered = sorted(nodes, key=lambda n: n.instance_key)
-            if cache is not None:
-                cache[decl_key] = ["list", ordered, None]
-            return [self._value_for(n) for n in ordered]
-        if cache is not None:
-            cache[decl_key] = ["map", nodes, None]
-        return {str(n.instance_key): self._value_for(n) for n in nodes}
+        # at plan time a throwaway dict stands in: nothing is retained
+        cache = self._decl_cache if self._decl_cache is not None else {}
+        entry = cache.get(decl_key)
+        if entry is None:
+            ids = self.graph.decl_instances.get(decl_key)
+            if not ids:
+                prefix = "data." if mode == DATA else ""
+                mods = "".join(f"module.{m}." for m in module_path)
+                return Unknown(f"{mods}{prefix}{rtype}.{name}")
+            nodes = [self.graph.nodes[i] for i in ids]
+            keys = [n.instance_key for n in nodes]
+            if keys == [None]:
+                entry = ["single", nodes, None]
+            elif all(isinstance(k, int) for k in keys):
+                nodes.sort(key=lambda n: n.instance_key)
+                entry = ["list", nodes, None]
+            else:
+                entry = ["map", nodes, None]
+            cache[decl_key] = entry
+        kind, ordered, values = entry
+        if values is None:
+            values = entry[2] = [self._value_for(n) for n in ordered]
+        if kind == "single":
+            return values[0]
+        if kind == "list":
+            return list(values)
+        return {str(n.instance_key): v for n, v in zip(ordered, values)}
 
     def _value_for(self, node: ResourceNode) -> Any:
         addr_text = node.id

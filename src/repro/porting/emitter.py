@@ -40,7 +40,8 @@ def render_value(value: Value, indent: int = 0) -> str:
             return str(int(value))
         return repr(value)
     if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=False)
+        # a cloud string is data: "$${" is the lexer's literal "${"
+        return json.dumps(value, ensure_ascii=False).replace("${", "$${")
     if isinstance(value, list):
         if not value:
             return "[]"
@@ -65,7 +66,7 @@ def render_value(value: Value, indent: int = 0) -> str:
 def _render_key(key: str) -> str:
     if key.isidentifier():
         return key
-    return json.dumps(key, ensure_ascii=False)
+    return render_value(key)
 
 
 @dataclasses.dataclass

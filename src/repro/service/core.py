@@ -61,7 +61,6 @@ class ServicePolicy:
     brownout_down: float = 0.40
     read_only_up: float = 0.90
     read_only_down: float = 0.60
-    persist_every_op: bool = True
 
 
 @dataclasses.dataclass
@@ -436,20 +435,24 @@ class ControlPlaneService:
     # -- execution (thread pool; one thread per request, one request
     # per tenant at a time via the per-tenant asyncio lock) ---------------
 
+    def _open_session(self, tenant: str, preempt: bool) -> TenantSession:
+        session = TenantSession.open(
+            self.root,
+            tenant,
+            self.instance,
+            now=self.clock(),
+            seed=_tenant_seed(tenant),
+            ttl_s=self.policy.session_ttl_s,
+            preempt=preempt,
+        )
+        self.sessions[tenant] = session
+        PERF.gauge("service.active_tenants", len(self.sessions))
+        return session
+
     def _session(self, tenant: str) -> TenantSession:
         session = self.sessions.get(tenant)
         if session is None or session.closed:
-            session = TenantSession.open(
-                self.root,
-                tenant,
-                self.instance,
-                now=self.clock(),
-                seed=_tenant_seed(tenant),
-                ttl_s=self.policy.session_ttl_s,
-                preempt=True,
-            )
-            self.sessions[tenant] = session
-            PERF.gauge("service.active_tenants", len(self.sessions))
+            session = self._open_session(tenant, preempt=True)
         return session
 
     def _execute(self, request: _Request) -> Dict[str, Any]:
@@ -457,9 +460,17 @@ class ControlPlaneService:
         now = self.clock()
         op = request.op
         mutating = op not in adm.READ_ONLY_OPS
-        if mutating:
-            session.ensure_live(now)
+        if mutating and session.live(now):
             session.renew(now)
+        elif mutating:
+            # only mutating ops renew, so a tenant quiet for longer than
+            # the TTL comes back with a lapsed lease. Re-open without
+            # preempting -- a fresh grant under a higher fencing token,
+            # the world as last persisted. If another instance holds the
+            # lease by now, open() raises SessionFencedError (409) and
+            # this handle stays the fenced zombie it is.
+            session.store.release_owner()
+            session = self._open_session(request.tenant, preempt=False)
         engine = session.engine
         payload = request.payload
         if op == "plan":
@@ -515,7 +526,7 @@ class ControlPlaneService:
             body = {"resources": len(engine.state), **session.describe()}
         else:  # unreachable: admission filters unknown ops
             raise RuntimeError(f"unknown op {op!r}")
-        if mutating and self.policy.persist_every_op:
+        if mutating:
             session.persist()
         return body
 

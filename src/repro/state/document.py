@@ -361,10 +361,10 @@ class StateDocument:
     def content_hash(self) -> str:
         """sha256 over *what is deployed*, excluding timestamps.
 
-        Two schedules of the same plan (interleaved vs pool-forked,
-        barrier vs overlapped waves) converge on identical resources,
-        ids, and attributes, but their per-worker concurrency budgets
-        give each resource a different completion time. This digest is
+        Two schedules of the same plan (sequential vs critical-path,
+        an uninterrupted run vs crash and resume) converge on identical
+        resources, ids, and attributes, but give each resource a
+        different completion time. This digest is
         the canonical equality check across schedules: everything in
         :meth:`to_json` except ``created_at``/``updated_at`` and the
         serial (which counts mutations, not content).

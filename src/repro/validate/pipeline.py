@@ -63,17 +63,13 @@ class ValidationPipeline:
         registry: Optional[SchemaRegistry] = None,
         level: str = LEVEL_RULES,
         extra_rules: Sequence[Rule] = (),
-        use_builtin_rules: bool = True,
     ):
         if level not in LEVELS:
             raise ValueError(f"level must be one of {LEVELS}")
         self.registry = registry or SchemaRegistry.default()
         self.level = level
-        if use_builtin_rules:
-            self.engine = RuleEngine.default()
-            self.engine.rules.extend(extra_rules)
-        else:
-            self.engine = RuleEngine(list(extra_rules))
+        self.engine = RuleEngine.default()
+        self.engine.rules.extend(extra_rules)
 
     def validate(
         self,

@@ -33,6 +33,7 @@ from repro.deploy import (
 from repro.deploy.incremental import read_data_sources
 from repro.deploy.reference import REFERENCE_FOR
 from repro.graph import Planner, build_graph
+from repro.graph.plan import ValueResolver
 from repro.graph.critical_path import clear_analysis_cache
 from repro.lang import Configuration
 from repro.state import StateDocument
@@ -287,15 +288,28 @@ class TestGoldenRandomDag:
     @pytest.mark.parametrize(
         "case", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES]
     )
-    def test_matches_reference_golden(self, golden, case):
+    def test_matches_reference_golden(self, golden, case, monkeypatch):
         name, cls, kwargs = case
         assert golden["nodes"] == GOLDEN_NODES
         assert golden["seed"] == GOLDEN_SEED
         source = random_dag_estate(GOLDEN_NODES, seed=GOLDEN_SEED)
+        # spy: did a resolve find its declaration already cached?
+        cached = []
+        resolve = ValueResolver.resolve
+
+        def spying_resolve(self, module_path, mode, rtype, name, span=None):
+            key = (tuple(module_path), mode, rtype, name)
+            cached.append(key in (self._decl_cache or ()))
+            return resolve(self, module_path, mode, rtype, name, span)
+
+        monkeypatch.setattr(ValueResolver, "resolve", spying_resolve)
         _, result = run_apply(
             lambda gw: cls(gw, **kwargs), source, seed=GOLDEN_SEED
         )
         assert result.ok, result.failed
+        # the ordinary executors resolve through the declaration cache
+        # and still reproduce the reference's (uncached) fingerprints
+        assert any(cached)
         expect = golden["executors"][name]
         assert len(result.succeeded) == expect["n_succeeded"]
         assert round(result.makespan_s, 6) == expect["makespan_s"]

@@ -181,6 +181,20 @@ class TestStructuredImporter:
         result = verify_fidelity(project)
         assert result.ok, result
 
+    def test_interpolation_markers_in_cloud_strings_survive(self, gateway):
+        """A cloud string is data: ``${`` in it must come back as text,
+        not be evaluated when the generated program is parsed."""
+        policy = '{"Resource": "arn:aws:iam::*:user/${aws:username}"}'
+        gateway.execute(
+            "create",
+            "aws_iam_role",
+            attrs={"name": "self-service", "policy_json": policy},
+            region="us-east-1",
+        )
+        project = StructuredImporter().import_estate(gateway)
+        assert "$${aws:username}" in project.main_source
+        assert verify_fidelity(project).ok
+
     def test_quality_beats_naive(self, gateway):
         build_repetitive_estate(gateway, vms=6)
         naive = NaiveExporter().export(gateway)

@@ -3,7 +3,7 @@
 import json
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.addressing import ResourceAddress
@@ -56,6 +56,9 @@ class TestEmitterRoundTrip:
         assert values_equal(result, value)
 
     @given(st.text(max_size=60))
+    @example("a${b")
+    @example("x${1+1}y")
+    @example("$${")
     @settings(max_examples=200)
     def test_string_render_is_lossless(self, text):
         if "\x00" in text:

@@ -13,6 +13,7 @@ import math
 import pytest
 
 from repro.chaos.invariants import canonical_state
+from repro.cloud.clock import SimClock
 from repro.core.engine import CloudlessEngine
 from repro.service import (
     MODE_BROWNOUT,
@@ -446,6 +447,73 @@ class TestSessionsAndCrash:
         response = run(main())
         assert response.status == STATUS_OF[REJECT_STALE_SESSION] == 409
         assert response.reason == REJECT_STALE_SESSION
+
+    def test_idle_tenant_reopens_its_lapsed_session(self, tmp_path):
+        """Only mutating ops renew the lease, so a tenant quiet for longer
+        than the TTL comes back lapsed. Uncontested, its next apply
+        re-opens the session; it is not fenced out for good."""
+        clock = SimClock()
+
+        async def main():
+            svc = ControlPlaneService(
+                str(tmp_path),
+                policy=ServicePolicy(apply_pool=1),
+                clock=lambda: clock.now,
+            )
+            await svc.start()
+            first = await svc.request("a", "apply", payload={"sources": SRC})
+            token = svc.sessions["a"].grant.fencing_token
+            responses = [first]
+            for now in (31.0, 32.0, 33.0):
+                clock.advance_to(now)
+                responses.append(
+                    await svc.request("a", "apply", payload={"sources": BIGGER})
+                )
+            session = svc.sessions["a"]
+            outcome = (
+                session.grant.fencing_token,
+                session.live(clock.now),
+                session.engine.state.content_hash(),
+            )
+            await svc.stop()
+            return responses, token, outcome
+
+        responses, token, (new_token, live, content) = run(main())
+        assert [r.status for r in responses] == [200, 200, 200, 200]
+        assert new_token > token and live
+        uninterrupted = CloudlessEngine(seed=_tenant_seed("a"))
+        assert uninterrupted.apply(SRC).ok and uninterrupted.apply(BIGGER).ok
+        assert content == uninterrupted.state.content_hash()
+
+    def test_lapsed_session_does_not_take_a_contested_lease(self, tmp_path):
+        clock = SimClock()
+
+        async def main():
+            svc = ControlPlaneService(
+                str(tmp_path), instance="old",
+                policy=ServicePolicy(apply_pool=1), clock=lambda: clock.now,
+            )
+            await svc.start()
+            await svc.request("a", "apply", payload={"sources": SRC})
+            clock.advance_to(31.0)  # old's lease has lapsed; new takes it
+            usurper = TenantSession.open(
+                str(tmp_path), "a", "new", now=clock.now, preempt=True
+            )
+            responses = []
+            for now in (32.0, 33.0):
+                clock.advance_to(now)
+                responses.append(
+                    await svc.request("a", "apply", payload={"sources": SRC})
+                )
+            still_live = usurper.live(clock.now)
+            usurper.close(clock.now)
+            await svc.stop()
+            return responses, still_live
+
+        responses, still_live = run(main())
+        assert [r.status for r in responses] == [409, 409]
+        assert all(r.reason == REJECT_STALE_SESSION for r in responses)
+        assert still_live
 
     def test_kill_restart_resume_converges(self, tmp_path):
         from repro.deploy import SimulatedCrash

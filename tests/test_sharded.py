@@ -1,23 +1,22 @@
 """Sharded apply: partitioning, equivalence, fencing, incremental replan.
 
 The sharding layer must be *invisible* in every observable except wall
-time: the interleaved sharded executor runs the single executor's own
-dispatch loop (same op stream, same sim makespan, same final state,
-with or without faults, a WAL, or a crash), the partitioner covers the
-plan exactly
+time: the sharded executor runs the single executor's own dispatch loop
+(same op stream, same sim makespan, same final state, with or without
+faults, a WAL, or a crash), the partitioner covers the plan exactly
 (every change in one shard, every edge intra-shard or declared
-cross-shard), pool mode is deterministic and wiring-equivalent, and
-incremental re-planning yields the same plan the full pipeline would.
+cross-shard), and incremental re-planning yields the same plan the full
+pipeline would.
 """
 
 import hashlib
 import json
 import os
 import re
-import time
 
 import pytest
 
+import repro.deploy
 from repro import perf
 from repro.cloud import CloudGateway, HealthMonitor, BreakerPolicy, RetryPolicy
 from repro.cloud.faults import FaultSpec, OutageSpec
@@ -33,7 +32,6 @@ from repro.deploy import (
     SequentialExecutor,
     ShardedExecutor,
     SimulatedCrash,
-    sharded as sharded_module,
 )
 from repro.deploy.incremental import read_data_sources
 from repro.graph import Planner, build_graph, partition_plan
@@ -195,22 +193,6 @@ class TestPartitioner:
             covered |= set(shard.change_ids)
         assert covered == set(plan.execution_dag().nodes)
 
-    def test_pool_waves_topological(self, planned):
-        gateway, plan = planned
-        partition = partition_plan(plan, gateway)
-        waves = partition.pool_waves()
-        wave_of = {}
-        for i, wave in enumerate(waves):
-            for group in wave:
-                for sid in group:
-                    wave_of[sid] = i
-        assert set(wave_of) == set(partition.shards)
-        for src, dst in partition.cross_edges:
-            assert (
-                wave_of[partition.shard_of[src]]
-                <= wave_of[partition.shard_of[dst]]
-            )
-
 
 # -- interleaved equivalence --------------------------------------------------
 
@@ -297,54 +279,49 @@ class TestShardedEquivalence:
             lambda gw, **kw: ShardedExecutor(gw, strategy=strategy, **kw),
             str(tmp_path / "sharded.wal"),
         )
-        assert sharded.mode == "interleaved"
         assert single.ok and sharded.ok
         assert sharded.makespan_s == single.makespan_s
         assert ops_fingerprint(sharded) == ops_fingerprint(single)
         assert sharded.state.to_json() == single.state.to_json()
         assert sharded.state.content_hash() == single.state.content_hash()
         assert sharded_wal == single_wal
-        if workload != "day2":
-            return
-        # pool declines WAL and crash hooks by design; the day-2 plan
-        # is the input whose deletes and replaces it must still merge
-        for overlap in (True, False):
-            pool, _ = run_arm(
-                workload,
-                lambda gw, **kw: ShardedExecutor(
-                    gw, strategy=strategy, workers=4, overlap=overlap, **kw
-                ),
-                "",
-            )
-            assert pool.mode == "pool" and pool.overlapped == overlap
-            assert pool.ok
-            assert pool.state.content_hash() == single.state.content_hash()
 
-    def test_every_mode_runs_the_one_dispatch_loop(self, monkeypatch):
-        """Interleaved applies and pool workers both go through
-        ``PlanExecutor.apply``; nothing else in ``sharded`` dispatches."""
+    def test_every_mode_runs_the_one_dispatch_loop(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        """A sharded apply goes through ``PlanExecutor.apply`` once, over
+        the whole plan; there is no other mode, in the library or the CLI."""
         calls = []
         real_apply = PlanExecutor.apply
 
         def counting_apply(self, plan, *args, **kwargs):
-            calls.append(kwargs.get("only"))
+            calls.append(sorted(kwargs))
             return real_apply(self, plan, *args, **kwargs)
 
         monkeypatch.setattr(PlanExecutor, "apply", counting_apply)
         gateway, plan = make_plan(multi_cloud(), seed=7)
         assert ShardedExecutor(gateway).apply(plan).ok
-        assert calls == [None]
+        assert calls == [["dag"]]
 
-        # without fork the barrier pool runs its workers in-process,
-        # where the patched method can see them
+        deploy_dir = os.path.dirname(repro.deploy.__file__)
+        for name in sorted(os.listdir(deploy_dir)):
+            if name.endswith(".py"):
+                with open(os.path.join(deploy_dir, name)) as handle:
+                    text = handle.read()
+                assert "os.fork" not in text and "pickle" not in text, name
+
+        from repro.cli import main
+
+        (tmp_path / "main.clc").write_text(web_tier(web_vms=1, app_vms=0))
+        chdir = ["--chdir", str(tmp_path)]
+        assert main([*chdir, "init"]) == 0
+        with pytest.raises(SystemExit) as usage:
+            main([*chdir, "apply", "--shard-workers", "2"])
+        assert usage.value.code == 2
+        assert "--shard-workers" in capsys.readouterr().err
         calls.clear()
-        monkeypatch.delattr(os, "fork")
-        gateway, plan = make_plan(multi_cloud(), seed=7)
-        result = ShardedExecutor(gateway, workers=2, overlap=False).apply(plan)
-        assert result.mode == "pool" and result.ok
-        # one subset run per plane group, together covering the plan
-        assert len(calls) == 2 and None not in calls
-        assert set().union(*calls) == set(plan.execution_dag().nodes)
+        assert main([*chdir, "apply", "--shards", "0"]) == 0
+        assert calls == [["dag"]]
 
     def test_synthetic_estate_equivalence(self):
         source = scale_estate_sharded(210, providers=3, cross_link_every=4)
@@ -367,6 +344,52 @@ class TestShardedEquivalence:
         sid = partition.shard_of[min(awaited)]
         with pytest.raises(FencingError):
             ledger.publish(sid, ledger.current_token(sid) - 1, "zombie")
+
+    def test_failure_in_one_shard_skips_its_dependents_in_another(self):
+        """What hangs off another shard's failed change is skipped, as in
+        the single run, and the shard books agree: per-shard counts add
+        up and only cross edges whose source succeeded are released."""
+        source = scale_estate_sharded(210, providers=3, cross_link_every=4)
+
+        def run(factory):
+            gateway, plan = make_plan(source, seed=9, synthetic=3)
+            gateway.planes["syn0"].faults.add_rule(
+                FaultSpec(
+                    error_code="InsufficientCapacity",
+                    message="no capacity",
+                    match_type="syn0_load_balancer",
+                    transient=False,
+                    max_strikes=99,
+                )
+            )
+            executor = factory(gateway)
+            return executor, executor.apply(plan)
+
+        _, single = run(CriticalPathExecutor)
+        executor, sharded = run(ShardedExecutor)
+        assert sharded.failed and set(sharded.failed) == set(single.failed)
+        assert sorted(sharded.skipped) == sorted(single.skipped)
+        assert sharded.state.content_hash() == single.state.content_hash()
+
+        partition = executor.partition
+        shard_of = partition.shard_of
+        failing = {shard_of[cid] for cid in sharded.failed}
+        assert all(sid.startswith("syn0/") for sid in failing)
+        skipped = set(sharded.skipped)
+        assert any(cid.startswith("syn1_") for cid in skipped)
+        for sid, summary in sharded.shard_summaries.items():
+            members = partition.shards[sid].change_ids
+            assert summary.failed == sum(c in sharded.failed for c in members)
+            assert summary.succeeded == (
+                summary.changes
+                - summary.failed
+                - sum(c in skipped for c in members)
+            )
+        done = set(sharded.succeeded)
+        released = [e for e in partition.cross_edges if e[0] in done]
+        assert 0 < len(released) < len(partition.cross_edges)
+        assert sharded.barrier_waits == len(released)
+        assert len(executor.ledger) == len({before for before, _ in released})
 
     def test_shard_summaries_account_for_everything(self):
         gateway, plan = make_plan(multi_cloud(), seed=7)
@@ -413,182 +436,6 @@ class TestCompletionLedger:
         ledger = CompletionLedger()
         with pytest.raises(FencingError):
             ledger.publish("ghost", 1, "aws_vpc.a")
-
-
-# -- pool mode ----------------------------------------------------------------
-
-
-class TestPoolMode:
-    SOURCE = None
-
-    @classmethod
-    def source(cls):
-        if cls.SOURCE is None:
-            cls.SOURCE = scale_estate_sharded(140, providers=2)
-        return cls.SOURCE
-
-    def run_pool(self):
-        gateway, plan = make_plan(self.source(), seed=9, synthetic=2)
-        executor = ShardedExecutor(gateway, workers=4)
-        return gateway, executor.apply(plan)
-
-    def test_pool_mode_selected_and_ok(self):
-        _, result = self.run_pool()
-        assert result.mode == "pool"
-        assert result.ok
-        assert result.waves >= 1
-
-    def test_pool_deterministic_run_to_run(self):
-        gateway1, result1 = self.run_pool()
-        gateway2, result2 = self.run_pool()
-        assert result1.state.to_json() == result2.state.to_json()
-        assert ops_fingerprint(result1) == ops_fingerprint(result2)
-
-    def test_pool_wiring_equivalent_to_single(self):
-        gateway1, plan1 = make_plan(self.source(), seed=9, synthetic=2)
-        single = CriticalPathExecutor(gateway1).apply(plan1)
-        gateway2, result = self.run_pool()
-        assert single.ok and result.ok
-        assert scrubbed_estate(gateway2, result.state) == scrubbed_estate(
-            gateway1, single.state
-        )
-
-    def test_pool_falls_back_when_health_gated(self):
-        gateway, plan = make_plan(self.source(), seed=9, synthetic=2)
-        executor = ShardedExecutor(
-            gateway, workers=4, health=HealthMonitor(policy=BreakerPolicy())
-        )
-        result = executor.apply(plan)
-        assert result.mode == "interleaved"
-        assert result.ok
-
-    def test_pool_content_hash_matches_interleaved(self):
-        """BENCH_shard pool regression: identity-keyed id minting makes
-        the canonical state hash schedule-independent, so pool workers
-        and the interleaved scheduler converge to the same estate."""
-        gateway1, plan1 = make_plan(self.source(), seed=9, synthetic=2)
-        interleaved = ShardedExecutor(gateway1, workers=1).apply(plan1)
-        _, pool = self.run_pool()
-        assert interleaved.ok and pool.ok
-        assert (
-            pool.state.content_hash() == interleaved.state.content_hash()
-        )
-
-
-# -- overlapped pool scheduling ----------------------------------------------
-
-
-class TestOverlappedPool:
-    """Ready-frontier dispatch vs barrier waves: same final estate,
-    never a worse simulated makespan, strictly better on a staggered
-    provider DAG (a fast unit's successor must not wait on the slow
-    units sharing its wave)."""
-
-    @staticmethod
-    def staggered_source():
-        # syn1 depends on the small syn0; syn2/syn3 are independent and
-        # big -- a barrier holds syn1 hostage to syn2/syn3's wave
-        return scale_estate_sharded(
-            420,
-            providers=4,
-            cross_link_every=10,
-            provider_weights=[1, 3, 3, 3],
-            cross_links=[(1, 0)],
-        )
-
-    @classmethod
-    def run_mode(cls, workers, overlap):
-        gateway, plan = make_plan(cls.staggered_source(), seed=9, synthetic=4)
-        executor = ShardedExecutor(gateway, workers=workers, overlap=overlap)
-        return executor.apply(plan)
-
-    def test_overlapped_flag_and_equivalence(self):
-        interleaved = self.run_mode(1, True)
-        barrier = self.run_mode(4, False)
-        overlapped = self.run_mode(4, True)
-        assert interleaved.ok and barrier.ok and overlapped.ok
-        assert not barrier.overlapped
-        assert overlapped.overlapped and overlapped.mode == "pool"
-        hashes = {
-            r.state.content_hash()
-            for r in (interleaved, barrier, overlapped)
-        }
-        assert len(hashes) == 1
-
-    def test_overlapped_beats_barrier_makespan_when_staggered(self):
-        barrier = self.run_mode(4, False)
-        overlapped = self.run_mode(4, True)
-        assert overlapped.makespan_s < barrier.makespan_s
-
-    def test_overlapped_deterministic_run_to_run(self):
-        r1 = self.run_mode(4, True)
-        r2 = self.run_mode(4, True)
-        assert r1.state.to_json() == r2.state.to_json()
-        assert ops_fingerprint(r1) == ops_fingerprint(r2)
-
-    def test_chain_workload_no_worse_than_barrier(self):
-        source = scale_estate_sharded(300, providers=3, cross_link_every=10)
-
-        def run(overlap):
-            gateway, plan = make_plan(source, seed=9, synthetic=3)
-            return ShardedExecutor(
-                gateway, workers=3, overlap=overlap
-            ).apply(plan)
-
-        barrier, overlapped = run(False), run(True)
-        assert barrier.ok and overlapped.ok
-        assert overlapped.makespan_s <= barrier.makespan_s
-        assert (
-            overlapped.state.content_hash() == barrier.state.content_hash()
-        )
-
-
-    def test_failure_in_one_plane_skips_its_dependents_in_another(self):
-        """A worker's subset inherits earlier outcomes: what hangs off
-        another plane's failed change is skipped, as in the single run."""
-
-        def run(factory):
-            gateway, plan = make_plan(
-                self.staggered_source(), seed=9, synthetic=4
-            )
-            gateway.planes["syn0"].faults.add_rule(
-                FaultSpec(
-                    error_code="InsufficientCapacity",
-                    message="no capacity",
-                    match_type="syn0_load_balancer",
-                    transient=False,
-                    max_strikes=99,
-                )
-            )
-            return factory(gateway).apply(plan)
-
-        single = run(CriticalPathExecutor)
-        assert any(cid.startswith("syn1_") for cid in single.skipped)
-        for overlap in (True, False):
-            pool = run(
-                lambda gw: ShardedExecutor(gw, workers=4, overlap=overlap)
-            )
-            assert pool.mode == "pool"
-            assert set(pool.failed) == set(single.failed)
-            assert sorted(pool.skipped) == sorted(single.skipped)
-            assert pool.state.content_hash() == single.state.content_hash()
-
-    def test_dead_worker_is_an_error_with_nothing_left_behind(
-        self, monkeypatch
-    ):
-        def job(inner, plan, dag, partition, group, members, dead):
-            if any(sid.startswith("syn0/") for sid in group):
-                os._exit(7)
-            time.sleep(30)  # siblings are mid-run when the death is seen
-
-        monkeypatch.setattr(sharded_module, "_pool_job", job)
-        gateway, plan = make_plan(self.staggered_source(), seed=9, synthetic=4)
-        open_fds = len(os.listdir("/proc/self/fd"))
-        with pytest.raises(RuntimeError, match="died"):
-            ShardedExecutor(gateway, workers=4).apply(plan)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert len(os.listdir("/proc/self/fd")) == open_fds
 
 
 # -- quarantine composition (PR 5) -------------------------------------------
@@ -824,8 +671,5 @@ class TestEngineSharded:
     def test_cli_parser_accepts_shard_flags(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(
-            ["apply", "--shards", "4", "--shard-workers", "2"]
-        )
+        args = build_parser().parse_args(["apply", "--shards", "4"])
         assert args.shards == 4
-        assert args.shard_workers == 2
