@@ -1,6 +1,6 @@
-"""P6 `shard` -- sharded apply and incremental re-planning at estate scale.
+"""P6 `shard` -- sharded apply at estate scale.
 
-Three claims, each gated:
+Two claims, each gated:
 
 * **Golden equivalence**: the sharded executor's apply is
   byte-identical to the single ``CriticalPathExecutor`` -- same
@@ -10,9 +10,6 @@ Three claims, each gated:
   (``bench_p1_scale.py --reference``), the sharded apply is compared
   against the frozen pre-optimization executor from
   ``repro.deploy.reference``; ``--min-speedup`` gates the ratio.
-* **Incremental re-plan**: a 1%-dirty decl patch through
-  ``IncrementalSession.replan`` must beat the full re-plan by
-  ``--min-incremental-speedup`` (default 10x).
 
 CI runs the smoke tier::
 
@@ -29,7 +26,6 @@ import argparse
 import hashlib
 import json
 import os
-import re
 import sys
 import time
 from typing import Any, Dict, List, Optional
@@ -40,7 +36,7 @@ sys.path.insert(
 
 from repro import perf
 from repro.cloud import CloudGateway
-from repro.deploy import CriticalPathExecutor, IncrementalSession, ShardedExecutor
+from repro.deploy import CriticalPathExecutor, ShardedExecutor
 from repro.deploy.incremental import read_data_sources
 from repro.deploy.reference import REFERENCE_FOR
 from repro.graph import Planner, build_graph
@@ -113,60 +109,8 @@ def run_arm(graph, seed: int, synthetic: int, factory, label: str) -> Dict[str, 
     return row
 
 
-def bench_incremental(
-    source: str, seed: int, synthetic: int, dirty_frac: float
-) -> Dict[str, Any]:
-    """1%-dirty session re-plan vs what a non-incremental pipeline must
-    do after the same edit: reparse the full source, rebuild the graph,
-    and re-plan from scratch."""
-    gateway = CloudGateway.simulated(seed=seed, synthetic=synthetic)
-    state = StateDocument()
-    session = IncrementalSession(gateway, source=source)
-    session.plan(state)  # initial converge; not part of either arm
-
-    vm_blocks = re.findall(
-        r'resource "syn\d+_virtual_machine" "[^"]+" \{.*?\n\}', source, re.S
-    )
-    n_dirty = max(1, int(len(vm_blocks) * dirty_frac))
-    step = max(1, len(vm_blocks) // n_dirty)
-    dirty_blocks = vm_blocks[::step][:n_dirty]
-    patch = "\n\n".join(
-        block.replace('service = "', 'service = "edited-')
-        for block in dirty_blocks
-    )
-
-    edited = source
-    for block in dirty_blocks:
-        edited = edited.replace(
-            block, block.replace('service = "', 'service = "edited-')
-        )
-    t0 = time.perf_counter()
-    graph = build_graph(Configuration.parse(edited))
-    planner = Planner(
-        spec_lookup=gateway.try_spec,
-        region_lookup=gateway.region_for,
-        provider_lookup=gateway.provider_of,
-    )
-    data = read_data_sources(gateway, graph, state)
-    planner.plan(graph, state.copy(), data_values=data)
-    full_s = time.perf_counter() - t0
-
-    inc = session.replan(patch, state)
-    assert inc.mode == "incremental", f"patch fell back to {inc.mode}"
-    assert len(inc.dirty) == n_dirty
-    return {
-        "decls_total": len(vm_blocks),
-        "decls_dirty": n_dirty,
-        "scope_nodes": inc.scope_size,
-        "full_replan_s": round(full_s, 4),
-        "incremental_replan_s": round(inc.wall_s, 4),
-        "speedup": round(full_s / max(inc.wall_s, 1e-9), 1),
-    }
-
-
 def bench(args: argparse.Namespace) -> Dict[str, Any]:
     rows: List[Dict[str, Any]] = []
-    incremental: List[Dict[str, Any]] = []
     failures: List[str] = []
     cpus = os.cpu_count() or 1
     for size in args.sizes:
@@ -223,20 +167,6 @@ def bench(args: argparse.Namespace) -> Dict[str, Any]:
                     f"< gate {args.min_speedup}x"
                 )
 
-        inc = bench_incremental(
-            source, args.seed, args.providers, args.dirty_frac
-        )
-        inc["size"] = size
-        incremental.append(inc)
-        if (
-            args.min_incremental_speedup
-            and inc["speedup"] < args.min_incremental_speedup
-        ):
-            failures.append(
-                f"{size}: incremental re-plan speedup {inc['speedup']}x "
-                f"< gate {args.min_incremental_speedup}x"
-            )
-
         for row in rows:
             if row["size"] != size:
                 continue
@@ -251,13 +181,6 @@ def bench(args: argparse.Namespace) -> Dict[str, Any]:
                 ),
                 file=sys.stderr,
             )
-        print(
-            f"  incremental    dirty={inc['decls_dirty']}/{inc['decls_total']} "
-            f"full={inc['full_replan_s']:.2f}s "
-            f"inc={inc['incremental_replan_s']:.3f}s "
-            f"speedup={inc['speedup']}x",
-            file=sys.stderr,
-        )
 
     return {
         "benchmark": "p6_shard",
@@ -268,7 +191,6 @@ def bench(args: argparse.Namespace) -> Dict[str, Any]:
         "cpus": cpus,
         "sizes": args.sizes,
         "results": rows,
-        "incremental": incremental,
         "failures": failures,
     }
 
@@ -297,13 +219,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="skip the reference arm above this size (it is O(n^2)-slow)",
     )
     parser.add_argument("--min-speedup", type=float, default=2.0)
-    parser.add_argument("--min-incremental-speedup", type=float, default=10.0)
-    parser.add_argument(
-        "--dirty-frac",
-        type=float,
-        default=0.01,
-        help="fraction of vm decls patched in the incremental arm",
-    )
     parser.add_argument(
         "--out",
         default=os.path.join(

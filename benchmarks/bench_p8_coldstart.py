@@ -2,12 +2,20 @@
 
 Two claims, each gated:
 
-* **Warm re-run is O(changed)**: planning an unchanged estate through
-  the persistent compiled-artifact cache (``repro.compilecache``) must
-  cost at most ``--max-warm-frac`` (default 10%) of the cold
-  parse+build+plan wall at every size >= ``--warm-gate-min-size``, and
-  the warm plan must render byte-identical to the cold one (compared
-  by sha256 across processes).
+* **Warm re-run skips parse and build**: the warm tier runs what
+  ``clc plan`` runs -- one compile, validate, plan -- on an unchanged
+  estate through the persistent compiled-artifact cache
+  (``repro.compilecache``). It must be an exact hit that parses zero
+  chunks and never calls the engine's ``build_graph``, render
+  byte-identical to the cold plan (compared by sha256 across
+  processes), and cost at most ``--max-warm-frac`` of the cold
+  parse+validate+build+plan wall at every size >=
+  ``--warm-gate-min-size``.
+  What is left is the artifact unpickle, validation and the plan
+  itself, all O(estate): the default gate (0.80) is the measured 10k
+  fraction (0.55; 0.68 at 100k, where the unpickle grows faster than
+  the parse) with headroom for this box's noise, not a claim that the
+  warm run is O(changed).
 * **Cold start is bounded**: every cold tier runs in a subprocess and
   records its peak RSS (``ru_maxrss``); the streaming parse keeps the
   largest tier (``--rss-size``, default 1M resources) within
@@ -19,7 +27,9 @@ CI runs the smoke tier::
         --rss-size 0 --out /tmp/BENCH_coldstart.json
 
 The checked-in ``BENCH_coldstart.json`` is the full run
-(``--sizes 10000,100000 --rss-size 1000000``).
+(``--sizes 10000,100000 --rss-size 1000000``); its ``rss_tier`` is
+carried over from the run that introduced it (the cache-less cold path
+has not changed since).
 """
 
 from __future__ import annotations
@@ -39,12 +49,10 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
+import repro.core.engine as engine_module
+import repro.lang.config as lang_config
 from repro.cloud import CloudGateway
-from repro.core.engine import (
-    CloudlessEngine,
-    _fingerprint_data,
-    _fingerprint_json,
-)
+from repro.core.engine import CloudlessEngine
 from repro.compilecache import (
     CompileCache,
     schema_fingerprint,
@@ -55,11 +63,28 @@ from repro.graph import Planner, build_graph
 from repro.graph.critical_path import clear_analysis_cache
 from repro.lang import Configuration
 from repro.state import StateDocument
+from repro.types.schema import SchemaRegistry
 from repro.workloads import scale_estate_sharded
 
 
 def plan_sha(plan) -> str:
     return hashlib.sha256(plan.render().encode()).hexdigest()
+
+
+def make_engine(
+    seed: int, providers: int, cache_dir: Optional[str] = None
+) -> CloudlessEngine:
+    gateway = CloudGateway.simulated(seed=seed, synthetic=providers)
+    # validation needs the synthetic planes' catalogs, not just the
+    # aws/azure defaults
+    registry = SchemaRegistry(
+        spec for plane in gateway.planes.values() for spec in plane.specs.values()
+    )
+    for name, plane in gateway.planes.items():
+        registry.set_regions(name, plane.regions)
+    return CloudlessEngine(
+        gateway=gateway, registry=registry, cache_dir=cache_dir
+    )
 
 
 # -- cold tier (runs in a subprocess for honest peak-RSS accounting) ----------
@@ -104,12 +129,21 @@ def cold_child(args: argparse.Namespace) -> int:
             schema_fingerprint(gateway),
             config,
             graph,
-            plan=plan,
-            plan_state_fp=_fingerprint_json(state.to_json()),
-            plan_data_fp=_fingerprint_data(data),
         )
         store_s = time.perf_counter() - t0
         assert ok, "artifact store failed"
+    peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+    # the verb validates before it plans. Timed last, after the RSS
+    # sample and only on cached tiers, so parse/build/plan and the peak
+    # stay the measurements they always were.
+    validate_s = 0.0
+    if args.cache_dir:
+        engine = make_engine(args.seed, args.providers)
+        t0 = time.perf_counter()
+        report = engine.validate(config)
+        validate_s = time.perf_counter() - t0
+        assert report.ok, str(report)
 
     print(
         json.dumps(
@@ -118,12 +152,11 @@ def cold_child(args: argparse.Namespace) -> int:
                 "build_s": round(build_s, 4),
                 "plan_s": round(plan_s, 4),
                 "cold_total_s": round(parse_s + build_s + plan_s, 4),
+                "validate_s": round(validate_s, 4),
                 "store_s": round(store_s, 4),
                 "n_changes": len(plan.changes),
                 "plan_sha": plan_sha(plan),
-                "peak_rss_kb": resource.getrusage(
-                    resource.RUSAGE_SELF
-                ).ru_maxrss,
+                "peak_rss_kb": peak_rss_kb,
             }
         )
     )
@@ -150,7 +183,20 @@ def run_cold_tier(
     return json.loads(out.stdout)
 
 
-# -- warm tier (in-process: the engine's cache path is what ships) ------------
+# -- warm tier (in-process: the steps of `clc plan`) --------------------------
+
+
+def _counting(module: Any, name: str, calls: Dict[str, int]):
+    """Swap ``module.name`` for a call-counting wrapper; returns the
+    undo."""
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    setattr(module, name, wrapper)
+    return lambda: setattr(module, name, real)
 
 
 def run_warm_tier(
@@ -160,20 +206,37 @@ def run_warm_tier(
     source = scale_estate_sharded(
         size, providers=providers, cross_link_every=5
     )
-    engine = CloudlessEngine(
-        gateway=CloudGateway.simulated(seed=seed, synthetic=providers),
-        cache_dir=cache_dir,
-    )
-    t0 = time.perf_counter()
-    plan = engine.plan(source)
-    warm_s = time.perf_counter() - t0
+    engine = make_engine(seed, providers, cache_dir)
+    calls: Dict[str, int] = {}
+    undo = [
+        _counting(lang_config, "parse_file", calls),
+        _counting(engine_module, "build_graph", calls),
+    ]
+    try:
+        t0 = time.perf_counter()
+        compiled = engine.compile(source)
+        t1 = time.perf_counter()
+        report = engine.validate(compiled)
+        t2 = time.perf_counter()
+        plan = engine.plan(compiled)
+        t3 = time.perf_counter()
+    finally:
+        for restore in undo:
+            restore()
+    assert report.ok, str(report)
     cache = engine.compile_cache
     return {
-        "warm_s": round(warm_s, 4),
+        "warm_s": round(t3 - t0, 4),
+        "warm_compile_s": round(t1 - t0, 4),
+        "warm_validate_s": round(t2 - t1, 4),
+        "warm_plan_s": round(t3 - t2, 4),
         "plan_sha": plan_sha(plan),
         "exact_hits": cache.exact_hits,
         "partial_hits": cache.partial_hits,
         "misses": cache.misses,
+        "stores": cache.stores,
+        "chunks_parsed": calls.get("parse_file", 0),
+        "build_graph_calls": calls.get("build_graph", 0),
     }
 
 
@@ -190,8 +253,12 @@ def bench(args: argparse.Namespace) -> Dict[str, Any]:
             cold = run_cold_tier(size, args.providers, args.seed, cache_dir)
             warm = run_warm_tier(size, args.providers, args.seed, cache_dir)
         tier = {"size": size, **cold, **warm}
+        # like for like: both sides are the steps of `clc plan`
+        tier["cold_verb_s"] = round(
+            cold["cold_total_s"] + cold["validate_s"], 4
+        )
         tier["warm_frac"] = round(
-            warm["warm_s"] / max(cold["cold_total_s"], 1e-9), 4
+            warm["warm_s"] / max(tier["cold_verb_s"], 1e-9), 4
         )
         tiers.append(tier)
         if warm["plan_sha"] != cold["plan_sha"]:
@@ -200,6 +267,13 @@ def bench(args: argparse.Namespace) -> Dict[str, Any]:
             failures.append(
                 f"{size}: warm plan missed the cache "
                 f"(exact={warm['exact_hits']} misses={warm['misses']})"
+            )
+        if warm["chunks_parsed"] or warm["build_graph_calls"] or warm["stores"]:
+            failures.append(
+                f"{size}: warm plan redid compile work "
+                f"(chunks_parsed={warm['chunks_parsed']} "
+                f"build_graph={warm['build_graph_calls']} "
+                f"stores={warm['stores']})"
             )
         if (
             size >= args.warm_gate_min_size
@@ -210,10 +284,14 @@ def bench(args: argparse.Namespace) -> Dict[str, Any]:
                 f"> gate {args.max_warm_frac:.0%}"
             )
         print(
-            f"size={size}: cold={cold['cold_total_s']:.2f}s "
-            f"(parse={cold['parse_s']:.2f} build={cold['build_s']:.2f} "
-            f"plan={cold['plan_s']:.2f}) warm={warm['warm_s']:.3f}s "
-            f"({tier['warm_frac']:.1%}) rss={cold['peak_rss_kb'] // 1024}MB",
+            f"size={size}: cold={tier['cold_verb_s']:.2f}s "
+            f"(parse={cold['parse_s']:.2f} validate={cold['validate_s']:.2f} "
+            f"build={cold['build_s']:.2f} plan={cold['plan_s']:.2f}) "
+            f"warm={warm['warm_s']:.3f}s "
+            f"(compile={warm['warm_compile_s']:.2f} "
+            f"validate={warm['warm_validate_s']:.2f} "
+            f"plan={warm['warm_plan_s']:.2f}; {tier['warm_frac']:.1%}) "
+            f"rss={cold['peak_rss_kb'] // 1024}MB",
             file=sys.stderr,
         )
 
@@ -255,8 +333,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--max-warm-frac",
         type=float,
-        default=0.10,
-        help="warm plan must cost at most this fraction of cold",
+        default=0.80,
+        help="warm validate+plan must cost at most this fraction of cold",
     )
     parser.add_argument(
         "--warm-gate-min-size",

@@ -30,6 +30,7 @@ import sys
 from typing import Any, Dict, List, Optional
 
 from .core.engine import CloudlessEngine, EngineError
+from .lang.module_loader import FileSystemModuleLoader
 from .persist import load_world, save_world
 
 WORLD_FILE = "cloudless.world"
@@ -49,14 +50,14 @@ def _load_engine(args) -> CloudlessEngine:
         raise CliError(
             f"no world file at {path}; run `python -m repro init` first"
         )
-    return load_world(path)
+    engine = load_world(path)
+    # module sources resolve against the project directory (``import``
+    # writes its modules there)
+    engine.loader = FileSystemModuleLoader(args.chdir)
+    return engine
 
 
 def _save_engine(args, engine: CloudlessEngine) -> None:
-    # the cache context pins the whole compiled graph; never let it
-    # (or the cache handle's counters) ride along in the world pickle
-    engine._cache_ctx = None
-    engine.compile_cache = None
     save_world(engine, _world_path(args))
 
 
@@ -145,13 +146,12 @@ def cmd_validate(args) -> int:
 def cmd_plan(args) -> int:
     engine = _load_engine(args)
     _attach_cache(args, engine)
-    sources = _read_sources(args)
-    report = engine.validate(sources, variables=_parse_vars(args.var))
+    compiled = engine.compile(_read_sources(args), _parse_vars(args.var))
+    report = engine.validate(compiled)
     if not report.ok:
         print(report)
         return 1
-    plan = engine.plan(sources, variables=_parse_vars(args.var))
-    print(plan.render())
+    print(engine.plan(compiled).render())
     return 0
 
 
@@ -204,6 +204,7 @@ def cmd_apply(args) -> int:
 
 def cmd_resume(args) -> int:
     engine = _load_engine(args)
+    _attach_cache(args, engine)
     engine.wal_path = _world_path(args) + ".wal"
     # the crashed run's cloud-side operations may still be unresolved
     # in the persisted world; settle them before probing
@@ -684,14 +685,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true")
     p.set_defaults(fn=cmd_init)
 
-    for name, fn, with_vars in (
-        ("validate", cmd_validate, True),
-        ("plan", cmd_plan, True),
-        ("apply", cmd_apply, True),
+    for name, fn, help_text in (
+        ("validate", cmd_validate, "validate the *.clc configuration"),
+        ("plan", cmd_plan, "plan the *.clc configuration"),
+        ("apply", cmd_apply, "apply the *.clc configuration"),
+        (
+            "resume",
+            cmd_resume,
+            "recover a crashed apply from the intent journal",
+        ),
     ):
-        p = sub.add_parser(name, help=f"{name} the *.clc configuration")
-        if with_vars:
-            p.add_argument("--var", action="append", default=[])
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--var", action="append", default=[])
         p.add_argument(
             "--cache-dir",
             default=None,
@@ -714,12 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "(0 = one shard per provider/region partition)",
             )
         p.set_defaults(fn=fn)
-
-    p = sub.add_parser(
-        "resume", help="recover a crashed apply from the intent journal"
-    )
-    p.add_argument("--var", action="append", default=[])
-    p.set_defaults(fn=cmd_resume)
 
     p = sub.add_parser("destroy", help="tear down everything in state")
     p.set_defaults(fn=cmd_destroy)

@@ -1,20 +1,21 @@
 """Persistent compiled-artifact cache for cold-start elimination.
 
-Parsing and expanding a 1M-resource estate dominates cold-start wall
-time; none of that work depends on anything but the source text, the
-variable values, and the provider schemas. This package journals the
-compiled artifacts -- the parsed :class:`Configuration` (with its
-chunk-AST table), the expanded :class:`ResourceGraph`, and optionally
-the :class:`Plan` keyed by the state it was computed against -- to
-disk, so a second ``plan``/``apply``/``watch`` of the same workload
-loads them in O(changed) instead of rebuilding the DAG from scratch.
+Parsing and expanding an estate dominates cold-start wall time; none
+of that work depends on anything but the source text, the variable
+values, and the provider schemas. This package journals one artifact
+per workload -- the parsed :class:`Configuration` (with its chunk-AST
+table) and the expanded :class:`ResourceGraph` -- to disk, so a second
+``validate``/``plan``/``apply``/``resume`` of unchanged sources replays
+them instead of rebuilding, and an edited run re-parses only the
+chunks that changed. Planning is never cached: a plan depends on the
+state, which every apply changes.
 
 Robustness mirrors :class:`~repro.state.persist.JournalStateStore`: a
-versioned header carries the payload digest, writes go through a
-temp-file + fsync + rename, and *any* mismatch (torn file, version
-skew, fingerprint drift, unpicklable payload) falls back to a cold
-build -- a cache can be deleted at any time without losing anything
-but warm-up time.
+versioned JSON header carries the per-file source digests and the blob
+digest, writes go through a temp-file + fsync + rename, and *any*
+mismatch (torn file, version skew, fingerprint drift, unpicklable
+blob) falls back to a cold build -- a cache can be deleted at any time
+without losing anything but warm-up time.
 """
 
 from .store import (

@@ -6,25 +6,24 @@ schema fingerprints -- so an edited file maps to the *same* artifact
 (and a partial hit reuses its unchanged chunk ASTs) while a different
 workload, variable set, or provider catalog maps elsewhere.
 
-File layout (torn-write-safe, modelled on the state journal)::
+An artifact is the ``(config, graph)`` pair one set of source texts
+compiled to, and nothing else. File layout (torn-write-safe, modelled
+on the state journal)::
 
-    {"version": 2, "meta_sha": ..., "meta_len": M,
-     "payload_sha": ..., "payload_len": N}\\n
-    <M bytes: pickled _ArtifactMeta>
-    <N bytes: pickled _ArtifactPayload envelope>
+    {"version": 3, "variables_fp": ..., "schema_fp": ...,
+     "source_sha": {filename: sha256}, "blob_sha": ..., "blob_len": N,
+     "header_sha": <sha256 of the other fields>}\n
+    <N bytes: pickle of (config, graph)>
 
-The artifact is split so that a warm exact hit is O(changed), not
-O(estate): the *meta* part (file digests, fingerprints, the journaled
-plan render text) is small and unpickled eagerly; the *payload* part
-(the config, expanded graph, and plan object web -- millions of
-objects at 1M resources) is read and digest-verified eagerly but
-unpickled only when a consumer actually needs the object graph
-(validate, apply, re-plan). The payload envelope is a thin wrapper
-whose only field is the inner pickle bytes, so the eager load
-validates the file is semantically ours without materializing.
+Everything that decides exact / partial / miss lives in the JSON
+header line, so the decision is made before anything is unpickled; the
+blob is then length- and digest-checked and unpickled once. A plan is
+never journaled: it depends on the state, which every apply changes,
+so the next verb always re-plans against the replayed graph.
 
-A torn tail, header corruption, version skew, or digest mismatch on
-*either* part classifies as a miss (counted in
+A torn tail, header corruption, version skew, fingerprint drift, a
+digest mismatch on either part, or a blob that does not unpickle to a
+pair classifies as a miss (counted in
 :attr:`CompileCache.corrupt_rejects`), never an error. Exactness is
 decided by whole-file sha256 -- same bytes parse to the same chunks,
 so there is no separate chunk-fingerprint rescan on the hit path (the
@@ -33,16 +32,14 @@ chunker is pure, and chunker changes bump ``FORMAT_VERSION``).
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
 import pickle
 import tempfile
-import zlib
 from typing import Any, Dict, List, Optional
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: artifact filename suffix (one workload key per file)
 SUFFIX = ".clcc"
@@ -86,101 +83,45 @@ def schema_fingerprint(gateway: Any) -> str:
     return _sha("\n".join(parts).encode())
 
 
-@dataclasses.dataclass
-class _ArtifactMeta:
-    """The small, eagerly-unpickled half of one journaled compile."""
-
-    format_version: int
-    #: filename -> sha256 of the full source text (exactness test)
-    source_sha: Dict[str, str]
-    variables_fp: str
-    schema_fp: str
-    #: state/data fingerprints the journaled plan is valid for
-    plan_state_fp: Optional[str] = None
-    plan_data_fp: Optional[str] = None
-    #: zlib-compressed ``plan.render()`` text, so an exact hit can
-    #: serve byte-identical plan output without touching the payload
-    plan_render_z: Optional[bytes] = None
+def _source_shas(sources: Dict[str, str]) -> Dict[str, str]:
+    """filename -> sha256 of the full source text (the exactness test)."""
+    return {fname: _sha(text.encode()) for fname, text in sources.items()}
 
 
-@dataclasses.dataclass
-class _ArtifactPayload:
-    """Envelope around the big object-web pickle.
-
-    The outer pickle (this class) is cheap to load -- one bytes field
-    -- which lets :meth:`CompileCache._read` semantically validate the
-    payload eagerly while deferring the expensive inner
-    ``pickle.loads`` (config + graph + plan) until a consumer needs
-    the objects.
-    """
-
-    objects: bytes  # pickle of (config, graph, plan)
+def _header_sha(fields: Dict[str, Any]) -> str:
+    return _sha(json.dumps(fields, sort_keys=True).encode())
 
 
 class CacheLookup:
     """Outcome of :meth:`CompileCache.load`.
 
-    ``kind`` is ``"exact"`` (every file byte-identical: config *and*
-    graph reusable, plan too if its state fingerprint matches) or
-    ``"partial"`` (something changed: only the chunk-AST table is
-    reusable, via ``Configuration.parse_streaming(reuse=...)``).
-
-    ``config`` / ``graph`` / ``plan`` are lazy: the first access
-    unpickles the payload's object web (O(estate)); until then an
-    exact hit costs only the meta. ``plan_render`` serves the
-    journaled plan text from the meta without materializing anything.
+    ``kind`` is ``"exact"`` (every file byte-identical: ``config`` *and*
+    ``graph`` replay as-is) or ``"partial"`` (something changed: only
+    ``config``'s chunk-AST table is reusable, via
+    ``Configuration.parse_streaming(reuse=...)``).
     """
 
-    def __init__(self, kind: str, meta: _ArtifactMeta, objects_pickle: bytes):
+    def __init__(self, kind: str, blob: bytes):
         self.kind = kind
-        self.plan_state_fp = meta.plan_state_fp
-        self.plan_data_fp = meta.plan_data_fp
-        self._meta = meta
-        self._objects_pickle: Optional[bytes] = objects_pickle
-        self._objects: Optional[tuple] = None
+        self._blob: Optional[bytes] = blob
+        self.config: Any = None
+        self.graph: Any = None
 
     @property
     def exact(self) -> bool:
         return self.kind == "exact"
 
-    @property
-    def materialized(self) -> bool:
-        """Whether the payload's object web has been unpickled."""
-        return self._objects is not None
-
-    def _materialize(self) -> tuple:
-        if self._objects is None:
-            blob = self._objects_pickle
-            assert blob is not None
-            objects = pickle.loads(blob)
-            if not (isinstance(objects, tuple) and len(objects) == 3):
-                raise RuntimeError(
-                    "corrupt compile-cache payload: expected a "
-                    "(config, graph, plan) triple"
-                )
-            self._objects = objects
-            self._objects_pickle = None  # the bytes are no longer needed
-        return self._objects
-
-    @property
-    def config(self) -> Any:
-        return self._materialize()[0]
-
-    @property
-    def graph(self) -> Any:
-        return self._materialize()[1]
-
-    @property
-    def plan(self) -> Any:
-        return self._materialize()[2]
-
-    @property
-    def plan_render(self) -> Optional[str]:
-        """The journaled ``plan.render()`` text, or None if the
-        artifact was stored without a plan."""
-        if self._meta.plan_render_z is None:
-            return None
-        return zlib.decompress(self._meta.plan_render_z).decode()
+    def _materialize(self) -> None:
+        """Unpickle the digest-checked blob (O(estate)); ``load`` runs
+        this once per hit, so a blob that is not ours reads as a miss."""
+        assert self._blob is not None
+        objects = pickle.loads(self._blob)
+        self._blob = None  # the bytes are no longer needed
+        if not (isinstance(objects, tuple) and len(objects) == 2):
+            raise ValueError(
+                "corrupt compile-cache blob: expected a (config, graph) pair"
+            )
+        self.config, self.graph = objects
 
 
 class CompileCache:
@@ -194,7 +135,6 @@ class CompileCache:
         self.partial_hits = 0
         self.misses = 0
         self.stores = 0
-        self.invalidations = 0
         self.corrupt_rejects = 0
 
     # -- keys ----------------------------------------------------------------
@@ -228,73 +168,65 @@ class CompileCache:
     ) -> Optional[CacheLookup]:
         """Look the workload up; ``None`` means cold build."""
         path = self.path_for(sources, variables_fp, schema_fp)
-        parts = self._read(path)
-        if parts is None:
+        try:
+            with open(path, "rb") as fh:
+                header = self._checked_header(
+                    fh.readline(), variables_fp, schema_fp
+                )
+                blob = fh.read() if header is not None else b""
+        except FileNotFoundError:
             self.misses += 1
             return None
-        meta, objects_pickle = parts
+        except OSError:
+            return self._reject()
         if (
-            meta.format_version != FORMAT_VERSION
-            or meta.variables_fp != variables_fp
-            or meta.schema_fp != schema_fp
+            header is None
+            or len(blob) != header.get("blob_len")
+            or _sha(blob) != header.get("blob_sha")
         ):
-            self.corrupt_rejects += 1
-            self.misses += 1
-            return None
-        kind = self._classify(meta, sources)
-        if kind == "exact":
+            return self._reject()
+        exact = header.get("source_sha") == _source_shas(sources)
+        lookup = CacheLookup("exact" if exact else "partial", blob)
+        try:
+            lookup._materialize()
+        except Exception:
+            # unpicklable bytes, unknown classes, not a (config, graph)
+            # pair: all of it is just a cold build
+            return self._reject()
+        if exact:
             self.exact_hits += 1
         else:
             self.partial_hits += 1
-        return CacheLookup(kind=kind, meta=meta, objects_pickle=objects_pickle)
+        return lookup
 
-    def _classify(self, meta: _ArtifactMeta, sources: Dict[str, str]) -> str:
-        if set(meta.source_sha) != set(sources):
-            return "partial"
-        for fname, text in sources.items():
-            if meta.source_sha.get(fname) != _sha(text.encode()):
-                return "partial"
-        return "exact"
+    def _reject(self) -> None:
+        self.corrupt_rejects += 1
+        self.misses += 1
+        return None
 
-    def _read(self, path: str) -> Optional[tuple]:
-        """Read + digest-verify both parts eagerly (a torn write is
-        caught *here*, not at first use), unpickle only the cheap ones
-        (meta, payload envelope). Returns ``(meta, objects_pickle)``."""
+    @staticmethod
+    def _checked_header(
+        line: bytes, variables_fp: str, schema_fp: str
+    ) -> Optional[Dict[str, Any]]:
+        """Parse the header line; ``None`` unless it is ours, intact
+        (its own digest covers the per-file sha table, so a flipped
+        byte cannot redirect classification) and for these
+        fingerprints."""
         try:
-            with open(path, "rb") as fh:
-                header = json.loads(fh.readline())
-                if header.get("version") != FORMAT_VERSION:
-                    self.corrupt_rejects += 1
-                    return None
-                meta_blob = fh.read(int(header.get("meta_len")))
-                payload_blob = fh.read()
-            if len(meta_blob) != header.get("meta_len"):
-                self.corrupt_rejects += 1
-                return None
-            if _sha(meta_blob) != header.get("meta_sha"):
-                self.corrupt_rejects += 1
-                return None
-            if len(payload_blob) != header.get("payload_len"):
-                self.corrupt_rejects += 1
-                return None
-            if _sha(payload_blob) != header.get("payload_sha"):
-                self.corrupt_rejects += 1
-                return None
-            meta = pickle.loads(meta_blob)
-            envelope = pickle.loads(payload_blob)
-        except FileNotFoundError:
+            header = json.loads(line)
+        except ValueError:
             return None
-        except Exception:
-            # torn header, bad json, truncated parts, unpicklable
-            # bytes, unknown classes: all of it is just a cold build
-            self.corrupt_rejects += 1
+        if not isinstance(header, dict):
             return None
-        if not isinstance(meta, _ArtifactMeta) or not isinstance(
-            envelope, _ArtifactPayload
+        claimed = header.pop("header_sha", None)
+        if (
+            header.get("version") != FORMAT_VERSION
+            or claimed != _header_sha(header)
+            or header.get("variables_fp") != variables_fp
+            or header.get("schema_fp") != schema_fp
         ):
-            self.corrupt_rejects += 1
             return None
-        return meta, envelope.objects
+        return header
 
     # -- store ---------------------------------------------------------------
 
@@ -305,62 +237,32 @@ class CompileCache:
         schema_fp: str,
         config: Any,
         graph: Any,
-        plan: Any = None,
-        plan_state_fp: Optional[str] = None,
-        plan_data_fp: Optional[str] = None,
     ) -> bool:
         """Journal one compile. Returns False if anything refused to
         pickle (the cache is strictly best-effort)."""
-        render_z: Optional[bytes] = None
-        if plan is not None:
-            try:
-                # level 1: the render text is large and repetitive;
-                # write speed matters more than ratio here
-                render_z = zlib.compress(plan.render().encode(), 1)
-            except Exception:
-                return False
-        meta = _ArtifactMeta(
-            format_version=FORMAT_VERSION,
-            source_sha={f: _sha(t.encode()) for f, t in sources.items()},
-            variables_fp=variables_fp,
-            schema_fp=schema_fp,
-            plan_state_fp=plan_state_fp,
-            plan_data_fp=plan_data_fp,
-            plan_render_z=render_z,
-        )
         try:
-            meta_blob = pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL)
-            inner = pickle.dumps(
-                (config, graph, plan), protocol=pickle.HIGHEST_PROTOCOL
-            )
-            payload_blob = pickle.dumps(
-                _ArtifactPayload(objects=inner),
-                protocol=pickle.HIGHEST_PROTOCOL,
+            blob = pickle.dumps(
+                (config, graph), protocol=pickle.HIGHEST_PROTOCOL
             )
         except Exception:
             return False
-        header = (
-            json.dumps(
-                {
-                    "version": FORMAT_VERSION,
-                    "meta_sha": _sha(meta_blob),
-                    "meta_len": len(meta_blob),
-                    "payload_sha": _sha(payload_blob),
-                    "payload_len": len(payload_blob),
-                },
-                sort_keys=True,
-            )
-            + "\n"
-        ).encode()
+        header: Dict[str, Any] = {
+            "version": FORMAT_VERSION,
+            "variables_fp": variables_fp,
+            "schema_fp": schema_fp,
+            "source_sha": _source_shas(sources),
+            "blob_sha": _sha(blob),
+            "blob_len": len(blob),
+        }
+        header["header_sha"] = _header_sha(header)
         path = self.path_for(sources, variables_fp, schema_fp)
         fd, tmp = tempfile.mkstemp(
             dir=self.cache_dir, prefix=".tmp-", suffix=SUFFIX
         )
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(header)
-                fh.write(meta_blob)
-                fh.write(payload_blob)
+                fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
+                fh.write(blob)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
@@ -372,38 +274,3 @@ class CompileCache:
             return False
         self.stores += 1
         return True
-
-    # -- invalidate ----------------------------------------------------------
-
-    def invalidate(
-        self,
-        sources: Dict[str, str],
-        variables_fp: str,
-        schema_fp: str,
-    ) -> bool:
-        """Drop one workload's artifact."""
-        try:
-            os.unlink(self.path_for(sources, variables_fp, schema_fp))
-        except FileNotFoundError:
-            return False
-        self.invalidations += 1
-        return True
-
-    def clear(self) -> int:
-        """Drop every artifact (the rebuild-fallback hook calls this:
-        a graph journaled before the rebuild must never be served)."""
-        dropped = 0
-        try:
-            names = os.listdir(self.cache_dir)
-        except OSError:
-            return 0
-        for name in names:
-            if not name.endswith(SUFFIX):
-                continue
-            try:
-                os.unlink(os.path.join(self.cache_dir, name))
-                dropped += 1
-            except OSError:
-                continue
-        self.invalidations += dropped
-        return dropped

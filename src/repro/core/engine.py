@@ -10,7 +10,7 @@ exposes the lifecycle verbs: ``validate``, ``plan``, ``apply``,
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..cloud.gateway import CloudGateway
 from ..cloud.resilience import BreakerPolicy, HealthMonitor, ResilientGateway
@@ -28,9 +28,10 @@ from ..deploy.wal import IntentJournal
 from ..drift.detector import DetectionRun, DriftFinding, LogWatchDetector
 from ..drift.reconcile import Reconciler, ReconcileReport
 from ..drift.watcher import DriftWatcher, WatchCycle
-from ..graph.builder import ResourceGraph, build_graph
+from ..graph.builder import GraphBuildError, ResourceGraph, build_graph
 from ..graph.plan import Plan, Planner
 from ..lang.config import Configuration
+from ..lang.diagnostics import CLCError
 from ..lang.module_loader import ModuleLoader
 from ..policy.controller import AdmissionDecision, InfrastructureController
 from ..policy.cost import CostEstimator
@@ -45,112 +46,25 @@ from ..validate.pipeline import (
     ValidationReport,
 )
 
-Sources = Union[str, Dict[str, str], Configuration]
-
-
-def _fingerprint_json(blob: str) -> str:
-    import hashlib
-
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _fingerprint_data(data_values: Dict[str, Any]) -> str:
-    import hashlib
-    import json
-
-    blob = json.dumps(data_values, sort_keys=True, default=repr)
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-#: fingerprint of an empty data-read set. A cached plan carrying this
-#: fingerprint was computed against a graph with no data sources, so a
-#: warm exact hit can skip ``read_data_sources`` (which would need the
-#: materialized graph) entirely.
-_EMPTY_DATA_FP = _fingerprint_data({})
-
 
 class EngineError(RuntimeError):
     """Lifecycle-level failures (validation denied, admission denied)."""
 
 
 @dataclasses.dataclass
-class _CacheContext:
-    """Ties a coerced Configuration back to its artifact lookup."""
+class Compiled:
+    """One verb's sources compiled once (:meth:`CloudlessEngine.compile`);
+    every lifecycle verb accepts it in place of the sources."""
 
     config: Configuration
+    #: filename -> source text ("" when only a Configuration was given)
     texts: Dict[str, str]
-    variables_fp: str
-    schema_fp: str
-    lookup: Optional[Any]  # compilecache.CacheLookup, None on miss
-
-
-class _LazyConfiguration(Configuration):
-    """A Configuration served from an exact artifact hit, materialized
-    on first attribute access.
-
-    The warm plan path never touches the parsed AST -- the expanded
-    graph and plan are journaled alongside it -- so an unchanged
-    re-run should not pay the O(estate) unpickle just to carry a
-    Configuration-shaped token through the call graph. Any real use
-    (validate iterating resources, a partial reuse reading the
-    chunk-AST table) falls through ``__getattribute__`` and unpickles
-    the payload once.
-    """
-
-    def __init__(self, lookup: Any):
-        object.__setattr__(self, "_clc_lookup", lookup)
-
-    def _clc_materialize(self) -> Configuration:
-        return object.__getattribute__(self, "_clc_lookup").config
-
-    def __getattribute__(self, name: str):
-        if name.startswith("_clc_") or name.startswith("__"):
-            return object.__getattribute__(self, name)
-        return getattr(
-            object.__getattribute__(self, "_clc_materialize")(), name
-        )
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        setattr(self._clc_materialize(), name, value)
-
-
-class _LazyArtifactPlan(Plan):
-    """A Plan served from an exact artifact hit whose state/data
-    fingerprints matched.
-
-    ``render()`` replays the journaled plan text (byte-identical to
-    the cold run) straight from the artifact meta; everything else --
-    ``changes``, ``execution_dag()``, the executors' node access --
-    materializes the payload's object web on first touch. The plan
-    verb therefore costs O(changed) == O(1) on an unchanged estate,
-    while apply still gets the full plan for free semantics.
-    """
-
-    def __init__(self, lookup: Any):
-        object.__setattr__(self, "_clc_lookup", lookup)
-
-    def _clc_materialize(self) -> Plan:
-        return object.__getattribute__(self, "_clc_lookup").plan
-
-    def render(self) -> str:
-        text = object.__getattribute__(self, "_clc_lookup").plan_render
-        if text is not None:
-            return text
-        return object.__getattribute__(self, "_clc_materialize")().render()
-
-    def __getattribute__(self, name: str):
-        if (
-            name.startswith("_clc_")
-            or name.startswith("__")
-            or name == "render"
-        ):
-            return object.__getattribute__(self, name)
-        return getattr(
-            object.__getattribute__(self, "_clc_materialize")(), name
-        )
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        setattr(self._clc_materialize(), name, value)
+    variables: Optional[Dict[str, Any]]
+    #: replayed from an exact artifact hit, else built on first use
+    graph: Optional[ResourceGraph] = None
+    #: ``(variables_fp, schema_fp)`` when the sources differ from the
+    #: cached artifact, so the graph is journaled once it is built
+    store_fps: Optional[Tuple[str, str]] = None
 
 
 @dataclasses.dataclass
@@ -193,6 +107,9 @@ class EngineResumeResult:
     @property
     def ok(self) -> bool:
         return self.result.ok
+
+
+Sources = Union[str, Dict[str, str], Configuration, Compiled]
 
 
 class CloudlessEngine:
@@ -263,10 +180,6 @@ class CloudlessEngine:
             from ..compilecache import CompileCache
 
             self.compile_cache = CompileCache(cache_dir)
-        # cache context for the most recent _coerce_sources call, so
-        # plan() can tell whether the Configuration it received came
-        # from an exact artifact hit (graph reusable) or a fresh parse
-        self._cache_ctx: Optional[_CacheContext] = None
 
     # -- helpers ------------------------------------------------------------
 
@@ -274,44 +187,58 @@ class CloudlessEngine:
     def clock(self):
         return self.gateway.clock
 
-    def _coerce_sources(
+    def compile(
         self, sources: Sources, variables: Optional[Dict[str, Any]] = None
-    ) -> tuple:
+    ) -> Compiled:
+        """Sources -> config (+ graph on an exact cache hit): the one
+        step every verb runs once. A :class:`Compiled` passes through
+        unchanged, carrying the variables it was compiled under."""
+        if isinstance(sources, Compiled):
+            return sources
         if isinstance(sources, Configuration):
-            if isinstance(sources, _LazyConfiguration):
-                # do not touch attributes: listing files would
-                # materialize the payload the lazy hit is avoiding
-                return sources, {}
-            return sources, {
-                f.filename: "" for f in sources.files
-            }  # originals unavailable
+            # originals unavailable
+            texts = {f.filename: "" for f in sources.files}
+            return Compiled(sources, texts, variables)
         if isinstance(sources, str):
             sources = {"main.clc": sources}
         texts = dict(sources)
         cache = self.compile_cache
         if cache is None:
-            return Configuration.parse_streaming(texts), texts
+            return Compiled(Configuration.parse_streaming(texts), texts, variables)
         from ..compilecache import schema_fingerprint, variables_fingerprint
 
-        vfp = variables_fingerprint(variables)
-        sfp = schema_fingerprint(self.gateway)
-        lookup = cache.load(texts, vfp, sfp)
+        fps = (variables_fingerprint(variables), schema_fingerprint(self.gateway))
+        lookup = cache.load(texts, *fps)
         if lookup is not None and lookup.exact:
-            # serve a lazy facade: if the plan fingerprints also match,
-            # the whole warm run finishes without unpickling the
-            # artifact's object web (O(changed), not O(estate))
-            config = _LazyConfiguration(lookup)
-        else:
-            # partial hit: unchanged chunks skip lex+parse via the
-            # artifact's resident chunk-AST table
-            config = Configuration.parse_streaming(
-                texts, reuse=lookup.config if lookup is not None else None
-            )
-        self._cache_ctx = _CacheContext(
-            config=config, texts=texts, variables_fp=vfp, schema_fp=sfp,
-            lookup=lookup,
+            return Compiled(lookup.config, texts, variables, graph=lookup.graph)
+        # partial hit: unchanged chunks skip lex+parse via the
+        # artifact's resident chunk-AST table
+        config = Configuration.parse_streaming(
+            texts, reuse=lookup.config if lookup is not None else None
         )
-        return config, texts
+        return Compiled(config, texts, variables, store_fps=fps)
+
+    def _graph(self, compiled: Compiled) -> ResourceGraph:
+        if compiled.graph is None:
+            try:
+                compiled.graph = build_graph(
+                    compiled.config,
+                    variables=compiled.variables,
+                    loader=self.loader,
+                )
+            except (GraphBuildError, CLCError) as exc:
+                raise EngineError(str(exc))
+            # module text is outside the exactness test, so a graph
+            # expanded through module calls is never journaled
+            if compiled.store_fps and not compiled.config.module_calls:
+                assert self.compile_cache is not None
+                self.compile_cache.store(
+                    compiled.texts,
+                    *compiled.store_fps,
+                    compiled.config,
+                    compiled.graph,
+                )
+        return compiled.graph
 
     def _executor(self) -> PlanExecutor:
         if self.executor_name == "sharded":
@@ -339,9 +266,9 @@ class CloudlessEngine:
     def validate(
         self, sources: Sources, variables: Optional[Dict[str, Any]] = None
     ) -> ValidationReport:
-        config, _ = self._coerce_sources(sources, variables)
+        compiled = self.compile(sources, variables)
         return self.validation.validate(
-            config, variables=variables, loader=self.loader
+            compiled.config, variables=compiled.variables, loader=self.loader
         )
 
     def plan(
@@ -350,64 +277,10 @@ class CloudlessEngine:
         variables: Optional[Dict[str, Any]] = None,
         state: Optional[StateDocument] = None,
     ) -> Plan:
-        from ..graph.builder import GraphBuildError
-        from ..lang.diagnostics import CLCError
-
-        config, _ = self._coerce_sources(sources, variables)
-        ctx = self._cache_ctx
-        if ctx is None or ctx.config is not config:
-            ctx = None
-        lookup = ctx.lookup if ctx is not None else None
-        exact = lookup is not None and lookup.exact
+        graph = self._graph(self.compile(sources, variables))
         working = (state if state is not None else self.state).copy()
-        if exact:
-            # the cached Plan is only as good as the state and data
-            # reads it was computed against; fingerprint both before
-            # serving it. A plan journaled with the empty-data
-            # fingerprint was computed against a graph with no data
-            # sources, so nothing about it can have moved -- serve the
-            # lazy facade without materializing graph or plan at all.
-            state_fp = _fingerprint_json(working.to_json())
-            if (
-                lookup.plan_render is not None
-                and lookup.plan_state_fp == state_fp
-                and lookup.plan_data_fp == _EMPTY_DATA_FP
-            ):
-                return _LazyArtifactPlan(lookup)
-            # exact artifact hit: the expanded graph replays as-is
-            graph = lookup.graph
-        else:
-            try:
-                graph = build_graph(
-                    config, variables=variables, loader=self.loader
-                )
-            except (GraphBuildError, CLCError) as exc:
-                raise EngineError(str(exc))
         data_values = read_data_sources(self.resilient, graph, working)
-        if ctx is None:
-            return self.planner.plan(graph, working, data_values=data_values)
-        state_fp = _fingerprint_json(working.to_json())
-        data_fp = _fingerprint_data(data_values)
-        if (
-            exact
-            and lookup.plan is not None
-            and lookup.plan_state_fp == state_fp
-            and lookup.plan_data_fp == data_fp
-        ):
-            return lookup.plan
-        plan = self.planner.plan(graph, working, data_values=data_values)
-        assert self.compile_cache is not None
-        self.compile_cache.store(
-            ctx.texts,
-            ctx.variables_fp,
-            ctx.schema_fp,
-            lookup.config if exact else config,
-            graph,
-            plan=plan,
-            plan_state_fp=state_fp,
-            plan_data_fp=data_fp,
-        )
-        return plan
+        return self.planner.plan(graph, working, data_values=data_values)
 
     def apply(
         self,
@@ -419,11 +292,12 @@ class CloudlessEngine:
         crash_hook: Optional[Any] = None,
         _journal: Optional[IntentJournal] = None,
     ) -> EngineApplyResult:
-        config, source_texts = self._coerce_sources(sources, variables)
+        compiled = self.compile(sources, variables)
+        variables = compiled.variables
         validation: Optional[ValidationReport] = None
         if validate_first:
             validation = self.validation.validate(
-                config, variables=variables, loader=self.loader
+                compiled.config, variables=variables, loader=self.loader
             )
             if not validation.ok:
                 return EngineApplyResult(
@@ -433,7 +307,7 @@ class CloudlessEngine:
                     apply=None,
                     diagnoses=[],
                 )
-        plan = self.plan(config, variables=variables)
+        plan = self.plan(compiled)
         admission: Optional[AdmissionDecision] = None
         if admit:
             admission = self.controller.admit(
@@ -465,7 +339,7 @@ class CloudlessEngine:
         assert result.state is not None
         self.state = result.state
         self._store_outputs(plan, result)
-        self.last_sources = source_texts
+        self.last_sources = compiled.texts
         self.last_variables = dict(variables or {})
         diagnoses = (
             self.debugger.diagnose_apply(plan, result) if result.failed else []
@@ -474,7 +348,7 @@ class CloudlessEngine:
         if checkpoint and result.ok:
             snap = self.history.checkpoint(
                 self.state,
-                source_texts,
+                compiled.texts,
                 timestamp=self.clock.now,
                 description=f"apply ({plan.summary()})",
             )

@@ -18,9 +18,6 @@ from .wal import (
     WALCorruptError,
 )
 from .incremental import (
-    IncrementalPatchError,
-    IncrementalPlanResult,
-    IncrementalSession,
     RefreshResult,
     UpdatePipeline,
     UpdatePlanResult,
@@ -41,9 +38,6 @@ __all__ = [
     "CrashRecovery",
     "CriticalPathExecutor",
     "FencingError",
-    "IncrementalPatchError",
-    "IncrementalPlanResult",
-    "IncrementalSession",
     "IntentJournal",
     "IntentRecord",
     "OperationRecord",

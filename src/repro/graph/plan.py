@@ -94,8 +94,7 @@ class ValueResolver:
         self.pending: set = set()
         #: per-declaration resolve cache, decl key -> [kind, instance
         #: nodes in container order, their values or None]; ``None``
-        #: until an apply starts (:meth:`cache_declarations`), so a plan
-        #: pickled into the compile cache never carries it
+        #: until an apply starts (:meth:`cache_declarations`)
         self._decl_cache: Optional[Dict[Tuple, List[Any]]] = None
 
     def cache_declarations(self) -> None:

@@ -483,9 +483,9 @@ class StructuredImporter:
                 return None
             indexed.append((int(match.group("index")), view))
             prefixes.add(match.group("prefix"))
-        indexed.sort()
         if len(prefixes) != 1:
             return None
+        indexed.sort(key=lambda pair: pair[0])
         if [i for i, _ in indexed] != list(range(len(indexed))):
             return None
         return [v for _, v in indexed]

@@ -220,3 +220,167 @@ class TestCliExtras:
         # the validation pipeline reports it with the offending line
         out = capsys.readouterr().out
         assert "guard too small" in out and "main.clc" in out
+
+
+class TestImportedModules:
+    def test_plan_after_module_producing_import(self, tmp_path, capsys):
+        """``import`` extracts repeated stacks into ``modules/``; the
+        program it writes must be usable by the verbs that follow."""
+        from repro.persist import load_world, save_world
+        from tests.test_porting import build_repeated_stacks
+
+        project = str(tmp_path)
+        assert run(project, "init") == 0
+        world = os.path.join(project, "cloudless.world")
+        engine = load_world(world)
+        build_repeated_stacks(engine.gateway, 3)
+        save_world(engine, world)
+        assert run(project, "import") == 0
+        assert os.path.exists(
+            os.path.join(project, "modules", "stack_1", "main.clc")
+        )
+        capsys.readouterr()
+        assert run(project, "validate") == 0
+        assert run(project, "plan") == 0
+        assert "0 to add, 0 to change, 0 to destroy" in capsys.readouterr().out
+        assert run(project, "apply") == 0
+
+
+class TestOneCompilePerVerb:
+    """Each planning verb compiles its sources once: at most one
+    ``parse_streaming``, one cache load and one artifact unpickle, and
+    the artifact is rewritten only when a source file changed."""
+
+    @pytest.fixture
+    def spied(self, tmp_path, monkeypatch):
+        import repro.lang.config as lang_config
+        from repro.compilecache.store import CacheLookup, CompileCache
+        from repro.lang.config import Configuration
+        from repro.workloads import scale_estate
+
+        calls = {}
+
+        def spy(owner, name, key):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] = calls.get(key, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        real_parse = Configuration.parse_streaming.__func__
+
+        def counted_parse(cls, *args, **kwargs):
+            calls["parse"] = calls.get("parse", 0) + 1
+            return real_parse(cls, *args, **kwargs)
+
+        monkeypatch.setattr(
+            Configuration, "parse_streaming", classmethod(counted_parse)
+        )
+        spy(lang_config, "parse_file", "chunks")
+        spy(CompileCache, "load", "load")
+        spy(CompileCache, "store", "store")
+        spy(CacheLookup, "_materialize", "unpickle")
+
+        project = str(tmp_path)
+        source = scale_estate(30)
+        with open(os.path.join(project, "main.clc"), "w") as handle:
+            handle.write(source)
+        assert run(project, "init") == 0
+
+        def verb(*argv, expect=0):
+            calls.clear()
+            assert run(project, *argv) == expect
+            return {
+                key: calls.get(key, 0)
+                for key in ("parse", "chunks", "load", "store", "unpickle")
+            }
+
+        return project, source, verb
+
+    def test_spy_counts(self, spied, monkeypatch):
+        from repro.core.engine import CloudlessEngine
+        from repro.deploy import SimulatedCrash
+        from repro.lang.chunker import iter_chunks
+
+        project, source, verb = spied
+        n_chunks = len(list(iter_chunks(source)))
+
+        # cold plan: one parse of every chunk, one store
+        assert verb("plan") == {
+            "parse": 1, "chunks": n_chunks, "load": 1, "store": 1,
+            "unpickle": 0,
+        }
+        # validate alone builds no graph, so it has nothing to journal
+        assert verb("validate") == {
+            "parse": 0, "chunks": 0, "load": 1, "store": 0, "unpickle": 1,
+        }
+        # apply then plan, the day-2 shape: exact hits, nothing rewritten
+        warm = {"parse": 0, "chunks": 0, "load": 1, "store": 0, "unpickle": 1}
+        assert verb("apply") == warm
+        assert verb("plan") == warm
+
+        # edit one block: only its chunk is parsed, the artifact is
+        # rewritten once
+        edited = source.replace(
+            'service = "scale-3" }', 'service = "scale-3b" }'
+        )
+        assert edited != source
+        with open(os.path.join(project, "main.clc"), "w") as handle:
+            handle.write(edited)
+        assert verb("apply") == {
+            "parse": 1, "chunks": 1, "load": 1, "store": 1, "unpickle": 1,
+        }
+
+        # crash an apply of a second edit mid-run; resume compiles once
+        # and finds the artifact the crashed apply journaled
+        with open(os.path.join(project, "main.clc"), "w") as handle:
+            handle.write(
+                edited.replace('service = "scale-1" }', 'service = "scale-1b" }')
+            )
+        real_apply = CloudlessEngine.apply
+
+        def hook(index):
+            if index == 1:
+                raise SimulatedCrash()
+
+        with monkeypatch.context() as patcher:
+            patcher.setattr(
+                CloudlessEngine,
+                "apply",
+                lambda self, *a, **kw: real_apply(
+                    self, *a, crash_hook=hook, **kw
+                ),
+            )
+            with pytest.raises(SimulatedCrash):
+                run(project, "apply")
+        assert verb("resume") == warm
+        assert verb("plan") == warm
+
+    def test_cold_exact_and_partial_plans_print_the_same(self, spied, capsys):
+        project, source, verb = spied
+        assert run(project, "apply") == 0
+
+        def plan_text(*flags):
+            capsys.readouterr()
+            counts = verb("plan", *flags)
+            return capsys.readouterr().out, counts
+
+        cold, counts = plan_text("--no-cache")
+        assert counts["load"] == 0 and counts["parse"] == 1
+        exact, counts = plan_text()
+        assert counts["parse"] == 0 and counts["unpickle"] == 1
+        # journal a different text under the same key, so the original
+        # comes back as a partial hit
+        with open(os.path.join(project, "main.clc"), "w") as handle:
+            handle.write(source + '\nresource "aws_s3_bucket" "x" { name = "x" }\n')
+        assert verb("plan")["store"] == 1
+        with open(os.path.join(project, "main.clc"), "w") as handle:
+            handle.write(source)
+        partial, counts = plan_text()
+        # every chunk of the original is resident in the artifact
+        assert counts["parse"] == 1 and counts["chunks"] == 0
+        assert counts["store"] == 1
+        assert cold == exact == partial
+        assert "0 to add, 0 to change, 0 to destroy" in cold

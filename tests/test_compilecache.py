@@ -1,21 +1,20 @@
 """Compiled-artifact cache tests.
 
-The persistent cache (``repro.compilecache``) journals parsed config,
-expanded graph, and plan to disk. The contract under test:
+The persistent cache (``repro.compilecache``) journals the parsed
+config and the expanded graph to disk. The contract under test:
 
-* exact hit -> the cached graph (and plan, when the state/data
-  fingerprints agree) is served without re-parsing;
+* exact hit -> the cached config and graph replay without re-parsing;
 * any edit -> partial hit (chunk-AST reuse only), never a stale graph;
-* any corruption -- truncated file, flipped payload byte, version
-  mismatch, garbage header, tampered meta half -- degrades to a cold
-  build, mirroring ``tests/test_store_torn.py``;
-* an exact hit is *lazy*: the big object-web pickle is digest-verified
-  at load but not unpickled until a consumer touches config/graph/plan;
-* the engine's warm plan is byte-identical to its cold plan;
-* an ``IncrementalSession`` rebuild fallback clears the cache so a
-  pre-rebuild graph is never served again.
+* any corruption -- truncated file, flipped blob byte, version skew
+  (including a v2 file), garbage header, tampered header fields, a blob
+  that is not a ``(config, graph)`` pair -- degrades to a cold build,
+  mirroring ``tests/test_store_torn.py``;
+* the engine's warm plan and warm apply are byte-identical to cold;
+* a configuration expanded through module calls is never journaled,
+  so an edited module cannot be served stale.
 """
 
+import json
 import os
 import pickle
 
@@ -27,12 +26,11 @@ from repro.compilecache import (
     schema_fingerprint,
     variables_fingerprint,
 )
-from repro.compilecache.store import FORMAT_VERSION, _sha
+from repro.compilecache.store import FORMAT_VERSION, _header_sha, _sha
 from repro.core.engine import CloudlessEngine
-from repro.deploy.incremental import IncrementalSession
 from repro.graph import build_graph
 from repro.lang import Configuration
-from repro.state import StateDocument
+from repro.lang.module_loader import DictModuleLoader
 
 SOURCE = '''
 resource "aws_vpc" "main" {
@@ -87,10 +85,7 @@ class TestLookup:
         vfp, sfp = store_artifact(cache, gateway, texts)
         lookup = cache.load(texts, vfp, sfp)
         assert lookup is not None and lookup.exact
-        # the object web stays pickled until somebody needs it
-        assert not lookup.materialized
         assert lookup.graph is not None
-        assert lookup.materialized
 
     def test_edit_demotes_to_partial(self, cache, gateway):
         vfp, sfp = store_artifact(cache, gateway, {"main.clc": SOURCE})
@@ -135,70 +130,149 @@ class TestCorruption:
         vfp, sfp = store_artifact(cache, gateway, texts)
         return texts, vfp, sfp, cache.path_for(texts, vfp, sfp)
 
+    @staticmethod
+    def read_parts(path):
+        header, blob = open(path, "rb").read().split(b"\n", 1)
+        return json.loads(header), blob
+
+    @staticmethod
+    def write_parts(path, header, blob, reseal=True):
+        """Rewrite the artifact; ``reseal`` recomputes the header's own
+        digest so only the edited field can be what rejects it."""
+        if reseal:
+            header.pop("header_sha", None)
+            header["header_sha"] = _header_sha(header)
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+            fh.write(blob)
+
+    def assert_cold(self, cache, texts, vfp, sfp):
+        assert cache.load(texts, vfp, sfp) is None
+        assert cache.corrupt_rejects == 1
+        assert cache.misses == 1 and cache.exact_hits == 0
+
     def test_truncated_payload(self, cache, gateway):
         texts, vfp, sfp, path = self.setup_artifact(cache, gateway)
         blob = open(path, "rb").read()
         with open(path, "wb") as fh:
             fh.write(blob[: len(blob) // 2])
-        assert cache.load(texts, vfp, sfp) is None
-        assert cache.corrupt_rejects == 1
+        self.assert_cold(cache, texts, vfp, sfp)
 
     def test_flipped_payload_byte(self, cache, gateway):
         texts, vfp, sfp, path = self.setup_artifact(cache, gateway)
         blob = bytearray(open(path, "rb").read())
         blob[-1] ^= 0xFF
         open(path, "wb").write(bytes(blob))
-        assert cache.load(texts, vfp, sfp) is None
-        assert cache.corrupt_rejects == 1
+        self.assert_cold(cache, texts, vfp, sfp)
 
     def test_version_mismatch(self, cache, gateway):
         texts, vfp, sfp, path = self.setup_artifact(cache, gateway)
-        header, payload = open(path, "rb").read().split(b"\n", 1)
-        import json
+        header, blob = self.read_parts(path)
+        header["version"] = FORMAT_VERSION + 1
+        self.write_parts(path, header, blob)
+        self.assert_cold(cache, texts, vfp, sfp)
 
-        meta = json.loads(header)
-        meta["version"] = FORMAT_VERSION + 1
-        with open(path, "wb") as fh:
-            fh.write(json.dumps(meta).encode() + b"\n" + payload)
-        assert cache.load(texts, vfp, sfp) is None
-        assert cache.corrupt_rejects == 1
+    def test_v2_file_is_a_miss(self, cache, gateway):
+        """The previous format (meta pickle + payload pickle behind a
+        bare header) must classify as a miss, not be half-understood."""
+        texts, vfp, sfp, path = self.setup_artifact(cache, gateway)
+        meta = pickle.dumps({"source_sha": {}, "plan_render_z": None})
+        payload = pickle.dumps({"config": None, "graph": None})
+        header = {
+            "version": 2,
+            "meta_sha": _sha(meta),
+            "meta_len": len(meta),
+            "payload_sha": _sha(payload),
+            "payload_len": len(payload),
+        }
+        self.write_parts(path, header, meta + payload, reseal=False)
+        self.assert_cold(cache, texts, vfp, sfp)
 
     def test_garbage_header(self, cache, gateway):
         texts, vfp, sfp, path = self.setup_artifact(cache, gateway)
         open(path, "wb").write(b"not json at all\njunk")
-        assert cache.load(texts, vfp, sfp) is None
-        assert cache.corrupt_rejects == 1
+        self.assert_cold(cache, texts, vfp, sfp)
+
+    def test_header_not_an_object(self, cache, gateway):
+        texts, vfp, sfp, path = self.setup_artifact(cache, gateway)
+        open(path, "wb").write(b"[1, 2, 3]\njunk")
+        self.assert_cold(cache, texts, vfp, sfp)
 
     def test_payload_not_an_artifact(self, cache, gateway):
-        """A digest-consistent payload that is not our envelope is
-        rejected *eagerly* at load, despite the lazy unpickle."""
-        import json
-
+        """A digest-consistent blob that is not a ``(config, graph)``
+        pair is rejected at load."""
         texts, vfp, sfp, path = self.setup_artifact(cache, gateway)
-        with open(path, "rb") as fh:
-            header = json.loads(fh.readline())
-            meta_blob = fh.read(header["meta_len"])
-        payload = pickle.dumps({"not": "an artifact"})
-        header["payload_sha"] = _sha(payload)
-        header["payload_len"] = len(payload)
-        with open(path, "wb") as fh:
-            fh.write(json.dumps(header).encode() + b"\n")
-            fh.write(meta_blob)
-            fh.write(payload)
-        assert cache.load(texts, vfp, sfp) is None
-        assert cache.corrupt_rejects == 1
+        header, _ = self.read_parts(path)
+        blob = pickle.dumps({"not": "an artifact"})
+        header["blob_sha"] = _sha(blob)
+        header["blob_len"] = len(blob)
+        self.write_parts(path, header, blob)
+        self.assert_cold(cache, texts, vfp, sfp)
+
+    def test_payload_does_not_unpickle(self, cache, gateway):
+        texts, vfp, sfp, path = self.setup_artifact(cache, gateway)
+        header, _ = self.read_parts(path)
+        blob = b"\x80\x05 definitely not a pickle"
+        header["blob_sha"] = _sha(blob)
+        header["blob_len"] = len(blob)
+        self.write_parts(path, header, blob)
+        self.assert_cold(cache, texts, vfp, sfp)
+
+    def test_exact_header_wrong_blob_digest(self, cache, gateway):
+        """The header alone says "exact" (every source sha matches, its
+        own digest is sealed) but the blob is not the one it names: the
+        hit is refused before anything is unpickled."""
+        texts, vfp, sfp, path = self.setup_artifact(cache, gateway)
+        header, blob = self.read_parts(path)
+        header["blob_sha"] = _sha(b"some other blob")
+        self.write_parts(path, header, blob)
+        self.assert_cold(cache, texts, vfp, sfp)
 
     def test_tampered_meta_rejected(self, cache, gateway):
-        """The meta half carries the exactness table and the journaled
-        plan text; a flipped meta byte must fail its own digest and
-        read as a cold build, never redirect classification."""
+        """The header carries the exactness table; an edited field must
+        fail the header's own digest and read as a cold build, never
+        redirect classification."""
         texts, vfp, sfp, path = self.setup_artifact(cache, gateway)
-        blob = bytearray(open(path, "rb").read())
-        nl = blob.index(b"\n")
-        blob[nl + 10] ^= 0xFF  # inside the meta pickle
-        open(path, "wb").write(bytes(blob))
-        assert cache.load(texts, vfp, sfp) is None
-        assert cache.corrupt_rejects == 1
+        header, blob = self.read_parts(path)
+        header["source_sha"]["main.clc"] = _sha(EDITED.encode())
+        self.write_parts(path, header, blob, reseal=False)
+        # without the seal this would have been served as a partial hit
+        self.assert_cold(cache, {"main.clc": EDITED}, vfp, sfp)
+
+    @pytest.mark.parametrize("field", ["variables_fp", "schema_fp"])
+    def test_resealed_foreign_fingerprint_rejected(self, cache, gateway, field):
+        texts, vfp, sfp, path = self.setup_artifact(cache, gateway)
+        header, blob = self.read_parts(path)
+        header[field] = _sha(b"someone else's")
+        self.write_parts(path, header, blob)
+        self.assert_cold(cache, texts, vfp, sfp)
+
+    def test_corrupt_artifact_still_plans_correctly(self, tmp_path):
+        """End to end: a rotted artifact costs a cold build and is
+        rewritten, and the plan is the cold plan."""
+        cache_dir = str(tmp_path / "cache")
+        cold = CloudlessEngine(
+            gateway=CloudGateway.simulated(seed=3), cache_dir=cache_dir
+        )
+        expected = cold.plan(SOURCE).render()
+        (artifact,) = [
+            os.path.join(cache_dir, f) for f in os.listdir(cache_dir)
+        ]
+        blob = bytearray(open(artifact, "rb").read())
+        blob[len(blob) // 2] ^= 0xFF
+        open(artifact, "wb").write(bytes(blob))
+
+        again = CloudlessEngine(
+            gateway=CloudGateway.simulated(seed=3), cache_dir=cache_dir
+        )
+        assert again.plan(SOURCE).render() == expected
+        assert again.compile_cache.corrupt_rejects == 1
+        assert again.compile_cache.stores == 1
+        healed = CloudlessEngine(
+            gateway=CloudGateway.simulated(seed=3), cache_dir=cache_dir
+        )
+        assert healed.plan(SOURCE).render() == expected
+        assert healed.compile_cache.exact_hits == 1
 
 
 class TestEngineWarmPath:
@@ -216,30 +290,12 @@ class TestEngineWarmPath:
         warm_plan = warm.plan(SOURCE)
         assert warm.compile_cache.exact_hits == 1
         assert warm_plan.render() == cold_plan.render()
-        # the render came from the journaled plan text: the warm run
-        # never paid the O(estate) unpickle of the artifact payload
-        assert not warm._cache_ctx.lookup.materialized
-        # ...but touching the object graph still works
         assert len(warm_plan.changes) == len(cold_plan.changes)
-        assert warm._cache_ctx.lookup.materialized
+        # nothing about the sources changed, so nothing is rewritten
+        assert warm.compile_cache.stores == 0
 
         bare = CloudlessEngine(gateway=CloudGateway.simulated(seed=3))
         assert bare.plan(SOURCE).render() == cold_plan.render()
-
-    def test_cached_plan_not_served_for_different_state(self, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        engine = CloudlessEngine(
-            gateway=CloudGateway.simulated(seed=3), cache_dir=cache_dir
-        )
-        engine.plan(SOURCE)
-        applied = engine.apply(SOURCE)
-        assert applied.ok
-        # estate now converged: the journaled create-everything plan
-        # must not replay; the warm plan sees the new state
-        noop = engine.plan(SOURCE)
-        assert all(
-            c.action.value == "noop" for c in noop.changes.values()
-        )
 
     def test_warm_apply_matches_cold_apply(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
@@ -261,28 +317,34 @@ class TestEngineWarmPath:
         )
 
 
-class TestRebuildInvalidation:
-    def test_rebuild_fallback_clears_cache(self, tmp_path):
-        cache = CompileCache(str(tmp_path / "cache"))
-        gateway = CloudGateway.simulated(seed=3)
-        texts = {"main.clc": SOURCE}
-        vfp, sfp = store_artifact(cache, gateway, texts)
-        assert cache.load(texts, vfp, sfp) is not None
+class TestModulesNotJournaled:
+    ROOT = '''
+module "m" {
+  source = "./m"
+}
+'''
 
-        session = IncrementalSession(
-            gateway, source=SOURCE, compile_cache=cache
+    @staticmethod
+    def module(name):
+        return {"main.clc": f'resource "aws_s3_bucket" "b" {{ name = "bucket-{name}" }}\n'}
+
+    def test_edited_module_is_not_served_stale(self, tmp_path):
+        """Module text is outside the exactness test (only the root
+        files are hashed), so a module-expanded graph is never stored."""
+        cache_dir = str(tmp_path / "cache")
+        first = CloudlessEngine(
+            gateway=CloudGateway.simulated(seed=3),
+            loader=DictModuleLoader({"./m": self.module("one")}),
+            cache_dir=cache_dir,
         )
-        state = StateDocument()
-        session.plan(state)
-        # a patch touching locals cannot be grafted onto the resident
-        # graph: the session falls back to a full rebuild, which must
-        # fire the cache-clear hook
-        result = session.replan('locals {\n  extra = "x"\n}\n', state)
-        assert result.mode == "rebuild"
-        assert session.rebuilds == 1
-        assert cache.load(texts, vfp, sfp) is None
-        assert not [
-            f
-            for f in os.listdir(cache.cache_dir)
-            if f.endswith(".clcc")
-        ]
+        assert "bucket-one" in first.plan(self.ROOT).render()
+        assert first.compile_cache.stores == 0
+
+        second = CloudlessEngine(
+            gateway=CloudGateway.simulated(seed=3),
+            loader=DictModuleLoader({"./m": self.module("two")}),
+            cache_dir=cache_dir,
+        )
+        rendered = second.plan(self.ROOT).render()
+        assert "bucket-two" in rendered and "bucket-one" not in rendered
+        assert second.compile_cache.exact_hits == 0

@@ -228,6 +228,23 @@ class TestStructuredImporter:
         assert verify_fidelity(project).ok
 
 
+class TestSameShapeDifferentPrefix:
+    def test_microservices_estate_imports(self):
+        """``svc-0-nic-0`` and ``svc-1-nic-0`` share a shape and a name
+        index but not a prefix: ordering the bucket must not fall
+        through to comparing the records themselves."""
+        from repro.core.engine import CloudlessEngine
+        from repro.state import StateDocument
+        from repro.workloads import microservices
+
+        engine = CloudlessEngine(seed=5)
+        assert engine.apply(microservices(4)).ok
+        engine.state = StateDocument()
+        project = engine.import_estate()
+        assert verify_fidelity(project).ok
+        assert engine.plan(project.sources).is_empty
+
+
 class TestModuleExtraction:
     def test_repeated_stacks_become_modules(self, gateway):
         build_repeated_stacks(gateway, stacks=3)

@@ -1,12 +1,11 @@
-"""Sharded apply: partitioning, equivalence, fencing, incremental replan.
+"""Sharded apply: partitioning, equivalence, fencing.
 
 The sharding layer must be *invisible* in every observable except wall
 time: the sharded executor runs the single executor's own dispatch loop
 (same op stream, same sim makespan, same final state, with or without
 faults, a WAL, or a crash), the partitioner covers the plan exactly
 (every change in one shard, every edge intra-shard or declared
-cross-shard), and incremental re-planning yields the same plan the full
-pipeline would.
+cross-shard).
 """
 
 import hashlib
@@ -26,7 +25,6 @@ from repro.deploy import (
     CompletionLedger,
     CriticalPathExecutor,
     FencingError,
-    IncrementalSession,
     IntentJournal,
     PlanExecutor,
     SequentialExecutor,
@@ -41,7 +39,6 @@ from repro.state import StateDocument
 from repro.workloads import (
     microservices,
     multi_cloud,
-    scale_estate,
     scale_estate_sharded,
     two_region_estate,
     web_tier,
@@ -472,140 +469,6 @@ class TestDarkShard:
         assert parked and all("azure" in sid for sid in parked)
 
 
-# -- incremental re-planning --------------------------------------------------
-
-
-def _decl_block(source, rtype, name):
-    """Extract one resource block from generated source text."""
-    pattern = re.compile(
-        r'resource "%s" "%s" \{.*?\n\}' % (re.escape(rtype), re.escape(name)),
-        re.S,
-    )
-    match = pattern.search(source)
-    assert match, f"{rtype}.{name} not in source"
-    return match.group(0)
-
-
-class TestIncrementalSession:
-    def converge(self, source, seed=21):
-        gateway, plan = make_plan(source, seed=seed)
-        result = CriticalPathExecutor(gateway).apply(plan)
-        assert result.ok
-        return gateway, result.state
-
-    def test_noop_patch_plans_nothing(self):
-        source = scale_estate(70)
-        gateway, state = self.converge(source)
-        session = IncrementalSession(gateway, source=source)
-        patch = _decl_block(source, "aws_vpc", "scale_g0")
-        result = session.replan(patch, state)
-        assert result.mode == "incremental"
-        assert result.dirty == []
-        assert result.scope == set()
-        assert not result.plan.actionable()
-
-    def test_attr_edit_replans_impact_scope_only(self):
-        source = scale_estate(70)
-        gateway, state = self.converge(source)
-        session = IncrementalSession(gateway, source=source)
-        block = _decl_block(source, "aws_virtual_machine", "scale_3_vm")
-        patch = block.replace('service = "scale-3"', 'service = "scale-3b"')
-        assert patch != block
-        result = session.replan(patch, state)
-        assert result.mode == "incremental"
-        assert result.dirty == [("managed", "aws_virtual_machine", "scale_3_vm")]
-        assert result.scope is not None
-        assert 0 < result.scope_size < len(session.graph.dag.nodes)
-        actions = {
-            c.id: c.action.name
-            for c in result.plan.actionable()
-        }
-        assert actions and all(
-            "scale_3" in cid or "scale-3" in cid for cid in actions
-        )
-
-    def test_incremental_plan_matches_full_pipeline(self):
-        source = scale_estate(70)
-        gateway, state = self.converge(source)
-        block = _decl_block(source, "aws_virtual_machine", "scale_3_vm")
-        edited_block = block.replace(
-            'service = "scale-3"', 'service = "scale-3b"'
-        )
-        session = IncrementalSession(gateway, source=source)
-        inc = session.replan(edited_block, state)
-
-        full_source = source.replace(block, edited_block)
-        graph = build_graph(Configuration.parse(full_source))
-        planner = session.planner
-        data = read_data_sources(gateway, graph, state)
-        full = planner.plan(graph, state.copy(), data_values=data)
-
-        def plan_signature(plan):
-            return sorted(
-                (c.id, c.action.name, sorted(d.name for d in c.diffs))
-                for c in plan.actionable()
-            )
-
-        assert plan_signature(inc.plan) == plan_signature(full)
-
-    def test_add_and_remove_decls(self):
-        source = scale_estate(70)
-        gateway, state = self.converge(source)
-        session = IncrementalSession(gateway, source=source)
-        patch = """
-resource "aws_dns_record" "extra" {
-  name  = "extra"
-  zone  = "scale.example.com"
-  value = aws_load_balancer.scale_2_lb.dns_name
-  ttl   = 60
-}
-"""
-        result = session.replan(patch, state)
-        assert result.mode == "incremental"
-        creates = [
-            c for c in result.plan.actionable()
-            if c.action.name == "CREATE"
-        ]
-        assert [c.id for c in creates] == ["aws_dns_record.extra"]
-
-        removal = session.replan(
-            "",
-            state,
-            remove=(
-                "aws_dns_record.scale_4_dns",
-                "aws_load_balancer.scale_4_lb",
-            ),
-        )
-        assert removal.mode == "incremental"
-        deletes = sorted(
-            c.id
-            for c in removal.plan.actionable()
-            if c.action.name == "DELETE"
-        )
-        assert deletes == [
-            "aws_dns_record.scale_4_dns",
-            "aws_load_balancer.scale_4_lb",
-        ]
-
-    def test_unsupported_patch_falls_back_to_rebuild(self):
-        source = scale_estate(70)
-        gateway, state = self.converge(source)
-        session = IncrementalSession(gateway, source=source)
-        patch = """
-locals {
-  extra_tag = "x"
-}
-"""
-        result = session.replan(patch, state)
-        assert result.mode == "rebuild"
-        assert session.rebuilds == 1
-        # the session still plans correctly after the rebuild
-        follow_up = session.replan(
-            _decl_block(source, "aws_vpc", "scale_g0"), state
-        )
-        assert follow_up.mode == "incremental"
-
-
 # -- perf counters ------------------------------------------------------------
 
 
@@ -623,29 +486,6 @@ class TestShardCounters:
             assert counters["shard.dispatches"] == len(result.succeeded)
             assert "shard.cross_edges" in counters
             assert "shard.merge_ms" in snap["timers"]
-        finally:
-            perf.PERF.reset()
-            perf.PERF.disable()
-
-    def test_incremental_replan_counts_dirty_nodes(self):
-        perf.PERF.enable()
-        perf.PERF.reset()
-        try:
-            source = scale_estate(70)
-            clear_analysis_cache()
-            gateway = CloudGateway.simulated(seed=21)
-            session = IncrementalSession(gateway, source=source)
-            state = StateDocument()
-            block = _decl_block(source, "aws_virtual_machine", "scale_3_vm")
-            patch = block.replace(
-                'service = "scale-3"', 'service = "scale-3b"'
-            )
-            result = session.replan(patch, state)
-            counters = perf.PERF.snapshot()["counters"]
-            assert (
-                counters["shard.dirty_nodes_replanned"]
-                == result.scope_size
-            )
         finally:
             perf.PERF.reset()
             perf.PERF.disable()
