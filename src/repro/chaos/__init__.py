@@ -42,7 +42,7 @@ from .runner import (
     ScenarioResult,
     TrialResult,
 )
-from .seeds import derive_seed, derive_seeds, trial_count
+from .seeds import derive_seed, trial_count
 from .taxonomy import DEFECT_CLASSES, validate_classes
 
 __all__ = [
@@ -70,7 +70,6 @@ __all__ = [
     "canonical_state",
     "convergence_violations",
     "derive_seed",
-    "derive_seeds",
     "injection_from_dict",
     "library",
     "live_prefix_counts",

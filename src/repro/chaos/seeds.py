@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import List
 
 
 def derive_seed(campaign_id: str, scenario: str, trial: int) -> int:
@@ -25,10 +24,6 @@ def derive_seed(campaign_id: str, scenario: str, trial: int) -> int:
         f"{campaign_id}|{scenario}|{trial}".encode()
     ).digest()
     return int.from_bytes(digest[:8], "big") >> 1
-
-
-def derive_seeds(campaign_id: str, scenario: str, trials: int) -> List[int]:
-    return [derive_seed(campaign_id, scenario, t) for t in range(trials)]
 
 
 def trial_count(env_var: str, default: int) -> int:

@@ -159,9 +159,6 @@ def cmd_apply(args) -> int:
     engine = _load_engine(args)
     _attach_cache(args, engine)
     engine.wal_path = _world_path(args) + ".wal"
-    if args.shards is not None:
-        engine.executor_name = "sharded"
-        engine.shards = args.shards or None
     sources = _read_sources(args)
     try:
         result = engine.apply(sources, variables=_parse_vars(args.var))
@@ -710,14 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
             dest="no_cache",
             help="skip the compiled-artifact cache (every compile cold)",
         )
-        if name == "apply":
-            p.add_argument(
-                "--shards",
-                type=int,
-                default=None,
-                help="sharded apply: cap on shard count "
-                "(0 = one shard per provider/region partition)",
-            )
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("destroy", help="tear down everything in state")

@@ -118,9 +118,6 @@ class EventQueue:
             )
         heapq.heappush(self._heap, (at, next(self._counter), payload))
 
-    def schedule_after(self, delay: float, payload: Any) -> None:
-        self.schedule(self.clock.now + delay, payload)
-
     def pop(self) -> Optional[Tuple[float, Any]]:
         """Remove the earliest event, advancing the clock to its time.
 
@@ -134,9 +131,6 @@ class EventQueue:
         if at > self.clock.now:
             self.clock.advance_to(at)
         return at, payload
-
-    def peek_time(self) -> Optional[float]:
-        return self._heap[0][0] if self._heap else None
 
     def __len__(self) -> int:
         return len(self._heap)

@@ -40,8 +40,9 @@ class CloudGateway:
         """A gateway with fresh aws+azure planes on one clock.
 
         ``synthetic=N`` adds N aws-shaped synthetic planes (``syn0``,
-        ``syn1``, ...; see :mod:`repro.cloud.synthetic`) -- the
-        substrate for multi-plane sharding benchmarks.
+        ``syn1``, ...; see :mod:`repro.cloud.synthetic`), used by
+        ``benchmarks/bench_p8_coldstart.py`` and the watcher's
+        region-outage test.
         """
         clock = clock or SimClock()
         planes = {

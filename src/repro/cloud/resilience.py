@@ -537,12 +537,6 @@ class HealthMonitor:
             out[label] = entry
         return out
 
-    def open_partitions(self, now: float):
-        """Partitions currently failing fast (firmly open breakers)."""
-        return sorted(
-            key for key, b in self.breakers.items() if b.blocked(now)
-        )
-
 
 # -- the wrapper -------------------------------------------------------------
 

@@ -107,9 +107,6 @@ class ResourceTypeSpec:
             self, "_computed", [a for a in values if a.computed]
         )
         object.__setattr__(
-            self, "_configurable", [a for a in values if not a.computed]
-        )
-        object.__setattr__(
             self, "_reference", [a for a in values if a.ref_target]
         )
 
@@ -118,9 +115,6 @@ class ResourceTypeSpec:
 
     def computed_attrs(self) -> List[AttributeSpec]:
         return self._computed  # type: ignore[attr-defined]
-
-    def configurable_attrs(self) -> List[AttributeSpec]:
-        return self._configurable  # type: ignore[attr-defined]
 
     def reference_attrs(self) -> List[AttributeSpec]:
         return self._reference  # type: ignore[attr-defined]

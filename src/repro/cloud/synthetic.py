@@ -1,7 +1,8 @@
 """Synthetic provider planes for scale benchmarks.
 
-The sharding work needs estates that span many independent control
-planes, but hand-maintaining N provider catalogs would be busywork: a
+``benchmarks/bench_p8_coldstart.py`` and the watcher's region-outage
+test need estates that span many independent control planes, but
+hand-maintaining N provider catalogs would be busywork: a
 synthetic plane *clones* the aws catalog under a new type prefix
 (``syn0_vpc``, ``syn1_subnet``, ...), rewriting reference semantics and
 id prefixes so each plane is a self-contained cloud with its own

@@ -128,7 +128,6 @@ class CloudlessEngine:
         wal_path: Optional[str] = None,
         health: Optional[HealthMonitor] = None,
         breaker_policy: Optional[BreakerPolicy] = None,
-        shards: Optional[int] = None,
         cache_dir: Optional[str] = None,
     ):
         self.seed = seed
@@ -151,9 +150,6 @@ class CloudlessEngine:
         self.executor_name = executor
         self.concurrency = concurrency
         self.retry = retry
-        #: sharded apply: cap on shard count (None = one per
-        #: (provider, region) partition)
-        self.shards = shards
         self.state = StateDocument()
         self.history = SnapshotHistory()
         self.controller = InfrastructureController()
@@ -241,16 +237,6 @@ class CloudlessEngine:
         return compiled.graph
 
     def _executor(self) -> PlanExecutor:
-        if self.executor_name == "sharded":
-            from ..deploy.sharded import ShardedExecutor
-
-            return ShardedExecutor(
-                self.gateway,
-                concurrency=self.concurrency,
-                retry=self.retry,
-                health=self.health,
-                max_shards=self.shards,
-            )
         if self.executor_name not in EXECUTORS:
             raise EngineError(f"unknown executor {self.executor_name!r}")
         return make_executor(

@@ -24,20 +24,12 @@ from .incremental import (
     read_data_sources,
     refresh_state,
 )
-from .sharded import (
-    CompletionLedger,
-    FencingError,
-    ShardedApplyResult,
-    ShardedExecutor,
-)
 
 __all__ = [
     "ApplyResult",
     "BestEffortExecutor",
-    "CompletionLedger",
     "CrashRecovery",
     "CriticalPathExecutor",
-    "FencingError",
     "IntentJournal",
     "IntentRecord",
     "OperationRecord",
@@ -48,8 +40,6 @@ __all__ = [
     "RefreshResult",
     "RetryPolicy",
     "SequentialExecutor",
-    "ShardedApplyResult",
-    "ShardedExecutor",
     "SimulatedCrash",
     "UpdatePipeline",
     "UpdatePlanResult",

@@ -12,10 +12,8 @@ frozen reference. Three scheduling strategies reproduce the spectrum in
   operations are dispatched longest-remaining-path first, optionally
   rate-limit aware, with retry handling for transient faults.
 
-:meth:`PlanExecutor.apply` always runs a whole plan; a sharded apply
-(:mod:`repro.deploy.sharded`) is this loop plus bookkeeping, so it
-shares its WAL, crash, health-gating and retry behaviour by
-construction.
+:meth:`PlanExecutor.apply` always runs a whole plan: an apply has one
+mode, whichever strategy schedules it.
 
 Scale notes (see ``docs/performance.md``): the dispatch loop pulls from
 a per-strategy ready *queue* (FIFO deque or priority heap) instead of
@@ -46,7 +44,6 @@ from ..cloud.resilience import (
 )
 from ..graph.critical_path import analyze
 from ..graph.dag import Dag
-from ..graph.partition import change_partition
 from ..graph.plan import Action, Plan, PlannedChange
 from ..lang.values import is_unknown
 from ..perf import PERF
@@ -377,8 +374,6 @@ class PlanExecutor:
         plan: Plan,
         wal: Optional[IntentJournal] = None,
         crash_hook: Optional[Callable[[int], None]] = None,
-        *,
-        dag: Optional[Dag] = None,
     ) -> ApplyResult:
         """Execute the plan; mutates ``plan.state`` as the new state.
 
@@ -391,8 +386,7 @@ class PlanExecutor:
         :class:`~repro.deploy.wal.SimulatedCrash` from it models the
         process dying at exactly that boundary. Both default to ``None``
         and add zero work on that path -- scheduling stays byte-identical
-        to the golden reference. ``dag`` is the plan's execution DAG
-        when the caller has already built it.
+        to the golden reference.
         """
         clock = self.gateway.clock
         started = clock.now
@@ -400,8 +394,7 @@ class PlanExecutor:
         result = ApplyResult(started_at=started, finished_at=started)
         state = plan.state
 
-        if dag is None:
-            dag = plan.execution_dag()
+        dag = plan.execution_dag()
         self.prepare(plan, dag)
         # every reference an attribute evaluates from here on resolves
         # through the per-declaration cache (plan time stays uncached)
@@ -754,9 +747,24 @@ class PlanExecutor:
         Planner-populated ``change.region`` first (set from provider
         config, location attrs, or prior state), then the prior state
         entry's home region, then the provider default. Provider ""
-        means unknown -- the caller skips gating. Shared with the
-        shard partitioner so gating and sharding agree."""
-        return change_partition(change, state, self.gateway)
+        means unknown (unroutable type) -- the caller skips gating."""
+        provider = change.provider
+        if not provider:
+            try:
+                provider = self.gateway.provider_of(change.rtype)
+            except CloudAPIError:
+                return ("", "")
+        region = change.region or ""
+        if not region:
+            prior = change.prior if change.prior else state.get(change.address)
+            if prior is not None and prior.region:
+                region = prior.region
+        if not region:
+            try:
+                region = self.gateway.default_region(change.rtype)
+            except CloudAPIError:
+                region = ""
+        return (provider, region)
 
     def _submit_operation(
         self, plan: Plan, rc: _Running, state: StateDocument, token: str = ""
@@ -972,8 +980,8 @@ class CriticalPathExecutor(PlanExecutor):
         return _PriorityReady(self._priority)
 
 
-#: strategy name -> executor class; the one table the engine and the
-#: sharded executor both pick a scheduling discipline from
+#: strategy name -> executor class; the one table the engine, the CLI
+#: and the world-file loader pick a scheduling discipline from
 EXECUTORS = {
     cls.name: cls
     for cls in (SequentialExecutor, BestEffortExecutor, CriticalPathExecutor)
@@ -986,7 +994,6 @@ def make_executor(
     concurrency: int = 10,
     retry: Optional[RetryPolicy] = None,
     health: Optional[HealthMonitor] = None,
-    rate_aware: bool = True,
 ) -> PlanExecutor:
     """Build ``EXECUTORS[strategy]``, passing each class only the
     arguments its constructor takes."""
@@ -994,6 +1001,4 @@ def make_executor(
     kwargs: Dict[str, Any] = {}
     if cls is not SequentialExecutor:
         kwargs["concurrency"] = concurrency
-    if cls is CriticalPathExecutor:
-        kwargs["rate_aware"] = rate_aware
     return cls(gateway, retry=retry, health=health, **kwargs)

@@ -294,6 +294,3 @@ class IntentJournal:
 
     def open_intents(self) -> List[IntentRecord]:
         return [r for r in self.records() if r.open]
-
-    def committed_intents(self) -> List[IntentRecord]:
-        return [r for r in self.records() if r.status == INTENT_COMMITTED]

@@ -10,12 +10,6 @@ from .builder import (
 from .critical_path import CriticalPathAnalysis, analyze, estimate_change_duration
 from .dag import CycleError, Dag
 from .impact import ConfigDelta, ImpactAnalyzer, diff_configurations
-from .partition import (
-    PlanPartition,
-    Shard,
-    change_partition,
-    partition_plan,
-)
 from .plan import (
     ACTIONABLE,
     Action,
@@ -40,17 +34,13 @@ __all__ = [
     "ImpactAnalyzer",
     "Plan",
     "PlanError",
-    "PlanPartition",
     "PlannedChange",
     "Planner",
     "ResourceGraph",
     "ResourceNode",
-    "Shard",
     "ValueResolver",
     "analyze",
     "build_graph",
-    "change_partition",
     "diff_configurations",
     "estimate_change_duration",
-    "partition_plan",
 ]

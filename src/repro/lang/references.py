@@ -13,7 +13,6 @@ from typing import List, Optional, Set, Tuple
 
 from .ast_nodes import (
     AttrAccess,
-    Attribute,
     Body,
     Expr,
     ForExpr,
@@ -223,7 +222,3 @@ def body_references(body: Body) -> Set[Reference]:
     for block in body.blocks:
         refs |= body_references(block.body)
     return refs
-
-
-def attribute_references(attr: Attribute) -> Set[Reference]:
-    return extract_references(attr.expr)

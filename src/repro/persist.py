@@ -18,6 +18,7 @@ from .cloud.activitylog import ActivityEvent
 from .cloud.base import ControlPlane, ResourceRecord
 from .cloud.gateway import CloudGateway
 from .core.engine import CloudlessEngine
+from .deploy.executor import EXECUTORS
 from .state.document import StateDocument
 from .state.snapshots import SnapshotHistory
 
@@ -154,7 +155,7 @@ def history_from_dict(data: list) -> SnapshotHistory:
 def engine_to_dict(engine: CloudlessEngine) -> Dict[str, Any]:
     return {
         "format": FORMAT_VERSION,
-        "seed": getattr(engine, "seed", 0),
+        "seed": engine.seed,
         "clock": engine.clock.now,
         "planes": {
             name: plane_to_dict(plane)
@@ -179,9 +180,19 @@ def engine_from_dict(data: Dict[str, Any]) -> CloudlessEngine:
             f"unsupported world format {data.get('format')!r} "
             f"(expected one of {SUPPORTED_FORMATS})"
         )
+    executor = data.get("executor", "critical-path")
+    if executor == "sharded":
+        # worlds written before the sharded layer was deleted: it ran
+        # the critical-path strategy, byte-identically
+        executor = "critical-path"
+    if executor not in EXECUTORS:
+        raise ValueError(
+            f"unsupported world executor {executor!r} "
+            f"(expected one of {sorted(EXECUTORS)})"
+        )
     engine = CloudlessEngine(
         seed=data.get("seed", 0),
-        executor=data.get("executor", "critical-path"),
+        executor=executor,
         validation_level=data.get("validation_level", "rules"),
     )
     engine.clock.advance_to(data.get("clock", 0.0))

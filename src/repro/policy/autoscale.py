@@ -54,9 +54,6 @@ class MetricStore:
             return series[-1][1]
         return sum(values) / len(values)
 
-    def keys_with_metric(self, metric: str) -> List[str]:
-        return sorted({k for (k, m) in self._series if m == metric})
-
 
 @dataclasses.dataclass
 class ScaleDecision:

@@ -93,15 +93,6 @@ class PortedProject:
 
         return DictModuleLoader(dict(self.module_sources))
 
-    def total_loc(self) -> int:
-        texts = list(self.sources.values())
-        for files in self.module_sources.values():
-            texts.extend(files.values())
-        return sum(
-            sum(1 for line in text.splitlines() if line.strip())
-            for text in texts
-        )
-
 
 def _sanitize(name: str) -> str:
     out = re.sub(r"[^A-Za-z0-9_]", "_", name)

@@ -43,7 +43,6 @@ from .tenants import (
     TenantHome,
     TenantSession,
     coordination_plane,
-    reset_coordination_planes,
 )
 
 __all__ = [
@@ -79,5 +78,4 @@ __all__ = [
     "TokenBucket",
     "WeightedFairQueue",
     "coordination_plane",
-    "reset_coordination_planes",
 ]

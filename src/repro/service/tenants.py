@@ -209,8 +209,3 @@ class TenantSession:
             "fencing_token": self.grant.fencing_token,
             "resources": len(self.engine.state),
         }
-
-
-def reset_coordination_planes() -> None:
-    """Test hook: forget every in-process coordination plane."""
-    _COORDINATION_PLANES.clear()

@@ -11,11 +11,8 @@ from .locks import (
 )
 from .snapshots import Snapshot, SnapshotDiff, SnapshotHistory
 from .store import (
-    FileStateStore,
     JournalStateStore,
-    MemoryStateStore,
     StaleStateError,
-    StateStore,
     StoreOwnedError,
 )
 from .transactions import (
@@ -29,14 +26,12 @@ from .transactions import (
 
 __all__ = [
     "CommittedTransaction",
-    "FileStateStore",
     "GLOBAL_KEY",
     "GlobalLockManager",
     "ImmutableEntryError",
     "JournalStateStore",
     "LockGrant",
     "LockManager",
-    "MemoryStateStore",
     "ResourceLockManager",
     "ResourceState",
     "SerializabilityChecker",
@@ -47,7 +42,6 @@ __all__ = [
     "StaleStateError",
     "StateDatabase",
     "StateDocument",
-    "StateStore",
     "StateTransaction",
     "StoreOwnedError",
     "TransactionError",

@@ -1,17 +1,11 @@
-"""State storage backends.
+"""The persistent home of the golden state.
 
-Three homes for the golden state:
-
-* :class:`MemoryStateStore` -- in-process, O(1) reads/writes thanks to
-  the copy-on-write document.
-* :class:`FileStateStore` -- one JSON file, rewritten whole on every
-  write (the Terraform shape).
-* :class:`JournalStateStore` -- a keyframe file plus an append-only
-  delta journal: each write persists only what changed since the last
-  write, and the journal is compacted into a fresh keyframe once it
-  grows past ``compact_threshold`` entries. Replay is idempotent
-  (deltas carry absolute serials and full entry values), so a crash
-  between compaction and journal truncation cannot corrupt the store.
+:class:`JournalStateStore` is a keyframe file plus an append-only
+delta journal: each write persists only what changed since the last
+write, and the journal is compacted into a fresh keyframe once it
+grows past ``compact_threshold`` entries. Replay is idempotent
+(deltas carry absolute serials and full entry values), so a crash
+between compaction and journal truncation cannot corrupt the store.
 """
 
 from __future__ import annotations
@@ -28,69 +22,11 @@ from .document import ResourceState, StateDocument
 from .snapshots import _map_delta
 
 
-class StateStore:
-    """Abstract persistent home of the state document."""
-
-    def read(self) -> StateDocument:
-        raise NotImplementedError
-
-    def write(self, doc: StateDocument) -> None:
-        raise NotImplementedError
-
-
-class MemoryStateStore(StateStore):
-    """In-memory backend (default for simulations and tests)."""
-
-    def __init__(self, doc: Optional[StateDocument] = None):
-        self._doc = doc or StateDocument()
-
-    def read(self) -> StateDocument:
-        return self._doc.copy()
-
-    def write(self, doc: StateDocument) -> None:
-        if doc.serial < self._doc.serial:
-            raise StaleStateError(
-                f"serial {doc.serial} is older than stored {self._doc.serial}"
-            )
-        self._doc = doc.copy()
-
-
-class FileStateStore(StateStore):
-    """JSON-file backend with atomic replace."""
-
-    def __init__(self, path: str):
-        self.path = path
-
-    def read(self) -> StateDocument:
-        if not os.path.exists(self.path):
-            return StateDocument()
-        with open(self.path, "r", encoding="utf-8") as handle:
-            return StateDocument.from_json(handle.read())
-
-    def write(self, doc: StateDocument) -> None:
-        current = self.read()
-        if doc.serial < current.serial:
-            raise StaleStateError(
-                f"serial {doc.serial} is older than stored {current.serial}"
-            )
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(doc.to_json())
-            os.replace(tmp_path, self.path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
-
-
-class JournalStateStore(StateStore):
+class JournalStateStore:
     """Keyframe + append-only delta journal backend.
 
-    Layout: ``path`` holds the last compacted keyframe (the same JSON
-    document :class:`FileStateStore` writes); ``path + ".journal"``
+    Layout: ``path`` holds the last compacted keyframe (one
+    ``StateDocument.to_json`` document); ``path + ".journal"``
     holds one JSON line per committed write, each an O(changed) delta
     against the previous write. ``read()`` replays the journal over the
     keyframe; ``write()`` appends a delta and compacts once the journal

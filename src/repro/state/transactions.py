@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
 from ..addressing import ResourceAddress
 from .document import ResourceState, StateDocument
@@ -34,11 +34,9 @@ class StaleLeaseError(TransactionError):
 
 @dataclasses.dataclass
 class _Op:
-    kind: str  # "set" | "remove" | "output"
+    kind: str  # "set" | "remove"
     address: Optional[ResourceAddress] = None
     entry: Optional[ResourceState] = None
-    output_name: str = ""
-    output_value: Any = None
 
 
 class StateTransaction:
@@ -77,10 +75,6 @@ class StateTransaction:
         self._require_active()
         self._require_key(str(address))
         self._ops.append(_Op("remove", address=address))
-
-    def set_output(self, name: str, value: Any) -> None:
-        self._require_active()
-        self._ops.append(_Op("output", output_name=name, output_value=value))
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -202,8 +196,6 @@ class StateDatabase:
                     self.document.set(op.entry)
                 elif op.kind == "remove" and op.address is not None:
                     self.document.remove(op.address)
-                elif op.kind == "output":
-                    self.document.outputs[op.output_name] = op.output_value
             self.document.bump()
             self.history.append(
                 CommittedTransaction(

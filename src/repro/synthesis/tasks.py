@@ -33,9 +33,6 @@ class SynthesisTask:
     region: str = ""
     description: str = ""
 
-    def requested_types(self) -> List[str]:
-        return sorted({r.rtype for r in self.requests})
-
 
 #: intents modelled on the workloads the paper's introduction motivates
 STANDARD_TASKS: List[SynthesisTask] = [

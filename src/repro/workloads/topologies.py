@@ -406,20 +406,21 @@ def scale_estate_sharded(
     services_per_vpc: int = 32,
     cross_link_every: int = 0,
 ) -> str:
-    """A multi-provider, multi-region estate for sharding benchmarks.
+    """The multi-plane estate generator: a multi-provider, multi-region
+    estate (``benchmarks/bench_p8_coldstart.py``).
 
     Service stacks (subnet + 2 nics + 2 vms + lb + dns, plus one VPC
     per group) are split evenly across ``providers`` synthetic planes
     (``syn0`` ... -- build the gateway with
     ``CloudGateway.simulated(synthetic=providers)``) and striped
     round-robin over each plane's ``regions_per_provider`` regions via
-    ``location``, so the plan DAG partitions into ``providers x
-    regions_per_provider`` shards.
+    ``location``, so the plan spans ``providers x
+    regions_per_provider`` ``(provider, region)`` partitions.
 
     ``cross_link_every=k`` makes every k-th service on provider ``p>0``
     tag its dns record with the dns_name of the matching load balancer
-    on provider ``p-1``: a tunable density of cross-shard dependency
-    edges, flowing only from lower to higher provider index.
+    on provider ``p-1``: a tunable density of cross-partition
+    dependency edges, flowing only from lower to higher provider index.
     """
     vms = 2
     per_service = 3 + 2 * vms

@@ -23,13 +23,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cloud import CloudGateway
+from repro.cloud import CloudGateway, RetryPolicy
 from repro.cloud.faults import FaultSpec
+from repro.core.engine import CloudlessEngine
 from repro.deploy import (
     BestEffortExecutor,
     CriticalPathExecutor,
     SequentialExecutor,
+    SimulatedCrash,
 )
+from repro.deploy.executor import EXECUTORS
 from repro.deploy.incremental import read_data_sources
 from repro.deploy.reference import REFERENCE_FOR
 from repro.graph import Planner, build_graph
@@ -41,11 +44,29 @@ from repro.workloads import (
     hub_spoke,
     microservices,
     ml_training,
+    multi_cloud,
     web_tier,
 )
 from repro.workloads.topologies import random_dag_estate
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def make_plan(source, seed=0, gateway=None, state=None):
+    """Plan ``source`` against ``state`` (default: empty) on ``gateway``
+    (default: a fresh simulated estate from ``seed``)."""
+    clear_analysis_cache()
+    if gateway is None:
+        gateway = CloudGateway.simulated(seed=seed)
+    graph = build_graph(Configuration.parse(source))
+    planner = Planner(
+        spec_lookup=gateway.try_spec,
+        region_lookup=gateway.region_for,
+        provider_lookup=gateway.provider_of,
+    )
+    state = state if state is not None else StateDocument()
+    data = read_data_sources(gateway, graph, state)
+    return gateway, planner.plan(graph, state, data_values=data)
 
 
 def run_apply(executor_factory, source, seed, faults=None):
@@ -54,20 +75,11 @@ def run_apply(executor_factory, source, seed, faults=None):
     Returns (gateway, ApplyResult) without asserting success, so
     failure-path comparisons can use it too.
     """
-    clear_analysis_cache()
     gateway = CloudGateway.simulated(seed=seed)
     if faults:
         for provider, fault in faults:
             gateway.planes[provider].faults.add_rule(fault)
-    graph = build_graph(Configuration.parse(source))
-    planner = Planner(
-        spec_lookup=gateway.try_spec,
-        region_lookup=gateway.region_for,
-        provider_lookup=gateway.provider_of,
-    )
-    state = StateDocument()
-    data = read_data_sources(gateway, graph, state)
-    plan = planner.plan(graph, state, data_values=data)
+    _, plan = make_plan(source, gateway=gateway)
     result = executor_factory(gateway).apply(plan)
     return gateway, result
 
@@ -212,6 +224,9 @@ GOLDEN_CASES = [
     ),
 ]
 
+#: a 0.15 fault rate must not exhaust an apply (p_fail ~ 0.15^6)
+PATIENT = RetryPolicy(max_attempts=6, base_backoff_s=2.0)
+
 GOLDEN_NODES = 1000
 GOLDEN_SEED = 42
 
@@ -273,6 +288,80 @@ class TestReferenceEquivalence:
         assert not opt.ok, "fault injection should have failed the apply"
         assert opt.failed and opt.skipped
         assert result_fingerprint(opt) == result_fingerprint(ref)
+
+    @pytest.mark.parametrize(
+        "case", EXECUTOR_CASES, ids=[c[0] for c in EXECUTOR_CASES]
+    )
+    def test_day2_identical(self, case):
+        """Converge, then edit: one plan carrying every mutating action."""
+        _, cls, kwargs = case
+        edited = (
+            multi_cloud(2)
+            .replace('engine     = "postgres"', 'engine     = "mysql"')
+            .replace('size    = "medium"', 'size    = "large"')
+        )
+
+        def day2(factory):
+            gateway, plan = make_plan(multi_cloud(3), seed=11)
+            assert CriticalPathExecutor(gateway).apply(plan).ok
+            _, plan = make_plan(edited, gateway=gateway, state=plan.state)
+            actions = {c.action.name for c in plan.actionable()}
+            assert {"UPDATE", "REPLACE", "DELETE"} <= actions
+            return factory(gateway, **kwargs).apply(plan)
+
+        opt, ref = day2(cls), day2(REFERENCE_FOR[cls])
+        assert opt.ok and ref.ok
+        assert result_fingerprint(opt) == result_fingerprint(ref)
+        assert opt.state.content_hash() == ref.state.content_hash()
+
+    @pytest.mark.parametrize(
+        "case", EXECUTOR_CASES, ids=[c[0] for c in EXECUTOR_CASES]
+    )
+    def test_retry_identical(self, case):
+        _, cls, kwargs = case
+
+        def faulty(factory):
+            gateway, plan = make_plan(multi_cloud(), seed=11)
+            for plane in gateway.planes.values():
+                plane.faults.set_transient_rate(0.15)
+            return factory(gateway, retry=PATIENT, **kwargs).apply(plan)
+
+        opt, ref = faulty(cls), faulty(REFERENCE_FOR[cls])
+        assert opt.ok and ref.ok
+        assert any(op.attempt > 1 for op in opt.operations)
+        assert result_fingerprint(opt) == result_fingerprint(ref)
+        assert opt.state.content_hash() == ref.state.content_hash()
+
+
+class TestJournalEquivalence:
+    """A write-ahead journal records an apply; it never reschedules one."""
+
+    @pytest.mark.parametrize("name", sorted(EXECUTORS))
+    def test_wal_and_resume_change_nothing(self, name, tmp_path):
+        def die_at_boundary_five(index):
+            if index == 5:
+                raise SimulatedCrash("boundary 5")
+
+        plain = CloudlessEngine(seed=11, executor=name)
+        expect = plain.apply(multi_cloud()).apply
+        assert expect.ok
+
+        journaled = CloudlessEngine(
+            seed=11, executor=name, wal_path=str(tmp_path / "journaled.wal")
+        )
+        got = journaled.apply(multi_cloud()).apply
+        assert result_fingerprint(got) == result_fingerprint(expect)
+        assert got.state.content_hash() == expect.state.content_hash()
+
+        crashed = CloudlessEngine(
+            seed=11, executor=name, wal_path=str(tmp_path / "crashed.wal")
+        )
+        with pytest.raises(SimulatedCrash):
+            crashed.apply(multi_cloud(), crash_hook=die_at_boundary_five)
+        resumed = crashed.resume(multi_cloud())
+        assert resumed.recovery is not None and resumed.recovery.adopted
+        assert resumed.result.apply.ok
+        assert crashed.state.content_hash() == expect.state.content_hash()
 
 
 class TestGoldenRandomDag:

@@ -1,11 +1,16 @@
 """Executor tests: scheduling strategies, retries, failure handling."""
 
+import os
+
 import pytest
 
-from repro.cloud import CloudGateway, FaultSpec, SimClock
+import repro.deploy
+from repro.cli import main
+from repro.cloud import CloudGateway, FaultSpec, HealthMonitor, SimClock
 from repro.deploy import (
     BestEffortExecutor,
     CriticalPathExecutor,
+    PlanExecutor,
     RetryPolicy,
     SequentialExecutor,
 )
@@ -166,6 +171,57 @@ class TestSchedulingStrategies:
         with pytest.raises(KeyError):
             executor._make_ready_queue().push("gcp_bucket.b")
 
+    def test_health_gating_with_unroutable_type(self):
+        """Under a health monitor (the only path that asks for a
+        change's partition) an unroutable type lands in the ``("", "")``
+        partition and is not gated -- its submit fails typed -- while
+        any other routing error surfaces instead of being read as
+        "no partition"."""
+        gateway = CloudGateway.simulated(seed=12)
+        source = (
+            'resource "aws_vpc" "v" {\n  name = "v"\n  cidr_block = "10.0.0.0/16"\n}\n'
+            'resource "gcp_bucket" "b" {\n  name = "b"\n}\n'
+        )
+
+        def fresh_plan():
+            # a planner that fills in neither provider nor region: the
+            # executor must route
+            planner = Planner(
+                spec_lookup=gateway.try_spec, provider_lookup=lambda rtype: ""
+            )
+            return planner.plan(
+                build_graph(Configuration.parse(source)), StateDocument()
+            )
+
+        plan = fresh_plan()
+        health = HealthMonitor()
+        executor = BestEffortExecutor(gateway, health=health)
+        bucket = plan.changes["gcp_bucket.b"]
+        assert executor._partition(bucket, plan.state) == ("", "")
+        assert executor._partition(plan.changes["aws_vpc.v"], plan.state) == (
+            "aws",
+            gateway.default_region("aws_vpc"),
+        )
+        result = executor.apply(plan)
+        assert result.succeeded == ["aws_vpc.v"]
+        assert list(result.failed) == ["gcp_bucket.b"]
+        assert not result.quarantined
+        assert [op.error_code for op in result.errors_for("gcp_bucket.b")] == [
+            "UnknownResourceType"
+        ]
+        assert [key[0] for key in health.partitions()] == ["aws"]
+
+        def broken_routing(rtype):
+            raise KeyError(rtype)
+
+        plan = fresh_plan()
+        gateway.default_region = broken_routing
+        with pytest.raises(KeyError):
+            BestEffortExecutor(gateway, health=HealthMonitor()).apply(plan)
+        gateway.provider_of = broken_routing
+        with pytest.raises(KeyError):
+            executor._partition(bucket, plan.state)
+
 
 class TestFailures:
     def test_permanent_failure_skips_descendants(self):
@@ -263,3 +319,38 @@ class TestReplace:
         assert new_entry.resource_id != old_id
         assert new_entry.attrs["cidr_block"] == "10.7.0.0/16"
         assert gateway.planes["aws"].count("aws_vpc") == 1
+
+
+class TestOneApplyMode:
+    def test_cli_apply_is_one_dispatch_loop_pass(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        """A CLI ``apply`` goes through ``PlanExecutor.apply`` once, over
+        the whole plan; there is no other mode, in the library or the
+        CLI, and the flags that once selected one are usage errors."""
+        deploy_dir = os.path.dirname(repro.deploy.__file__)
+        for name in sorted(os.listdir(deploy_dir)):
+            if name.endswith(".py"):
+                with open(os.path.join(deploy_dir, name)) as handle:
+                    text = handle.read()
+                assert "os.fork" not in text and "pickle" not in text, name
+
+        calls = []
+        real_apply = PlanExecutor.apply
+
+        def counting_apply(self, plan, *args, **kwargs):
+            calls.append(plan)
+            return real_apply(self, plan, *args, **kwargs)
+
+        monkeypatch.setattr(PlanExecutor, "apply", counting_apply)
+        (tmp_path / "main.clc").write_text(web_tier(web_vms=1, app_vms=0))
+        chdir = ["--chdir", str(tmp_path)]
+        assert main([*chdir, "init"]) == 0
+        for flag in (["--shards", "0"], ["--shard-workers", "2"]):
+            with pytest.raises(SystemExit) as usage:
+                main([*chdir, "apply", *flag])
+            assert usage.value.code == 2
+            assert flag[0] in capsys.readouterr().err
+        assert calls == []
+        assert main([*chdir, "apply"]) == 0
+        assert len(calls) == 1

@@ -4,9 +4,7 @@ import pytest
 
 from repro.addressing import ResourceAddress, managed
 from repro.state import (
-    FileStateStore,
     GlobalLockManager,
-    MemoryStateStore,
     ResourceLockManager,
     ResourceState,
     SerializabilityChecker,
@@ -173,34 +171,6 @@ class TestStateDocument:
         private = stored.copy()
         private.attrs["name"] = "mine"
         assert stored.attrs["name"] == "x"
-
-
-class TestStores:
-    def test_memory_store_round_trip(self):
-        store = MemoryStateStore()
-        doc = store.read()
-        doc.set(entry("aws_vpc.main"))
-        doc.bump()
-        store.write(doc)
-        assert len(store.read()) == 1
-
-    def test_memory_store_rejects_stale(self):
-        store = MemoryStateStore()
-        doc = store.read()
-        doc.bump()
-        store.write(doc)
-        stale = StateDocument(serial=0)
-        with pytest.raises(StaleStateError):
-            store.write(stale)
-
-    def test_file_store(self, tmp_path):
-        path = str(tmp_path / "state.json")
-        store = FileStateStore(path)
-        assert len(store.read()) == 0  # missing file -> empty state
-        doc = StateDocument(serial=1)
-        doc.set(entry("aws_vpc.main"))
-        store.write(doc)
-        assert len(FileStateStore(path).read()) == 1
 
 
 class TestSnapshots:
