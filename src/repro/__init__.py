@@ -24,44 +24,51 @@ Quickstart::
     assert result.ok
 """
 
-from .addressing import ResourceAddress, data, managed
-from .cloud import CloudAPIError, CloudGateway, SimClock
-from .core import CloudlessEngine, EngineApplyResult, EngineError
-from .deploy import (
-    BestEffortExecutor,
-    CriticalPathExecutor,
-    SequentialExecutor,
-)
-from .graph import Action, Plan, Planner, build_graph
-from .lang import Configuration, ModuleContext
-from .state import StateDocument
-from .types import SchemaRegistry
-from .validate import ValidationPipeline, validate
+import importlib
+from typing import Any
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Action",
-    "BestEffortExecutor",
-    "CloudAPIError",
-    "CloudGateway",
-    "CloudlessEngine",
-    "Configuration",
-    "CriticalPathExecutor",
-    "EngineApplyResult",
-    "EngineError",
-    "ModuleContext",
-    "Plan",
-    "Planner",
-    "ResourceAddress",
-    "SchemaRegistry",
-    "SequentialExecutor",
-    "SimClock",
-    "StateDocument",
-    "ValidationPipeline",
-    "build_graph",
-    "data",
-    "managed",
-    "validate",
-    "__version__",
-]
+#: public name -> the submodule that defines it. Resolved on first use
+#: (PEP 562), so ``python -m repro watch`` imports what a watch runs and
+#: not the parser, the validators and both providers' rule sets.
+_EXPORTS = {
+    "Action": "graph",
+    "BestEffortExecutor": "deploy",
+    "CloudAPIError": "cloud",
+    "CloudGateway": "cloud",
+    "CloudlessEngine": "core",
+    "Configuration": "lang",
+    "CriticalPathExecutor": "deploy",
+    "EngineApplyResult": "core",
+    "EngineError": "core",
+    "ModuleContext": "lang",
+    "Plan": "graph",
+    "Planner": "graph",
+    "ResourceAddress": "addressing",
+    "SchemaRegistry": "types",
+    "SequentialExecutor": "deploy",
+    "SimClock": "cloud",
+    "StateDocument": "state",
+    "ValidationPipeline": "validate",
+    "build_graph": "graph",
+    "data": "addressing",
+    "managed": "addressing",
+    "validate": "validate",
+}
+
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+
+def __getattr__(name: str) -> Any:
+    try:
+        module = importlib.import_module(f".{_EXPORTS[name]}", __name__)
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted([*globals(), *_EXPORTS])

@@ -3,7 +3,8 @@
 A terraform-shaped CLI over the cloudless engine. Configuration lives
 in ``*.clc`` files in the working directory; the simulated clouds, the
 golden state, and the snapshot history persist in ``cloudless.world``
-between invocations, so the workflow feels real::
+(an append-only log: each verb appends what it changed, see
+:mod:`repro.persist`) between invocations, so the workflow feels real::
 
     python -m repro init
     python -m repro validate
@@ -31,7 +32,7 @@ from typing import Any, Dict, List, Optional
 
 from .core.engine import CloudlessEngine, EngineError
 from .lang.module_loader import FileSystemModuleLoader
-from .persist import load_world, save_world
+from .persist import WorldFormatError, load_world, save_world
 
 WORLD_FILE = "cloudless.world"
 
@@ -369,6 +370,12 @@ def cmd_history(args) -> int:
 
 def cmd_rollback(args) -> int:
     engine = _load_engine(args)
+    retained = engine.history.versions()
+    if args.version not in retained:
+        raise CliError(
+            f"no snapshot version {args.version} (retained: "
+            + (f"v{retained[0]}..v{retained[-1]})" if retained else "none)")
+        )
     result = engine.rollback(args.version)
     _save_engine(args, engine)
     print(
@@ -432,8 +439,6 @@ def cmd_graph(args) -> int:
 
 
 def cmd_state_mv(args) -> int:
-    from .core.engine import EngineError
-
     engine = _load_engine(args)
     try:
         engine.state_move(args.src, args.dst)
@@ -861,10 +866,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CliError as exc:
+    except (EngineError, CliError, WorldFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -10,11 +10,11 @@ exposes the lifecycle verbs: ``validate``, ``plan``, ``apply``,
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Tuple, Union
+import functools
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 from ..cloud.gateway import CloudGateway
 from ..cloud.resilience import BreakerPolicy, HealthMonitor, ResilientGateway
-from ..debug.correlate import Diagnosis, IaCDebugger
 from ..deploy.executor import (
     EXECUTORS,
     ApplyResult,
@@ -35,16 +35,19 @@ from ..lang.diagnostics import CLCError
 from ..lang.module_loader import ModuleLoader
 from ..policy.controller import AdmissionDecision, InfrastructureController
 from ..policy.cost import CostEstimator
-from ..porting.importer import PortedProject, StructuredImporter
 from ..state.document import StateDocument
 from ..state.snapshots import Snapshot, SnapshotHistory
 from ..types.schema import SchemaRegistry
-from ..update.rollback import ReversibilityAwareRollback, RollbackResult
 from ..validate.pipeline import (
     LEVEL_RULES,
     ValidationPipeline,
     ValidationReport,
 )
+
+if TYPE_CHECKING:  # imported by the verbs that run them, not by every verb
+    from ..debug.correlate import Diagnosis, IaCDebugger
+    from ..porting.importer import PortedProject
+    from ..update.rollback import RollbackResult
 
 
 class EngineError(RuntimeError):
@@ -154,7 +157,6 @@ class CloudlessEngine:
         self.history = SnapshotHistory()
         self.controller = InfrastructureController()
         self.cost = CostEstimator()
-        self.debugger = IaCDebugger(self.registry)
         self.watcher = LogWatchDetector(self.resilient)
         #: lazily-built continuous-reconciliation loop (see
         #: :meth:`watch_continuously`); shares ``self.watcher``'s cursors
@@ -169,6 +171,10 @@ class CloudlessEngine:
         )
         self.last_sources: Dict[str, str] = {}
         self.last_variables: Dict[str, Any] = {}
+        #: :mod:`repro.persist`'s note of what the world file held when
+        #: this engine was loaded or last saved; a save writes a delta
+        #: against it
+        self._world_base: Any = None
         #: persistent compiled-artifact cache (``cache_dir=None`` keeps
         #: every compile cold); see :mod:`repro.compilecache`
         self.compile_cache = None
@@ -182,6 +188,12 @@ class CloudlessEngine:
     @property
     def clock(self):
         return self.gateway.clock
+
+    @functools.cached_property
+    def debugger(self) -> "IaCDebugger":
+        from ..debug.correlate import IaCDebugger
+
+        return IaCDebugger(self.registry)
 
     def compile(
         self, sources: Sources, variables: Optional[Dict[str, Any]] = None
@@ -498,6 +510,8 @@ class CloudlessEngine:
 
     def rollback(self, version: int) -> RollbackResult:
         """Reversibility-aware rollback to a snapshot version."""
+        from ..update.rollback import ReversibilityAwareRollback
+
         snapshot = self.history.get(version)
         planner = ReversibilityAwareRollback(self.resilient)
         plan = planner.plan(snapshot, self.state)
@@ -557,6 +571,8 @@ class CloudlessEngine:
         ``via_api=True`` enumerates the estate through the paginated
         list API behind the resilience layer instead of the in-memory
         shortcut."""
+        from ..porting.importer import StructuredImporter
+
         project = StructuredImporter(self.registry).import_estate(
             self.resilient, via_api=via_api
         )
@@ -618,6 +634,8 @@ class CloudlessEngine:
         what is actually deployed, so config and cloud agree again.
         Only resources the state already manages are included.
         """
+        from ..porting.importer import StructuredImporter
+
         managed_ids = {entry.resource_id for entry in self.state.resources()}
         project = StructuredImporter(self.registry).import_estate(
             self.resilient, only_ids=managed_ids

@@ -23,10 +23,15 @@ from typing import Any, Dict, Iterator
 #: call sites. The service tier's ``service.*`` family is the contract
 #: the tenant-storm chaos scenario checks in its ``CampaignReport``.
 KNOWN_PROBES: Dict[str, str] = {
-    # -- persistence (PR 3/4) ---------------------------------------------
+    # -- persistence: the world file and the journal store -----------------
+    "persist.bytes_appended": "count: bytes of delta commits appended to a world file",
+    "persist.keyframe_writes": "count: whole-world keyframes written (first save, "
+    "compaction, or a baseline that no longer matched the file)",
+    "persist.compactions": "count: foldings of deltas (world file) or journal "
+    "lines (journal store) into a fresh keyframe",
     "persist.journal_appends": "count: delta appends to a journal store",
-    "persist.compactions": "count: journal foldings into a keyframe",
-    "persist.torn_tail_recoveries": "count: torn journal tails truncated",
+    "persist.torn_tail_recoveries": "count: torn tails dropped at load "
+    "(world file) or truncated away (journal store)",
     "persist.keyframe_fallbacks": "count: keyframe reads served by .bak",
     # -- multi-tenant service tier (PR 10) --------------------------------
     "service.admitted": "count: requests accepted past the admission tier",

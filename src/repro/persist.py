@@ -1,172 +1,255 @@
-"""World persistence for the CLI.
+"""World persistence: one append-only file of framed records.
 
-A *world file* captures everything that makes a simulated session:
-the control planes' resource stores, activity logs, clock, quotas, and
-id counters, plus the engine's golden state, outputs, and snapshot
-history. This is what lets ``python -m repro apply`` behave like a real
-CLI across invocations -- the simulated cloud survives between runs.
+A *world file* captures everything that makes a simulated session: the
+control planes' resource stores, activity logs, clock, quotas and id
+counters, plus the engine's golden state, outputs and snapshot history.
+This is what lets ``python -m repro apply`` behave like a real CLI
+across invocations -- the simulated cloud survives between runs.
+
+The file is a sequence of **commits**: one frame per section, then a
+commit frame. A frame is a header line ``clw3 <kind> <name> <length>
+<sha256>`` followed by that many bytes of JSON. Every commit is a
+*delta* -- the activity-log events past the loaded cursor and the
+current value (or tombstone) of the records they name, the tokens and
+id generations minted, the state entries that differ from the copy
+taken at load, the new snapshot versions, the source files not stored
+yet -- and the first, the *keyframe*, is simply the delta against
+nothing: the whole world.
+
+* **Crash contract.** Deltas are appended, keyframes replace the file
+  atomically. A frame that fails its length or hash, or sections with
+  no commit frame after them, can only be the tail of a write that was
+  killed: :func:`load_world` drops it and returns the previous commit.
+  The same damage with intact frames after it is not a torn tail and
+  raises :class:`WorldFormatError`, as does anything else unreadable.
+* **Compaction.** When the deltas would outweigh the keyframe they
+  follow, the save writes a fresh keyframe instead. That pass also
+  applies retention: activity-log events every watch cursor has
+  consumed and snapshot versions beyond :data:`HISTORY_RETENTION` go.
+* **Baseline.** The engine remembers (``engine._world_base``) what the
+  file held when it was loaded or last saved. A save whose baseline is
+  not where the file ends any more writes a keyframe.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
+import hashlib
 import json
 import os
 import tempfile
-from typing import Any, Dict, Optional
+import zlib
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .cloud.activitylog import ActivityEvent
 from .cloud.base import ControlPlane, ResourceRecord
-from .cloud.gateway import CloudGateway
 from .core.engine import CloudlessEngine
 from .deploy.executor import EXECUTORS
+from .perf import PERF
 from .state.document import StateDocument
-from .state.snapshots import SnapshotHistory
+from .state.snapshots import apply_doc_delta, doc_delta, source_key
 
-#: current world format: snapshot history persisted as deltas +
-#: periodic keyframes (O(changed) per version) instead of one full
-#: state document per version. Format 1 worlds (full documents) are
-#: still readable.
-FORMAT_VERSION = 2
-SUPPORTED_FORMATS = (1, 2)
+FORMAT_VERSION = 3
+MAGIC = b"clw3"
+#: snapshot versions a compaction keeps
+HISTORY_RETENTION = 32
+#: a header line is five short tokens
+_MAX_HEADER = 256
+#: ceiling on one unpacked source file: a packed blob is outside input
+_MAX_SOURCE_BYTES = 64 << 20
+#: what an engine is constructed with; a delta cannot change these
+_CONSTRUCTION = ("seed", "executor", "validation_level")
 
 
-# -- control planes ------------------------------------------------------------
+class WorldFormatError(ValueError):
+    """The world file is not something this program wrote (or a newer
+    or older program did): unknown format, damaged frames, bad values."""
 
 
-def plane_to_dict(plane: ControlPlane) -> Dict[str, Any]:
+class _NotADelta(Exception):
+    """The engine is no longer the one its baseline describes."""
+
+
+# -- source files: stored once, packed, by content key -----------------------------
+
+
+def _pack(text: str) -> str:
+    return base64.b64encode(zlib.compress(text.encode("utf-8"))).decode("ascii")
+
+
+def _unpack(key: str, packed: str) -> str:
+    try:
+        inflater = zlib.decompressobj()
+        raw = inflater.decompress(base64.b64decode(packed), _MAX_SOURCE_BYTES)
+        text = raw.decode("utf-8")
+    except (zlib.error, binascii.Error, UnicodeDecodeError, ValueError) as exc:
+        raise WorldFormatError(f"source blob {key[:12]} does not unpack: {exc}")
+    if inflater.unconsumed_tail or source_key(text) != key:
+        raise WorldFormatError(f"source blob {key[:12]} is not what its key names")
+    return text
+
+
+# -- the baseline: what the file holds, as seen from the engine ---------------------
+
+
+class _PlaneMark:
+    """One plane at the last load/save: enough to name what changed."""
+
+    def __init__(self, plane: ControlPlane):
+        self.log = plane.log
+        self.cursor = plane.log.next_cursor
+        self.scalars = _plane_scalars(plane)
+        self.tokens = dict(plane._tokens)
+        self.id_gens = dict(plane._id_gens)
+
+
+class _Base:
+    """The engine's view of its world file as of the last load or save."""
+
+    def __init__(self) -> None:
+        #: content key -> packed text: every source file the file holds
+        #: (``stored``), and any packed since for a commit yet to land
+        self.sources: Dict[str, str] = {}
+        self.stored: Set[str] = set()
+        self.path: Optional[str] = None
+
+    def source(self, key: str) -> str:
+        return _unpack(key, self.sources[key])
+
+    def committed(
+        self, engine: CloudlessEngine, path: str, seq: int, end: int, tail: bytes
+    ) -> None:
+        """``path`` now ends at ``end`` with commit ``seq`` (frame
+        ``tail``, to recognise the file by) and holds ``engine`` as is."""
+        self.path, self.seq, self.end, self.tail = os.path.realpath(path), seq, end, tail
+        self.stored = self.staged
+        if seq == 0:  # a keyframe: it holds only what is still named
+            self.keyframe_end = end
+            self.sources = {key: self.sources[key] for key in self.stored}
+        self.planes = {n: _PlaneMark(p) for n, p in engine.gateway.planes.items()}
+        self.state = engine.state.copy()  # O(1) COW
+        self.history = engine.history
+        self.history_last = engine.history.last_version
+        self.engine_section = _engine_section(engine)
+
+    @property
+    def budget(self) -> int:
+        """Bytes of delta the file takes before they outweigh its keyframe."""
+        return self.keyframe_end - (self.end - self.keyframe_end)
+
+
+def _base_of(engine: CloudlessEngine) -> _Base:
+    if engine._world_base is None:
+        engine._world_base = _Base()
+    return engine._world_base
+
+
+# -- sections: a commit, cut where it is encoded and replayed -----------------------
+
+
+def _plane_scalars(plane: ControlPlane) -> Dict[str, Any]:
     return {
         "seed": plane.seed,
-        "records": [
-            {
-                "id": r.id,
-                "type": r.type,
-                "region": r.region,
-                "attrs": r.attrs,
-                "created_at": r.created_at,
-                "updated_at": r.updated_at,
-                "state": r.state,
-            }
-            for r in sorted(plane.records.values(), key=lambda r: r.id)
-        ],
-        "log": [
-            {
-                "sequence": e.sequence,
-                "timestamp": e.timestamp,
-                "operation": e.operation,
-                "resource_type": e.resource_type,
-                "resource_id": e.resource_id,
-                "resource_name": e.resource_name,
-                "region": e.region,
-                "actor": e.actor,
-                "changed_attrs": list(e.changed_attrs),
-            }
-            for e in plane.log.all_events()
-        ],
-        # durable sequence watermark: correct cursor math even when the
+        # durable sequence watermarks: correct cursor math even when the
         # retained event window starts above sequence 0 (compaction)
+        "log_base": plane.log.next_cursor - len(plane.log),
         "log_next_seq": plane.log.next_cursor,
         "id_counter": plane._next_id,
-        # identity-keyed generation counters: without them a reloaded
-        # world would re-mint generation-0 ids for recreated names
-        "id_gens": [
-            {"rtype": t, "region": r, "name": n, "gen": g}
-            for (t, r, n), g in sorted(plane._id_gens.items())
-        ],
         "quotas": [
             {"rtype": rtype, "region": region, "limit": limit}
             for (rtype, region), limit in sorted(plane.quotas.items())
         ],
         "api_calls": dict(plane.api_calls),
+    }
+
+
+def _plane_section(
+    plane: ControlPlane, mark: Optional[_PlaneMark]
+) -> Optional[Dict[str, Any]]:
+    """What changed on ``plane`` since ``mark`` (everything, for no mark)."""
+    if mark is None:
+        events = plane.log.all_events()
+        dirty, tokens, id_gens = set(plane.records), plane._tokens, plane._id_gens
+    else:
+        if plane.log is not mark.log:
+            raise _NotADelta
+        # every mutation of ``plane.records`` logs an event naming the
+        # record: the log past the cursor is the dirty set
+        events = plane.log.events_since(mark.cursor)
+        dirty = {e.resource_id for e in events}
+        tokens = {k: v for k, v in plane._tokens.items() if mark.tokens.get(k) != v}
+        id_gens = {k: g for k, g in plane._id_gens.items() if mark.id_gens.get(k) != g}
+        if not (
+            mark.tokens.keys() <= plane._tokens.keys()
+            and mark.id_gens.keys() <= plane._id_gens.keys()
+        ):
+            raise _NotADelta  # an index lost keys: additions cannot say that
+    scalars = _plane_scalars(plane)
+    if mark and not (events or tokens or id_gens) and scalars == mark.scalars:
+        return None
+    return {
+        **scalars,
+        "records": [
+            dict(vars(plane.records[r])) for r in sorted(dirty) if r in plane.records
+        ],
+        "gone": sorted(dirty.difference(plane.records)),
+        "log": [dict(vars(e)) for e in events],
+        # identity-keyed generation counters: without them a reloaded
+        # world would re-mint generation-0 ids for recreated names
+        "id_gens": [
+            {"rtype": t, "region": r, "name": n, "gen": g}
+            for (t, r, n), g in sorted(id_gens.items())
+        ],
         # idempotency-token index: lets a resumed apply deduplicate
         # creates against resources a crashed run already provisioned
-        "tokens": {k: v for k, v in sorted(plane._tokens.items())},
+        "tokens": dict(sorted(tokens.items())),
     }
 
 
 def plane_from_dict(plane: ControlPlane, data: Dict[str, Any]) -> None:
-    """Restore a freshly-constructed plane's mutable state in place."""
+    """Land one plane section on a plane: a keyframe's on a freshly
+    constructed one, a delta's on top of what the file held before."""
     plane.seed = data.get("seed", plane.seed)
-    plane.records.clear()
+    for rid in data.get("gone", []):
+        plane.records.pop(rid, None)
     for rec in data.get("records", []):
-        plane.records[rec["id"]] = ResourceRecord(
-            id=rec["id"],
-            type=rec["type"],
-            region=rec["region"],
-            attrs=dict(rec["attrs"]),
-            created_at=rec.get("created_at", 0.0),
-            updated_at=rec.get("updated_at", 0.0),
-            state=rec.get("state", "active"),
+        plane.records[rec["id"]] = ResourceRecord(**{**rec, "attrs": dict(rec["attrs"])})
+    events = [
+        ActivityEvent(
+            **{
+                **e,
+                "provider": plane.provider,
+                "changed_attrs": tuple(e.get("changed_attrs", ())),
+            }
         )
-    events = data.get("log", [])
-    plane.log.restore(
-        [
-            ActivityEvent(
-                sequence=e["sequence"],
-                timestamp=e["timestamp"],
-                provider=plane.provider,
-                operation=e["operation"],
-                resource_type=e["resource_type"],
-                resource_id=e["resource_id"],
-                resource_name=e["resource_name"],
-                region=e["region"],
-                actor=e["actor"],
-                changed_attrs=tuple(e.get("changed_attrs", [])),
-            )
-            for e in events
-        ],
-        next_sequence=data.get("log_next_seq"),
-    )
+        for e in data.get("log", [])
+    ]
+    if events or data.get("log_next_seq") != plane.log.next_cursor:
+        plane.log.restore(
+            plane.log.all_events() + events, next_sequence=data.get("log_next_seq")
+        )
+    plane.log.compact(data.get("log_base", 0))
     plane._next_id = data.get("id_counter", 1)
-    plane._id_gens = {
-        (g["rtype"], g["region"], g["name"]): g["gen"]
-        for g in data.get("id_gens", [])
-    }
+    for g in data.get("id_gens", []):
+        plane._id_gens[(g["rtype"], g["region"], g["name"])] = g["gen"]
     plane.quotas = {
         (q["rtype"], q["region"]): q["limit"] for q in data.get("quotas", [])
     }
     plane.api_calls = dict(data.get("api_calls", {"read": 0, "write": 0}))
-    plane._tokens = dict(data.get("tokens", {}))
+    plane._tokens.update(data.get("tokens", {}))
 
 
-# -- history -----------------------------------------------------------------------
-
-
-def history_to_dict(history: SnapshotHistory) -> list:
-    """Delta-journal serialisation: keyframes carry full documents,
-    every other version carries only what changed against its parent."""
-    return history.export_records()
-
-
-def history_from_dict(data: list) -> SnapshotHistory:
-    """Rebuild a history from :func:`history_to_dict` output.
-
-    Accepts both the delta form (format 2) and the historical
-    full-document-per-version form (format 1).
-    """
-    history = SnapshotHistory.import_records(data)
-    for item, version in zip(data, history.versions()):
-        assert version == item["version"], "history must be contiguous"
-    return history
-
-
-# -- whole worlds -------------------------------------------------------------------
-
-
-def engine_to_dict(engine: CloudlessEngine) -> Dict[str, Any]:
+def _engine_section(engine: CloudlessEngine) -> Dict[str, Any]:
     return {
-        "format": FORMAT_VERSION,
         "seed": engine.seed,
         "clock": engine.clock.now,
-        "planes": {
-            name: plane_to_dict(plane)
-            for name, plane in sorted(engine.gateway.planes.items())
-        },
-        "state": json.loads(engine.state.to_json()),
-        "history": history_to_dict(engine.history),
-        "last_sources": engine.last_sources,
-        "last_variables": engine.last_variables,
         "executor": engine.executor_name,
         "validation_level": engine.validation.level,
+        "last_sources": {
+            fname: source_key(text) for fname, text in engine.last_sources.items()
+        },
+        "last_variables": engine.last_variables,
         # per-provider log-watch cursors (event sequences): a reloaded
         # world resumes tailing where it stopped instead of replaying
         # the whole activity log
@@ -174,54 +257,364 @@ def engine_to_dict(engine: CloudlessEngine) -> Dict[str, Any]:
     }
 
 
-def engine_from_dict(data: Dict[str, Any]) -> CloudlessEngine:
-    if data.get("format") not in SUPPORTED_FORMATS:
-        raise ValueError(
-            f"unsupported world format {data.get('format')!r} "
-            f"(expected one of {SUPPORTED_FORMATS})"
-        )
-    executor = data.get("executor", "critical-path")
-    if executor == "sharded":
-        # worlds written before the sharded layer was deleted: it ran
-        # the critical-path strategy, byte-identically
-        executor = "critical-path"
+def _sections(
+    engine: CloudlessEngine, base: _Base, full: bool
+) -> Iterator[Tuple[str, Any]]:
+    """One commit's ``(name, value)`` sections: what changed since
+    ``base`` was marked, or -- ``full``, a keyframe -- since nothing.
+    Lazy, so a writer never holds more than one section's encoding."""
+    section = _engine_section(engine)
+    if not full and (
+        engine.history is not base.history
+        or set(engine.gateway.planes) != set(base.planes)
+        or any(section[k] != base.engine_section[k] for k in _CONSTRUCTION)
+    ):
+        raise _NotADelta
+    if full or section != base.engine_section:
+        yield "engine", section
+    for name, plane in sorted(engine.gateway.planes.items()):
+        value = _plane_section(plane, None if full else base.planes[name])
+        if value is not None:
+            yield f"plane:{name}", value
+    before = StateDocument() if full else base.state
+    delta = doc_delta(before, engine.state)
+    if (
+        full
+        or delta["set"]
+        or delta["removed"]
+        or "outputs" in delta
+        or (delta["serial"], delta["lineage"]) != (before.serial, before.lineage)
+    ):
+        yield "state", delta
+    texts = {source_key(text): text for text in engine.last_sources.values()}
+    history = engine.history.export_records(
+        engine.state, after=0 if full else base.history_last, texts=texts
+    )
+    if full or history:
+        yield "history", history
+    named = set(texts).union(*(item["sources"].values() for item in history))
+    for key in named.difference(base.sources):
+        base.sources[key] = _pack(texts[key])
+    # only what is still named survives a keyframe
+    fresh = named if full else named - base.stored
+    #: what the file holds once this commit lands
+    base.staged = fresh if full else base.stored | fresh
+    if full or fresh:
+        yield "sources", {key: base.sources[key] for key in sorted(fresh)}
+
+
+def _apply(engine: CloudlessEngine, base: _Base, sections: Dict[str, Any]) -> None:
+    """Replay one commit's sections onto an engine; its last applied
+    sources stay packed until :func:`_unpack_last_sources`."""
+    base.sources.update(sections.get("sources", {}))
+    for name, value in sections.items():
+        if name.startswith("plane:") and name[6:] in engine.gateway.planes:
+            plane_from_dict(engine.gateway.planes[name[6:]], value)
+    apply_doc_delta(engine.state, sections.get("state", {}))
+    history = sections.get("history", [])
+    for item in history:
+        if not base.sources.keys() >= set(item["sources"].values()):
+            raise WorldFormatError(
+                f"snapshot v{item['version']} names a source file the world lacks"
+            )
+    engine.history.import_records(history, engine.state, base.source)
+    section = sections.get("engine")
+    if section is not None:
+        engine.clock.advance_to(section["clock"])
+        base.engine_section = section
+        engine.last_variables = dict(section["last_variables"])
+        engine.watcher.restore_cursors(section["watch_cursors"])
+
+
+def _unpack_last_sources(engine: CloudlessEngine, base: _Base) -> None:
+    engine.last_sources = {
+        fname: base.source(key)
+        for fname, key in base.engine_section["last_sources"].items()
+    }
+
+
+def _new_engine(seed: Any, executor: Any, validation_level: Any) -> CloudlessEngine:
+    """An engine as a world names it (:data:`_CONSTRUCTION`)."""
     if executor not in EXECUTORS:
-        raise ValueError(
+        raise WorldFormatError(
             f"unsupported world executor {executor!r} "
             f"(expected one of {sorted(EXECUTORS)})"
         )
-    engine = CloudlessEngine(
-        seed=data.get("seed", 0),
-        executor=executor,
-        validation_level=data.get("validation_level", "rules"),
+    return CloudlessEngine(
+        seed=seed, executor=executor, validation_level=validation_level
+    )
+
+
+def engine_to_dict(engine: CloudlessEngine) -> Dict[str, Any]:
+    """The whole world as one JSON-shaped value: a keyframe's sections."""
+    return {"format": FORMAT_VERSION, **dict(_sections(engine, _base_of(engine), True))}
+
+
+def engine_from_dict(data: Dict[str, Any]) -> CloudlessEngine:
+    if data.get("format") != FORMAT_VERSION:
+        raise WorldFormatError(
+            f"unsupported world format {data.get('format')!r} "
+            f"(expected {FORMAT_VERSION})"
+        )
+    engine = _new_engine(**{k: data["engine"][k] for k in _CONSTRUCTION})
+    _apply(engine, _base_of(engine), data)
+    _unpack_last_sources(engine, _base_of(engine))
+    return engine
+
+
+def _engine_from_v2(data: Dict[str, Any]) -> CloudlessEngine:
+    """The one-way door from a format-2 world (one JSON document, full
+    source text and forward deltas in every snapshot version)."""
+    if data.get("format") != 2:
+        raise WorldFormatError(
+            f"unsupported world format {data.get('format')!r} "
+            f"(expected {FORMAT_VERSION}, or 2 to migrate)"
+        )
+    engine = _new_engine(
+        data.get("seed", 0),
+        data.get("executor", "critical-path"),
+        data.get("validation_level", "rules"),
     )
     engine.clock.advance_to(data.get("clock", 0.0))
     for name, plane_data in data.get("planes", {}).items():
         plane = engine.gateway.planes.get(name)
         if plane is not None:
             plane_from_dict(plane, plane_data)
-    engine.state = StateDocument.from_json(json.dumps(data.get("state", {})))
-    engine.history = history_from_dict(data.get("history", []))
+
+    def load(doc: StateDocument, state: Dict[str, Any]) -> StateDocument:
+        apply_doc_delta(doc, {**state, "set": state.get("resources", [])})
+        return doc
+
+    engine.state = load(StateDocument(), data.get("state", {}))
+    doc = StateDocument()
+    for number, item in enumerate(data.get("history", []), start=1):
+        if item["version"] != number:
+            raise WorldFormatError("format-2 history is not contiguous")
+        if "state" in item:
+            doc = load(StateDocument(), item["state"])
+        else:
+            doc = doc.copy()
+            apply_doc_delta(doc, item["delta"])
+        engine.history.checkpoint(
+            doc, item["config_sources"], item["timestamp"], item["description"]
+        )
     engine.last_sources = dict(data.get("last_sources", {}))
     engine.last_variables = dict(data.get("last_variables", {}))
     engine.watcher.restore_cursors(data.get("watch_cursors", {}))
     return engine
 
 
-def save_world(engine: CloudlessEngine, path: str) -> None:
+# -- frames ---------------------------------------------------------------------------
+
+
+def _frame(kind: str, name: str, value: Any) -> bytes:
+    payload = json.dumps(value, sort_keys=True, separators=(",", ":")).encode("ascii")
+    digest = hashlib.sha256(payload).hexdigest()
+    header = f"{MAGIC.decode()} {kind} {name} {len(payload)} {digest}\n"
+    return header.encode("ascii") + payload + b"\n"
+
+
+def _commit_frames(
+    kind: str, sections: Iterable[Tuple[str, Any]], seq: int
+) -> Iterator[bytes]:
+    """The sections' frames, then the frame that makes them count: it
+    names their headers, so a commit with one missing or swapped is void."""
+    headers = hashlib.sha256()
+    for name, value in sections:
+        frame = _frame(kind, name, value)
+        headers.update(frame[: frame.index(b"\n")])
+        yield frame
+    yield _frame("C", "commit", {"seq": seq, "headers": headers.hexdigest()})
+
+
+def _read_frame(data: bytes, pos: int) -> Optional[Tuple[str, str, memoryview, int]]:
+    """``(kind, name, payload, next offset)`` of the frame at ``pos``,
+    or None when no intact frame starts there."""
+    eol = data.find(b"\n", pos, pos + _MAX_HEADER)
+    parts = data[pos:eol].split(b" ") if eol >= 0 else []
+    if len(parts) != 5 or parts[0] != MAGIC or not parts[3].isdigit():
+        return None
+    end = eol + 1 + int(parts[3])
+    # the length is outside input: checked against the bytes that are
+    # there before anything is sliced or allocated
+    if end >= len(data) or data[end : end + 1] != b"\n":
+        return None
+    payload = memoryview(data)[eol + 1 : end]
+    if hashlib.sha256(payload).hexdigest().encode("ascii") != parts[4]:
+        return None
+    try:
+        return parts[1].decode("ascii"), parts[2].decode("ascii"), payload, end + 1
+    except UnicodeDecodeError:
+        return None
+
+
+def _read_commits(
+    data: bytes, path: str
+) -> Tuple[List[Dict[str, memoryview]], List[int], bytes]:
+    """Every complete commit's sections (still encoded), the offset past
+    each, and the last one's commit frame. A damaged or uncommitted
+    tail is dropped."""
+    commits: List[Dict[str, memoryview]] = []
+    ends: List[int] = []
+    pending: List[Tuple[str, str, memoryview]] = []
+    headers = hashlib.sha256()
+    pos = 0
+    tail = b""
+    while pos < len(data):
+        frame = _read_frame(data, pos)
+        if frame is None:
+            break
+        kind, name, payload, after = frame
+        if kind == "C":
+            try:
+                commit = json.loads(bytes(payload))
+                valid = (
+                    commit["seq"] == len(commits)
+                    and commit["headers"] == headers.hexdigest()
+                    and {k for k, _n, _p in pending} == {"D" if commits else "K"}
+                )
+            except (ValueError, KeyError, TypeError):
+                valid = False
+            if not valid:
+                break
+            commits.append({n: p for _k, n, p in pending})
+            pending, headers = [], hashlib.sha256()
+            ends.append(after)
+            tail = data[pos:after]
+        else:
+            pending.append((kind, name, payload))
+            headers.update(data[pos : data.index(b"\n", pos)])
+        pos = after
+    if pos < len(data):
+        # a killed write leaves nothing readable behind the damage; an
+        # intact frame further on means the file was damaged at rest
+        probe = data.find(b"\n" + MAGIC + b" ", pos)
+        while probe >= 0:
+            if _read_frame(data, probe + 1) is not None:
+                raise WorldFormatError(
+                    f"{path}: damaged frame at byte {pos} is not at the tail"
+                )
+            probe = data.find(b"\n" + MAGIC + b" ", probe + 1)
+        PERF.count("persist.torn_tail_recoveries")
+    if not commits:
+        raise WorldFormatError(f"{path}: not a world file (no complete keyframe)")
+    return commits, ends, tail
+
+
+# -- whole worlds -----------------------------------------------------------------------
+
+
+def _write_keyframe(engine: CloudlessEngine, path: str) -> None:
+    base = _base_of(engine)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(engine_to_dict(engine), handle, indent=1, sort_keys=True)
+        size, frame = 0, b""
+        with os.fdopen(fd, "wb") as handle:
+            for frame in _commit_frames("K", _sections(engine, base, True), 0):
+                handle.write(frame)
+                size += len(frame)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
+    base.committed(engine, path, 0, size, frame)
+    PERF.count("persist.keyframe_writes")
+
+
+def _compact(engine: CloudlessEngine, path: str) -> None:
+    """The deltas outweigh their keyframe: apply retention, start over."""
+    for name, plane in engine.gateway.planes.items():
+        plane.log.compact(engine.watcher.cursors.get(name, 0))
+    engine.history.trim(HISTORY_RETENTION)
+    _write_keyframe(engine, path)
+    PERF.count("persist.compactions")
+
+
+def _append(path: str, base: _Base, frames: List[bytes]) -> bool:
+    """Append one commit, if the file still ends with the baseline's:
+    same length, same last commit frame. Anything else -- another
+    writer's commit, a torn tail, a replaced file -- is not this
+    engine's file to extend."""
+    try:
+        with open(path, "r+b") as handle:
+            if handle.seek(0, os.SEEK_END) != base.end:
+                return False
+            handle.seek(base.end - len(base.tail))
+            if handle.read(len(base.tail)) != base.tail:
+                return False
+            handle.writelines(frames)
+    except FileNotFoundError:
+        return False
+    return True
+
+
+def save_world(engine: CloudlessEngine, path: str) -> None:
+    """Persist ``engine`` at ``path``: a delta behind the commit it was
+    loaded from (or last saved as), else a keyframe."""
+    base = _base_of(engine)
+    if base.path != os.path.realpath(path):
+        return _write_keyframe(engine, path)
+    # a save that dies half-way leaves a baseline nobody should trust
+    base.path = None
+    frames: List[bytes] = []
+    size = 0
+    try:
+        for frame in _commit_frames("D", _sections(engine, base, False), base.seq + 1):
+            frames.append(frame)
+            size += len(frame)
+            if size > base.budget:  # a cold apply finds out one section in
+                return _compact(engine, path)
+    except _NotADelta:
+        return _write_keyframe(engine, path)
+    if len(frames) == 1:  # a commit frame and nothing to commit
+        base.path = os.path.realpath(path)
+    elif _append(path, base, frames):
+        base.committed(engine, path, base.seq + 1, base.end + size, frames[-1])
+        PERF.count("persist.bytes_appended", size)
+    else:
+        _write_keyframe(engine, path)
 
 
 def load_world(path: str) -> CloudlessEngine:
-    with open(path, "r", encoding="utf-8") as handle:
-        return engine_from_dict(json.load(handle))
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        if data[:1] == b"{":
+            engine = _engine_from_v2(json.loads(data))
+            save_world(engine, path)  # read once: from here on it is format 3
+            return engine
+        commits, ends, tail = _read_commits(data, path)
+        decoded = ({n: json.loads(bytes(p)) for n, p in c.items()} for c in commits)
+        keyframe = next(decoded)
+        engine = _new_engine(**{k: keyframe["engine"][k] for k in _CONSTRUCTION})
+        base = _base_of(engine)
+        _apply(engine, base, keyframe)
+        del keyframe
+        for sections in decoded:
+            _apply(engine, base, sections)
+        _unpack_last_sources(engine, base)
+    except WorldFormatError:
+        raise
+    except (
+        AttributeError,
+        IndexError,
+        KeyError,
+        RecursionError,
+        TypeError,
+        ValueError,
+    ) as exc:
+        raise WorldFormatError(f"{path}: malformed world record: {exc!r}") from exc
+    if len(commits) > 1:
+        # the same world loads as the same engine however it was cut
+        # into commits: records iterate in id order, as a keyframe's do
+        for plane in engine.gateway.planes.values():
+            if list(plane.records) != sorted(plane.records):
+                records = sorted(plane.records.items())
+                plane.records.clear()
+                plane.records.update(records)
+    base.keyframe_end, base.staged = ends[0], set(base.sources)
+    base.committed(engine, path, len(commits) - 1, ends[-1], tail)
+    return engine

@@ -2,9 +2,9 @@
 
 Every tenant the service knows gets a *home* under the service root:
 
-    <root>/tenants/<tenant>/world.json   -- full engine world (persist)
-    <root>/tenants/<tenant>/state.json   -- journal-mirrored golden state
-    <root>/tenants/<tenant>/state.json.owner  -- advisory store owner
+    <root>/tenants/<tenant>/world.json   -- the engine's world, the one
+                                            durable copy (repro.persist)
+    <root>/tenants/<tenant>/state.json.owner  -- advisory owner marker
     <root>/tenants/<tenant>/wal          -- intent journal for resume
 
 A :class:`TenantSession` is one service instance's live handle on that
@@ -131,6 +131,8 @@ class TenantSession:
                 f"tenant {tenant!r} session held by {blockers}"
             )
         try:
+            # held for its owner marker only: nothing is read or written
+            # through it, the world file is the tenant's one durable copy
             store = JournalStateStore(
                 home.state_path, owner=holder, steal=preempt
             )
@@ -170,8 +172,8 @@ class TenantSession:
     # -- persistence --------------------------------------------------------
 
     def persist(self) -> None:
+        """The one durable write: a delta appended to the world file."""
         save_world(self.engine, self.home.world_path)
-        self.store.write(self.engine.state)
 
     def close(self, now: float) -> None:
         """Graceful shutdown: persist, then surrender lease and marker."""
@@ -193,7 +195,7 @@ class TenantSession:
         if self.closed:
             return
         self.engine.gateway.settle_inflight()
-        save_world(self.engine, self.home.world_path)
+        self.persist()
         self.closed = True
 
     # -- introspection ------------------------------------------------------

@@ -4,36 +4,32 @@ Every apply/update checkpoints the state document together with the
 configuration source that produced it, so rollback planning can pair
 "the config I want to return to" with "the state the world was in".
 
-Storage is **O(changed) per checkpoint**: each version records a delta
-against its parent (entries set, addresses removed, outputs when they
-changed), with a full keyframe every ``keyframe_interval`` versions so
-reconstruction never replays an unbounded chain. Because the document
-layer is copy-on-write with sealed entries, a delta holds *references*
-to the entries -- no serialisation, no deep copies -- and computing it
-is an identity-fast pointer scan: entries shared with the parent are
-skipped with one ``is`` check.
+In memory a checkpoint is an O(1) copy-on-write copy of the document:
+entries are sealed and shared, so a hundred versions of a large estate
+cost a hundred maps of references. The **persisted** form
+(:meth:`SnapshotHistory.export_records`) is O(changed) per version: a
+chain of deltas that starts at the live state and walks backwards, each
+version recorded as what turns its successor into it. The newest
+version is usually an empty delta, trimming old versions never
+re-anchors the survivors, and each distinct source file is stored once,
+by content key, however many versions share it.
 
-``get()``/``checkout()``/``diff()`` reconstruct documents on demand
-(nearest keyframe plus forward delta replay) and memoise the result;
-the latest version is always available without reconstruction.
+:meth:`SnapshotHistory.import_records` parses those deltas but replays
+none of them: an imported version becomes a document the first time
+``get()``/``checkout()``/``diff()`` asks for it, and is memoised.
 ``Snapshot.state`` must be treated as read-only -- use
 :meth:`SnapshotHistory.checkout` for a mutable working copy.
-
-This checkpoint/delta/replay shape is deliberately the same one a
-training stack uses for model checkpointing: cheap incremental saves,
-periodic full keyframes, deterministic replay.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from ..addressing import ResourceAddress
 from ..perf import PERF
-from .document import StateDocument, deep_value_copy
+from .document import ResourceState, StateDocument
 
 
 @dataclasses.dataclass
@@ -66,38 +62,38 @@ class SnapshotDiff:
         return not (self.added or self.removed or self.changed)
 
 
+def source_key(text: str) -> str:
+    """Content key of one source file in the persisted form."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 @dataclasses.dataclass
 class _Record:
-    """Internal storage for one version: a keyframe or a delta."""
+    """One version: a checkpointed document, or an imported delta."""
 
     version: int
     timestamp: float
-    config_sources: Dict[str, str]
     description: str
-    #: full document (an O(1) COW copy) -- set for keyframes only
-    keyframe: Optional[StateDocument] = None
-    #: address -> entry set/overwritten since the parent version
-    delta_set: Dict[str, Any] = dataclasses.field(default_factory=dict)
-    #: addresses removed since the parent version
-    delta_removed: List[str] = dataclasses.field(default_factory=list)
-    serial: int = 0
-    lineage: str = "root"
-    #: outputs at this version, or None when unchanged from the parent
-    outputs: Optional[Dict[str, Any]] = None
-
-    @property
-    def is_keyframe(self) -> bool:
-        return self.keyframe is not None
+    #: filename -> text; filename -> content key while ``sources_pending``
+    config_sources: Dict[str, str]
+    sources_pending: bool = False
+    #: the state at this version; None until an imported one is asked for
+    doc: Optional[StateDocument] = None
+    #: imported versions: the :func:`doc_delta` that turns ``base`` --
+    #: the next version, or a copy of the state the chain was exported
+    #: from -- into this one
+    base: Union[int, StateDocument, None] = None
+    delta: Optional[Dict[str, Any]] = None
 
 
 class SnapshotHistory:
-    """Append-only version history with diff and checkout."""
+    """Append-only version history with diff, checkout and retention."""
 
-    def __init__(self, keyframe_interval: int = 16) -> None:
-        self.keyframe_interval = max(1, keyframe_interval)
+    def __init__(self) -> None:
         self._records: List[_Record] = []
-        self._docs: Dict[int, StateDocument] = {}  # materialised versions
-        self._last_keyframe = 0
+        #: versions trimmed away below the oldest retained one
+        self._offset = 0
+        self._source_of: Optional[Callable[[str], str]] = None
 
     def checkpoint(
         self,
@@ -106,68 +102,40 @@ class SnapshotHistory:
         timestamp: float,
         description: str = "",
     ) -> Snapshot:
-        doc = state.copy()  # O(1): shares the entry map
-        version = len(self._records) + 1
-        parent = self._docs.get(version - 1)
         record = _Record(
-            version=version,
+            version=self.last_version + 1,
             timestamp=timestamp,
+            description=description,
             config_sources=dict(config_sources),
-            description=description,
-            serial=doc.serial,
-            lineage=doc.lineage,
+            doc=state.copy(),  # O(1): shares the entry map
         )
-        make_keyframe = (
-            parent is None
-            or version - self._last_keyframe >= self.keyframe_interval
-        )
-        if not make_keyframe:
-            assert parent is not None
-            delta_set, delta_removed = _map_delta(
-                parent.entries_map(), doc.entries_map()
-            )
-            # a delta touching most of the estate is a keyframe in denial
-            if len(delta_set) + len(delta_removed) > max(8, len(doc)) // 2:
-                make_keyframe = True
-            else:
-                record.delta_set = delta_set
-                record.delta_removed = delta_removed
-                if parent.outputs != doc.outputs:
-                    record.outputs = deep_value_copy(doc.outputs)
-                PERF.count("snapshot.deltas")
-                PERF.count(
-                    "snapshot.delta_entries",
-                    len(delta_set) + len(delta_removed),
-                )
-                if PERF.enabled:
-                    PERF.count(
-                        "snapshot.delta_bytes", len(_delta_json(record))
-                    )
-        if make_keyframe:
-            record.keyframe = doc
-            record.outputs = deep_value_copy(doc.outputs)
-            self._last_keyframe = version
-            PERF.count("snapshot.keyframes")
         self._records.append(record)
-        self._docs[version] = doc
         PERF.count("snapshot.checkpoints")
-        return Snapshot(
-            version=version,
-            timestamp=timestamp,
-            state=doc,
-            config_sources=record.config_sources,
-            description=description,
-        )
+        return self.get(record.version)
 
     # -- access ------------------------------------------------------------
 
+    @property
+    def last_version(self) -> int:
+        return self._offset + len(self._records)
+
     def latest(self) -> Optional[Snapshot]:
-        return self.get(len(self._records)) if self._records else None
+        return self.get(self.last_version) if self._records else None
+
+    def _record(self, version: int) -> _Record:
+        if not self._offset < version <= self.last_version:
+            raise KeyError(f"no snapshot version {version}")
+        return self._records[version - 1 - self._offset]
 
     def get(self, version: int) -> Snapshot:
-        if not 1 <= version <= len(self._records):
-            raise KeyError(f"no snapshot version {version}")
-        record = self._records[version - 1]
+        record = self._record(version)
+        if record.sources_pending:
+            assert self._source_of is not None
+            record.config_sources = {
+                fname: self._source_of(key)
+                for fname, key in record.config_sources.items()
+            }
+            record.sources_pending = False
         return Snapshot(
             version=record.version,
             timestamp=record.timestamp,
@@ -181,42 +149,38 @@ class SnapshotHistory:
         return self._materialize(version).copy()
 
     def versions(self) -> List[int]:
-        return [r.version for r in self._records]
+        return list(range(self._offset + 1, self.last_version + 1))
 
     def __len__(self) -> int:
         return len(self._records)
 
     def _materialize(self, version: int) -> StateDocument:
-        if not 1 <= version <= len(self._records):
-            raise KeyError(f"no snapshot version {version}")
-        doc = self._docs.get(version)
-        if doc is not None:
-            return doc
-        # walk back to the nearest materialised-or-keyframe ancestor
-        base = version
-        while base >= 1 and base not in self._docs:
-            if self._records[base - 1].is_keyframe:
-                self._docs[base] = self._records[base - 1].keyframe
+        # walk the delta chain up to a version that has its document
+        # (or to the chain's anchor), then rebuild back down
+        chain: List[_Record] = []
+        record = self._record(version)
+        while record.doc is None:
+            chain.append(record)
+            if not isinstance(record.base, int):
                 break
-            base -= 1
-        for v in range(base + 1, version + 1):
-            record = self._records[v - 1]
-            if record.is_keyframe:
-                self._docs[v] = record.keyframe
-                continue
-            parent = self._docs[v - 1]
-            doc = parent.copy()
-            for entry in record.delta_set.values():
-                doc.set(entry)
-            for key in record.delta_removed:
-                doc.remove(ResourceAddress.parse(key))
-            doc.serial = record.serial
-            doc.lineage = record.lineage
-            if record.outputs is not None:
-                doc.outputs = deep_value_copy(record.outputs)
-            self._docs[v] = doc
+            record = self._record(record.base)
+        doc = record.doc if record.doc is not None else record.base
+        for record in reversed(chain):
+            assert isinstance(doc, StateDocument) and record.delta is not None
+            doc = record.doc = doc.copy()
+            apply_doc_delta(doc, record.delta)
             PERF.count("snapshot.reconstructions")
-        return self._docs[version]
+        assert doc is not None
+        return doc
+
+    def trim(self, keep: int) -> int:
+        """Retention: forget all but the newest ``keep`` versions.
+        Version numbers stay valid; a version only ever leans on newer
+        ones, so the survivors need no re-anchoring."""
+        drop = max(0, len(self._records) - keep)
+        del self._records[:drop]
+        self._offset += drop
+        return drop
 
     # -- diff ----------------------------------------------------------------
 
@@ -250,73 +214,88 @@ class SnapshotHistory:
 
     # -- persistence -------------------------------------------------------
 
-    def export_records(self) -> List[Dict[str, Any]]:
-        """Delta-journal form for persistence: O(changed) per version."""
+    def export_records(
+        self,
+        state: StateDocument,
+        after: int = 0,
+        texts: Optional[Dict[str, str]] = None,
+    ) -> List[Dict[str, Any]]:
+        """Versions above ``after`` as a delta chain hanging off ``state``.
+
+        The newest version is a delta against ``state`` (``"base":
+        "state"``), every older one a delta against its successor.
+        Source files are named by :func:`source_key`; ``texts`` collects
+        key -> text for the ones this history holds as text.
+        """
         out: List[Dict[str, Any]] = []
-        for record in self._records:
-            item: Dict[str, Any] = {
-                "version": record.version,
-                "timestamp": record.timestamp,
-                "config_sources": record.config_sources,
-                "description": record.description,
-            }
-            if record.is_keyframe:
-                assert record.keyframe is not None
-                item["state"] = json.loads(record.keyframe.to_json())
-            else:
-                item["delta"] = _delta_dict(record)
-            out.append(item)
+        newer: StateDocument = state
+        base: Union[int, str] = "state"
+        for version in range(self.last_version, max(after, self._offset), -1):
+            record = self._record(version)
+            doc = self._materialize(version)
+            sources = record.config_sources
+            if not record.sources_pending:
+                sources = {f: source_key(text) for f, text in sources.items()}
+                if texts is not None:
+                    texts.update(zip(sources.values(), record.config_sources.values()))
+            delta = doc_delta(newer, doc)
+            PERF.count("snapshot.deltas")
+            PERF.count(
+                "snapshot.delta_entries", len(delta["set"]) + len(delta["removed"])
+            )
+            out.append(
+                {
+                    "version": version,
+                    "timestamp": record.timestamp,
+                    "description": record.description,
+                    "sources": sources,
+                    "base": base,
+                    "delta": delta,
+                }
+            )
+            newer, base = doc, version
+        out.reverse()
         return out
 
-    @classmethod
     def import_records(
-        cls, data: List[Dict[str, Any]], keyframe_interval: int = 16
-    ) -> "SnapshotHistory":
-        """Rebuild a history from :meth:`export_records` output.
-
-        Also accepts the historical full-state-per-version form (every
-        item carrying ``state``); such items simply all become
-        keyframes.
+        self,
+        items: List[Dict[str, Any]],
+        state: StateDocument,
+        source_of: Callable[[str], str],
+    ) -> None:
+        """Append :meth:`export_records` output; ``state`` is the
+        document the chain was exported from, ``source_of`` turns a
+        content key back into text. Validates every delta (on a scratch
+        document, so a malformed one fails here and not at the first
+        ``rollback``) but rebuilds no version.
         """
-        from .document import ResourceState
-
-        history = cls(keyframe_interval=keyframe_interval)
-        for item in data:
-            version = item["version"]
-            record = _Record(
-                version=version,
-                timestamp=item.get("timestamp", 0.0),
-                config_sources=dict(item.get("config_sources", {})),
-                description=item.get("description", ""),
-            )
-            if "state" in item:
-                doc = StateDocument.from_json(json.dumps(item["state"]))
-                record.keyframe = doc
-                record.serial = doc.serial
-                record.lineage = doc.lineage
-                record.outputs = deep_value_copy(doc.outputs)
-                history._last_keyframe = version
-                history._records.append(record)
-                history._docs[version] = doc
-                continue
-            delta = item["delta"]
-            parent = history._docs.get(version - 1)
-            if parent is None:
-                raise ValueError(
-                    f"snapshot delta v{version} has no parent to apply to"
+        anchor: Optional[StateDocument] = None
+        top = items[-1]["version"] if items else 0
+        for item in items:
+            version, base, delta = item["version"], item["base"], item["delta"]
+            if not self._records and isinstance(version, int) and version >= 1:
+                self._offset = version - 1
+            if version != self.last_version + 1:
+                raise ValueError(f"snapshot v{version} is out of sequence")
+            if base == "state":
+                anchor = base = anchor or state.copy()
+            elif base != version + 1 or base > top:
+                raise ValueError(f"snapshot v{version} has no base to apply to")
+            apply_doc_delta(StateDocument(), delta)
+            self._records.append(
+                _Record(
+                    version=version,
+                    timestamp=float(item["timestamp"]),
+                    description=str(item["description"]),
+                    config_sources={
+                        str(f): str(key) for f, key in item["sources"].items()
+                    },
+                    sources_pending=True,
+                    base=base,
+                    delta=delta,
                 )
-            record.delta_set = {
-                e["address"]: ResourceState.from_dict(e).seal()
-                for e in delta.get("set", [])
-            }
-            record.delta_removed = list(delta.get("removed", []))
-            record.serial = delta.get("serial", parent.serial)
-            record.lineage = delta.get("lineage", parent.lineage)
-            if "outputs" in delta:
-                record.outputs = deep_value_copy(delta["outputs"])
-            history._records.append(record)
-            history._materialize(version)
-        return history
+            )
+        self._source_of = source_of
 
 
 def _map_delta(old_map, new_map):
@@ -334,19 +313,28 @@ def _map_delta(old_map, new_map):
     return delta_set, delta_removed
 
 
-def _delta_dict(record: _Record) -> Dict[str, Any]:
+def doc_delta(old: StateDocument, new: StateDocument) -> Dict[str, Any]:
+    """What turns ``old`` into ``new``, in JSON form (O(changed) when
+    the two share entries)."""
+    delta_set, delta_removed = _map_delta(old.entries_map(), new.entries_map())
     delta: Dict[str, Any] = {
-        "set": [
-            record.delta_set[k].to_dict() for k in sorted(record.delta_set)
-        ],
-        "removed": sorted(record.delta_removed),
-        "serial": record.serial,
-        "lineage": record.lineage,
+        "serial": new.serial,
+        "lineage": new.lineage,
+        "set": [delta_set[k].to_dict() for k in sorted(delta_set)],
+        "removed": sorted(delta_removed),
     }
-    if record.outputs is not None:
-        delta["outputs"] = record.outputs
+    if new.outputs != old.outputs:
+        delta["outputs"] = new.outputs
     return delta
 
 
-def _delta_json(record: _Record) -> str:
-    return json.dumps(_delta_dict(record), sort_keys=True)
+def apply_doc_delta(doc: StateDocument, delta: Dict[str, Any]) -> None:
+    """Replay one :func:`doc_delta` onto ``doc`` (idempotent)."""
+    for item in delta.get("set", []):
+        doc.set(ResourceState.from_dict(item))
+    for key in delta.get("removed", []):
+        doc.remove(ResourceAddress.parse(key))
+    doc.serial = delta.get("serial", doc.serial)
+    doc.lineage = delta.get("lineage", doc.lineage)
+    if "outputs" in delta:
+        doc.outputs = dict(delta["outputs"])

@@ -16,10 +16,9 @@ import tempfile
 import uuid
 from typing import List, Optional
 
-from ..addressing import ResourceAddress
 from ..perf import PERF
-from .document import ResourceState, StateDocument
-from .snapshots import _map_delta
+from .document import StateDocument
+from .snapshots import apply_doc_delta, doc_delta
 
 
 class JournalStateStore:
@@ -187,7 +186,7 @@ class JournalStateStore:
         doc = self._read_keyframe()
         journal = self._read_journal()
         for delta in journal:
-            _apply_delta(doc, delta)
+            apply_doc_delta(doc, delta)
         self._journal_len = len(journal)
         return doc
 
@@ -206,17 +205,7 @@ class JournalStateStore:
                 f"serial {doc.serial} is older than stored {self._last.serial}"
             )
         snapshot = doc.copy()
-        delta_set, delta_removed = _map_delta(
-            self._last.entries_map(), snapshot.entries_map()
-        )
-        delta = {
-            "serial": snapshot.serial,
-            "lineage": snapshot.lineage,
-            "set": [delta_set[k].to_dict() for k in sorted(delta_set)],
-            "removed": sorted(delta_removed),
-        }
-        if snapshot.outputs != self._last.outputs:
-            delta["outputs"] = snapshot.outputs
+        delta = doc_delta(self._last, snapshot)
         directory = os.path.dirname(os.path.abspath(self.journal_path))
         os.makedirs(directory, exist_ok=True)
         with open(self.journal_path, "a", encoding="utf-8") as handle:
@@ -261,18 +250,6 @@ class JournalStateStore:
             pass
         self._journal_len = 0
         PERF.count("persist.compactions")
-
-
-def _apply_delta(doc: StateDocument, delta: dict) -> None:
-    """Replay one journal delta onto ``doc`` (idempotent)."""
-    for item in delta.get("set", []):
-        doc.set(ResourceState.from_dict(item))
-    for key in delta.get("removed", []):
-        doc.remove(ResourceAddress.parse(key))
-    doc.serial = delta.get("serial", doc.serial)
-    doc.lineage = delta.get("lineage", doc.lineage)
-    if "outputs" in delta:
-        doc.outputs = dict(delta["outputs"])
 
 
 class StaleStateError(RuntimeError):

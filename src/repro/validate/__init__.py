@@ -1,6 +1,9 @@
 """Validation: syntax, semantic types, cloud-specific rules, mining
 (paper 3.2)."""
 
+import sys
+import types
+
 from .mining import (
     DeploymentExample,
     MinedEqualityRule,
@@ -46,3 +49,16 @@ __all__ = [
     "ValidationReport",
     "validate",
 ]
+
+
+class _CallablePackage(types.ModuleType):
+    """``repro.validate`` names this package and, in ``repro``'s public
+    API, the :func:`validate` function. The import system binds the
+    package to that name whenever anything imports a module under it,
+    so the package answers calls as the function would."""
+
+    def __call__(self, *args, **kwargs):
+        return validate(*args, **kwargs)
+
+
+sys.modules[__name__].__class__ = _CallablePackage

@@ -56,7 +56,7 @@ class _TwinDriver:
         self.rng = random.Random(seed)
         self.live = StateDocument()
         self.ref = ReferenceStateDocument()
-        self.live_history = SnapshotHistory(keyframe_interval=4)
+        self.live_history = SnapshotHistory()
         self.ref_history = ReferenceSnapshotHistory()
         self.next_id = 0
 

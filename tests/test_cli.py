@@ -115,6 +115,10 @@ class TestCliLifecycle:
         run(project, "show")
         out = capsys.readouterr().out
         assert "web[3]" not in out
+        # a version that is not (or, after retention, no longer) there
+        assert run(project, "rollback", "99") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no snapshot version 99 (retained: v1..v3)")
 
     def test_watch_detects_and_reconciles(self, project, capsys):
         run(project, "init")

@@ -1,11 +1,10 @@
 """World persistence round trips."""
 
-import json
-
 import pytest
 
 from repro.core import CloudlessEngine
 from repro.persist import (
+    WorldFormatError,
     engine_from_dict,
     engine_to_dict,
     load_world,
@@ -107,30 +106,16 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             engine_from_dict({"format": 999})
 
-    def test_world_saved_by_the_sharded_layer_still_loads(self, tmp_path):
-        """``"executor": "sharded"`` (written by ``apply --shards`` before
-        the layer was deleted) reads as the strategy it ran."""
-        path = str(tmp_path / "w.json")
-        save_world(deployed_engine(), path)
-        with open(path) as handle:
-            world = json.load(handle)
-        world["executor"] = "sharded"
-        with open(path, "w") as handle:
-            json.dump(world, handle)
-        restored = load_world(path)
-        assert restored.apply(web_tier(web_vms=3, app_vms=1)).ok
-        save_world(restored, path)
-        with open(path) as handle:
-            assert json.load(handle)["executor"] == "critical-path"
-
     def test_unknown_executor_rejected_at_load(self, tmp_path):
+        """Typed, and that includes ``"sharded"``: the alias for worlds
+        written before the sharded layer was deleted is gone too."""
         path = str(tmp_path / "w.json")
-        world = engine_to_dict(CloudlessEngine(seed=77))
-        world["executor"] = "bogus"
-        with open(path, "w") as handle:
-            json.dump(world, handle)
-        with pytest.raises(ValueError, match="bogus"):
-            load_world(path)
+        for name in ("bogus", "sharded"):
+            engine = CloudlessEngine(seed=77)
+            engine.executor_name = name
+            save_world(engine, path)
+            with pytest.raises(WorldFormatError, match=name):
+                load_world(path)
 
     def test_dict_round_trip_stable(self):
         engine = deployed_engine()

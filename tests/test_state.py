@@ -246,7 +246,7 @@ class TestSnapshots:
         assert len(history.checkout(1)) == 1
 
     def test_delta_chain_reconstruction_across_keyframes(self):
-        history = SnapshotHistory(keyframe_interval=3)
+        history = SnapshotHistory()
         doc = StateDocument()
         expected = []
         for i in range(10):
@@ -256,30 +256,81 @@ class TestSnapshots:
             doc.bump()
             history.checkpoint(doc, {}, timestamp=float(i))
             expected.append(doc.to_json())
-        # drop the materialisation cache to force true delta replay
-        history._docs = {}
-        for i in range(10):
-            assert history.checkout(i + 1).to_json() == expected[i], f"v{i + 1}"
+        # an imported history holds no documents: every checkout below
+        # is a true replay of the persisted delta chain
+        restored = SnapshotHistory()
+        restored.import_records(history.export_records(doc), doc, str)
+        for i in reversed(range(10)):
+            assert restored.checkout(i + 1).to_json() == expected[i], f"v{i + 1}"
 
     def test_export_import_records_round_trip(self):
-        history = SnapshotHistory(keyframe_interval=3)
+        history = SnapshotHistory()
         doc = StateDocument()
         for i in range(8):
             doc.set(entry(f"aws_vm.v{i}", f"r-{i}"))
             doc.outputs["last"] = i
             doc.bump()
             history.checkpoint(doc, {"main.clc": f"v{i}"}, timestamp=float(i))
-        data = history.export_records()
-        # deltas really are deltas: only keyframes carry full documents
-        keyframes = [item for item in data if "state" in item]
-        deltas = [item for item in data if "delta" in item]
-        assert keyframes and deltas
-        assert all(len(d["delta"]["set"]) <= 2 for d in deltas)
-        restored = SnapshotHistory.import_records(data)
+        texts = {}
+        data = history.export_records(doc, texts=texts)
+        # deltas really are deltas: the newest version is the live
+        # state, every older one differs from its successor by one entry
+        assert data[-1]["base"] == "state" and not data[-1]["delta"]["set"]
+        assert all(
+            len(d["delta"]["set"]) + len(d["delta"]["removed"]) <= 1 for d in data
+        )
+        # each distinct source file once, versions name it by content key
+        assert sorted(texts.values()) == [f"v{i}" for i in range(8)]
+        assert all(set(d["sources"].values()) <= set(texts) for d in data)
+        restored = SnapshotHistory()
+        restored.import_records(data, doc, texts.__getitem__)
         assert restored.versions() == history.versions()
         for v in history.versions():
             assert restored.checkout(v).to_json() == history.checkout(v).to_json()
             assert restored.get(v).config_sources == history.get(v).config_sources
+
+    def test_import_materialises_nothing_until_asked(self):
+        history = SnapshotHistory()
+        doc = StateDocument()
+        for i in range(6):
+            doc.set(entry(f"aws_vm.v{i}", f"r-{i}"))
+            doc.bump()
+            history.checkpoint(doc, {}, timestamp=float(i))
+        restored = SnapshotHistory()
+        restored.import_records(history.export_records(doc), doc, str)
+        assert all(record.doc is None for record in restored._records)
+        assert len(restored.get(5).state) == 5
+        # asking for v5 rebuilt v6 and v5, nothing older
+        assert [r.doc is not None for r in restored._records] == [False] * 4 + [True] * 2
+
+    def test_trim_keeps_version_numbers(self):
+        history = SnapshotHistory()
+        doc = StateDocument()
+        for i in range(6):
+            doc.set(entry(f"aws_vm.v{i}", f"r-{i}"))
+            history.checkpoint(doc, {}, timestamp=float(i))
+        assert history.trim(2) == 4
+        assert history.versions() == [5, 6] and len(history) == 2
+        assert len(history.get(5).state) == 5
+        with pytest.raises(KeyError):
+            history.get(4)
+        # a trimmed history exports, imports and keeps counting from 7
+        restored = SnapshotHistory()
+        restored.import_records(history.export_records(doc), doc, str)
+        assert restored.versions() == [5, 6]
+        assert restored.checkpoint(doc, {}, timestamp=9.0).version == 7
+
+    def test_import_rejects_a_chain_with_gaps(self):
+        history = SnapshotHistory()
+        doc = StateDocument()
+        for i in range(3):
+            history.checkpoint(doc, {}, timestamp=float(i))
+        data = history.export_records(doc)
+        with pytest.raises(ValueError, match="out of sequence"):
+            SnapshotHistory().import_records([data[0], data[2]], doc, str)
+        data[0]["base"] = 3
+        with pytest.raises(ValueError, match="no base"):
+            SnapshotHistory().import_records(data, doc, str)
 
 
 class TestJournalStore:

@@ -1,0 +1,642 @@
+"""The world file as an append-only delta log.
+
+Four contracts of :mod:`repro.persist`:
+
+* **O(changed)** -- a save appends what the verb changed, whatever the
+  estate weighs, and stores each distinct source file once;
+* **differential** -- any number of delta saves loads as the same world
+  one keyframe save of the same engine does;
+* **crash boundary** -- a write cut anywhere loads as exactly the
+  previous or the next commit (the sweep is in the style of
+  ``tests/test_store_torn.py``);
+* **untrusted bytes** -- damage loads as a prior commit or fails with
+  :class:`~repro.persist.WorldFormatError`, nothing else.
+"""
+
+import hashlib
+import os
+import random
+import re
+import shutil
+import subprocess
+import sys
+
+import pytest
+
+from repro import persist
+from repro.cli import main as cli_main
+from repro.core import CloudlessEngine
+from repro.perf import PERF
+from repro.persist import (
+    HISTORY_RETENTION,
+    MAGIC,
+    WorldFormatError,
+    engine_to_dict,
+    load_world,
+    save_world,
+)
+from repro.service.tenants import TenantSession
+from repro.workloads import scale_estate, two_region_estate, web_tier
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def estate(n=120):
+    return {"aws.clc": scale_estate(n), "azure.clc": two_region_estate(40)}
+
+
+def edit_services(text, count, revision):
+    """Tag ``count`` two-instance VM blocks: ``2 * count`` in-place updates."""
+    services = re.findall(r'tags +=\s*\{ service = "([^"]+)"', text)[:count]
+    assert len(services) == count
+    for service in services:
+        text, n = re.subn(
+            r'tags( +)= \{ service = "%s"(?:, rev = "[^"]*")? \}' % service,
+            lambda m: f'tags{m.group(1)}= {{ service = "{service}", rev = "{revision}" }}',
+            text,
+        )
+        assert n == 1
+    return text
+
+
+def drift_one_vm(engine, size):
+    vm = next(
+        e for e in engine.state.resources() if e.address.type == "aws_virtual_machine"
+    )
+    engine.gateway.planes["aws"].external_update(
+        vm.resource_id, {"size": size}, actor="cron"
+    )
+
+
+def same_world(a, b):
+    assert engine_to_dict(a) == engine_to_dict(b)
+    assert a.state.content_hash() == b.state.content_hash()
+
+
+def commit_frame(frames, seq):
+    """The commit frame that makes hand-built ``frames`` count."""
+    headers = hashlib.sha256(b"".join(f[: f.index(b"\n")] for f in frames))
+    return persist._frame("C", "commit", {"seq": seq, "headers": headers.hexdigest()})
+
+
+def frame_offsets(data):
+    """Offset of every frame header in a world file."""
+    return [0] + [m.start() + 1 for m in re.finditer(b"\n" + MAGIC + b" ", data)]
+
+
+# -- O(changed) ---------------------------------------------------------------------
+
+
+class TestAppendsWhatChanged:
+    def test_sixteen_updates_append_a_few_kilobytes(self, tmp_path):
+        path = str(tmp_path / "w")
+        sources = estate()
+        engine = CloudlessEngine(seed=3)
+        assert engine.apply(sources).ok
+        save_world(engine, path)
+        before = os.path.getsize(path)
+
+        engine = load_world(path)
+        edited = dict(sources, **{"aws.clc": edit_services(sources["aws.clc"], 8, "r1")})
+        result = engine.apply(edited)
+        assert result.ok and result.plan.summary().get("update") == 16
+        save_world(engine, path)
+        appended = os.path.getsize(path) - before
+        # 16 records, 16 events, 16 state entries, one snapshot version
+        # and the one source file that changed -- not the estate (the
+        # keyframe before it), not the file that did not change
+        assert 0 < appended <= 64 * 1024 + len(edited["aws.clc"])
+        assert appended < before / 4
+        with open(path, "rb") as handle:
+            handle.seek(before)
+            delta = handle.read()
+        packed_azure = engine._world_base.sources[
+            persist.source_key(sources["azure.clc"])
+        ]
+        assert packed_azure.encode() not in delta
+
+    def test_snapshot_versions_share_unchanged_source_files(self, tmp_path):
+        path = str(tmp_path / "w")
+        sources = estate(40)
+        engine = CloudlessEngine(seed=3)
+        for revision in range(4):
+            sources["aws.clc"] = edit_services(sources["aws.clc"], 2, f"r{revision}")
+            assert engine.apply(sources).ok
+        save_world(engine, path)
+        world = engine_to_dict(load_world(path))
+        # four versions: four distinct aws.clc, one azure.clc
+        assert len(world["history"]) == 4
+        assert len(world["sources"]) == 5
+        restored = load_world(path)
+        for version in restored.history.versions():
+            assert (
+                restored.history.get(version).config_sources
+                == engine.history.get(version).config_sources
+            )
+
+    def test_looking_at_the_world_does_not_count_as_storing_it(self, tmp_path):
+        """``engine_to_dict`` packs source files it finds new; the next
+        delta must still store them."""
+        path = str(tmp_path / "w")
+        engine = CloudlessEngine(seed=3)
+        assert engine.apply(web_tier(web_vms=2, app_vms=1)).ok
+        save_world(engine, path)
+        assert engine.apply(web_tier(web_vms=3, app_vms=1)).ok
+        engine_to_dict(engine)
+        save_world(engine, path)
+        assert engine._world_base.seq == 1
+        same_world(load_world(path), engine)
+
+    def test_nothing_changed_appends_nothing(self, tmp_path):
+        path = str(tmp_path / "w")
+        engine = CloudlessEngine(seed=3)
+        assert engine.apply(web_tier(web_vms=2, app_vms=1)).ok
+        save_world(engine, path)
+        size = os.path.getsize(path)
+        save_world(load_world(path), path)
+        assert os.path.getsize(path) == size
+
+    def test_history_is_not_materialised_by_a_load(self, tmp_path):
+        path = str(tmp_path / "w")
+        engine = CloudlessEngine(seed=3)
+        for vms in (2, 3, 4):
+            assert engine.apply(web_tier(web_vms=vms, app_vms=1)).ok
+            save_world(engine, path)
+        restored = load_world(path)
+        assert [r.doc for r in restored.history._records] == [None] * 3
+        assert len(restored.history.get(1).state) == len(engine.history.get(1).state)
+
+    def test_counters_are_declared_and_move(self, tmp_path):
+        from repro.perf import KNOWN_PROBES
+
+        names = ("persist.bytes_appended", "persist.keyframe_writes", "persist.compactions")
+        assert set(names) <= set(KNOWN_PROBES)
+        path = str(tmp_path / "w")
+        PERF.reset()
+        PERF.enable()
+        try:
+            engine = CloudlessEngine(seed=3)
+            save_world(engine, path)  # keyframe
+            assert engine.apply(web_tier(web_vms=2, app_vms=1)).ok
+            save_world(engine, path)  # outweighs the empty keyframe: compaction
+            drift_one_vm(engine, "large")
+            save_world(engine, path)  # delta
+            counters = PERF.snapshot()["counters"]
+        finally:
+            PERF.disable()
+            PERF.reset()
+        assert counters["persist.keyframe_writes"] == 2
+        assert counters["persist.compactions"] == 1
+        assert 0 < counters["persist.bytes_appended"] < 4096
+
+
+# -- differential: N deltas == one keyframe -----------------------------------------
+
+
+def day_in_the_life(step):
+    """apply / edit-apply / external mutation / watch --reconcile /
+    destroy, handing the engine to ``step`` after each."""
+    sources = estate(40)
+    engine = step(CloudlessEngine(seed=11))
+    assert engine.apply(sources).ok
+    engine = step(engine)
+    sources["aws.clc"] = edit_services(sources["aws.clc"], 3, "r1")
+    assert engine.apply(sources).ok
+    engine = step(engine)
+    drift_one_vm(engine, "xlarge")
+    engine = step(engine)
+    cycles = engine.watch_continuously(cycles=1, auto_reconcile=True)
+    assert cycles[0].findings
+    engine = step(engine)
+    assert engine.destroy().ok
+    return step(engine)
+
+
+class TestDeltasEqualKeyframe:
+    def test_one_process_saving_after_every_step(self, tmp_path):
+        path, keyframe = str(tmp_path / "deltas"), str(tmp_path / "keyframe")
+        appended = []
+
+        def step(engine):
+            save_world(engine, path)
+            appended.append(engine._world_base.seq)
+            # at every step, not only the last: the commits so far load
+            # as the live engine, and as one keyframe of it loads
+            loaded = load_world(path)
+            same_world(loaded, engine)
+            save_world(loaded, keyframe)
+            assert loaded._world_base.seq == 0
+            same_world(load_world(keyframe), engine)
+            return engine
+
+        day_in_the_life(step)
+        assert max(appended) >= 3  # it really was a chain of deltas
+
+    def test_a_process_per_step_equals_one_uninterrupted_process(self, tmp_path):
+        path = str(tmp_path / "deltas")
+
+        def reload(engine):
+            save_world(engine, path)
+            return load_world(path)
+
+        by_verbs = day_in_the_life(reload)
+        in_one_go = day_in_the_life(lambda engine: engine)
+        keyframe = str(tmp_path / "keyframe")
+        save_world(in_one_go, keyframe)
+        same_world(by_verbs, load_world(keyframe))
+
+    def test_service_tenant(self, tmp_path):
+        root = str(tmp_path)
+        session = TenantSession.open(root, "acme", "svc-0", now=0.0, seed=5)
+        sources = estate(40)
+        assert session.engine.apply(sources).ok
+        session.persist()
+        sources["aws.clc"] = edit_services(sources["aws.clc"], 2, "r1")
+        assert session.engine.apply(sources).ok
+        session.persist()
+        drift_one_vm(session.engine, "xlarge")
+        assert session.engine.watch().findings
+        session.persist()
+        assert session.engine._world_base.seq == 2  # a keyframe, two deltas
+        keyframe = str(tmp_path / "keyframe")
+        save_world(load_world(session.home.world_path), keyframe)
+        same_world(load_world(keyframe), session.engine)
+        # one durable writer: nothing mirrors the state next to the world
+        assert sorted(os.listdir(session.home.path)) == [
+            "state.json.owner",
+            "wal",
+            "world.json",
+        ]
+        session.kill()  # the same single writer, marker left behind
+        assert sorted(os.listdir(session.home.path)) == [
+            "state.json.owner",
+            "wal",
+            "world.json",
+        ]
+
+
+# -- compaction and retention ---------------------------------------------------------
+
+
+class TestCompaction:
+    def test_deltas_outweighing_the_keyframe_fold_into_a_new_one(self, tmp_path):
+        path = str(tmp_path / "w")
+        engine = CloudlessEngine(seed=3)
+        assert engine.apply(web_tier(web_vms=2, app_vms=1)).ok
+        save_world(engine, path)
+        sizes, compacted_at = [os.path.getsize(path)], None
+        for round_ in range(200):
+            drift_one_vm(engine, f"size-{round_}")
+            engine.watch()  # the cursor passes the event: it may be trimmed
+            save_world(engine, path)
+            sizes.append(os.path.getsize(path))
+            if engine._world_base.seq == 0:
+                compacted_at = round_
+                break
+        assert compacted_at, "deltas never outgrew the keyframe"
+        # it grew by appends until the rule fired, then started over
+        assert sizes[-2] > 1.5 * sizes[0] and sizes[-1] < sizes[-2]
+        restored = load_world(path)
+        same_world(restored, engine)
+        log = restored.gateway.planes["aws"].log
+        assert len(log) == 0 and log.next_cursor == engine.watcher.cursors["aws"]
+
+    def test_retention_bounds_history_and_source_blobs(self, tmp_path):
+        path = str(tmp_path / "w")
+        engine = CloudlessEngine(seed=3)
+        sources = web_tier(web_vms=1, app_vms=0, with_lb=False, with_db=False)
+        for revision in range(HISTORY_RETENTION + 5):
+            assert engine.apply(sources + f"\n# revision {revision}\n").ok
+        save_world(engine, path)
+        assert len(load_world(path).history) == HISTORY_RETENTION + 5
+        persist._compact(engine, path)
+        restored = load_world(path)
+        first = 6
+        assert restored.history.versions() == list(
+            range(first, HISTORY_RETENTION + first)
+        )
+        assert len(engine_to_dict(restored)["sources"]) == HISTORY_RETENTION
+        assert restored.rollback(first).ok
+
+
+# -- the baseline ----------------------------------------------------------------------
+
+
+class TestBaseline:
+    def test_another_writers_commit_is_not_extended(self, tmp_path):
+        path = str(tmp_path / "w")
+        engine = CloudlessEngine(seed=3)
+        assert engine.apply(web_tier(web_vms=2, app_vms=1)).ok
+        save_world(engine, path)
+        ours, theirs = load_world(path), load_world(path)
+        drift_one_vm(theirs, "theirs")
+        save_world(theirs, path)
+        drift_one_vm(ours, "ours")
+        save_world(ours, path)  # the tail is no longer ours: keyframe
+        assert ours._world_base.seq == 0
+        same_world(load_world(path), ours)
+
+    def test_saving_elsewhere_writes_a_whole_world(self, tmp_path):
+        engine = CloudlessEngine(seed=3)
+        assert engine.apply(web_tier(web_vms=2, app_vms=1)).ok
+        save_world(engine, str(tmp_path / "a"))
+        drift_one_vm(engine, "large")
+        save_world(engine, str(tmp_path / "b"))
+        same_world(load_world(str(tmp_path / "b")), engine)
+
+    def test_replaced_engine_parts_fall_back_to_a_keyframe(self, tmp_path):
+        from repro.state.snapshots import SnapshotHistory
+
+        path = str(tmp_path / "w")
+        engine = CloudlessEngine(seed=3)
+        assert engine.apply(web_tier(web_vms=2, app_vms=1)).ok
+        save_world(engine, path)
+        engine = load_world(path)
+        engine.history = SnapshotHistory()
+        engine.gateway.planes["aws"]._tokens.clear()
+        save_world(engine, path)
+        assert engine._world_base.seq == 0
+        same_world(load_world(path), engine)
+
+
+# -- crash boundary sweep ----------------------------------------------------------------
+
+
+@pytest.fixture
+def two_commits(tmp_path):
+    """A world, the same world one delta later, and the loaded dicts."""
+    path = str(tmp_path / "w")
+    engine = CloudlessEngine(seed=3)
+    sources = estate(40)
+    assert engine.apply(sources).ok
+    save_world(engine, path)
+    with open(path, "rb") as handle:
+        previous = handle.read()
+    before = engine_to_dict(load_world(path))
+    sources["aws.clc"] = edit_services(sources["aws.clc"], 2, "r1")
+    assert engine.apply(sources).ok
+    save_world(engine, path)
+    with open(path, "rb") as handle:
+        following = handle.read()
+    assert following.startswith(previous)
+    return path, previous, following, before, engine_to_dict(load_world(path))
+
+
+class TestCrashBoundaries:
+    def test_a_cut_append_loads_as_the_previous_or_the_next_commit(self, two_commits):
+        path, previous, following, before, after = two_commits
+        boundaries = [o for o in frame_offsets(following) if o >= len(previous)]
+        assert len(boundaries) >= 5  # several sections and the commit frame
+        cuts = {len(previous), len(following)}
+        for offset in boundaries:
+            cuts.update((offset - 1, offset, offset + 1, offset + 40))
+        cuts.update(range(len(previous), len(following), 97))  # mid-frame
+        for cut in sorted(c for c in cuts if len(previous) <= c <= len(following)):
+            with open(path, "wb") as handle:
+                handle.write(following[:cut])
+            loaded = engine_to_dict(load_world(path))
+            # only the last byte (the commit frame's newline) commits
+            assert loaded == (after if cut == len(following) else before), cut
+
+    def test_the_save_after_a_torn_tail_heals_the_file(self, two_commits):
+        path, previous, following, before, after = two_commits
+        with open(path, "wb") as handle:
+            handle.write(following[: len(previous) + 300])
+        engine = load_world(path)
+        drift_one_vm(engine, "large")
+        save_world(engine, path)
+        same_world(load_world(path), engine)
+        with open(path, "rb") as handle:
+            assert following[len(previous) : len(previous) + 300] not in handle.read()
+
+    def test_a_kill_during_compaction_leaves_the_previous_commit(
+        self, two_commits, monkeypatch
+    ):
+        path, previous, following, before, after = two_commits
+        engine = load_world(path)
+        drift_one_vm(engine, "large")
+
+        class Killed(BaseException):
+            pass
+
+        def die(*_args):
+            raise Killed()
+
+        # before the rename: the new keyframe is complete but not visible
+        monkeypatch.setattr(os, "replace", die)
+        with pytest.raises(Killed):
+            persist._compact(engine, path)
+        monkeypatch.undo()
+        assert engine_to_dict(load_world(path)) == after
+        # mid-way through the sections: it is not even complete
+        real_frame, calls = persist._frame, []
+
+        def die_on_third(kind, name, value):
+            calls.append(name)
+            if len(calls) == 3:
+                raise Killed()
+            return real_frame(kind, name, value)
+
+        monkeypatch.setattr(persist, "_frame", die_on_third)
+        with pytest.raises(Killed):
+            persist._compact(engine, path)
+        monkeypatch.undo()
+        assert engine_to_dict(load_world(path)) == after
+        assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]
+        # and the engine that survived its failed saves still saves
+        save_world(engine, path)
+        same_world(load_world(path), engine)
+
+    def test_a_cut_keyframe_is_not_a_world(self, two_commits):
+        path, previous, *_ = two_commits
+        for cut in (0, 10, len(previous) // 2, len(previous) - 1):
+            with open(path, "wb") as handle:
+                handle.write(previous[:cut])
+            with pytest.raises(WorldFormatError):
+                load_world(path)
+
+
+# -- untrusted bytes ---------------------------------------------------------------------
+
+
+@pytest.fixture
+def commits(tmp_path):
+    """A five-commit world and what each prefix of commits loads as."""
+    path = str(tmp_path / "w")
+    engine = CloudlessEngine(seed=3)
+    assert engine.apply(web_tier(web_vms=2, app_vms=1)).ok
+    save_world(engine, path)
+    loads = [engine_to_dict(load_world(path))]
+    for size in ("a", "b", "c", "d"):
+        drift_one_vm(engine, size)
+        save_world(engine, path)
+        loads.append(engine_to_dict(load_world(path)))
+    with open(path, "rb") as handle:
+        return path, handle.read(), loads
+
+
+def load_or_reject(path, loads):
+    try:
+        loaded = engine_to_dict(load_world(path))
+    except WorldFormatError:
+        return None
+    assert loaded in loads
+    return loaded
+
+
+class TestUntrustedBytes:
+    def test_bit_flips(self, commits):
+        path, data, loads = commits
+        rng = random.Random(16)
+        outcomes = set()
+        for _ in range(300):
+            position, bit = rng.randrange(len(data)), 1 << rng.randrange(8)
+            damaged = bytearray(data)
+            damaged[position] ^= bit
+            with open(path, "wb") as handle:
+                handle.write(damaged)
+            loaded = load_or_reject(path, loads)
+            outcomes.add(None if loaded is None else loads.index(loaded))
+        # flips in the last commit fall back to the one before; flips
+        # further in are damage at rest and are refused; none gets through
+        assert None in outcomes and len(loads) - 1 not in outcomes
+
+    def test_oversized_length_prefix(self, commits):
+        path, data, loads = commits
+        for offset in frame_offsets(data):
+            header_end = data.index(b"\n", offset)
+            parts = data[offset:header_end].split(b" ")
+            for length in (b"9" * 18, b"9" * 200, str(len(data) * 2).encode()):
+                forged = b" ".join([*parts[:3], length, parts[4]])
+                with open(path, "wb") as handle:
+                    handle.write(data[:offset] + forged + data[header_end:])
+                loaded = load_or_reject(path, loads)
+                assert loaded is None or loaded != loads[-1]
+
+    def test_garbage_after_a_valid_frame(self, commits):
+        path, data, loads = commits
+        rng = random.Random(16)
+        for garbage in (
+            b"\0" * 4096,
+            rng.randbytes(5000),
+            b"clw3 D state 12 " + b"0" * 64 + b"\n{}",
+            b"\n" + MAGIC + b" D state -1 x\n",
+            b'{"format": 2}',
+        ):
+            with open(path, "wb") as handle:
+                handle.write(data + garbage)
+            assert engine_to_dict(load_world(path)) == loads[-1]
+
+    def test_a_well_framed_lie_is_still_typed(self, commits, monkeypatch):
+        path, data, loads = commits
+        end_of_keyframe = data.index(b"\n", data.index(b" C commit ") + 10)
+        end_of_keyframe = data.index(b"\n", end_of_keyframe + 1) + 1
+        keyframe = data[:end_of_keyframe]
+        lies = {
+            "state": {"set": [{"address": 7}], "removed": [], "serial": 1},
+            "plane:aws": {"records": "all of them"},
+            "history": [{"version": 2, "base": "state"}],
+            "engine": [],
+            "sources": {"0" * 64: "not base64 !"},
+        }
+        for name, value in lies.items():
+            frames = [persist._frame("D", name, value)]
+            frames.append(commit_frame(frames, 1))
+            with open(path, "wb") as handle:
+                handle.write(keyframe + b"".join(frames))
+            if name == "sources":
+                load_world(path)  # a blob nothing names is never unpacked
+                continue
+            with pytest.raises(WorldFormatError):
+                load_world(path)
+        # a source blob is outside input too: what it inflates to is bounded
+        monkeypatch.setattr(persist, "_MAX_SOURCE_BYTES", 64)
+        with open(path, "wb") as handle:
+            handle.write(data)
+        with pytest.raises(WorldFormatError, match="source blob"):
+            load_world(path)
+
+    def test_a_nest_too_deep_to_decode_is_typed(self, commits):
+        path, data, loads = commits
+        payload = b"[" * 100_000 + b"]" * 100_000
+        header = b"%s K engine %d %s\n" % (
+            MAGIC,
+            len(payload),
+            hashlib.sha256(payload).hexdigest().encode(),
+        )
+        frames = [header + payload + b"\n"]
+        frames.append(commit_frame(frames, 0))
+        with open(path, "wb") as handle:
+            handle.write(b"".join(frames))
+        with pytest.raises(WorldFormatError):
+            load_world(path)
+
+
+# -- formats ---------------------------------------------------------------------------------
+
+
+class TestFormats:
+    def test_a_format_2_world_is_read_once_and_rewritten(self, tmp_path):
+        path = str(tmp_path / "w")
+        shutil.copy(os.path.join(FIXTURES, "world_v2.json"), path)
+        engine = load_world(path)
+        # what the program that wrote the fixture saw (tests/fixtures/README.md)
+        assert len(engine.state) == 14
+        assert engine.history.versions() == [1, 2]
+        assert engine.state.content_hash().startswith("508d1a871cb1e5c0")
+        assert len(engine.history.get(1).state) == 12
+        assert engine.plan(engine.last_sources).is_empty
+        assert len(engine.watch().findings) == 1  # the edit it had not seen
+        with open(path, "rb") as handle:
+            assert handle.read().startswith(MAGIC + b" K engine ")
+        same_world(load_world(path), load_world(path))
+        assert len(load_world(path).history.get(1).state) == 12
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"format": 1}', b'{"format": 3}', b'{"format": 2, "executor": "sharded"}',
+         b"{not json", b"", b"PK\x03\x04", b'{"format": 2, "history": [{"version": 2}]}'],
+    )
+    def test_anything_else_is_a_typed_error(self, tmp_path, content):
+        path = str(tmp_path / "w")
+        with open(path, "wb") as handle:
+            handle.write(content)
+        with pytest.raises(WorldFormatError):
+            load_world(path)
+
+    def test_the_cli_says_so_in_one_line(self, tmp_path, capsys):
+        with open(str(tmp_path / "cloudless.world"), "wb") as handle:
+            handle.write(b'{"format": 1}')
+        assert cli_main(["--chdir", str(tmp_path), "show"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unsupported world format 1")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+# -- process tax -----------------------------------------------------------------------------
+
+
+def test_watch_imports_no_module_only_other_verbs_run(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    project = str(tmp_path)
+    assert cli_main(["--chdir", project, "init"]) == 0
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "repro", "--chdir", project, "watch"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0 and "no drift detected" in run.stdout
+    imported = {line.rpartition("|")[2].strip() for line in run.stderr.splitlines()}
+    assert "repro.core.engine" in imported  # the flag did record imports
+    for module in ("debug.correlate", "porting", "synthesis", "update.rollback"):
+        assert f"repro.{module}" not in imported, module
+
+
+def test_every_public_name_still_resolves():
+    import repro
+
+    for name in repro.__all__:
+        assert getattr(repro, name) is not None, name
+    assert repro.validate("").ok and callable(repro.build_graph)
+    with pytest.raises(AttributeError):
+        repro.no_such_name
