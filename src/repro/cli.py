@@ -36,6 +36,12 @@ from .persist import WorldFormatError, load_world, save_world
 
 WORLD_FILE = "cloudless.world"
 
+#: what may sit beside a world and speak for it: the intent journal of
+#: its last apply, and the cursor journal a ``watch`` wrote before the
+#: world became the only home of watch progress. ``init --force``
+#: removes them so a new world never inherits a dead one's history.
+_WORLD_SIBLINGS = (".wal", ".cursors", ".cursors.journal", ".cursors.bak")
+
 
 class CliError(RuntimeError):
     """User-facing CLI failure (exit code 1)."""
@@ -129,6 +135,13 @@ def cmd_init(args) -> int:
     path = _world_path(args)
     if os.path.exists(path) and not args.force:
         raise CliError(f"{path} already exists (use --force to reset)")
+    # siblings first: dying in between leaves the old world without its
+    # journal, never the new world with the old one's
+    for suffix in _WORLD_SIBLINGS:
+        try:
+            os.unlink(path + suffix)
+        except FileNotFoundError:
+            pass
     engine = CloudlessEngine(seed=args.seed)
     save_world(engine, path)
     print(f"initialized simulated multi-cloud world at {path}")
@@ -290,7 +303,6 @@ def cmd_watch(args) -> int:
     cycles = engine.watch_continuously(
         cycles=max(1, args.cycles),
         interval_s=args.interval,
-        cursor_path=_world_path(args) + ".cursors",
         max_lag_s=args.max_lag,
         auto_reconcile=args.reconcile,
     )

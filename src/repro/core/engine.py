@@ -464,7 +464,6 @@ class CloudlessEngine:
         cycles: int = 1,
         interval_s: float = 60.0,
         policy: Optional[Dict[str, str]] = None,
-        cursor_path: Optional[str] = None,
         max_lag_s: float = 900.0,
         auto_reconcile: bool = True,
     ) -> List[WatchCycle]:
@@ -482,7 +481,6 @@ class CloudlessEngine:
                 self.resilient,
                 health=self.health,
                 policy=policy,
-                cursor_path=cursor_path,
                 max_lag_s=max_lag_s,
                 auto_reconcile=auto_reconcile,
                 detector=self.watcher,

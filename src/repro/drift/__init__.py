@@ -18,7 +18,6 @@ from .watcher import (
     DEFER_DARK,
     DriftWatcher,
     ReconcileDecision,
-    WatchCursorStore,
     WatchCycle,
     classify_defect,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "ReconcileInterrupted",
     "ReconcileReport",
     "Reconciler",
-    "WatchCursorStore",
     "WatchCycle",
     "classify_defect",
 ]

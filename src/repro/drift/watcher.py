@@ -5,7 +5,9 @@ sweeps with cursor-based tailing of each provider plane's activity log
 -- the push-based drift handling the paper advocates:
 
 * **durable cursors** -- per-partition cursors are event *sequence
-  numbers* checkpointed through :class:`JournalStateStore`, so a
+  numbers* held by the :class:`LogWatchDetector` and persisted by
+  :mod:`repro.persist` in the same world commit as the repairs they
+  caused (cursors and repairs land together or not at all), so a
   restarted watcher resumes where it stopped instead of replaying (or
   worse, re-repairing) the whole log;
 * **bounded staleness** -- every partition carries an observation lag;
@@ -30,15 +32,14 @@ sweeps with cursor-based tailing of each provider plane's activity log
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..cloud.activitylog import ActivityEvent
 from ..cloud.gateway import CloudGateway
-from ..cloud.resilience import HealthMonitor, ResilientGateway, RetryPolicy
+from ..cloud.resilience import HealthMonitor, ResilientGateway
 from ..lang.values import values_equal
 from ..perf import PERF
 from ..state.document import StateDocument
-from ..state.store import JournalStateStore
 from .detector import DetectionRun, DriftFinding, LogWatchDetector
 from .reconcile import (
     ADOPT,
@@ -156,68 +157,32 @@ class WatchCycle:
         return out
 
 
-class WatchCursorStore:
-    """Durable per-partition cursors, journaled like golden state.
-
-    Reuses :class:`JournalStateStore` (keyframe + JSONL delta journal,
-    torn-tail truncation, ``.bak`` fallback): a cursor checkpoint is an
-    O(changed) append, and every crash window replays to the same
-    cursors -- the watcher resumes, it never replays the log.
-    """
-
-    def __init__(self, path: str, compact_threshold: int = 32):
-        self._store = JournalStateStore(path, compact_threshold=compact_threshold)
-
-    def load(self) -> Dict[str, int]:
-        doc = self._store.read()
-        raw = doc.outputs.get("cursors", {})
-        return {str(name): int(cursor) for name, cursor in raw.items()}
-
-    def save(self, cursors: Mapping[str, int]) -> None:
-        snapshot = {name: int(c) for name, c in sorted(cursors.items())}
-        doc = self._store.read()
-        if doc.outputs.get("cursors") == snapshot:
-            return  # nothing moved; no journal append
-        doc.outputs["cursors"] = snapshot
-        doc.bump()
-        self._store.write(doc)
-
-
 class DriftWatcher:
     """Continuous reconciliation: tail logs, decide, repair, repeat.
 
     One :meth:`cycle` = tail every plane's activity log past its
     cursor, account staleness, coalesce events into findings, classify
-    each finding (enforce/adopt/notify/defer-dark), drive the
-    :class:`Reconciler` over the actionable ones, and checkpoint the
-    cursors. :meth:`run` strings cycles together on the simulated
-    clock.
+    each finding (enforce/adopt/notify/defer-dark), and drive the
+    :class:`Reconciler` over the actionable ones. :meth:`run` strings
+    cycles together on the simulated clock.
     """
 
     def __init__(
         self,
         gateway: CloudGateway,
         *,
-        retry: Optional[RetryPolicy] = None,
         health: Optional[HealthMonitor] = None,
         policy: Optional[Dict[str, str]] = None,
-        cursor_path: Optional[str] = None,
         max_lag_s: float = 900.0,
         auto_reconcile: bool = True,
         detector: Optional[LogWatchDetector] = None,
-        reconciler: Optional[Reconciler] = None,
     ):
-        self.gateway = ResilientGateway.wrap(gateway, retry=retry, health=health)
+        self.gateway = ResilientGateway.wrap(gateway, health=health)
         self.health = self.gateway.health
         self.detector = detector or LogWatchDetector(self.gateway)
-        self.reconciler = reconciler or Reconciler(self.gateway, policy=policy)
+        self.reconciler = Reconciler(self.gateway, policy=policy)
         self.max_lag_s = max_lag_s
         self.auto_reconcile = auto_reconcile
-        self.cursor_store = (
-            WatchCursorStore(cursor_path) if cursor_path else None
-        )
-        if self.cursor_store is not None:
-            self.detector.restore_cursors(self.cursor_store.load())
         #: when each partition was last successfully observed
         self._last_seen: Dict[str, float] = {}
         self._started_at: Optional[float] = None
@@ -288,9 +253,6 @@ class DriftWatcher:
         report = None
         if self.auto_reconcile and actionable:
             report = self._repair(actionable, state)
-
-        if self.cursor_store is not None:
-            self.cursor_store.save(self.detector.cursors)
 
         run = DetectionRun(
             findings=findings,

@@ -35,7 +35,7 @@ from typing import Dict, Optional
 from ..core.engine import CloudlessEngine
 from ..persist import load_world, save_world
 from ..state.locks import LockGrant, ResourceLockManager
-from ..state.store import JournalStateStore
+from ..state.store import JournalStateStore, StoreOwnedError
 
 #: default session-lease TTL; long against op latency, short against
 #: operator reaction time -- the window a zombie can linger unfenced
@@ -136,6 +136,13 @@ class TenantSession:
             store = JournalStateStore(
                 home.state_path, owner=holder, steal=preempt
             )
+        except StoreOwnedError as exc:
+            # the lease had lapsed but the marker's owner is alive: the
+            # estate is another instance's, which is what fenced means
+            plane.release(holder, grant.fencing_token)
+            raise SessionFencedError(
+                f"tenant {tenant!r} estate is owned elsewhere: {exc}"
+            ) from exc
         except BaseException:
             plane.release(holder, grant.fencing_token)
             raise

@@ -97,11 +97,11 @@ class JournalStateStore:
             live = isinstance(pid, int) and self._pid_alive(pid)
             if live:
                 raise StoreOwnedError(
-                    f"journal store {self.path!r} is already open: owned "
-                    f"by {marker.get('owner', '<unknown>')!r} (pid {pid}); "
-                    f"a second live instance appending to the same journal "
-                    f"would corrupt it. Release the other instance, or "
-                    f"pass steal=True if it is a fenced-out zombie."
+                    f"owner marker {self.owner_path!r} is held by "
+                    f"{marker.get('owner', '<unknown>')!r} (pid {pid}, "
+                    f"alive); what it guards has one owner at a time. "
+                    f"Release the other instance, or pass steal=True if "
+                    f"it is a fenced-out zombie."
                 )
         token = uuid.uuid4().hex
         directory = os.path.dirname(os.path.abspath(self.owner_path))
@@ -257,4 +257,4 @@ class StaleStateError(RuntimeError):
 
 
 class StoreOwnedError(RuntimeError):
-    """A second live instance tried to open an owned journal store."""
+    """The store's owner marker is held by another live instance."""

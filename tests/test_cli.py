@@ -1,5 +1,6 @@
 """CLI end-to-end tests (in tmp project directories)."""
 
+import contextlib
 import os
 
 import pytest
@@ -51,6 +52,29 @@ def run(project, *argv):
     return main(["--chdir", project, *argv])
 
 
+@contextlib.contextmanager
+def apply_dying_at(monkeypatch, boundary):
+    """A CLI ``apply`` inside the block is killed by a crash hook at
+    executor boundary ``boundary`` (1 = after the first commit)."""
+    from repro.core.engine import CloudlessEngine
+    from repro.deploy import SimulatedCrash
+
+    real_apply = CloudlessEngine.apply
+
+    def hook(index):
+        if index == boundary:
+            raise SimulatedCrash()
+
+    with monkeypatch.context() as patcher:
+        patcher.setattr(
+            CloudlessEngine,
+            "apply",
+            lambda self, *a, **kw: real_apply(self, *a, crash_hook=hook, **kw),
+        )
+        with pytest.raises(SimulatedCrash):
+            yield
+
+
 class TestCliLifecycle:
     def test_init_creates_world(self, project, capsys):
         assert run(project, "init") == 0
@@ -61,6 +85,37 @@ class TestCliLifecycle:
         assert run(project, "init") == 0
         assert run(project, "init") == 1
         assert run(project, "init", "--force") == 0
+
+    def test_init_force_resets_the_worlds_siblings(
+        self, project, capsys, monkeypatch
+    ):
+        """A new world must not inherit a dead one's intent journal (or
+        the cursor journal an older ``watch`` left)."""
+        world = os.path.join(project, "cloudless.world")
+        assert run(project, "init") == 0
+        with apply_dying_at(monkeypatch, 1):
+            run(project, "apply")
+        leftovers = [
+            world + suffix
+            for suffix in (".cursors", ".cursors.journal", ".cursors.bak")
+        ]
+        for path in leftovers:
+            with open(path, "w") as handle:
+                handle.write("{}\n")
+        assert run(project, "init", "--force") == 0
+        assert not any(map(os.path.exists, leftovers + [world + ".wal"]))
+        capsys.readouterr()
+        assert run(project, "resume") == 0
+        out = capsys.readouterr().out
+        assert out.startswith("journal clean: nothing to recover")
+
+    def test_verbs_write_the_world_its_wal_and_the_cache_only(self, project):
+        assert run(project, "init") == 0
+        assert run(project, "apply") == 0
+        assert run(project, "watch", "--reconcile") == 0
+        assert sorted(os.listdir(project)) == [
+            ".clc-cache", "cloudless.world", "cloudless.world.wal", "main.clc",
+        ]
 
     def test_validate_plan_apply_show(self, project, capsys):
         run(project, "init")
@@ -304,8 +359,6 @@ class TestOneCompilePerVerb:
         return project, source, verb
 
     def test_spy_counts(self, spied, monkeypatch):
-        from repro.core.engine import CloudlessEngine
-        from repro.deploy import SimulatedCrash
         from repro.lang.chunker import iter_chunks
 
         project, source, verb = spied
@@ -343,22 +396,8 @@ class TestOneCompilePerVerb:
             handle.write(
                 edited.replace('service = "scale-1" }', 'service = "scale-1b" }')
             )
-        real_apply = CloudlessEngine.apply
-
-        def hook(index):
-            if index == 1:
-                raise SimulatedCrash()
-
-        with monkeypatch.context() as patcher:
-            patcher.setattr(
-                CloudlessEngine,
-                "apply",
-                lambda self, *a, **kw: real_apply(
-                    self, *a, crash_hook=hook, **kw
-                ),
-            )
-            with pytest.raises(SimulatedCrash):
-                run(project, "apply")
+        with apply_dying_at(monkeypatch, 1):
+            run(project, "apply")
         assert verb("resume") == warm
         assert verb("plan") == warm
 

@@ -419,43 +419,34 @@ class TestCursorPersistence:
     """Satellite 4: cursor checkpoints survive a watcher restart."""
 
     def test_restarted_watcher_resumes_not_replays(self, tmp_path):
+        from repro.persist import load_world, save_world
+
+        def restart(path):
+            # a fresh process: the world is all it has
+            engine = load_world(path)
+            watcher = DriftWatcher(
+                engine.gateway, detector=engine.watcher, auto_reconcile=False
+            )
+            return engine, watcher
+
         engine = deployed(seed=83)
-        cursor_path = str(tmp_path / "watch.cursors")
-        watcher = DriftWatcher(engine.gateway, cursor_path=cursor_path)
-        consume_history(watcher, engine.state)  # checkpoints cursors
+        path = str(tmp_path / "w.world")
+        watcher = DriftWatcher(engine.gateway, detector=engine.watcher)
+        consume_history(watcher, engine.state)
         vm = a_vm(engine)
         engine.gateway.planes["aws"].external_update(
             vm.resource_id, {"size": "large"}, actor="cron"
         )
-        # "restart": a fresh watcher (fresh detector, cursors all zero)
-        # pointed at the same checkpoint file
-        restarted = DriftWatcher(
-            engine.gateway, cursor_path=cursor_path, auto_reconcile=False
-        )
+        save_world(engine, path)  # checkpoints cursors
+        engine, restarted = restart(path)
         cycle = restarted.cycle(engine.state)
         # resumes at the checkpoint: sees exactly the one new event,
         # does not replay the apply-time history
         assert [f.kind for f in cycle.findings] == ["modified"]
         assert cycle.findings[0].event_count == 1
-        third = DriftWatcher(
-            engine.gateway, cursor_path=cursor_path, auto_reconcile=False
-        )
+        save_world(engine, path)
+        engine, third = restart(path)
         assert third.cycle(engine.state).findings == []
-
-    def test_checkpoint_written_through_journal_store(self, tmp_path):
-        engine = deployed(seed=84)
-        cursor_path = str(tmp_path / "watch.cursors")
-        watcher = DriftWatcher(engine.gateway, cursor_path=cursor_path)
-        consume_history(watcher, engine.state)
-        from repro.drift import WatchCursorStore
-
-        assert WatchCursorStore(cursor_path).load() == watcher.cursors
-        # identical cursors don't grow the journal
-        import os
-
-        size = os.path.getsize(cursor_path + ".journal")
-        watcher.cycle(engine.state)
-        assert os.path.getsize(cursor_path + ".journal") == size
 
     def test_world_persistence_round_trips_cursors(self, tmp_path):
         from repro.persist import load_world, save_world
@@ -513,27 +504,78 @@ resource "aws_virtual_machine" "web" {
 
         return main(["--chdir", project, *argv])
 
-    def test_multi_cycle_watch_reconciles_and_exits_zero(
-        self, project, capsys
-    ):
+    def the_vm(self, project):
         import os
 
-        from repro.persist import load_world, save_world
+        from repro.persist import load_world
 
-        assert self.run(project, "init") == 0
-        assert self.run(project, "apply") == 0
-        assert self.run(project, "watch") == 0  # consume history
         world = os.path.join(project, "cloudless.world")
         engine = load_world(world)
-        vm = next(
-            e
-            for e in engine.state.resources()
-            if e.address.type == "aws_virtual_machine"
-        )
+        return world, engine, a_vm(engine)
+
+    def resize_out_of_band(self, project):
+        from repro.persist import save_world
+
+        world, engine, vm = self.the_vm(project)
         engine.gateway.planes["aws"].external_update(
             vm.resource_id, {"size": "xlarge"}, actor="cron"
         )
         save_world(engine, world)
+
+    def test_watch_killed_before_its_commit_is_rerun(
+        self, project, capsys, monkeypatch
+    ):
+        """Cursors, repairs and cloud records are one world commit: a
+        watch that dies before the commit has consumed nothing."""
+        import repro.cli as cli
+
+        def die(*args):
+            raise KeyboardInterrupt
+
+        assert self.run(project, "init") == 0
+        assert self.run(project, "apply") == 0
+        assert self.run(project, "watch") == 0  # consume history
+        self.resize_out_of_band(project)
+        with monkeypatch.context() as patcher:
+            patcher.setattr(cli, "save_world", die)
+            with pytest.raises(KeyboardInterrupt):
+                self.run(project, "watch", "--reconcile")
+        capsys.readouterr()
+        assert self.run(project, "watch", "--reconcile") == 0
+        out = capsys.readouterr().out
+        assert "[modified] aws_virtual_machine.web (size) by cron" in out
+        assert "reset cloud attributes" in out
+        _, engine, vm = self.the_vm(project)
+        assert engine.gateway.find_record(vm.resource_id).attrs == vm.attrs
+        assert vm.attrs["size"] != "xlarge"
+
+    def test_stale_cursor_journal_is_never_read(self, project, capsys):
+        """A ``<world>.cursors`` journal from an older run, far ahead of
+        a fresh world's log, hides nothing."""
+        from repro.state import JournalStateStore, StateDocument
+
+        assert self.run(project, "init") == 0
+        assert self.run(project, "apply") == 0
+        world, engine, _ = self.the_vm(project)
+        ahead = StateDocument()
+        ahead.outputs["cursors"] = {
+            name: plane.log.next_cursor + 1000
+            for name, plane in engine.gateway.planes.items()
+        }
+        ahead.bump()
+        JournalStateStore(world + ".cursors").write(ahead)
+        self.resize_out_of_band(project)
+        capsys.readouterr()
+        assert self.run(project, "watch") == 0
+        assert "[modified] aws_virtual_machine.web (size)" in capsys.readouterr().out
+
+    def test_multi_cycle_watch_reconciles_and_exits_zero(
+        self, project, capsys
+    ):
+        assert self.run(project, "init") == 0
+        assert self.run(project, "apply") == 0
+        assert self.run(project, "watch") == 0  # consume history
+        self.resize_out_of_band(project)
         capsys.readouterr()
         code = self.run(
             project, "watch", "--reconcile", "--cycles", "2", "--interval", "30"
@@ -545,20 +587,12 @@ resource "aws_virtual_machine" "web" {
         assert "reset cloud attributes" in out
 
     def test_watch_without_reconcile_prints_decision(self, project, capsys):
-        import os
-
         from repro.persist import load_world, save_world
 
         assert self.run(project, "init") == 0
         assert self.run(project, "apply") == 0
         assert self.run(project, "watch") == 0
-        world = os.path.join(project, "cloudless.world")
-        engine = load_world(world)
-        vm = next(
-            e
-            for e in engine.state.resources()
-            if e.address.type == "aws_virtual_machine"
-        )
+        world, engine, vm = self.the_vm(project)
         engine.gateway.planes["aws"].external_delete(vm.resource_id, actor="x")
         save_world(engine, world)
         capsys.readouterr()

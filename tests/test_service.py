@@ -515,6 +515,40 @@ class TestSessionsAndCrash:
         assert all(r.reason == REJECT_STALE_SESSION for r in responses)
         assert still_live
 
+    def test_lapsed_lease_under_a_live_owner_marker_is_409(self, tmp_path):
+        """Two instances idle past the TTL: the fenced-out one wins the
+        lapsed lease but not the owner marker. That is a fencing
+        conflict (409), not an engine bug (500)."""
+        clock = SimClock()
+
+        async def main():
+            a, b = (
+                ControlPlaneService(
+                    str(tmp_path), instance=name,
+                    policy=ServicePolicy(apply_pool=1),
+                    clock=lambda: clock.now,
+                )
+                for name in ("a", "b")
+            )
+            await a.start()
+            await b.start()
+            first = await a.request("t", "apply", payload={"sources": SRC})
+            clock.advance_to(1.0)
+            takeover = await b.request("t", "apply", payload={"sources": SRC})
+            clock.advance_to(1.0 + a.policy.session_ttl_s + 1.0)
+            fenced = await a.request("t", "apply", payload={"sources": SRC})
+            # the lease a won on the way is released, so b still serves
+            after = await b.request("t", "apply", payload={"sources": BIGGER})
+            await a.stop()
+            await b.stop()
+            return first, takeover, fenced, after
+
+        first, takeover, fenced, after = run(main())
+        assert (first.status, takeover.status, after.status) == (200, 200, 200)
+        assert fenced.status == STATUS_OF[REJECT_STALE_SESSION] == 409
+        assert fenced.reason == REJECT_STALE_SESSION
+        assert "journal" not in fenced.body["detail"]
+
     def test_kill_restart_resume_converges(self, tmp_path):
         from repro.deploy import SimulatedCrash
 
