@@ -10,7 +10,7 @@ An artifact is the ``(config, graph)`` pair one set of source texts
 compiled to, and nothing else. File layout (torn-write-safe, modelled
 on the state journal)::
 
-    {"version": 3, "variables_fp": ..., "schema_fp": ...,
+    {"version": 4, "variables_fp": ..., "schema_fp": ...,
      "source_sha": {filename: sha256}, "blob_sha": ..., "blob_len": N,
      "header_sha": <sha256 of the other fields>}\n
     <N bytes: pickle of (config, graph)>
@@ -27,7 +27,10 @@ pair classifies as a miss (counted in
 :attr:`CompileCache.corrupt_rejects`), never an error. Exactness is
 decided by whole-file sha256 -- same bytes parse to the same chunks,
 so there is no separate chunk-fingerprint rescan on the hit path (the
-chunker is pure, and chunker changes bump ``FORMAT_VERSION``).
+chunker is pure, and chunker changes bump ``FORMAT_VERSION``; so does
+a change to the pickled shape -- version 4 is slotted AST nodes, tuple
+source spans and a chunk table keyed by file, start line and
+fingerprint).
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import pickle
 import tempfile
 from typing import Any, Dict, List, Optional
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: artifact filename suffix (one workload key per file)
 SUFFIX = ".clcc"

@@ -33,6 +33,7 @@ from ..graph.plan import Plan, Planner
 from ..lang.config import Configuration
 from ..lang.diagnostics import CLCError
 from ..lang.module_loader import ModuleLoader
+from ..perf import PERF
 from ..policy.controller import AdmissionDecision, InfrastructureController
 from ..policy.cost import CostEstimator
 from ..state.document import StateDocument
@@ -65,8 +66,8 @@ class Compiled:
     variables: Optional[Dict[str, Any]]
     #: replayed from an exact artifact hit, else built on first use
     graph: Optional[ResourceGraph] = None
-    #: ``(variables_fp, schema_fp)`` when the sources differ from the
-    #: cached artifact, so the graph is journaled once it is built
+    #: ``(variables_fp, schema_fp)`` when a cache is attached and this
+    #: is not its artifact replayed, so the graph is journaled once built
     store_fps: Optional[Tuple[str, str]] = None
 
 
@@ -175,6 +176,10 @@ class CloudlessEngine:
         #: this engine was loaded or last saved; a save writes a delta
         #: against it
         self._world_base: Any = None
+        #: ``(texts, config)`` of the last compile from source text; the
+        #: next :meth:`compile` reuses what it can of it. Dropped with
+        #: the engine, which is how a re-opened session forgets it.
+        self._last_compile: Optional[Tuple[Dict[str, str], Configuration]] = None
         #: persistent compiled-artifact cache (``cache_dir=None`` keeps
         #: every compile cold); see :mod:`repro.compilecache`
         self.compile_cache = None
@@ -200,7 +205,14 @@ class CloudlessEngine:
     ) -> Compiled:
         """Sources -> config (+ graph on an exact cache hit): the one
         step every verb runs once. A :class:`Compiled` passes through
-        unchanged, carrying the variables it was compiled under."""
+        unchanged, carrying the variables it was compiled under.
+
+        Source text compiles against this engine's last compile: the
+        same texts are that ``Configuration`` again, edited ones
+        re-parse the chunks that changed. Only the first compile of an
+        engine reads the artifact cache or parses cold. The graph is
+        never kept: lazy locals and module arguments memoise values
+        under the resolver of the plan that built them."""
         if isinstance(sources, Compiled):
             return sources
         if isinstance(sources, Configuration):
@@ -211,19 +223,28 @@ class CloudlessEngine:
             sources = {"main.clc": sources}
         texts = dict(sources)
         cache = self.compile_cache
-        if cache is None:
-            return Compiled(Configuration.parse_streaming(texts), texts, variables)
-        from ..compilecache import schema_fingerprint, variables_fingerprint
+        fps: Optional[Tuple[str, str]] = None
+        if cache is not None:
+            from ..compilecache import schema_fingerprint, variables_fingerprint
 
-        fps = (variables_fingerprint(variables), schema_fingerprint(self.gateway))
-        lookup = cache.load(texts, *fps)
-        if lookup is not None and lookup.exact:
-            return Compiled(lookup.config, texts, variables, graph=lookup.graph)
-        # partial hit: unchanged chunks skip lex+parse via the
-        # artifact's resident chunk-AST table
-        config = Configuration.parse_streaming(
-            texts, reuse=lookup.config if lookup is not None else None
-        )
+            fps = (variables_fingerprint(variables), schema_fingerprint(self.gateway))
+        reuse: Optional[Configuration] = None
+        if self._last_compile is not None:
+            resident_texts, reuse = self._last_compile
+            if resident_texts == texts:
+                PERF.count("compile.resident_exact")
+                return Compiled(reuse, texts, variables, store_fps=fps)
+            PERF.count("compile.resident_partial")
+        elif fps is not None:
+            lookup = cache.load(texts, *fps)
+            if lookup is not None and lookup.exact:
+                self._last_compile = (texts, lookup.config)
+                return Compiled(lookup.config, texts, variables, graph=lookup.graph)
+            # partial hit: unchanged chunks skip lex+parse via the
+            # artifact's resident chunk-AST table
+            reuse = lookup.config if lookup is not None else None
+        config = Configuration.parse_streaming(texts, reuse=reuse)
+        self._last_compile = (texts, config)
         return Compiled(config, texts, variables, store_fps=fps)
 
     def _graph(self, compiled: Compiled) -> ResourceGraph:

@@ -3,6 +3,10 @@
 Two families: *expression* nodes (everything to the right of an ``=``)
 and *structural* nodes (attributes, blocks, files). All nodes carry a
 :class:`~repro.lang.diagnostics.SourceSpan` for error correlation.
+
+Nodes are slotted: a resident service tenant keeps its program's AST
+for as long as its session lives, so a node costs its fields and no
+``__dict__``.
 """
 
 from __future__ import annotations
@@ -16,10 +20,11 @@ from .diagnostics import SourceSpan
 class Expr:
     """Base class for expression nodes."""
 
+    __slots__ = ()
     span: SourceSpan
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class Literal(Expr):
     """A constant: string, number, bool, or null."""
 
@@ -27,7 +32,7 @@ class Literal(Expr):
     span: SourceSpan
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class TemplateExpr(Expr):
     """A string with interpolations, e.g. ``"vm-${var.env}"``."""
 
@@ -35,7 +40,7 @@ class TemplateExpr(Expr):
     span: SourceSpan
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class ScopeRef(Expr):
     """A bare root identifier beginning a traversal, e.g. ``var``."""
 
@@ -43,7 +48,7 @@ class ScopeRef(Expr):
     span: SourceSpan
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class AttrAccess(Expr):
     """``obj.name``"""
 
@@ -52,7 +57,7 @@ class AttrAccess(Expr):
     span: SourceSpan
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class IndexAccess(Expr):
     """``obj[index]``"""
 
@@ -61,7 +66,7 @@ class IndexAccess(Expr):
     span: SourceSpan
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class SplatExpr(Expr):
     """``obj[*].attr1.attr2`` -- project an attribute across a list."""
 
@@ -70,7 +75,7 @@ class SplatExpr(Expr):
     span: SourceSpan
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class FunctionCall(Expr):
     """``name(arg, ...)``; ``expand_final`` marks a trailing ``...``."""
 
@@ -80,7 +85,7 @@ class FunctionCall(Expr):
     span: SourceSpan
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class UnaryOp(Expr):
     """``!x`` or ``-x``"""
 
@@ -89,7 +94,7 @@ class UnaryOp(Expr):
     span: SourceSpan
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class BinaryOp(Expr):
     """``left <op> right`` for arithmetic/comparison/logic."""
 
@@ -99,7 +104,7 @@ class BinaryOp(Expr):
     span: SourceSpan
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class Conditional(Expr):
     """``cond ? then : otherwise``"""
 
@@ -109,7 +114,7 @@ class Conditional(Expr):
     span: SourceSpan
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class ListExpr(Expr):
     """``[a, b, c]``"""
 
@@ -117,7 +122,7 @@ class ListExpr(Expr):
     span: SourceSpan
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class ObjectExpr(Expr):
     """``{ k = v, ... }`` -- keys are expressions (idents lex as strings)."""
 
@@ -125,7 +130,7 @@ class ObjectExpr(Expr):
     span: SourceSpan
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class ForExpr(Expr):
     """List/map comprehension.
 
@@ -147,7 +152,7 @@ class ForExpr(Expr):
 # -- structural nodes --------------------------------------------------
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class Attribute:
     """``name = expr`` inside a block body."""
 
@@ -156,7 +161,7 @@ class Attribute:
     span: SourceSpan
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class Block:
     """``type "label1" "label2" { body }``"""
 
@@ -169,7 +174,7 @@ class Block:
         return self.labels[i] if i < len(self.labels) else None
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class Body:
     """The contents of a block or file: attributes plus nested blocks."""
 
@@ -184,7 +189,7 @@ class Body:
         return attr.expr if attr else None
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class ConfigFile:
     """One parsed CLC source file."""
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..perf import PERF
 from .ast_nodes import (
     Attribute,
     Block,
@@ -155,9 +156,10 @@ class Configuration:
         #: per-file ordered chunk fingerprints (streaming parses only);
         #: the compiled-artifact cache keys graph validity off these
         self.block_fingerprints: Dict[str, List[str]] = {}
-        #: chunk fingerprint -> parsed chunk AST, so a later
-        #: ``parse_streaming(reuse=this)`` skips re-lexing unchanged text
-        self._chunk_asts: Dict[str, ConfigFile] = {}
+        #: (filename, start line, chunk fingerprint) -> parsed chunk AST,
+        #: so a later ``parse_streaming(reuse=this)`` skips re-lexing text
+        #: that is unchanged *and* where it was: spans are file-absolute
+        self._chunk_asts: Dict[Tuple[str, int, str], ConfigFile] = {}
 
     # -- lookup helpers ----------------------------------------------------
 
@@ -210,27 +212,40 @@ class Configuration:
         which makes a warm re-parse O(changed declarations). The result
         is semantically identical to :meth:`parse` -- same declarations,
         same diagnostics, file-absolute source spans.
+
+        The span rule: an AST carries the line numbers it was parsed at,
+        so a cached chunk is reused only in the file and at the start
+        line it was parsed in. An edit that keeps line counts reuses
+        every other chunk; an inserted or deleted line re-parses the
+        chunks below it in that file (never more than a cold parse),
+        and two byte-identical chunks in one file are two entries. The
+        new table holds the chunks of ``sources`` and nothing older.
         """
         if isinstance(sources, str):
             sources = {filename: sources}
         prev = reuse._chunk_asts if reuse is not None else {}
         cfg = cls()
+        parsed = 0
         for fname in sorted(sources):
             merged = Body()
             fps: List[str] = []
             for chunk in iter_chunks(sources[fname]):
                 fps.append(chunk.fingerprint)
-                cached = prev.get(chunk.fingerprint)
-                if cached is None or cached.filename != fname:
+                key = (fname, chunk.start_line, chunk.fingerprint)
+                cached = prev.get(key)
+                if cached is None:
                     cached = parse_file(
                         chunk.text, fname, start_line=chunk.start_line
                     )
-                cfg._chunk_asts[chunk.fingerprint] = cached
+                    parsed += 1
+                cfg._chunk_asts[key] = cached
                 for name, attr in cached.body.attributes.items():
                     merged.attributes.setdefault(name, attr)
                 merged.blocks.extend(cached.body.blocks)
             cfg.block_fingerprints[fname] = fps
             cfg.add_file(ConfigFile(body=merged, filename=fname))
+        PERF.count("lang.chunks_parsed", parsed)
+        PERF.count("lang.chunks_reused", len(cfg._chunk_asts) - parsed)
         return cfg
 
     def add_file(self, cfile: ConfigFile) -> None:

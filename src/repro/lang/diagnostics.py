@@ -10,18 +10,31 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Iterator, List, Optional
+from typing import Iterator, List, NamedTuple, Optional
 
 
-@dataclasses.dataclass(frozen=True)
-class SourceSpan:
-    """A half-open region of source text, 1-based line/column."""
+class SourceSpan(NamedTuple):
+    """A half-open region of source text, 1-based line/column.
+
+    A tuple, not a dataclass: two in five objects of an AST are spans, a
+    resident service tenant keeps its program's AST, and the artifact
+    cache pickles every one of them. A tuple is immutable without a
+    per-instance ``__dict__`` and is built without five
+    ``__setattr__`` calls."""
 
     filename: str = "<config>"
     start_line: int = 1
     start_col: int = 1
     end_line: int = 1
     end_col: int = 1
+
+    def __reduce__(self):
+        # one plain tuple per span and nothing else: the pickler keeps
+        # every object it writes alive until the dump ends, and an
+        # artifact holds ~9 spans per resource (reducing through
+        # ``tuple.__new__`` unpickles 15 % faster, but a dump of the
+        # 1,993-resource estate then holds 22 MB instead of 13)
+        return SourceSpan, tuple(self)
 
     def __str__(self) -> str:
         return f"{self.filename}:{self.start_line}:{self.start_col}"

@@ -23,6 +23,15 @@ from typing import Any, Dict, Iterator
 #: call sites. The service tier's ``service.*`` family is the contract
 #: the tenant-storm chaos scenario checks in its ``CampaignReport``.
 KNOWN_PROBES: Dict[str, str] = {
+    # -- compile: what a verb's sources cost to turn into a Configuration --
+    "lang.chunks_parsed": "count: top-level chunks lexed and parsed by a "
+    "streaming parse",
+    "lang.chunks_reused": "count: chunks a streaming parse took from the "
+    "previous parse's chunk-AST table instead",
+    "compile.resident_exact": "count: compiles answered by the engine's last "
+    "compile whole (same texts: no chunking, no parse)",
+    "compile.resident_partial": "count: compiles that re-parsed against the "
+    "engine's last compile (edited texts: changed chunks only)",
     # -- persistence: the world file and the journal store -----------------
     "persist.bytes_appended": "count: bytes of delta commits appended to a world file",
     "persist.keyframe_writes": "count: whole-world keyframes written (first save, "

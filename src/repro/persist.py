@@ -131,6 +131,9 @@ class _Base:
         self.state = engine.state.copy()  # O(1) COW
         self.history = engine.history
         self.history_last = engine.history.last_version
+        # the file names every committed version's sources by key; so
+        # does the history from here on, whatever it was built from
+        engine.history.release_sources(self.stored, self.source)
         self.engine_section = _engine_section(engine)
 
     @property

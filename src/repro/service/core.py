@@ -474,9 +474,14 @@ class ControlPlaneService:
         engine = session.engine
         payload = request.payload
         if op == "plan":
+            variables = payload.get("variables")
+            if variables is None and "sources" not in payload:
+                # a bare plan plans what is applied, under the variables
+                # it was applied with (what ``engine.resume`` does)
+                variables = engine.last_variables
             plan = engine.plan(
                 payload.get("sources", engine.last_sources or ""),
-                variables=payload.get("variables"),
+                variables=variables,
             )
             body: Dict[str, Any] = {"summary": plan.summary()}
         elif op == "apply":

@@ -12,7 +12,9 @@ chain of deltas that starts at the live state and walks backwards, each
 version recorded as what turns its successor into it. The newest
 version is usually an empty delta, trimming old versions never
 re-anchors the survivors, and each distinct source file is stored once,
-by content key, however many versions share it.
+by content key, however many versions share it. Once a version is
+persisted it keeps only those keys in memory too
+(:meth:`SnapshotHistory.release_sources`).
 
 :meth:`SnapshotHistory.import_records` parses those deltas but replays
 none of them: an imported version becomes a document the first time
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Collection, Dict, List, Optional, Union
 
 from ..addressing import ResourceAddress
 from ..perf import PERF
@@ -256,6 +258,24 @@ class SnapshotHistory:
             newer, base = doc, version
         out.reverse()
         return out
+
+    def release_sources(
+        self, stored: Collection[str], source_of: Callable[[str], str]
+    ) -> None:
+        """The persisted form now holds the source files ``stored``
+        names (content keys): every version made only of those drops
+        its text for the keys and reads it back through ``source_of``
+        when asked -- the shape :meth:`import_records` leaves, so a
+        history weighs the same an hour into a session as re-loaded."""
+        self._source_of = source_of
+        for record in self._records:
+            if record.sources_pending:
+                continue
+            keys = {f: source_key(text) for f, text in record.config_sources.items()}
+            if all(key in stored for key in keys.values()):
+                # a new dict: a Snapshot handed out earlier keeps its text
+                record.config_sources = keys
+                record.sources_pending = True
 
     def import_records(
         self,

@@ -144,3 +144,110 @@ class TestParseStreaming:
         assert set(cfg.block_fingerprints) == {"a.clc", "b.clc"}
         assert cfg.block_fingerprints["a.clc"] == chunk_fingerprints(SIMPLE)
         assert cfg.block_fingerprints["b.clc"] == chunk_fingerprints(TRICKY)
+
+
+def _every_span(cfg):
+    """Every position a parse hands to later stages: the span of each
+    block, attribute and (sub-)expression, of each declaration, and each
+    diagnostic with its message."""
+    from repro.lang.ast_nodes import walk_expr
+
+    out = []
+
+    def span(tag, s):
+        out.append((tag, s.filename, s.start_line, s.start_col, s.end_line, s.end_col))
+
+    def body(b, path):
+        for name, attr in b.attributes.items():
+            span(f"{path}.{name}", attr.span)
+            for i, expr in enumerate(walk_expr(attr.expr)):
+                span(f"{path}.{name}#{i}:{type(expr).__name__}", expr.span)
+        for i, block in enumerate(b.blocks):
+            here = f"{path}/{i}:{block.type}{block.labels}"
+            span(here, block.span)
+            body(block.body, here)
+
+    for cfile in cfg.files:
+        body(cfile.body, cfile.filename)
+    for table in (cfg.variables, cfg.outputs, cfg.resources, cfg.module_calls, cfg.providers):
+        for key, decl in table.items():
+            span(f"decl {key}", decl.span)
+    for diag in cfg.diagnostics:
+        span(f"diag {diag.code} {diag.message}", diag.span)
+    return out
+
+
+class TestReuseKeepsSpansFileAbsolute:
+    """``reuse=`` is keyed on chunk text, but an AST carries the line
+    numbers it was parsed at: a chunk that moved must not keep them."""
+
+    PROGRAM = SIMPLE + TRICKY + '''
+# a block the classifier complains about, so diagnostics move too
+resource "oops" {
+}
+
+resource "aws_vpc" "z" {
+  name       = "z"
+  cidr_block = "10.9.0.0/16"
+}
+'''
+
+    @staticmethod
+    def edits(src, rng):
+        chunks = [c.text for c in iter_chunks(src)]
+        k = rng.randrange(1, len(chunks) - 1)
+        moved = chunks[:k] + chunks[k + 1 :] + [chunks[k]]
+        return {
+            "in-place": src.replace('"app-rg"', '"app-rg%d"' % rng.randrange(10, 99)),
+            "insert line above": "".join(
+                chunks[:k] + ["# inserted %d\n" % k] + chunks[k:]
+            ),
+            "delete line": src.replace(
+                "# leading comment travels with the next block\n", "", 1
+            ),
+            "move block": "".join(moved),
+            "duplicate block": src + chunks[k],
+        }
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_reused_parse_equals_cold_parse(self, seed):
+        import random
+
+        prev = Configuration.parse_streaming(self.PROGRAM)
+        for name, edited in self.edits(self.PROGRAM, random.Random(seed)).items():
+            assert edited != self.PROGRAM, name
+            warm = Configuration.parse_streaming(edited, reuse=prev)
+            cold = Configuration.parse_streaming(edited)
+            assert _every_span(warm) == _every_span(cold), name
+            assert str(warm.diagnostics) == str(cold.diagnostics), name
+            assert warm.block_fingerprints == cold.block_fingerprints, name
+
+    def test_the_issue_reproduction(self):
+        two = (
+            'resource "aws_vpc" "a" {\n  name = "a"\n}\n'
+            'resource "aws_vpc" "b" {\n  name = "b"\n}\n'
+        )
+        prev = Configuration.parse_streaming(two)
+        edited = "# one\n# two\n" + two.replace('"aws_vpc" "a"', '"aws_vpc" "a2"')
+        warm = Configuration.parse_streaming(edited, reuse=prev)
+        assert str(warm.resource("aws_vpc", "b").span) == "main.clc:6:1"
+
+    def test_identical_chunks_in_one_file_report_their_own_lines(self):
+        block = 'resource "aws_vpc" "a" {\n  name = "a"\n}\n'
+        prev = Configuration.parse_streaming(block * 2)
+        warm = Configuration.parse_streaming(block * 3, reuse=prev)
+        lines = [b.span.start_line for b in warm.files[0].body.blocks]
+        assert lines == [1, 4, 7]
+        assert [d.span.start_line for d in warm.diagnostics] == [4, 7]
+
+    def test_same_text_in_two_files_keeps_both_filenames(self, monkeypatch):
+        import repro.lang.config as lang_config
+
+        both = {"a.clc": SIMPLE, "b.clc": SIMPLE}
+        prev = Configuration.parse_streaming(both)
+        monkeypatch.setattr(
+            lang_config, "parse_file", lambda *a, **k: pytest.fail("re-parsed")
+        )
+        warm = Configuration.parse_streaming(both, reuse=prev)
+        assert all(ast.filename == key[0] for key, ast in warm._chunk_asts.items())
+        assert _every_span(warm) == _every_span(prev)

@@ -6,7 +6,7 @@ config and the expanded graph to disk. The contract under test:
 * exact hit -> the cached config and graph replay without re-parsing;
 * any edit -> partial hit (chunk-AST reuse only), never a stale graph;
 * any corruption -- truncated file, flipped blob byte, version skew
-  (including a v2 file), garbage header, tampered header fields, a blob
+  (including a v2 file and the previous commit's v3), garbage header, tampered header fields, a blob
   that is not a ``(config, graph)`` pair -- degrades to a cold build,
   mirroring ``tests/test_store_torn.py``;
 * the engine's warm plan and warm apply are byte-identical to cold;
@@ -188,6 +188,30 @@ class TestCorruption:
         self.write_parts(path, header, meta + payload, reseal=False)
         self.assert_cold(cache, texts, vfp, sfp)
 
+    def test_parent_commits_artifact_is_a_counted_miss(self, tmp_path, gateway):
+        """``fixtures/artifact_v3.clcc`` was written by the program one
+        commit before AST nodes were slotted (tests/fixtures/README.md):
+        its pickle is of another shape, so it must be turned away at
+        the header, counted, and replaced -- never half-loaded."""
+        import shutil
+
+        cache_dir = str(tmp_path / "cache")
+        engine = CloudlessEngine(gateway=gateway, cache_dir=cache_dir)
+        cache = engine.compile_cache
+        texts = {"main.clc": SOURCE}
+        fps = (variables_fingerprint(None), schema_fingerprint(gateway))
+        fixture = os.path.join(os.path.dirname(__file__), "fixtures", "artifact_v3.clcc")
+        assert json.loads(open(fixture, "rb").readline())["version"] == 3
+        shutil.copy(fixture, cache.path_for(texts, *fps))
+
+        rendered = engine.plan(SOURCE).render()
+        assert rendered == CloudlessEngine(gateway=gateway).plan(SOURCE).render()
+        assert (cache.misses, cache.corrupt_rejects, cache.stores) == (1, 1, 1)
+        assert cache.exact_hits == cache.partial_hits == 0
+        healed = CloudlessEngine(gateway=gateway, cache_dir=cache_dir)
+        assert healed.plan(SOURCE).render() == rendered
+        assert healed.compile_cache.exact_hits == 1
+
     def test_garbage_header(self, cache, gateway):
         texts, vfp, sfp, path = self.setup_artifact(cache, gateway)
         open(path, "wb").write(b"not json at all\njunk")
@@ -273,6 +297,25 @@ class TestCorruption:
         )
         assert healed.plan(SOURCE).render() == expected
         assert healed.compile_cache.exact_hits == 1
+
+
+class TestSlottedNodesPickle:
+    def test_config_round_trips(self):
+        from tests.test_chunker import TRICKY, _every_span
+
+        config = Configuration.parse_streaming(SOURCE + TRICKY)
+        blob = pickle.dumps(config, protocol=pickle.HIGHEST_PROTOCOL)
+        back = pickle.loads(blob)
+        assert _every_span(back) == _every_span(config)
+        assert back.block_fingerprints == config.block_fingerprints
+        assert back._chunk_asts.keys() == config._chunk_asts.keys()
+        block = back.files[0].body.blocks[0]
+        assert not hasattr(block, "__dict__")
+        assert repr(back.files[0].body) == repr(config.files[0].body)
+        # and the copy still seeds a reuse parse
+        again = Configuration.parse_streaming(EDITED + TRICKY, reuse=back)
+        shared = set(again._chunk_asts) & set(back._chunk_asts)
+        assert len(shared) == len(back._chunk_asts) - 1
 
 
 class TestEngineWarmPath:

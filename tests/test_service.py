@@ -646,3 +646,288 @@ class TestSessionsAndCrash:
 
         run(main())
         assert (tmp_path / "tenants" / "a" / "state.json.owner").exists()
+
+
+VARIABLE_SRC = '''
+variable "cidr" {
+  type = string
+}
+
+resource "aws_vpc" "v" {
+  name       = "v"
+  cidr_block = var.cidr
+}
+'''
+
+
+class TestBarePlan:
+    def test_bare_plan_keeps_the_tenants_variables(self, tmp_path):
+        """A plan without sources plans what is applied -- under the
+        variables it was applied with, not under none."""
+
+        async def main():
+            svc = make_service(tmp_path)
+            await svc.start()
+            applied = await svc.request(
+                "a",
+                "apply",
+                payload={"sources": VARIABLE_SRC, "variables": {"cidr": "10.0.0.0/16"}},
+            )
+            bare = await svc.request("a", "plan")
+            what_if = await svc.request(
+                "a", "plan", payload={"variables": {"cidr": "10.1.0.0/16"}}
+            )
+            breaker = svc.breakers.of("a").state
+            await svc.stop()
+            return applied, bare, what_if, breaker
+
+        applied, bare, what_if, breaker = run(main())
+        assert applied.status == 200
+        assert bare.status == 200, bare.body
+        summary = bare.body["summary"]
+        assert {k: summary[k] for k in ("create", "update", "replace", "delete")} == {
+            "create": 0, "update": 0, "replace": 0, "delete": 0,
+        }
+        # variables the caller does send still win
+        assert what_if.status == 200
+        assert what_if.body["summary"]["update"] + what_if.body["summary"]["replace"] == 1
+        assert breaker == "closed"
+
+
+def _retag(text: str, revision: str) -> str:
+    """A one-attribute edit of one block that moves no line."""
+    from tests.test_engine_resident import retag
+
+    return retag(text, "estate-1", revision)
+
+
+class TestResidentCompile:
+    """A tenant's session keeps its engine, and the engine its last
+    compile: an op parses what the tenant changed. Whatever replaces
+    the engine (a re-opened lease, a restart) starts cold again."""
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """Chunks parsed since the last look (pool threads included)."""
+        from tests.test_engine_resident import count_parses
+
+        take = count_parses(monkeypatch)
+        return lambda: take()["parsed"]
+
+    @staticmethod
+    def program():
+        from repro.lang.chunker import iter_chunks
+        from repro.workloads import sized_estate
+
+        text = sized_estate(20)
+        return text, len(list(iter_chunks(text)))
+
+    def test_tenants_with_one_program_text_share_nothing(self, tmp_path, parsed):
+        text, n_chunks = self.program()
+
+        async def main():
+            svc = make_service(tmp_path)
+            await svc.start()
+            counts = {}
+            for tenant in ("a", "b"):
+                assert (await svc.request(tenant, "apply", payload={"sources": text})).ok
+                counts[f"first {tenant}"] = parsed()
+            tables = {
+                t: svc.sessions[t].engine._last_compile[1]._chunk_asts for t in "ab"
+            }
+            edited = await svc.request("a", "apply", payload={"sources": _retag(text, "r1")})
+            counts["edit a"] = parsed()
+            plan_b = await svc.request("b", "plan")
+            counts["plan b"] = parsed()
+            plan_a = await svc.request("a", "plan")
+            counts["plan a"] = parsed()
+            b_table_after = svc.sessions["b"].engine._last_compile[1]._chunk_asts
+            await svc.stop()
+            return counts, tables, b_table_after, edited, plan_a, plan_b
+
+        counts, tables, b_table_after, edited, plan_a, plan_b = run(main())
+        assert counts == {
+            "first a": n_chunks, "first b": n_chunks,
+            "edit a": 1, "plan b": 0, "plan a": 0,
+        }
+        assert tables["a"].keys() == tables["b"].keys()
+        assert not {id(ast) for ast in tables["a"].values()} & {
+            id(ast) for ast in tables["b"].values()
+        }
+        assert b_table_after is tables["b"]
+        assert edited.body["summary"]["update"] == 2
+        for plan in (plan_a, plan_b):
+            assert plan.ok and plan.body["summary"]["update"] == 0
+
+    def test_a_reopened_lease_starts_cold_then_warms(self, tmp_path, parsed):
+        text, n_chunks = self.program()
+        clock = SimClock()
+
+        async def main():
+            svc = ControlPlaneService(
+                str(tmp_path),
+                policy=ServicePolicy(apply_pool=1),
+                clock=lambda: clock.now,
+            )
+            await svc.start()
+            counts = []
+            for now in (0.0, 1.0, 31.5, 32.0):
+                clock.advance_to(now)
+                response = await svc.request("a", "apply", payload={"sources": text})
+                assert response.ok, response
+                counts.append(parsed())
+            await svc.stop()
+            return counts
+
+        # the lease lapsed before the third apply: a new engine, loaded
+        # from the world, parses everything once
+        assert run(main()) == [n_chunks, 0, n_chunks, 0]
+
+    def test_a_restart_after_kill_starts_cold_then_warms(self, tmp_path, parsed):
+        text, n_chunks = self.program()
+
+        async def main():
+            first = ControlPlaneService(
+                str(tmp_path), instance="A", policy=ServicePolicy(apply_pool=2)
+            )
+            await first.start()
+            assert (await first.request("a", "apply", payload={"sources": text})).ok
+            await first.kill()
+            parsed()
+            second = ControlPlaneService(
+                str(tmp_path), instance="B", policy=ServicePolicy(apply_pool=2)
+            )
+            await second.start()
+            counts = []
+            for _ in range(2):
+                plan = await second.request("a", "plan")
+                assert plan.ok and plan.body["summary"]["create"] == 0
+                counts.append(parsed())
+            await second.stop()
+            return counts
+
+        assert run(main()) == [n_chunks, 0]
+
+    def test_an_edited_module_is_picked_up_by_the_next_op(self, tmp_path, parsed):
+        """The resident compile is the root module's text and nothing
+        else: module text enters at graph build, which every op runs."""
+        from repro.lang.module_loader import DictModuleLoader
+
+        root = 'module "m" {\n  source = "./m"\n}\n'
+
+        def module(name):
+            return 'resource "aws_s3_bucket" "b" {\n  name = "bucket-%s"\n}\n' % name
+
+        async def main():
+            svc = make_service(tmp_path)
+            await svc.start()
+            assert (await svc.request("a", "stats")).ok  # opens the session
+            loader = DictModuleLoader({"./m": module("one")})
+            svc.sessions["a"].engine.loader = loader
+            applied = await svc.request("a", "apply", payload={"sources": root})
+            parsed()
+            unchanged = await svc.request("a", "plan")
+            loader.register("./m", module("two"))
+            changed = await svc.request("a", "plan")
+            root_parses = parsed()
+            reapplied = await svc.request("a", "apply", payload={"sources": root})
+            names = sorted(
+                e.attrs["name"] for e in svc.sessions["a"].engine.state.resources()
+            )
+            await svc.stop()
+            return applied, unchanged, changed, root_parses, reapplied, names
+
+        applied, unchanged, changed, root_parses, reapplied, names = run(main())
+        assert applied.ok and applied.body["summary"]["create"] == 1
+        assert unchanged.body["summary"]["create"] == 0
+        assert unchanged.body["summary"]["replace"] + unchanged.body["summary"]["update"] == 0
+        # the module's chunk is parsed by the loader; the root's is not
+        assert changed.body["summary"]["replace"] + changed.body["summary"]["update"] == 1
+        assert root_parses == 1
+        assert reapplied.ok and names == ["bucket-two"]
+
+
+class TestResidentHistory:
+    """A committed version names its sources by content key in memory,
+    as a loaded one does: the world file holds the text, once."""
+
+    def test_forty_applies_keep_keys_and_give_back_text(self, tmp_path):
+        from repro.persist import load_world, save_world
+        from repro.workloads import sized_estate
+
+        base = sized_estate(20)
+        texts = {n: _retag(base, f"r{n}") for n in range(1, 41)}
+
+        async def main():
+            svc = make_service(tmp_path)
+            await svc.start()
+            for n in range(1, 41):
+                response = await svc.request("a", "apply", payload={"sources": texts[n]})
+                assert response.ok, response
+            engine = svc.sessions["a"].engine
+            history = engine.history
+            assert history.last_version == 40
+            for record in history._records:
+                assert record.sources_pending, record.version
+                (key,) = record.config_sources.values()
+                assert len(key) == 64 and int(key, 16) >= 0
+            # the text comes back when asked for, version by version
+            oldest = history.versions()[0]
+            for version in (oldest, oldest + 1, 39, 40):
+                assert history.get(version).config_sources == {
+                    "main.clc": texts[version]
+                }
+            assert history.diff(oldest, 40).changed == [
+                "aws_virtual_machine.estate_1_vm[0]",
+                "aws_virtual_machine.estate_1_vm[1]",
+            ]
+            # ... which the next commit folds back into keys
+            assert not history._record(39).sources_pending
+            assert (await svc.request("a", "apply", payload={"sources": texts[1]})).ok
+            assert all(r.sources_pending for r in history._records)
+
+            engine.rollback(oldest + 2)
+            assert engine.last_sources == {"main.clc": texts[oldest + 2]}
+            tags = {
+                e.attrs["tags"].get("rev")
+                for e in engine.state.resources()
+                if e.address.type == "aws_virtual_machine"
+                and e.attrs["tags"]["service"] == "estate-1"
+            }
+            assert tags == {f"r{oldest + 2}"}
+
+            elsewhere = str(tmp_path / "elsewhere.world")
+            save_world(engine, elsewhere)
+            loaded = load_world(elsewhere)
+            assert loaded.history.versions() == history.versions()
+            for version in history.versions():
+                ours, theirs = history.get(version), loaded.history.get(version)
+                assert ours.config_sources == theirs.config_sources
+                assert ours.state.content_hash() == theirs.state.content_hash()
+            assert loaded.state.content_hash() == engine.state.content_hash()
+            assert loaded.last_sources == engine.last_sources
+            await svc.stop()
+
+        run(main())
+
+    def test_a_snapshot_handed_out_keeps_its_text(self, tmp_path):
+        from repro.persist import save_world
+
+        engine = CloudlessEngine(seed=3)
+        assert engine.apply(SRC).ok
+        held = engine.history.get(1)
+        save_world(engine, str(tmp_path / "w"))
+        assert engine.history._record(1).sources_pending
+        assert held.config_sources == {"main.clc": SRC}
+        assert engine.history.get(1).config_sources == {"main.clc": SRC}
+
+    def test_uncommitted_versions_stay_text(self, tmp_path):
+        from repro.persist import save_world
+
+        engine = CloudlessEngine(seed=3)
+        assert engine.apply(SRC).ok
+        save_world(engine, str(tmp_path / "w"))
+        assert engine.apply(BIGGER).ok
+        first, second = engine.history._records
+        assert first.sources_pending and not second.sources_pending
+        assert second.config_sources == {"main.clc": BIGGER}
