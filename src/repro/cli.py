@@ -24,6 +24,7 @@ selects the project directory; ``--world`` the world file.
 from __future__ import annotations
 
 import argparse
+import gc
 import glob
 import json
 import os
@@ -876,6 +877,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a one-shot verb loads a world and an artifact, builds ~10^5
+    # objects that all live until it exits, and exits: the cyclic
+    # collector would re-scan them generation by generation and free
+    # nothing. The long-lived verbs keep it.
+    pause_gc = gc.isenabled() and args.fn not in (cmd_serve, cmd_chaos)
+    if pause_gc:
+        gc.disable()
     try:
         return args.fn(args)
     except (EngineError, CliError, WorldFormatError) as exc:
@@ -888,6 +896,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         except Exception:
             pass
         return 0
+    finally:
+        if pause_gc:
+            gc.enable()
 
 
 if __name__ == "__main__":  # pragma: no cover - module runner

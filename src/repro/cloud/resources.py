@@ -110,6 +110,17 @@ class ResourceTypeSpec:
             self, "_reference", [a for a in values if a.ref_target]
         )
 
+    def signature(self) -> str:
+        """One line naming everything a compile or a validation decides
+        from this spec; a catalog's fingerprint hashes these."""
+        attrs = ",".join(
+            f"{a.name}:{a.type}:{int(a.computed)}:{int(a.required)}:"
+            f"{int(a.forces_replacement)}:{a.semantic}:{a.default!r}"
+            for a in sorted(self.attributes.values(), key=lambda a: a.name)
+        )
+        immutable = ",".join(self.immutable_attrs)
+        return f"{self.provider}|{self.name}|{self.id_prefix}|{immutable}|{attrs}"
+
     def required_attrs(self) -> List[AttributeSpec]:
         return self._required  # type: ignore[attr-defined]
 

@@ -4,11 +4,12 @@ Parsing and expanding an estate dominates cold-start wall time; none
 of that work depends on anything but the source text, the variable
 values, and the provider schemas. This package journals one artifact
 per workload -- the parsed :class:`Configuration` (with its chunk-AST
-table) and the expanded :class:`ResourceGraph` -- to disk, so a second
+table), the expanded :class:`ResourceGraph` and the validation verdict
+reached on them -- to disk, so a second
 ``validate``/``plan``/``apply``/``resume`` of unchanged sources replays
-them instead of rebuilding, and an edited run re-parses only the
-chunks that changed. Planning is never cached: a plan depends on the
-state, which every apply changes.
+them instead of rebuilding and re-validating, and an edited run
+re-parses only the chunks that changed. Planning is never cached: a
+plan depends on the state, which every apply changes.
 
 Robustness mirrors :class:`~repro.state.persist.JournalStateStore`: a
 versioned JSON header carries the per-file source digests and the blob

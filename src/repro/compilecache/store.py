@@ -6,12 +6,14 @@ schema fingerprints -- so an edited file maps to the *same* artifact
 (and a partial hit reuses its unchanged chunk ASTs) while a different
 workload, variable set, or provider catalog maps elsewhere.
 
-An artifact is the ``(config, graph)`` pair one set of source texts
-compiled to, and nothing else. File layout (torn-write-safe, modelled
-on the state journal)::
+An artifact is what one set of source texts compiled to: the
+``(config, graph)`` pair and, when the verb that wrote it validated,
+the verdict. File layout (torn-write-safe, modelled on the state
+journal)::
 
-    {"version": 4, "variables_fp": ..., "schema_fp": ...,
+    {"version": 5, "variables_fp": ..., "schema_fp": ...,
      "source_sha": {filename: sha256}, "blob_sha": ..., "blob_len": N,
+     "verdict": <validation outcome as JSON data, or null>,
      "header_sha": <sha256 of the other fields>}\n
     <N bytes: pickle of (config, graph)>
 
@@ -21,6 +23,12 @@ blob is then length- and digest-checked and unpickled once. A plan is
 never journaled: it depends on the state, which every apply changes,
 so the next verb always re-plans against the replayed graph.
 
+The verdict is a header field, not a tier: opaque JSON to this module,
+written and judged by :class:`repro.validate.ValidationPipeline`
+(``verdict`` / ``replay``), handed back on an exact hit only -- it is a
+function of the very bytes ``source_sha`` fingerprints, so it never
+outlives an edit. It sits under the same ``header_sha`` as the rest.
+
 A torn tail, header corruption, version skew, fingerprint drift, a
 digest mismatch on either part, or a blob that does not unpickle to a
 pair classifies as a miss (counted in
@@ -28,9 +36,8 @@ pair classifies as a miss (counted in
 decided by whole-file sha256 -- same bytes parse to the same chunks,
 so there is no separate chunk-fingerprint rescan on the hit path (the
 chunker is pure, and chunker changes bump ``FORMAT_VERSION``; so does
-a change to the pickled shape -- version 4 is slotted AST nodes, tuple
-source spans and a chunk table keyed by file, start line and
-fingerprint).
+a change to the pickled shape or the header -- version 5 adds the
+verdict field and the resolver slot's generation).
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ import pickle
 import tempfile
 from typing import Any, Dict, List, Optional
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 #: artifact filename suffix (one workload key per file)
 SUFFIX = ".clcc"
@@ -75,14 +82,7 @@ def schema_fingerprint(gateway: Any) -> str:
     for provider in sorted(gateway.planes):
         plane = gateway.planes[provider]
         for rtype in sorted(plane.specs):
-            tspec = plane.specs[rtype]
-            attrs = ",".join(
-                f"{a.name}:{a.type}:{int(a.computed)}:{int(a.required)}"
-                for a in sorted(
-                    tspec.attributes.values(), key=lambda a: a.name
-                )
-            )
-            parts.append(f"{provider}|{rtype}|{tspec.id_prefix}|{attrs}")
+            parts.append(f"{provider}|{rtype}|{plane.specs[rtype].signature()}")
     return _sha("\n".join(parts).encode())
 
 
@@ -98,17 +98,20 @@ def _header_sha(fields: Dict[str, Any]) -> str:
 class CacheLookup:
     """Outcome of :meth:`CompileCache.load`.
 
-    ``kind`` is ``"exact"`` (every file byte-identical: ``config`` *and*
-    ``graph`` replay as-is) or ``"partial"`` (something changed: only
-    ``config``'s chunk-AST table is reusable, via
-    ``Configuration.parse_streaming(reuse=...)``).
+    ``kind`` is ``"exact"`` (every file byte-identical: ``config``,
+    ``graph`` *and* the recorded ``verdict`` replay as-is) or
+    ``"partial"`` (something changed: only ``config``'s chunk-AST table
+    is reusable, via ``Configuration.parse_streaming(reuse=...)``).
     """
 
-    def __init__(self, kind: str, blob: bytes):
+    def __init__(self, kind: str, blob: bytes, verdict: Any = None):
         self.kind = kind
         self._blob: Optional[bytes] = blob
         self.config: Any = None
         self.graph: Any = None
+        #: the header's verdict field as read (untrusted JSON); ``None``
+        #: when the writer never validated, or on a partial hit
+        self.verdict = verdict
 
     @property
     def exact(self) -> bool:
@@ -189,7 +192,11 @@ class CompileCache:
         ):
             return self._reject()
         exact = header.get("source_sha") == _source_shas(sources)
-        lookup = CacheLookup("exact" if exact else "partial", blob)
+        lookup = CacheLookup(
+            "exact" if exact else "partial",
+            blob,
+            verdict=header.get("verdict") if exact else None,
+        )
         try:
             lookup._materialize()
         except Exception:
@@ -240,9 +247,11 @@ class CompileCache:
         schema_fp: str,
         config: Any,
         graph: Any,
+        verdict: Any = None,
     ) -> bool:
-        """Journal one compile. Returns False if anything refused to
-        pickle (the cache is strictly best-effort)."""
+        """Journal one compile (``verdict``: JSON data, see the module
+        docstring). Returns False if anything refused to pickle (the
+        cache is strictly best-effort)."""
         try:
             blob = pickle.dumps(
                 (config, graph), protocol=pickle.HIGHEST_PROTOCOL
@@ -256,6 +265,7 @@ class CompileCache:
             "source_sha": _source_shas(sources),
             "blob_sha": _sha(blob),
             "blob_len": len(blob),
+            "verdict": verdict,
         }
         header["header_sha"] = _header_sha(header)
         path = self.path_for(sources, variables_fp, schema_fp)

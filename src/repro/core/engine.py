@@ -43,6 +43,7 @@ from ..validate.pipeline import (
     LEVEL_RULES,
     ValidationPipeline,
     ValidationReport,
+    VerdictMismatch,
 )
 
 if TYPE_CHECKING:  # imported by the verbs that run them, not by every verb
@@ -64,11 +65,17 @@ class Compiled:
     #: filename -> source text ("" when only a Configuration was given)
     texts: Dict[str, str]
     variables: Optional[Dict[str, Any]]
-    #: replayed from an exact artifact hit, else built on first use
+    #: replayed from an exact artifact hit, else built on first use;
+    #: validation and the plan read the same one
     graph: Optional[ResourceGraph] = None
     #: ``(variables_fp, schema_fp)`` when a cache is attached and this
-    #: is not its artifact replayed, so the graph is journaled once built
+    #: is not its artifact replayed: the artifact is still to be written
     store_fps: Optional[Tuple[str, str]] = None
+    #: the verdict an exact artifact hit recorded, as read (untrusted
+    #: data; :meth:`ValidationPipeline.replay` judges it when asked)
+    verdict: Any = None
+    #: the validation outcome, once a verb has asked for it
+    report: Optional[ValidationReport] = None
 
 
 @dataclasses.dataclass
@@ -210,9 +217,11 @@ class CloudlessEngine:
         Source text compiles against this engine's last compile: the
         same texts are that ``Configuration`` again, edited ones
         re-parse the chunks that changed. Only the first compile of an
-        engine reads the artifact cache or parses cold. The graph is
-        never kept: lazy locals and module arguments memoise values
-        under the resolver of the plan that built them."""
+        engine reads the artifact cache or parses cold. Graph and
+        verdict are products of one verb and die with its ``Compiled``:
+        a graph is all reference cycles, and one kept until the next
+        edit replaces it is freed by the oldest generation of the
+        collector, which a many-tenant heap rarely runs."""
         if isinstance(sources, Compiled):
             return sources
         if isinstance(sources, Configuration):
@@ -239,7 +248,13 @@ class CloudlessEngine:
             lookup = cache.load(texts, *fps)
             if lookup is not None and lookup.exact:
                 self._last_compile = (texts, lookup.config)
-                return Compiled(lookup.config, texts, variables, graph=lookup.graph)
+                return Compiled(
+                    lookup.config,
+                    texts,
+                    variables,
+                    graph=lookup.graph,
+                    verdict=lookup.verdict,
+                )
             # partial hit: unchanged chunks skip lex+parse via the
             # artifact's resident chunk-AST table
             reuse = lookup.config if lookup is not None else None
@@ -248,6 +263,7 @@ class CloudlessEngine:
         return Compiled(config, texts, variables, store_fps=fps)
 
     def _graph(self, compiled: Compiled) -> ResourceGraph:
+        """The verb's one graph: validation and the plan both read it."""
         if compiled.graph is None:
             try:
                 compiled.graph = build_graph(
@@ -257,17 +273,62 @@ class CloudlessEngine:
                 )
             except (GraphBuildError, CLCError) as exc:
                 raise EngineError(str(exc))
-            # module text is outside the exactness test, so a graph
-            # expanded through module calls is never journaled
-            if compiled.store_fps and not compiled.config.module_calls:
-                assert self.compile_cache is not None
-                self.compile_cache.store(
-                    compiled.texts,
-                    *compiled.store_fps,
-                    compiled.config,
-                    compiled.graph,
-                )
+            PERF.count("graph.builds")
         return compiled.graph
+
+    def _store(self, compiled: Compiled) -> None:
+        """Write the artifact if it is still to be written: the graph,
+        plus the verdict when the verb validated before it planned."""
+        # module text is outside the exactness test, so a graph
+        # expanded through module calls is never journaled
+        if (
+            compiled.store_fps
+            and compiled.graph is not None
+            and not compiled.config.module_calls
+        ):
+            assert self.compile_cache is not None
+            self.compile_cache.store(
+                compiled.texts,
+                *compiled.store_fps,
+                compiled.config,
+                compiled.graph,
+                verdict=(
+                    self.validation.verdict(compiled.report)
+                    if compiled.report is not None
+                    else None
+                ),
+            )
+            compiled.store_fps = None
+
+    def _validated(self, compiled: Compiled) -> ValidationReport:
+        """The verdict on ``compiled``: reached once per verb, on the
+        verb's own graph, or replayed from the artifact that replayed
+        the graph when it was reached under this level, these rules and
+        this registry."""
+        if compiled.report is None and compiled.verdict is not None:
+            try:
+                compiled.report = self.validation.replay(compiled.verdict)
+                PERF.count("validate.replayed")
+            except VerdictMismatch as why:
+                PERF.count("compilecache.verdict_mismatch")
+                PERF.count(f"compilecache.verdict_mismatch.{why}")
+        if compiled.report is None:
+            PERF.count("validate.runs")
+            try:
+                graph: Optional[ResourceGraph] = self._graph(compiled)
+            except EngineError:
+                # no graph to share: the pipeline reports why in stage
+                # order (syntax and type errors first, else its own
+                # build's GRAPH diagnostic)
+                graph = None
+            compiled.report = self.validation.validate(
+                compiled.config,
+                variables=compiled.variables,
+                loader=self.loader,
+                graph=graph,
+            )
+            self._store(compiled)
+        return compiled.report
 
     def _executor(self) -> PlanExecutor:
         if self.executor_name not in EXECUTORS:
@@ -285,10 +346,7 @@ class CloudlessEngine:
     def validate(
         self, sources: Sources, variables: Optional[Dict[str, Any]] = None
     ) -> ValidationReport:
-        compiled = self.compile(sources, variables)
-        return self.validation.validate(
-            compiled.config, variables=compiled.variables, loader=self.loader
-        )
+        return self._validated(self.compile(sources, variables))
 
     def plan(
         self,
@@ -296,7 +354,9 @@ class CloudlessEngine:
         variables: Optional[Dict[str, Any]] = None,
         state: Optional[StateDocument] = None,
     ) -> Plan:
-        graph = self._graph(self.compile(sources, variables))
+        compiled = self.compile(sources, variables)
+        graph = self._graph(compiled)
+        self._store(compiled)  # with no verdict, if the verb never validated
         working = (state if state is not None else self.state).copy()
         data_values = read_data_sources(self.resilient, graph, working)
         return self.planner.plan(graph, working, data_values=data_values)
@@ -315,9 +375,7 @@ class CloudlessEngine:
         variables = compiled.variables
         validation: Optional[ValidationReport] = None
         if validate_first:
-            validation = self.validation.validate(
-                compiled.config, variables=variables, loader=self.loader
-            )
+            validation = self._validated(compiled)
             if not validation.ok:
                 return EngineApplyResult(
                     validation=validation,

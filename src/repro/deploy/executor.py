@@ -45,6 +45,7 @@ from ..cloud.resilience import (
 from ..graph.critical_path import analyze
 from ..graph.dag import Dag
 from ..graph.plan import Action, Plan, PlannedChange
+from ..lang.diagnostics import CLCEvalError
 from ..lang.values import is_unknown
 from ..perf import PERF
 from ..state.document import ResourceState, StateDocument
@@ -809,7 +810,14 @@ class PlanExecutor:
 
     def _materialized_attrs(self, change: PlannedChange) -> Dict[str, Any]:
         assert change.node is not None
-        attrs = change.node.evaluate_attrs()
+        try:
+            attrs = change.node.evaluate_attrs()
+        except CLCEvalError as exc:
+            # values only known now can fail an expression or a module
+            # input's ``validation`` rule that passed while Unknown
+            raise _UnresolvedValueError(
+                f"{change.id}: cannot evaluate attributes: {exc}"
+            )
         unknowns = sorted(
             name for name, value in attrs.items() if is_unknown(value)
         )
@@ -869,7 +877,8 @@ class PlanExecutor:
 
 
 class _UnresolvedValueError(RuntimeError):
-    """Attribute values still unknown when the operation must run."""
+    """Attribute values still unknown, or not evaluable, when the
+    operation must run."""
 
 
 class SequentialExecutor(PlanExecutor):

@@ -13,6 +13,7 @@ import enum
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..addressing import DATA, MANAGED, ResourceAddress
+from ..lang.context import DeferredResolver
 from ..lang.values import Unknown, collect_unknown_origins, is_unknown, values_equal
 from ..state.document import ResourceState, StateDocument
 from .builder import ResourceGraph, ResourceNode
@@ -39,6 +40,19 @@ class PlanError(RuntimeError):
     """Raised when a plan cannot be produced (e.g. prevent_destroy)."""
 
 
+def render_value(value: Any) -> str:
+    """``repr`` with dict keys sorted at every depth: a value prints the
+    same whatever order it was built in (the state holds a resource's
+    attrs in insertion order in a running engine, sorted after a
+    reload)."""
+    if isinstance(value, dict):
+        items = sorted(value.items(), key=lambda item: str(item[0]))
+        return "{" + ", ".join(f"{k!r}: {render_value(v)}" for k, v in items) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(render_value(v) for v in value) + "]"
+    return repr(value)
+
+
 @dataclasses.dataclass
 class AttrDiff:
     """One attribute-level difference."""
@@ -48,8 +62,13 @@ class AttrDiff:
     new: Any
     requires_replacement: bool = False
 
+    def render_old(self) -> str:
+        return render_value(self.old)
+
     def render_new(self) -> str:
-        return "(known after apply)" if is_unknown(self.new) else repr(self.new)
+        if is_unknown(self.new):
+            return "(known after apply)"
+        return render_value(self.new)
 
 
 @dataclasses.dataclass
@@ -114,6 +133,11 @@ class ValueResolver:
         self._decl_cache = {}
 
     def _invalidate(self, address: str) -> None:
+        # whatever the graph's contexts memoised from our answers
+        # (locals, child-module inputs) is stale from here on
+        slot = self.graph.binding_resolver
+        if isinstance(slot, DeferredResolver):
+            slot.touch()
         if not self._decl_cache:
             return
         node = self.graph.nodes.get(address)
@@ -194,8 +218,6 @@ class Plan:
         self.analysis_cache: Dict[Any, Any] = {}
         # point the graph's module contexts at this plan's resolver so
         # attribute evaluation sees state/apply-time values
-        from ..lang.context import DeferredResolver
-
         if isinstance(graph.binding_resolver, DeferredResolver):
             graph.binding_resolver.target = self.resolver
 
@@ -242,7 +264,8 @@ class Plan:
             for diff in change.diffs:
                 flag = " # forces replacement" if diff.requires_replacement else ""
                 lines.append(
-                    f"      {diff.name}: {diff.old!r} -> {diff.render_new()}{flag}"
+                    f"      {diff.name}: {diff.render_old()} -> "
+                    f"{diff.render_new()}{flag}"
                 )
         summary = self.summary()
         lines.append(

@@ -16,6 +16,7 @@ from .config import Configuration, ModuleCall
 from .diagnostics import CLCEvalError, SourceSpan
 from .evaluator import Evaluator, Scope
 from .module_loader import ModuleLoader, NullModuleLoader
+from .references import extract_references
 from .values import UNKNOWN, Unknown, coerce_to_type
 
 ModulePath = Tuple[str, ...]
@@ -28,6 +29,12 @@ class ResourceResolver:
     which is exactly what expression-level validation wants. Planners
     and appliers override :meth:`resolve`.
     """
+
+    #: moves whenever :meth:`resolve` may answer differently than it
+    #: did; values memoised from its answers (lazy locals, child-module
+    #: inputs) are dropped when it has. A resolver whose answers never
+    #: change never moves it.
+    generation = 0
 
     def resolve(
         self,
@@ -45,14 +52,32 @@ class ResourceResolver:
 class DeferredResolver(ResourceResolver):
     """Indirection slot: the graph builder installs this into module
     contexts, and the planner/applier later points ``target`` at a
-    state-backed resolver. Until then everything is Unknown."""
+    state-backed resolver. Until then everything is Unknown.
+
+    Every context of a graph shares this one slot, so it carries the
+    graph's ``generation``: pointing ``target`` somewhere moves it, and
+    the bound resolver moves it (:meth:`touch`) when a commit, a data
+    read or a pending replacement changes what it would say."""
 
     def __init__(self) -> None:
-        self.target: Optional[ResourceResolver] = None
+        self._target: Optional[ResourceResolver] = None
+        self.generation = 0
+
+    @property
+    def target(self) -> Optional[ResourceResolver]:
+        return self._target
+
+    @target.setter
+    def target(self, resolver: Optional[ResourceResolver]) -> None:
+        self._target = resolver
+        self.generation += 1
+
+    def touch(self) -> None:
+        self.generation += 1
 
     def resolve(self, module_path, mode, rtype, name, span=None):
-        if self.target is not None:
-            return self.target.resolve(module_path, mode, rtype, name, span)
+        if self._target is not None:
+            return self._target.resolve(module_path, mode, rtype, name, span)
         return super().resolve(module_path, mode, rtype, name, span)
 
 
@@ -96,17 +121,27 @@ class _KeyedMapping(Mapping):
 
 
 class _LazyLocals(Mapping):
-    """Locals evaluated on first access, with cycle detection."""
+    """Locals evaluated on first access, with cycle detection.
+
+    A value is memoised for as long as the resolver that answered it
+    would answer the same (its ``generation``): a local over a resource
+    is Unknown while validating, the state's value while planning and
+    the committed value once the executor has created the resource."""
 
     def __init__(self, ctx: "ModuleContext"):
         self._ctx = ctx
         self._cache: Dict[str, Any] = {}
+        self._generation = ctx.resolver.generation
         self._in_progress: set = set()
 
     def __getitem__(self, name: str) -> Any:
         cfg = self._ctx.config
         if name not in cfg.locals:
             raise KeyError(name)
+        generation = self._ctx.resolver.generation
+        if generation != self._generation:
+            self._cache.clear()
+            self._generation = generation
         if name in self._cache:
             return self._cache[name]
         if name in self._in_progress:
@@ -139,12 +174,18 @@ class ModuleContext:
         module_path: ModulePath = (),
         loader: Optional[ModuleLoader] = None,
         resolver: Optional[ResourceResolver] = None,
+        inputs: Optional[Tuple["ModuleContext", ModuleCall]] = None,
     ):
         self.config = config
         self.module_path = module_path
         self.loader = loader or NullModuleLoader()
         self.resolver = resolver or ResourceResolver()
-        self.variables = self._finalize_variables(variables or {})
+        #: ``(calling context, call)`` of a child module whose arguments
+        #: read resources: its variables are ``variables`` until the
+        #: resolver's generation moves, then the call's arguments again
+        self._inputs = inputs
+        self._variables = self._finalize_variables(variables or {})
+        self._variables_generation = self.resolver.generation
         self._locals = _LazyLocals(self)
         self._module_outputs: Dict[str, Any] = {}
         self._children: Dict[str, ModuleContext] = {}
@@ -176,6 +217,46 @@ class ModuleContext:
         self._locals = _LazyLocals(self)
 
     # -- variables ----------------------------------------------------------
+
+    @property
+    def variables(self) -> Dict[str, Any]:
+        """Input values, finalised (defaults, coercion, ``validation``
+        rules). The root module's are fixed; a child's follow the same
+        memo rule as locals when its call's arguments read resources."""
+        if self._inputs is not None:
+            generation = self.resolver.generation
+            if generation != self._variables_generation:
+                parent, call = self._inputs
+                self._variables = self._finalize_variables(
+                    parent._call_arguments(call)
+                )
+                self._variables_generation = generation
+        return self._variables
+
+    def _call_arguments(self, call: ModuleCall) -> Dict[str, Any]:
+        evaluator = Evaluator(self.scope())
+        return {
+            name: evaluator.evaluate(attr.expr)
+            for name, attr in call.body.attributes.items()
+        }
+
+    def _follows_resolver(self, expr: Any, seen: Optional[set] = None) -> bool:
+        """Whether ``expr`` can evaluate differently once the resolver
+        answers differently: it reads a resource, a data source or a
+        module output -- directly, through a local, or through an
+        input of this module that itself does."""
+        seen = set() if seen is None else seen
+        for ref in extract_references(expr):
+            if ref.kind in ("resource", "data", "module"):
+                return True
+            if ref.kind == "var" and self._inputs is not None:
+                return True
+            if ref.kind == "local" and ref.name not in seen:
+                seen.add(ref.name)
+                attr = self.config.locals.get(ref.name)
+                if attr is not None and self._follows_resolver(attr.expr, seen):
+                    return True
+        return False
 
     def _finalize_variables(self, given: Dict[str, Any]) -> Dict[str, Any]:
         values: Dict[str, Any] = {}
@@ -305,16 +386,17 @@ class ModuleContext:
                 f"{child_cfg.diagnostics.errors[0].message}",
                 call.span,
             )
-        args = {
-            name: Evaluator(self.scope()).evaluate(attr.expr)
-            for name, attr in call.body.attributes.items()
-        }
+        follows = any(
+            self._follows_resolver(attr.expr)
+            for attr in call.body.attributes.values()
+        )
         ctx = ModuleContext(
             child_cfg,
-            variables=args,
+            variables=self._call_arguments(call),
             module_path=self.module_path + (call_name,),
             loader=self.loader,
             resolver=self.resolver,
+            inputs=(self, call) if follows else None,
         )
         self._children[call_name] = ctx
         return ctx

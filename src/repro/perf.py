@@ -32,6 +32,15 @@ KNOWN_PROBES: Dict[str, str] = {
     "compile whole (same texts: no chunking, no parse)",
     "compile.resident_partial": "count: compiles that re-parsed against the "
     "engine's last compile (edited texts: changed chunks only)",
+    "graph.builds": "count: configurations expanded into a resource graph, by "
+    "the engine for a verb or by a validation nobody handed one (a verb "
+    "builds one; an exact artifact hit none)",
+    "validate.runs": "count: validations the engine ran (at most one per verb)",
+    "validate.replayed": "count: verdicts an engine replayed from an exact "
+    "artifact hit instead of validating",
+    "compilecache.verdict_mismatch": "count: exact hits whose recorded verdict "
+    "could not be replayed, so validation ran on the replayed graph; "
+    "compilecache.verdict_mismatch.<level|rules|registry|unreadable> says why",
     # -- persistence: the world file and the journal store -----------------
     "persist.bytes_appended": "count: bytes of delta commits appended to a world file",
     "persist.keyframe_writes": "count: whole-world keyframes written (first save, "

@@ -9,6 +9,7 @@ registry.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, Iterable, List, Optional
 
 from ..cloud.resources import AttributeSpec, ResourceTypeSpec
@@ -67,6 +68,17 @@ class SchemaRegistry:
 
     def regions_of(self, provider: str) -> List[str]:
         return list(self._regions.get(provider, []))
+
+    def fingerprint(self) -> str:
+        """Digest of everything validation reads here (every spec's
+        :meth:`~ResourceTypeSpec.signature`, every region list): a
+        recorded verdict holds only under the registry that gave it."""
+        lines = [self._specs[rtype].signature() for rtype in sorted(self._specs)]
+        lines += [
+            f"{provider}@{','.join(regions)}"
+            for provider, regions in sorted(self._regions.items())
+        ]
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
     # -- semantic helpers ----------------------------------------------------------
 

@@ -14,9 +14,15 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from ..graph.builder import GraphBuildError
+from ..graph.builder import GraphBuildError, ResourceGraph
 from ..lang.config import Configuration
-from ..lang.diagnostics import CLCError, Diagnostic, DiagnosticSink, Severity
+from ..lang.diagnostics import (
+    CLCError,
+    Diagnostic,
+    DiagnosticSink,
+    Severity,
+    SourceSpan,
+)
 from ..types.checker import TypeChecker
 from ..types.schema import SchemaRegistry
 from .rules import Rule, RuleEngine, ValidationContext
@@ -55,6 +61,29 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+class VerdictMismatch(ValueError):
+    """A recorded verdict this pipeline cannot replay; ``str()`` is the
+    reason, one of ``level | rules | registry | unreadable``."""
+
+
+def _diagnostic_from_data(item: Any) -> Diagnostic:
+    """One recorded diagnostic back; anything but exactly the shape
+    :meth:`ValidationPipeline.verdict` writes raises ``ValueError``."""
+    severity, code, message, detail, span = item if isinstance(item, list) else ()
+    if not all(isinstance(text, str) for text in (code, message, detail)):
+        raise ValueError(item)
+    if span is not None:
+        if not (
+            isinstance(span, list)
+            and len(span) == 5
+            and isinstance(span[0], str)
+            and all(type(n) is int for n in span[1:])
+        ):
+            raise ValueError(item)
+        span = SourceSpan(*span)
+    return Diagnostic(Severity(severity), message, span, code, detail)
+
+
 class ValidationPipeline:
     """Runs validation up to a configured level."""
 
@@ -71,12 +100,72 @@ class ValidationPipeline:
         self.engine = RuleEngine.default()
         self.engine.rules.extend(extra_rules)
 
+    # -- the verdict as data -------------------------------------------------
+
+    def _basis(self) -> Dict[str, Any]:
+        """What a verdict is a function of besides the sources and
+        variables it was reached on. A rule's id is its identity (as
+        :meth:`CloudlessEngine.learn_validation_rules` already has it)."""
+        return {
+            "level": self.level,
+            "rules": [rule.info.rule_id for rule in self.engine.rules],
+            "registry": self.registry.fingerprint(),
+        }
+
+    def verdict(self, report: ValidationReport) -> Dict[str, Any]:
+        """``report`` as plain JSON data, with what it holds under."""
+        return {
+            **self._basis(),
+            "stage_errors": dict(report.stage_errors),
+            "diagnostics": [
+                [
+                    d.severity.value,
+                    d.code,
+                    d.message,
+                    d.detail,
+                    list(d.span) if d.span is not None else None,
+                ]
+                for d in report.diagnostics
+            ],
+        }
+
+    def replay(self, verdict: Any) -> ValidationReport:
+        """The report ``verdict`` records, if validating now would be
+        the same function of the same inputs; :class:`VerdictMismatch`
+        otherwise. The bytes are not trusted to be ours: any shape but
+        the one :meth:`verdict` writes is ``unreadable``, never ``ok``."""
+        if not isinstance(verdict, dict):
+            raise VerdictMismatch("unreadable")
+        for field, ours in self._basis().items():
+            if verdict.get(field) != ours:
+                raise VerdictMismatch(field)
+        stage_errors = verdict.get("stage_errors")
+        recorded = verdict.get("diagnostics")
+        if not (
+            isinstance(stage_errors, dict)
+            and all(type(n) is int for n in stage_errors.values())
+            and isinstance(recorded, list)
+        ):
+            raise VerdictMismatch("unreadable")
+        try:
+            diagnostics = [_diagnostic_from_data(item) for item in recorded]
+        except ValueError:  # includes an unknown severity
+            raise VerdictMismatch("unreadable")
+        return ValidationReport(self.level, diagnostics, stage_errors)
+
+    # -- validating ---------------------------------------------------------------
+
     def validate(
         self,
         config_or_sources: Union[Configuration, str, Dict[str, str]],
         variables: Optional[Dict[str, Any]] = None,
         loader=None,
+        graph: Optional[ResourceGraph] = None,
     ) -> ValidationReport:
+        """Validate up to ``self.level``. ``graph`` is the configuration
+        already expanded under these variables and this loader, when the
+        caller has it (a verb builds one graph and plans on it too);
+        without one the rules stage builds its own."""
         sink = DiagnosticSink()
         stage_errors: Dict[str, int] = {}
 
@@ -105,8 +194,12 @@ class ValidationPipeline:
 
         # stage 2: cloud-specific rules (needs the expanded graph)
         try:
-            ctx = ValidationContext.build(
-                config, self.registry, variables=variables, loader=loader
+            ctx = (
+                ValidationContext(config, graph, self.registry)
+                if graph is not None
+                else ValidationContext.build(
+                    config, self.registry, variables=variables, loader=loader
+                )
             )
         except (GraphBuildError, CLCError) as exc:
             sink.error(str(exc), code="GRAPH")

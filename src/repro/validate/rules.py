@@ -17,6 +17,7 @@ from ..lang.config import Configuration
 from ..lang.diagnostics import DiagnosticSink
 from ..lang.references import extract_references
 from ..lang.values import is_unknown
+from ..perf import PERF
 from ..types.schema import SchemaRegistry
 
 
@@ -44,6 +45,7 @@ class ValidationContext:
     ) -> "ValidationContext":
         registry = registry or SchemaRegistry.default()
         graph = build_graph(config, variables=variables, loader=loader)
+        PERF.count("graph.builds")
         return cls(config, graph, registry)
 
     # -- instance access ---------------------------------------------------

@@ -305,6 +305,97 @@ class TestImportedModules:
         assert run(project, "apply") == 0
 
 
+class TestCollectorPausedForOneShotVerbs:
+    """A one-shot verb runs with the cyclic collector off and leaves it
+    as it found it, however the verb ends; the long-lived verbs keep
+    it on."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """Collector states observed inside the verbs' world load."""
+        import gc
+
+        import repro.cli as cli
+
+        states = []
+        real = cli.load_world
+
+        def spying_load(path):
+            states.append(gc.isenabled())
+            return real(path)
+
+        monkeypatch.setattr(cli, "load_world", spying_load)
+        return states
+
+    @pytest.mark.parametrize("enabled_before", [True, False])
+    def test_restored_after_passing_failing_and_raising_verbs(
+        self, project, seen, enabled_before, capsys
+    ):
+        import gc
+
+        assert run(project, "init") == 0
+        was = gc.isenabled()
+        (gc.enable if enabled_before else gc.disable)()
+        try:
+            assert run(project, "apply") == 0
+            assert gc.isenabled() is enabled_before
+            # a failing verb: validation errors exit 1
+            with open(os.path.join(project, "main.clc"), "a") as handle:
+                handle.write('resource "aws_vpc" "main" {\n  name = "again"\n}\n')
+            assert run(project, "plan") == 1
+            assert gc.isenabled() is enabled_before
+            # a raised CliError: no such snapshot
+            assert run(project, "rollback", "99") == 1
+            assert "no snapshot version 99" in capsys.readouterr().err
+            assert gc.isenabled() is enabled_before
+            # an unreadable world: a WorldFormatError out of the load
+            os.unlink(os.path.join(project, "main.clc"))
+            with open(os.path.join(project, "cloudless.world"), "w") as handle:
+                handle.write("clw3 ")
+            assert run(project, "show") == 1
+            assert gc.isenabled() is enabled_before
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False] * 4
+
+    def test_serve_selftest_runs_with_it_enabled(self, tmp_path, monkeypatch, capsys):
+        import gc
+
+        import repro.cli as cli
+
+        states = []
+        real = cli._serve_selftest
+
+        async def spying_selftest(service, args):
+            states.append(gc.isenabled())
+            return await real(service, args)
+
+        monkeypatch.setattr(cli, "_serve_selftest", spying_selftest)
+        assert gc.isenabled()
+        code = main(
+            ["--chdir", str(tmp_path), "serve", "--selftest", "--duration", "0.3"]
+        )
+        assert code == 0, capsys.readouterr().out
+        assert states == [True] and gc.isenabled()
+
+    def test_chaos_keeps_it_enabled(self, monkeypatch, capsys):
+        import gc
+        import importlib
+
+        # ``repro.chaos.library`` the module, not the function of that name
+        chaos_library = importlib.import_module("repro.chaos.library")
+        states = []
+        real = chaos_library.library
+
+        def spying_library():
+            states.append(gc.isenabled())
+            return real()
+
+        monkeypatch.setattr(chaos_library, "library", spying_library)
+        assert main(["chaos", "--list"]) == 0
+        assert states == [True]
+
+
 class TestOneCompilePerVerb:
     """Each planning verb compiles its sources once: at most one
     ``parse_streaming``, one cache load and one artifact unpickle, and
@@ -369,7 +460,7 @@ class TestOneCompilePerVerb:
             "parse": 1, "chunks": n_chunks, "load": 1, "store": 1,
             "unpickle": 0,
         }
-        # validate alone builds no graph, so it has nothing to journal
+        # an exact hit (graph and verdict replayed): nothing to journal
         assert verb("validate") == {
             "parse": 0, "chunks": 0, "load": 1, "store": 0, "unpickle": 1,
         }

@@ -10,7 +10,6 @@ program, not by the session's history.
 """
 
 import hashlib
-import json
 import os
 import random
 import re
@@ -61,22 +60,10 @@ def retag(text: str, service: str, revision: str) -> str:
 
 
 def plan_sha(plan) -> str:
-    """The plan, change by change. Not ``render()``: that prints an old
-    value's dict in the order the state holds it, which is insertion
-    order in a running engine and sorted after a reload."""
-    changes = [
-        (
-            change.id,
-            change.action.value,
-            [
-                (d.name, d.old, d.render_new(), d.requires_replacement)
-                for d in change.diffs
-            ],
-        )
-        for change in plan.actionable()
-    ]
-    blob = json.dumps(changes, sort_keys=True, default=repr)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    """The plan as the user reads it: ``render()`` is a function of the
+    plan (values print with their keys sorted), whichever order the
+    state holds an old value's dict in."""
+    return hashlib.sha256(plan.render().encode()).hexdigest()
 
 
 def count_parses(monkeypatch):

@@ -259,3 +259,32 @@ class TestExecutionDag:
         text = plan.render()
         assert "+ aws_vpc.main" in text
         assert "1 to add" in text
+
+    def test_render_is_a_function_of_the_plan(self):
+        """An old value prints with its keys sorted at every depth, not
+        in the order the state happens to hold them (insertion order in
+        a running engine, sorted after a reload)."""
+        source = VPC_SOURCE.replace(
+            "}", '  tags = { team = "net", env = { tier = "prod", ring = 2 } }\n}', 1
+        )
+
+        def rendered(tags):
+            attrs = {
+                "id": "vpc-1",
+                "name": "main",
+                "cidr_block": "10.0.0.0/16",
+                "tags": tags,
+            }
+            return plan_for(source, vpc_state(attrs)).render()
+
+        inserted = rendered(
+            {"team": "core", "env": {"tier": "dev", "ring": 1}, "also": [{"b": 1, "a": 2}]}
+        )
+        reloaded = rendered(
+            {"also": [{"a": 2, "b": 1}], "env": {"ring": 1, "tier": "dev"}, "team": "core"}
+        )
+        assert inserted == reloaded
+        assert (
+            "tags: {'also': [{'a': 2, 'b': 1}], 'env': {'ring': 1, 'tier': 'dev'}, "
+            "'team': 'core'} -> {'env': {'ring': 2, 'tier': 'prod'}, 'team': 'net'}"
+        ) in inserted
