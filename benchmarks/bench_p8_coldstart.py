@@ -26,10 +26,11 @@ CI runs the smoke tier::
     python benchmarks/bench_p8_coldstart.py --sizes 1000 \
         --rss-size 0 --out /tmp/BENCH_coldstart.json
 
-The checked-in ``BENCH_coldstart.json`` is the full run
-(``--sizes 10000,100000 --rss-size 1000000``); its ``rss_tier`` is
-carried over from the run that introduced it (the cache-less cold path
-has not changed since).
+The checked-in ``BENCH_coldstart.json`` is the run at the default
+sizes (``--sizes 10000,100000``); its ``rss_tier`` is carried over from
+the run that introduced it (PR 8) and says so in ``measured_at`` -- the
+cold path has changed since (PR 20's lexer), so it is a record of that
+commit, not a current number.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ import sys
 from typing import Any, Dict, List, Optional
 
 from .core.engine import CloudlessEngine, EngineError
+from .lang.diagnostics import CLCError
 from .lang.module_loader import FileSystemModuleLoader
 from .persist import WorldFormatError, load_world, save_world
 
@@ -886,7 +887,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         gc.disable()
     try:
         return args.fn(args)
-    except (EngineError, CliError, WorldFormatError) as exc:
+    except (EngineError, CliError, WorldFormatError, CLCError) as exc:
+        # a CLCError is the program's own: "<message> at <file>:<line>:<col>"
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -37,7 +37,14 @@ decided by whole-file sha256 -- same bytes parse to the same chunks,
 so there is no separate chunk-fingerprint rescan on the hit path (the
 chunker is pure, and chunker changes bump ``FORMAT_VERSION``; so does
 a change to the pickled shape or the header -- version 5 adds the
-verdict field and the resolver slot's generation).
+verdict field and the resolver slot's generation). A chunker rewrite
+that moves no boundary does not: the compiled scanner that replaced
+the per-character one reproduces its chunk tables
+(``tests/golden/lang_corpus.json``) and still serves its artifacts
+(``tests/fixtures/artifact_v5_a3ccd4f.clcc``). Where the old chunker
+misread a string (``$$${``) its table is coarser than today's, which
+costs a later partial hit some reuse and nothing else: a chunk AST is
+looked up by file, start line and text fingerprint.
 """
 
 from __future__ import annotations

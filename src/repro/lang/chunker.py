@@ -2,12 +2,14 @@
 
 Splits one CLC source string into top-level *chunks* -- runs of lines
 that together hold one (or more, for single-line files) complete
-top-level items -- without lexing it. The scanner only tracks the
-lexical state needed to know whether a newline is a real top-level
-boundary: strings (with escapes and ``${...}`` interpolations),
-heredocs, comments, and brace/bracket/paren depth. That makes it an
-order of magnitude cheaper than the full lexer, which matters because
-the chunker runs on *every* parse, warm or cold.
+top-level items -- without lexing it. The scanner builds no tokens: it
+jumps from one character that can change what a newline means to the
+next (a bracket, a string that is more than plain text, a heredoc, a
+block comment) and asks the lexer's own ``scan_string`` /
+``scan_heredoc`` / ``block_comment_end`` where those end, so the two
+cannot disagree about what is inside a string. That makes it an order
+of magnitude cheaper than the full lexer, which matters because the
+chunker runs on *every* parse, warm or cold.
 
 Each chunk carries a content fingerprint (sha256 of its exact text).
 :meth:`repro.lang.Configuration.parse_streaming` uses the fingerprints
@@ -22,7 +24,41 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import re
 from typing import Iterator, List
+
+from .lexer import (
+    LINE_COMMENT,
+    SIMPLE_STRING,
+    block_comment_end,
+    scan_heredoc,
+    scan_string,
+)
+
+# between declarations: blank space and line comments (block comments
+# are stepped over one at a time)
+_TRIVIA = re.compile(r"(?:[ \t\r\n]+|%s)*" % LINE_COMMENT)
+
+
+def _run_to_next_turn(plain: str) -> "re.Pattern[str]":
+    """Inside a declaration: everything up to the next character that can
+    change what a newline means -- a bracket, a string the lexer would
+    not take in one match, ``<<``, ``/*`` -- or that ``plain`` leaves out."""
+    return re.compile(
+        r"(?:%s+|%s|%s|<(?!<)|/(?!\*))*" % (plain, SIMPLE_STRING, LINE_COMMENT)
+    )
+
+
+# outside brackets the run stops at the newline too: it ends the chunk
+_RUN_TOP = _run_to_next_turn(r'[^\n"#/<{}\[\]()]')
+_RUN_NESTED = _run_to_next_turn(r'[^"#/<{}\[\]()]')
+
+
+def _past_block_comment(source: str, i: int) -> int:
+    """Just past the ``/* ... */`` at ``i`` -- the end of the source when
+    it never closes (the lexer says so; the chunker must not stop)."""
+    end = block_comment_end(source, i)
+    return end if end >= 0 else len(source)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -50,53 +86,40 @@ def iter_chunks(source: str) -> Iterator[SourceChunk]:
     """
     n = len(source)
     i = 0
-    line = 1
     chunk_start = 0
     chunk_line = 1
-    depth = 0
-    has_content = False
 
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            if depth == 0 and has_content:
+    while True:
+        # blank and comment-only lines lead the chunk that follows them
+        while True:
+            i = _TRIVIA.match(source, i).end()
+            if not source.startswith("/*", i):
+                break
+            i = _past_block_comment(source, i)
+        if i >= n:
+            break
+        depth = 0
+        while i < n:
+            i = (_RUN_NESTED if depth else _RUN_TOP).match(source, i).end()
+            ch = source[i : i + 1]
+            if ch == "\n":
+                i += 1
                 text = source[chunk_start:i]
                 yield SourceChunk(text, chunk_line, fingerprint_text(text))
                 chunk_start = i
-                chunk_line = line
-                has_content = False
-            continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        if ch == "#" or (ch == "/" and i + 1 < n and source[i + 1] == "/"):
-            while i < n and source[i] != "\n":
+                chunk_line += text.count("\n")
+                break
+            if ch == '"':
+                # unterminated: stops at the newline or the bad escape,
+                # and the lexer will say so
+                i = scan_string(source, i)[0]
+            elif ch == "<":
+                i = scan_heredoc(source, i)[0]
+            elif ch == "/":
+                i = _past_block_comment(source, i)
+            elif ch:
+                depth = depth + 1 if ch in "{[(" else max(0, depth - 1)
                 i += 1
-            continue
-        if ch == "/" and i + 1 < n and source[i + 1] == "*":
-            i += 2
-            while i < n and not (
-                source[i] == "*" and i + 1 < n and source[i + 1] == "/"
-            ):
-                if source[i] == "\n":
-                    line += 1
-                i += 1
-            i = min(i + 2, n)
-            continue
-        has_content = True
-        if ch == '"':
-            i, line = _skip_string(source, i, line)
-            continue
-        if ch == "<" and i + 1 < n and source[i + 1] == "<":
-            i, line = _skip_heredoc(source, i, line)
-            continue
-        if ch in "{[(":
-            depth += 1
-        elif ch in "}])":
-            depth = max(0, depth - 1)
-        i += 1
 
     if chunk_start < n:
         # emit the tail even when it is blank/comment-only: the
@@ -109,84 +132,3 @@ def iter_chunks(source: str) -> Iterator[SourceChunk]:
 def chunk_fingerprints(source: str) -> List[str]:
     """The ordered chunk fingerprints of ``source`` (cache-key helper)."""
     return [chunk.fingerprint for chunk in iter_chunks(source)]
-
-
-def _skip_string(source: str, i: int, line: int) -> tuple:
-    """Advance past a quoted string starting at ``source[i] == '"'``.
-
-    Mirrors the lexer's rules: backslash escapes (including ``\\$``),
-    ``$${`` literal escapes, and ``${...}`` interpolations that may
-    nest braces and contain strings of their own. Stops at the closing
-    quote or an (unescaped) newline -- the lexer rejects bare newlines
-    in strings, so treating one as the string's end keeps chunk
-    boundaries sane on malformed input.
-    """
-    n = len(source)
-    i += 1
-    while i < n:
-        ch = source[i]
-        if ch == "\\":
-            i += 2
-            continue
-        if ch == "\n":
-            return i, line  # unterminated; let the parser complain
-        if ch == "$" and i + 1 < n:
-            if source[i + 1] == "$":  # $${ literal escape
-                i += 2
-                continue
-            if source[i + 1] == "{":
-                i, line = _skip_interpolation(source, i + 2, line)
-                continue
-        if ch == '"':
-            return i + 1, line
-        i += 1
-    return i, line
-
-
-def _skip_interpolation(source: str, i: int, line: int) -> tuple:
-    """Advance past a ``${...}`` body (``i`` just after the ``{``)."""
-    n = len(source)
-    braces = 1
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            continue
-        if ch == '"':
-            i, line = _skip_string(source, i, line)
-            continue
-        if ch == "{":
-            braces += 1
-        elif ch == "}":
-            braces -= 1
-            if braces == 0:
-                return i + 1, line
-        i += 1
-    return i, line
-
-
-def _skip_heredoc(source: str, i: int, line: int) -> tuple:
-    """Advance past a heredoc starting at ``source[i:i+2] == '<<'``."""
-    n = len(source)
-    j = i + 2
-    if j < n and source[j] == "-":
-        j += 1
-    start = j
-    while j < n and (source[j].isalnum() or source[j] == "_"):
-        j += 1
-    marker = source[start:j]
-    if not marker:
-        return i + 1, line  # a lone '<' operator, not a heredoc
-    # skip to end of the opener line, then line-by-line to the marker
-    while j < n and source[j] != "\n":
-        j += 1
-    while j < n:
-        j += 1  # consume the newline
-        line += 1
-        line_start = j
-        while j < n and source[j] != "\n":
-            j += 1
-        if source[line_start:j].strip() == marker:
-            return j, line
-    return j, line

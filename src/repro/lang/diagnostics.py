@@ -41,11 +41,13 @@ class SourceSpan(NamedTuple):
 
     def merge(self, other: "SourceSpan") -> "SourceSpan":
         """Smallest span covering both ``self`` and ``other``."""
-        start = min(
-            (self.start_line, self.start_col), (other.start_line, other.start_col)
-        )
-        end = max((self.end_line, self.end_col), (other.end_line, other.end_col))
-        return SourceSpan(self.filename, start[0], start[1], end[0], end[1])
+        filename, start_line, start_col, end_line, end_col = self
+        _, line, col, to_line, to_col = other
+        if line < start_line or (line == start_line and col < start_col):
+            start_line, start_col = line, col
+        if to_line > end_line or (to_line == end_line and to_col > end_col):
+            end_line, end_col = to_line, to_col
+        return SourceSpan(filename, start_line, start_col, end_line, end_col)
 
 
 class Severity(enum.Enum):
@@ -76,25 +78,22 @@ class Diagnostic:
 
 
 class CLCError(Exception):
-    """Base class for all errors raised by the CLC toolchain."""
+    """Base class for all errors raised by the CLC toolchain: a message
+    and, where one is known, the place in the source it is about
+    (``str()`` is ``"<message> at <file>:<line>:<col>"``)."""
+
+    def __init__(self, message: str, span: Optional[SourceSpan] = None):
+        super().__init__(f"{message}" + (f" at {span}" if span else ""))
+        self.message = message
+        self.span = span
 
 
 class CLCSyntaxError(CLCError):
     """Raised when the lexer or parser cannot make sense of the input."""
 
-    def __init__(self, message: str, span: Optional[SourceSpan] = None):
-        super().__init__(f"{message}" + (f" at {span}" if span else ""))
-        self.message = message
-        self.span = span
-
 
 class CLCEvalError(CLCError):
     """Raised when expression evaluation fails."""
-
-    def __init__(self, message: str, span: Optional[SourceSpan] = None):
-        super().__init__(f"{message}" + (f" at {span}" if span else ""))
-        self.message = message
-        self.span = span
 
 
 class DiagnosticSink:

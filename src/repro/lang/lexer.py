@@ -4,35 +4,23 @@ The token stream feeds :mod:`repro.lang.parser`. Quoted strings that
 contain ``${...}`` interpolations are emitted as ``TEMPLATE`` tokens
 whose value is a list of ``("lit", text)`` / ``("expr", source, span)``
 parts; the parser re-lexes the expression sources recursively.
+
+Scanning is compiled: every token that cannot span a line is one
+alternative of :data:`_MASTER`, and a position is ``(line, offset -
+line_start + 1)``. What can be long or span lines -- a string with
+escapes or interpolations, a heredoc, a block comment -- is walked by
+the ``scan_*`` / ``*_end`` functions below, which jump from one
+character that matters to the next. :mod:`repro.lang.chunker` calls the
+same functions, so "where does this construct end" has one answer.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple, Union
 
 from .diagnostics import CLCSyntaxError, SourceSpan
-from .tokens import KEYWORD_LITERALS, OPERATORS, Token, TokenType
-
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
-_DIGITS = set("0123456789")
-
-#: operator literals bucketed by length, longest first, so matching is a
-#: constant number of short-slice dict probes instead of a linear scan
-#: over ``OPERATORS`` against an O(remaining-source) slice per token.
-_OPS_BY_LEN: List[Tuple[int, Dict[str, TokenType]]] = []
-for _lit, _ttype in OPERATORS:
-    for _n, _bucket in _OPS_BY_LEN:
-        if _n == len(_lit):
-            _bucket[_lit] = _ttype
-            break
-    else:
-        _OPS_BY_LEN.append((len(_lit), {_lit: _ttype}))
-_OPS_BY_LEN.sort(key=lambda pair: -pair[0])
-
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_SPACE_RE = re.compile(r"[ \t\r]+")
+from .tokens import OPERATORS, Token, TokenType
 
 _ESCAPES = {
     "n": "\n",
@@ -45,6 +33,186 @@ _ESCAPES = {
     "$": "$",
 }
 
+# -- pattern pieces shared with the chunker ---------------------------------
+
+#: a string the lexer takes in one match: no escape, no ``$``, closed on
+#: its own line
+SIMPLE_STRING = r'"[^"\\$\n]*"'
+LINE_COMMENT = r"\#[^\n]*|//[^\n]*"
+
+_STRING_RUN = re.compile(r'[^"\\$\n]*')
+_HEX_RUN = re.compile(r"[0-9A-Fa-f]{0,4}")
+_HEREDOC_OPEN = re.compile(r"<<(-?)([A-Za-z0-9_]*)")
+# inside ``${...}`` only braces and quotes matter; a string in there may
+# hold anything, newlines included, and ends at the first unescaped quote
+_INTERPOLATION_RUN = re.compile(r'(?:[^{}"]+|"[^"\\]*(?:\\.[^"\\]*)*")*', re.S)
+
+
+def _operator_alternatives(literals) -> str:
+    alts = []
+    for literal in sorted(literals, key=len, reverse=True):
+        alt = re.escape(literal)
+        if literal == "<":
+            alt += "(?!<)"  # ``<<`` always opens a heredoc
+        elif literal == "/":
+            alt += "(?![/*])"  # ``//`` and ``/*`` open comments
+        alts.append(alt)
+    return "|".join(alts)
+
+
+_OPERATOR_TYPE = dict(OPERATORS)
+
+# group numbers are what ``tokens()`` dispatches on; ``( [`` and ``) ]``
+# have groups of their own because NEWLINE is suppressed between them
+_IDENT, _OP, _NEWLINE, _STRING, _OPEN, _CLOSE, _NUMBER, _COMMENT = range(1, 9)
+_MASTER = re.compile(
+    r"[ \t\r]*(?:"
+    r"([A-Za-z_][A-Za-z0-9_]*)"
+    r"|(%s)"
+    r"|(\n)"
+    r"|(%s)"
+    r"|([(\[])"
+    r"|([)\]])"
+    r"|([0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)*)"
+    r"|(%s)"
+    r")?"
+    % (
+        _operator_alternatives(
+            lit for lit in _OPERATOR_TYPE if lit not in ("(", "[", ")", "]")
+        ),
+        SIMPLE_STRING,
+        LINE_COMMENT,
+    )
+)
+
+#: ``(message, offset)``: what is wrong with a construct, and where
+Problem = Tuple[str, int]
+#: decoded literal text, or the ``(start, end)`` offsets of a ``${...}`` body
+Piece = Union[str, Tuple[int, int]]
+
+
+def interpolation_end(source: str, i: int) -> int:
+    """Offset of the ``}`` closing the ``${`` whose body starts at ``i``,
+    or -1 when the source ends first."""
+    depth = 1
+    run = _INTERPOLATION_RUN.match
+    while True:
+        i = run(source, i).end()
+        ch = source[i : i + 1]
+        if ch == "}":
+            depth -= 1
+            if depth == 0:
+                return i
+        elif ch == "{":
+            depth += 1
+        else:
+            return -1  # end of source, or a quote that never closes
+        i += 1
+
+
+def scan_string(
+    source: str, i: int
+) -> Tuple[int, List[Piece], Optional[Problem]]:
+    """Walk the quoted string opening at ``source[i]``.
+
+    Returns ``(end, pieces, problem)``: ``end`` is just past the closing
+    quote, ``pieces`` the literal runs (escapes decoded, ``$${`` undone)
+    and interpolation bodies in order. A string that does not close
+    stops at the offending offset instead -- a newline, the end of the
+    source, a bad escape -- and says why in ``problem``; the lexer
+    raises it, the chunker carries on from ``end``.
+    """
+    n = len(source)
+    pieces: List[Piece] = []
+    run = _STRING_RUN.match
+    i += 1
+    while True:
+        j = run(source, i).end()
+        if j > i:
+            pieces.append(source[i:j])
+        ch = source[j : j + 1]
+        if ch == '"':
+            return j + 1, pieces, None
+        if ch == "\\":
+            esc = source[j + 1 : j + 2]
+            if esc == "u":
+                digits = _HEX_RUN.match(source, j + 2).group()
+                if len(digits) != 4:
+                    return j, pieces, (f"invalid unicode escape \\u{digits}", j)
+                pieces.append(chr(int(digits, 16)))
+                i = j + 6
+            elif esc in _ESCAPES:
+                pieces.append(_ESCAPES[esc])
+                i = j + 2
+            else:
+                return j, pieces, (f"invalid escape sequence \\{esc}", j + 1)
+        elif ch == "$":
+            if source.startswith("{", j + 1):
+                close = interpolation_end(source, j + 2) if j + 2 < n else -1
+                if close < 0:
+                    # a ``${`` with nothing after it is blamed where it
+                    # stands, an open body where the source ends
+                    at = n if j + 2 < n else j
+                    return n, pieces, ("unterminated interpolation", at)
+                pieces.append((j + 2, close))
+                i = close + 1
+            else:
+                # a lone ``$``, or the first of ``$${`` (whose ``{`` the
+                # next run takes as text)
+                pieces.append("$")
+                i = j + 2 if source.startswith("${", j + 1) else j + 1
+        elif ch == "\n":
+            return j, pieces, ("newline in string literal", j)
+        else:
+            return j, pieces, ("unterminated string literal", j)
+
+
+def scan_heredoc(source: str, i: int) -> Tuple[int, str, bool, Optional[Problem]]:
+    """Walk the heredoc whose ``<<`` is at ``source[i]``.
+
+    Returns ``(end, body, strip_indent, problem)``. The heredoc ends at
+    the first line after the opener's that is the delimiter word once
+    stripped *and* has a newline after it; ``end`` is that newline,
+    which stays for the caller (it ends the heredoc *item*, so an
+    attribute may follow on the next line), and ``body`` the raw lines
+    in between. With no delimiter word or no closing line, ``problem``
+    says so and ``end`` is where a scanner that must not stop carries
+    on.
+    """
+    opener = _HEREDOC_OPEN.match(source, i)
+    strip_indent, marker = opener.group(1) == "-", opener.group(2)
+    if not marker:
+        at = opener.end()
+        return at, "", strip_indent, ("heredoc requires a delimiter word", at)
+    # the rest of the opener's line is skipped, whatever it holds
+    body_start = source.find("\n", opener.end())
+    close = None
+    if body_start >= 0:
+        pattern = re.compile(r"\n[^\S\n]*%s[^\S\n]*(?=\n)" % marker)
+        close = pattern.search(source, body_start)
+    if close is None:
+        n = len(source)
+        return n, "", strip_indent, (f"unterminated heredoc (expected {marker})", n)
+    body = source[body_start + 1 : close.start() + 1]
+    return close.end(), body, strip_indent, None
+
+
+def block_comment_end(source: str, i: int) -> int:
+    """Offset just past the ``*/`` closing the ``/*`` at ``i``, or -1."""
+    close = source.find("*/", i + 2)
+    return close + 2 if close >= 0 else -1
+
+
+def _line_at(
+    source: str, start: int, end: int, line: int, line_start: int
+) -> Tuple[int, int]:
+    """``(line, line_start)`` at offset ``end``, given what they are at
+    ``start``: only the newlines in between are looked at."""
+    newlines = source.count("\n", start, end)
+    if newlines:
+        return line + newlines, source.rfind("\n", start, end) + 1
+    return line, line_start
+
 
 class Lexer:
     """Single-pass lexer over one configuration source string."""
@@ -54,301 +222,180 @@ class Lexer:
     ):
         self.source = source
         self.filename = filename
-        self.pos = 0
-        # start_line anchors spans when lexing one chunk of a larger
-        # file (streaming parse): tokens report file-absolute lines
+        # where the first character of ``source`` sits: ``start_line``
+        # anchors one chunk of a larger file (streaming parse), and the
+        # parser sets both to anchor an interpolation inside its string,
+        # so tokens report file-absolute positions
         self.line = start_line
         self.col = 1
-        self._paren_depth = 0  # suppress NEWLINE inside () and []
 
-    # -- low-level cursor helpers -------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.source[i] if i < len(self.source) else ""
-
-    def _advance(self) -> str:
-        ch = self.source[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
-
-    def _here(self) -> Tuple[int, int]:
-        return self.line, self.col
-
-    def _span_from(self, start: Tuple[int, int]) -> SourceSpan:
-        return SourceSpan(self.filename, start[0], start[1], self.line, self.col)
-
-    def _error(self, message: str) -> CLCSyntaxError:
-        span = SourceSpan(self.filename, self.line, self.col, self.line, self.col)
-        return CLCSyntaxError(message, span)
-
-    # -- public API ----------------------------------------------------
+    def _error(
+        self, message: str, at: int, pos: int, line: int, line_start: int
+    ) -> CLCSyntaxError:
+        """``message`` at offset ``at``, given that offset ``pos`` (at or
+        before it) is on ``line``, which starts at ``line_start``."""
+        line, line_start = _line_at(self.source, pos, at, line, line_start)
+        col = at - line_start + 1
+        return CLCSyntaxError(
+            message, SourceSpan(self.filename, line, col, line, col)
+        )
 
     def tokens(self) -> List[Token]:
         """Lex the whole source into a token list ending with EOF."""
+        source = self.source
+        filename = self.filename
+        line = self.line
+        # columns are ``offset - line_start + 1``; a first line that
+        # starts mid-line (``self.col`` > 1) has a start before offset 0
+        line_start = 1 - self.col
+        new = tuple.__new__
+        ident, string, number, newline = (
+            TokenType.IDENT,
+            TokenType.STRING,
+            TokenType.NUMBER,
+            TokenType.NEWLINE,
+        )
         out: List[Token] = []
+        append = out.append
+        depth = 0  # NEWLINE is suppressed inside () and []
+        after_newline = False  # runs of newlines collapse into one token
+        pos = 0
         while True:
-            tok = self._next_token()
-            if tok is None:
-                continue
-            # collapse runs of newlines
-            if (
-                tok.type is TokenType.NEWLINE
-                and out
-                and out[-1].type is TokenType.NEWLINE
-            ):
-                continue
-            out.append(tok)
-            if tok.type is TokenType.EOF:
-                return out
-
-    # -- scanning ------------------------------------------------------
-
-    def _next_token(self) -> Optional[Token]:
-        self._skip_inline_space_and_comments()
-        start = self._here()
-        if self.pos >= len(self.source):
-            return Token(TokenType.EOF, None, self._span_from(start))
-        ch = self._peek()
-        if ch == "\n":
-            self._advance()
-            if self._paren_depth > 0:
-                return None
-            return Token(TokenType.NEWLINE, "\n", self._span_from(start))
-        if ch in _IDENT_START:
-            return self._lex_ident(start)
-        if ch in _DIGITS:
-            return self._lex_number(start)
-        if ch == '"':
-            return self._lex_string(start)
-        if ch == "<" and self._peek(1) == "<":
-            return self._lex_heredoc(start)
-        return self._lex_operator(start)
-
-    def _skip_inline_space_and_comments(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in (" ", "\t", "\r"):
-                # bulk-skip the whole run (no newlines in the class, so
-                # column tracking is a single addition)
-                match = _SPACE_RE.match(self.source, self.pos)
-                length = match.end() - match.start()
-                self.pos += length
-                self.col += length
-            elif ch == "#" or (ch == "/" and self._peek(1) == "/"):
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance()
-                self._advance()
-                while self.pos < len(self.source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance()
-                        self._advance()
-                        break
-                    self._advance()
+            # the pattern matches everywhere (at worst the empty string),
+            # so the iterator steps token to token until it meets
+            # something the pattern does not take whole
+            for m in _MASTER.finditer(source, pos):
+                kind = m.lastindex
+                if kind is None:
+                    break
+                if kind == _NEWLINE:
+                    end = m.end()
+                    if depth == 0 and not after_newline:
+                        span = (filename, line, end - line_start, line + 1, 1)
+                        append(new(Token, (newline, "\n", new(SourceSpan, span))))
+                        after_newline = True
+                    line += 1
+                    line_start = end
+                    continue
+                if kind == _COMMENT:
+                    continue
+                text = m.group(kind)
+                end_col = m.end() - line_start + 1
+                span = new(
+                    SourceSpan, (filename, line, end_col - len(text), line, end_col)
+                )
+                if kind == _IDENT:
+                    # true/false/null lex as IDENT too; the parser
+                    # resolves them so labels like `null_resource` work
+                    tok = (ident, text, span)
+                elif kind == _STRING:
+                    tok = (string, text[1:-1], span)
+                elif kind != _NUMBER:
+                    if kind == _OPEN:
+                        depth += 1
+                    elif kind == _CLOSE and depth:
+                        depth -= 1
+                    tok = (_OPERATOR_TYPE[text], text, span)
                 else:
-                    raise self._error("unterminated block comment")
-            else:
-                return
+                    try:
+                        value = int(text) if text.isdigit() else float(text)
+                    except ValueError:
+                        # a second exponent (1e5e3), or more digits than
+                        # int() will read
+                        raise CLCSyntaxError(
+                            f"invalid number literal {text!r}", span
+                        ) from None
+                    tok = (number, value, span)
+                append(new(Token, tok))
+                after_newline = False
 
-    def _lex_ident(self, start: Tuple[int, int]) -> Token:
-        match = _IDENT_RE.match(self.source, self.pos)
-        text = match.group()
-        # identifiers never contain newlines: advance in one step
-        self.pos = match.end()
-        self.col += len(text)
-        span = self._span_from(start)
-        if text in KEYWORD_LITERALS:
-            # true/false/null lex as IDENT; the parser resolves keyword
-            # literals so that block labels like `null_resource` still work.
-            return Token(TokenType.IDENT, text, span)
-        return Token(TokenType.IDENT, text, span)
+            start = m.end()
+            if start >= len(source):
+                col = start - line_start + 1
+                span = new(SourceSpan, (filename, line, col, line, col))
+                append(new(Token, (TokenType.EOF, None, span)))
+                return out
+            ttype, value, pos = self._lex_long(start, line, line_start)
+            end_line, end_start = _line_at(source, start, pos, line, line_start)
+            if ttype is not None:
+                span = (
+                    filename,
+                    line,
+                    start - line_start + 1,
+                    end_line,
+                    pos - end_start + 1,
+                )
+                append(new(Token, (ttype, value, new(SourceSpan, span))))
+                after_newline = False
+            line, line_start = end_line, end_start
 
-    def _lex_number(self, start: Tuple[int, int]) -> Token:
-        chars = []
-        is_float = False
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in _DIGITS:
-                chars.append(self._advance())
-            elif ch == "." and self._peek(1) in _DIGITS and not is_float:
-                is_float = True
-                chars.append(self._advance())
-            elif ch in ("e", "E") and (
-                self._peek(1) in _DIGITS
-                or (self._peek(1) in "+-" and self._peek(2) in _DIGITS)
-            ):
-                is_float = True
-                chars.append(self._advance())
-                if self._peek() in "+-":
-                    chars.append(self._advance())
-            else:
-                break
-        text = "".join(chars)
-        value: Any = float(text) if is_float else int(text)
-        return Token(TokenType.NUMBER, value, self._span_from(start))
+    def _lex_long(
+        self, pos: int, line: int, line_start: int
+    ) -> Tuple[Optional[TokenType], Any, int]:
+        """What the master pattern leaves: a string with escapes or
+        interpolations, a heredoc, a block comment (no token: type
+        ``None``) -- or a character that starts nothing. Returns
+        ``(type, value, end)``."""
+        source = self.source
+        ch = source[pos]
+        if ch == '"':
+            return self._lex_string(pos, line, line_start)
+        if ch == "<":
+            return self._lex_heredoc(pos, line, line_start)
+        if ch == "/":
+            end = block_comment_end(source, pos)
+            if end < 0:
+                raise self._error(
+                    "unterminated block comment", len(source), pos, line, line_start
+                )
+            return None, None, end
+        raise self._error(f"unexpected character {ch!r}", pos, pos, line, line_start)
 
-    def _lex_string(self, start: Tuple[int, int]) -> Token:
-        self._advance()  # opening quote
+    def _lex_string(
+        self, pos: int, line: int, line_start: int
+    ) -> Tuple[TokenType, Any, int]:
+        """The string at ``pos`` as ``(type, value, end)``."""
+        source = self.source
+        end, pieces, problem = scan_string(source, pos)
+        if problem is not None:
+            raise self._error(*problem, pos, line, line_start)
         parts: List[Tuple] = []
         lit: List[str] = []
-
-        def flush_lit() -> None:
+        for piece in pieces:
+            if isinstance(piece, str):
+                lit.append(piece)
+                continue
             if lit:
                 parts.append(("lit", "".join(lit)))
-                lit.clear()
-
-        while True:
-            if self.pos >= len(self.source):
-                raise self._error("unterminated string literal")
-            ch = self._peek()
-            if ch == "\n":
-                raise self._error("newline in string literal")
-            if ch == '"':
-                self._advance()
-                break
-            if ch == "\\":
-                self._advance()
-                esc = self._peek()
-                if esc in _ESCAPES:
-                    self._advance()
-                    lit.append(_ESCAPES[esc])
-                elif esc == "u":
-                    self._advance()
-                    digits = "".join(self._advance() for _ in range(4))
-                    try:
-                        lit.append(chr(int(digits, 16)))
-                    except ValueError:
-                        raise self._error(f"invalid unicode escape \\u{digits}")
-                else:
-                    raise self._error(f"invalid escape sequence \\{esc}")
-                continue
-            if ch == "$" and self._peek(1) == "{":
-                if self._peek(2) == "":
-                    raise self._error("unterminated interpolation")
-                flush_lit()
-                parts.append(self._lex_interpolation())
-                continue
-            if ch == "$" and self._peek(1) == "$" and self._peek(2) == "{":
-                # $${ is an escaped literal ${
-                self._advance()
-                self._advance()
-                lit.append("$")
-                continue
-            lit.append(self._advance())
-        flush_lit()
-        span = self._span_from(start)
-        if len(parts) == 1 and parts[0][0] == "lit":
-            return Token(TokenType.STRING, parts[0][1], span)
+                lit = []
+            start, stop = piece
+            start_line, start_col = line, start - line_start + 1
+            line, line_start = _line_at(source, start, stop, line, line_start)
+            span = SourceSpan(
+                self.filename, start_line, start_col, line, stop - line_start + 1
+            )
+            parts.append(("expr", source[start:stop], span))
         if not parts:
-            return Token(TokenType.STRING, "", span)
-        if all(p[0] == "lit" for p in parts):
-            return Token(TokenType.STRING, "".join(p[1] for p in parts), span)
-        return Token(TokenType.TEMPLATE, parts, span)
+            return TokenType.STRING, "".join(lit), end
+        if lit:
+            parts.append(("lit", "".join(lit)))
+        return TokenType.TEMPLATE, parts, end
 
-    def _lex_interpolation(self) -> Tuple[str, str, SourceSpan]:
-        """Consume ``${ ... }`` and return ("expr", source, span)."""
-        self._advance()  # $
-        self._advance()  # {
-        expr_start = self._here()
-        depth = 1
-        chars: List[str] = []
-        in_str = False
-        while True:
-            if self.pos >= len(self.source):
-                raise self._error("unterminated interpolation")
-            ch = self._peek()
-            if in_str:
-                if ch == "\\":
-                    chars.append(self._advance())
-                    if self.pos < len(self.source):
-                        chars.append(self._advance())
-                    continue
-                if ch == '"':
-                    in_str = False
-            elif ch == '"':
-                in_str = True
-            elif ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    span = self._span_from(expr_start)
-                    self._advance()  # closing }
-                    return ("expr", "".join(chars), span)
-            chars.append(self._advance())
-
-    def _lex_heredoc(self, start: Tuple[int, int]) -> Token:
-        self._advance()
-        self._advance()  # <<
-        strip_indent = False
-        if self._peek() == "-":
-            strip_indent = True
-            self._advance()
-        marker_chars = []
-        while self.pos < len(self.source) and self._peek() in _IDENT_CONT:
-            marker_chars.append(self._advance())
-        marker = "".join(marker_chars)
-        if not marker:
-            raise self._error("heredoc requires a delimiter word")
-        while self.pos < len(self.source) and self._peek() != "\n":
-            self._advance()
-        if self.pos < len(self.source):
-            self._advance()  # consume newline after marker
-        lines: List[str] = []
-        current: List[str] = []
-        while True:
-            if self.pos >= len(self.source):
-                raise self._error(f"unterminated heredoc (expected {marker})")
-            if self._peek() == "\n":
-                line = "".join(current)
-                if line.strip() == marker:
-                    # leave the newline unconsumed: it ends the heredoc
-                    # *item*, so the main loop emits a NEWLINE token and
-                    # an attribute may follow on the next line
-                    break
-                self._advance()
-                lines.append(line)
-                current = []
-            else:
-                current.append(self._advance())
-        if strip_indent and lines:
+    def _lex_heredoc(
+        self, pos: int, line: int, line_start: int
+    ) -> Tuple[TokenType, str, int]:
+        """The heredoc at ``pos`` as ``(type, text, end)``."""
+        end, body, strip_indent, problem = scan_heredoc(self.source, pos)
+        if problem is not None:
+            raise self._error(*problem, pos, line, line_start)
+        if strip_indent and body:
+            lines = body[:-1].split("\n")
             pad = min(
                 (len(ln) - len(ln.lstrip()) for ln in lines if ln.strip()),
                 default=0,
             )
-            lines = [ln[pad:] if len(ln) >= pad else ln for ln in lines]
-        text = "\n".join(lines)
-        if lines:
-            text += "\n"
-        return Token(TokenType.STRING, text, self._span_from(start))
-
-    def _lex_operator(self, start: Tuple[int, int]) -> Token:
-        # Longest-match via per-length dict probes. The historical
-        # implementation sliced the *entire remaining source* per token
-        # (O(source) each, quadratic over a file); these slices are at
-        # most three characters.
-        pos = self.pos
-        for length, bucket in _OPS_BY_LEN:
-            literal = self.source[pos : pos + length]
-            ttype = bucket.get(literal)
-            if ttype is None:
-                continue
-            # operators never contain newlines: advance in one step
-            self.pos += length
-            self.col += length
-            if ttype in (TokenType.LPAREN, TokenType.LBRACKET):
-                self._paren_depth += 1
-            elif ttype in (TokenType.RPAREN, TokenType.RBRACKET):
-                self._paren_depth = max(0, self._paren_depth - 1)
-            return Token(ttype, literal, self._span_from(start))
-        raise self._error(f"unexpected character {self._peek()!r}")
+            body = "\n".join(ln[pad:] if len(ln) >= pad else ln for ln in lines) + "\n"
+        return TokenType.STRING, body, end
 
 
 def tokenize(source: str, filename: str = "<config>") -> List[Token]:

@@ -52,37 +52,69 @@ _BINARY_PRECEDENCE = {
     TokenType.PERCENT: 6,
 }
 
+# the token types the parser tests for, as module globals: on this
+# interpreter an attribute of an Enum class costs ten times a global
+# (126 ns against 13), and the parser makes a few of those tests per token
+_EOF = TokenType.EOF
+_NEWLINE = TokenType.NEWLINE
+_IDENT = TokenType.IDENT
+_NUMBER = TokenType.NUMBER
+_STRING = TokenType.STRING
+_TEMPLATE = TokenType.TEMPLATE
+_ASSIGN = TokenType.ASSIGN
+_COMMA = TokenType.COMMA
+_DOT = TokenType.DOT
+_COLON = TokenType.COLON
+_QUESTION = TokenType.QUESTION
+_ARROW = TokenType.ARROW
+_ELLIPSIS = TokenType.ELLIPSIS
+_STAR = TokenType.STAR
+_BANG = TokenType.BANG
+_MINUS = TokenType.MINUS
+_LPAREN = TokenType.LPAREN
+_RPAREN = TokenType.RPAREN
+_LBRACKET = TokenType.LBRACKET
+_RBRACKET = TokenType.RBRACKET
+_LBRACE = TokenType.LBRACE
+_RBRACE = TokenType.RBRACE
+
 
 class Parser:
     """Parses one token stream into a :class:`ConfigFile` or expression."""
 
     def __init__(self, tokens: List[Token], filename: str = "<config>"):
-        self.tokens = tokens
+        self.tokens = tokens  # ends with EOF (the lexer's contract)
         self.filename = filename
         self.pos = 0
 
     # -- token helpers ---------------------------------------------------
+    #
+    # ``pos`` never passes the EOF token: ``_advance`` stops there and
+    # every bare ``self.pos += 1`` below steps over a token whose type
+    # was just seen not to be EOF. So the current token is
+    # ``self.tokens[self.pos]`` and only lookahead has to clamp.
 
     def _peek(self, offset: int = 0) -> Token:
-        i = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[i]
+        if offset:
+            return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def _advance(self) -> Token:
         tok = self.tokens[self.pos]
-        if tok.type is not TokenType.EOF:
+        if tok.type is not _EOF:
             self.pos += 1
         return tok
 
     def _check(self, ttype: TokenType) -> bool:
-        return self._peek().type is ttype
+        return self.tokens[self.pos].type is ttype
 
     def _match(self, ttype: TokenType) -> Optional[Token]:
-        if self._check(ttype):
+        if self.tokens[self.pos].type is ttype:
             return self._advance()
         return None
 
     def _expect(self, ttype: TokenType, what: str = "") -> Token:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         if tok.type is not ttype:
             want = what or ttype.value
             raise CLCSyntaxError(
@@ -91,41 +123,49 @@ class Parser:
         return self._advance()
 
     def _skip_newlines(self) -> None:
-        while self._check(TokenType.NEWLINE):
-            self._advance()
+        tokens = self.tokens
+        while tokens[self.pos].type is _NEWLINE:
+            self.pos += 1
 
     def _skip_separators(self) -> None:
-        while self._check(TokenType.NEWLINE) or self._check(TokenType.COMMA):
-            self._advance()
+        tokens = self.tokens
+        while (ttype := tokens[self.pos].type) is _NEWLINE or ttype is _COMMA:
+            self.pos += 1
 
     # -- file / body -----------------------------------------------------
 
     def parse_file(self) -> ConfigFile:
         body = self._parse_body(top_level=True)
-        self._expect(TokenType.EOF, "end of file")
+        self._expect(_EOF, "end of file")
         return ConfigFile(body=body, filename=self.filename)
 
     def _parse_body(self, top_level: bool = False) -> Body:
         body = Body()
+        tokens = self.tokens
         while True:
             self._skip_newlines()
-            tok = self._peek()
-            if tok.type is TokenType.EOF:
+            tok = tokens[self.pos]
+            ttype = tok.type
+            if ttype is _IDENT:
+                self._parse_body_item(body)
+            elif ttype is _RBRACE:
+                return body
+            elif ttype is _EOF:
                 if not top_level:
                     raise CLCSyntaxError("unexpected end of file in block", tok.span)
                 return body
-            if tok.type is TokenType.RBRACE:
-                return body
-            if tok.type is not TokenType.IDENT:
+            else:
                 raise CLCSyntaxError(
                     f"expected attribute or block, found {tok.value!r}", tok.span
                 )
-            self._parse_body_item(body)
 
     def _parse_body_item(self, body: Body) -> None:
-        name_tok = self._advance()
+        tokens = self.tokens
+        name_tok = tokens[self.pos]  # an IDENT: _parse_body looked
+        self.pos += 1
         name = name_tok.value
-        if self._match(TokenType.ASSIGN):
+        if tokens[self.pos].type is _ASSIGN:
+            self.pos += 1
             expr = self.parse_expression()
             span = name_tok.span.merge(expr.span)
             if name in body.attributes:
@@ -136,38 +176,34 @@ class Parser:
         # otherwise: block with zero or more labels
         labels: List[str] = []
         while True:
-            tok = self._peek()
-            if tok.type is TokenType.STRING:
-                labels.append(self._advance().value)
-            elif tok.type is TokenType.IDENT and not self._peek(1).type is (
-                TokenType.ASSIGN
+            tok = tokens[self.pos]
+            if tok.type is _STRING:
+                labels.append(tok.value)
+                self.pos += 1
+            elif tok.type is _IDENT and self._peek(1).type in (
+                _LBRACE,
+                _STRING,
+                _IDENT,
             ):
                 # bare-word label (rare; HCL1 style)
-                if self._peek(1).type in (
-                    TokenType.LBRACE,
-                    TokenType.STRING,
-                    TokenType.IDENT,
-                ):
-                    labels.append(self._advance().value)
-                else:
-                    break
+                labels.append(tok.value)
+                self.pos += 1
             else:
                 break
-        open_tok = self._expect(TokenType.LBRACE, "'{' to open block body")
+        open_tok = self._expect(_LBRACE, "'{' to open block body")
         inner = self._parse_body(top_level=False)
-        close_tok = self._expect(TokenType.RBRACE, "'}' to close block body")
+        close_tok = self._expect(_RBRACE, "'}' to close block body")
         span = name_tok.span.merge(close_tok.span)
         body.blocks.append(Block(type=name, labels=labels, body=inner, span=span))
         self._end_of_item()
 
     def _end_of_item(self) -> None:
-        tok = self._peek()
-        if tok.type in (TokenType.NEWLINE, TokenType.EOF, TokenType.RBRACE):
-            if tok.type is TokenType.NEWLINE:
-                self._advance()
+        tok = self.tokens[self.pos]
+        ttype = tok.type
+        if ttype is _NEWLINE or ttype is _COMMA:  # a comma: one-line bodies
+            self.pos += 1
             return
-        if tok.type is TokenType.COMMA:  # tolerated inside one-line bodies
-            self._advance()
+        if ttype is _EOF or ttype is _RBRACE:
             return
         raise CLCSyntaxError(
             f"expected newline after item, found {tok.value!r}", tok.span
@@ -176,15 +212,12 @@ class Parser:
     # -- expressions -------------------------------------------------------
 
     def parse_expression(self) -> Expr:
-        return self._parse_ternary()
-
-    def _parse_ternary(self) -> Expr:
         cond = self._parse_binary(1)
-        if self._match(TokenType.QUESTION):
+        if self._match(_QUESTION):
             self._skip_newlines()
             then = self.parse_expression()
             self._skip_newlines()
-            self._expect(TokenType.COLON, "':' in conditional")
+            self._expect(_COLON, "':' in conditional")
             self._skip_newlines()
             otherwise = self.parse_expression()
             return Conditional(
@@ -198,11 +231,11 @@ class Parser:
     def _parse_binary(self, min_prec: int) -> Expr:
         left = self._parse_unary()
         while True:
-            tok = self._peek()
+            tok = self.tokens[self.pos]
             prec = _BINARY_PRECEDENCE.get(tok.type)
             if prec is None or prec < min_prec:
                 return left
-            self._advance()
+            self.pos += 1
             self._skip_newlines()
             right = self._parse_binary(prec + 1)
             left = BinaryOp(
@@ -210,9 +243,9 @@ class Parser:
             )
 
     def _parse_unary(self) -> Expr:
-        tok = self._peek()
-        if tok.type in (TokenType.BANG, TokenType.MINUS):
-            self._advance()
+        tok = self.tokens[self.pos]
+        if tok.type is _BANG or tok.type is _MINUS:
+            self.pos += 1
             operand = self._parse_unary()
             return UnaryOp(
                 op=tok.value, operand=operand, span=tok.span.merge(operand.span)
@@ -221,47 +254,42 @@ class Parser:
 
     def _parse_postfix(self) -> Expr:
         expr = self._parse_primary()
+        tokens = self.tokens
         while True:
-            if self._check(TokenType.DOT):
+            ttype = tokens[self.pos].type
+            if ttype is _DOT:
                 nxt = self._peek(1)
-                if nxt.type is TokenType.IDENT:
-                    self._advance()
-                    name_tok = self._advance()
+                if nxt.type is _IDENT:
+                    self.pos += 2
                     expr = AttrAccess(
-                        obj=expr,
-                        name=name_tok.value,
-                        span=expr.span.merge(name_tok.span),
+                        obj=expr, name=nxt.value, span=expr.span.merge(nxt.span)
                     )
                     continue
-                if nxt.type is TokenType.NUMBER and isinstance(nxt.value, int):
+                if nxt.type is _NUMBER and isinstance(nxt.value, int):
                     # legacy numeric traversal: list.0
-                    self._advance()
-                    num_tok = self._advance()
+                    self.pos += 2
                     expr = IndexAccess(
                         obj=expr,
-                        index=Literal(num_tok.value, num_tok.span),
-                        span=expr.span.merge(num_tok.span),
+                        index=Literal(nxt.value, nxt.span),
+                        span=expr.span.merge(nxt.span),
                     )
                     continue
-                if nxt.type is TokenType.STAR:
+                if nxt.type is _STAR:
                     # attribute-only splat: list.*.id
-                    self._advance()
-                    self._advance()
+                    self.pos += 2
                     expr = self._parse_splat_tail(expr)
                     continue
                 raise CLCSyntaxError("expected attribute name after '.'", nxt.span)
-            if self._check(TokenType.LBRACKET):
-                if self._peek(1).type is TokenType.STAR and self._peek(2).type is (
-                    TokenType.RBRACKET
+            if ttype is _LBRACKET:
+                if self._peek(1).type is _STAR and self._peek(2).type is (
+                    _RBRACKET
                 ):
-                    self._advance()
-                    self._advance()
-                    self._advance()
+                    self.pos += 3
                     expr = self._parse_splat_tail(expr)
                     continue
-                open_tok = self._advance()
+                self.pos += 1
                 index = self.parse_expression()
-                close_tok = self._expect(TokenType.RBRACKET, "']' after index")
+                close_tok = self._expect(_RBRACKET, "']' after index")
                 expr = IndexAccess(
                     obj=expr, index=index, span=expr.span.merge(close_tok.span)
                 )
@@ -271,7 +299,7 @@ class Parser:
     def _parse_splat_tail(self, obj: Expr) -> Expr:
         attrs: List[str] = []
         end_span = obj.span
-        while self._check(TokenType.DOT) and self._peek(1).type is TokenType.IDENT:
+        while self._check(_DOT) and self._peek(1).type is _IDENT:
             self._advance()
             name_tok = self._advance()
             attrs.append(name_tok.value)
@@ -279,34 +307,32 @@ class Parser:
         return SplatExpr(obj=obj, attrs=attrs, span=obj.span.merge(end_span))
 
     def _parse_primary(self) -> Expr:
-        tok = self._peek()
-        if tok.type is TokenType.NUMBER:
-            self._advance()
-            return Literal(tok.value, tok.span)
-        if tok.type is TokenType.STRING:
-            self._advance()
-            return Literal(tok.value, tok.span)
-        if tok.type is TokenType.TEMPLATE:
-            self._advance()
-            return self._build_template(tok)
-        if tok.type is TokenType.IDENT:
+        tok = self.tokens[self.pos]
+        ttype = tok.type
+        if ttype is _IDENT:
             if tok.value in KEYWORD_LITERALS:
-                self._advance()
+                self.pos += 1
                 return Literal(KEYWORD_LITERALS[tok.value], tok.span)
-            if self._peek(1).type is TokenType.LPAREN:
+            if self._peek(1).type is _LPAREN:
                 return self._parse_function_call()
-            self._advance()
+            self.pos += 1
             return ScopeRef(name=tok.value, span=tok.span)
-        if tok.type is TokenType.LPAREN:
-            self._advance()
+        if ttype is _STRING or ttype is _NUMBER:
+            self.pos += 1
+            return Literal(tok.value, tok.span)
+        if ttype is _TEMPLATE:
+            self.pos += 1
+            return self._build_template(tok)
+        if ttype is _LPAREN:
+            self.pos += 1
             self._skip_newlines()
             inner = self.parse_expression()
             self._skip_newlines()
-            self._expect(TokenType.RPAREN, "')'")
+            self._expect(_RPAREN, "')'")
             return inner
-        if tok.type is TokenType.LBRACKET:
+        if ttype is _LBRACKET:
             return self._parse_list_or_for()
-        if tok.type is TokenType.LBRACE:
+        if ttype is _LBRACE:
             return self._parse_object_or_for()
         raise CLCSyntaxError(
             f"expected expression, found {tok.type.value} ({tok.value!r})", tok.span
@@ -314,18 +340,18 @@ class Parser:
 
     def _parse_function_call(self) -> Expr:
         name_tok = self._advance()
-        self._expect(TokenType.LPAREN)
+        self._expect(_LPAREN)
         args: List[Expr] = []
         expand_final = False
         self._skip_newlines()
-        while not self._check(TokenType.RPAREN):
+        while not self._check(_RPAREN):
             args.append(self.parse_expression())
-            if self._match(TokenType.ELLIPSIS):
+            if self._match(_ELLIPSIS):
                 expand_final = True
                 self._skip_newlines()
                 break
             self._skip_separators()
-        close_tok = self._expect(TokenType.RPAREN, "')' after arguments")
+        close_tok = self._expect(_RPAREN, "')' after arguments")
         return FunctionCall(
             name=name_tok.value,
             args=args,
@@ -334,26 +360,26 @@ class Parser:
         )
 
     def _parse_list_or_for(self) -> Expr:
-        open_tok = self._expect(TokenType.LBRACKET)
+        open_tok = self._expect(_LBRACKET)
         self._skip_newlines()
-        if self._check(TokenType.IDENT) and self._peek().value == "for":
+        if self._check(_IDENT) and self._peek().value == "for":
             return self._parse_for(open_tok, is_object=False)
         items: List[Expr] = []
-        while not self._check(TokenType.RBRACKET):
+        while not self._check(_RBRACKET):
             items.append(self.parse_expression())
             self._skip_separators()
-        close_tok = self._expect(TokenType.RBRACKET, "']'")
+        close_tok = self._expect(_RBRACKET, "']'")
         return ListExpr(items=items, span=open_tok.span.merge(close_tok.span))
 
     def _parse_object_or_for(self) -> Expr:
-        open_tok = self._expect(TokenType.LBRACE)
+        open_tok = self._expect(_LBRACE)
         self._skip_newlines()
-        if self._check(TokenType.IDENT) and self._peek().value == "for":
+        if self._check(_IDENT) and self._peek().value == "for":
             return self._parse_for(open_tok, is_object=True)
         entries: List[Tuple[Expr, Expr]] = []
-        while not self._check(TokenType.RBRACE):
+        while not self._check(_RBRACE):
             key = self._parse_object_key()
-            if not (self._match(TokenType.ASSIGN) or self._match(TokenType.COLON)):
+            if not (self._match(_ASSIGN) or self._match(_COLON)):
                 tok = self._peek()
                 raise CLCSyntaxError(
                     f"expected '=' or ':' after object key, found {tok.value!r}",
@@ -363,52 +389,52 @@ class Parser:
             value = self.parse_expression()
             entries.append((key, value))
             self._skip_separators()
-        close_tok = self._expect(TokenType.RBRACE, "'}'")
+        close_tok = self._expect(_RBRACE, "'}'")
         return ObjectExpr(entries=entries, span=open_tok.span.merge(close_tok.span))
 
     def _parse_object_key(self) -> Expr:
         tok = self._peek()
-        if tok.type is TokenType.IDENT and self._peek(1).type in (
-            TokenType.ASSIGN,
-            TokenType.COLON,
+        if tok.type is _IDENT and self._peek(1).type in (
+            _ASSIGN,
+            _COLON,
         ):
             self._advance()
             return Literal(tok.value, tok.span)
-        if tok.type is TokenType.LPAREN:
+        if tok.type is _LPAREN:
             self._advance()
             inner = self.parse_expression()
-            self._expect(TokenType.RPAREN, "')' after computed key")
+            self._expect(_RPAREN, "')' after computed key")
             return inner
         return self.parse_expression()
 
     def _parse_for(self, open_tok: Token, is_object: bool) -> Expr:
         self._advance()  # 'for'
-        first = self._expect(TokenType.IDENT, "loop variable").value
+        first = self._expect(_IDENT, "loop variable").value
         key_var: Optional[str] = None
         value_var = first
-        if self._match(TokenType.COMMA):
+        if self._match(_COMMA):
             key_var = first
-            value_var = self._expect(TokenType.IDENT, "loop value variable").value
-        in_tok = self._expect(TokenType.IDENT, "'in'")
+            value_var = self._expect(_IDENT, "loop value variable").value
+        in_tok = self._expect(_IDENT, "'in'")
         if in_tok.value != "in":
             raise CLCSyntaxError("expected 'in' in for expression", in_tok.span)
         collection = self.parse_expression()
-        self._expect(TokenType.COLON, "':' in for expression")
+        self._expect(_COLON, "':' in for expression")
         self._skip_newlines()
         result_key: Optional[Expr] = None
         if is_object:
             result_key = self.parse_expression()
-            self._expect(TokenType.ARROW, "'=>' in object for expression")
+            self._expect(_ARROW, "'=>' in object for expression")
             self._skip_newlines()
         result_value = self.parse_expression()
-        grouping = bool(self._match(TokenType.ELLIPSIS))
+        grouping = bool(self._match(_ELLIPSIS))
         condition: Optional[Expr] = None
         self._skip_newlines()
-        if self._check(TokenType.IDENT) and self._peek().value == "if":
+        if self._check(_IDENT) and self._peek().value == "if":
             self._advance()
             condition = self.parse_expression()
         self._skip_newlines()
-        closer = TokenType.RBRACE if is_object else TokenType.RBRACKET
+        closer = _RBRACE if is_object else _RBRACKET
         close_tok = self._expect(closer, "for expression terminator")
         return ForExpr(
             key_var=key_var,
@@ -455,5 +481,5 @@ def parse_expression_source(
     parser = Parser(lexer.tokens(), filename)
     expr = parser.parse_expression()
     parser._skip_newlines()
-    parser._expect(TokenType.EOF, "end of expression")
+    parser._expect(_EOF, "end of expression")
     return expr

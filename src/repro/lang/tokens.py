@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import dataclasses
 import enum
-from typing import Any
+from typing import Any, NamedTuple
 
 from .diagnostics import SourceSpan
 
@@ -56,9 +55,11 @@ class TokenType(enum.Enum):
     EOF = "eof"
 
 
-@dataclasses.dataclass(frozen=True)
-class Token:
-    """One lexeme with its decoded value and source span."""
+class Token(NamedTuple):
+    """One lexeme with its decoded value and source span.
+
+    A tuple, like :class:`SourceSpan`: the lexer builds one per lexeme
+    and a frozen dataclass pays three ``object.__setattr__`` for it."""
 
     type: TokenType
     value: Any

@@ -14,6 +14,7 @@ from .admission import (
     REJECT_BROWNOUT,
     REJECT_CIRCUIT_OPEN,
     REJECT_DEADLINE,
+    REJECT_INVALID_PROGRAM,
     REJECT_QUEUE_FULL,
     REJECT_RATE_LIMITED,
     REJECT_READ_ONLY,
@@ -57,6 +58,7 @@ __all__ = [
     "REJECT_BROWNOUT",
     "REJECT_CIRCUIT_OPEN",
     "REJECT_DEADLINE",
+    "REJECT_INVALID_PROGRAM",
     "REJECT_QUEUE_FULL",
     "REJECT_RATE_LIMITED",
     "REJECT_READ_ONLY",

@@ -37,6 +37,7 @@ REJECT_DEADLINE = "deadline-exceeded"  # expired while queued
 REJECT_STALE_SESSION = "stale-session"  # zombie fenced out by a newer lease
 REJECT_SHUTDOWN = "shutting-down"  # service stopping/killed
 REJECT_UNKNOWN_OP = "unknown-op"
+REJECT_INVALID_PROGRAM = "invalid-program"  # sources do not parse or evaluate
 
 #: rejection reason -> HTTP-style status code (the typed contract the
 #: zero-hangs gate checks: every response carries one of these or 200)
@@ -51,6 +52,7 @@ STATUS_OF: Dict[str, int] = {
     REJECT_DEADLINE: 504,
     REJECT_STALE_SESSION: 409,
     REJECT_UNKNOWN_OP: 400,
+    REJECT_INVALID_PROGRAM: 400,
 }
 
 #: ops servable in read-only degradation (no estate mutation)

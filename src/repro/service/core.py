@@ -35,6 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional
 
 from ..deploy import SimulatedCrash
+from ..lang.diagnostics import CLCError
 from ..perf import PERF
 from ..workloads.traffic import LatencyHistogram, goodput_fairness_ratio
 from . import admission as adm
@@ -360,9 +361,24 @@ class ControlPlaneService:
                 )
             except SessionFencedError as exc:
                 self._reject_with(
-                    request, adm.REJECT_STALE_SESSION, str(exc)
+                    request, adm.REJECT_STALE_SESSION, {"detail": str(exc)}
                 )
                 self.breakers.of(request.tenant).record_failure(self.clock())
+                return
+            except CLCError as exc:
+                # a typo is the tenant's error, not the service's: typed
+                # 400 with the place in the body, and neither `failed`
+                # nor the tenant's breaker hears of it (five typos must
+                # not lock a tenant out of its next valid plan)
+                self._reject_with(
+                    request,
+                    adm.REJECT_INVALID_PROGRAM,
+                    {
+                        "detail": str(exc),
+                        "message": exc.message,
+                        "span": list(exc.span) if exc.span is not None else None,
+                    },
+                )
                 return
             except (KeyboardInterrupt, SystemExit, SimulatedCrash) as exc:
                 # a chaos crash hook fired mid-apply: this tenant's
@@ -418,7 +434,9 @@ class ControlPlaneService:
                 )
             )
 
-    def _reject_with(self, request: _Request, reason: str, detail: str) -> None:
+    def _reject_with(
+        self, request: _Request, reason: str, body: Dict[str, Any]
+    ) -> None:
         self.shed[reason] = self.shed.get(reason, 0) + 1
         PERF.count("service.shed")
         if not request.future.done():
@@ -428,7 +446,7 @@ class ControlPlaneService:
                     op=request.op,
                     status=adm.STATUS_OF[reason],
                     reason=reason,
-                    body={"detail": detail},
+                    body=body,
                 )
             )
 

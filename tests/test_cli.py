@@ -281,6 +281,19 @@ class TestCliExtras:
         assert "guard too small" in out and "main.clc" in out
 
 
+    @pytest.mark.parametrize("verb", ["validate", "plan", "apply", "graph"])
+    def test_a_typo_is_one_line_not_a_traceback(self, project, capsys, verb):
+        """A program that does not parse is the user's error: one
+        ``error: <message> at <file>:<line>:<col>`` line, exit 1."""
+        run(project, "init")
+        with open(os.path.join(project, "main.clc"), "w") as handle:
+            handle.write('resource "aws_vpc" "m" {\n  name = = "m"\n}\n')
+        capsys.readouterr()
+        assert run(project, verb) == 1
+        err = capsys.readouterr().err
+        assert err == "error: expected expression, found = ('=') at main.clc:2:10\n"
+
+
 class TestImportedModules:
     def test_plan_after_module_producing_import(self, tmp_path, capsys):
         """``import`` extracts repeated stacks into ``modules/``; the

@@ -340,6 +340,43 @@ class TestEngineWarmPath:
         bare = CloudlessEngine(gateway=CloudGateway.simulated(seed=3))
         assert bare.plan(SOURCE).render() == cold_plan.render()
 
+    def test_the_parent_commits_artifact_is_an_exact_hit(self, tmp_path):
+        """``fixtures/artifact_v5_a3ccd4f.clcc`` was written by the program
+        one commit before the compiled scanner replaced the per-character
+        lexer and chunker (tests/fixtures/README.md). The format did not
+        move, so a ``.clc-cache/`` that commit left behind is still
+        served -- and what it holds is what the new lexer, chunker and
+        parser make of the same text, span for span, chunk for chunk."""
+        import shutil
+
+        from repro.workloads import web_tier
+        from tests.golden.lang_corpus import ast_dump
+
+        source = web_tier()
+        gateway = CloudGateway.simulated(seed=3)
+        cache_dir = str(tmp_path / "cache")
+        engine = CloudlessEngine(gateway=gateway, cache_dir=cache_dir)
+        cache = engine.compile_cache
+        fixture = os.path.join(
+            os.path.dirname(__file__), "fixtures", "artifact_v5_a3ccd4f.clcc"
+        )
+        with open(fixture, "rb") as handle:
+            assert json.loads(handle.readline())["version"] == FORMAT_VERSION == 5
+        fps = (variables_fingerprint(None), schema_fingerprint(gateway))
+        shutil.copy(fixture, cache.path_for({"main.clc": source}, *fps))
+
+        compiled = engine.compile(source)
+        assert (cache.exact_hits, cache.partial_hits, cache.misses) == (1, 0, 0)
+        assert engine.validate(compiled).ok and compiled.verdict is not None
+        fresh = Configuration.parse_streaming({"main.clc": source})
+        assert ast_dump(compiled.config) == ast_dump(fresh)
+        assert compiled.config.block_fingerprints == fresh.block_fingerprints
+        assert list(compiled.config._chunk_asts) == list(fresh._chunk_asts)
+        assert engine.plan(compiled).render() == CloudlessEngine(
+            gateway=gateway
+        ).plan(source).render()
+        assert cache.stores == 0
+
     def test_warm_apply_matches_cold_apply(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         cold = CloudlessEngine(

@@ -71,8 +71,17 @@ class TestEmitterRoundTrip:
 
 
 class TestLexerProperties:
-    @given(st.text(alphabet=" \t\nabc123+-*/=<>!&|(){}[],.\"'#", max_size=50))
-    @settings(max_examples=300)
+    @given(
+        st.text(
+            alphabet=" \t\r\nabcefuxEOT0123456789+-*/%=<>!&|?:(){}[],.\"'#\\$_",
+            max_size=120,
+        )
+    )
+    @example("x = 1e5e3")  # float() refuses a second exponent: was ValueError
+    @example('x = "\\u12')  # four blind steps off the end: was IndexError
+    @example('x = "\\u12"\ny = 2\n')  # ...or over the closing quote
+    @example("x = " + "1" * 5000)  # more digits than int() reads
+    @settings(max_examples=600)
     def test_lexer_never_crashes_unexpectedly(self, source):
         """Any input either tokenizes or raises the typed syntax error."""
         from repro.lang.diagnostics import CLCSyntaxError

@@ -22,6 +22,7 @@ from repro.service import (
     REJECT_BROWNOUT,
     REJECT_CIRCUIT_OPEN,
     REJECT_DEADLINE,
+    REJECT_INVALID_PROGRAM,
     REJECT_QUEUE_FULL,
     REJECT_RATE_LIMITED,
     REJECT_READ_ONLY,
@@ -43,6 +44,10 @@ from repro.workloads import web_tier
 
 SRC = web_tier(web_vms=1, app_vms=0, with_lb=False, with_db=False)
 BIGGER = web_tier(web_vms=2, app_vms=1, with_lb=True, with_db=False)
+#: parses, and no engine can apply it: the service's failure to report
+#: (a program that does not parse is the tenant's: TestInvalidProgram)
+UNAPPLIABLE = 'resource "no_such_type" "x" {\n  name = "x"\n}\n'
+TYPO = 'resource "aws_vpc" "m" {\n  name = = "m"\n}\n'
 
 
 def run(coro):
@@ -96,7 +101,7 @@ class TestRequestLifecycle:
             svc = make_service(tmp_path)
             await svc.start()
             response = await svc.request(
-                "a", "apply", payload={"sources": "vm { nope"}
+                "a", "apply", payload={"sources": UNAPPLIABLE}
             )
             await svc.stop()
             return response
@@ -153,7 +158,7 @@ class TestTenantIsolation:
             svc = make_service(tmp_path)
             await svc.start()
             bad = await svc.request(
-                "bad", "apply", payload={"sources": "vm {"}
+                "bad", "apply", payload={"sources": UNAPPLIABLE}
             )
             good = await svc.request(
                 "good", "apply", payload={"sources": SRC}
@@ -396,7 +401,7 @@ class TestBreakers:
             svc = make_service(tmp_path, breaker_threshold=2)
             await svc.start()
             for _ in range(2):
-                await svc.request("bad", "apply", payload={"sources": "x {"})
+                await svc.request("bad", "apply", payload={"sources": UNAPPLIABLE})
             tripped = await svc.request(
                 "bad", "apply", payload={"sources": SRC}
             )
@@ -410,6 +415,38 @@ class TestBreakers:
         assert tripped.reason == REJECT_CIRCUIT_OPEN
         assert tripped.status == 503
         assert bystander.ok
+
+
+class TestInvalidProgram:
+    def test_a_typo_is_the_tenants_error_not_the_services(self, tmp_path):
+        """A program that does not parse answers a typed 400 with the
+        place in the body; six of them in a row (the breaker opens at
+        five failures) leave the tenant's breaker closed, `failed` at
+        zero, and the next valid plan answered."""
+
+        async def main():
+            svc = make_service(tmp_path)
+            await svc.start()
+            bad = [
+                await svc.request("a", op, payload={"sources": TYPO})
+                for op in ("plan", "apply", "plan", "plan", "plan", "plan")
+            ]
+            good = await svc.request("a", "plan", payload={"sources": SRC})
+            stats = svc.stats()
+            await svc.stop()
+            return bad, good, stats
+
+        bad, good, stats = run(main())
+        for response in bad:
+            assert response.status == STATUS_OF[REJECT_INVALID_PROGRAM] == 400
+            assert response.reason == REJECT_INVALID_PROGRAM
+            assert response.body["message"] == "expected expression, found = ('=')"
+            assert response.body["span"] == ["main.clc", 2, 10, 2, 11]
+            assert response.body["detail"].endswith("at main.clc:2:10")
+        assert good.status == 200, (good.status, good.reason)
+        assert stats["failed"] == 0
+        assert stats["breakers"] == {"a": "closed"}
+        assert stats["shed"] == {REJECT_INVALID_PROGRAM: 6}
 
 
 class TestSessionsAndCrash:
