@@ -29,7 +29,8 @@ from ..drift.detector import DetectionRun, DriftFinding, LogWatchDetector
 from ..drift.reconcile import Reconciler, ReconcileReport
 from ..drift.watcher import DriftWatcher, WatchCycle
 from ..graph.builder import GraphBuildError, ResourceGraph, build_graph
-from ..graph.plan import Plan, Planner
+from ..graph.impact import PlanBasis, change_scope, diff_configurations, same_values
+from ..graph.plan import Action, Plan, Planner
 from ..lang.config import Configuration
 from ..lang.diagnostics import CLCError
 from ..lang.module_loader import ModuleLoader
@@ -187,6 +188,13 @@ class CloudlessEngine:
         #: next :meth:`compile` reuses what it can of it. Dropped with
         #: the engine, which is how a re-opened session forgets it.
         self._last_compile: Optional[Tuple[Dict[str, str], Configuration]] = None
+        #: what the last plan of a compile of ours was computed from and
+        #: proved no-op; the next plan diffs what is not provably the
+        #: same (:meth:`_plan_scope`). Like ``_last_compile`` it is
+        #: dropped with the engine.
+        self._plan_basis: Optional[PlanBasis] = None
+        #: ``(addresses the last plan diffed, nodes in its graph)``
+        self.last_plan_scope: Optional[Tuple[int, int]] = None
         #: persistent compiled-artifact cache (``cache_dir=None`` keeps
         #: every compile cold); see :mod:`repro.compilecache`
         self.compile_cache = None
@@ -359,7 +367,76 @@ class CloudlessEngine:
         self._store(compiled)  # with no verdict, if the verb never validated
         working = (state if state is not None else self.state).copy()
         data_values = read_data_sources(self.resilient, graph, working)
-        return self.planner.plan(graph, working, data_values=data_values)
+        # only a configuration this engine parsed is known not to be
+        # edited in place between two plans: any other has no basis
+        ours = (
+            self._last_compile is not None
+            and compiled.config is self._last_compile[1]
+        )
+        scope = self._plan_scope(
+            self._plan_basis if ours else None, compiled, graph, working, data_values
+        )
+        plan = self.planner.plan(
+            graph, working, data_values=data_values, limit_to=scope
+        )
+        self.last_plan_scope = (
+            len(graph) if scope is None else len(scope),
+            len(graph),
+        )
+        if ours:
+            self._plan_basis = PlanBasis(
+                config=compiled.config,
+                variables=dict(compiled.variables or {}),
+                data_values=data_values,
+                noop={
+                    address: change.prior
+                    for address, change in plan.changes.items()
+                    if change.action is Action.NOOP and change.prior is not None
+                },
+            )
+        return plan
+
+    def _plan_scope(
+        self,
+        basis: Optional[PlanBasis],
+        compiled: Compiled,
+        graph: ResourceGraph,
+        state: StateDocument,
+        data_values: Dict[str, Dict[str, Any]],
+    ) -> Optional[set]:
+        """The addresses this plan must diff, or ``None`` for all of
+        them: there is no basis, the program calls modules (their text
+        is outside what the engine can diff -- the rule :meth:`_store`
+        uses), or a data source reads differently.
+
+        Nothing tells the basis that the state moved: a node counts as
+        proven only while the state holds the very entry it was no-op
+        against, so a repair, a rollback, state surgery, a resumed or
+        half-failed apply or another ``state`` all re-diff what they
+        touched."""
+        if basis is None:
+            why = "first"
+        elif compiled.config.module_calls or basis.config.module_calls:
+            why = "modules"
+        elif not same_values(data_values, basis.data_values):
+            why = "data"
+        else:
+            delta = diff_configurations(
+                basis.config, compiled.config, basis.variables, compiled.variables
+            )
+            scope = change_scope(
+                graph,
+                delta,
+                state,
+                proven=basis.noop,
+                provider_lookup=self.gateway.provider_of,
+            )
+            PERF.count("plan.scoped")
+            PERF.count("plan.scope_nodes", len(scope))
+            return scope
+        PERF.count("plan.full")
+        PERF.count(f"plan.full.{why}")
+        return None
 
     def apply(
         self,

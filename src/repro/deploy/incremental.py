@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Optional, Set
 from ..cloud.clock import EventQueue
 from ..cloud.gateway import CloudGateway
 from ..graph.builder import ResourceGraph, build_graph
-from ..graph.impact import ConfigDelta, ImpactAnalyzer, diff_configurations
+from ..graph.impact import ConfigDelta, change_scope, diff_configurations
 from ..graph.plan import Plan, Planner
 from ..lang.config import Configuration
 from ..lang.module_loader import ModuleLoader
@@ -162,12 +162,9 @@ class UpdatePipeline:
             )
 
         delta = diff_configurations(old_config, new_config)
-        seeds = ImpactAnalyzer(graph).seeds_from_delta(delta, old_config)
-        # declarations removed/renamed: their instances live only in state
-        for mode, rtype, name in delta.changed_resources:
-            for entry in state.instances_of(rtype, name, (), mode):
-                seeds.add(str(entry.address))
-        scope = ImpactAnalyzer(graph).impact_scope(seeds)
+        scope = change_scope(
+            graph, delta, state, provider_lookup=self.gateway.provider_of
+        )
         refresh = refresh_state(
             self.gateway, state, scope, self.refresh_concurrency
         )

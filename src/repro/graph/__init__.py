@@ -9,7 +9,13 @@ from .builder import (
 )
 from .critical_path import CriticalPathAnalysis, analyze, estimate_change_duration
 from .dag import CycleError, Dag
-from .impact import ConfigDelta, ImpactAnalyzer, diff_configurations
+from .impact import (
+    ConfigDelta,
+    ImpactAnalyzer,
+    PlanBasis,
+    change_scope,
+    diff_configurations,
+)
 from .plan import (
     ACTIONABLE,
     Action,
@@ -33,6 +39,7 @@ __all__ = [
     "GraphBuilder",
     "ImpactAnalyzer",
     "Plan",
+    "PlanBasis",
     "PlanError",
     "PlannedChange",
     "Planner",
@@ -41,6 +48,7 @@ __all__ = [
     "ValueResolver",
     "analyze",
     "build_graph",
+    "change_scope",
     "diff_configurations",
     "estimate_change_duration",
 ]

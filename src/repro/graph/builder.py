@@ -10,7 +10,7 @@ resource instances it ultimately depends on.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..addressing import DATA, MANAGED, InstanceKey, ResourceAddress
 from ..lang.config import Configuration, ModuleCall, ResourceDecl
@@ -26,6 +26,12 @@ ModulePath = Tuple[str, ...]
 
 class GraphBuildError(RuntimeError):
     """Raised when the configuration cannot be expanded into a graph."""
+
+
+def provider_of_type(rtype: str) -> str:
+    """The provider a resource type names by its prefix (``aws_vpc`` ->
+    ``aws``): the lookup of a planner nobody gave a catalog."""
+    return rtype.split("_", 1)[0]
 
 
 @dataclasses.dataclass
@@ -60,6 +66,16 @@ class ResourceNode:
         if isinstance(collection, dict):
             return collection.get(self.instance_key, self.instance_key)
         return self.instance_key
+
+    def provider_keys(
+        self, default: Callable[[str], str] = provider_of_type
+    ) -> List[str]:
+        """Keys of the module's ``provider`` blocks that configure this
+        instance, first match wins: the one its ``provider``
+        meta-argument names (an alias falls back to the plain block),
+        else ``default(type)``."""
+        key = self.decl.provider or default(self.address.type)
+        return [key, key.split(".", 1)[0]] if "." in key else [key]
 
     def evaluate_attrs(self) -> Dict[str, Any]:
         """Evaluate the instance's configured attributes (may contain
@@ -177,7 +193,7 @@ class GraphBuilder:
                 decl_key = (mnode.path, decl.mode, decl.type, decl.name)
                 instance_ids = graph.decl_instances.get(decl_key, [])
                 dep_addrs: Set[str] = set()
-                for ref in sorted(decl.references()):
+                for ref in decl.references():
                     dep_addrs |= self._deps_of_reference(mnode, ref, graph)
                 for dep in sorted(dep_addrs):
                     for nid in instance_ids:

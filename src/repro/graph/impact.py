@@ -5,16 +5,27 @@ only a small subset of successor and predecessor nodes in the resource
 dependency graph." This module computes that subset, so incremental
 plans refresh and re-diff only what a change can actually touch, instead
 of querying all cloud-level resource state from scratch.
+
+One rule, two callers: :func:`diff_configurations` says which
+declarations are not what they were, :func:`change_scope` turns that
+(plus what the state says) into the addresses a plan must diff.
+:class:`~repro.deploy.incremental.UpdatePipeline` plans an update with
+them; a resident :class:`~repro.core.engine.CloudlessEngine` plans every
+verb after its first with them, against its :class:`PlanBasis`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Set, Tuple
+import json
+from typing import Any, Callable, Dict, Mapping, Optional, Set, Tuple
 
-from ..lang.ast_nodes import Attribute, Block, Body
+from ..addressing import DATA, MANAGED
+from ..lang.ast_nodes import Attribute, Body
 from ..lang.config import Configuration, ResourceDecl
-from .builder import ResourceGraph
+from ..lang.references import body_references, extract_references
+from ..state.document import ResourceState, StateDocument
+from .builder import ResourceGraph, provider_of_type
 
 
 @dataclasses.dataclass
@@ -23,7 +34,8 @@ class ConfigDelta:
 
     Keys are ``(mode, type, name)`` decl keys in the root module; module
     calls that changed are tracked separately (a changed module call
-    taints every resource inside that module instance).
+    taints every resource inside that module instance), and so are
+    ``provider`` blocks, by their ``name`` / ``name.alias`` key.
     """
 
     changed_resources: Set[Tuple[str, str, str]] = dataclasses.field(
@@ -32,6 +44,7 @@ class ConfigDelta:
     changed_locals: Set[str] = dataclasses.field(default_factory=set)
     changed_variables: Set[str] = dataclasses.field(default_factory=set)
     changed_modules: Set[str] = dataclasses.field(default_factory=set)
+    changed_providers: Set[str] = dataclasses.field(default_factory=set)
 
     @property
     def is_empty(self) -> bool:
@@ -40,34 +53,83 @@ class ConfigDelta:
             or self.changed_locals
             or self.changed_variables
             or self.changed_modules
+            or self.changed_providers
         )
 
 
-def diff_configurations(old: Configuration, new: Configuration) -> ConfigDelta:
-    """Structural diff of two parsed configurations (root module)."""
+@dataclasses.dataclass
+class PlanBasis:
+    """What one plan was computed from and what it proved, kept so the
+    next plan re-diffs only what is not provably the same.
+
+    Holds no graph, context or resolver: a configuration, plain values
+    and state entries, all of which the engine holds anyway."""
+
+    config: Configuration
+    variables: Dict[str, Any]
+    data_values: Dict[str, Dict[str, Any]]
+    #: address -> the sealed state entry that plan found it ``NOOP``
+    #: against; entries are immutable, so the same entry *is* the same
+    #: resource as it was then
+    noop: Dict[str, ResourceState]
+
+
+def same_values(a: Any, b: Any) -> bool:
+    """Whether two JSON-shaped values are the same to an expression
+    (``1``, ``1.0`` and ``true`` are three values)."""
+    return a is b or _value_text(a) == _value_text(b)
+
+
+def _value_text(value: Any) -> str:
+    try:
+        return json.dumps(value, sort_keys=True, default=repr)
+    except (TypeError, ValueError):
+        return repr(value)
+
+
+def _changed(old: Mapping, new: Mapping, fingerprint: Callable[[Any], Any]) -> set:
+    """Keys whose declaration is not what it was. Equality first: an
+    unchanged chunk of a re-parse is the same AST objects, which compare
+    by identity; one that only moved compares by structure."""
+    out = set()
+    for key in old.keys() | new.keys():
+        o, n = old.get(key), new.get(key)
+        if o is None or n is None or (o != n and fingerprint(o) != fingerprint(n)):
+            out.add(key)
+    return out
+
+
+def diff_configurations(
+    old: Configuration,
+    new: Configuration,
+    old_variables: Optional[Mapping[str, Any]] = None,
+    new_variables: Optional[Mapping[str, Any]] = None,
+) -> ConfigDelta:
+    """Structural diff of two parsed configurations (root module). A
+    variable given a different value counts as changed."""
     delta = ConfigDelta()
-    old_res = {k: _decl_fingerprint(d) for k, d in old.resources.items()}
-    new_res = {k: _decl_fingerprint(d) for k, d in new.resources.items()}
-    for key in set(old_res) | set(new_res):
-        if old_res.get(key) != new_res.get(key):
-            delta.changed_resources.add(key)
-    old_locals = {n: _expr_fingerprint(a) for n, a in old.locals.items()}
-    new_locals = {n: _expr_fingerprint(a) for n, a in new.locals.items()}
-    for name in set(old_locals) | set(new_locals):
-        if old_locals.get(name) != new_locals.get(name):
-            delta.changed_locals.add(name)
-    for name in set(old.variables) | set(new.variables):
-        o, n = old.variables.get(name), new.variables.get(name)
-        o_fp = (o.type_constraint, _expr_fp(o.default)) if o else None
-        n_fp = (n.type_constraint, _expr_fp(n.default)) if n else None
-        if o_fp != n_fp:
+    if old is not new:
+        delta.changed_resources = _changed(
+            old.resources, new.resources, _decl_fingerprint
+        )
+        delta.changed_locals = _changed(old.locals, new.locals, _expr_fingerprint)
+        delta.changed_variables = _changed(
+            old.variables,
+            new.variables,
+            lambda v: (v.type_constraint, _expr_fp(v.default)),
+        )
+        delta.changed_modules = _changed(
+            old.module_calls,
+            new.module_calls,
+            lambda m: _body_fingerprint(m.body) + (m.source,),
+        )
+        delta.changed_providers = _changed(
+            old.providers, new.providers, lambda p: _body_fingerprint(p.body)
+        )
+    was, now = old_variables or {}, new_variables or {}
+    for name in was.keys() | now.keys():
+        if name not in was or name not in now or not same_values(was[name], now[name]):
             delta.changed_variables.add(name)
-    for name in set(old.module_calls) | set(new.module_calls):
-        o, n = old.module_calls.get(name), new.module_calls.get(name)
-        o_fp = _body_fingerprint(o.body) + (o.source,) if o else None
-        n_fp = _body_fingerprint(n.body) + (n.source,) if n else None
-        if o_fp != n_fp:
-            delta.changed_modules.add(name)
     return delta
 
 
@@ -78,27 +140,65 @@ class ImpactAnalyzer:
     def __init__(self, graph: ResourceGraph):
         self.graph = graph
 
-    def seeds_from_delta(self, delta: ConfigDelta, old: Configuration) -> Set[str]:
-        """Instance addresses directly named by a config delta."""
+    def seeds_from_delta(
+        self,
+        delta: ConfigDelta,
+        provider_lookup: Callable[[str], str] = provider_of_type,
+    ) -> Set[str]:
+        """Instance addresses a config delta reaches without the graph's
+        edges: instances of changed declarations, and of declarations
+        that mention something changed."""
+        graph = self.graph
         seeds: Set[str] = set()
         for mode, rtype, name in delta.changed_resources:
-            seeds |= set(self.graph.decl_instances.get(((), mode, rtype, name), []))
+            seeds.update(graph.decl_instances.get(((), mode, rtype, name), ()))
             # removed declarations have no instances in the new graph but
-            # their state entries will be deletions; the caller unions in
-            # state addresses for those
-        for nid, node in self.graph.nodes.items():
-            if node.address.module_path and node.address.module_path[0] in (
-                delta.changed_modules
+            # their state entries will be deletions; change_scope unions
+            # in the addresses that live only in state
+        if delta.is_empty or graph.root_context is None:
+            return seeds
+        config = graph.root_context.config
+        # what a changed declaration is mentioned as (Reference.key)
+        changed = {("var", "", name) for name in delta.changed_variables}
+        changed.update(("local", "", name) for name in delta.changed_locals)
+        changed.update(("module", "", name) for name in delta.changed_modules)
+        changed.update(
+            ("data" if mode == DATA else "resource", rtype, name)
+            for mode, rtype, name in delta.changed_resources
+        )
+        # a local or a module call that reads something changed has
+        # changed too, and so on through local -> local chains
+        readers = {
+            ("local", "", name): extract_references(attr.expr)
+            for name, attr in config.locals.items()
+        }
+        for name, call in config.module_calls.items():
+            readers[("module", "", name)] = call.references()
+        for key in changed:
+            readers.pop(key, None)
+        grew = True
+        while grew:
+            grew = False
+            for key, refs in list(readers.items()):
+                if any(ref.key in changed for ref in refs):
+                    changed.add(key)
+                    del readers[key]
+                    grew = True
+        providers = set(delta.changed_providers)
+        for key, block in config.providers.items():
+            if any(ref.key in changed for ref in body_references(block.body)):
+                providers.add(key)
+        for nid, node in graph.nodes.items():
+            path = node.address.module_path
+            if path:
+                # a module's text is not diffed: all of it or none
+                if ("module", "", path[0]) in changed:
+                    seeds.add(nid)
+            elif any(ref.key in changed for ref in node.decl.references()) or (
+                providers
+                and not providers.isdisjoint(node.provider_keys(provider_lookup))
             ):
                 seeds.add(nid)
-        if delta.changed_locals or delta.changed_variables:
-            for nid, node in self.graph.nodes.items():
-                refs = node.decl.references()
-                for ref in refs:
-                    if ref.kind == "local" and ref.name in delta.changed_locals:
-                        seeds.add(nid)
-                    if ref.kind == "var" and ref.name in delta.changed_variables:
-                        seeds.add(nid)
         return seeds
 
     def impact_scope(
@@ -128,6 +228,37 @@ class ImpactAnalyzer:
         return len(self.impact_scope(seeds)) / len(self.graph.nodes)
 
 
+def change_scope(
+    graph: ResourceGraph,
+    delta: ConfigDelta,
+    state: StateDocument,
+    proven: Optional[Mapping[str, ResourceState]] = None,
+    provider_lookup: Callable[[str], str] = provider_of_type,
+) -> Set[str]:
+    """The addresses a plan of ``graph`` against ``state`` must diff,
+    for ``Planner.plan(limit_to=...)``; every other node is a no-op.
+
+    Seeds: what ``delta`` reaches; addresses that live only in state
+    (deletions); and managed nodes the state cannot vouch for -- with no
+    entry, or, given ``proven`` (a :class:`PlanBasis`'s record), whose
+    entry is not the very one an earlier plan found no-op. The scope is
+    the seeds closed under ``dag.descendants``."""
+    analyzer = ImpactAnalyzer(graph)
+    seeds = analyzer.seeds_from_delta(delta, provider_lookup)
+    entries = state.entries_map()
+    nodes = graph.nodes
+    for address, entry in entries.items():
+        if address not in nodes and entry.address.mode == MANAGED:
+            seeds.add(address)
+    for nid, node in nodes.items():
+        if node.address.mode != MANAGED:
+            continue
+        entry = entries.get(nid)
+        if entry is None or (proven is not None and proven.get(nid) is not entry):
+            seeds.add(nid)
+    return analyzer.impact_scope(seeds)
+
+
 # -- structural fingerprints -------------------------------------------------
 
 
@@ -141,6 +272,7 @@ def _decl_fingerprint(decl: ResourceDecl) -> tuple:
         _expr_fp(decl.for_each),
         tuple(str(r) for r in decl.depends_on),
         decl.provider,
+        dataclasses.astuple(decl.lifecycle),
     )
 
 

@@ -16,7 +16,7 @@ from ..addressing import DATA, MANAGED, ResourceAddress
 from ..lang.context import DeferredResolver
 from ..lang.values import Unknown, collect_unknown_origins, is_unknown, values_equal
 from ..state.document import ResourceState, StateDocument
-from .builder import ResourceGraph, ResourceNode
+from .builder import ResourceGraph, ResourceNode, provider_of_type
 from .dag import Dag
 
 
@@ -94,6 +94,26 @@ class PlannedChange:
 
     def replacement_reasons(self) -> List[str]:
         return [d.name for d in self.diffs if d.requires_replacement]
+
+
+class UndiffedNoop(PlannedChange):
+    """A node a scoped plan left out: ``NOOP`` against ``prior`` on the
+    caller's proof, not by evaluating it. It reads like the full plan's
+    no-op all the same: ``desired`` is evaluated when first read (the
+    cost estimate reads it), ``region`` is the prior's."""
+
+    _desired: Optional[Dict[str, Any]] = None
+
+    @property
+    def desired(self) -> Dict[str, Any]:
+        if self._desired is None:
+            assert self.node is not None
+            self._desired = self.node.evaluate_attrs()
+        return self._desired
+
+    @desired.setter
+    def desired(self, value: Dict[str, Any]) -> None:
+        self._desired = value or None  # the dataclass default is {}
 
 
 class ValueResolver:
@@ -374,9 +394,7 @@ class Planner:
     ):
         self._spec_lookup = spec_lookup or (lambda rtype: None)
         self._region_lookup = region_lookup or (lambda rtype, attrs: "")
-        self._provider_lookup = provider_lookup or (
-            lambda rtype: rtype.split("_", 1)[0]
-        )
+        self._provider_lookup = provider_lookup or provider_of_type
 
     def _spec(self, rtype: str):
         try:
@@ -427,11 +445,13 @@ class Planner:
             node = graph.nodes[nid]
             if limit_to is not None and nid not in limit_to:
                 prior = state.get(node.address)
-                change = PlannedChange(
+                change = UndiffedNoop(
                     action=Action.NOOP,
                     address=node.address,
                     node=node,
                     prior=prior,
+                    region=prior.region if prior else "",
+                    provider=self._provider_lookup(node.address.type),
                 )
                 plan.add(change)
                 decided[nid] = Action.NOOP
@@ -558,13 +578,15 @@ class Planner:
         location = desired.get("location")
         if isinstance(location, str) and location:
             return ""  # explicit per-resource location wins
-        provider_key = node.decl.provider or self._provider_lookup(
-            node.address.type
+        providers = node.context.config.providers
+        block = next(
+            (
+                providers[key]
+                for key in node.provider_keys(self._provider_lookup)
+                if key in providers
+            ),
+            None,
         )
-        config = node.context.config
-        block = config.providers.get(provider_key)
-        if block is None and "." in provider_key:
-            block = config.providers.get(provider_key.split(".", 1)[0])
         if block is None:
             return ""
         expr = block.body.attr_expr("region") or block.body.attr_expr("location")

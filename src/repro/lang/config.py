@@ -74,8 +74,49 @@ class OutputDecl:
     span: SourceSpan = dataclasses.field(default_factory=SourceSpan)
 
 
+class _Referencing:
+    """``references()`` of a declaration with a body, ``count``,
+    ``for_each`` and ``depends_on``.
+
+    The answer is a pure function of the parsed block, and every graph
+    build of a resident engine asks again, so it is kept beside the
+    parts it was computed from: a declaration edited in place (the
+    mutators, the auto-repair) no longer holds those parts and answers
+    afresh. The memo is no dataclass field and is not pickled -- a
+    compiled artifact is the same bytes with or without it."""
+
+    def references(self) -> Tuple[Reference, ...]:
+        """Config objects referenced by the body and the meta-arguments,
+        sorted, each once."""
+        parts = (
+            tuple(self.body.attributes.values()),
+            tuple(self.body.blocks),
+            self.count,
+            self.for_each,
+            tuple(self.depends_on),
+        )
+        memo = getattr(self, "_references", None)
+        # tuples compare by identity first: one pass over pointers
+        if memo is None or memo[:-1] != parts:
+            refs = body_references(self.body)
+            if self.count is not None:
+                refs |= extract_references(self.count)
+            if self.for_each is not None:
+                refs |= extract_references(self.for_each)
+            refs.update(self.depends_on)
+            memo = self._references = parts + (tuple(sorted(refs)),)
+        return memo[-1]
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = self.__dict__
+        if "_references" in state:
+            state = state.copy()
+            del state["_references"]
+        return state
+
+
 @dataclasses.dataclass
-class ResourceDecl:
+class ResourceDecl(_Referencing):
     """One ``resource`` or ``data`` block."""
 
     mode: str  # "managed" | "data"
@@ -98,19 +139,9 @@ class ResourceDecl:
         prefix = "data." if self.mode == "data" else ""
         return f"{prefix}{self.type}.{self.name}"
 
-    def references(self) -> set:
-        """Config objects referenced by this resource's body + meta."""
-        refs = body_references(self.body)
-        if self.count is not None:
-            refs |= extract_references(self.count)
-        if self.for_each is not None:
-            refs |= extract_references(self.for_each)
-        refs |= set(self.depends_on)
-        return refs
-
 
 @dataclasses.dataclass
-class ModuleCall:
+class ModuleCall(_Referencing):
     name: str
     source: str
     body: Body  # arguments (meta-args removed)
@@ -118,15 +149,6 @@ class ModuleCall:
     for_each: Optional[Expr] = None
     depends_on: List[Reference] = dataclasses.field(default_factory=list)
     span: SourceSpan = dataclasses.field(default_factory=SourceSpan)
-
-    def references(self) -> set:
-        refs = body_references(self.body)
-        if self.count is not None:
-            refs |= extract_references(self.count)
-        if self.for_each is not None:
-            refs |= extract_references(self.for_each)
-        refs |= set(self.depends_on)
-        return refs
 
 
 @dataclasses.dataclass
@@ -246,6 +268,19 @@ class Configuration:
             cfg.add_file(ConfigFile(body=merged, filename=fname))
         PERF.count("lang.chunks_parsed", parsed)
         PERF.count("lang.chunks_reused", len(cfg._chunk_asts) - parsed)
+        if reuse is not None:
+            # a reused chunk classifies into a new declaration over the
+            # same block: what the old one knew of its references holds
+            for new, old in (
+                (cfg.resources, reuse.resources),
+                (cfg.module_calls, reuse.module_calls),
+            ):
+                for key, decl in new.items():
+                    was = old.get(key)
+                    if was is not None and was.span is decl.span:
+                        memo = getattr(was, "_references", None)
+                        if memo is not None:
+                            decl._references = memo
         return cfg
 
     def add_file(self, cfile: ConfigFile) -> None:

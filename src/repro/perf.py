@@ -35,6 +35,18 @@ KNOWN_PROBES: Dict[str, str] = {
     "graph.builds": "count: configurations expanded into a resource graph, by "
     "the engine for a verb or by a validation nobody handed one (a verb "
     "builds one; an exact artifact hit none)",
+    # -- plan: how much of the graph a verb diffed --------------------------
+    "plan.scoped": "count: plans that diffed only what the engine's plan basis "
+    "could not vouch for (changed declarations and their dependents, state "
+    "entries that are not the ones its last plan found no-op)",
+    "plan.scope_nodes": "count: addresses those plans diffed, summed",
+    "plan.full": "count: plans that diffed every node; plan.full.<why> says "
+    "why -- first (no basis: an engine's first plan, or a Configuration it did "
+    "not parse), modules (the program calls modules, whose text the engine "
+    "cannot diff), data (a data source read differently)",
+    "plan.full.first": "count: see plan.full",
+    "plan.full.modules": "count: see plan.full",
+    "plan.full.data": "count: see plan.full",
     "validate.runs": "count: validations the engine ran (at most one per verb)",
     "validate.replayed": "count: verdicts an engine replayed from an exact "
     "artifact hit instead of validating",

@@ -212,9 +212,15 @@ class TenantSession:
         return self.home.tenant
 
     def describe(self) -> Dict[str, object]:
+        """``plan_scope_nodes`` of ``graph_nodes``: how many addresses
+        the session's last plan had to diff -- the blast radius of the
+        last edit (both ``None`` until this session has planned)."""
+        scope, graph = self.engine.last_plan_scope or (None, None)
         return {
             "tenant": self.tenant,
             "holder": self.grant.holder,
             "fencing_token": self.grant.fencing_token,
             "resources": len(self.engine.state),
+            "graph_nodes": graph,
+            "plan_scope_nodes": scope,
         }

@@ -26,7 +26,7 @@ immutable entries**:
 * secondary indexes are maintained, not scanned: ``by_resource_id`` is
   a dict hit, ``instances_of`` reads a per-declaration bucket, and
   ``addresses()``/``resources()`` reuse a sorted-key cache invalidated
-  only when the address *set* changes.
+  only when the address *set* changes, and shared by copies until then.
 
 ``to_json()`` stays byte-identical to the historical format (pinned by
 ``tests/golden/test_state_golden.py`` against the frozen deep-copy
@@ -193,7 +193,14 @@ class StateDocument:
         # lazy, per-document secondary indexes (never shared via copy)
         self._by_id: Optional[Dict[str, Dict[str, ResourceState]]] = None
         self._by_decl: Optional[Dict[tuple, Dict[str, ResourceState]]] = None
-        self._sorted_keys: Optional[List[Tuple[ResourceAddress, str]]] = None
+        #: one-slot cell holding the sorted (address, key) pairs, shared
+        #: by copies for as long as their address sets are the same: a
+        #: document whose set changes takes a fresh cell, and the list
+        #: in a cell is never mutated, so whichever copy sorts first
+        #: sorts for all of them
+        self._sorted_cell: List[Optional[List[Tuple[ResourceAddress, str]]]] = [
+            None
+        ]
 
     # -- copy-on-write machinery -------------------------------------------
 
@@ -225,7 +232,7 @@ class StateDocument:
         prev = self._resources.get(key)
         self._resources[key] = entry
         if prev is None:
-            self._sorted_keys = None  # address set changed
+            self._sorted_cell = [None]  # address set changed
         if self._by_id is not None:
             if prev is not None and prev.resource_id:
                 bucket = self._by_id.get(prev.resource_id)
@@ -244,7 +251,7 @@ class StateDocument:
             return None
         self._own()
         entry = self._resources.pop(key)
-        self._sorted_keys = None
+        self._sorted_cell = [None]
         if self._by_id is not None and entry.resource_id:
             bucket = self._by_id.get(entry.resource_id)
             if bucket is not None:
@@ -258,12 +265,13 @@ class StateDocument:
         return entry
 
     def _sorted(self) -> List[Tuple[ResourceAddress, str]]:
-        if self._sorted_keys is None:
-            self._sorted_keys = sorted(
+        cell = self._sorted_cell
+        if cell[0] is None:
+            cell[0] = sorted(
                 ((e.address, k) for k, e in self._resources.items()),
                 key=lambda pair: pair[0],
             )
-        return self._sorted_keys
+        return cell[0]
 
     def addresses(self) -> List[ResourceAddress]:
         return [addr for addr, _ in self._sorted()]
@@ -339,7 +347,7 @@ class StateDocument:
         out.outputs = deep_value_copy(self.outputs)
         out._by_id = None
         out._by_decl = None
-        out._sorted_keys = None
+        out._sorted_cell = self._sorted_cell
         PERF.count("state.copies")
         PERF.count("state.copy_entries_shared", len(self._resources))
         return out

@@ -157,7 +157,7 @@ class DanglingReferenceRule(Rule):
 
     def check(self, ctx: ValidationContext, sink: DiagnosticSink) -> None:
         for node in ctx.instances():
-            for ref in sorted(node.decl.references()):
+            for ref in node.decl.references():
                 if ref.kind == "resource":
                     key = (node.address.module_path, "managed", ref.type, ref.name)
                 elif ref.kind == "data":

@@ -7,20 +7,39 @@ These tests hold the two properties that makes safe -- a resident
 engine answers exactly what a freshly loaded one would, and it parses
 exactly what changed -- and that the table it keeps is bounded by the
 program, not by the session's history.
+
+Since PR 21 it also plans against its own last plan (the *plan basis*):
+only what that plan did not prove no-op, or what changed since, is
+diffed. The licence is ``full_plan`` -- the same compile planned whole
+by ``Planner.plan`` called directly -- which every step of every script
+here is compared with, and a twin engine that forgets its basis before
+each verb and must end every step on the same estate.
 """
 
+import gc
 import hashlib
 import os
 import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.lang.config as lang_config
-from repro.core.engine import CloudlessEngine
+from repro import perf
+from repro.core.engine import CloudlessEngine, EngineError
+from repro.deploy.incremental import read_data_sources
+from repro.deploy.wal import SimulatedCrash
+from repro.graph import GraphBuildError, PlanError, build_graph
+from repro.graph.builder import ResourceGraph, ResourceNode
 from repro.lang.chunker import iter_chunks
+from repro.lang.context import ModuleContext, ResourceResolver
 from repro.persist import load_world, save_world
+from repro.policy import CostEstimator, InfrastructureController, budget_policy
 from repro.workloads import sized_estate
+from repro.workloads.mutate import MutationError
+from tests.golden.lang_corpus import _mutant_base, mutant_source
 
 HEAD = '''variable "env" {
   type = string
@@ -48,6 +67,49 @@ resource "aws_s3_bucket" "extra_%d" {
 '''
 
 
+#: every kind of declaration an edit can reach a resource through
+WIDE_HEAD = '''variable "env" {
+  type = string
+}
+
+variable "replicas" {
+  type    = number
+  default = 2
+}
+
+provider "aws" {
+  region = "us-east-1"
+}
+
+locals {
+  prefix = "${var.env}-edge"
+  base   = "${local.prefix}-logs"
+  bucket = local.base
+}
+
+data "aws_s3_bucket" "shared" {
+  name = "shared-legacy"
+}
+
+resource "aws_s3_bucket" "logs" {
+  name       = local.bucket
+  versioning = data.aws_s3_bucket.shared.versioning
+}
+
+resource "aws_s3_bucket" "replica" {
+  count = var.replicas
+  name  = "${local.prefix}-replica-${count.index}"
+}
+
+resource "aws_s3_bucket" "each" {
+  for_each = toset(["a", "b"])
+  name     = "${local.prefix}-each-${each.key}"
+}
+
+'''
+WIDE = WIDE_HEAD + sized_estate(30)
+
+
 def retag(text: str, service: str, revision: str) -> str:
     """A one-attribute, line-count-preserving edit of one VM block."""
     edited, n = re.subn(
@@ -64,6 +126,28 @@ def plan_sha(plan) -> str:
     plan (values print with their keys sorted), whichever order the
     state holds an old value's dict in."""
     return hashlib.sha256(plan.render().encode()).hexdigest()
+
+
+def full_plan(engine, sources, variables=None, state=None):
+    """The oracle: this engine's compile of ``sources`` planned whole,
+    on a graph of its own, by ``Planner.plan`` called directly."""
+    compiled = engine.compile(sources, variables)
+    graph = build_graph(
+        compiled.config, variables=compiled.variables, loader=engine.loader
+    )
+    working = (engine.state if state is None else state).copy()
+    data_values = read_data_sources(engine.resilient, graph, working)
+    return engine.planner.plan(graph, working, data_values=data_values)
+
+
+def assert_same_plan(got, want):
+    assert got.render() == want.render()
+    assert plan_sha(got) == plan_sha(want)
+    assert got.summary() == want.summary()
+    assert {c.id: c.action for c in got.changes.values()} == {
+        c.id: c.action for c in want.changes.values()
+    }
+    assert CostEstimator().estimate_plan(got) == CostEstimator().estimate_plan(want)
 
 
 def count_parses(monkeypatch):
@@ -104,22 +188,28 @@ class TestResidentEqualsFresh:
     def observe(engine, step):
         kind, sources, variables = step
         if kind == "plan":
-            plan = engine.plan(
-                engine.last_sources if sources is None else sources,
-                variables=engine.last_variables if variables is None else variables,
-            )
+            sources = engine.last_sources if sources is None else sources
+            variables = engine.last_variables if variables is None else variables
+            want = full_plan(engine, sources, variables)
+            plan = engine.plan(sources, variables=variables)
             diagnostics = ""
         elif kind == "destroy":
+            want = full_plan(engine, "")
             result = engine.destroy()
             assert result.ok
             plan, diagnostics = result.plan, ""
-        else:
+        elif kind == "invalid":
             result = engine.apply(sources, variables=variables)
-            if kind == "invalid":
-                assert not result.ok and result.plan is None
-                return (str(result.validation), engine.state.content_hash())
+            assert not result.ok and result.plan is None
+            return (str(result.validation), engine.state.content_hash())
+        else:
+            want = full_plan(engine, sources, variables)
+            result = engine.apply(sources, variables=variables)
             assert result.ok, str(result.validation)
             plan, diagnostics = result.plan, str(result.validation.diagnostics)
+        # the engine planned what its basis could not vouch for: the
+        # same plan as diffing every node
+        assert_same_plan(plan, want)
         return (
             plan.summary(),
             plan_sha(plan),
@@ -173,6 +263,193 @@ class TestResidentEqualsFresh:
             assert got == want, (number, step[0])
         assert resident.state.content_hash() != CloudlessEngine().state.content_hash()
 
+    def test_every_kind_of_edit_with_every_verb_between(self, tmp_path):
+        """One engine plans by its basis; its twin forgets the basis
+        before every step, so it plans whole. Same verbs, same external
+        events, same seed: the same plans and the same estate."""
+
+        def once(old, new):
+            def edit(text):
+                assert text.count(old) == 1, old
+                return text.replace(old, new)
+
+            return edit
+
+        def verb(kind, edit=None, **variables):
+            def step(engine, text):
+                text = edit(text) if edit else text
+                wanted = {"env": "prod", **variables}
+                want = full_plan(engine, text, wanted)
+                if kind == "plan":
+                    plan = engine.plan(text, variables=wanted)
+                else:
+                    result = engine.apply(text, variables=wanted)
+                    assert result.ok, str(result.validation)
+                    plan = result.plan
+                assert_same_plan(plan, want)
+                # a plan alone leaves the program as it was
+                return plan, (text if kind == "apply" else None)
+
+            return step
+
+        def bare_plan(engine, text):
+            want = full_plan(engine, engine.last_sources, engine.last_variables)
+            plan = engine.plan(engine.last_sources, variables=engine.last_variables)
+            assert_same_plan(plan, want)
+            return plan, None
+
+        def shared_bucket_flips(engine, text):
+            plane = engine.gateway.planes["aws"]
+            record = plane.find_by_name("aws_s3_bucket", "shared-legacy")
+            plane.external_update(record.id, {"versioning": True})
+            return None, None
+
+        def adopt_a_retag(engine, text):
+            vm = engine.state.instances_of("aws_virtual_machine", "estate_0_vm")[1]
+            engine.gateway.planes["aws"].external_update(
+                vm.resource_id, {"tags": {"service": "estate-0", "by": "hand"}}
+            )
+            # (the hand-made shared bucket shows up too, as unmanaged)
+            modified = [f for f in engine.watch().findings if f.kind == "modified"]
+            assert len(modified) == 1
+            report = engine.reconcile(modified, policy={"modified": "adopt"})
+            assert all(action.ok for action in report.actions)
+            return None, None
+
+        def roll_back(engine, text):
+            assert engine.rollback(3).ok
+            return None, engine.last_sources["main.clc"]
+
+        def move_logs(engine, text):
+            engine.state_move("aws_s3_bucket.logs", "aws_s3_bucket.journal")
+            return None, once('"aws_s3_bucket" "logs"', '"aws_s3_bucket" "journal"')(text)
+
+        def forget_one(engine, text):
+            assert engine.state_forget('aws_s3_bucket.each["b"]')
+            return None, None
+
+        def crash_then_resume(engine, text):
+            text = text + EXTRA % (1, 1) + EXTRA % (2, 2) + EXTRA % (3, 3)
+
+            def die_at_two(index):
+                if index == 2:
+                    raise SimulatedCrash("boundary 2")
+
+            with pytest.raises(SimulatedCrash):
+                engine.apply(text, variables={"env": "prod"}, crash_hook=die_at_two)
+            resumed = engine.resume(text, variables={"env": "prod"})
+            assert resumed.ok and resumed.recovery.adopted
+            return resumed.result.plan, text
+
+        def denied(engine, text):
+            wanted = {"env": "prod", "replicas": 40}
+            want = full_plan(engine, text, wanted)
+            result = engine.apply(text, variables=wanted)
+            assert result.admission is not None and not result.admission.allowed
+            assert_same_plan(result.plan, want)
+            return result.plan, None
+
+        def invalid(engine, text):
+            result = engine.apply(
+                text + '\nresource "oops" {\n}\n', variables={"env": "prod"}
+            )
+            assert not result.ok and result.plan is None
+            return None, None
+
+        def destroy(engine, text):
+            want = full_plan(engine, "")
+            result = engine.destroy()
+            assert result.ok
+            assert_same_plan(result.plan, want)
+            return result.plan, None
+
+        each = 'for_each = toset(["a", "b"])'
+        script = [
+            ("first apply", verb("apply")),
+            ("bare plan", bare_plan),
+            ("bare plan again", bare_plan),
+            ("retag", verb("apply", lambda t: retag(t, "estate-1", "r1"))),
+            ("transitive local", verb("apply", once('}-edge"', '}-rim"'))),
+            ("what-if: variable value", verb("plan", env="stage")),
+            ("variable default: count grows",
+             verb("apply", once("default = 2", "default = 3"))),
+            ("variable value: count shrinks", verb("apply", replicas=1)),
+            ("for_each grows",
+             verb("apply", once(each, 'for_each = toset(["a", "b", "c"])'))),
+            ("what-if: provider region",
+             verb("plan", once('region = "us-east-1"', 'region = "us-west-2"'))),
+            ("add block", verb("apply", lambda t: t + EXTRA % (0, 0))),
+            ("insert line", verb("apply", lambda t: "# a note\n" + t)),
+            ("data source reads differently", shared_bucket_flips),
+            ("bare plan", bare_plan),
+            ("apply it", verb("apply")),
+            ("adopt an external retag", adopt_a_retag),
+            ("bare plan", bare_plan),
+            ("enforce the program again", verb("apply")),
+            ("roll back", roll_back),
+            ("bare plan", bare_plan),
+            ("apply what was rolled back to", verb("apply")),
+            ("state mv", move_logs),
+            ("apply the rename", verb("apply")),
+            ("state rm", forget_one),
+            ("what-if: the forgotten instance", verb("plan")),
+            ("for_each shrinks",
+             verb("apply", once(each, 'for_each = toset(["a"])'))),
+            ("crash at the second boundary, resume", crash_then_resume),
+            ("denied admission", denied),
+            ("bare plan", bare_plan),
+            ("failed validation", invalid),
+            ("drop block", verb("apply", lambda t: "".join(
+                c.text for c in iter_chunks(t) if '"estate_2_dns"' not in c.text
+            ))),
+            ("destroy", destroy),
+            ("apply again", verb("apply")),
+            ("bare plan", bare_plan),
+        ]
+
+        engines, texts, seen = [], [], []
+        for name in ("scoped", "whole"):
+            engine = CloudlessEngine(seed=7, wal_path=str(tmp_path / f"{name}.wal"))
+            engine.gateway.planes["aws"].external_create(
+                "aws_s3_bucket", {"name": "shared-legacy"}, "us-east-1"
+            )
+            engines.append(engine)
+            texts.append(WIDE)
+            seen.append([])
+        budget = None
+        scopes = {}
+        for label, step in script:
+            for n, engine in enumerate(engines):
+                if n == 1:
+                    engine._plan_basis = None
+                if label == "denied admission" and budget is None:
+                    budget = CostEstimator().estimate_state(engine.state) + 50.0
+                if label == "denied admission":
+                    engine.controller.register(budget_policy(budget))
+                plan, text = step(engine, texts[n])
+                if text is not None:
+                    texts[n] = text
+                seen[n].append((
+                    label,
+                    plan and (plan.summary(), plan_sha(plan)),
+                    engine.state.content_hash(),
+                ))
+            assert seen[0][-1] == seen[1][-1], label
+            if plan is not None:
+                scopes.setdefault(label, []).append(engines[0].last_plan_scope)
+        assert texts[0] == texts[1]
+        # and the basis did spare work: (addresses diffed, graph nodes)
+        assert scopes["first apply"] == [(36, 36)]
+        assert scopes["bare plan again"] == [(0, 36)]
+        assert scopes["retag"] == [(4, 36)]  # two VMs, their lb, its dns
+        # the state entries the last apply wrote, and what the edit reaches
+        assert scopes["transitive local"] == [(4 + 5, 36)]
+        assert scopes["what-if: variable value"] == [(5, 36)]
+        assert scopes["variable value: count shrinks"] == [(3, 35)]
+        assert scopes["what-if: provider region"] == [(38, 38)]
+        assert scopes["insert line"] == [(1, 39)]
+        assert scopes["apply the rename"] == [(1, 36)]
+
     def test_a_changed_variable_reaches_locals_through_the_resident_config(self):
         """Why the graph is rebuilt per verb: a local's value belongs to
         the variables of the plan that evaluated it."""
@@ -182,6 +459,285 @@ class TestResidentEqualsFresh:
         assert "'prod-edge-logs' -> 'stage-edge-logs'" in what_if.render()
         bare = engine.plan(engine.last_sources, variables=engine.last_variables)
         assert bare.is_empty
+
+
+@pytest.fixture
+def counters():
+    """The perf counters that moved since the last look."""
+    perf.reset()
+    perf.enable()
+
+    def take():
+        moved = dict(perf.snapshot()["counters"])
+        perf.reset()
+        return moved
+
+    yield take
+    perf.disable()
+    perf.reset()
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """Addresses whose attributes were evaluated since the last look."""
+    seen = []
+    real = ResourceNode.evaluate_attrs
+
+    def spying(node):
+        seen.append(node.id)
+        return real(node)
+
+    monkeypatch.setattr(ResourceNode, "evaluate_attrs", spying)
+
+    def take():
+        out = sorted(seen)
+        del seen[:]
+        return out
+
+    return take
+
+
+class TestPlansWhatTheEditCanTouch:
+    @pytest.mark.parametrize(
+        "name", ["locals", "modules", "data", "expanded", "edits"]
+    )
+    def test_the_edit_scripts_of_the_shared_graph_suite(self, name):
+        from tests.test_verb_products import LOADER, SCRIPTS, VARIABLES
+
+        variables = VARIABLES.get(name)
+        engine = CloudlessEngine(seed=5, loader=LOADER)
+        for text in SCRIPTS[name]:
+            want = full_plan(engine, text, variables)
+            got = engine.plan(text, variables=variables)
+            assert_same_plan(got, want)
+            want = full_plan(engine, text, variables)
+            result = engine.apply(text, variables=variables)
+            assert result.ok
+            assert_same_plan(result.plan, want)
+            assert engine.plan(text, variables=variables).is_empty
+
+    def test_what_a_plan_evaluates(self, evaluated):
+        engine = CloudlessEngine(seed=7)
+        variables = {"env": "prod"}
+        assert engine.apply(PROGRAM, variables=variables).ok
+        # every entry is new to the basis: all of them are diffed once
+        assert engine.apply(PROGRAM, variables=variables).plan.is_empty
+        evaluated()
+
+        assert engine.plan(PROGRAM, variables=variables).is_empty
+        assert evaluated() == []
+        assert engine.last_plan_scope == (0, len(engine.state))
+
+        edited = retag(PROGRAM, "estate-1", "r1")
+        plan = engine.plan(edited, variables=variables)
+        assert plan.summary()["update"] == 2
+        assert evaluated() == [
+            "aws_dns_record.estate_1_dns",
+            "aws_load_balancer.estate_1_lb",
+            "aws_virtual_machine.estate_1_vm[0]",
+            "aws_virtual_machine.estate_1_vm[1]",
+        ]
+        # an undiffed no-op reads like a diffed one to whoever asks
+        undiffed = plan.changes["aws_s3_bucket.logs"]
+        assert undiffed.desired == {"name": "prod-edge-logs"}
+        assert evaluated() == ["aws_s3_bucket.logs"]
+        assert (undiffed.region, undiffed.provider) == ("us-east-1", "aws")
+
+    def test_a_budget_reads_an_undiffed_estate_as_a_diffed_one(self):
+        """The state holds what the cloud reports, the plan what the
+        program asks for; a cost that fell back on the former for the
+        nodes a scoped plan skipped would price a resized VM."""
+        engine = CloudlessEngine(seed=7)
+        variables = {"env": "prod"}
+        assert engine.apply(PROGRAM, variables=variables).ok
+        vm = engine.state.instances_of("aws_virtual_machine", "estate_0_vm")[0]
+        engine.gateway.planes["aws"].external_update(vm.resource_id, {"size": "xlarge"})
+        report = engine.reconcile(engine.watch().findings, policy={"modified": "adopt"})
+        assert [a.ok for a in report.actions] == [True]
+        engine.plan(PROGRAM, variables=variables)
+
+        scoped = engine.plan(PROGRAM, variables=variables)
+        assert engine.last_plan_scope[0] == 0 and scoped.is_empty
+        whole = full_plan(engine, PROGRAM, variables)
+        cost = CostEstimator()
+        asked_for = cost.estimate_plan(whole)
+        assert cost.estimate_plan(scoped) == asked_for
+        assert cost.estimate_state(engine.state) > asked_for + 200  # 7 x 36.50
+        controller = InfrastructureController()
+        controller.register(budget_policy(asked_for + 1.0))
+        decisions = [
+            controller.admit(plan, engine.state, cost_estimator=cost)
+            for plan in (scoped, whole)
+        ]
+        assert [d.allowed for d in decisions] == [True, True]
+        assert str(decisions[0]) == str(decisions[1])
+
+    def test_why_a_plan_was_whole(self, counters):
+        from tests.test_verb_products import LOADER, SCRIPTS
+
+        engine = CloudlessEngine(seed=7)
+        engine.plan(PROGRAM, variables={"env": "prod"})
+        assert counters()["plan.full.first"] == 1
+        engine.plan(PROGRAM, variables={"env": "prod"})
+        moved = counters()
+        assert moved["plan.scoped"] == 1 and "plan.full" not in moved
+        # nothing is deployed: every instance is still to be diffed
+        assert moved["plan.scope_nodes"] == engine.last_plan_scope[1] == 31
+
+        engine = CloudlessEngine(seed=7, loader=LOADER)
+        for text in SCRIPTS["modules"]:
+            engine.plan(text)
+        moved = counters()
+        assert (moved["plan.full.first"], moved["plan.full.modules"]) == (1, 1)
+        assert moved["plan.full"] == 2
+
+        engine = CloudlessEngine(seed=7)
+        plane = engine.gateway.planes["aws"]
+        shared = plane.external_create(
+            "aws_s3_bucket", {"name": "shared-legacy"}, "us-east-1"
+        )
+        assert engine.apply(WIDE, variables={"env": "prod"}).ok
+        engine.plan(WIDE, variables={"env": "prod"})
+        counters()
+        plane.external_update(shared, {"versioning": True})
+        plan = engine.plan(WIDE, variables={"env": "prod"})
+        assert counters()["plan.full.data"] == 1
+        assert [c.id for c in plan.actionable() if c.action.value == "update"] == [
+            "aws_s3_bucket.logs"
+        ]
+        for name in (
+            "plan.scoped", "plan.scope_nodes", "plan.full", "plan.full.first",
+            "plan.full.modules", "plan.full.data",
+        ):
+            assert name in perf.KNOWN_PROBES
+
+    def test_a_configuration_the_caller_built_has_no_basis(self, counters):
+        """Only the engine's own parse is known not to change between
+        two plans: the auto-repair edits a caller's in place."""
+        config = lang_config.Configuration.parse(HEAD)
+        engine = CloudlessEngine(seed=7)
+        assert engine.apply(config, variables={"env": "prod"}).ok
+        assert engine.plan(config, variables={"env": "prod"}).is_empty
+        assert counters()["plan.full.first"] == 2 and engine._plan_basis is None
+        attr = config.resources[("managed", "aws_s3_bucket", "logs")].body.attributes
+        attr["versioning"] = lang_config.Attribute(
+            "versioning", lang_config.Literal(True, attr["name"].span), attr["name"].span
+        )
+        plan = engine.plan(config, variables={"env": "prod"})
+        assert plan.summary()["update"] == 1
+        # and it disturbs no basis the engine does have
+        assert engine.apply(HEAD, variables={"env": "prod"}).ok
+        basis = engine._plan_basis
+        engine.plan(config, variables={"env": "prod"})
+        assert engine._plan_basis is basis
+
+    def test_another_state_is_diffed_where_it_differs(self):
+        engine = CloudlessEngine(seed=7)
+        assert engine.apply(PROGRAM, variables={"env": "prod"}).ok
+        assert engine.plan(PROGRAM, variables={"env": "prod"}).is_empty
+        other = engine.state.copy()
+        (logs,) = other.instances_of("aws_s3_bucket", "logs")
+        other.set(logs.replace(attrs={**logs.attrs, "name": "by-hand"}))
+        other.remove(other.instances_of("aws_dns_record", "estate_0_dns")[0].address)
+        got = engine.plan(PROGRAM, variables={"env": "prod"}, state=other)
+        assert_same_plan(
+            got, full_plan(engine, PROGRAM, {"env": "prod"}, state=other)
+        )
+        assert got.summary()["create"] == 1 and engine.last_plan_scope[0] == 2
+        assert engine.plan(PROGRAM, variables={"env": "prod"}).is_empty
+
+    def test_a_plan_that_raises_leaves_the_basis(self):
+        guarded = (
+            'variable "home" {\n  default = "us-east-1"\n}\n'
+            'provider "aws" {\n  region = var.home\n}\n'
+            'resource "aws_s3_bucket" "logs" {\n  name = "logs"\n'
+            "  lifecycle {\n    prevent_destroy = true\n  }\n}\n"
+        )
+        engine = CloudlessEngine(seed=7)
+        assert engine.apply(guarded).ok
+        engine.plan(guarded)
+        basis = engine._plan_basis
+        assert list(basis.noop) == ["aws_s3_bucket.logs"]
+        with pytest.raises(PlanError, match="prevent_destroy"):
+            engine.plan(guarded, variables={"home": "us-west-2"})  # a move replaces
+        assert engine._plan_basis is basis
+        assert engine.plan(guarded).is_empty
+
+    def test_the_basis_holds_no_graph(self):
+        """A graph is all reference cycles; what outlives the verb must
+        not reach one (nor a context or resolver, which reach it)."""
+        engine = CloudlessEngine(seed=7)
+        engine.gateway.planes["aws"].external_create(
+            "aws_s3_bucket", {"name": "shared-legacy"}, "us-east-1"
+        )
+        assert engine.apply(WIDE, variables={"env": "prod"}).ok
+        engine.plan(engine.last_sources, variables=engine.last_variables)
+        basis = engine._plan_basis
+        assert len(basis.noop) == len(engine.state) and basis.data_values
+        seen, frontier = set(), [basis]
+        while frontier:
+            obj = frontier.pop()
+            if id(obj) in seen or isinstance(obj, type):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(
+                obj, (ResourceGraph, ResourceNode, ModuleContext, ResourceResolver)
+            ), type(obj)
+            frontier.extend(gc.get_referents(obj))
+        assert len(seen) > 1000  # it did walk the configuration
+
+
+class TestMutantSequences:
+    """``ConfigMutator`` plants one realistic mistake per step (a bad
+    enum, a reference to the wrong type, a dropped attribute, a region
+    that does not exist ...), written back into the text. Some of the
+    programs do not build, some applies fail half-way: whatever
+    happens, the engine that plans by its basis and the twin that
+    forgets it before every verb say and do the same."""
+
+    @staticmethod
+    def attempt(engine, verb, text):
+        try:
+            want = full_plan(engine, text)
+        except (GraphBuildError, PlanError) as exc:
+            with pytest.raises((EngineError, PlanError)):
+                engine.plan(text)
+            return type(exc).__name__
+        if verb == "plan":
+            plan = engine.plan(text)
+        else:
+            plan = engine.apply(text, validate_first=False, admit=False).plan
+        assert_same_plan(plan, want)
+        return plan_sha(plan)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        base=st.integers(min_value=0, max_value=5),
+        steps=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=10_000),
+                st.sampled_from(["plan", "apply", "apply"]),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_scoped_equals_whole(self, base, steps):
+        text = _mutant_base(base)
+        scoped, whole = CloudlessEngine(seed=3), CloudlessEngine(seed=3)
+        for engine in (scoped, whole):
+            assert engine.apply(text).ok
+            assert engine.plan(text).is_empty  # every node is proven once
+        for seed, verb in steps:
+            try:
+                text = mutant_source(text, seed)
+            except MutationError:
+                continue
+            whole._plan_basis = None
+            assert self.attempt(scoped, verb, text) == self.attempt(whole, verb, text)
+            assert scoped.state.content_hash() == whole.state.content_hash()
+        whole._plan_basis = None
+        assert self.attempt(scoped, "plan", text) == self.attempt(whole, "plan", text)
 
 
 class TestParsesWhatChanged:

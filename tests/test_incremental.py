@@ -183,3 +183,112 @@ class TestUpdatePipeline:
             if c.action.value not in ("noop", "read")
         }
         assert full_actions == scoped_actions
+
+
+class TestSeedingFollowsWhatAnEditReaches:
+    """The incremental plan of an edit is the full plan of it: both
+    pipelines over one deployed program, the same edit."""
+
+    @staticmethod
+    def plan_both(old_src, new_src, variables=None, deployed=None):
+        out = {}
+        for incremental in (False, True):
+            gateway = CloudGateway.simulated(seed=21)
+            state = deploy(gateway, deployed or old_src)
+            out[incremental] = UpdatePipeline(
+                gateway, incremental=incremental
+            ).plan_update(
+                Configuration.parse(old_src),
+                Configuration.parse(new_src),
+                state,
+                variables=variables,
+            )
+        assert out[True].plan.render() == out[False].plan.render()
+        assert out[True].plan.summary() == out[False].plan.summary()
+        return out[False], out[True]
+
+    def test_a_local_read_through_another_local(self):
+        old = (
+            'locals {\n  base   = "logs-a"\n  bucket = local.base\n}\n'
+            'resource "aws_s3_bucket" "a" {\n  name = local.bucket\n}\n'
+        )
+        full, scoped = self.plan_both(old, old.replace("logs-a", "logs-b"))
+        assert full.plan.summary()["update"] == 1
+        assert scoped.delta.changed_locals == {"base"}
+        assert scoped.scope == {"aws_s3_bucket.a"}
+
+    def test_a_provider_blocks_region(self):
+        old = (
+            'provider "aws" {\n  region = "us-east-1"\n}\n'
+            'resource "aws_s3_bucket" "a" {\n  name = "logs-a"\n}\n'
+        )
+        full, scoped = self.plan_both(old, old.replace("us-east-1", "us-west-2"))
+        assert full.plan.summary()["replace"] == 1
+        assert scoped.delta.changed_providers == {"aws"}
+        assert scoped.scope == {"aws_s3_bucket.a"}
+
+    def test_an_aliased_provider_block_appearing(self):
+        old = (
+            'provider "aws" {\n  region = "us-east-1"\n}\n'
+            'resource "aws_s3_bucket" "a" {\n  provider = aws.west\n  name = "a"\n}\n'
+            'resource "aws_s3_bucket" "b" {\n  name = "b"\n}\n'
+        )
+        new = old + 'provider "aws" {\n  alias  = "west"\n  region = "us-west-2"\n}\n'
+        full, scoped = self.plan_both(old, new)
+        assert full.plan.summary()["replace"] == 1
+        assert scoped.scope == {"aws_s3_bucket.a"}
+
+    def test_a_provider_region_read_from_a_changed_local(self):
+        old = (
+            'locals {\n  home = "us-east-1"\n}\n'
+            'provider "aws" {\n  region = local.home\n}\n'
+            'resource "aws_s3_bucket" "a" {\n  name = "logs-a"\n}\n'
+        )
+        full, scoped = self.plan_both(old, old.replace("us-east-1", "us-west-2"))
+        assert full.plan.summary()["replace"] == 1
+        assert scoped.delta.changed_providers == set()
+
+    def test_an_ignore_changes_list(self):
+        """``lifecycle`` is parsed out of the declaration's body."""
+        old = (
+            'resource "aws_s3_bucket" "a" {\n  name = "logs-a"\n'
+            "  versioning = false\n"
+            "  lifecycle {\n    ignore_changes = [versioning]\n  }\n}\n"
+        )
+        edited = old.replace("versioning = false", "versioning = true")
+        full, scoped = self.plan_both(old, edited)
+        assert full.plan.is_empty
+        full, scoped = self.plan_both(
+            edited,
+            edited.replace("ignore_changes = [versioning]", "ignore_changes = []"),
+            deployed=old,
+        )
+        assert full.plan.summary()["update"] == 1
+
+    def test_a_declaration_nobody_created(self):
+        """An unchanged declaration with no state entry is a create in
+        the full plan, so it is one in the scoped plan."""
+        old = 'resource "aws_s3_bucket" "a" {\n  name = "a"\n}\n'
+        new = old + 'resource "aws_s3_bucket" "b" {\n  name = "b"\n}\n'
+        gateway = CloudGateway.simulated(seed=21)
+        state = deploy(gateway, old)
+        both = Configuration.parse(new)
+        result = UpdatePipeline(gateway).plan_update(both, both, state)
+        assert result.delta.is_empty
+        assert result.plan.summary()["create"] == 1
+
+    def test_a_variable_given_another_value(self):
+        src = (
+            'variable "env" {\n  default = "dev"\n}\n'
+            'locals {\n  prefix = "${var.env}-logs"\n}\n'
+            'resource "aws_s3_bucket" "a" {\n  name = local.prefix\n}\n'
+            'resource "aws_s3_bucket" "b" {\n  name = "fixed"\n}\n'
+        )
+        config = Configuration.parse(src)
+        assert diff_configurations(config, config, {}, {}).is_empty
+        assert diff_configurations(config, config, {"env": 1}, {"env": 1}).is_empty
+        for was, now in (({}, {"env": "prod"}), ({"env": 1}, {"env": True})):
+            delta = diff_configurations(config, config, was, now)
+            assert delta.changed_variables == {"env"}
+            seeds = ImpactAnalyzer(build_graph(config)).seeds_from_delta(delta)
+            assert seeds == {"aws_s3_bucket.a"}

@@ -306,3 +306,95 @@ resource "aws_network_interface" "n" {
         assert result.ok, [str(d) for d in result.diagnoses]
         assert len(engine.state) == 3
         assert engine.plan(root).is_empty
+
+
+class TestReferencesFollowTheParsedBlock:
+    """``references()`` is a function of the declaration's parsed parts
+    and is computed once for them: across graph builds, across the
+    resident engine's re-compiles of a chunk it reused -- and never for
+    parts the declaration no longer holds."""
+
+    TEXT = LOCAL_OVER_RESOURCE + '''
+resource "aws_subnet" "t" {
+  count      = 2
+  name       = "t-${count.index}"
+  vpc_id     = aws_vpc.a.id
+  cidr_block = "10.0.${count.index + 2}.0/24"
+  depends_on = [aws_subnet.s]
+}
+'''
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        import repro.lang.config as lang_config
+
+        calls = []
+        real = lang_config.body_references
+
+        def counted(body):
+            calls.append(body)
+            return real(body)
+
+        monkeypatch.setattr(lang_config, "body_references", counted)
+        return calls
+
+    def test_one_walk_per_declaration_however_many_graphs(self, walks):
+        config = Configuration.parse(self.TEXT)
+        decl = config.resource("aws_subnet", "t")
+        first = decl.references()
+        assert {str(r) for r in first} == {"aws_vpc.a", "aws_subnet.s"}
+        assert decl.references() is first and len(walks) == 1
+        for _ in range(3):
+            build_graph(config)
+        assert len(walks) == len(config.resources)
+
+    def test_a_declaration_edited_in_place_answers_for_what_it_holds(self, walks):
+        """The mutators and the auto-repair replace attributes of a
+        parsed declaration; a graph built after that must not wire the
+        edges of before."""
+        from repro.lang.ast_nodes import Attribute, Literal
+
+        config = Configuration.parse(self.TEXT)
+        graph = build_graph(config)
+        assert "aws_vpc.a" in graph.dag.predecessors("aws_subnet.t[0]")
+        decl = config.resource("aws_subnet", "t")
+        span = decl.body.attributes["vpc_id"].span
+        decl.body.attributes["vpc_id"] = Attribute(
+            "vpc_id", Literal("vpc-fixed", span), span
+        )
+        assert {str(r) for r in decl.references()} == {"aws_subnet.s"}
+        del decl.depends_on[:]
+        assert decl.references() == ()
+        decl.count = parse_expression_source("length(aws_vpc.a.name)")
+        assert {str(r) for r in decl.references()} == {"aws_vpc.a"}
+        decl.count = None
+        graph = build_graph(config)
+        assert graph.dag.predecessors("aws_subnet.t") == set()
+
+    def test_a_reused_chunk_keeps_it_a_reparsed_one_does_not(self, walks):
+        engine = CloudlessEngine(seed=3)
+        assert engine.apply(self.TEXT).ok
+        old = engine._last_compile[1]
+        n = len(old.resources)
+        assert len(walks) == n
+        assert engine.plan(self.TEXT).is_empty  # the same Configuration
+        edited = self.TEXT.replace('"t-${count.index}"', '"u-${count.index}"')
+        plan = engine.plan(edited)  # one chunk re-parsed, new declarations all
+        assert plan.summary()["update"] == 2
+        assert len(walks) == n + 1
+        new = engine._last_compile[1]
+        assert new.resource("aws_vpc", "a") is not old.resource("aws_vpc", "a")
+
+    def test_the_artifact_does_not_carry_it(self, tmp_path):
+        import pickle
+
+        config = Configuration.parse_streaming({"main.clc": self.TEXT})
+        before = pickle.dumps(config, protocol=pickle.HIGHEST_PROTOCOL)
+        graph = build_graph(config)
+        assert all("_references" in d.__dict__ for d in config.resources.values())
+        assert pickle.dumps(config, protocol=pickle.HIGHEST_PROTOCOL) == before
+        again = pickle.loads(pickle.dumps((config, graph)))[0]
+        assert not any("_references" in d.__dict__ for d in again.resources.values())
+        assert again.resource("aws_subnet", "t").references() == config.resource(
+            "aws_subnet", "t"
+        ).references()

@@ -75,6 +75,32 @@ class TestRequestLifecycle:
         assert drift.ok and drift.body["findings"] == 0
         assert stats.ok and stats.body["resources"] > 0
 
+    def test_stats_reports_the_last_plans_blast_radius(self, tmp_path):
+        edited = BIGGER.replace('"web-lb"', '"web-balancer"')
+        assert edited != BIGGER
+
+        async def main():
+            svc = make_service(tmp_path)
+            await svc.start()
+            out = [await svc.request("a", "stats")]
+            for op, payload in (
+                ("apply", {"sources": BIGGER}),
+                ("plan", {}),
+                ("plan", {}),
+                ("plan", {"sources": edited}),
+            ):
+                assert (await svc.request("a", op, payload=payload)).ok
+                out.append(await svc.request("a", "stats"))
+            await svc.stop()
+            return [(r.body["plan_scope_nodes"], r.body["graph_nodes"]) for r in out]
+
+        unplanned, applied, proven, bare, what_if = run(main())
+        assert unplanned == (None, None)
+        nodes = applied[1]
+        assert applied == proven == (nodes, nodes) and nodes > 5
+        assert bare == (0, nodes)
+        assert 0 < what_if[0] < nodes
+
     def test_unknown_op_is_typed_400(self, tmp_path):
         async def main():
             svc = make_service(tmp_path)

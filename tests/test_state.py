@@ -130,6 +130,45 @@ class TestStateDocument:
         assert dup.get(addr) is doc.get(addr)
         assert len(doc) == 50 and len(dup) == 51
 
+    def test_copies_sort_their_addresses_once_between_them(self, monkeypatch):
+        """A verb plans on a working copy and the copy is dropped: the
+        order it sorted the addresses into must not be."""
+        import builtins
+
+        import repro.state.document as document
+
+        sorts = []
+
+        def counting(iterable, **kw):
+            sorts.append(1)
+            return builtins.sorted(iterable, **kw)
+
+        monkeypatch.setattr(document, "sorted", counting, raising=False)
+        doc = StateDocument()
+        for i in range(5):
+            doc.set(entry(f"aws_vm.v{i}", f"r-{i}"))
+        first, second = doc.copy(), doc.copy()
+        order = [str(a) for a in first.addresses()]
+        assert len(sorts) == 1
+        assert [str(e.address) for e in second.resources()] == order
+        assert [str(a) for a in doc.addresses()] == order
+        assert [str(a) for a in doc.copy().copy().addresses()] == order
+        assert len(sorts) == 1
+        # an update keeps the address set, and with it the order
+        held = first.get(ResourceAddress.parse("aws_vm.v1"))
+        first.set(held.replace(region="eu-west-1"))
+        assert first.resources()[1].region == "eu-west-1"
+        assert doc.resources()[1].region == "us-east-1" and len(sorts) == 1
+        # a new or a removed address re-sorts that side only
+        first.set(entry("aws_vm.v00", "r-00"))
+        assert [str(a) for a in first.addresses()] == order[:1] + ["aws_vm.v00"] + order[1:]
+        assert len(sorts) == 2
+        assert [str(a) for a in second.addresses()] == order and len(sorts) == 2
+        doc.remove(ResourceAddress.parse("aws_vm.v4"))
+        assert [str(a) for a in doc.addresses()] == order[:-1] and len(sorts) == 3
+        assert [str(a) for a in second.addresses()] == order and len(sorts) == 3
+        assert len(first.addresses()) == 6 and len(sorts) == 3
+
     def test_json_round_trip(self):
         doc = StateDocument(serial=4)
         doc.set(entry("aws_vm.web[0]", attrs={"name": "w", "n": 2, "l": [1]}))
