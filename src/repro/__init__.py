@@ -24,51 +24,22 @@ Quickstart::
     assert result.ok
 """
 
-import importlib
-from typing import Any
+from ._exports import export_table
 
 __version__ = "1.0.0"
 
-#: public name -> the submodule that defines it. Resolved on first use
-#: (PEP 562), so ``python -m repro watch`` imports what a watch runs and
-#: not the parser, the validators and both providers' rule sets.
-_EXPORTS = {
-    "Action": "graph",
-    "BestEffortExecutor": "deploy",
-    "CloudAPIError": "cloud",
-    "CloudGateway": "cloud",
-    "CloudlessEngine": "core",
-    "Configuration": "lang",
-    "CriticalPathExecutor": "deploy",
-    "EngineApplyResult": "core",
-    "EngineError": "core",
-    "ModuleContext": "lang",
-    "Plan": "graph",
-    "Planner": "graph",
-    "ResourceAddress": "addressing",
-    "SchemaRegistry": "types",
-    "SequentialExecutor": "deploy",
-    "SimClock": "cloud",
-    "StateDocument": "state",
-    "ValidationPipeline": "validate",
-    "build_graph": "graph",
-    "data": "addressing",
-    "managed": "addressing",
-    "validate": "validate",
-}
-
-__all__ = sorted([*_EXPORTS, "__version__"])
-
-
-def __getattr__(name: str) -> Any:
-    try:
-        module = importlib.import_module(f".{_EXPORTS[name]}", __name__)
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(module, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list:
-    return sorted([*globals(), *_EXPORTS])
+__all__, __getattr__, __dir__ = export_table(
+    __name__,
+    {
+        "addressing": ("ResourceAddress", "data", "managed"),
+        "cloud": ("CloudAPIError", "CloudGateway", "SimClock"),
+        "core": ("CloudlessEngine", "EngineApplyResult", "EngineError"),
+        "deploy": ("BestEffortExecutor", "CriticalPathExecutor", "SequentialExecutor"),
+        "graph": ("Action", "Plan", "Planner", "build_graph"),
+        "lang": ("Configuration", "ModuleContext"),
+        "state": ("StateDocument",),
+        "types": ("SchemaRegistry",),
+        "validate": ("ValidationPipeline", "validate"),
+    },
+)
+__all__ = sorted([*__all__, "__version__"])

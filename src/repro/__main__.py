@@ -1,7 +1,5 @@
 """``python -m repro`` -> the cloudless CLI."""
 
-import sys
+from .cli import run
 
-from .cli import main
-
-sys.exit(main())
+run()

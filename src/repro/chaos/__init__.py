@@ -10,71 +10,44 @@ checked against the convergence invariants in
 :mod:`repro.chaos.taxonomy`.
 """
 
-from .dsl import (
-    AsymmetricPartition,
-    CampaignSpec,
-    ClockSkew,
-    CorrelatedOutage,
-    FaultInjection,
-    Injection,
-    OutageInjection,
-    QuotaStorm,
-    RateLimitStorm,
-    ScenarioSpec,
-    SpecValidationError,
-    TransientRate,
-    VersionSkew,
-    WORKLOADS,
-    injection_from_dict,
-)
-from .invariants import (
-    assert_converged_like,
-    canonical_state,
-    convergence_violations,
-    live_prefix_counts,
-    stranded_ids,
-)
-from .library import library, scenario
-from .runner import (
-    CampaignReport,
-    CampaignRunner,
-    PhaseRecord,
-    ScenarioResult,
-    TrialResult,
-)
-from .seeds import derive_seed, trial_count
-from .taxonomy import DEFECT_CLASSES, validate_classes
+from .._exports import export_table
 
-__all__ = [
-    "AsymmetricPartition",
-    "CampaignReport",
-    "CampaignRunner",
-    "CampaignSpec",
-    "ClockSkew",
-    "CorrelatedOutage",
-    "DEFECT_CLASSES",
-    "FaultInjection",
-    "Injection",
-    "OutageInjection",
-    "PhaseRecord",
-    "QuotaStorm",
-    "RateLimitStorm",
-    "ScenarioResult",
-    "ScenarioSpec",
-    "SpecValidationError",
-    "TransientRate",
-    "TrialResult",
-    "VersionSkew",
-    "WORKLOADS",
-    "assert_converged_like",
-    "canonical_state",
-    "convergence_violations",
-    "derive_seed",
-    "injection_from_dict",
-    "library",
-    "live_prefix_counts",
-    "scenario",
-    "stranded_ids",
-    "trial_count",
-    "validate_classes",
-]
+__all__, __getattr__, __dir__ = export_table(
+    __name__,
+    {
+        "dsl": (
+            "AsymmetricPartition",
+            "CampaignSpec",
+            "ClockSkew",
+            "CorrelatedOutage",
+            "FaultInjection",
+            "Injection",
+            "OutageInjection",
+            "QuotaStorm",
+            "RateLimitStorm",
+            "ScenarioSpec",
+            "SpecValidationError",
+            "TransientRate",
+            "VersionSkew",
+            "WORKLOADS",
+            "injection_from_dict",
+        ),
+        "invariants": (
+            "assert_converged_like",
+            "canonical_state",
+            "convergence_violations",
+            "live_prefix_counts",
+            "stranded_ids",
+        ),
+        "library": ("library", "scenario"),
+        "runner": (
+            "CampaignReport",
+            "CampaignRunner",
+            "PhaseRecord",
+            "ScenarioResult",
+            "TrialResult",
+        ),
+        "seeds": ("derive_seed", "trial_count"),
+        "taxonomy": ("DEFECT_CLASSES", "validate_classes"),
+    },
+)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from .._exports import callable_module
 from ..cloud.faults import FaultSpec, OutageSpec
 from .dsl import (
     AsymmetricPartition,
@@ -351,3 +352,8 @@ def scenario(name: str) -> ScenarioSpec:
             f"unknown scenario {name!r} (known: {', '.join(sorted(specs))})"
         )
     return specs[name]
+
+
+# ``repro.chaos.library`` is this module and, among the package's
+# exports, the function above
+callable_module(__name__, "library")

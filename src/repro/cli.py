@@ -29,7 +29,7 @@ import glob
 import json
 import os
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, NoReturn, Union
 
 from .core.engine import CloudlessEngine, EngineError
 from .lang.diagnostics import CLCError
@@ -875,14 +875,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # a one-shot verb loads a world and an artifact, builds ~10^5
-    # objects that all live until it exits, and exits: the cyclic
-    # collector would re-scan them generation by generation and free
-    # nothing. The long-lived verbs keep it.
-    pause_gc = gc.isenabled() and args.fn not in (cmd_serve, cmd_chaos)
+def _one_shot(args: argparse.Namespace) -> bool:
+    """Whether the verb loads a world and an artifact, builds ~10^5
+    objects that all live until it exits, and exits -- every verb but
+    the long-lived ones. Such a process gains nothing from collecting
+    cycles while it runs (:func:`main`) or from dismantling its heap
+    object by object when it is done (:func:`run`)."""
+    return args.fn not in (cmd_serve, cmd_chaos)
+
+
+def main(argv: Union[None, List[str], argparse.Namespace] = None) -> int:
+    """Run one verb and return its exit code; ``argv`` is the argument
+    list (default ``sys.argv[1:]``) or one :func:`build_parser` already
+    parsed."""
+    if isinstance(argv, argparse.Namespace):
+        args = argv
+    else:
+        args = build_parser().parse_args(argv)
+    # the cyclic collector would re-scan a one-shot verb's objects
+    # generation by generation and free nothing
+    pause_gc = gc.isenabled() and _one_shot(args)
     if pause_gc:
         gc.disable()
     try:
@@ -903,5 +915,33 @@ def main(argv: Optional[List[str]] = None) -> int:
             gc.enable()
 
 
+def run() -> NoReturn:
+    """The process entry: ``python -m repro`` and the ``cloudless``
+    script. Runs :func:`main` and ends the process with its code.
+
+    A one-shot verb's process leaves through ``os._exit`` once its
+    output is flushed: interpreter tear-down would free every object
+    the verb built, one at a time, to hand the memory back a moment
+    later anyway. Only after ``main`` has returned -- an exception
+    unwinds and exits the ordinary way -- and only because a one-shot
+    verb leaves nothing for tear-down to do: every file it writes is
+    closed where it is written, and it registers no ``atexit`` hook and
+    starts no thread (``tests/test_process.py`` holds both)."""
+    args = build_parser().parse_args()
+    code = main(args)
+    if _one_shot(args):
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except BrokenPipeError:
+            pass  # the reader left (`| head`): as quiet as `main` is
+        except Exception:
+            # closed, full disk, ...: the interpreter's own exit
+            # reports it, as it always has
+            sys.exit(code)
+        os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover - module runner
-    sys.exit(main())
+    run()

@@ -7,95 +7,46 @@ all over a discrete-event :class:`SimClock` so experiments run in
 microseconds of wall time.
 """
 
-from .activitylog import ActivityEvent, ActivityLog
-from .aws.provider import AWS_REGIONS, AwsControlPlane, aws_catalog
-from .azure.provider import AZURE_LOCATIONS, AzureControlPlane, azure_catalog
-from .base import (
-    CloudAPIError,
-    ControlPlane,
-    PendingOperation,
-    ResourceRecord,
-)
-from .clock import EventQueue, SimClock, SkewedClock
-from .faults import (
-    FaultInjector,
-    FaultSpec,
-    InjectedFault,
-    OutageSpec,
-    SpecValidationError,
-)
-from .gateway import CloudGateway
-from .latency import DEFAULT_PROFILE, LatencyModel, LatencyProfile
-from .ratelimit import RateLimiterBank, RateLimitStats, TokenBucket
-from .resilience import (
-    BreakerPolicy,
-    CircuitBreaker,
-    DEFAULT_TIMEOUTS,
-    HealthMonitor,
-    OperationTimeout,
-    OUTAGE_CODES,
-    PartitionUnavailableError,
-    ResilientGateway,
-    RetryPolicy,
-    RetryStats,
-    TERMINAL,
-    THROTTLED,
-    TIMEOUT,
-    TRANSIENT,
-    UNAVAILABLE,
-    classify,
-    is_outage_error,
-)
-from .resources import AttributeSpec, ResourceTypeSpec
-from .synthetic import SyntheticControlPlane, synthetic_catalog
+from .._exports import export_table
 
-__all__ = [
-    "ActivityEvent",
-    "ActivityLog",
-    "AttributeSpec",
-    "AWS_REGIONS",
-    "AwsControlPlane",
-    "aws_catalog",
-    "AZURE_LOCATIONS",
-    "AzureControlPlane",
-    "azure_catalog",
-    "BreakerPolicy",
-    "CircuitBreaker",
-    "classify",
-    "CloudAPIError",
-    "CloudGateway",
-    "ControlPlane",
-    "DEFAULT_PROFILE",
-    "DEFAULT_TIMEOUTS",
-    "EventQueue",
-    "FaultInjector",
-    "FaultSpec",
-    "HealthMonitor",
-    "InjectedFault",
-    "is_outage_error",
-    "LatencyModel",
-    "LatencyProfile",
-    "OperationTimeout",
-    "OUTAGE_CODES",
-    "OutageSpec",
-    "PartitionUnavailableError",
-    "PendingOperation",
-    "RateLimiterBank",
-    "RateLimitStats",
-    "ResilientGateway",
-    "ResourceRecord",
-    "ResourceTypeSpec",
-    "RetryPolicy",
-    "RetryStats",
-    "SimClock",
-    "SkewedClock",
-    "SpecValidationError",
-    "SyntheticControlPlane",
-    "synthetic_catalog",
-    "TERMINAL",
-    "THROTTLED",
-    "TIMEOUT",
-    "TokenBucket",
-    "TRANSIENT",
-    "UNAVAILABLE",
-]
+__all__, __getattr__, __dir__ = export_table(
+    __name__,
+    {
+        "activitylog": ("ActivityEvent", "ActivityLog"),
+        "aws.provider": ("AWS_REGIONS", "AwsControlPlane", "aws_catalog"),
+        "azure.provider": ("AZURE_LOCATIONS", "AzureControlPlane", "azure_catalog"),
+        "base": ("CloudAPIError", "ControlPlane", "PendingOperation", "ResourceRecord"),
+        "clock": ("EventQueue", "SimClock", "SkewedClock"),
+        "faults": (
+            "FaultInjector",
+            "FaultSpec",
+            "InjectedFault",
+            "OutageSpec",
+            "SpecValidationError",
+        ),
+        "gateway": ("CloudGateway",),
+        "latency": ("DEFAULT_PROFILE", "LatencyModel", "LatencyProfile"),
+        "ratelimit": ("RateLimiterBank", "RateLimitStats", "TokenBucket"),
+        "resilience": (
+            "BreakerPolicy",
+            "CircuitBreaker",
+            "DEFAULT_TIMEOUTS",
+            "HealthMonitor",
+            "OperationTimeout",
+            "OUTAGE_CODES",
+            "PartitionUnavailableError",
+            "ResilientGateway",
+            "RetryPolicy",
+            "RetryStats",
+            "TERMINAL",
+            "THROTTLED",
+            "TIMEOUT",
+            "TRANSIENT",
+            "UNAVAILABLE",
+            "classify",
+            "is_outage_error",
+        ),
+        "resources": ("AttributeSpec", "ResourceTypeSpec"),
+        "synthetic": ("SyntheticControlPlane", "synthetic_catalog"),
+    },
+)

@@ -1,5 +1,10 @@
 """AWS-like simulated provider."""
 
-from .provider import AWS_REGIONS, AwsControlPlane, aws_catalog
+from ..._exports import export_table
 
-__all__ = ["AWS_REGIONS", "AwsControlPlane", "aws_catalog"]
+__all__, __getattr__, __dir__ = export_table(
+    __name__,
+    {
+        "provider": ("AWS_REGIONS", "AwsControlPlane", "aws_catalog"),
+    },
+)

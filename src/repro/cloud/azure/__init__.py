@@ -1,5 +1,10 @@
 """Azure-like simulated provider."""
 
-from .provider import AZURE_LOCATIONS, AzureControlPlane, azure_catalog
+from ..._exports import export_table
 
-__all__ = ["AZURE_LOCATIONS", "AzureControlPlane", "azure_catalog"]
+__all__, __getattr__, __dir__ = export_table(
+    __name__,
+    {
+        "provider": ("AZURE_LOCATIONS", "AzureControlPlane", "azure_catalog"),
+    },
+)

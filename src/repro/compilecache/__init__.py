@@ -19,16 +19,16 @@ blob) falls back to a cold build -- a cache can be deleted at any time
 without losing anything but warm-up time.
 """
 
-from .store import (
-    CacheLookup,
-    CompileCache,
-    schema_fingerprint,
-    variables_fingerprint,
-)
+from .._exports import export_table
 
-__all__ = [
-    "CacheLookup",
-    "CompileCache",
-    "schema_fingerprint",
-    "variables_fingerprint",
-]
+__all__, __getattr__, __dir__ = export_table(
+    __name__,
+    {
+        "store": (
+            "CacheLookup",
+            "CompileCache",
+            "schema_fingerprint",
+            "variables_fingerprint",
+        ),
+    },
+)

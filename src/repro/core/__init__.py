@@ -1,15 +1,11 @@
 """The cloudless engine facade (paper Figure 1b)."""
 
-from .engine import (
-    CloudlessEngine,
-    EngineApplyResult,
-    EngineError,
-    EXECUTORS,
-)
+from .._exports import export_table
 
-__all__ = [
-    "CloudlessEngine",
-    "EngineApplyResult",
-    "EngineError",
-    "EXECUTORS",
-]
+__all__, __getattr__, __dir__ = export_table(
+    __name__,
+    {
+        "engine": ("CloudlessEngine", "EngineApplyResult", "EngineError"),
+        ".deploy.executor": ("EXECUTORS",),
+    },
+)

@@ -11,46 +11,85 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..cloud.gateway import CloudGateway
-from ..cloud.resilience import BreakerPolicy, HealthMonitor, ResilientGateway
-from ..deploy.executor import (
-    EXECUTORS,
-    ApplyResult,
-    PlanExecutor,
+from ..cloud.resilience import (
+    BreakerPolicy,
+    HealthMonitor,
+    ResilientGateway,
     RetryPolicy,
-    make_executor,
 )
-from ..deploy.incremental import read_data_sources
-from ..deploy.recovery import CrashRecovery, RecoveryReport
-from ..deploy.wal import IntentJournal
-from ..drift.detector import DetectionRun, DriftFinding, LogWatchDetector
-from ..drift.reconcile import Reconciler, ReconcileReport
-from ..drift.watcher import DriftWatcher, WatchCycle
-from ..graph.builder import GraphBuildError, ResourceGraph, build_graph
-from ..graph.impact import PlanBasis, change_scope, diff_configurations, same_values
-from ..graph.plan import Action, Plan, Planner
-from ..lang.config import Configuration
 from ..lang.diagnostics import CLCError
-from ..lang.module_loader import ModuleLoader
 from ..perf import PERF
-from ..policy.controller import AdmissionDecision, InfrastructureController
-from ..policy.cost import CostEstimator
 from ..state.document import StateDocument
-from ..state.snapshots import Snapshot, SnapshotHistory
+from ..state.snapshots import SnapshotHistory
 from ..types.schema import SchemaRegistry
-from ..validate.pipeline import (
-    LEVEL_RULES,
-    ValidationPipeline,
-    ValidationReport,
-    VerdictMismatch,
-)
 
 if TYPE_CHECKING:  # imported by the verbs that run them, not by every verb
     from ..debug.correlate import Diagnosis, IaCDebugger
+    from ..deploy.executor import ApplyResult, PlanExecutor
+    from ..deploy.recovery import RecoveryReport
+    from ..deploy.wal import IntentJournal
+    from ..drift.detector import DetectionRun, DriftFinding, LogWatchDetector
+    from ..drift.reconcile import ReconcileReport
+    from ..drift.watcher import DriftWatcher, WatchCycle
+    from ..graph.builder import ResourceGraph
+    from ..graph.impact import PlanBasis
+    from ..graph.plan import Plan, Planner
+    from ..lang.config import Configuration
+    from ..lang.context import ResourceResolver
+    from ..lang.module_loader import ModuleLoader
+    from ..policy.controller import AdmissionDecision, InfrastructureController
+    from ..policy.cost import CostEstimator
     from ..porting.importer import PortedProject
     from ..update.rollback import RollbackResult
+    from ..validate.pipeline import ValidationPipeline, ValidationReport
+
+#: the scheduling disciplines an engine can be built with, by name:
+#: the keys of :data:`repro.deploy.executor.EXECUTORS`, for the callers
+#: (a world file's loader) that check a name and run no executor
+EXECUTOR_NAMES = ("sequential", "best-effort", "critical-path")
+
+
+def build_graph(
+    config: Configuration,
+    variables: Optional[Dict[str, Any]] = None,
+    loader: Optional[ModuleLoader] = None,
+    resolver: Optional[ResourceResolver] = None,
+) -> ResourceGraph:
+    """:func:`repro.graph.builder.build_graph`, imported by the verb
+    that builds a graph."""
+    from ..graph.builder import build_graph as build
+
+    return build(config, variables, loader, resolver)
+
+
+def read_data_sources(
+    gateway: CloudGateway, graph: ResourceGraph, state: StateDocument
+) -> Dict[str, Dict[str, Any]]:
+    """:func:`repro.deploy.incremental.read_data_sources`, imported by
+    the verb that plans."""
+    from ..deploy.incremental import read_data_sources as read
+
+    return read(gateway, graph, state)
+
+
+def load_verb_modules() -> None:
+    """Import, now, every module a lifecycle verb would import on first
+    use. A one-shot process wants each verb to pay for the modules it
+    runs and no others. A long-lived one wants them all in place before
+    its first tenant arrives: imported in the middle of a request, their
+    code and constants land between that tenant's objects on the heap,
+    and every later op reads 3-4 % slower (``svc_closed``, 11 of 12
+    pairs; docs/performance.md, "The process at both ends")."""
+    from ..deploy import executor, incremental, recovery, wal  # noqa: F401
+    from ..drift import detector, reconcile, watcher  # noqa: F401
+    from ..graph import builder, impact, plan  # noqa: F401
+    from ..lang import chunker, config, parser  # noqa: F401
+    from ..policy import controller, cost  # noqa: F401
+    from ..validate import pipeline  # noqa: F401
+    from ..validate.constraints import aws, azure  # noqa: F401
 
 
 class EngineError(RuntimeError):
@@ -121,7 +160,7 @@ class EngineResumeResult:
         return self.result.ok
 
 
-Sources = Union[str, Dict[str, str], Configuration, Compiled]
+Sources = Union[str, Dict[str, str], "Configuration", "Compiled"]
 
 
 class CloudlessEngine:
@@ -133,7 +172,7 @@ class CloudlessEngine:
         registry: Optional[SchemaRegistry] = None,
         loader: Optional[ModuleLoader] = None,
         executor: str = "critical-path",
-        validation_level: str = LEVEL_RULES,
+        validation_level: str = "rules",
         concurrency: int = 10,
         retry: Optional[RetryPolicy] = None,
         seed: int = 0,
@@ -164,20 +203,16 @@ class CloudlessEngine:
         self.retry = retry
         self.state = StateDocument()
         self.history = SnapshotHistory()
-        self.controller = InfrastructureController()
-        self.cost = CostEstimator()
-        self.watcher = LogWatchDetector(self.resilient)
+        #: what :attr:`validation` is built with, and what a world file
+        #: records of it
+        self.validation_level = validation_level
+        #: per-provider log-watch cursors (event sequences), as plain
+        #: data: :attr:`watcher` reads and advances this very dict, and a
+        #: world file round-trips it without building a detector
+        self.watch_cursors: Dict[str, int] = {name: 0 for name in self.gateway.planes}
         #: lazily-built continuous-reconciliation loop (see
         #: :meth:`watch_continuously`); shares ``self.watcher``'s cursors
         self.continuous_watcher: Optional[DriftWatcher] = None
-        self.validation = ValidationPipeline(
-            registry=self.registry, level=validation_level
-        )
-        self.planner = Planner(
-            spec_lookup=self.gateway.try_spec,
-            region_lookup=self.gateway.region_for,
-            provider_lookup=self.gateway.provider_of,
-        )
         self.last_sources: Dict[str, str] = {}
         self.last_variables: Dict[str, Any] = {}
         #: :mod:`repro.persist`'s note of what the world file held when
@@ -209,11 +244,56 @@ class CloudlessEngine:
     def clock(self):
         return self.gateway.clock
 
+    # Subsystems are built by the first verb that uses them: a `watch`
+    # never validates, a `plan` never admits or executes, and a process
+    # imports the modules of the subsystems it builds.
+
     @functools.cached_property
-    def debugger(self) -> "IaCDebugger":
+    def validation(self) -> ValidationPipeline:
+        from ..validate.pipeline import ValidationPipeline
+
+        return ValidationPipeline(registry=self.registry, level=self.validation_level)
+
+    @functools.cached_property
+    def planner(self) -> Planner:
+        from ..graph.plan import Planner
+
+        return Planner(
+            spec_lookup=self.gateway.try_spec,
+            region_lookup=self.gateway.region_for,
+            provider_lookup=self.gateway.provider_of,
+        )
+
+    @functools.cached_property
+    def controller(self) -> InfrastructureController:
+        from ..policy.controller import InfrastructureController
+
+        return InfrastructureController()
+
+    @functools.cached_property
+    def cost(self) -> CostEstimator:
+        from ..policy.cost import CostEstimator
+
+        return CostEstimator()
+
+    @functools.cached_property
+    def watcher(self) -> LogWatchDetector:
+        from ..drift.detector import LogWatchDetector
+
+        return LogWatchDetector(self.resilient, cursors=self.watch_cursors)
+
+    @functools.cached_property
+    def debugger(self) -> IaCDebugger:
         from ..debug.correlate import IaCDebugger
 
         return IaCDebugger(self.registry)
+
+    def restore_watch_cursors(self, cursors: Mapping[str, int]) -> None:
+        """Adopt checkpointed log-watch cursors, never backwards: a
+        reloaded world resumes tailing where it stopped instead of
+        replaying the whole activity log."""
+        for name, cursor in cursors.items():
+            self.watch_cursors[name] = max(int(cursor), self.watch_cursors.get(name, 0))
 
     def compile(
         self, sources: Sources, variables: Optional[Dict[str, Any]] = None
@@ -232,6 +312,8 @@ class CloudlessEngine:
         collector, which a many-tenant heap rarely runs."""
         if isinstance(sources, Compiled):
             return sources
+        from ..lang.config import Configuration
+
         if isinstance(sources, Configuration):
             # originals unavailable
             texts = {f.filename: "" for f in sources.files}
@@ -273,6 +355,8 @@ class CloudlessEngine:
     def _graph(self, compiled: Compiled) -> ResourceGraph:
         """The verb's one graph: validation and the plan both read it."""
         if compiled.graph is None:
+            from ..graph.builder import GraphBuildError
+
             try:
                 compiled.graph = build_graph(
                     compiled.config,
@@ -314,6 +398,8 @@ class CloudlessEngine:
         the graph when it was reached under this level, these rules and
         this registry."""
         if compiled.report is None and compiled.verdict is not None:
+            from ..validate.pipeline import VerdictMismatch
+
             try:
                 compiled.report = self.validation.replay(compiled.verdict)
                 PERF.count("validate.replayed")
@@ -339,6 +425,8 @@ class CloudlessEngine:
         return compiled.report
 
     def _executor(self) -> PlanExecutor:
+        from ..deploy.executor import EXECUTORS, make_executor
+
         if self.executor_name not in EXECUTORS:
             raise EngineError(f"unknown executor {self.executor_name!r}")
         return make_executor(
@@ -384,6 +472,9 @@ class CloudlessEngine:
             len(graph),
         )
         if ours:
+            from ..graph.impact import PlanBasis
+            from ..graph.plan import Action
+
             self._plan_basis = PlanBasis(
                 config=compiled.config,
                 variables=dict(compiled.variables or {}),
@@ -414,6 +505,8 @@ class CloudlessEngine:
         against, so a repair, a rollback, state surgery, a resumed or
         half-failed apply or another ``state`` all re-diff what they
         touched."""
+        from ..graph.impact import change_scope, diff_configurations, same_values
+
         if basis is None:
             why = "first"
         elif compiled.config.module_calls or basis.config.module_calls:
@@ -477,19 +570,25 @@ class CloudlessEngine:
                 )
         journal = _journal
         if journal is None and self.wal_path:
+            from ..deploy.wal import IntentJournal
+
             journal = IntentJournal(self.wal_path)
             journal.begin_run()
-        result = self._executor().apply(
-            plan, wal=journal, crash_hook=crash_hook
-        )
-        if journal is not None and result.ok:
-            journal.mark_clean()
-            journal.close()
-        elif journal is not None and result.partial:
-            # degraded-mode completion: keep the journal's contents (the
-            # quarantined intents are the resume's work list) but close
-            # the handle so an in-process resume re-reads a flushed file
-            journal.close()
+        try:
+            result = self._executor().apply(
+                plan, wal=journal, crash_hook=crash_hook
+            )
+            if journal is not None and result.ok:
+                journal.mark_clean()
+        finally:
+            # converged, degraded, failed or raised: a run that did not
+            # converge keeps its journal's contents (its open and
+            # quarantined intents are the resume's work list), and every
+            # run closes the handle, so the markers still in its buffer
+            # are in the file before a resume -- this process's or the
+            # next -- re-reads it
+            if journal is not None:
+                journal.close()
         assert result.state is not None
         self.state = result.state
         self._store_outputs(plan, result)
@@ -558,6 +657,9 @@ class CloudlessEngine:
         """
         if not self.wal_path:
             raise EngineError("resume requires an engine wal_path")
+        from ..deploy.recovery import CrashRecovery
+        from ..deploy.wal import IntentJournal
+
         journal = IntentJournal.resume(self.wal_path)
         recovery: Optional[RecoveryReport] = None
         if journal.run_id is not None and journal.records():
@@ -611,9 +713,13 @@ class CloudlessEngine:
     def watch(self) -> DetectionRun:
         """One drift-detection poll over the activity logs."""
         run = self.watcher.poll(self.state)
-        if run.findings:
-            self.controller.evaluate_drift(run.findings, self.state, self.clock.now)
+        self._police_drift(run.findings)
         return run
+
+    def _police_drift(self, findings: List[DriftFinding]) -> None:
+        # a controller nobody has built yet holds no policy to evaluate
+        if findings and "controller" in vars(self):
+            self.controller.evaluate_drift(findings, self.state, self.clock.now)
 
     def watch_continuously(
         self,
@@ -633,6 +739,8 @@ class CloudlessEngine:
         ledger."""
         watcher = self.continuous_watcher
         if watcher is None:
+            from ..drift.watcher import DriftWatcher
+
             watcher = self.continuous_watcher = DriftWatcher(
                 self.resilient,
                 health=self.health,
@@ -648,10 +756,7 @@ class CloudlessEngine:
                 watcher.reconciler.policy.update(policy)
         out = watcher.run(self.state, cycles=cycles, interval_s=interval_s)
         for cycle in out:
-            if cycle.run.findings:
-                self.controller.evaluate_drift(
-                    cycle.run.findings, self.state, self.clock.now
-                )
+            self._police_drift(cycle.run.findings)
         return out
 
     def reconcile(
@@ -659,6 +764,8 @@ class CloudlessEngine:
         findings: List[DriftFinding],
         policy: Optional[Dict[str, str]] = None,
     ) -> ReconcileReport:
+        from ..drift.reconcile import Reconciler
+
         reconciler = Reconciler(self.resilient, policy=policy)
         return reconciler.reconcile(findings, self.state)
 
@@ -687,6 +794,7 @@ class CloudlessEngine:
         held across all of them become compile-time checks on future
         changes. Returns how many rules were added.
         """
+        from ..lang.config import Configuration
         from ..validate.mining import DeploymentExample, SpecificationMiner
 
         examples = []

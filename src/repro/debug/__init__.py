@@ -1,13 +1,11 @@
 """IaC debugger: error correlation and repair (paper 3.5)."""
 
-from .correlate import Diagnosis, FixSuggestion, IaCDebugger
-from .repair import RepairOutcome, apply_diagnoses, apply_fix
+from .._exports import export_table
 
-__all__ = [
-    "Diagnosis",
-    "FixSuggestion",
-    "IaCDebugger",
-    "RepairOutcome",
-    "apply_diagnoses",
-    "apply_fix",
-]
+__all__, __getattr__, __dir__ = export_table(
+    __name__,
+    {
+        "correlate": ("Diagnosis", "FixSuggestion", "IaCDebugger"),
+        "repair": ("RepairOutcome", "apply_diagnoses", "apply_fix"),
+    },
+)

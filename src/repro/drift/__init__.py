@@ -1,41 +1,30 @@
 """Drift detection and reconciliation (paper 3.5)."""
 
-from .detector import (
-    DetectionRun,
-    DriftFinding,
-    FullScanDetector,
-    LogWatchDetector,
-)
-from .reconcile import (
-    ADOPT,
-    ENFORCE,
-    NOTIFY,
-    ReconcileInterrupted,
-    ReconcileReport,
-    Reconciler,
-)
-from .watcher import (
-    DEFER_DARK,
-    DriftWatcher,
-    ReconcileDecision,
-    WatchCycle,
-    classify_defect,
-)
+from .._exports import export_table
 
-__all__ = [
-    "ADOPT",
-    "DEFER_DARK",
-    "DetectionRun",
-    "DriftFinding",
-    "DriftWatcher",
-    "ENFORCE",
-    "FullScanDetector",
-    "LogWatchDetector",
-    "NOTIFY",
-    "ReconcileDecision",
-    "ReconcileInterrupted",
-    "ReconcileReport",
-    "Reconciler",
-    "WatchCycle",
-    "classify_defect",
-]
+__all__, __getattr__, __dir__ = export_table(
+    __name__,
+    {
+        "detector": (
+            "DetectionRun",
+            "DriftFinding",
+            "FullScanDetector",
+            "LogWatchDetector",
+        ),
+        "reconcile": (
+            "ADOPT",
+            "ENFORCE",
+            "NOTIFY",
+            "ReconcileInterrupted",
+            "ReconcileReport",
+            "Reconciler",
+        ),
+        "watcher": (
+            "DEFER_DARK",
+            "DriftWatcher",
+            "ReconcileDecision",
+            "WatchCycle",
+            "classify_defect",
+        ),
+    },
+)

@@ -14,7 +14,7 @@ Two detectors, one interface:
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..addressing import ResourceAddress
 from ..cloud.activitylog import ActivityEvent
@@ -248,22 +248,21 @@ class LogWatchDetector:
         gateway: CloudGateway,
         retry: Optional[RetryPolicy] = None,
         health: Optional[HealthMonitor] = None,
+        cursors: Optional[Dict[str, int]] = None,
     ):
         self.gateway = ResilientGateway.wrap(gateway, retry=retry, health=health)
-        self._cursors: Dict[str, int] = {
-            name: 0 for name in gateway.planes
-        }
+        #: ``cursors`` is adopted, not copied: its owner (an engine)
+        #: checkpoints and restores it as plain data, and a detector
+        #: built over restored cursors resumes instead of replaying the
+        #: log from sequence 0
+        self._cursors: Dict[str, int] = (
+            {name: 0 for name in gateway.planes} if cursors is None else cursors
+        )
 
     @property
     def cursors(self) -> Dict[str, int]:
         """Current per-provider cursors (a copy; safe to persist)."""
         return dict(self._cursors)
-
-    def restore_cursors(self, cursors: Mapping[str, int]) -> None:
-        """Adopt checkpointed cursors: a restarted watcher resumes
-        instead of replaying the log from sequence 0."""
-        for name, cursor in cursors.items():
-            self._cursors[name] = max(int(cursor), self._cursors.get(name, 0))
 
     def tail(
         self, until: Optional[float] = None

@@ -15,122 +15,64 @@ Typical use::
     ctx = ModuleContext(cfg)
 """
 
-from .ast_nodes import (
-    AttrAccess,
-    Attribute,
-    BinaryOp,
-    Block,
-    Body,
-    Conditional,
-    ConfigFile,
-    Expr,
-    ForExpr,
-    FunctionCall,
-    IndexAccess,
-    ListExpr,
-    Literal,
-    ObjectExpr,
-    ScopeRef,
-    SplatExpr,
-    TemplateExpr,
-    UnaryOp,
-    walk_expr,
-)
-from .chunker import SourceChunk, chunk_fingerprints, iter_chunks
-from .config import (
-    Configuration,
-    LifecycleOptions,
-    ModuleCall,
-    OutputDecl,
-    ProviderConfig,
-    ResourceDecl,
-    VariableDecl,
-    VariableValidation,
-)
-from .context import ModuleContext, ResourceResolver, StaticResolver
-from .diagnostics import (
-    CLCError,
-    CLCEvalError,
-    CLCSyntaxError,
-    Diagnostic,
-    DiagnosticSink,
-    Severity,
-    SourceSpan,
-)
-from .evaluator import Evaluator, Scope, evaluate
-from .functions import FUNCTIONS, call_function
-from .lexer import Lexer, tokenize
-from .module_loader import (
-    DictModuleLoader,
-    FileSystemModuleLoader,
-    ModuleLoader,
-    NullModuleLoader,
-)
-from .parser import Parser, parse_expression_source, parse_file
-from .references import Reference, body_references, extract_references
-from .values import UNKNOWN, Unknown, is_unknown, to_string, type_name
+from .._exports import export_table
 
-__all__ = [
-    "AttrAccess",
-    "Attribute",
-    "BinaryOp",
-    "Block",
-    "Body",
-    "CLCError",
-    "CLCEvalError",
-    "CLCSyntaxError",
-    "Conditional",
-    "ConfigFile",
-    "Configuration",
-    "Diagnostic",
-    "DiagnosticSink",
-    "DictModuleLoader",
-    "Evaluator",
-    "Expr",
-    "FileSystemModuleLoader",
-    "ForExpr",
-    "FUNCTIONS",
-    "FunctionCall",
-    "IndexAccess",
-    "Lexer",
-    "LifecycleOptions",
-    "ListExpr",
-    "Literal",
-    "ModuleCall",
-    "ModuleContext",
-    "ModuleLoader",
-    "NullModuleLoader",
-    "ObjectExpr",
-    "OutputDecl",
-    "Parser",
-    "ProviderConfig",
-    "Reference",
-    "ResourceDecl",
-    "ResourceResolver",
-    "Scope",
-    "ScopeRef",
-    "Severity",
-    "SourceChunk",
-    "SourceSpan",
-    "SplatExpr",
-    "StaticResolver",
-    "TemplateExpr",
-    "UNKNOWN",
-    "UnaryOp",
-    "Unknown",
-    "VariableDecl",
-    "VariableValidation",
-    "body_references",
-    "call_function",
-    "chunk_fingerprints",
-    "evaluate",
-    "extract_references",
-    "is_unknown",
-    "iter_chunks",
-    "parse_expression_source",
-    "parse_file",
-    "to_string",
-    "tokenize",
-    "type_name",
-    "walk_expr",
-]
+__all__, __getattr__, __dir__ = export_table(
+    __name__,
+    {
+        "ast_nodes": (
+            "AttrAccess",
+            "Attribute",
+            "BinaryOp",
+            "Block",
+            "Body",
+            "Conditional",
+            "ConfigFile",
+            "Expr",
+            "ForExpr",
+            "FunctionCall",
+            "IndexAccess",
+            "ListExpr",
+            "Literal",
+            "ObjectExpr",
+            "ScopeRef",
+            "SplatExpr",
+            "TemplateExpr",
+            "UnaryOp",
+            "walk_expr",
+        ),
+        "chunker": ("SourceChunk", "chunk_fingerprints", "iter_chunks"),
+        "config": (
+            "Configuration",
+            "LifecycleOptions",
+            "ModuleCall",
+            "OutputDecl",
+            "ProviderConfig",
+            "ResourceDecl",
+            "VariableDecl",
+            "VariableValidation",
+        ),
+        "context": ("ModuleContext", "ResourceResolver", "StaticResolver"),
+        "diagnostics": (
+            "CLCError",
+            "CLCEvalError",
+            "CLCSyntaxError",
+            "Diagnostic",
+            "DiagnosticSink",
+            "Severity",
+            "SourceSpan",
+        ),
+        "evaluator": ("Evaluator", "Scope", "evaluate"),
+        "functions": ("FUNCTIONS", "call_function"),
+        "lexer": ("Lexer", "tokenize"),
+        "module_loader": (
+            "DictModuleLoader",
+            "FileSystemModuleLoader",
+            "ModuleLoader",
+            "NullModuleLoader",
+        ),
+        "parser": ("Parser", "parse_expression_source", "parse_file"),
+        "references": ("Reference", "body_references", "extract_references"),
+        "values": ("UNKNOWN", "Unknown", "is_unknown", "to_string", "type_name"),
+    },
+)

@@ -9,7 +9,8 @@ names, known meta-arguments) and collecting diagnostics.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Tuple
+import functools
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 from ..perf import PERF
 from .ast_nodes import (
@@ -22,16 +23,45 @@ from .ast_nodes import (
     Literal,
     ScopeRef,
 )
-from .chunker import iter_chunks
 from .diagnostics import CLCError, DiagnosticSink, SourceSpan
-from .parser import parse_file
 from .references import Reference, body_references, extract_references
+
+if TYPE_CHECKING:
+    from .chunker import SourceChunk
 
 # meta-arguments recognised on resource/data blocks
 _RESOURCE_META = {"count", "for_each", "depends_on", "provider", "lifecycle"}
 _MODULE_META = {"source", "count", "for_each", "depends_on", "providers", "version"}
 _PRIMITIVE_TYPES = {"string", "number", "bool", "any"}
 _TYPE_CONSTRUCTORS = {"list", "set", "map", "object", "tuple"}
+
+
+# A Configuration is unpickled, diffed and expanded by verbs that parse
+# nothing (an exact artifact hit, the service's resident compile): the
+# chunker, the lexer and the parser are imported by the first parse.
+
+
+def iter_chunks(source: str) -> Iterator[SourceChunk]:
+    """:func:`repro.lang.chunker.iter_chunks`."""
+    from .chunker import iter_chunks as chunks
+
+    return chunks(source)
+
+
+@functools.cache
+def _parser() -> Any:
+    # once, not per chunk: an import statement is ~1.2 us, and a cold
+    # parse of the 1,993-resource estate calls parse_file 1,993 times
+    from . import parser
+
+    return parser
+
+
+def parse_file(
+    source: str, filename: str = "<config>", start_line: int = 1
+) -> ConfigFile:
+    """:func:`repro.lang.parser.parse_file`."""
+    return _parser().parse_file(source, filename, start_line)
 
 
 @dataclasses.dataclass

@@ -8,10 +8,12 @@ configurations so diamond-shaped module graphs parse once.
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional, Union
+from typing import TYPE_CHECKING, Dict, Optional, Union
 
-from .config import Configuration
 from .diagnostics import CLCError
+
+if TYPE_CHECKING:  # a loader parses when a module call asks it to
+    from .config import Configuration
 
 
 class ModuleNotFoundError_(CLCError):
@@ -60,6 +62,8 @@ class DictModuleLoader(ModuleLoader):
     def _load_uncached(self, source: str) -> Configuration:
         if source not in self._modules:
             raise ModuleNotFoundError_(f"module source {source!r} is not registered")
+        from .config import Configuration
+
         entry = self._modules[source]
         if isinstance(entry, str):
             return Configuration.parse(entry, filename=f"{source}/main.clc")
@@ -90,4 +94,6 @@ class FileSystemModuleLoader(ModuleLoader):
             raise ModuleNotFoundError_(
                 f"module directory {directory!r} contains no .clc files"
             )
+        from .config import Configuration
+
         return Configuration.parse(sources)

@@ -44,8 +44,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .cloud.activitylog import ActivityEvent
 from .cloud.base import ControlPlane, ResourceRecord
-from .core.engine import CloudlessEngine
-from .deploy.executor import EXECUTORS
+from .core.engine import EXECUTOR_NAMES, CloudlessEngine
 from .perf import PERF
 from .state.document import StateDocument
 from .state.snapshots import apply_doc_delta, doc_delta, source_key
@@ -248,7 +247,7 @@ def _engine_section(engine: CloudlessEngine) -> Dict[str, Any]:
         "seed": engine.seed,
         "clock": engine.clock.now,
         "executor": engine.executor_name,
-        "validation_level": engine.validation.level,
+        "validation_level": engine.validation_level,
         "last_sources": {
             fname: source_key(text) for fname, text in engine.last_sources.items()
         },
@@ -256,7 +255,7 @@ def _engine_section(engine: CloudlessEngine) -> Dict[str, Any]:
         # per-provider log-watch cursors (event sequences): a reloaded
         # world resumes tailing where it stopped instead of replaying
         # the whole activity log
-        "watch_cursors": engine.watcher.cursors,
+        "watch_cursors": dict(engine.watch_cursors),
     }
 
 
@@ -326,7 +325,7 @@ def _apply(engine: CloudlessEngine, base: _Base, sections: Dict[str, Any]) -> No
         engine.clock.advance_to(section["clock"])
         base.engine_section = section
         engine.last_variables = dict(section["last_variables"])
-        engine.watcher.restore_cursors(section["watch_cursors"])
+        engine.restore_watch_cursors(section["watch_cursors"])
 
 
 def _unpack_last_sources(engine: CloudlessEngine, base: _Base) -> None:
@@ -338,10 +337,10 @@ def _unpack_last_sources(engine: CloudlessEngine, base: _Base) -> None:
 
 def _new_engine(seed: Any, executor: Any, validation_level: Any) -> CloudlessEngine:
     """An engine as a world names it (:data:`_CONSTRUCTION`)."""
-    if executor not in EXECUTORS:
+    if executor not in EXECUTOR_NAMES:
         raise WorldFormatError(
             f"unsupported world executor {executor!r} "
-            f"(expected one of {sorted(EXECUTORS)})"
+            f"(expected one of {sorted(EXECUTOR_NAMES)})"
         )
     return CloudlessEngine(
         seed=seed, executor=executor, validation_level=validation_level
@@ -403,7 +402,7 @@ def _engine_from_v2(data: Dict[str, Any]) -> CloudlessEngine:
         )
     engine.last_sources = dict(data.get("last_sources", {}))
     engine.last_variables = dict(data.get("last_variables", {}))
-    engine.watcher.restore_cursors(data.get("watch_cursors", {}))
+    engine.restore_watch_cursors(data.get("watch_cursors", {}))
     return engine
 
 
@@ -530,7 +529,7 @@ def _write_keyframe(engine: CloudlessEngine, path: str) -> None:
 def _compact(engine: CloudlessEngine, path: str) -> None:
     """The deltas outweigh their keyframe: apply retention, start over."""
     for name, plane in engine.gateway.planes.items():
-        plane.log.compact(engine.watcher.cursors.get(name, 0))
+        plane.log.compact(engine.watch_cursors.get(name, 0))
     engine.history.trim(HISTORY_RETENTION)
     _write_keyframe(engine, path)
     PERF.count("persist.compactions")

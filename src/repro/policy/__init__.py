@@ -1,80 +1,49 @@
 """Policing the infrastructure lifecycle (paper 3.6)."""
 
-from .autoscale import (
-    CustomMetricScalePolicy,
-    MetricStore,
-    NATIVE_SUPPORTED_METRICS,
-    NATIVE_SUPPORTED_TYPES,
-    NativeAutoscalePolicy,
-    ScaleDecision,
-)
-from .builtin import (
-    allowed_regions_policy,
-    budget_policy,
-    drift_notification_policy,
-    required_engine_policy,
-    required_tag_policy,
-)
-from .controller import AdmissionDecision, InfrastructureController
-from .cost import CostEstimator, HOURLY_BASE, SIZE_MULTIPLIER
-from .language import (
-    Action,
-    ActionRequest,
-    Deny,
-    DriftContext,
-    MetricsContext,
-    Notify,
-    PHASE_DRIFT,
-    PHASE_METRICS,
-    PHASE_PLAN,
-    PHASES,
-    PlanContext,
-    Policy,
-    SetVariable,
-    UnsupportedPolicyError,
-    Warn,
-)
-from .outlier import (
-    OutlierFinding,
-    TemplateExtractor,
-    TemplateModel,
-    TypeTemplate,
-)
+from .._exports import export_table
 
-__all__ = [
-    "Action",
-    "ActionRequest",
-    "AdmissionDecision",
-    "CostEstimator",
-    "CustomMetricScalePolicy",
-    "Deny",
-    "DriftContext",
-    "HOURLY_BASE",
-    "InfrastructureController",
-    "MetricStore",
-    "MetricsContext",
-    "NATIVE_SUPPORTED_METRICS",
-    "NATIVE_SUPPORTED_TYPES",
-    "NativeAutoscalePolicy",
-    "Notify",
-    "OutlierFinding",
-    "PHASE_DRIFT",
-    "PHASE_METRICS",
-    "PHASE_PLAN",
-    "PHASES",
-    "PlanContext",
-    "Policy",
-    "ScaleDecision",
-    "SetVariable",
-    "SIZE_MULTIPLIER",
-    "TemplateExtractor",
-    "TemplateModel",
-    "TypeTemplate",
-    "UnsupportedPolicyError",
-    "Warn",
-    "allowed_regions_policy",
-    "budget_policy",
-    "drift_notification_policy",
-    "required_engine_policy",
-    "required_tag_policy",
-]
+__all__, __getattr__, __dir__ = export_table(
+    __name__,
+    {
+        "autoscale": (
+            "CustomMetricScalePolicy",
+            "MetricStore",
+            "NATIVE_SUPPORTED_METRICS",
+            "NATIVE_SUPPORTED_TYPES",
+            "NativeAutoscalePolicy",
+            "ScaleDecision",
+        ),
+        "builtin": (
+            "allowed_regions_policy",
+            "budget_policy",
+            "drift_notification_policy",
+            "required_engine_policy",
+            "required_tag_policy",
+        ),
+        "controller": ("AdmissionDecision", "InfrastructureController"),
+        "cost": ("CostEstimator", "HOURLY_BASE", "SIZE_MULTIPLIER"),
+        "language": (
+            "Action",
+            "ActionRequest",
+            "Deny",
+            "DriftContext",
+            "MetricsContext",
+            "Notify",
+            "PHASE_DRIFT",
+            "PHASE_METRICS",
+            "PHASE_PLAN",
+            "PHASES",
+            "PlanContext",
+            "Policy",
+            "SetVariable",
+            "UnsupportedPolicyError",
+            "Warn",
+        ),
+        "outlier": (
+            "OutlierFinding",
+            "TemplateExtractor",
+            "TemplateModel",
+            "TypeTemplate",
+        ),
+    },
+)

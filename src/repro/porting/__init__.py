@@ -1,43 +1,31 @@
 """Porting non-IaC estates to IaC programs (paper 3.1)."""
 
-from .emitter import (
-    EmittedBlock,
-    RawExpr,
-    emit_block,
-    emit_config,
-    module_block,
-    render_value,
-    resource_block,
-    variable_block,
-)
-from .importer import (
-    NaiveExporter,
-    PortedProject,
-    StructuredImporter,
-    enumerate_estate,
-)
-from .metrics import (
-    FidelityResult,
-    QualityMetrics,
-    measure_quality,
-    verify_fidelity,
-)
+from .._exports import export_table
 
-__all__ = [
-    "EmittedBlock",
-    "FidelityResult",
-    "NaiveExporter",
-    "PortedProject",
-    "QualityMetrics",
-    "RawExpr",
-    "StructuredImporter",
-    "emit_block",
-    "emit_config",
-    "enumerate_estate",
-    "measure_quality",
-    "module_block",
-    "render_value",
-    "resource_block",
-    "variable_block",
-    "verify_fidelity",
-]
+__all__, __getattr__, __dir__ = export_table(
+    __name__,
+    {
+        "emitter": (
+            "EmittedBlock",
+            "RawExpr",
+            "emit_block",
+            "emit_config",
+            "module_block",
+            "render_value",
+            "resource_block",
+            "variable_block",
+        ),
+        "importer": (
+            "NaiveExporter",
+            "PortedProject",
+            "StructuredImporter",
+            "enumerate_estate",
+        ),
+        "metrics": (
+            "FidelityResult",
+            "QualityMetrics",
+            "measure_quality",
+            "verify_fidelity",
+        ),
+    },
+)

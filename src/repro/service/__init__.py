@@ -9,75 +9,46 @@ breakers, and a graceful-degradation ladder that keeps read paths
 (drift watching) alive while the apply pool is saturated.
 """
 
-from .admission import (
-    READ_ONLY_OPS,
-    REJECT_BROWNOUT,
-    REJECT_CIRCUIT_OPEN,
-    REJECT_DEADLINE,
-    REJECT_INVALID_PROGRAM,
-    REJECT_QUEUE_FULL,
-    REJECT_RATE_LIMITED,
-    REJECT_READ_ONLY,
-    REJECT_SHUTDOWN,
-    REJECT_STALE_SESSION,
-    REJECT_TENANT_QUOTA,
-    REJECT_UNKNOWN_OP,
-    SERVICE_OPS,
-    STATUS_OF,
-    AdmissionController,
-    TenantQuota,
-    TokenBucket,
-)
-from .breakers import CircuitBreaker, TenantBreakerBank
-from .core import ControlPlaneService, ServicePolicy, ServiceResponse
-from .degradation import (
-    MODE_BROWNOUT,
-    MODE_NORMAL,
-    MODE_READ_ONLY,
-    DegradationLadder,
-)
-from .fairness import WeightedFairQueue
-from .httpd import ServiceHTTPD
-from .tenants import (
-    SESSION_TTL_S,
-    SessionFencedError,
-    TenantHome,
-    TenantSession,
-    coordination_plane,
-)
+from .._exports import export_table
 
-__all__ = [
-    "AdmissionController",
-    "CircuitBreaker",
-    "ControlPlaneService",
-    "DegradationLadder",
-    "MODE_BROWNOUT",
-    "MODE_NORMAL",
-    "MODE_READ_ONLY",
-    "READ_ONLY_OPS",
-    "REJECT_BROWNOUT",
-    "REJECT_CIRCUIT_OPEN",
-    "REJECT_DEADLINE",
-    "REJECT_INVALID_PROGRAM",
-    "REJECT_QUEUE_FULL",
-    "REJECT_RATE_LIMITED",
-    "REJECT_READ_ONLY",
-    "REJECT_SHUTDOWN",
-    "REJECT_STALE_SESSION",
-    "REJECT_TENANT_QUOTA",
-    "REJECT_UNKNOWN_OP",
-    "SERVICE_OPS",
-    "SESSION_TTL_S",
-    "STATUS_OF",
-    "ServiceHTTPD",
-    "ServicePolicy",
-    "ServiceResponse",
-    "SessionFencedError",
-    "TenantBreakerBank",
-    "TenantHome",
-    "TenantQuota",
-    "TenantSession",
-    "TokenBucket",
-    "WeightedFairQueue",
-    "coordination_plane",
-]
+__all__, __getattr__, __dir__ = export_table(
+    __name__,
+    {
+        "admission": (
+            "READ_ONLY_OPS",
+            "REJECT_BROWNOUT",
+            "REJECT_CIRCUIT_OPEN",
+            "REJECT_DEADLINE",
+            "REJECT_INVALID_PROGRAM",
+            "REJECT_QUEUE_FULL",
+            "REJECT_RATE_LIMITED",
+            "REJECT_READ_ONLY",
+            "REJECT_SHUTDOWN",
+            "REJECT_STALE_SESSION",
+            "REJECT_TENANT_QUOTA",
+            "REJECT_UNKNOWN_OP",
+            "SERVICE_OPS",
+            "STATUS_OF",
+            "AdmissionController",
+            "TenantQuota",
+            "TokenBucket",
+        ),
+        "breakers": ("CircuitBreaker", "TenantBreakerBank"),
+        "core": ("ControlPlaneService", "ServicePolicy", "ServiceResponse"),
+        "degradation": (
+            "MODE_BROWNOUT",
+            "MODE_NORMAL",
+            "MODE_READ_ONLY",
+            "DegradationLadder",
+        ),
+        "fairness": ("WeightedFairQueue",),
+        "httpd": ("ServiceHTTPD",),
+        "tenants": (
+            "SESSION_TTL_S",
+            "SessionFencedError",
+            "TenantHome",
+            "TenantSession",
+            "coordination_plane",
+        ),
+    },
+)

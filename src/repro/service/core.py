@@ -34,6 +34,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional
 
+from ..core.engine import load_verb_modules
 from ..deploy import SimulatedCrash
 from ..lang.diagnostics import CLCError
 from ..perf import PERF
@@ -103,6 +104,9 @@ class ControlPlaneService:
         policy: Optional[ServicePolicy] = None,
         clock: Callable[[], float] = time.monotonic,
     ):
+        # a process that lives on loads what its ops run before the
+        # first tenant does, not inside that tenant's first request
+        load_verb_modules()
         self.root = root
         self.instance = instance
         self.policy = policy or ServicePolicy()

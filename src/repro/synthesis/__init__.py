@@ -1,26 +1,12 @@
 """IaC program synthesis (paper 3.1)."""
 
-from .generator import ErrorRates, NoisyGenerator
-from .synthesizer import (
-    RetrievalCorpus,
-    SynthesisResult,
-    TypeGuidedSynthesizer,
-)
-from .tasks import (
-    STANDARD_TASKS,
-    ResourceRequest,
-    SynthesisTask,
-    random_task,
-)
+from .._exports import export_table
 
-__all__ = [
-    "ErrorRates",
-    "NoisyGenerator",
-    "ResourceRequest",
-    "RetrievalCorpus",
-    "STANDARD_TASKS",
-    "SynthesisResult",
-    "SynthesisTask",
-    "TypeGuidedSynthesizer",
-    "random_task",
-]
+__all__, __getattr__, __dir__ = export_table(
+    __name__,
+    {
+        "generator": ("ErrorRates", "NoisyGenerator"),
+        "synthesizer": ("RetrievalCorpus", "SynthesisResult", "TypeGuidedSynthesizer"),
+        "tasks": ("STANDARD_TASKS", "ResourceRequest", "SynthesisTask", "random_task"),
+    },
+)

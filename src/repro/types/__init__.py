@@ -1,34 +1,25 @@
 """Semantic type system for IaC values (paper 3.2)."""
 
-from .checker import TypeChecker, check_types
-from .inference import (
-    InferenceReport,
-    InferredAnnotation,
-    Observation,
-    SemanticInferencer,
-)
-from .schema import SchemaRegistry
-from .semantic import (
-    ANY,
-    SemanticType,
-    compatible,
-    expected_semantic,
-    literal_semantic,
-    produced_by_attr,
-)
+from .._exports import export_table
 
-__all__ = [
-    "ANY",
-    "InferenceReport",
-    "InferredAnnotation",
-    "Observation",
-    "SchemaRegistry",
-    "SemanticInferencer",
-    "SemanticType",
-    "TypeChecker",
-    "check_types",
-    "compatible",
-    "expected_semantic",
-    "literal_semantic",
-    "produced_by_attr",
-]
+__all__, __getattr__, __dir__ = export_table(
+    __name__,
+    {
+        "checker": ("TypeChecker", "check_types"),
+        "inference": (
+            "InferenceReport",
+            "InferredAnnotation",
+            "Observation",
+            "SemanticInferencer",
+        ),
+        "schema": ("SchemaRegistry",),
+        "semantic": (
+            "ANY",
+            "SemanticType",
+            "compatible",
+            "expected_semantic",
+            "literal_semantic",
+            "produced_by_attr",
+        ),
+    },
+)

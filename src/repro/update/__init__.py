@@ -1,33 +1,25 @@
 """Concurrent updates, transactions, and rollback (paper 3.4)."""
 
-from .coordinator import (
-    CoordinationResult,
-    SCHEDULING_POLICIES,
-    UpdateCoordinator,
-    UpdateOutcome,
-    UpdateRequest,
-)
-from .rollback import (
-    NaiveRollback,
-    ReversibilityAwareRollback,
-    RollbackAction,
-    RollbackKind,
-    RollbackPlan,
-    RollbackResult,
-    measure_divergence,
-)
+from .._exports import export_table
 
-__all__ = [
-    "CoordinationResult",
-    "SCHEDULING_POLICIES",
-    "NaiveRollback",
-    "ReversibilityAwareRollback",
-    "RollbackAction",
-    "RollbackKind",
-    "RollbackPlan",
-    "RollbackResult",
-    "UpdateCoordinator",
-    "UpdateOutcome",
-    "UpdateRequest",
-    "measure_divergence",
-]
+__all__, __getattr__, __dir__ = export_table(
+    __name__,
+    {
+        "coordinator": (
+            "CoordinationResult",
+            "SCHEDULING_POLICIES",
+            "UpdateCoordinator",
+            "UpdateOutcome",
+            "UpdateRequest",
+        ),
+        "rollback": (
+            "NaiveRollback",
+            "ReversibilityAwareRollback",
+            "RollbackAction",
+            "RollbackKind",
+            "RollbackPlan",
+            "RollbackResult",
+            "measure_divergence",
+        ),
+    },
+)

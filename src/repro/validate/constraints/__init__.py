@@ -1,6 +1,11 @@
 """Provider-specific compile-time constraint rules."""
 
-from .aws import AWS_RULES
-from .azure import AZURE_RULES
+from ..._exports import export_table
 
-__all__ = ["AWS_RULES", "AZURE_RULES"]
+__all__, __getattr__, __dir__ = export_table(
+    __name__,
+    {
+        "aws": ("AWS_RULES",),
+        "azure": ("AZURE_RULES",),
+    },
+)

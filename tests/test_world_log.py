@@ -18,8 +18,6 @@ import os
 import random
 import re
 import shutil
-import subprocess
-import sys
 
 import pytest
 
@@ -618,25 +616,33 @@ class TestFormats:
 
 
 def test_watch_imports_no_module_only_other_verbs_run(tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    # per verb, and far stricter: tests/test_process.py
+    from tests.test_process import imports_of
+
     project = str(tmp_path)
     assert cli_main(["--chdir", project, "init"]) == 0
-    run = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "repro", "--chdir", project, "watch"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert run.returncode == 0 and "no drift detected" in run.stdout
-    imported = {line.rpartition("|")[2].strip() for line in run.stderr.splitlines()}
+    imported, _total_s, stdout = imports_of(project, "watch")
+    assert "no drift detected" in stdout
     assert "repro.core.engine" in imported  # the flag did record imports
     for module in ("debug.correlate", "porting", "synthesis", "update.rollback"):
         assert f"repro.{module}" not in imported, module
 
 
 def test_every_public_name_still_resolves():
-    import repro
+    import importlib
 
-    for name in repro.__all__:
-        assert getattr(repro, name) is not None, name
+    import repro
+    from tests.test_process import SUBPACKAGES
+
+    for package in [repro] + [
+        importlib.import_module(f"repro.{name}") for name in SUBPACKAGES
+    ]:
+        assert package.__all__ == sorted(package.__all__)
+        for name in package.__all__:
+            assert getattr(package, name) is not None, (package.__name__, name)
+        assert set(package.__all__) <= set(dir(package))
+        with pytest.raises(AttributeError):
+            package.no_such_name
     assert repro.validate("").ok and callable(repro.build_graph)
-    with pytest.raises(AttributeError):
-        repro.no_such_name
+    # a submodule is an attribute of its package without being imported by name
+    assert repro.lang.module_loader.ModuleLoader is repro.lang.ModuleLoader
