@@ -44,7 +44,11 @@ if TYPE_CHECKING:  # imported by the verbs that run them, not by every verb
     from ..policy.cost import CostEstimator
     from ..porting.importer import PortedProject
     from ..update.rollback import RollbackResult
-    from ..validate.pipeline import ValidationPipeline, ValidationReport
+    from ..validate.pipeline import (
+        ValidationBasis,
+        ValidationPipeline,
+        ValidationReport,
+    )
 
 #: the scheduling disciplines an engine can be built with, by name:
 #: the keys of :data:`repro.deploy.executor.EXECUTORS`, for the callers
@@ -92,6 +96,16 @@ def load_verb_modules() -> None:
     from ..validate.constraints import aws, azure  # noqa: F401
 
 
+def _same_blocks(was: Mapping[str, Any], now: Mapping[str, Any]) -> bool:
+    """Whether two tables of declarations were classified from the same
+    parsed blocks under the same names: a parse gives every block and
+    attribute a span object of its own, which a reused chunk still
+    holds and a re-parsed one does not."""
+    return was.keys() == now.keys() and all(
+        decl.span is now[name].span for name, decl in was.items()
+    )
+
+
 class EngineError(RuntimeError):
     """Lifecycle-level failures (validation denied, admission denied)."""
 
@@ -116,6 +130,9 @@ class Compiled:
     verdict: Any = None
     #: the validation outcome, once a verb has asked for it
     report: Optional[ValidationReport] = None
+    #: compiled against the engine's own last compile: the engine is
+    #: serving more than one verb, so what this one computes may be kept
+    resident: bool = False
 
 
 @dataclasses.dataclass
@@ -230,6 +247,15 @@ class CloudlessEngine:
         self._plan_basis: Optional[PlanBasis] = None
         #: ``(addresses the last plan diffed, nodes in its graph)``
         self.last_plan_scope: Optional[Tuple[int, int]] = None
+        #: what the last validation of a compile of ours computed per
+        #: declaration, and what that holds under; the next validation
+        #: computes what is not provably the same
+        #: (:meth:`_validation_scope`). Kept from the second compile on:
+        #: a process that compiles once has no next validation.
+        self._validation_basis: Optional[ValidationBasis] = None
+        #: ``(declarations the last validation type-checked,
+        #: declarations in its program)``
+        self.last_validation_scope: Optional[Tuple[int, int]] = None
         #: persistent compiled-artifact cache (``cache_dir=None`` keeps
         #: every compile cold); see :mod:`repro.compilecache`
         self.compile_cache = None
@@ -332,7 +358,9 @@ class CloudlessEngine:
             resident_texts, reuse = self._last_compile
             if resident_texts == texts:
                 PERF.count("compile.resident_exact")
-                return Compiled(reuse, texts, variables, store_fps=fps)
+                return Compiled(
+                    reuse, texts, variables, store_fps=fps, resident=True
+                )
             PERF.count("compile.resident_partial")
         elif fps is not None:
             lookup = cache.load(texts, *fps)
@@ -349,8 +377,9 @@ class CloudlessEngine:
             # artifact's resident chunk-AST table
             reuse = lookup.config if lookup is not None else None
         config = Configuration.parse_streaming(texts, reuse=reuse)
+        resident = self._last_compile is not None
         self._last_compile = (texts, config)
-        return Compiled(config, texts, variables, store_fps=fps)
+        return Compiled(config, texts, variables, store_fps=fps, resident=resident)
 
     def _graph(self, compiled: Compiled) -> ResourceGraph:
         """The verb's one graph: validation and the plan both read it."""
@@ -408,21 +437,100 @@ class CloudlessEngine:
                 PERF.count(f"compilecache.verdict_mismatch.{why}")
         if compiled.report is None:
             PERF.count("validate.runs")
-            try:
-                graph: Optional[ResourceGraph] = self._graph(compiled)
-            except EngineError:
-                # no graph to share: the pipeline reports why in stage
-                # order (syntax and type errors first, else its own
-                # build's GRAPH diagnostic)
-                graph = None
-            compiled.report = self.validation.validate(
-                compiled.config,
-                variables=compiled.variables,
-                loader=self.loader,
-                graph=graph,
-            )
+            compiled.report = self._validate(compiled)
+            # (the table a one-shot validation filled is gone by now:
+            # the artifact is pickled at the verb's memory peak)
             self._store(compiled)
         return compiled.report
+
+    def _validate(self, compiled: Compiled) -> ValidationReport:
+        """Validate on the verb's own graph, starting from what the
+        last validation left (:meth:`_validation_scope`) and leaving
+        what this one computed, if there will be a next."""
+        try:
+            graph: Optional[ResourceGraph] = self._graph(compiled)
+        except EngineError:
+            # no graph to share: the pipeline reports why in stage
+            # order (syntax and type errors first, else its own
+            # build's GRAPH diagnostic)
+            graph = None
+        # only a configuration this engine parsed is known not to be
+        # edited in place between two validations, and only a graph
+        # nobody has planned on evaluates as validation means it to
+        slot = graph.binding_resolver if graph is not None else None
+        ours = (
+            self._last_compile is not None
+            and compiled.config is self._last_compile[1]
+            and getattr(slot, "target", None) is None
+        )
+        basis = self._validation_scope(
+            self._validation_basis if ours else None, compiled, ours
+        )
+        table = basis.table
+        report = self.validation.validate(
+            compiled.config,
+            variables=compiled.variables,
+            loader=self.loader,
+            graph=graph,
+            table=table,
+        )
+        self.last_validation_scope = (table.checked, len(compiled.config.resources))
+        PERF.count("validate.decls_checked", table.checked)
+        PERF.count("validate.attrs_evaluated", table.evaluated)
+        if ours and compiled.resident:
+            self._validation_basis = basis
+        return report
+
+    def _validation_scope(
+        self, last: Optional[ValidationBasis], compiled: Compiled, ours: bool
+    ) -> ValidationBasis:
+        """What this validation starts from and will leave behind: a
+        table holding already what ``last`` computed for the
+        declarations that are still made of the same parsed parts, or
+        an empty one when anything else an entry is a function of may
+        have moved -- there is no basis, the program calls modules
+        (their text is outside what the engine can diff), the pipeline
+        is another (level, rules, registry), a variable was given
+        another value or is declared otherwise, a local is, or other
+        names are declared (a reference to an undeclared one evaluates
+        to an error, not to an unknown).
+
+        Nothing tells the basis that the program moved: an entry counts
+        only while its declaration answers the very parts it was
+        computed from, which an edited, moved or re-parsed block does
+        not."""
+        from ..graph.impact import same_values
+        from ..types.checker import DeclTable
+        from ..validate.pipeline import ValidationBasis
+
+        config = compiled.config
+        basis = ValidationBasis(
+            config=config,
+            variables=dict(compiled.variables or {}),
+            pipeline=self.validation._basis(),
+            table=DeclTable(),
+        )
+        if last is None:
+            why = "first" if ours else "foreign"
+        elif config.module_calls or last.config.module_calls:
+            why = "modules"
+        elif basis.pipeline != last.pipeline:
+            why = "pipeline"
+        elif not (
+            same_values(basis.variables, last.variables)
+            and _same_blocks(last.config.variables, config.variables)
+        ):
+            why = "variables"
+        elif not _same_blocks(last.config.locals, config.locals):
+            why = "locals"
+        elif last.config.resources.keys() != config.resources.keys():
+            why = "declarations"
+        else:
+            basis.table.carry_over(last.table, config)
+            PERF.count("validate.scoped")
+            return basis
+        PERF.count(f"validate.full.{why}")
+        return basis
 
     def _executor(self) -> PlanExecutor:
         from ..deploy.executor import EXECUTORS, make_executor

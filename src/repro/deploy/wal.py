@@ -204,9 +204,15 @@ class IntentJournal:
         self.run_id = None
         self._next_iid = 0
         self._records = {}
-        self._open("w")
         handle = self._handle
-        assert handle is not None
+        if handle is None:
+            handle = self._open("w")
+        else:
+            # the handle this run wrote through: markers still in its
+            # buffer go to the file first, then the file is emptied --
+            # the bytes a re-open for writing leaves, without the open
+            handle.seek(0)
+            handle.truncate()
         handle.flush()
         if self.sync == "fsync":
             os.fsync(handle.fileno())

@@ -16,6 +16,7 @@ from ..addressing import DATA, MANAGED, InstanceKey, ResourceAddress
 from ..lang.config import Configuration, ModuleCall, ResourceDecl
 from ..lang.context import DeferredResolver, ModuleContext, ResourceResolver
 from ..lang.diagnostics import CLCEvalError, DiagnosticSink
+from ..lang.evaluator import Evaluator
 from ..lang.module_loader import ModuleLoader, NullModuleLoader
 from ..lang.references import Reference, extract_references
 from ..lang.values import Unknown
@@ -60,8 +61,6 @@ class ResourceNode:
         assert isinstance(self.instance_key, str)
         if self.decl.for_each is None:
             return self.instance_key
-        from ..lang.evaluator import Evaluator
-
         collection = Evaluator(self.context.scope()).evaluate(self.decl.for_each)
         if isinstance(collection, dict):
             return collection.get(self.instance_key, self.instance_key)
@@ -80,8 +79,6 @@ class ResourceNode:
     def evaluate_attrs(self) -> Dict[str, Any]:
         """Evaluate the instance's configured attributes (may contain
         Unknowns when dependencies are not yet created)."""
-        from ..lang.evaluator import Evaluator
-
         evaluator = Evaluator(self.context.scope(self.instance_bindings()))
         return {
             name: evaluator.evaluate(attr.expr)
@@ -251,8 +248,6 @@ class GraphBuilder:
     def _expand_keys(
         self, mnode: _ModuleNode, decl: ResourceDecl
     ) -> List[InstanceKey]:
-        from ..lang.evaluator import Evaluator
-
         evaluator = Evaluator(mnode.context.scope())
         if decl.count is not None:
             value = evaluator.evaluate(decl.count)

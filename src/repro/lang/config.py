@@ -105,37 +105,59 @@ class OutputDecl:
 
 
 class _Referencing:
-    """``references()`` of a declaration with a body, ``count``,
-    ``for_each`` and ``depends_on``.
+    """``parts()`` and ``references()`` of a declaration with a body,
+    ``count``, ``for_each`` and ``depends_on``.
 
-    The answer is a pure function of the parsed block, and every graph
-    build of a resident engine asks again, so it is kept beside the
-    parts it was computed from: a declaration edited in place (the
-    mutators, the auto-repair) no longer holds those parts and answers
-    afresh. The memo is no dataclass field and is not pickled -- a
-    compiled artifact is the same bytes with or without it."""
+    What is computed from the parsed block alone -- its references, and
+    what validation keeps per declaration -- is asked for again by every
+    verb of a resident engine, so it is kept beside the parts it was
+    computed from: a declaration edited in place (the mutators, the
+    auto-repair) no longer holds those parts and answers afresh. The memo
+    is no dataclass field and is not pickled -- a compiled artifact is
+    the same bytes with or without it."""
 
-    def references(self) -> Tuple[Reference, ...]:
-        """Config objects referenced by the body and the meta-arguments,
-        sorted, each once."""
+    #: a module call has no ``provider`` meta-argument
+    provider = ""
+
+    def parts(self) -> Tuple[Any, ...]:
+        """The parsed objects this declaration is made of: the same
+        tuple, the very object, for as long as it is made of the same
+        ones -- which a reused chunk of a re-parse is, and an edited,
+        moved or re-parsed block is not. (The span too: a block with an
+        empty body has no other part.)"""
         parts = (
             tuple(self.body.attributes.values()),
             tuple(self.body.blocks),
             self.count,
             self.for_each,
             tuple(self.depends_on),
+            self.provider,
+            self.span,
         )
         memo = getattr(self, "_references", None)
         # tuples compare by identity first: one pass over pointers
-        if memo is None or memo[:-1] != parts:
+        if memo is None or memo[0] != parts:
+            memo = self._references = (parts, None)
+        return memo[0]
+
+    def references(self) -> Tuple[Reference, ...]:
+        """Config objects referenced by the body and the meta-arguments,
+        sorted, each once."""
+        parts = self.parts()  # forgets the references of other parts
+        found = self._references[1]
+        if found is None:
             refs = body_references(self.body)
             if self.count is not None:
                 refs |= extract_references(self.count)
             if self.for_each is not None:
                 refs |= extract_references(self.for_each)
             refs.update(self.depends_on)
-            memo = self._references = parts + (tuple(sorted(refs)),)
-        return memo[-1]
+            found = tuple(sorted(refs))
+            # one attribute for both: a class takes one new attribute
+            # name once it has many instances, and an instance that sets
+            # a second builds itself a dict (~770 B a declaration)
+            self._references = (parts, found)
+        return found
 
     def __getstate__(self) -> Dict[str, Any]:
         state = self.__dict__

@@ -48,6 +48,27 @@ KNOWN_PROBES: Dict[str, str] = {
     "plan.full.modules": "count: see plan.full",
     "plan.full.data": "count: see plan.full",
     "validate.runs": "count: validations the engine ran (at most one per verb)",
+    "validate.scoped": "count: validations that started from what the engine's "
+    "validation basis had computed for the declarations still made of the same "
+    "parsed parts (type verdicts, validate-time attribute values); every rule "
+    "still runs over every instance",
+    "validate.full.first": "count: validations that started from nothing: no "
+    "basis yet (an engine keeps one from its second compile on, so a one-shot "
+    "process never does); validate.full.<why> for the others -- foreign (a "
+    "Configuration the engine did not parse, or a graph already planned on), "
+    "modules (the program calls modules), pipeline (another level, rule set or "
+    "registry), variables (a variable given or declared otherwise), locals (a "
+    "local declared otherwise), declarations (other names declared)",
+    "validate.full.foreign": "count: see validate.full.first",
+    "validate.full.modules": "count: see validate.full.first",
+    "validate.full.pipeline": "count: see validate.full.first",
+    "validate.full.variables": "count: see validate.full.first",
+    "validate.full.locals": "count: see validate.full.first",
+    "validate.full.declarations": "count: see validate.full.first",
+    "validate.decls_checked": "count: declarations type-checked afresh, summed "
+    "over validations",
+    "validate.attrs_evaluated": "count: instances whose attributes a validation "
+    "evaluated afresh, summed",
     "validate.replayed": "count: verdicts an engine replayed from an exact "
     "artifact hit instead of validating",
     "compilecache.verdict_mismatch": "count: exact hits whose recorded verdict "

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
+from ..graph.plan import Action
+from ..lang.values import is_unknown
+
 # USD per hour by resource type; size multipliers below
 HOURLY_BASE: Dict[str, float] = {
     "aws_virtual_machine": 0.05,
@@ -67,9 +70,6 @@ class CostEstimator:
 
     def estimate_plan(self, plan: Any) -> float:
         """Monthly cost of the estate as it would look after the plan."""
-        from ..graph.plan import Action
-        from ..lang.values import is_unknown
-
         total = 0.0
         seen = set()
         for change in plan.changes.values():

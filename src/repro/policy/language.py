@@ -20,6 +20,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Callable, Dict, List, Optional
 
+from ..graph.plan import Action as PlanAction
+
 PHASE_PLAN = "plan"
 PHASE_METRICS = "metrics"
 PHASE_DRIFT = "drift"
@@ -181,8 +183,6 @@ class PlanContext:
         self.observation: Any = None
 
     def planned_instances(self) -> List[Any]:
-        from ..graph.plan import Action as PlanAction
-
         return [
             c
             for c in self.plan.changes.values()

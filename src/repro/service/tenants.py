@@ -214,8 +214,12 @@ class TenantSession:
     def describe(self) -> Dict[str, object]:
         """``plan_scope_nodes`` of ``graph_nodes``: how many addresses
         the session's last plan had to diff -- the blast radius of the
-        last edit (both ``None`` until this session has planned)."""
+        last edit (both ``None`` until this session has planned).
+        ``validated_declarations`` of ``declarations``: how many the
+        last validation had to type-check afresh (``None`` until this
+        session has validated)."""
         scope, graph = self.engine.last_plan_scope or (None, None)
+        checked, declared = self.engine.last_validation_scope or (None, None)
         return {
             "tenant": self.tenant,
             "holder": self.grant.holder,
@@ -223,4 +227,6 @@ class TenantSession:
             "resources": len(self.engine.state),
             "graph_nodes": graph,
             "plan_scope_nodes": scope,
+            "declarations": declared,
+            "validated_declarations": checked,
         }

@@ -10,7 +10,7 @@ a region that does not exist, an invalid CIDR.
 from __future__ import annotations
 
 import ipaddress
-from typing import Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..lang.ast_nodes import (
     AttrAccess,
@@ -26,27 +26,120 @@ from ..lang.ast_nodes import (
     TemplateExpr,
 )
 from ..lang.config import Configuration, ResourceDecl
-from ..lang.diagnostics import DiagnosticSink
+from ..lang.diagnostics import Diagnostic, DiagnosticSink
 from .schema import SchemaRegistry
-from .semantic import ANY, SemanticType, compatible, literal_semantic
+from .semantic import (
+    ANY,
+    SemanticType,
+    compatible,
+    expected_semantic,
+    literal_semantic,
+)
 
 _CIDR_FUNCTIONS = {"cidrsubnet", "cidrhost", "cidrnetmask"}
+
+
+class DeclEntry:
+    """What validation computed from one declaration."""
+
+    __slots__ = ("parts", "types", "_attrs")
+
+    def __init__(self, parts: Tuple[Any, ...]):
+        #: ``decl.parts()`` when the rest was computed
+        self.parts = parts
+        #: the type stage's diagnostics for it, in order; ``None`` until
+        #: a type check has reached it
+        self.types: Optional[Tuple[Diagnostic, ...]] = None
+        # a declaration expands to one instance with no key or to
+        # instances with keys, never both: the one's attributes, or a
+        # dict of each one's by key
+        self._attrs: Any = None
+
+    def attrs(self, instance_key: Any) -> Optional[Dict[str, Any]]:
+        """An instance's attributes as validation evaluates them
+        (resources still unknown), if a rule has read them."""
+        if instance_key is None or self._attrs is None:
+            return self._attrs
+        return self._attrs.get(instance_key)
+
+    def keep_attrs(self, instance_key: Any, attrs: Dict[str, Any]) -> None:
+        if instance_key is None:
+            self._attrs = attrs
+        elif self._attrs is None:
+            self._attrs = {instance_key: attrs}
+        else:
+            self._attrs[instance_key] = attrs
+
+
+class DeclTable:
+    """Per-declaration products of one validation: the memo of the
+    validation that fills it and, kept by a resident engine, where the
+    next one starts (:meth:`carry_over`).
+
+    An entry is a function of the parsed block beside it, the registry,
+    the variables, the locals and the set of declared names. The table
+    vouches for the first only: whoever carries entries from one
+    validation into the next answers for the rest."""
+
+    def __init__(self) -> None:
+        self.entries: Dict[Tuple[Any, ...], DeclEntry] = {}
+        #: declarations type-checked / instances evaluated by the
+        #: validation that fills this table, not taken from the last
+        self.checked = 0
+        self.evaluated = 0
+
+    def entry(self, module_path: Tuple[str, ...], decl: ResourceDecl) -> DeclEntry:
+        key = decl.key
+        if module_path:
+            key = (module_path,) + key
+        entry = self.entries.get(key)
+        if entry is None:
+            entry = self.entries[key] = DeclEntry(decl.parts())
+        return entry
+
+    def carry_over(self, last: "DeclTable", config: Configuration) -> None:
+        """Adopt ``last``'s entries for the declarations of ``config``
+        that are still made of the very parts they were computed from."""
+        for key, decl in config.resources.items():
+            entry = last.entries.get(key)
+            if entry is not None:
+                parts = decl.parts()
+                if entry.parts == parts:
+                    # the declaration's own tuple, not an equal one of a
+                    # configuration that is gone
+                    entry.parts = parts
+                    self.entries[key] = entry
 
 
 class TypeChecker:
     """Checks one configuration against a schema registry."""
 
-    def __init__(self, registry: SchemaRegistry, config: Configuration):
+    def __init__(
+        self,
+        registry: SchemaRegistry,
+        config: Configuration,
+        table: Optional[DeclTable] = None,
+    ):
         self.registry = registry
         self.config = config
+        self.table = table if table is not None else DeclTable()
         self.sink = DiagnosticSink()
         self._local_cache: Dict[str, SemanticType] = {}
         self._local_stack: Set[str] = set()
 
     def check(self) -> DiagnosticSink:
+        found = DiagnosticSink()
         for decl in self.config.resources.values():
-            self._check_resource(decl)
-        return self.sink
+            entry = self.table.entry((), decl)
+            if entry.types is None:
+                self.sink = DiagnosticSink()
+                self._check_resource(decl)
+                entry.types = tuple(self.sink.diagnostics)
+                self.table.checked += 1
+            for diagnostic in entry.types:
+                found.emit(diagnostic)
+        self.sink = found
+        return found
 
     # -- per-resource checks ----------------------------------------------------
 
@@ -96,8 +189,6 @@ class TypeChecker:
     def _check_attr_value(
         self, decl: ResourceDecl, attr_name: str, expr: Expr, aspec
     ) -> None:
-        from .semantic import expected_semantic
-
         expected = expected_semantic(aspec)
         base = aspec.type.split("(")[0]
         where = f"{decl.address}.{attr_name}"

@@ -22,6 +22,8 @@ class SchemaRegistry:
     def __init__(self, specs: Optional[Iterable[ResourceTypeSpec]] = None):
         self._specs: Dict[str, ResourceTypeSpec] = {}
         self._regions: Dict[str, List[str]] = {}
+        #: :meth:`fingerprint`, until the next registration
+        self._fingerprint: Optional[str] = None
         for spec in specs or []:
             self.register(spec)
 
@@ -44,9 +46,11 @@ class SchemaRegistry:
 
     def register(self, spec: ResourceTypeSpec) -> None:
         self._specs[spec.name] = spec
+        self._fingerprint = None
 
     def set_regions(self, provider: str, regions: List[str]) -> None:
         self._regions[provider] = list(regions)
+        self._fingerprint = None
 
     # -- lookups --------------------------------------------------------------
 
@@ -72,13 +76,17 @@ class SchemaRegistry:
     def fingerprint(self) -> str:
         """Digest of everything validation reads here (every spec's
         :meth:`~ResourceTypeSpec.signature`, every region list): a
-        recorded verdict holds only under the registry that gave it."""
-        lines = [self._specs[rtype].signature() for rtype in sorted(self._specs)]
-        lines += [
-            f"{provider}@{','.join(regions)}"
-            for provider, regions in sorted(self._regions.items())
-        ]
-        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        recorded verdict holds only under the registry that gave it.
+        Hashed once per registration: a resident engine asks on every
+        validation whether its last one still holds."""
+        if self._fingerprint is None:
+            lines = [self._specs[rtype].signature() for rtype in sorted(self._specs)]
+            lines += [
+                f"{provider}@{','.join(regions)}"
+                for provider, regions in sorted(self._regions.items())
+            ]
+            self._fingerprint = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        return self._fingerprint
 
     # -- semantic helpers ----------------------------------------------------------
 

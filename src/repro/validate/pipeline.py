@@ -23,7 +23,7 @@ from ..lang.diagnostics import (
     Severity,
     SourceSpan,
 )
-from ..types.checker import TypeChecker
+from ..types.checker import DeclTable, TypeChecker
 from ..types.schema import SchemaRegistry
 from .rules import Rule, RuleEngine, ValidationContext
 
@@ -59,6 +59,22 @@ class ValidationReport:
         lines = [f"validation ({self.level}): {len(self.errors)} error(s)"]
         lines.extend(f"  {d}" for d in self.diagnostics)
         return "\n".join(lines)
+
+
+@dataclasses.dataclass
+class ValidationBasis:
+    """What a resident engine keeps of its last validation: the table
+    that validation filled, and everything its entries are a function
+    of besides the declaration each sits beside -- so the next one can
+    tell whether they still hold (``CloudlessEngine._validation_scope``).
+    It reaches no graph: attribute values are kept only where they are
+    plain data."""
+
+    config: Configuration
+    variables: Dict[str, Any]
+    #: :meth:`ValidationPipeline._basis` of the pipeline that ran
+    pipeline: Dict[str, Any]
+    table: DeclTable
 
 
 class VerdictMismatch(ValueError):
@@ -161,11 +177,21 @@ class ValidationPipeline:
         variables: Optional[Dict[str, Any]] = None,
         loader=None,
         graph: Optional[ResourceGraph] = None,
+        table: Optional[DeclTable] = None,
     ) -> ValidationReport:
         """Validate up to ``self.level``. ``graph`` is the configuration
         already expanded under these variables and this loader, when the
         caller has it (a verb builds one graph and plans on it too);
-        without one the rules stage builds its own."""
+        without one the rules stage builds its own.
+
+        ``table`` is where the type stage keeps its verdict on each
+        declaration and the rules stage each instance's attributes. What
+        a caller left in it is taken as computed by this pipeline from
+        these declarations, variables, locals and declared names, and is
+        not computed again; every rule still runs over every instance.
+        Without one the run starts from an empty table of its own."""
+        if table is None:
+            table = DeclTable()
         sink = DiagnosticSink()
         stage_errors: Dict[str, int] = {}
 
@@ -186,7 +212,7 @@ class ValidationPipeline:
             return ValidationReport(self.level, sink.diagnostics, stage_errors)
 
         # stage 1: semantic types
-        type_sink = TypeChecker(self.registry, config).check()
+        type_sink = TypeChecker(self.registry, config, table).check()
         sink.extend(type_sink)
         stage_errors["types"] = len(type_sink.errors)
         if self.level == LEVEL_TYPES or sink.has_errors():
@@ -195,10 +221,14 @@ class ValidationPipeline:
         # stage 2: cloud-specific rules (needs the expanded graph)
         try:
             ctx = (
-                ValidationContext(config, graph, self.registry)
+                ValidationContext(config, graph, self.registry, table)
                 if graph is not None
                 else ValidationContext.build(
-                    config, self.registry, variables=variables, loader=loader
+                    config,
+                    self.registry,
+                    variables=variables,
+                    loader=loader,
+                    table=table,
                 )
             )
         except (GraphBuildError, CLCError) as exc:

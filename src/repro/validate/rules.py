@@ -16,9 +16,22 @@ from ..graph.builder import ResourceGraph, ResourceNode, build_graph
 from ..lang.config import Configuration
 from ..lang.diagnostics import DiagnosticSink
 from ..lang.references import extract_references
-from ..lang.values import is_unknown
+from ..lang.values import Unknown, is_unknown
 from ..perf import PERF
+from ..types.checker import DeclTable
 from ..types.schema import SchemaRegistry
+
+
+def _plain(value: Any) -> bool:
+    """Whether ``value`` is data through and through. A reference to a
+    whole resource type evaluates to a lazy mapping over its module
+    context, and through it the graph: nothing that outlives the verb
+    may hold one."""
+    if isinstance(value, dict):
+        return all(_plain(item) for item in value.values())
+    if isinstance(value, list):
+        return all(_plain(item) for item in value)
+    return value is None or isinstance(value, (str, int, float, Unknown))
 
 
 class ValidationContext:
@@ -29,11 +42,15 @@ class ValidationContext:
         config: Configuration,
         graph: ResourceGraph,
         registry: SchemaRegistry,
+        table: Optional[DeclTable] = None,
     ):
         self.config = config
         self.graph = graph
         self.registry = registry
-        self._attr_cache: Dict[str, Dict[str, Any]] = {}
+        #: where an instance's evaluated attributes are kept; one that
+        #: arrives with entries in it holds what the last validation of
+        #: these declarations evaluated
+        self.table = table if table is not None else DeclTable()
 
     @classmethod
     def build(
@@ -42,11 +59,12 @@ class ValidationContext:
         registry: Optional[SchemaRegistry] = None,
         variables: Optional[Dict[str, Any]] = None,
         loader=None,
+        table: Optional[DeclTable] = None,
     ) -> "ValidationContext":
         registry = registry or SchemaRegistry.default()
         graph = build_graph(config, variables=variables, loader=loader)
         PERF.count("graph.builds")
-        return cls(config, graph, registry)
+        return cls(config, graph, registry, table)
 
     # -- instance access ---------------------------------------------------
 
@@ -58,12 +76,17 @@ class ValidationContext:
 
     def attrs_of(self, node: ResourceNode) -> Dict[str, Any]:
         """Evaluated attributes (unknowns for deploy-time values)."""
-        if node.id not in self._attr_cache:
+        entry = self.table.entry(node.address.module_path, node.decl)
+        attrs = entry.attrs(node.instance_key)
+        if attrs is None:
             try:
-                self._attr_cache[node.id] = node.evaluate_attrs()
+                attrs = node.evaluate_attrs()
             except Exception:
-                self._attr_cache[node.id] = {}
-        return self._attr_cache[node.id]
+                attrs = {}
+            self.table.evaluated += 1
+            if _plain(attrs):
+                entry.keep_attrs(node.instance_key, attrs)
+        return attrs
 
     def known_attr(self, node: ResourceNode, name: str) -> Any:
         """Attribute value if statically known, else None."""

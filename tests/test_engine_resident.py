@@ -14,13 +14,23 @@ diffed. The licence is ``full_plan`` -- the same compile planned whole
 by ``Planner.plan`` called directly -- which every step of every script
 here is compared with, and a twin engine that forgets its basis before
 each verb and must end every step on the same estate.
+
+Since PR 23 it validates against its own last validation too (the
+*validation basis*): a declaration still made of the parsed parts its
+type verdict and its instances' attribute values were computed from is
+not type-checked or evaluated again; the rules run whole. Same licence:
+a twin that forgets the basis before each verb, and the engine's own
+pipeline run on a fresh parse, must reach the same verdict -- the same
+diagnostics in the same order at the same spans.
 """
 
+import dataclasses
 import gc
 import hashlib
 import os
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -34,10 +44,10 @@ from repro.deploy.wal import SimulatedCrash
 from repro.graph import GraphBuildError, PlanError, build_graph
 from repro.graph.builder import ResourceGraph, ResourceNode
 from repro.lang.chunker import iter_chunks
-from repro.lang.context import ModuleContext, ResourceResolver
+from repro.lang.context import ModuleContext, ResourceResolver, _KeyedMapping
 from repro.persist import load_world, save_world
 from repro.policy import CostEstimator, InfrastructureController, budget_policy
-from repro.workloads import sized_estate
+from repro.workloads import hub_spoke, sized_estate
 from repro.workloads.mutate import MutationError
 from tests.golden.lang_corpus import _mutant_base, mutant_source
 
@@ -674,17 +684,325 @@ class TestPlansWhatTheEditCanTouch:
         engine.plan(engine.last_sources, variables=engine.last_variables)
         basis = engine._plan_basis
         assert len(basis.noop) == len(engine.state) and basis.data_values
-        seen, frontier = set(), [basis]
-        while frontier:
-            obj = frontier.pop()
-            if id(obj) in seen or isinstance(obj, type):
-                continue
-            seen.add(id(obj))
+        seen = set()
+        for obj in reachable([basis], seen):
             assert not isinstance(
                 obj, (ResourceGraph, ResourceNode, ModuleContext, ResourceResolver)
             ), type(obj)
-            frontier.extend(gc.get_referents(obj))
         assert len(seen) > 1000  # it did walk the configuration
+
+
+def reachable(roots, seen):
+    """Every object ``gc`` can reach from ``roots`` whose id is not in
+    ``seen`` yet (classes aside), each once; ``seen`` is added to."""
+    frontier = list(roots)
+    while frontier:
+        obj = frontier.pop()
+        if id(obj) not in seen and not isinstance(obj, type):
+            seen.add(id(obj))
+            yield obj
+            frontier.extend(gc.get_referents(obj))
+
+
+def deep_size(roots, beside=()):
+    """Bytes reachable from ``roots`` and not from ``beside``."""
+    seen = set()
+    for _ in reachable(beside, seen):
+        pass
+    return sum(sys.getsizeof(obj) for obj in reachable(roots, seen))
+
+
+def held_attrs(engine):
+    """``{declaration key: {instance key: kept attribute values}}`` of
+    the engine's validation basis."""
+    basis = engine._validation_basis
+    out = {}
+    for key, entry in basis.table.entries.items():
+        decl, held = basis.config.resources[key], entry._attrs
+        if held is None:
+            out[key] = {}
+        elif decl.count is None and decl.for_each is None:
+            out[key] = {None: held}
+        else:
+            out[key] = dict(held)
+    return out
+
+
+class TestValidatesWhatTheEditCanTouch:
+    @staticmethod
+    def twin_of(engine, *args, **kwargs):
+        """What a whole validation of the engine's own compile says:
+        its pipeline, an empty table, a graph of its own."""
+        compiled = engine.compile(*args, **kwargs)
+        return engine.validation.verdict(
+            engine.validation.validate(compiled.config, variables=compiled.variables)
+        )
+
+    def verdict(self, engine, *args, **kwargs):
+        got = engine.validation.verdict(engine.validate(*args, **kwargs))
+        assert got == self.twin_of(engine, *args, **kwargs)
+        return [d[1] for d in got["diagnostics"]]
+
+    def test_what_a_validation_computes(self, evaluated):
+        engine = CloudlessEngine(seed=7)
+        variables = {"env": "prod"}
+        declared = len(lang_config.Configuration.parse(PROGRAM).resources)
+        assert engine.apply(PROGRAM, variables=variables).ok
+        # a process that compiles once keeps nothing
+        assert engine._validation_basis is None
+        assert engine.last_validation_scope == (declared, declared)
+        assert engine.validate(PROGRAM, variables=variables).ok
+        assert engine.last_validation_scope == (declared, declared)
+        assert len(evaluated()) > 3 * len(engine.state)  # validate, plan, apply, validate
+
+        assert engine.validate(PROGRAM, variables=variables).ok
+        assert evaluated() == []
+        assert engine.last_validation_scope == (0, declared)
+
+        edited = retag(PROGRAM, "estate-1", "r1")
+        assert engine.validate(edited, variables=variables).ok
+        assert evaluated() == [
+            "aws_virtual_machine.estate_1_vm[0]",
+            "aws_virtual_machine.estate_1_vm[1]",
+        ]
+        assert engine.last_validation_scope == (1, declared)
+        # an apply validates on the graph it plans on, once
+        assert engine.apply(edited, variables=variables).ok
+        assert engine.last_validation_scope == (0, declared)
+
+    #: every input of an entry besides its own block, each in a program
+    #: where an entry wrongly kept changes the verdict: two buckets are
+    #: duplicates or not by what the second one's name evaluates to
+    SENSITIVE = '''variable "env" {
+  type = string
+}
+
+variable "tier" {
+  default = "gold"
+}
+
+locals {
+  second = "silver"
+}
+
+resource "aws_s3_bucket" "one" {
+  name = "gold"
+}
+
+resource "aws_s3_bucket" "two" {
+  name = %s
+}
+'''
+    VPC = '''
+resource "aws_vpc" "net" {
+  name       = "net"
+  cidr_block = "10.0.0.0/16"
+}
+'''
+
+    def test_why_a_validation_was_whole(self, counters):
+        from tests.test_verb_products import LOADER, SCRIPTS
+
+        def resident(text, **variables):
+            engine = CloudlessEngine(seed=7)
+            for _ in range(3):
+                assert engine.validate(text, variables=variables).ok
+            return engine
+
+        by_value = self.SENSITIVE % "var.env"
+        engine = CloudlessEngine(seed=7)
+        assert self.verdict(engine, by_value, variables={"env": "a"}) == []
+        assert counters()["validate.full.first"] == 1 and engine._validation_basis is None
+        assert self.verdict(engine, by_value, variables={"env": "a"}) == []
+        assert counters()["validate.full.first"] == 1
+        basis = engine._validation_basis
+        assert basis is not None and engine.last_validation_scope == (2, 2)
+        assert self.verdict(engine, by_value, variables={"env": "a"}) == []
+        moved = counters()
+        assert moved["validate.scoped"] == 1 and engine.last_validation_scope == (0, 2)
+        assert not any(name.startswith("validate.full") for name in moved)
+        assert moved["validate.attrs_evaluated"] == moved["validate.decls_checked"] == 0
+
+        # a variable's value
+        assert self.verdict(engine, by_value, variables={"env": "gold"}) == ["GEN001"]
+        assert counters()["validate.full.variables"] == 1
+        # a Configuration the caller parsed: neither read nor replaced
+        basis = engine._validation_basis
+        config = lang_config.Configuration.parse(by_value)
+        assert not engine.validate(config, variables={"env": "gold"}).ok
+        assert counters()["validate.full.foreign"] == 1
+        assert engine._validation_basis is basis
+        # a graph somebody has planned on answers with the state's values
+        compiled = engine.compile(by_value, {"env": "a"})
+        engine.plan(compiled)
+        assert engine.validate(compiled).ok
+        assert counters()["validate.full.foreign"] == 1
+        assert engine._validation_basis is basis
+
+        # a variable's declaration
+        by_default = self.SENSITIVE % "var.tier"
+        engine = CloudlessEngine(seed=7)
+        for _ in range(2):
+            assert self.verdict(engine, by_default, variables={"env": "a"}) == ["GEN001"]
+        counters()
+        edited = by_default.replace('"gold"\n}\n\nlocals', '"iron"\n}\n\nlocals')
+        assert self.verdict(engine, edited, variables={"env": "a"}) == []
+        assert counters()["validate.full.variables"] == 1
+
+        # a local
+        by_local = self.SENSITIVE % "local.second"
+        engine = resident(by_local, env="a")
+        counters()
+        edited = by_local.replace('"silver"', '"gold"')
+        assert self.verdict(engine, edited, variables={"env": "a"}) == ["GEN001"]
+        assert counters()["validate.full.locals"] == 1
+
+        # the declared names: an attribute that reads an undeclared one
+        # does not evaluate, so the bucket has no name to duplicate
+        by_name = self.SENSITIVE % '"gold"\n  versioning = aws_vpc.net.name == "net"' + self.VPC
+        engine = CloudlessEngine(seed=7)
+        for _ in range(2):
+            assert self.verdict(engine, by_name, variables={"env": "a"}) == ["GEN001"]
+        counters()
+        dropped = by_name[: -len(self.VPC)]
+        assert self.verdict(engine, dropped, variables={"env": "a"}) == ["GEN002"]
+        assert counters()["validate.full.declarations"] == 1
+        assert self.verdict(engine, by_name, variables={"env": "a"}) == ["GEN001"]
+        assert counters()["validate.full.declarations"] == 1
+
+        # the pipeline: a registry that reads the schema otherwise
+        engine = resident(by_value, env="a")
+        counters()
+        spec = engine.registry.spec_for("aws_s3_bucket")
+        engine.registry.register(
+            dataclasses.replace(
+                spec,
+                attributes={
+                    **spec.attributes,
+                    "name": dataclasses.replace(spec.attributes["name"], type="number"),
+                },
+            )
+        )
+        assert self.verdict(engine, by_value, variables={"env": "a"}) == ["TYPE005"]
+        assert counters()["validate.full.pipeline"] == 1
+        # ... or runs other rules
+        estate = hub_spoke(spokes=1)
+        engine = resident(estate)
+        assert engine.apply(estate).ok
+        assert engine.learn_validation_rules(min_support=1) > 0
+        counters()
+        assert self.verdict(engine, estate) == []
+        assert counters()["validate.full.pipeline"] == 1
+
+        # module calls, on either side
+        engine = CloudlessEngine(seed=7, loader=LOADER)
+        plain, calling = SCRIPTS["locals"][0], SCRIPTS["modules"][0]
+        for text in (plain, plain, calling, calling, plain):
+            assert engine.validate(text).ok
+        moved = counters()
+        assert (moved["validate.full.first"], moved["validate.full.modules"]) == (2, 3)
+
+        for name in (
+            "validate.scoped", "validate.decls_checked", "validate.attrs_evaluated",
+            *("validate.full." + why for why in (
+                "first", "foreign", "modules", "pipeline", "variables", "locals",
+                "declarations",
+            )),
+        ):
+            assert name in perf.KNOWN_PROBES
+
+    def test_a_block_that_only_moved_says_where_it_is_now(self):
+        """An empty body is made of no parsed object but its span."""
+        empty = 'resource "aws_s3_bucket" "empty" {\n}\n'
+        engine = CloudlessEngine(seed=7)
+        for _ in range(2):
+            report = engine.validate(HEAD + empty, variables={"env": "prod"})
+        (error,) = report.errors
+        assert error.code == "TYPE004"
+        moved = engine.validate(HEAD + "# a note\n" + empty, variables={"env": "prod"})
+        # above the inserted line nothing moved
+        assert engine.last_validation_scope == (1, 2)
+        assert moved.errors[0].span.start_line == error.span.start_line + 1
+
+    def test_types_fail_then_are_fixed(self, evaluated):
+        """A run that stops at the type stage reads no attribute; what
+        the run before it evaluated is still there for the fix."""
+        engine = CloudlessEngine(seed=7)
+        variables = {"env": "prod"}
+        for _ in range(2):
+            assert engine.validate(PROGRAM, variables=variables).ok
+        evaluated()
+        broken = PROGRAM.replace('zone  = "example.sim"', 'zzzz  = "example.sim"', 1)
+        report = engine.validate(broken, variables=variables)
+        assert [d.code for d in report.errors] == ["TYPE002", "TYPE004"]
+        assert "rules" not in report.stage_errors and evaluated() == []
+        assert engine.validate(PROGRAM, variables=variables).ok
+        assert evaluated() == ["aws_dns_record.estate_0_dns"]
+        assert engine.last_validation_scope[0] == 1
+
+    def test_the_basis_holds_no_graph(self):
+        """As for the plan basis; and an attribute that evaluates to a
+        whole resource type is a lazy mapping over its module context,
+        which is evaluated again rather than kept."""
+        text = WIDE + (
+            'resource "aws_virtual_machine" "all" {\n  name = "all"\n'
+            "  nic_ids = []\n  tags = aws_s3_bucket\n}\n"
+        )
+        engine = CloudlessEngine(seed=7)
+        for _ in range(2):
+            assert engine.validate(text, variables={"env": "prod"}).ok
+        held = {key[-1]: sorted(kept, key=str) for key, kept in held_attrs(engine).items()}
+        assert held["all"] == [] and held["logs"] == [None]
+        assert held["replica"] == [0, 1] and held["each"] == ["a", "b"]
+        seen = set()
+        for obj in reachable([engine._validation_basis], seen):
+            assert not isinstance(
+                obj,
+                (ResourceGraph, ResourceNode, ModuleContext, ResourceResolver, _KeyedMapping),
+            ), type(obj)
+        assert len(seen) > 1000  # it did walk the configuration
+
+    def test_bounded_by_the_last_validated_program(self):
+        text = WIDE.replace("count = var.replicas", "count = 2")
+        engine = CloudlessEngine(seed=7)
+        rng = random.Random(5)
+        count = 2
+        for n in range(200):
+            count = rng.choice([c for c in range(5) if c != count])
+            edited = text.replace("count = 2", f"count = {count}")
+            if n % 3 == 0:
+                edited += EXTRA % (n, n)
+            assert engine.validate(edited, variables={"env": "prod"}).ok
+        config = engine._last_compile[1]
+        assert engine._validation_basis.config is config
+        entries = engine._validation_basis.table.entries
+        assert sorted(entries) == sorted(config.resources)
+        instances = {key[-1]: sorted(kept, key=str) for key, kept in held_attrs(engine).items()}
+        assert instances["replica"] == list(range(count))
+        assert instances["each"] == ["a", "b"] and instances["estate_0_vm"] == [0, 1]
+        graph = build_graph(config, variables={"env": "prod"})
+        assert sum(len(held) for held in instances.values()) == len(graph.managed_ids())
+
+    def test_a_tenants_basis_is_small(self):
+        """What a session holds for it beyond the program it holds
+        anyway: the 100-resource estate of the service benchmark."""
+        text = sized_estate(100)
+        engine = CloudlessEngine(seed=7)
+        assert engine.apply(text).ok
+        for n in range(3):
+            assert engine.apply(retag(text, "estate-1", f"r{n}")).ok
+        assert len(engine.state) == 100
+        assert sum(len(kept) for kept in held_attrs(engine).values()) == 100
+        size = deep_size([engine._validation_basis], beside=[engine._last_compile])
+        assert 10_000 < size <= 64 * 1024, size
+
+    def test_one_apply_keeps_nothing(self, tmp_path):
+        """The CLI case: a process that compiles once, from text or
+        from the artifact cache, has no next validation to keep for."""
+        for _ in range(2):  # a miss, then an exact hit
+            engine = CloudlessEngine(seed=7, cache_dir=str(tmp_path / "cache"))
+            assert engine.apply(PROGRAM, variables={"env": "prod"}).ok
+            assert engine._validation_basis is None
 
 
 class TestMutantSequences:
@@ -738,6 +1056,128 @@ class TestMutantSequences:
             assert scoped.state.content_hash() == whole.state.content_hash()
         whole._plan_basis = None
         assert self.attempt(scoped, "plan", text) == self.attempt(whole, "plan", text)
+
+    @staticmethod
+    def edited(text, kind, seed):
+        """``text`` after one edit of ``kind``, or ``None`` when the
+        edit finds nothing to do there. Whether the result validates is
+        not the edit's business: half of these leave a reference to a
+        name that is gone."""
+        chunks = [c.text for c in iter_chunks(text)]
+        blocks = [n for n, c in enumerate(chunks) if c.lstrip().startswith("resource")]
+        at = blocks[seed % len(blocks)]
+        if kind == "mutant":
+            try:
+                return mutant_source(text, seed)
+            except MutationError:
+                return None
+        if kind == "comment":  # every block below it moves down a line
+            chunks.insert(at, f"# note {seed}\n")
+        elif kind == "add":
+            chunks.insert(at, EXTRA % (seed, seed))
+        elif kind == "drop":
+            del chunks[at]
+        elif kind == "rename":
+            chunks[at] = re.sub(r'^(\s*resource "\w+" "\w+)"', r'\1_x"', chunks[at], 1)
+        elif kind == "count":  # 2 -> 1 -> 0 -> 3: shrinks twice, then grows
+            counted = [n for n in blocks if re.search(r"count\s*=\s*\d+", chunks[n])]
+            if not counted:
+                return None
+            at = counted[seed % len(counted)]
+            chunks[at] = re.sub(
+                r"(count\s*=\s*)(\d+)",
+                lambda m: m.group(1) + str((int(m.group(2)) - 1) % 4),
+                chunks[at],
+                1,
+            )
+        elif kind == "local":
+            old, new = ('}-edge"', '}-rim"') if '}-edge"' in text else ('}-rim"', '}-edge"')
+            return text.replace(old, new)
+        elif kind == "default":
+            return re.sub(
+                r"default = (\d)", lambda m: f"default = {(int(m.group(1)) + 1) % 4}", text, 1
+            )
+        return "".join(chunks)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        base=st.integers(min_value=0, max_value=5),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from([
+                    "mutant", "mutant", "mutant", "undo", "comment", "add", "drop",
+                    "rename", "count", "local", "default", "variable", "learn", "same",
+                ]),
+                st.integers(min_value=0, max_value=10_000),
+                st.sampled_from(["validate", "validate", "plan", "apply"]),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_reused_validation_equals_whole(self, base, steps):
+        """Three answers per verb: the engine that keeps its validation
+        basis, the twin that forgets it first, and the first one's own
+        pipeline on a fresh parse with an empty table."""
+        # (a default, so that the miner can read the history's programs)
+        text = WIDE_HEAD.replace("string\n", 'string\n  default = "prod"\n', 1)
+        text += _mutant_base(base)
+        variables = {"env": "prod"}
+        reusing, whole = CloudlessEngine(seed=3), CloudlessEngine(seed=3)
+        for engine in (reusing, whole):
+            engine.gateway.planes["aws"].external_create(
+                "aws_s3_bucket", {"name": "shared-legacy"}, "us-east-1"
+            )
+            assert engine.apply(text, variables=variables).ok
+            assert engine.validate(text, variables=variables).ok  # kept from here
+        assert reusing._validation_basis is not None
+        history = [text]
+        for kind, seed, verb in steps:
+            if kind == "undo":  # a mistake, then its fix
+                text = history[-2] if len(history) > 1 else text
+            elif kind == "variable":
+                variables = {"env": "stage" if variables["env"] == "prod" else "prod"}
+            elif kind == "learn":
+                assert reusing.learn_validation_rules(
+                    min_support=1
+                ) == whole.learn_validation_rules(min_support=1)
+            elif kind != "same":
+                text = self.edited(text, kind, seed) or text
+            history.append(text)
+            whole._validation_basis = None
+            verdicts = []
+            for engine in (reusing, whole):
+                try:
+                    if verb == "validate":
+                        report = engine.validate(text, variables=variables)
+                    elif verb == "apply":
+                        report = engine.apply(text, variables=variables).validation
+                    else:
+                        engine.plan(text, variables=variables)
+                        report = None
+                except (EngineError, PlanError) as exc:
+                    verdicts.append(type(exc).__name__)
+                    continue
+                verdicts.append(report and engine.validation.verdict(report))
+            assert verdicts[0] == verdicts[1], (kind, verb)
+            assert reusing.state.content_hash() == whole.state.content_hash()
+            if not isinstance(verdicts[0], dict):
+                continue
+            fresh = reusing.validation.validate(
+                lang_config.Configuration.parse_streaming({"main.clc": text}),
+                variables=variables,
+            )
+            assert reusing.validation.verdict(fresh) == verdicts[0], (kind, verb)
+            # and what is kept is what a whole run computes, whether or
+            # not a rule happened to read it this time
+            kept, computed = (e._validation_basis.table.entries for e in (reusing, whole))
+            assert computed.keys() <= kept.keys() <= reusing._last_compile[1].resources.keys()
+            for key, entry in computed.items():
+                assert entry.types is None or kept[key].types == entry.types, key
+            kept, computed = held_attrs(reusing), held_attrs(whole)
+            for key, instances in computed.items():
+                for instance, attrs in instances.items():
+                    assert kept[key][instance] == attrs, (key, instance)
 
 
 class TestParsesWhatChanged:

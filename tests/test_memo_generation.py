@@ -6,6 +6,14 @@ read or a pending replacement in the bound ``ValueResolver``). Lazy
 locals and child-module inputs are dropped when it has. Before that, a
 local over a resource kept the plan-time ``Unknown`` into the apply,
 and a module whose input read a resource could never be applied.
+
+What does *not* follow the resolver (PR 23): a resource's attributes
+are evaluated three times by a cold apply -- validating, planning,
+executing -- under three different generations by construction, so no
+memo keyed by the generation removes one of them. The evaluations that
+do repeat are the validate-time ones, across verbs, where the slot is
+unbound: those are kept per declaration beside the parsed parts they
+are a function of (``types.checker.DeclTable``).
 """
 
 import pytest
@@ -398,3 +406,138 @@ resource "aws_subnet" "t" {
         assert again.resource("aws_subnet", "t").references() == config.resource(
             "aws_subnet", "t"
         ).references()
+
+
+class TestValidationFollowsTheParsedBlock:
+    """A declaration's type verdict and its instances' validate-time
+    attribute values are functions of the parsed block (given the
+    registry, variables, locals and declared names, which whoever
+    carries a table over answers for): computed once for the parts a
+    declaration holds, and never taken for parts it no longer holds."""
+
+    TEXT = TestReferencesFollowTheParsedBlock.TEXT
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        from repro.graph.builder import ResourceNode
+        from repro.types.checker import TypeChecker
+
+        done = {"checked": [], "evaluated": []}
+        check, evaluate = TypeChecker._check_resource, ResourceNode.evaluate_attrs
+
+        def checking(checker, decl):
+            done["checked"].append(decl.address)
+            return check(checker, decl)
+
+        def evaluating(node):
+            done["evaluated"].append((node.id, node.context.resolver.generation))
+            return evaluate(node)
+
+        monkeypatch.setattr(TypeChecker, "_check_resource", checking)
+        monkeypatch.setattr(ResourceNode, "evaluate_attrs", evaluating)
+
+        def take():
+            out = {kind: list(items) for kind, items in done.items()}
+            for items in done.values():
+                del items[:]
+            return out
+
+        return take
+
+    def test_a_cold_apply_evaluates_under_three_generations(self, work):
+        """Why the memo is not keyed by the resolver's generation: the
+        only evaluations of one resource that share one are those of
+        the first wave, dispatched before anything has been committed
+        (at most ``concurrency`` of them; 10 of 5,979 on the
+        1,993-resource estate)."""
+        engine = CloudlessEngine(seed=3, concurrency=2)
+        text = "".join(
+            f'''
+resource "aws_vpc" "{net}" {{
+  name       = "{net}"
+  cidr_block = "10.{n}.0.0/16"
+}}
+
+resource "aws_subnet" "{net}" {{
+  count      = 3
+  name       = "{net}-${{count.index}}"
+  vpc_id     = aws_vpc.{net}.id
+  cidr_block = "10.{n}.${{count.index}}.0/24"
+}}
+'''
+            for n, net in enumerate(("a", "b"))
+        )
+        assert engine.apply(text).ok and len(engine.state) == 8
+        evaluated = work()["evaluated"]
+        assert len(evaluated) == 3 * len(engine.state)
+        by_node = {}
+        for node, generation in evaluated:
+            by_node.setdefault(node, []).append(generation)
+        shared = 0
+        for node, generations in by_node.items():
+            assert len(generations) == 3 and generations[0] == 0, node
+            assert generations[0] < generations[1] <= generations[2], node
+            shared += generations[1] == generations[2]
+        assert shared == 2  # the two VPCs
+        # what repeats is the first of the three, across verbs
+        assert engine.apply(text).ok  # resident: kept from here
+        work()
+        assert engine.apply(text).ok
+        assert work() == {"checked": [], "evaluated": []}
+
+    def test_a_table_carried_over_is_not_computed_again(self, work):
+        from repro.types.checker import DeclTable
+
+        pipeline = ValidationPipeline()
+        config = Configuration.parse(self.TEXT)
+        first = DeclTable()
+        want = pipeline.verdict(pipeline.validate(config, table=first))
+        assert (first.checked, first.evaluated) == (3, 4)
+        done = work()
+        assert len(done["checked"]) == 3 and len(done["evaluated"]) == 4
+        second = DeclTable()
+        second.carry_over(first, config)
+        assert pipeline.verdict(pipeline.validate(config, table=second)) == want
+        assert (second.checked, second.evaluated) == (0, 0)
+        assert work() == {"checked": [], "evaluated": []}
+        # within one validation it is the memo it replaced
+        assert work() == {"checked": [], "evaluated": []}
+
+    def test_a_declaration_edited_in_place_is_computed_for_what_it_holds(self, work):
+        from repro.lang.ast_nodes import Attribute, Literal
+        from repro.types.checker import DeclTable
+
+        pipeline = ValidationPipeline()
+        config = Configuration.parse(self.TEXT)
+        first = DeclTable()
+        assert pipeline.validate(config, table=first).ok
+        work()
+        decl = config.resource("aws_subnet", "t")
+        span = decl.body.attributes["cidr_block"].span
+        decl.body.attributes["cidr_block"] = Attribute(
+            "cidr_block", Literal("10.0.1.0/24", span), span  # aws_subnet.s has it
+        )
+        second = DeclTable()
+        second.carry_over(first, config)
+        assert sorted(key[-1] for key in second.entries) == ["a", "s"]
+        report = pipeline.validate(config, table=second)
+        assert report.errors and {d.code for d in report.errors} == {"AWS001"}
+        assert pipeline.verdict(report) == pipeline.verdict(pipeline.validate(config))
+        done = work()
+        assert done["checked"][0] == "aws_subnet.t"
+        assert {node for node, _ in done["evaluated"][:2]} == {
+            "aws_subnet.t[0]", "aws_subnet.t[1]"
+        }
+
+    def test_stand_alone_validation_starts_from_nothing(self, work):
+        from repro.validate import ValidationContext, validate
+
+        for _ in range(2):
+            assert validate(self.TEXT).ok
+            done = work()
+            assert len(done["checked"]) == 3 and len(done["evaluated"]) == 4
+        ctx = ValidationContext.build(Configuration.parse(self.TEXT))
+        assert not hasattr(ctx, "_attr_cache") and ctx.table.entries == {}
+        (subnet,) = ctx.instances_of_type("aws_vpc")
+        assert ctx.attrs_of(subnet) is ctx.attrs_of(subnet)
+        assert len(work()["evaluated"]) == 1

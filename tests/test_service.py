@@ -92,6 +92,11 @@ class TestRequestLifecycle:
                 assert (await svc.request("a", op, payload=payload)).ok
                 out.append(await svc.request("a", "stats"))
             await svc.stop()
+            # a bare plan validates nothing, nor does a what-if
+            assert [r.body["validated_declarations"] for r in out] == [
+                None, *[out[1].body["declarations"]] * 4
+            ]
+            assert out[1].body["declarations"] > 3
             return [(r.body["plan_scope_nodes"], r.body["graph_nodes"]) for r in out]
 
         unplanned, applied, proven, bare, what_if = run(main())

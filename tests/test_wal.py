@@ -106,6 +106,54 @@ class TestIntentJournal:
         assert os.path.getsize(path) == 0
         assert IntentJournal.resume(path).run_id is None
 
+    @pytest.mark.parametrize("sync", ["fsync", "flush", "none"])
+    def test_mark_clean_empties_the_handle_it_holds(self, tmp_path, monkeypatch, sync):
+        """One open per run: the journal is emptied through the handle
+        the run wrote with, buffered markers first, and is on disk
+        empty before ``close`` -- what closing and re-opening it for
+        writing left."""
+        import repro.deploy.wal as wal
+
+        path = str(tmp_path / "apply.wal")
+        opened, synced = [], []
+        real_open, real_fsync = open, os.fsync
+        monkeypatch.setattr(
+            wal, "open", lambda *a, **k: opened.append(a) or real_open(*a, **k),
+            raising=False,
+        )
+        monkeypatch.setattr(
+            wal.os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd)
+        )
+        journal = IntentJournal(path, sync=sync)
+        for run in range(2):
+            journal.begin_run()
+            iid = journal.log_intent("a", "create", "aws_vpc")
+            journal.log_commit(iid, "vpc-1")  # rides the buffer
+            del synced[:]
+            journal.mark_clean()
+            assert os.path.getsize(path) == 0
+            assert len(synced) == (sync == "fsync")
+            assert journal.run_id is None and journal.records() == []
+        assert len(opened) == 2  # begin_run, twice
+        journal.close()
+        assert os.path.getsize(path) == 0
+        # a resumed journal that wrote nothing has no handle to empty
+        with real_open(path, "w") as handle:
+            handle.write('{"rec":"run","run_id":"r","wal_version":1}\n')
+        resumed = IntentJournal.resume(path, sync=sync)
+        resumed.mark_clean()
+        resumed.close()
+        assert os.path.getsize(path) == 0
+        # ... and one that appended empties what it appended to
+        with real_open(path, "w") as handle:
+            handle.write('{"rec":"run","run_id":"r","wal_version":1}\n')
+        resumed = IntentJournal.resume(path, sync=sync)
+        resumed.log_intent("b", "create", "aws_vpc")
+        resumed.mark_clean()
+        assert os.path.getsize(path) == 0
+        resumed.close()
+        assert os.path.getsize(path) == 0
+
     def test_missing_file_resumes_empty(self, tmp_path):
         replayed = IntentJournal.resume(str(tmp_path / "nope.wal"))
         assert replayed.run_id is None
