@@ -28,6 +28,7 @@ __all__, __getattr__, __dir__ = export_table(
             "CacheLookup",
             "CompileCache",
             "schema_fingerprint",
+            "source_shas",
             "variables_fingerprint",
         ),
     },

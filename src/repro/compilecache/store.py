@@ -29,10 +29,19 @@ written and judged by :class:`repro.validate.ValidationPipeline`
 function of the very bytes ``source_sha`` fingerprints, so it never
 outlives an edit. It sits under the same ``header_sha`` as the rest.
 
+The blob is read as data. Its digest says the bytes are the ones the
+header was written with, not who wrote them, and what they unpickle to
+decides what a verb deploys -- and, through the engine's plan basis,
+what a plan may skip. So it is read through an unpickler that admits
+the classes an artifact is made of (:data:`ARTIFACT_CLASSES`: AST
+nodes, declarations, spans, the graph and its contexts) and no other
+global, and the pair is type-checked.
+
 A torn tail, header corruption, version skew, fingerprint drift, a
-digest mismatch on either part, or a blob that does not unpickle to a
-pair classifies as a miss (counted in
-:attr:`CompileCache.corrupt_rejects`), never an error. Exactness is
+digest mismatch on either part, or a blob that does not unpickle that
+way to a ``(Configuration, ResourceGraph)`` pair classifies as a miss
+(counted in :attr:`CompileCache.corrupt_rejects`), never an error.
+Exactness is
 decided by whole-file sha256 -- same bytes parse to the same chunks,
 so there is no separate chunk-fingerprint rescan on the hit path (the
 chunker is pure, and chunker changes bump ``FORMAT_VERSION``; so does
@@ -50,16 +59,62 @@ looked up by file, start line and text fingerprint.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import pickle
 import tempfile
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, FrozenSet, List, Optional
 
 FORMAT_VERSION = 5
 
 #: artifact filename suffix (one workload key per file)
 SUFFIX = ".clcc"
+
+#: module -> the classes a blob may name (``None``: every class the
+#: module defines). All of them are data: built from their fields, with
+#: no ``__reduce__`` that calls out.
+ARTIFACT_CLASSES: Dict[str, Optional[FrozenSet[str]]] = {
+    "repro.lang.ast_nodes": None,
+    "repro.lang.config": frozenset(
+        {
+            "Configuration",
+            "LifecycleOptions",
+            "ModuleCall",
+            "OutputDecl",
+            "ProviderConfig",
+            "ResourceDecl",
+            "VariableDecl",
+            "VariableValidation",
+        }
+    ),
+    # (a sink is empty here: a parse that left diagnostics builds no graph)
+    "repro.lang.diagnostics": frozenset({"DiagnosticSink", "SourceSpan"}),
+    "repro.lang.context": frozenset({"DeferredResolver", "ModuleContext"}),
+    # a context keeps the loader its graph was built with: a root
+    # directory or a table of texts (a loader class of the embedder's
+    # own is not one of these, and its artifacts compile cold)
+    "repro.lang.module_loader": frozenset(
+        {"DictModuleLoader", "FileSystemModuleLoader", "NullModuleLoader"}
+    ),
+    "repro.graph.builder": frozenset({"ResourceGraph", "ResourceNode"}),
+    "repro.graph.dag": frozenset({"Dag"}),
+    "repro.addressing": frozenset({"ResourceAddress"}),
+}
+
+
+class _ArtifactUnpickler(pickle.Unpickler):
+    """Unpickles a blob that names :data:`ARTIFACT_CLASSES` only."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        allowed = ARTIFACT_CLASSES.get(module, frozenset())
+        if allowed is None or name in allowed:
+            found = super().find_class(module, name)
+            # a dotted name or a re-export reaches what is not a class
+            # of that module
+            if isinstance(found, type) and found.__module__ == module:
+                return found
+        raise pickle.UnpicklingError(f"{module}.{name} is not part of an artifact")
 
 
 def _sha(data: bytes) -> str:
@@ -93,7 +148,7 @@ def schema_fingerprint(gateway: Any) -> str:
     return _sha("\n".join(parts).encode())
 
 
-def _source_shas(sources: Dict[str, str]) -> Dict[str, str]:
+def source_shas(sources: Dict[str, str]) -> Dict[str, str]:
     """filename -> sha256 of the full source text (the exactness test)."""
     return {fname: _sha(text.encode()) for fname, text in sources.items()}
 
@@ -111,7 +166,13 @@ class CacheLookup:
     is reusable, via ``Configuration.parse_streaming(reuse=...)``).
     """
 
-    def __init__(self, kind: str, blob: bytes, verdict: Any = None):
+    def __init__(
+        self,
+        kind: str,
+        blob: bytes,
+        verdict: Any = None,
+        artifact: Optional[Dict[str, Any]] = None,
+    ):
         self.kind = kind
         self._blob: Optional[bytes] = blob
         self.config: Any = None
@@ -119,18 +180,31 @@ class CacheLookup:
         #: the header's verdict field as read (untrusted JSON); ``None``
         #: when the writer never validated, or on a partial hit
         self.verdict = verdict
+        #: which artifact this is: ``{"key": its workload key,
+        #: "source_sha": its header's per-file digests}`` -- the texts
+        #: ``config`` was parsed from (on an exact hit, the ones looked up)
+        self.artifact = artifact
 
     @property
     def exact(self) -> bool:
         return self.kind == "exact"
 
     def _materialize(self) -> None:
-        """Unpickle the digest-checked blob (O(estate)); ``load`` runs
-        this once per hit, so a blob that is not ours reads as a miss."""
+        """Unpickle the digest-checked blob (O(estate)), as data; ``load``
+        runs this once per hit, so a blob that is not an artifact's
+        reads as a miss."""
         assert self._blob is not None
-        objects = pickle.loads(self._blob)
+        objects = _ArtifactUnpickler(io.BytesIO(self._blob)).load()
         self._blob = None  # the bytes are no longer needed
-        if not (isinstance(objects, tuple) and len(objects) == 2):
+        from ..graph.builder import ResourceGraph
+        from ..lang.config import Configuration
+
+        if not (
+            isinstance(objects, tuple)
+            and len(objects) == 2
+            and isinstance(objects[0], Configuration)
+            and isinstance(objects[1], ResourceGraph)
+        ):
             raise ValueError(
                 "corrupt compile-cache blob: expected a (config, graph) pair"
             )
@@ -198,17 +272,21 @@ class CompileCache:
             or _sha(blob) != header.get("blob_sha")
         ):
             return self._reject()
-        exact = header.get("source_sha") == _source_shas(sources)
+        exact = header.get("source_sha") == source_shas(sources)
         lookup = CacheLookup(
             "exact" if exact else "partial",
             blob,
             verdict=header.get("verdict") if exact else None,
+            artifact={
+                "key": self.key_for(sources, variables_fp, schema_fp),
+                "source_sha": header.get("source_sha"),
+            },
         )
         try:
             lookup._materialize()
         except Exception:
-            # unpicklable bytes, unknown classes, not a (config, graph)
-            # pair: all of it is just a cold build
+            # unpicklable bytes, classes no artifact is made of, not a
+            # (config, graph) pair: all of it is just a cold build
             return self._reject()
         if exact:
             self.exact_hits += 1
@@ -269,7 +347,7 @@ class CompileCache:
             "version": FORMAT_VERSION,
             "variables_fp": variables_fp,
             "schema_fp": schema_fp,
-            "source_sha": _source_shas(sources),
+            "source_sha": source_shas(sources),
             "blob_sha": _sha(blob),
             "blob_len": len(blob),
             "verdict": verdict,

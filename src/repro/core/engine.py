@@ -133,6 +133,10 @@ class Compiled:
     #: compiled against the engine's own last compile: the engine is
     #: serving more than one verb, so what this one computes may be kept
     resident: bool = False
+    #: the cache artifact that holds this compile, once one does (an
+    #: exact hit's, or the one :meth:`CloudlessEngine._store` wrote):
+    #: ``{"key": ..., "source_sha": {file: sha256}}``
+    artifact: Optional[Dict[str, Any]] = None
 
 
 @dataclasses.dataclass
@@ -245,6 +249,14 @@ class CloudlessEngine:
         #: same (:meth:`_plan_scope`). Like ``_last_compile`` it is
         #: dropped with the engine.
         self._plan_basis: Optional[PlanBasis] = None
+        #: what the world file this engine was loaded from (or last
+        #: saved to) says the last plan proved -- :mod:`repro.persist`'s
+        #: record and the state as it stood there -- or why it says
+        #: nothing: ``"none"`` (no proof was ever recorded) or
+        #: ``"void"`` (one was, and a later commit moved the state
+        #: without carrying it). The first compile may wake a basis from
+        #: it (:meth:`_wake_plan_basis`).
+        self._plan_record: Union[str, Tuple[Dict[str, Any], StateDocument]] = "none"
         #: ``(addresses the last plan diffed, nodes in its graph)``
         self.last_plan_scope: Optional[Tuple[int, int]] = None
         #: what the last validation of a compile of ours computed per
@@ -335,7 +347,11 @@ class CloudlessEngine:
         verdict are products of one verb and die with its ``Compiled``:
         a graph is all reference cycles, and one kept until the next
         edit replaces it is freed by the oldest generation of the
-        collector, which a many-tenant heap rarely runs."""
+        collector, which a many-tenant heap rarely runs.
+
+        That first compile is also where a plan basis crosses the
+        process (:meth:`_wake_plan_basis`): the artifact it reads holds
+        the configuration the world's record is about."""
         if isinstance(sources, Compiled):
             return sources
         from ..lang.config import Configuration
@@ -362,8 +378,9 @@ class CloudlessEngine:
                     reuse, texts, variables, store_fps=fps, resident=True
                 )
             PERF.count("compile.resident_partial")
-        elif fps is not None:
-            lookup = cache.load(texts, *fps)
+        else:
+            lookup = cache.load(texts, *fps) if fps is not None else None
+            self._wake_plan_basis(lookup, variables)
             if lookup is not None and lookup.exact:
                 self._last_compile = (texts, lookup.config)
                 return Compiled(
@@ -372,6 +389,7 @@ class CloudlessEngine:
                     variables,
                     graph=lookup.graph,
                     verdict=lookup.verdict,
+                    artifact=lookup.artifact,
                 )
             # partial hit: unchanged chunks skip lex+parse via the
             # artifact's resident chunk-AST table
@@ -380,6 +398,44 @@ class CloudlessEngine:
         resident = self._last_compile is not None
         self._last_compile = (texts, config)
         return Compiled(config, texts, variables, store_fps=fps, resident=resident)
+
+    def _wake_plan_basis(
+        self, lookup: Any, variables: Optional[Dict[str, Any]]
+    ) -> None:
+        """Start this engine's plans from what the last process proved,
+        if the world says so (``_plan_record``) about the very artifact
+        ``lookup`` read: same key -- variables and provider catalog ride
+        in it -- and a header that names the sources the record names.
+        The basis is then that artifact's configuration and, for every
+        address the record does not exclude, the state entry as it was
+        loaded; :meth:`_plan_scope` takes it from there, an exact hit
+        or a partial one alike. Anything else plans whole and counts
+        why."""
+        record = self._plan_record
+        if isinstance(record, str):
+            outcome = record
+        elif lookup is None or lookup.artifact["key"] != record[0]["key"]:
+            outcome = "no_artifact"  # none was read under the record's key
+        elif lookup.artifact["source_sha"] != record[0]["source_sha"]:
+            outcome = "other_sources"
+        else:
+            from ..graph.impact import PlanBasis
+
+            outcome = "woken"
+            proof, state = record
+            unproven = set(proof["unproven"])
+            self._plan_basis = PlanBasis(
+                config=lookup.config,
+                variables=dict(variables or {}),
+                data_digest=proof["data"],
+                noop={
+                    address: entry
+                    for address, entry in state.entries_map().items()
+                    if address not in unproven
+                },
+                artifact=lookup.artifact,
+            )
+        PERF.count(f"plan.basis.{outcome}")
 
     def _graph(self, compiled: Compiled) -> ResourceGraph:
         """The verb's one graph: validation and the plan both read it."""
@@ -407,8 +463,9 @@ class CloudlessEngine:
             and compiled.graph is not None
             and not compiled.config.module_calls
         ):
-            assert self.compile_cache is not None
-            self.compile_cache.store(
+            cache = self.compile_cache
+            assert cache is not None
+            if cache.store(
                 compiled.texts,
                 *compiled.store_fps,
                 compiled.config,
@@ -418,7 +475,13 @@ class CloudlessEngine:
                     if compiled.report is not None
                     else None
                 ),
-            )
+            ):
+                from ..compilecache import source_shas
+
+                compiled.artifact = {
+                    "key": cache.key_for(compiled.texts, *compiled.store_fps),
+                    "source_sha": source_shas(compiled.texts),
+                }
             compiled.store_fps = None
 
     def _validated(self, compiled: Compiled) -> ValidationReport:
@@ -569,8 +632,11 @@ class CloudlessEngine:
             self._last_compile is not None
             and compiled.config is self._last_compile[1]
         )
+        from ..graph.impact import PlanBasis, values_digest
+
+        data_digest = values_digest(data_values)
         scope = self._plan_scope(
-            self._plan_basis if ours else None, compiled, graph, working, data_values
+            self._plan_basis if ours else None, compiled, graph, working, data_digest
         )
         plan = self.planner.plan(
             graph, working, data_values=data_values, limit_to=scope
@@ -580,18 +646,18 @@ class CloudlessEngine:
             len(graph),
         )
         if ours:
-            from ..graph.impact import PlanBasis
             from ..graph.plan import Action
 
             self._plan_basis = PlanBasis(
                 config=compiled.config,
                 variables=dict(compiled.variables or {}),
-                data_values=data_values,
+                data_digest=data_digest,
                 noop={
                     address: change.prior
                     for address, change in plan.changes.items()
                     if change.action is Action.NOOP and change.prior is not None
                 },
+                artifact=compiled.artifact,
             )
         return plan
 
@@ -601,7 +667,7 @@ class CloudlessEngine:
         compiled: Compiled,
         graph: ResourceGraph,
         state: StateDocument,
-        data_values: Dict[str, Dict[str, Any]],
+        data_digest: str,
     ) -> Optional[set]:
         """The addresses this plan must diff, or ``None`` for all of
         them: there is no basis, the program calls modules (their text
@@ -613,14 +679,17 @@ class CloudlessEngine:
         against, so a repair, a rollback, state surgery, a resumed or
         half-failed apply or another ``state`` all re-diff what they
         touched."""
-        from ..graph.impact import change_scope, diff_configurations, same_values
+        from ..graph.impact import change_scope, diff_configurations
 
         if basis is None:
             why = "first"
         elif compiled.config.module_calls or basis.config.module_calls:
             why = "modules"
-        elif not same_values(data_values, basis.data_values):
+        elif data_digest != basis.data_digest:
             why = "data"
+            if self.last_plan_scope is None:
+                # no plan of this engine's left that basis: it was woken
+                PERF.count("plan.basis.data")
         else:
             delta = diff_configurations(
                 basis.config, compiled.config, basis.variables, compiled.variables

@@ -10,13 +10,15 @@ One rule, two callers: :func:`diff_configurations` says which
 declarations are not what they were, :func:`change_scope` turns that
 (plus what the state says) into the addresses a plan must diff.
 :class:`~repro.deploy.incremental.UpdatePipeline` plans an update with
-them; a resident :class:`~repro.core.engine.CloudlessEngine` plans every
-verb after its first with them, against its :class:`PlanBasis`.
+them; a :class:`~repro.core.engine.CloudlessEngine` plans with them
+against its :class:`PlanBasis` -- the one its own last plan left, or
+the one a world file's record of the last process's woke.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 from typing import Any, Callable, Dict, Mapping, Optional, Set, Tuple
 
@@ -63,21 +65,35 @@ class PlanBasis:
     next plan re-diffs only what is not provably the same.
 
     Holds no graph, context or resolver: a configuration, plain values
-    and state entries, all of which the engine holds anyway."""
+    and state entries, all of which the engine holds anyway. That is
+    also what lets one outlive its process: the configuration is a
+    compile-cache artifact's, the entries are a world file's, and the
+    rest is the record :mod:`repro.persist` writes beside the state."""
 
     config: Configuration
     variables: Dict[str, Any]
-    data_values: Dict[str, Dict[str, Any]]
+    #: :func:`values_digest` of the data-source reads it was planned with
+    data_digest: str
     #: address -> the sealed state entry that plan found it ``NOOP``
     #: against; entries are immutable, so the same entry *is* the same
     #: resource as it was then
     noop: Dict[str, ResourceState]
+    #: the compile-cache artifact that holds ``config`` -- ``{"key":
+    #: ..., "source_sha": {file: sha256}}`` -- when one does: what a
+    #: world file names the proof by
+    artifact: Optional[Dict[str, Any]] = None
 
 
 def same_values(a: Any, b: Any) -> bool:
     """Whether two JSON-shaped values are the same to an expression
     (``1``, ``1.0`` and ``true`` are three values)."""
     return a is b or _value_text(a) == _value_text(b)
+
+
+def values_digest(value: Any) -> str:
+    """A JSON-shaped value's digest: equal for what :func:`same_values`
+    calls the same."""
+    return hashlib.sha256(_value_text(value).encode()).hexdigest()
 
 
 def _value_text(value: Any) -> str:

@@ -38,7 +38,8 @@ KNOWN_PROBES: Dict[str, str] = {
     # -- plan: how much of the graph a verb diffed --------------------------
     "plan.scoped": "count: plans that diffed only what the engine's plan basis "
     "could not vouch for (changed declarations and their dependents, state "
-    "entries that are not the ones its last plan found no-op)",
+    "entries that are not the ones its last plan -- this process's, or the one "
+    "the world file records -- found no-op)",
     "plan.scope_nodes": "count: addresses those plans diffed, summed",
     "plan.full": "count: plans that diffed every node; plan.full.<why> says "
     "why -- first (no basis: an engine's first plan, or a Configuration it did "
@@ -47,6 +48,20 @@ KNOWN_PROBES: Dict[str, str] = {
     "plan.full.first": "count: see plan.full",
     "plan.full.modules": "count: see plan.full",
     "plan.full.data": "count: see plan.full",
+    "plan.basis.woken": "count: first compiles of an engine that woke a plan "
+    "basis from the world file's record of the last process's plan (the compile "
+    "cache's artifact is the one the record names); plan.basis.<why> counts the "
+    "ones that did not -- none (the world records no proof), void (a commit "
+    "moved the state without carrying the record), no_artifact (no cache, or "
+    "nothing under this key: other variables, another catalog, a deleted "
+    "cache), other_sources (the artifact was written from other texts than the "
+    "record names) -- and data, a woken basis a plan could not use because a "
+    "data source read differently (also a plan.full.data)",
+    "plan.basis.none": "count: see plan.basis.woken",
+    "plan.basis.void": "count: see plan.basis.woken",
+    "plan.basis.no_artifact": "count: see plan.basis.woken",
+    "plan.basis.other_sources": "count: see plan.basis.woken",
+    "plan.basis.data": "count: see plan.basis.woken",
     "validate.runs": "count: validations the engine ran (at most one per verb)",
     "validate.scoped": "count: validations that started from what the engine's "
     "validation basis had computed for the declarations still made of the same "

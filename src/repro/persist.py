@@ -29,6 +29,21 @@ nothing: the whole world.
 * **Baseline.** The engine remembers (``engine._world_base``) what the
   file held when it was loaded or last saved. A save whose baseline is
   not where the file ends any more writes a keyframe.
+* **The plan record.** A ``state`` section may carry one optional
+  field, ``plan_basis``: which compile-cache artifact the last plan
+  was computed from (its key and per-file source digests), a digest of
+  the data-source reads, and the managed addresses that plan does
+  *not* vouch for -- every other entry of the state, as this very
+  commit leaves it, was found no-op. It is written in the section it
+  is about, so the two land or tear together, and it is what lets the
+  next process plan what its edit can touch
+  (``CloudlessEngine._wake_plan_basis``). Four rules keep it true
+  without anyone invalidating it: a verb that planned records what its
+  own basis still holds, any other carries the loaded record minus
+  the entries it moved (:func:`_plan_record`); a commit that writes
+  ``state`` without the field voids it; a new proof is recorded only
+  for an artifact-backed basis that proves something; and whoever
+  finds no usable record plans whole.
 """
 
 from __future__ import annotations
@@ -42,6 +57,7 @@ import tempfile
 import zlib
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+from .addressing import MANAGED
 from .cloud.activitylog import ActivityEvent
 from .cloud.base import ControlPlane, ResourceRecord
 from .core.engine import EXECUTOR_NAMES, CloudlessEngine
@@ -59,6 +75,8 @@ _MAX_HEADER = 256
 _MAX_SOURCE_BYTES = 64 << 20
 #: what an engine is constructed with; a delta cannot change these
 _CONSTRUCTION = ("seed", "executor", "validation_level")
+#: the ``state`` section's optional field (module docstring)
+_PLAN_RECORD = "plan_basis"
 
 
 class WorldFormatError(ValueError):
@@ -112,6 +130,12 @@ class _Base:
         self.sources: Dict[str, str] = {}
         self.stored: Set[str] = set()
         self.path: Optional[str] = None
+        #: the file's plan record (``record``), and what it will be once
+        #: the commit being replayed or written lands (``staged_record``):
+        #: the field as written, ``"none"`` while no commit has carried
+        #: one, ``"void"`` once one wrote ``state`` without it
+        self.record: Any = "none"
+        self.staged_record: Any = "none"
 
     def source(self, key: str) -> str:
         return _unpack(key, self.sources[key])
@@ -128,6 +152,10 @@ class _Base:
             self.sources = {key: self.sources[key] for key in self.stored}
         self.planes = {n: _PlaneMark(p) for n, p in engine.gateway.planes.items()}
         self.state = engine.state.copy()  # O(1) COW
+        self.record = self.staged_record
+        engine._plan_record = (
+            self.record if isinstance(self.record, str) else (self.record, self.state)
+        )
         self.history = engine.history
         self.history_last = engine.history.last_version
         # the file names every committed version's sources by key; so
@@ -280,6 +308,7 @@ def _sections(
             yield f"plane:{name}", value
     before = StateDocument() if full else base.state
     delta = doc_delta(before, engine.state)
+    base.staged_record = base.record
     if (
         full
         or delta["set"]
@@ -287,6 +316,10 @@ def _sections(
         or "outputs" in delta
         or (delta["serial"], delta["lineage"]) != (before.serial, before.lineage)
     ):
+        record = _plan_record(engine, base, None if full else delta)
+        if record is not None:
+            delta[_PLAN_RECORD] = record
+        base.staged_record = _record_after(base.record, record)
         yield "state", delta
     texts = {source_key(text): text for text in engine.last_sources.values()}
     history = engine.history.export_records(
@@ -305,6 +338,65 @@ def _sections(
         yield "sources", {key: base.sources[key] for key in sorted(fresh)}
 
 
+def _plan_record(
+    engine: CloudlessEngine, base: _Base, delta: Optional[Dict[str, Any]]
+) -> Optional[Dict[str, Any]]:
+    """The plan record for a commit that writes ``engine.state``
+    (``delta``: against ``base.state``, when already computed), or
+    ``None`` for none.
+
+    A basis the engine holds for a cache artifact is a proof of its
+    own: it vouches for the entries it found no-op that are still the
+    state's own objects. An engine without one -- it never planned, or
+    compiles without a cache -- carries the record it was loaded with:
+    an entry this process did not move is still the entry that proof
+    was about. Either way the record lists the managed addresses *not*
+    vouched for, and is dropped once that is all of them."""
+    entries = engine.state.entries_map()
+    basis = engine._plan_basis
+    if basis is not None and basis.artifact is not None:
+        proof = {**basis.artifact, "data": basis.data_digest}
+        noop = basis.noop
+        unproven = {a for a, entry in entries.items() if noop.get(a) is not entry}
+    elif not isinstance(base.record, str):
+        proof = base.record
+        if delta is None:
+            delta = doc_delta(base.state, engine.state)
+        unproven = set(proof["unproven"])
+        unproven.update(item["address"] for item in delta["set"])
+    else:
+        return None
+    managed = [a for a, entry in entries.items() if entry.address.mode == MANAGED]
+    listed = sorted(unproven.intersection(managed))
+    if len(listed) == len(managed):
+        return None  # nothing proven
+    return {**proof, "unproven": listed}
+
+
+def _record_after(before: Any, written: Optional[Dict[str, Any]]) -> Any:
+    """A file's plan record once a commit has written ``state`` with
+    ``written`` as the field (``None``: without it)."""
+    if written is not None:
+        return written
+    return "none" if before == "none" else "void"
+
+
+def _read_plan_record(state: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+    """A ``state`` section's plan record, checked for shape (what it
+    says is checked against the artifact, by the engine that wakes it)."""
+    record = state.get(_PLAN_RECORD)
+    if record is None:
+        return None
+    if not (
+        isinstance(record, dict)
+        and {"key", "source_sha", "data", "unproven"} <= record.keys()
+        and isinstance(record["unproven"], list)
+        and all(isinstance(address, str) for address in record["unproven"])
+    ):
+        raise WorldFormatError("malformed plan-basis record in a state section")
+    return record
+
+
 def _apply(engine: CloudlessEngine, base: _Base, sections: Dict[str, Any]) -> None:
     """Replay one commit's sections onto an engine; its last applied
     sources stay packed until :func:`_unpack_last_sources`."""
@@ -312,7 +404,12 @@ def _apply(engine: CloudlessEngine, base: _Base, sections: Dict[str, Any]) -> No
     for name, value in sections.items():
         if name.startswith("plane:") and name[6:] in engine.gateway.planes:
             plane_from_dict(engine.gateway.planes[name[6:]], value)
-    apply_doc_delta(engine.state, sections.get("state", {}))
+    state = sections.get("state")
+    if state is not None:
+        apply_doc_delta(engine.state, state)
+        base.staged_record = _record_after(
+            base.staged_record, _read_plan_record(state)
+        )
     history = sections.get("history", [])
     for item in history:
         if not base.sources.keys() >= set(item["sources"].values()):

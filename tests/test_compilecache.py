@@ -233,6 +233,107 @@ class TestCorruption:
         self.write_parts(path, header, blob)
         self.assert_cold(cache, texts, vfp, sfp)
 
+    NOT_DATA = ["a pair of numbers", "a call to os.system"]
+
+    def plant(self, path, what, canary):
+        """Put a blob that is no artifact's under ``path``'s own header,
+        resealed: a pair of the wrong types, or a pickle that
+        ``pickle.loads`` would run a shell command for (``touch canary``)."""
+
+        class Payload:
+            def __reduce__(self):
+                return os.system, (f"touch {canary}",)
+
+        blob = pickle.dumps((1, 2) if "numbers" in what else (Payload(), Payload()))
+        header, _ = self.read_parts(path)
+        header["blob_sha"] = _sha(blob)
+        header["blob_len"] = len(blob)
+        self.write_parts(path, header, blob)
+        return blob
+
+    @pytest.mark.parametrize("what", NOT_DATA)
+    def test_payload_is_read_as_data(self, cache, gateway, tmp_path, what):
+        """Under a header that says "exact": a pair, but not of a
+        configuration and a graph; and a pair whose members are built by
+        calling out of the program. Neither is an artifact's blob, and
+        the second must not get to run."""
+        texts, vfp, sfp, path = self.setup_artifact(cache, gateway)
+        canary = tmp_path / "ran"
+        self.plant(path, what, canary)
+        self.assert_cold(cache, texts, vfp, sfp)
+        assert not canary.exists()
+
+    @pytest.mark.parametrize("what", NOT_DATA)
+    def test_the_cli_plans_cold_past_a_blob_that_is_not_data(
+        self, tmp_path, capsys, what
+    ):
+        """``clc plan`` on such a file: exit 0 and the plan ``--no-cache``
+        prints (at the parent: a traceback out of ``read_data_sources``,
+        and the command run)."""
+        from repro.cli import main as cli_main
+
+        project = tmp_path / "project"
+        project.mkdir()
+        (project / "main.clc").write_text(SOURCE)
+        assert cli_main(["--chdir", str(project), "init"]) == 0
+        assert cli_main(["--chdir", str(project), "plan"]) == 0
+        capsys.readouterr()
+        (name,) = os.listdir(project / ".clc-cache")
+        path = str(project / ".clc-cache" / name)
+        canary = tmp_path / "ran"
+        blob = self.plant(path, what, canary)
+        assert cli_main(["--chdir", str(project), "plan"]) == 0
+        through_the_cache = capsys.readouterr().out
+        assert not canary.exists()
+        assert cli_main(["--chdir", str(project), "plan", "--no-cache"]) == 0
+        assert through_the_cache == capsys.readouterr().out
+        assert "3 to add" in through_the_cache
+        # and the cold compile replaced it
+        assert self.read_parts(path)[1] != blob
+
+    def test_an_artifact_names_the_listed_classes_only(self, tmp_path):
+        """The allow-list is the artifact's own inventory: every global
+        the blobs of a wide program and of the benchmark's estate name
+        is on it (so they stay hits), and nothing that is not a class
+        of this program is. (A program whose parse left diagnostics
+        builds no graph, so no artifact holds one.)"""
+        import io
+
+        from repro.compilecache.store import ARTIFACT_CLASSES
+        from repro.workloads import scale_estate, two_region_estate
+        from tests.test_engine_resident import WIDE
+
+        named = set()
+
+        class Recording(pickle.Unpickler):
+            def find_class(self, module, name):
+                named.add((module, name))
+                return super().find_class(module, name)
+
+        programs = [
+            ({"main.clc": WIDE}, {"env": "prod"}),
+            ({"aws.clc": scale_estate(40), "azure.clc": two_region_estate(40)}, None),
+        ]
+        for number, (texts, variables) in enumerate(programs):
+            cache_dir = str(tmp_path / f"cache-{number}")
+            engine = CloudlessEngine(
+                gateway=CloudGateway.simulated(seed=3), cache_dir=cache_dir
+            )
+            engine.validate(texts, variables=variables)
+            (name,) = os.listdir(cache_dir)
+            _, blob = self.read_parts(os.path.join(cache_dir, name))
+            Recording(io.BytesIO(blob)).load()
+            again = CloudlessEngine(
+                gateway=CloudGateway.simulated(seed=3), cache_dir=cache_dir
+            )
+            again.validate(texts, variables=variables)
+            assert again.compile_cache.exact_hits == 1, number
+        assert len(named) > 20
+        for module, name in named:
+            allowed = ARTIFACT_CLASSES[module]
+            assert allowed is None or name in allowed, (module, name)
+        assert all(module.startswith("repro.") for module in ARTIFACT_CLASSES)
+
     def test_payload_does_not_unpickle(self, cache, gateway):
         texts, vfp, sfp, path = self.setup_artifact(cache, gateway)
         header, _ = self.read_parts(path)

@@ -22,27 +22,38 @@ not type-checked or evaluated again; the rules run whole. Same licence:
 a twin that forgets the basis before each verb, and the engine's own
 pipeline run on a fresh parse, must reach the same verdict -- the same
 diagnostics in the same order at the same spans.
+
+Since PR 24 the plan basis crosses the process: the world file records
+which artifact the last plan was about and which entries it does not
+vouch for, and a CLI verb's compile wakes a basis from it. Same licence
+once more: a twin project directory whose world has the record cut out
+before every verb, so every verb there plans whole.
 """
 
+import contextlib
 import dataclasses
 import gc
 import hashlib
+import io
 import os
 import random
 import re
+import shutil
 import sys
+import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.lang.config as lang_config
-from repro import perf
+from repro import cli, perf
 from repro.core.engine import CloudlessEngine, EngineError
 from repro.deploy.incremental import read_data_sources
 from repro.deploy.wal import SimulatedCrash
 from repro.graph import GraphBuildError, PlanError, build_graph
 from repro.graph.builder import ResourceGraph, ResourceNode
+from repro.graph.impact import values_digest
 from repro.lang.chunker import iter_chunks
 from repro.lang.context import ModuleContext, ResourceResolver, _KeyedMapping
 from repro.persist import load_world, save_world
@@ -50,6 +61,7 @@ from repro.policy import CostEstimator, InfrastructureController, budget_policy
 from repro.workloads import hub_spoke, sized_estate
 from repro.workloads.mutate import MutationError
 from tests.golden.lang_corpus import _mutant_base, mutant_source
+from tests.test_world_log import strip_plan_record
 
 HEAD = '''variable "env" {
   type = string
@@ -683,7 +695,8 @@ class TestPlansWhatTheEditCanTouch:
         assert engine.apply(WIDE, variables={"env": "prod"}).ok
         engine.plan(engine.last_sources, variables=engine.last_variables)
         basis = engine._plan_basis
-        assert len(basis.noop) == len(engine.state) and basis.data_values
+        assert len(basis.noop) == len(engine.state)
+        assert basis.data_digest != values_digest({})  # a data source was read
         seen = set()
         for obj in reachable([basis], seen):
             assert not isinstance(
@@ -1178,6 +1191,262 @@ class TestMutantSequences:
             for key, instances in computed.items():
                 for instance, attrs in instances.items():
                     assert kept[key][instance] == attrs, (key, instance)
+
+    # -- across processes: the CLI, one engine per verb ---------------------------
+
+    @staticmethod
+    def cli_verb(project, *argv, dying_at=None):
+        """One verb through ``cli.main``: exit code (or the name of what
+        killed it: the planted crash, a plan the program cannot have),
+        what it printed, and the perf counters it moved."""
+        real_apply = CloudlessEngine.apply
+
+        def hook(index):
+            if index == dying_at:
+                raise SimulatedCrash(f"boundary {dying_at}")
+
+        def dying(self, *args, **kwargs):
+            return real_apply(self, *args, crash_hook=hook, **kwargs)
+
+        out = io.StringIO()
+        perf.reset()
+        perf.enable()
+        try:
+            if dying_at is not None:
+                CloudlessEngine.apply = dying
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                try:
+                    code = cli.main(["--chdir", project, *argv])
+                except (SimulatedCrash, PlanError) as exc:
+                    code = type(exc).__name__
+            moved = dict(perf.snapshot()["counters"])
+        finally:
+            CloudlessEngine.apply = real_apply
+            perf.disable()
+            perf.reset()
+        # (a journal's run id is drawn per run)
+        said = re.sub(r"recovered run \w+", "recovered run <id>", out.getvalue())
+        return code, said.replace(project, "<project>"), moved
+
+    #: (``import`` last: it replaces the program with a generated one)
+    CLI_STEPS = (
+        "retag", "mutant", "plan", "plan-apply", "what-if", "drift", "mv",
+        "rm", "rollback", "crash", "no-cache", "rm-cache", "var",
+        "count", "add", "drop", "rename", "provider", "data", "import",
+    )
+
+    def cli_step(self, kind, seed, text, variables):
+        """One step of a CLI session as ``(actions, variables after)``,
+        or ``None`` when ``text`` gives it nothing to do. An action is
+        ``("write", text)``, ``("act", callable on a loaded engine)``,
+        ``("rm-cache",)`` or ``("verb", argv, boundary to die at)``."""
+
+        def verb(*argv, dying_at=None):
+            takes = argv[0] in ("apply", "plan", "resume")
+            return ("verb", argv + (tuple(variables) if takes else ()), dying_at)
+
+        def applied(edited):
+            return edited and [("write", edited), verb("apply")]
+
+        def flipped(template, one, other):
+            old, new = (one, other) if template % one in text else (other, one)
+            return (template % old, template % new) if template % old in text else None
+
+        if kind == "retag":
+            service = f"estate-{seed % 3}"
+            if f'tags    = {{ service = "{service}"' not in text:
+                return None
+            return applied(retag(text, service, f"r{seed}")), variables
+        if kind == "mutant":
+            try:
+                return applied(mutant_source(text, seed)), variables
+            except MutationError:
+                return None
+        if kind in ("add", "drop", "rename"):
+            return applied(self.edited(text, kind, seed)), variables
+        if kind == "count":
+            actions = applied(self.edited(text, "default", seed))
+        elif kind == "plan":
+            actions = [verb("plan")]
+        elif kind == "plan-apply":
+            # the everyday pair: the plan re-wrote the artifact the
+            # world's record is about, so the apply plans whole
+            service = f"estate-{seed % 3}"
+            if f'tags    = {{ service = "{service}"' not in text:
+                return None
+            edited = retag(text, service, f"p{seed}")
+            actions = [("write", edited), verb("plan"), *applied(edited)]
+        elif kind == "what-if":
+            # planned and never applied; then the apply of another edit
+            actions = [
+                ("write", self.edited(text, "add", seed)),
+                verb("plan"),
+                *applied(self.edited(text, "comment", seed)),
+            ]
+        elif kind == "drift":
+
+            def drift(engine):
+                vms = engine.state.instances_of("aws_virtual_machine", "estate_0_vm")
+                if vms:
+                    engine.gateway.planes["aws"].external_update(
+                        vms[seed % len(vms)].resource_id, {"size": f"by-hand-{seed % 3}"}
+                    )
+
+            actions = [("act", drift), verb("watch", "--reconcile"), verb("plan")]
+        elif kind == "mv":
+            names = flipped('"aws_s3_bucket" "%s"', "logs", "journal")
+            if names is None:
+                return None
+            old, new = (re.search(r'"(\w+)"$', name).group(1) for name in names)
+            actions = [
+                verb("state", "mv", f"aws_s3_bucket.{old}", f"aws_s3_bucket.{new}"),
+                *applied(text.replace(*names)),
+            ]
+        elif kind == "rm":
+            address = "aws_virtual_machine.estate_1_vm[0]"
+            actions = [verb("state", "rm", address), verb("plan"), verb("apply")]
+        elif kind == "import":
+            # (it rewrites the program, which declares no variable)
+            variables = ()
+            actions = [verb("import"), verb("plan")]
+        elif kind == "rollback":
+            actions = [verb("rollback", "1"), verb("plan"), verb("apply")]
+        elif kind == "crash":
+            actions = [
+                ("write", text + EXTRA % (seed, seed) + EXTRA % (seed + 1, seed + 1)),
+                verb("apply", dying_at=1 + seed % 2),
+                verb("resume"),
+                verb("plan"),
+            ]
+        elif kind == "no-cache":
+            actions = [
+                ("write", self.edited(text, "comment", seed)),
+                verb("apply", "--no-cache"),
+                verb("plan"),
+            ]
+        elif kind == "rm-cache":
+            actions = [("rm-cache",), verb("plan")]
+        elif kind == "var":
+            if not variables:
+                return None
+            variables = ("--var", "env=stage" if "env=prod" in variables else "env=prod")
+            actions = [verb("apply")]
+        elif kind == "provider":
+            regions = flipped('region = "%s"', "us-east-1", "us-east-2")
+            if regions is None:
+                return None
+            actions = [
+                ("write", text.replace(*regions)),
+                verb("plan"),
+                *applied(self.edited(text, "comment", seed)),
+            ]
+        elif kind == "data":
+
+            def flip(engine):
+                plane = engine.gateway.planes["aws"]
+                record = plane.find_by_name("aws_s3_bucket", "shared-legacy")
+                plane.external_update(
+                    record.id, {"versioning": not record.attrs.get("versioning")}
+                )
+
+            actions = [("act", flip), verb("plan"), verb("apply")]
+        return actions, variables
+
+    @settings(max_examples=30, deadline=None)
+    @example(steps=[(kind, 7) for kind in CLI_STEPS[:7]])
+    @example(steps=[(kind, 8) for kind in CLI_STEPS[7:13]])
+    @example(steps=[(kind, 9) for kind in CLI_STEPS[13:]])
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(CLI_STEPS), st.integers(min_value=0, max_value=10_000)
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    def test_crossing_the_process_equals_planning_whole(self, steps):
+        """Two project directories, the same verbs through ``cli.main``:
+        one as the verbs leave it, one whose plan record is cut out of
+        the world before every verb. The same exit code, output (the
+        rendered plan), state, files and API-call counts after every
+        verb; and whoever planned whole said why. An edit whose apply
+        fails is taken back before the next step, as its author would."""
+        with tempfile.TemporaryDirectory() as root:
+            kept, stripped = (os.path.join(root, name) for name in ("kept", "stripped"))
+            variables = ("--var", "env=prod")
+            for project in (kept, stripped):
+                os.makedirs(project)
+                with open(os.path.join(project, "main.clc"), "w") as handle:
+                    handle.write(WIDE)
+                assert self.cli_verb(project, "init", "--seed", "3")[0] == 0
+                self.prepare(
+                    project,
+                    ("act", lambda engine: engine.gateway.planes["aws"].external_create(
+                        "aws_s3_bucket", {"name": "shared-legacy"}, "us-east-1"
+                    )),
+                )
+                assert self.cli_verb(project, "apply", *variables)[0] == 0
+            woken = 0
+            good = WIDE  # the last program an apply accepted
+            # (the head and the tail: an edit applied, then a plan of it)
+            for kind, seed in [("retag", 1), ("plan", 0), *steps, ("plan", 0)]:
+                step = self.cli_step(kind, seed, good, variables)
+                if step is None or not step[0]:
+                    continue
+                actions, variables = step
+                for action in [("write", good), *actions]:
+                    if action[0] != "verb":
+                        for project in (kept, stripped):
+                            self.prepare(project, action)
+                        continue
+                    strip_plan_record(os.path.join(stripped, "cloudless.world"))
+                    (seen, moved), (twin, twin_moved) = (
+                        self.observe(project, action) for project in (kept, stripped)
+                    )
+                    assert seen == twin, (kind, seed, action[1])
+                    if seen[0] == 0 and action[1][0] in ("apply", "resume", "import"):
+                        good = seen[-1]
+                    whys = {n for n in moved if n.startswith("plan.basis.")}
+                    assert whys <= set(perf.KNOWN_PROBES)
+                    woken += moved.get("plan.basis.woken", 0)
+                    # whoever planned whole said why: the record did not
+                    # wake, or what it woke was no use
+                    if "plan.full" in moved:
+                        assert whys - {"plan.basis.woken"}, (kind, action[1], moved)
+                    assert "plan.scoped" not in twin_moved
+                    assert all(
+                        n == "plan.basis.none"
+                        for n in twin_moved
+                        if n.startswith("plan.basis.")
+                    ), (kind, action[1], twin_moved)
+            assert woken >= 1
+
+    @staticmethod
+    def prepare(project, action):
+        """What happens to a project between two verbs."""
+        if action[0] == "write":
+            with open(os.path.join(project, "main.clc"), "w") as handle:
+                handle.write(action[1])
+        elif action[0] == "act":
+            world = os.path.join(project, "cloudless.world")
+            engine = load_world(world)  # the harness's cache-less load / save
+            action[1](engine)
+            save_world(engine, world)
+        else:
+            assert action == ("rm-cache",)
+            shutil.rmtree(os.path.join(project, ".clc-cache"))
+
+    def observe(self, project, action):
+        """A verb, and what it left: ``((exit code, output, state hash,
+        API calls per plane, program on disk), counters moved)``."""
+        _verb, argv, dying_at = action
+        code, out, moved = self.cli_verb(project, *argv, dying_at=dying_at)
+        engine = load_world(os.path.join(project, "cloudless.world"))
+        with open(os.path.join(project, "main.clc")) as handle:
+            program = handle.read()
+        calls = {n: dict(p.api_calls) for n, p in engine.gateway.planes.items()}
+        return (code, out, engine.state.content_hash(), calls, program), moved
 
 
 class TestParsesWhatChanged:

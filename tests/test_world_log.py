@@ -11,9 +11,16 @@ Four contracts of :mod:`repro.persist`:
   ``tests/test_store_torn.py``);
 * **untrusted bytes** -- damage loads as a prior commit or fails with
   :class:`~repro.persist.WorldFormatError`, nothing else.
+
+And one passenger: the *plan record* a ``state`` section may carry
+(which artifact the last plan was about, which entries it does not
+vouch for). It lands or tears with the state it is about, a commit
+that moves the state without it voids it, and it stays a few hundred
+bytes however old the directory is.
 """
 
 import hashlib
+import json
 import os
 import random
 import re
@@ -23,6 +30,7 @@ import pytest
 
 from repro import persist
 from repro.cli import main as cli_main
+from repro.compilecache import CompileCache
 from repro.core import CloudlessEngine
 from repro.perf import PERF
 from repro.persist import (
@@ -75,6 +83,34 @@ def commit_frame(frames, seq):
     """The commit frame that makes hand-built ``frames`` count."""
     headers = hashlib.sha256(b"".join(f[: f.index(b"\n")] for f in frames))
     return persist._frame("C", "commit", {"seq": seq, "headers": headers.hexdigest()})
+
+
+def commits_of(path):
+    """Every commit of a world file, its sections decoded."""
+    with open(path, "rb") as handle:
+        commits, _ends, _tail = persist._read_commits(handle.read(), path)
+    return [{n: json.loads(bytes(p)) for n, p in c.items()} for c in commits]
+
+
+def plan_records(path):
+    """The plan record of every commit that writes ``state`` (``None``
+    where it writes none)."""
+    return [
+        c["state"].get("plan_basis") for c in commits_of(path) if "state" in c
+    ]
+
+
+def strip_plan_record(path):
+    """Rewrite a world commit for commit without the plan record: what
+    the same verbs would have written had none of them kept one."""
+    frames = []
+    for seq, sections in enumerate(commits_of(path)):
+        sections.get("state", {}).pop("plan_basis", None)
+        frames.extend(
+            persist._commit_frames("D" if seq else "K", sections.items(), seq)
+        )
+    with open(path, "wb") as handle:
+        handle.writelines(frames)
 
 
 def frame_offsets(data):
@@ -355,6 +391,304 @@ class TestBaseline:
         save_world(engine, path)
         assert engine._world_base.seq == 0
         same_world(load_world(path), engine)
+
+
+# -- the plan record ---------------------------------------------------------------------
+
+
+class Project:
+    """A project directory driven through ``cli.main``, one engine per
+    verb: the only writer that records a proof (it has a compile cache)."""
+
+    def __init__(self, directory, sources):
+        self.directory = str(directory)
+        self.world = os.path.join(self.directory, "cloudless.world")
+        os.makedirs(self.directory, exist_ok=True)
+        self.write(sources)
+        assert self("init", "--seed", "3") == {}
+
+    def write(self, sources):
+        for name, text in sources.items():
+            with open(os.path.join(self.directory, name), "w") as handle:
+                handle.write(text)
+
+    def __call__(self, *argv):
+        """Run the verb (it must exit 0); the ``plan.*`` counters it moved."""
+        PERF.reset()
+        PERF.enable()
+        try:
+            assert cli_main(["--chdir", self.directory, *argv]) == 0, argv
+            moved = dict(PERF.counters)
+        finally:
+            PERF.disable()
+            PERF.reset()
+        return {k: v for k, v in moved.items() if k.startswith("plan.")}
+
+    def drift(self, *sizes):
+        engine = load_world(self.world)
+        vms = [
+            e for e in engine.state.resources()
+            if e.address.type == "aws_virtual_machine"
+        ]
+        for vm, size in zip(vms, sizes):
+            engine.gateway.planes["aws"].external_update(
+                vm.resource_id, {"size": size}, actor="cron"
+            )
+        save_world(engine, self.world)
+
+
+WHOLE_FIRST = {"plan.full": 1, "plan.full.first": 1}
+
+
+class TestPlanRecord:
+    @pytest.fixture
+    def day_two(self, tmp_path, capsys):
+        """A project two edits old, and the world's size after each."""
+        sources = estate(40)
+        project = Project(tmp_path / "project", sources)
+        assert project("apply") == {"plan.basis.none": 1, **WHOLE_FIRST}
+        # (the cold apply outweighed the empty world: one keyframe)
+        assert plan_records(project.world) == [None]
+        sizes = []
+        for revision in ("r1", "r2"):
+            sources["aws.clc"] = edit_services(sources["aws.clc"], 2, revision)
+            project.write(sources)
+            project("apply")
+            sizes.append(os.path.getsize(project.world))
+        return project, sizes
+
+    def test_an_apply_records_what_its_plan_did_not_prove(self, day_two):
+        project, _sizes = day_two
+        first, second = plan_records(project.world)[1:]
+        # the first edit's apply planned whole; the second woke its record
+        for record in (first, second):
+            assert sorted(record) == ["data", "key", "source_sha", "unproven"]
+            assert len(record["unproven"]) == 4  # two blocks of two VMs
+            assert sorted(record["source_sha"]) == ["aws.clc", "azure.clc"]
+        assert first["key"] == second["key"]
+        assert first["source_sha"]["aws.clc"] != second["source_sha"]["aws.clc"]
+        assert first["source_sha"]["azure.clc"] == second["source_sha"]["azure.clc"]
+        graph = len(load_world(project.world).state)
+        moved = project("plan")
+        assert moved == {
+            "plan.basis.woken": 1, "plan.scoped": 1, "plan.scope_nodes": moved["plan.scope_nodes"],
+        }
+        assert 4 <= moved["plan.scope_nodes"] < graph / 4
+        # a plan is read-only: it proved the four and wrote nothing
+        assert plan_records(project.world)[1:] == [first, second]
+
+    def test_the_plain_chain_plans_an_edits_worth(self, tmp_path, capsys):
+        """edit -> apply -> plan -> edit -> apply: after the first, each
+        diffs under a twentieth of the graph, and says what it did."""
+        sources = estate(200)
+        project = Project(tmp_path / "project", sources)
+        project("apply")
+        graph = len(load_world(project.world).state)
+        sources["aws.clc"] = edit_services(sources["aws.clc"], 1, "r1")
+        project.write(sources)
+        assert project("apply") == {"plan.basis.none": 1, **WHOLE_FIRST}
+        capsys.readouterr()
+        chain = [project("plan")]
+        assert "0 to add, 0 to change, 0 to destroy" in capsys.readouterr().out
+        sources["aws.clc"] = edit_services(sources["aws.clc"], 2, "r2")
+        project.write(sources)
+        chain.append(project("apply"))
+        assert "0 to add, 4 to change, 0 to destroy" in capsys.readouterr().out
+        chain.append(project("plan"))
+        for moved in chain:
+            assert moved["plan.basis.woken"] == moved["plan.scoped"] == 1
+            assert 0 < moved["plan.scope_nodes"] < graph / 20, (moved, graph)
+            assert "plan.full" not in moved
+
+    def test_a_verb_that_does_not_plan_carries_the_record_minus_what_it_moved(
+        self, day_two
+    ):
+        project, _sizes = day_two
+        record = plan_records(project.world)[-1]
+        project.drift("by-hand")  # the harness's load / save: no state section
+        assert plan_records(project.world)[-1] == record
+        engine = load_world(project.world)
+        moved_entry = sorted(
+            str(e.address) for e in engine.state.resources()
+            if e.address.type == "aws_virtual_machine"
+        )
+        project("state", "mv", moved_entry[-1], "aws_virtual_machine.renamed")
+        carried = plan_records(project.world)[-1]
+        assert {k: carried[k] for k in ("key", "source_sha", "data")} == {
+            k: record[k] for k in ("key", "source_sha", "data")
+        }
+        # the entry it added, and the dependent whose entry it re-pointed;
+        # the address it removed is no entry any more
+        (dependent,) = [
+            str(e.address) for e in load_world(project.world).state.resources()
+            if "aws_virtual_machine.renamed" in e.dependencies
+        ]
+        assert set(carried["unproven"]) == (
+            set(record["unproven"]) - {moved_entry[-1]}
+            | {"aws_virtual_machine.renamed", dependent}
+        )
+        # the next plan diffs those and what the move orphaned
+        moved = project("plan")
+        assert moved["plan.basis.woken"] == 1 and moved["plan.scoped"] == 1
+
+    def test_waking_vouches_for_the_entries_as_they_were_loaded(self, day_two):
+        """What a process did to the state before its first compile (a
+        ``resume`` adopts orphans there) is not what the record is about."""
+        project, _sizes = day_two
+        engine = load_world(project.world)
+        engine.compile_cache = CompileCache(os.path.join(project.directory, ".clc-cache"))
+        vm = engine.state.instances_of("aws_virtual_machine", "scale_3_vm")[0]
+        assert str(vm.address) not in engine._plan_record[0]["unproven"]
+        engine.state.set(vm.replace(attrs={**vm.attrs, "tags": {"service": "by-hand"}}))
+        sources = {
+            name: open(os.path.join(project.directory, name)).read()
+            for name in ("aws.clc", "azure.clc")
+        }
+        plan = engine.plan(sources)
+        assert engine._plan_basis.artifact is not None
+        assert [c.id for c in plan.actionable()] == [str(vm.address)]
+        assert engine.last_plan_scope[0] < len(engine.state) / 4
+
+    def test_a_torn_commit_takes_its_record_with_it(self, day_two, capsys):
+        project, (previous, _size) = day_two
+        with open(project.world, "rb") as handle:
+            following = handle.read()
+        first, second = plan_records(project.world)[1:]
+        assert load_world(project.world)._plan_record[0] == second
+        state_frame = next(
+            o for o in frame_offsets(following)
+            if o >= previous and following[o:].startswith(MAGIC + b" D state ")
+        )
+        for cut in (state_frame + 60, state_frame + 900, len(following) - 1):
+            with open(project.world, "wb") as handle:
+                handle.write(following[:cut])
+            engine = load_world(project.world)
+            record, state = engine._plan_record
+            # the previous commit, with that commit's record: the proof
+            # is about the state it was written beside
+            assert record == first
+            assert state.content_hash() == engine.state.content_hash()
+        # the artifact is the second edit's: the record does not name it
+        assert project("plan") == {"plan.basis.other_sources": 1, **WHOLE_FIRST}
+        assert "to change" in capsys.readouterr().out
+
+    def test_a_commit_that_moves_the_state_without_the_field_voids_it(self, day_two):
+        """The parent's writer: a ``state`` section as it wrote them."""
+        project, _sizes = day_two
+        engine = load_world(project.world)
+        base = engine._world_base
+        (vm,) = engine.state.instances_of("aws_virtual_machine", "scale_0_vm")[:1]
+        by_hand = vm.replace(attrs={**vm.attrs, "tags": {"service": "by-hand"}})
+        theirs = {
+            "serial": engine.state.serial + 1,
+            "lineage": engine.state.lineage,
+            "set": [by_hand.to_dict()],
+            "removed": [],
+        }
+        with open(project.world, "ab") as handle:
+            handle.writelines(persist._commit_frames("D", [("state", theirs)], base.seq + 1))
+        assert plan_records(project.world)[-1] is None
+        loaded = load_world(project.world)
+        assert loaded._plan_record == "void"
+        assert loaded.state.get(vm.address).attrs["tags"] == {"service": "by-hand"}
+        # had the record survived, this entry would have counted as proven
+        moved = project("plan")
+        assert moved == {"plan.basis.void": 1, **WHOLE_FIRST}
+        project("apply")  # re-proves, records again
+        assert plan_records(project.world)[-1]["unproven"] == [str(vm.address)]
+        assert project("plan")["plan.basis.woken"] == 1
+
+    def test_a_compaction_keyframe_carries_it(self, day_two):
+        project, _sizes = day_two
+        record = plan_records(project.world)[-1]
+        engine = load_world(project.world)
+        persist._compact(engine, project.world)
+        assert plan_records(project.world) == [record]
+        assert engine._world_base.seq == 0
+        moved = project("plan")
+        assert moved["plan.basis.woken"] == 1 and moved["plan.scope_nodes"] < 40
+
+    def test_init_force_starts_without_one(self, day_two):
+        project, _sizes = day_two
+        project("init", "--force", "--seed", "3")
+        assert plan_records(project.world) == [None]
+        assert load_world(project.world)._plan_record == "none"
+        # (the artifact is still there; nothing names it)
+        assert project("plan") == {"plan.basis.none": 1, **WHOLE_FIRST}
+
+    def test_only_a_cached_engine_that_proved_something_writes_one(self, tmp_path, capsys):
+        """Not a byte more than the parent wrote: after the cold apply
+        of the benchmark's estate (1,993 creates prove nothing), from
+        ``--no-cache``, and from a service session."""
+        big = {"aws.clc": scale_estate(1000), "azure.clc": two_region_estate(1000)}
+        project = Project(tmp_path / "cold", big)
+        project("apply")
+        assert len(load_world(project.world).state) == 1993
+        with open(project.world, "rb") as handle:
+            assert b"plan_basis" not in handle.read()
+
+        sources = estate(40)
+        uncached = Project(tmp_path / "uncached", sources)
+        uncached("apply", "--no-cache")
+        sources["aws.clc"] = edit_services(sources["aws.clc"], 2, "r1")
+        uncached.write(sources)
+        assert uncached("apply", "--no-cache") == WHOLE_FIRST | {"plan.basis.none": 1}
+        assert plan_records(uncached.world) == [None, None]
+
+        session = TenantSession.open(str(tmp_path / "svc"), "acme", "svc-0", now=0.0, seed=5)
+        for revision in range(3):
+            sources["aws.clc"] = edit_services(sources["aws.clc"], 2, f"s{revision}")
+            assert session.engine.apply(sources).ok
+            session.persist()
+            session.engine.plan(sources)
+        diffed, graph = session.engine.last_plan_scope
+        assert 0 < diffed < graph / 4  # it does plan by its basis
+        with open(session.home.world_path, "rb") as handle:
+            assert b"plan_basis" not in handle.read()
+
+    def test_fifty_days_leave_a_few_hundred_bytes(self, tmp_path, capsys):
+        sources = estate()
+        project = Project(tmp_path / "project", sources)
+        project("apply")
+        scopes = []
+        for day in range(50):
+            sources["aws.clc"] = edit_services(sources["aws.clc"], 8, f"d{day}")
+            project.write(sources)
+            scopes.append(project("apply").get("plan.scope_nodes"))
+            project("plan")
+            project.drift(f"size-{day}", f"size-{day}")
+            project("watch", "--reconcile")
+        graph = len(load_world(project.world).state)
+        # the first day planned whole; every later one an edit's worth
+        # (8 blocks of two VMs, each with a dependent or two) plus what
+        # the last day left unproven
+        assert scopes[0] is None and max(scopes[1:]) < graph / 2
+        records = [r for r in plan_records(project.world) if r is not None]
+        assert records and max(len(json.dumps(r)) for r in records) <= 4096
+        size = os.path.getsize(project.world)
+        strip_plan_record(project.world)
+        assert 0 < size - os.path.getsize(project.world) <= size / 100
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            "a string",
+            {"key": "k", "source_sha": {}, "data": "d"},
+            {"key": "k", "source_sha": {}, "data": "d", "unproven": "all"},
+            {"key": "k", "source_sha": {}, "data": "d", "unproven": [["a"]]},
+        ],
+    )
+    def test_a_malformed_record_is_a_malformed_world(self, day_two, record):
+        project, _sizes = day_two
+        commits = commits_of(project.world)
+        commits[-1]["state"]["plan_basis"] = record
+        with open(project.world, "wb") as handle:
+            for seq, sections in enumerate(commits):
+                handle.writelines(
+                    persist._commit_frames("D" if seq else "K", sections.items(), seq)
+                )
+        with pytest.raises(WorldFormatError, match="plan-basis record"):
+            load_world(project.world)
 
 
 # -- crash boundary sweep ----------------------------------------------------------------
