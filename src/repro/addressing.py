@@ -131,13 +131,17 @@ class ResourceAddress:
         if len(remainder) != 2:
             raise ValueError(f"cannot parse resource address {text!r}")
         rtype, rname = remainder
-        return cls(
+        # built without the frozen ``__init__``'s set per field: the
+        # mode is one of the two it would check for
+        address = object.__new__(cls)
+        address.__dict__.update(
             type=rtype,
             name=rname,
             module_path=tuple(module_path),
             mode=mode,
             instance_key=instance_key,
         )
+        return address
 
 
 def managed(rtype: str, name: str, key: InstanceKey = None) -> ResourceAddress:

@@ -9,7 +9,7 @@ resources, which is precisely the design the paper advocates.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 
 @dataclasses.dataclass(frozen=True)
@@ -30,6 +30,16 @@ class ActivityEvent:
     @property
     def is_external(self) -> bool:
         return self.actor != "iac"
+
+    @classmethod
+    def from_fields(cls, fields: Dict[str, Any], **changes: Any) -> "ActivityEvent":
+        """The event with these ``fields`` and ``changes`` (between them
+        every field, as a checked world section names them), built
+        without the ``object.__setattr__`` per field a frozen
+        ``__init__`` costs."""
+        event = object.__new__(cls)
+        event.__dict__.update(fields, **changes)
+        return event
 
 
 class ActivityLog:
@@ -124,17 +134,26 @@ class ActivityLog:
         own sequence numbers, so a log saved after compaction keeps
         minting non-colliding sequences when reloaded.
         """
-        self._events = list(events)
-        if events:
-            self._base = events[0].sequence
-            derived = events[-1].sequence + 1
+        self._events = []
+        self.extend(events, next_sequence)
+
+    def extend(
+        self, events: List[ActivityEvent], next_sequence: Optional[int] = None
+    ) -> None:
+        """``restore(all_events() + events, next_sequence)`` without
+        copying the events already held: a world replays its log one
+        commit at a time."""
+        self._events.extend(events)
+        if self._events:
+            self._base = self._events[0].sequence
+            derived = self._events[-1].sequence + 1
         else:
             self._base = 0
             derived = 0
         self._next_seq = derived if next_sequence is None else max(
             int(next_sequence), derived
         )
-        if not events:
+        if not self._events:
             self._base = self._next_seq
 
     def all_events(self) -> List[ActivityEvent]:

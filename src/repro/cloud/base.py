@@ -19,7 +19,7 @@ import hashlib
 import ipaddress
 import itertools
 import random
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .activitylog import ActivityLog
 from .clock import SimClock
@@ -90,6 +90,17 @@ class ResourceRecord:
     updated_at: float
     state: str = "active"  # active | deleting
 
+    @classmethod
+    def from_fields(cls, fields: Dict[str, Any], **changes: Any) -> "ResourceRecord":
+        """The record with these ``fields`` and ``changes`` (every field
+        without a default named, as a checked world section names them),
+        built without binding them as keywords first."""
+        record = object.__new__(cls)
+        record.__dict__.update(fields, **changes)
+        for name, default in _RECORD_DEFAULTS:
+            record.__dict__.setdefault(name, default)
+        return record
+
     @property
     def name(self) -> str:
         return str(self.attrs.get("name", self.id))
@@ -99,6 +110,14 @@ class ResourceRecord:
         out = dict(self.attrs)
         out["id"] = self.id
         return out
+
+
+#: the fields a record may be built without, and what they then hold
+_RECORD_DEFAULTS = tuple(
+    (field.name, field.default)
+    for field in dataclasses.fields(ResourceRecord)
+    if field.default is not dataclasses.MISSING
+)
 
 
 _EMPTY_IDS: FrozenSet[str] = frozenset()
@@ -364,6 +383,34 @@ class ControlPlane:
         #: memoized identity-keyed latency draws (pure in their key)
         self._latency_samples: Dict[Tuple[str, str, str], float] = {}
         self._register_catalog()
+
+    # -- deferred restore ------------------------------------------------
+
+    def defer(
+        self, names: Iterable[str], replay: Callable[["ControlPlane"], None]
+    ) -> None:
+        """Hold the attributes ``names`` back until one is first read;
+        ``replay`` then runs on the freshly constructed ones. A verb that
+        never asks never pays for it."""
+        fresh = {name: self.__dict__.pop(name) for name in names}
+        self.__dict__["_deferred"] = (fresh, replay)
+
+    @property
+    def deferred(self) -> bool:
+        """Not read since :meth:`defer`."""
+        return "_deferred" in self.__dict__
+
+    def __getattr__(self, name: str) -> Any:
+        # reached only for what the instance lacks: on a deferred
+        # plane, the held-back attributes until the first read
+        deferred = self.__dict__.get("_deferred")
+        if deferred is not None and name in deferred[0]:
+            del self.__dict__["_deferred"]
+            fresh, replay = deferred
+            self.__dict__.update(fresh)
+            replay(self)
+            return self.__dict__[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     # -- subclass hooks ------------------------------------------------------
 

@@ -99,6 +99,10 @@ KNOWN_PROBES: Dict[str, str] = {
     "persist.torn_tail_recoveries": "count: torn tails dropped at load "
     "(world file) or truncated away (journal store)",
     "persist.keyframe_fallbacks": "count: keyframe reads served by .bak",
+    "persist.planes_deferred": "count: cloud planes a world load checked and "
+    "left encoded, to be replayed when first read",
+    "persist.planes_replayed": "count: deferred cloud planes replayed because "
+    "something read them (a plan reads none; a keyframe save reads all)",
     # -- multi-tenant service tier (PR 10) --------------------------------
     "service.admitted": "count: requests accepted past the admission tier",
     "service.shed": "count: requests rejected with a typed shed",

@@ -29,6 +29,18 @@ nothing: the whole world.
 * **Baseline.** The engine remembers (``engine._world_base``) what the
   file held when it was loaded or last saved. A save whose baseline is
   not where the file ends any more writes a keyframe.
+* **Deferred planes.** A load verifies every frame and decodes every
+  section, and checks each ``plane:*`` section's shape
+  (:func:`_check_plane`: whatever :func:`plane_from_dict` could trip on
+  is a :class:`WorldFormatError` here, never a traceback mid-verb). It
+  then keeps only a copy of each plane's section bytes: a plane is
+  replayed, commit by commit, the first time one of its persisted
+  attributes (:data:`PLANE_ATTRIBUTES`) is read (``ControlPlane.defer``),
+  and its baseline is marked then. A plane nobody read writes no
+  section; a keyframe reads them all. So a ``plan`` never builds the
+  clouds' records and logs.
+* **Older worlds.** A ``{``-led file is format 2 or older (one JSON
+  document) and is refused, typed; no migration reads it any more.
 * **The plan record.** A ``state`` section may carry one optional
   field, ``plan_basis``: which compile-cache artifact the last plan
   was computed from (its key and per-file source digests), a digest of
@@ -50,11 +62,14 @@ from __future__ import annotations
 
 import base64
 import binascii
+import dataclasses
 import hashlib
 import json
+import operator
 import os
 import tempfile
 import zlib
+from itertools import chain
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .addressing import MANAGED
@@ -82,6 +97,18 @@ _PLAN_RECORD = "plan_basis"
 class WorldFormatError(ValueError):
     """The world file is not something this program wrote (or a newer
     or older program did): unknown format, damaged frames, bad values."""
+
+
+#: what a malformed value trips on while it is decoded or replayed
+_MALFORMED = (
+    AttributeError,
+    IndexError,
+    KeyError,
+    OverflowError,
+    RecursionError,
+    TypeError,
+    ValueError,
+)
 
 
 class _NotADelta(Exception):
@@ -150,7 +177,10 @@ class _Base:
         if seq == 0:  # a keyframe: it holds only what is still named
             self.keyframe_end = end
             self.sources = {key: self.sources[key] for key in self.stored}
-        self.planes = {n: _PlaneMark(p) for n, p in engine.gateway.planes.items()}
+        # a plane still deferred is marked when it is replayed
+        self.planes = {
+            n: _PlaneMark(p) for n, p in engine.gateway.planes.items() if not p.deferred
+        }
         self.state = engine.state.copy()  # O(1) COW
         self.record = self.staged_record
         engine._plan_record = (
@@ -237,28 +267,136 @@ def _plane_section(
     }
 
 
+#: the JSON types a row field may hold, by its annotation (a JSON
+#: value's type, so ``bool`` is not an ``int``)
+_JSON_TYPES: Dict[str, Set[type]] = {
+    "str": {str},
+    "int": {int},
+    "float": {int, float},
+    "tuple": {list, tuple},
+    "Dict[str, Any]": {dict},
+}
+
+#: a row shape: the fields a row may name, and per field a getter (for
+#: a field with a default, one that reads the default when the row
+#: leaves the field out) and the types its value may have
+_Shape = Tuple[frozenset, Dict[str, Tuple[Any, Set[type]]]]
+
+
+def _rows(annotations: Dict[str, str], defaults: Dict[str, Any]) -> _Shape:
+    """The shape of rows with these fields (name -> annotation) and
+    these defaults, as :func:`plane_from_dict` lands them."""
+    getters = {
+        name: (
+            operator.methodcaller("get", name, defaults[name])
+            if name in defaults
+            else operator.itemgetter(name),
+            _JSON_TYPES[annotation],
+        )
+        for name, annotation in annotations.items()
+    }
+    return frozenset(annotations), getters
+
+
+def _dataclass_rows(cls: type) -> _Shape:
+    """The shape of rows a plane section holds of dataclass ``cls``."""
+    fields = dataclasses.fields(cls)
+    return _rows(
+        {field.name: field.type for field in fields},
+        {
+            field.name: field.default
+            for field in fields
+            if field.default is not dataclasses.MISSING
+        },
+    )
+
+
+_RECORD_ROWS = _dataclass_rows(ResourceRecord)
+_EVENT_ROWS = _dataclass_rows(ActivityEvent)
+_ID_GEN_ROWS = _rows({"rtype": "str", "region": "str", "name": "str", "gen": "int"}, {})
+_QUOTA_ROWS = _rows({"rtype": "str", "region": "str", "limit": "float"}, {})
+#: an event row's ``changed_attrs``, whose items must be strings too
+_CHANGED_ATTRS = _EVENT_ROWS[1]["changed_attrs"][0]
+
+
+def _types(values: Any) -> Set[type]:
+    return set(map(type, values))
+
+
+def _rows_ok(rows: Any, shape: _Shape) -> bool:
+    """``rows`` is a list of dicts of ``shape``: one pass per field over
+    every row, none of them a Python call per row (a keyframe holds
+    thousands)."""
+    fields, getters = shape
+    if (
+        type(rows) is not list
+        or not _types(rows) <= {dict}
+        or not all(map(fields.issuperset, rows))
+    ):
+        return False
+    try:
+        return all(_types(map(get, rows)) <= kinds for get, kinds in getters.values())
+    except KeyError:  # a row without a field it must name
+        return False
+
+
+def _str_map(value: Any, kinds: Set[type], keys: Iterable[str] = ()) -> bool:
+    return (
+        type(value) is dict
+        and value.keys() >= set(keys)
+        and _types(value) <= {str}
+        and _types(value.values()) <= kinds
+    )
+
+
+def _check_plane(data: Any, where: str) -> None:
+    """Refuse a plane section :func:`plane_from_dict` could trip on, or
+    that would leave a plane its readers trip on. Every load runs it, so
+    a plane replayed on first read, mid-verb, cannot fail."""
+    get = data.get if type(data) is dict else None
+    if not (
+        get
+        and _rows_ok(get("records", []), _RECORD_ROWS)
+        and _rows_ok(get("log", []), _EVENT_ROWS)
+        and _types(chain.from_iterable(map(_CHANGED_ATTRS, get("log", [])))) <= {str}
+        and _rows_ok(get("id_gens", []), _ID_GEN_ROWS)
+        and _rows_ok(get("quotas", []), _QUOTA_ROWS)
+        and type(get("gone", [])) is list
+        and _types(get("gone", [])) <= {str}
+        and type(get("log_next_seq")) in (int, type(None))
+        and type(get("log_base", 0)) is int
+        and type(get("id_counter", 1)) is int
+        and _str_map(get("api_calls", {"read": 0, "write": 0}), {int}, ("read", "write"))
+        and _str_map(get("tokens", {}), {str})
+    ):
+        raise WorldFormatError(f"{where}: malformed plane section")
+
+
+#: what a world file holds of a plane: the attributes
+#: :func:`plane_from_dict` lands and :func:`_plane_section` writes, held
+#: back on a deferred plane until one is read
+PLANE_ATTRIBUTES = (
+    "seed", "records", "log", "_next_id", "_id_gens", "quotas", "api_calls", "_tokens"
+)
+
+
 def plane_from_dict(plane: ControlPlane, data: Dict[str, Any]) -> None:
     """Land one plane section on a plane: a keyframe's on a freshly
-    constructed one, a delta's on top of what the file held before."""
+    constructed one, a delta's on top of what the file held before.
+    What :func:`_check_plane` passes lands without raising."""
     plane.seed = data.get("seed", plane.seed)
     for rid in data.get("gone", []):
         plane.records.pop(rid, None)
     for rec in data.get("records", []):
-        plane.records[rec["id"]] = ResourceRecord(**{**rec, "attrs": dict(rec["attrs"])})
+        plane.records[rec["id"]] = ResourceRecord.from_fields(rec, attrs=dict(rec["attrs"]))
     events = [
-        ActivityEvent(
-            **{
-                **e,
-                "provider": plane.provider,
-                "changed_attrs": tuple(e.get("changed_attrs", ())),
-            }
+        ActivityEvent.from_fields(
+            e, provider=plane.provider, changed_attrs=tuple(e.get("changed_attrs", ()))
         )
         for e in data.get("log", [])
     ]
     if events or data.get("log_next_seq") != plane.log.next_cursor:
-        plane.log.restore(
-            plane.log.all_events() + events, next_sequence=data.get("log_next_seq")
-        )
+        plane.log.extend(events, next_sequence=data.get("log_next_seq"))
     plane.log.compact(data.get("log_base", 0))
     plane._next_id = data.get("id_counter", 1)
     for g in data.get("id_gens", []):
@@ -294,15 +432,18 @@ def _sections(
     ``base`` was marked, or -- ``full``, a keyframe -- since nothing.
     Lazy, so a writer never holds more than one section's encoding."""
     section = _engine_section(engine)
+    planes = engine.gateway.planes
     if not full and (
         engine.history is not base.history
-        or set(engine.gateway.planes) != set(base.planes)
+        or {n for n, p in planes.items() if not p.deferred} != set(base.planes)
         or any(section[k] != base.engine_section[k] for k in _CONSTRUCTION)
     ):
         raise _NotADelta
     if full or section != base.engine_section:
         yield "engine", section
-    for name, plane in sorted(engine.gateway.planes.items()):
+    for name, plane in sorted(planes.items()):
+        if not full and plane.deferred:
+            continue  # never read, so unchanged
         value = _plane_section(plane, None if full else base.planes[name])
         if value is not None:
             yield f"plane:{name}", value
@@ -398,12 +539,9 @@ def _read_plan_record(state: Dict[str, Any]) -> Optional[Dict[str, Any]]:
 
 
 def _apply(engine: CloudlessEngine, base: _Base, sections: Dict[str, Any]) -> None:
-    """Replay one commit's sections onto an engine; its last applied
-    sources stay packed until :func:`_unpack_last_sources`."""
+    """Replay one commit's sections but its planes onto an engine; its
+    last applied sources stay packed until :func:`_unpack_last_sources`."""
     base.sources.update(sections.get("sources", {}))
-    for name, value in sections.items():
-        if name.startswith("plane:") and name[6:] in engine.gateway.planes:
-            plane_from_dict(engine.gateway.planes[name[6:]], value)
     state = sections.get("state")
     if state is not None:
         apply_doc_delta(engine.state, state)
@@ -457,50 +595,52 @@ def engine_from_dict(data: Dict[str, Any]) -> CloudlessEngine:
         )
     engine = _new_engine(**{k: data["engine"][k] for k in _CONSTRUCTION})
     _apply(engine, _base_of(engine), data)
+    for name, plane in engine.gateway.planes.items():
+        section = data.get(f"plane:{name}")
+        if section is not None:
+            _check_plane(section, f"plane:{name}")
+            plane_from_dict(plane, section)
     _unpack_last_sources(engine, _base_of(engine))
     return engine
 
 
-def _engine_from_v2(data: Dict[str, Any]) -> CloudlessEngine:
-    """The one-way door from a format-2 world (one JSON document, full
-    source text and forward deltas in every snapshot version)."""
-    if data.get("format") != 2:
-        raise WorldFormatError(
-            f"unsupported world format {data.get('format')!r} "
-            f"(expected {FORMAT_VERSION}, or 2 to migrate)"
-        )
-    engine = _new_engine(
-        data.get("seed", 0),
-        data.get("executor", "critical-path"),
-        data.get("validation_level", "rules"),
+def _defer_plane(
+    plane: ControlPlane, base: _Base, name: str, payloads: List[bytes], path: str
+) -> None:
+    """Keep a plane's checked sections, one per commit, encoded until
+    the plane is first read; then replay them and mark the plane as the
+    file holds it, for the next save to diff against."""
+
+    def replay(plane: ControlPlane) -> None:
+        PERF.count("persist.planes_replayed")
+        try:
+            for payload in payloads:
+                plane_from_dict(plane, json.loads(payload))
+        except _MALFORMED as exc:  # what the check at load let through
+            raise WorldFormatError(f"{path}: malformed plane:{name}: {exc!r}") from exc
+        if len(payloads) > 1 and list(plane.records) != sorted(plane.records):
+            # the same world loads as the same plane however it was cut
+            # into commits: records iterate in id order, as a keyframe's do
+            records = sorted(plane.records.items())
+            plane.records.clear()
+            plane.records.update(records)
+        base.planes[name] = _PlaneMark(plane)
+
+    plane.defer(PLANE_ATTRIBUTES, replay)
+    PERF.count("persist.planes_deferred")
+
+
+def _refusal(data: bytes) -> WorldFormatError:
+    """A ``{``-led file is a world of format 2 or older: one JSON
+    document, which this program no longer reads."""
+    try:
+        version = json.loads(data).get("format")
+    except (AttributeError, RecursionError, ValueError):
+        version = None
+    return WorldFormatError(
+        f"unsupported world format {version!r} (expected {FORMAT_VERSION}; "
+        "format 2 and older, one JSON document, are no longer read)"
     )
-    engine.clock.advance_to(data.get("clock", 0.0))
-    for name, plane_data in data.get("planes", {}).items():
-        plane = engine.gateway.planes.get(name)
-        if plane is not None:
-            plane_from_dict(plane, plane_data)
-
-    def load(doc: StateDocument, state: Dict[str, Any]) -> StateDocument:
-        apply_doc_delta(doc, {**state, "set": state.get("resources", [])})
-        return doc
-
-    engine.state = load(StateDocument(), data.get("state", {}))
-    doc = StateDocument()
-    for number, item in enumerate(data.get("history", []), start=1):
-        if item["version"] != number:
-            raise WorldFormatError("format-2 history is not contiguous")
-        if "state" in item:
-            doc = load(StateDocument(), item["state"])
-        else:
-            doc = doc.copy()
-            apply_doc_delta(doc, item["delta"])
-        engine.history.checkpoint(
-            doc, item["config_sources"], item["timestamp"], item["description"]
-        )
-    engine.last_sources = dict(data.get("last_sources", {}))
-    engine.last_variables = dict(data.get("last_variables", {}))
-    engine.restore_watch_cursors(data.get("watch_cursors", {}))
-    return engine
 
 
 # -- frames ---------------------------------------------------------------------------
@@ -678,42 +818,37 @@ def save_world(engine: CloudlessEngine, path: str) -> None:
 
 
 def load_world(path: str) -> CloudlessEngine:
+    """The engine the world file at ``path`` holds. Every frame is
+    verified and every section decoded and checked here; a cloud plane
+    is replayed when it is first read (module docstring)."""
     with open(path, "rb") as handle:
         data = handle.read()
+    if data[:1] == b"{":
+        raise _refusal(data)
     try:
-        if data[:1] == b"{":
-            engine = _engine_from_v2(json.loads(data))
-            save_world(engine, path)  # read once: from here on it is format 3
-            return engine
         commits, ends, tail = _read_commits(data, path)
-        decoded = ({n: json.loads(bytes(p)) for n, p in c.items()} for c in commits)
-        keyframe = next(decoded)
-        engine = _new_engine(**{k: keyframe["engine"][k] for k in _CONSTRUCTION})
-        base = _base_of(engine)
-        _apply(engine, base, keyframe)
-        del keyframe
-        for sections in decoded:
+        planes: Dict[str, List[bytes]] = {}
+        for seq, frames in enumerate(commits):
+            sections = {
+                n: json.loads(bytes(p)) for n, p in frames.items() if not n.startswith("plane:")
+            }
+            if not seq:
+                engine = _new_engine(**{k: sections["engine"][k] for k in _CONSTRUCTION})
+                base = _base_of(engine)
+            for name, payload in frames.items():
+                if name.startswith("plane:") and name[6:] in engine.gateway.planes:
+                    # a copy: the file's buffer goes once the load is done
+                    kept = bytes(payload)
+                    _check_plane(json.loads(kept), f"{path}: {name}")
+                    planes.setdefault(name[6:], []).append(kept)
             _apply(engine, base, sections)
         _unpack_last_sources(engine, base)
     except WorldFormatError:
         raise
-    except (
-        AttributeError,
-        IndexError,
-        KeyError,
-        RecursionError,
-        TypeError,
-        ValueError,
-    ) as exc:
+    except _MALFORMED as exc:
         raise WorldFormatError(f"{path}: malformed world record: {exc!r}") from exc
-    if len(commits) > 1:
-        # the same world loads as the same engine however it was cut
-        # into commits: records iterate in id order, as a keyframe's do
-        for plane in engine.gateway.planes.values():
-            if list(plane.records) != sorted(plane.records):
-                records = sorted(plane.records.items())
-                plane.records.clear()
-                plane.records.update(records)
+    for name, payloads in planes.items():
+        _defer_plane(engine.gateway.planes[name], base, name, payloads, path)
     base.keyframe_end, base.staged = ends[0], set(base.sources)
     base.committed(engine, path, len(commits) - 1, ends[-1], tail)
     return engine

@@ -145,7 +145,10 @@ class ResourceState:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ResourceState":
-        return cls(
+        # what ``__init__`` would set, without a sealed check per field:
+        # a loaded world builds one entry per resource
+        entry = object.__new__(cls)
+        entry.__dict__.update(
             address=ResourceAddress.parse(data["address"]),
             resource_id=data["resource_id"],
             provider=data["provider"],
@@ -155,6 +158,7 @@ class ResourceState:
             updated_at=data.get("updated_at", 0.0),
             dependencies=list(data.get("dependencies", [])),
         )
+        return entry
 
     def copy(self) -> "ResourceState":
         """A private, mutable deep copy (attrs and dependencies owned)."""

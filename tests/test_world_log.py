@@ -12,11 +12,15 @@ Four contracts of :mod:`repro.persist`:
 * **untrusted bytes** -- damage loads as a prior commit or fails with
   :class:`~repro.persist.WorldFormatError`, nothing else.
 
-And one passenger: the *plan record* a ``state`` section may carry
+And two passengers. The *plan record* a ``state`` section may carry
 (which artifact the last plan was about, which entries it does not
-vouch for). It lands or tears with the state it is about, a commit
+vouch for): it lands or tears with the state it is about, a commit
 that moves the state without it voids it, and it stays a few hundred
-bytes however old the directory is.
+bytes however old the directory is. And *deferred planes*: a load
+checks every cloud plane section and replays a plane when it is first
+read, so a verb that never reads one never pays for it -- and every
+world a test here writes loads, deferred, as it loads with every plane
+replayed at once.
 """
 
 import hashlib
@@ -27,6 +31,8 @@ import re
 import shutil
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import persist
 from repro.cli import main as cli_main
@@ -116,6 +122,47 @@ def strip_plan_record(path):
 def frame_offsets(data):
     """Offset of every frame header in a world file."""
     return [0] + [m.start() + 1 for m in re.finditer(b"\n" + MAGIC + b" ", data)]
+
+
+def eager_load(path):
+    """``load_world`` with every plane replayed before it returns, as
+    every load did before planes were deferred."""
+    engine = load_world(path)
+    for plane in engine.gateway.planes.values():
+        plane.records
+    return engine
+
+
+def loaded_as(load, path):
+    """What ``load`` makes of ``path``: the whole world, or the error type."""
+    try:
+        return engine_to_dict(load(path))
+    except WorldFormatError as exc:
+        return type(exc)
+
+
+@pytest.fixture(autouse=True)
+def every_world_loads_as_an_eager_load_would(monkeypatch):
+    """Every world file a test here writes through ``save_world`` loads,
+    deferred, as the same world an eager load makes of it (or both
+    refuse it: a test may damage what it wrote)."""
+    written = set()
+    keyframe, append = persist._write_keyframe, persist._append
+
+    def spied_keyframe(engine, path):
+        written.add(os.path.realpath(path))
+        return keyframe(engine, path)
+
+    def spied_append(path, base, frames):
+        written.add(os.path.realpath(path))
+        return append(path, base, frames)
+
+    monkeypatch.setattr(persist, "_write_keyframe", spied_keyframe)
+    monkeypatch.setattr(persist, "_append", spied_append)
+    yield
+    for path in sorted(written):
+        if os.path.exists(path):
+            assert loaded_as(load_world, path) == loaded_as(eager_load, path), path
 
 
 # -- O(changed) ---------------------------------------------------------------------
@@ -413,16 +460,18 @@ class Project:
                 handle.write(text)
 
     def __call__(self, *argv):
-        """Run the verb (it must exit 0); the ``plan.*`` counters it moved."""
+        """Run the verb (it must exit 0); the ``plan.*`` counters it
+        moved (all of them: ``self.moved``)."""
         PERF.reset()
         PERF.enable()
+        self.moved = {}
         try:
             assert cli_main(["--chdir", self.directory, *argv]) == 0, argv
-            moved = dict(PERF.counters)
         finally:
+            self.moved = dict(PERF.counters)
             PERF.disable()
             PERF.reset()
-        return {k: v for k, v in moved.items() if k.startswith("plan.")}
+        return {k: v for k, v in self.moved.items() if k.startswith("plan.")}
 
     def drift(self, *sizes):
         engine = load_world(self.world)
@@ -691,6 +740,163 @@ class TestPlanRecord:
             load_world(project.world)
 
 
+# -- deferred planes ---------------------------------------------------------------------
+
+
+def replays(moved):
+    """``(planes deferred, planes replayed)`` by what a verb moved."""
+    return (
+        moved.get("persist.planes_deferred", 0),
+        moved.get("persist.planes_replayed", 0),
+    )
+
+
+class TestDeferredPlanes:
+    @pytest.fixture
+    def project(self, tmp_path, capsys):
+        """A project one edit old: a keyframe and a few deltas."""
+        sources = estate(40)
+        project = Project(tmp_path / "project", sources)
+        project("apply")
+        sources["aws.clc"] = edit_services(sources["aws.clc"], 2, "r1")
+        project.write(sources)
+        project("apply")
+        project.sources = sources
+        return project
+
+    def test_counters_are_declared(self):
+        from repro.perf import KNOWN_PROBES
+
+        assert {"persist.planes_deferred", "persist.planes_replayed"} <= set(KNOWN_PROBES)
+
+    def test_a_plan_replays_no_plane(self, project):
+        project("plan")
+        assert replays(project.moved) == (2, 0)
+        project("show")
+        assert replays(project.moved) == (2, 0)
+
+    def test_apply_and_watch_replay_each_plane_they_touch_once(self, project):
+        project.sources["aws.clc"] = edit_services(project.sources["aws.clc"], 2, "r2")
+        project.write(project.sources)
+        project("apply")
+        # the executor reads every plane's API-call count, once each
+        assert replays(project.moved) == (2, 2)
+        project.drift("by-hand")
+        project("watch", "--reconcile")
+        assert replays(project.moved) == (2, 2)
+
+    def test_a_save_that_read_no_plane_writes_no_plane_section(self, project):
+        engine = load_world(project.world)
+        vm = engine.state.instances_of("aws_virtual_machine", "scale_0_vm")[0]
+        engine.state.remove(vm.address)
+        save_world(engine, project.world)
+        last = commits_of(project.world)[-1]
+        assert "state" in last and not any(n.startswith("plane:") for n in last)
+        assert all(plane.deferred for plane in engine.gateway.planes.values())
+        same_world(load_world(project.world), eager_load(project.world))
+
+    def test_the_harness_drift_writes_what_an_eager_load_writes(self, project, tmp_path):
+        """load / ``external_update`` / save: the aws plane is read,
+        azure is not, and the file is byte for byte the eager one."""
+        twin = str(tmp_path / "twin")
+        shutil.copy(project.world, twin)
+        for load, path in ((load_world, project.world), (eager_load, twin)):
+            engine = load(path)
+            drift_one_vm(engine, "by-hand")
+            save_world(engine, path)
+        assert engine_to_dict(load_world(project.world)) == engine_to_dict(eager_load(twin))
+        with open(project.world, "rb") as ours, open(twin, "rb") as theirs:
+            assert ours.read() == theirs.read()
+
+    def test_compaction_after_a_deferred_load_writes_the_eager_keyframe(
+        self, project, tmp_path
+    ):
+        twin = str(tmp_path / "twin")
+        shutil.copy(project.world, twin)
+        deferred, eager = load_world(project.world), eager_load(twin)
+        assert not any(plane.deferred for plane in eager.gateway.planes.values())
+        persist._compact(deferred, project.world)
+        persist._compact(eager, twin)
+        assert deferred._world_base.seq == 0
+        with open(project.world, "rb") as ours, open(twin, "rb") as theirs:
+            assert ours.read() == theirs.read()
+
+    @pytest.mark.parametrize("boundary", [1, 3])
+    def test_crash_at_k_then_resume(self, project, tmp_path, monkeypatch, boundary):
+        from tests.test_cli import apply_dying_at
+
+        twin = Project(tmp_path / "twin", project.sources)
+        shutil.copy(project.world, twin.world)
+        edited = dict(project.sources)
+        edited["aws.clc"] = edit_services(edited["aws.clc"], 3, "r2")
+        project.write(edited)
+        twin.write(edited)
+        with apply_dying_at(monkeypatch, boundary):
+            project("apply")
+        project("resume")
+        twin("apply")
+        ours, theirs = load_world(project.world), load_world(twin.world)
+        assert ours.state.content_hash() == theirs.state.content_hash()
+        assert {r.id: r.attrs for r in ours.gateway.all_records()} == {
+            r.id: r.attrs for r in theirs.gateway.all_records()
+        }
+
+    def test_a_tenant_session_opens_plans_and_applies(self, tmp_path):
+        root = str(tmp_path)
+        session = TenantSession.open(root, "acme", "svc-0", now=0.0, seed=5)
+        sources = estate(40)
+        assert session.engine.apply(sources).ok
+        session.close(now=1.0)
+        PERF.reset()
+        PERF.enable()
+        try:
+            session = TenantSession.open(root, "acme", "svc-1", now=2.0, seed=5)
+            assert session.engine.plan(sources).is_empty
+            planned = replays(PERF.counters)
+            sources["aws.clc"] = edit_services(sources["aws.clc"], 2, "r1")
+            assert session.engine.apply(sources).ok
+            session.persist()
+            applied = replays(PERF.counters)
+        finally:
+            PERF.disable()
+            PERF.reset()
+        assert planned == (2, 0)
+        assert applied == (2, 2)
+        keyframe = str(tmp_path / "keyframe")
+        save_world(load_world(session.home.world_path), keyframe)
+        same_world(load_world(keyframe), session.engine)
+
+    def test_a_deferred_plane_holds_back_what_a_section_writes_and_lands(self):
+        """``persist.PLANE_ATTRIBUTES`` names every plane attribute the
+        writer reads and the replay touches (``provider`` is the plane
+        class's own): one the list missed would be read fresh from a
+        deferred plane, without a replay."""
+        engine = CloudlessEngine(seed=3)
+        assert engine.apply(web_tier(web_vms=2, app_vms=1)).ok
+        writer = Spy(engine.gateway.planes["aws"])
+        section = json.loads(json.dumps(persist._plane_section(writer, None)))
+        replayed = Spy(CloudlessEngine(seed=3).gateway.planes["aws"])
+        persist.plane_from_dict(replayed, section)
+        assert writer.touched - {"provider"} == set(persist.PLANE_ATTRIBUTES)
+        assert replayed.touched - {"provider"} == set(persist.PLANE_ATTRIBUTES)
+
+
+class Spy:
+    """A plane that notes which of its attributes are read or set."""
+
+    def __init__(self, plane):
+        object.__setattr__(self, "plane", plane)
+        object.__setattr__(self, "touched", set())
+
+    def __getattr__(self, name):
+        self.touched.add(name)
+        return getattr(self.plane, name)
+
+    def __setattr__(self, name, value):
+        self.touched.add(name)
+        setattr(self.plane, name, value)
+
+
 # -- crash boundary sweep ----------------------------------------------------------------
 
 
@@ -816,6 +1022,46 @@ def load_or_reject(path, loads):
     return loaded
 
 
+#: a well-framed commit's non-finite numbers (Python's ``json`` reads
+#: ``Infinity``): where a number is used as an integer
+NON_FINITE = {
+    "log_base": ("plane:aws", {"log_base": float("inf")}),
+    "log_next_seq": ("plane:aws", {"log_next_seq": float("inf")}),
+    "watch_cursors": ("engine", {"watch_cursors": {"aws": float("inf")}}),
+}
+
+#: JSON values a lie puts where another belongs
+LIES = [None, True, 0, -1, 2**70, 1.5, float("inf"), float("nan"), "", "x", [], ["x"], [1], {}, {"x": 1}]
+
+
+def lie_about(section, level, op, pick, lie, key):
+    """A plane ``section`` with one key dropped, retyped or added at
+    ``level``: the section itself or one of its rows or maps."""
+    places = {"section": section, "tokens": section["tokens"], "api_calls": section["api_calls"]}
+    for name in ("records", "log", "id_gens", "quotas"):
+        if section[name]:
+            places[name] = section[name][pick % len(section[name])]
+    if "records" in places:
+        places["attrs"] = places["records"]["attrs"]
+    target = places.get(level, section)
+    names = sorted(target)
+    if op == "add" or not names:
+        target[key] = lie
+    elif op == "drop":
+        del target[names[pick % len(names)]]
+    else:
+        target[names[pick % len(names)]] = lie
+    return section
+
+
+def with_commit(path, data, seq, name, value):
+    """Write ``data`` and one more well-framed commit of one section."""
+    frames = [persist._frame("D", name, value)]
+    frames.append(commit_frame(frames, seq))
+    with open(path, "wb") as handle:
+        handle.write(data + b"".join(frames))
+
+
 class TestUntrustedBytes:
     def test_bit_flips(self, commits):
         path, data, loads = commits
@@ -888,6 +1134,80 @@ class TestUntrustedBytes:
         with pytest.raises(WorldFormatError, match="source blob"):
             load_world(path)
 
+    @pytest.mark.parametrize("field", sorted(NON_FINITE))
+    def test_a_non_finite_number_is_typed(self, commits, field, tmp_path, capsys):
+        path, data, loads = commits
+        name, lie = NON_FINITE[field]
+        if name == "engine":
+            lie = {**[c["engine"] for c in commits_of(path) if "engine" in c][-1], **lie}
+        with_commit(path, data, len(loads), name, lie)
+        with pytest.raises(WorldFormatError):
+            load_world(path)
+        project = tmp_path / "project"
+        project.mkdir()
+        shutil.copy(path, project / "cloudless.world")
+        assert cli_main(["--chdir", str(project), "show"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        level=st.sampled_from(
+            ["section", "records", "attrs", "log", "id_gens", "quotas", "tokens", "api_calls"]
+        ),
+        op=st.sampled_from(["drop", "retype", "add"]),
+        pick=st.integers(min_value=0, max_value=10**6),
+        lie=st.sampled_from(LIES),
+        key=st.text(max_size=6),
+    )
+    def test_a_plane_the_load_passes_replays_without_raising(
+        self, commits, level, op, pick, lie, key
+    ):
+        """The check at load is all that stands between a lie and a
+        replay mid-verb: what it passes replays, and the plane it leaves
+        is one the writer and the watcher can use."""
+        path, data, loads = commits
+        keyframe = persist._read_commits(data, path)[0][0]
+        section = lie_about(json.loads(bytes(keyframe["plane:aws"])), level, op, pick, lie, key)
+        with_commit(path, data, len(loads), "plane:aws", section)
+        try:
+            engine = load_world(path)
+        except WorldFormatError:
+            return
+        for plane in engine.gateway.planes.values():
+            plane.records
+        engine_to_dict(engine)
+        engine.watch()
+
+    def test_a_row_may_leave_out_what_its_dataclass_defaults(self):
+        """The check takes a row's fields and defaults from the dataclass
+        it is replayed as: a record without ``state`` or an event without
+        ``changed_attrs`` lands as the defaults, one without ``id`` or
+        ``sequence`` is refused."""
+        engine = CloudlessEngine(seed=3)
+        assert engine.apply(web_tier(web_vms=2, app_vms=1)).ok
+        plane = engine.gateway.planes["aws"]
+        full = json.loads(json.dumps(persist._plane_section(plane, None)))
+        section = json.loads(json.dumps(full))
+        for row in section["records"]:
+            del row["state"]
+        for row in section["log"]:
+            del row["changed_attrs"]
+        persist._check_plane(section, "plane:aws")
+        fresh = CloudlessEngine(seed=3).gateway.planes["aws"]
+        persist.plane_from_dict(fresh, section)
+        assert {r.state for r in fresh.records.values()} == {"active"}
+        assert {e.changed_attrs for e in fresh.log.all_events()} == {()}
+        for rows, field in (("records", "id"), ("log", "sequence")):
+            lie = json.loads(json.dumps(full))
+            del lie[rows][0][field]
+            with pytest.raises(WorldFormatError):
+                persist._check_plane(lie, "plane:aws")
+
     def test_a_nest_too_deep_to_decode_is_typed(self, commits):
         path, data, loads = commits
         payload = b"[" * 100_000 + b"]" * 100_000
@@ -909,20 +1229,16 @@ class TestUntrustedBytes:
 
 class TestFormats:
     def test_a_format_2_world_is_read_once_and_rewritten(self, tmp_path):
+        """A ``{``-led world is refused with a typed error that names
+        format 2, and the file is left untouched."""
         path = str(tmp_path / "w")
         shutil.copy(os.path.join(FIXTURES, "world_v2.json"), path)
-        engine = load_world(path)
-        # what the program that wrote the fixture saw (tests/fixtures/README.md)
-        assert len(engine.state) == 14
-        assert engine.history.versions() == [1, 2]
-        assert engine.state.content_hash().startswith("508d1a871cb1e5c0")
-        assert len(engine.history.get(1).state) == 12
-        assert engine.plan(engine.last_sources).is_empty
-        assert len(engine.watch().findings) == 1  # the edit it had not seen
         with open(path, "rb") as handle:
-            assert handle.read().startswith(MAGIC + b" K engine ")
-        same_world(load_world(path), load_world(path))
-        assert len(load_world(path).history.get(1).state) == 12
+            before = handle.read()
+        with pytest.raises(WorldFormatError, match=r"unsupported world format 2 \(.*format 2"):
+            load_world(path)
+        with open(path, "rb") as handle:
+            assert handle.read() == before
 
     @pytest.mark.parametrize(
         "content",
