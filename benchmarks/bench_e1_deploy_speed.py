@@ -16,8 +16,7 @@ from repro.deploy import (
     CriticalPathExecutor,
     SequentialExecutor,
 )
-from repro.deploy.incremental import read_data_sources
-from repro.graph import Planner, analyze, build_graph
+from repro.graph import Planner, analyze, build_graph, read_data_sources
 from repro.lang import Configuration
 from repro.state import StateDocument
 from repro.workloads import hub_spoke, microservices, web_tier

@@ -7,8 +7,9 @@ detect+repair drift, roll back -- under two stacks:
 * **state of the art** (Figure 1a): naive export, syntax-only
   validation (bugs fail at the cloud), best-effort walk, full-refresh
   updates, periodic full-scan drift detection, naive rollback;
-* **cloudless** (Figure 1b): structured import, full validation,
-  critical-path scheduling, impact-scoped updates, log-watch drift
+* **cloudless** (Figure 1b): one ``CloudlessEngine`` -- structured
+  import, full validation, critical-path scheduling, updates it plans
+  over the edit's impact scope after a log watch, log-watch drift
   detection + reconciliation, reversibility-aware rollback.
 
 Metric per stage: simulated wall-clock and API calls; plus end-state
@@ -19,7 +20,7 @@ import pytest
 
 from repro.core import CloudlessEngine
 from repro.deploy import UpdatePipeline
-from repro.drift import FullScanDetector, LogWatchDetector, Reconciler
+from repro.drift import FullScanDetector
 from repro.lang import Configuration
 from repro.update import (
     NaiveRollback,
@@ -78,7 +79,7 @@ def run_stack(cloudless: bool, seed=1100):
 
     # -- validate: a buggy change lands in review -----------------------------
     buggy = Configuration.parse(web_tier(web_vms=3) + "\n" + project.main_source)
-    ConfigMutator(seed=7).apply_kind(buggy, "region_mismatch" if False else "bad_enum")
+    ConfigMutator(seed=7).apply_kind(buggy, "bad_enum")
 
     def validate_and_deploy_buggy():
         validation = engine.validation.validate(buggy)
@@ -100,15 +101,16 @@ def run_stack(cloudless: bool, seed=1100):
 
     # -- update: a one-attribute tweak ----------------------------------------
     tweaked = good.replace('size    = "medium"', 'size    = "large"')
-    pipeline = UpdatePipeline(engine.gateway, incremental=cloudless)
 
     def run_update():
-        outcome = pipeline.plan_update(
-            Configuration.parse(good), Configuration.parse(tweaked), engine.state
-        )
+        if cloudless:
+            engine.watch()  # what moved in the cloud, read from its logs
+        else:
+            UpdatePipeline(engine.gateway).plan_update(
+                Configuration.parse(tweaked), engine.state
+            )
         result = engine.apply(tweaked, validate_first=False, admit=False)
         assert result.ok
-        return outcome
 
     sim, calls, _ = stage(engine, run_update)
     report["update (1-attr delta)"] = (sim, calls)
@@ -119,10 +121,6 @@ def run_stack(cloudless: bool, seed=1100):
         for e in engine.state.resources()
         if e.address.type == "aws_virtual_machine"
     )
-    if cloudless:
-        watcher = LogWatchDetector(engine.gateway)
-        watcher.poll(engine.state)
-
     engine.gateway.planes["aws"].external_update(
         vm.resource_id, {"size": "xlarge"}, actor="script"
     )
@@ -130,7 +128,7 @@ def run_stack(cloudless: bool, seed=1100):
     def detect_and_repair():
         if cloudless:
             engine.clock.advance_by(60.0)  # next poll tick
-            findings = watcher.poll(engine.state).findings
+            findings = engine.watch().findings
         else:
             engine.clock.advance_by(600.0)  # next scheduled scan
             findings = [
@@ -138,7 +136,7 @@ def run_stack(cloudless: bool, seed=1100):
                 for f in FullScanDetector(engine.gateway).scan(engine.state).findings
                 if f.kind == "modified"
             ]
-        Reconciler(engine.gateway).reconcile(findings, engine.state)
+        engine.reconcile(findings)
         return len(findings)
 
     sim, calls, found = stage(engine, detect_and_repair)

@@ -39,9 +39,8 @@ from repro.deploy import (
     CriticalPathExecutor,
     SequentialExecutor,
 )
-from repro.deploy.incremental import read_data_sources
 from repro.deploy.reference import REFERENCE_FOR
-from repro.graph import Planner, build_graph
+from repro.graph import Planner, build_graph, read_data_sources
 from repro.graph.critical_path import clear_analysis_cache
 from repro.lang import Configuration
 from repro.state import StateDocument

@@ -59,8 +59,7 @@ from repro.compilecache import (
     schema_fingerprint,
     variables_fingerprint,
 )
-from repro.deploy.incremental import read_data_sources
-from repro.graph import Planner, build_graph
+from repro.graph import Planner, build_graph, read_data_sources
 from repro.graph.critical_path import clear_analysis_cache
 from repro.lang import Configuration
 from repro.state import StateDocument

@@ -72,9 +72,9 @@ def build_graph(
 def read_data_sources(
     gateway: CloudGateway, graph: ResourceGraph, state: StateDocument
 ) -> Dict[str, Dict[str, Any]]:
-    """:func:`repro.deploy.incremental.read_data_sources`, imported by
-    the verb that plans."""
-    from ..deploy.incremental import read_data_sources as read
+    """:func:`repro.graph.plan.read_data_sources`, imported by the verb
+    that plans."""
+    from ..graph.plan import read_data_sources as read
 
     return read(gateway, graph, state)
 
@@ -87,7 +87,7 @@ def load_verb_modules() -> None:
     code and constants land between that tenant's objects on the heap,
     and every later op reads 3-4 % slower (``svc_closed``, 11 of 12
     pairs; docs/performance.md, "The process at both ends")."""
-    from ..deploy import executor, incremental, recovery, wal  # noqa: F401
+    from ..deploy import executor, recovery, wal  # noqa: F401
     from ..drift import detector, reconcile, watcher  # noqa: F401
     from ..graph import builder, impact, plan  # noqa: F401
     from ..lang import chunker, config, parser  # noqa: F401

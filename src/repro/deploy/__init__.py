@@ -1,4 +1,4 @@
-"""Deployment executors and incremental update pipeline (paper 3.3)."""
+"""Deployment executors and the full-refresh update baseline (paper 3.3)."""
 
 from .._exports import export_table
 
@@ -21,7 +21,6 @@ __all__, __getattr__, __dir__ = export_table(
             "RefreshResult",
             "UpdatePipeline",
             "UpdatePlanResult",
-            "read_data_sources",
             "refresh_state",
         ),
     },

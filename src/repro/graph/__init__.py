@@ -34,6 +34,7 @@ __all__, __getattr__, __dir__ = export_table(
             "PlannedChange",
             "Planner",
             "ValueResolver",
+            "read_data_sources",
         ),
     },
 )

@@ -2,17 +2,16 @@
 
 "Modifications to individual resources have a limited impact, affecting
 only a small subset of successor and predecessor nodes in the resource
-dependency graph." This module computes that subset, so incremental
-plans refresh and re-diff only what a change can actually touch, instead
-of querying all cloud-level resource state from scratch.
+dependency graph." This module computes that subset, so a plan re-diffs
+only what a change can actually touch, instead of querying all
+cloud-level resource state from scratch.
 
-One rule, two callers: :func:`diff_configurations` says which
+One rule, one caller: :func:`diff_configurations` says which
 declarations are not what they were, :func:`change_scope` turns that
-(plus what the state says) into the addresses a plan must diff.
-:class:`~repro.deploy.incremental.UpdatePipeline` plans an update with
-them; a :class:`~repro.core.engine.CloudlessEngine` plans with them
-against its :class:`PlanBasis` -- the one its own last plan left, or
-the one a world file's record of the last process's woke.
+(plus what the state says and what an earlier plan proved) into the
+addresses a plan must diff. A :class:`~repro.core.engine.CloudlessEngine`
+plans with them against its :class:`PlanBasis` -- the one its own last
+plan left, or the one a world file's record of the last process's woke.
 """
 
 from __future__ import annotations
@@ -217,48 +216,33 @@ class ImpactAnalyzer:
                 seeds.add(nid)
         return seeds
 
-    def impact_scope(
-        self, seeds: Set[str], include_ancestors: bool = False
-    ) -> Set[str]:
-        """Seeds plus everything that could observe their change.
-
-        Descendants must be re-planned (their inputs may change).
-        Ancestors are only needed for *evaluation* (their state values
-        feed expressions), not re-planning -- included on request.
-        """
+    def impact_scope(self, seeds: Set[str]) -> Set[str]:
+        """Seeds plus everything that could observe their change: the
+        descendants, whose inputs may change. Ancestors only feed
+        evaluation (their state values), so they are not re-planned."""
         scope: Set[str] = set()
         for seed in seeds:
-            if seed not in self.graph.dag:
-                scope.add(seed)
-                continue
             scope.add(seed)
-            scope |= self.graph.dag.descendants(seed)
-            if include_ancestors:
-                scope |= self.graph.dag.ancestors(seed)
+            if seed in self.graph.dag:
+                scope |= self.graph.dag.descendants(seed)
         return scope
-
-    def scope_fraction(self, seeds: Set[str]) -> float:
-        """|impact scope| / |graph| -- the paper's claimed savings lever."""
-        if not self.graph.nodes:
-            return 0.0
-        return len(self.impact_scope(seeds)) / len(self.graph.nodes)
 
 
 def change_scope(
     graph: ResourceGraph,
     delta: ConfigDelta,
     state: StateDocument,
-    proven: Optional[Mapping[str, ResourceState]] = None,
+    proven: Mapping[str, ResourceState],
     provider_lookup: Callable[[str], str] = provider_of_type,
 ) -> Set[str]:
     """The addresses a plan of ``graph`` against ``state`` must diff,
     for ``Planner.plan(limit_to=...)``; every other node is a no-op.
 
     Seeds: what ``delta`` reaches; addresses that live only in state
-    (deletions); and managed nodes the state cannot vouch for -- with no
-    entry, or, given ``proven`` (a :class:`PlanBasis`'s record), whose
-    entry is not the very one an earlier plan found no-op. The scope is
-    the seeds closed under ``dag.descendants``."""
+    (deletions); and managed nodes the state cannot vouch for -- whose
+    entry is not the very one an earlier plan found no-op (``proven``,
+    a :class:`PlanBasis`'s record), or that have none. The scope is the
+    seeds closed under ``dag.descendants``."""
     analyzer = ImpactAnalyzer(graph)
     seeds = analyzer.seeds_from_delta(delta, provider_lookup)
     entries = state.entries_map()
@@ -270,7 +254,7 @@ def change_scope(
         if node.address.mode != MANAGED:
             continue
         entry = entries.get(nid)
-        if entry is None or (proven is not None and proven.get(nid) is not entry):
+        if entry is None or proven.get(nid) is not entry:
             seeds.add(nid)
     return analyzer.impact_scope(seeds)
 

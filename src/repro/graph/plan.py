@@ -616,3 +616,41 @@ class Planner:
                     f"{change.id}: planned {change.action.value} but lifecycle "
                     f"prevent_destroy is set"
                 )
+
+
+def read_data_sources(
+    gateway: Any, graph: ResourceGraph, state: StateDocument
+) -> Dict[str, Dict[str, Any]]:
+    """Evaluate and read every data source in the graph through
+    ``gateway.read_data`` (plan phase): the ``data_values`` a
+    :meth:`Planner.plan` takes.
+
+    Reads run in dependency order because one data source's query may
+    reference another's result.
+    """
+    resolver = ValueResolver(graph, state)
+    slot = graph.binding_resolver
+    if isinstance(slot, DeferredResolver):
+        previous = slot.target
+        slot.target = resolver
+    else:
+        previous = None
+
+    values: Dict[str, Dict[str, Any]] = {}
+    try:
+        for nid in graph.dag.topological_order():
+            node = graph.nodes.get(nid)
+            if node is None or node.address.mode != DATA:
+                continue
+            attrs = node.evaluate_attrs()
+            region = ""
+            location = attrs.get("location") or attrs.get("region")
+            if isinstance(location, str):
+                region = location
+            result = gateway.read_data(node.address.type, attrs, region)
+            values[nid] = result
+            resolver.set_override(nid, result)
+    finally:
+        if isinstance(slot, DeferredResolver):
+            slot.target = previous
+    return values

@@ -257,13 +257,9 @@ class Configuration:
     def parse(
         cls, sources: Any, filename: str = "main.clc"
     ) -> "Configuration":
-        """Parse source text (or a {filename: source} mapping)."""
-        if isinstance(sources, str):
-            sources = {filename: sources}
-        cfg = cls()
-        for fname in sorted(sources):
-            cfg.add_file(parse_file(sources[fname], fname))
-        return cfg
+        """Parse source text (or a {filename: source} mapping):
+        :meth:`parse_streaming` with nothing to reuse."""
+        return cls.parse_streaming(sources, filename)
 
     @classmethod
     def parse_streaming(
@@ -284,8 +280,8 @@ class Configuration:
         (mostly) the same text: chunks whose fingerprints match skip
         lexing and parsing entirely and re-classify the cached AST,
         which makes a warm re-parse O(changed declarations). The result
-        is semantically identical to :meth:`parse` -- same declarations,
-        same diagnostics, file-absolute source spans.
+        is the cold parse's -- same declarations, same diagnostics,
+        file-absolute source spans.
 
         The span rule: an AST carries the line numbers it was parsed at,
         so a cached chunk is reused only in the file and at the start

@@ -587,23 +587,6 @@ def engine_to_dict(engine: CloudlessEngine) -> Dict[str, Any]:
     return {"format": FORMAT_VERSION, **dict(_sections(engine, _base_of(engine), True))}
 
 
-def engine_from_dict(data: Dict[str, Any]) -> CloudlessEngine:
-    if data.get("format") != FORMAT_VERSION:
-        raise WorldFormatError(
-            f"unsupported world format {data.get('format')!r} "
-            f"(expected {FORMAT_VERSION})"
-        )
-    engine = _new_engine(**{k: data["engine"][k] for k in _CONSTRUCTION})
-    _apply(engine, _base_of(engine), data)
-    for name, plane in engine.gateway.planes.items():
-        section = data.get(f"plane:{name}")
-        if section is not None:
-            _check_plane(section, f"plane:{name}")
-            plane_from_dict(plane, section)
-    _unpack_last_sources(engine, _base_of(engine))
-    return engine
-
-
 def _defer_plane(
     plane: ControlPlane, base: _Base, name: str, payloads: List[bytes], path: str
 ) -> None:

@@ -51,7 +51,8 @@ def test_program_reads_as_it_did(name):
         for i, (g, w) in enumerate(zip(got, want["token_list"])):
             assert g == w, f"token {i}"
         assert len(got) == len(want["token_list"])
-    # program_record also asserts parse_streaming == parse, spans and all
+    # ast_sha256 is the whole-file parse's AST, spans and all: the
+    # streaming parse (``Configuration.parse`` is one) must write it
     assert lang_corpus.program_record(sources, "token_list" in want) == want
 
 
@@ -73,7 +74,8 @@ def test_malformed_input_is_turned_away_as_it_was(name, text):
         assert want["chunk_lines"] == [1]
         want["chunk_lines"] = CHUNKER_NOW_AGREES_WITH_LEXER[name]
     assert lang_corpus.malformed_record(text) == want
-    # the streaming parse blames what the whole-file parse blames
+    # the corpus's whole-file parse blamed what its streaming parse did,
+    # which is what the one parse entry left must answer for both
     assert want["parse_streaming"] == want["parse"] != ["ok"]
 
 

@@ -4,8 +4,10 @@ The chunker (``repro.lang.chunker``) must split any source into
 byte-exact chunks -- concatenation reproduces the input -- across every
 lexical construct that can hide a newline (strings, interpolations,
 heredocs, comments, nested blocks). ``Configuration.parse_streaming``
-must be semantically identical to ``Configuration.parse`` and must
-actually skip re-parsing unchanged chunks when given ``reuse=``.
+(which ``Configuration.parse`` is, with nothing to reuse) must read
+what a whole-file parse would -- ``tests/golden/lang_corpus.json``
+holds what one did -- and must actually skip re-parsing unchanged
+chunks when given ``reuse=``.
 """
 
 import pytest
@@ -104,20 +106,21 @@ class TestChunkFingerprints:
 
 class TestParseStreaming:
     def test_equivalent_to_parse(self):
-        batch = Configuration.parse(TRICKY)
         stream = Configuration.parse_streaming(TRICKY)
-        assert set(stream.resources) == set(batch.resources)
-        assert set(stream.locals) == set(batch.locals)
+        assert set(stream.resources) == {
+            ("managed", "aws_vpc", "a"),
+            ("managed", "aws_subnet", "b"),
+        }
+        assert set(stream.locals) == {"nested"}
         assert not stream.diagnostics.has_errors()
 
     def test_diagnostics_spans_are_file_absolute(self):
         src = SIMPLE + '\nresource "oops" {\n}\n'
-        batch = Configuration.parse(src)
         stream = Configuration.parse_streaming(src)
-        berrs = [(d.message, d.span.start_line) for d in batch.diagnostics]
-        serrs = [(d.message, d.span.start_line) for d in stream.diagnostics]
-        assert berrs == serrs
-        assert berrs  # the malformed resource header must be reported
+        errs = [(d.message, d.span.start_line) for d in stream.diagnostics]
+        # the malformed resource header, on the line it is on in the file
+        assert errs == [("resource block wants two labels (type, name)", 15)]
+        assert src.splitlines()[14] == 'resource "oops" {'
 
     def test_reuse_skips_unchanged_chunks(self):
         prev = Configuration.parse_streaming(SIMPLE)

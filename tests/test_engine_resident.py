@@ -49,9 +49,8 @@ from hypothesis import strategies as st
 import repro.lang.config as lang_config
 from repro import cli, perf
 from repro.core.engine import CloudlessEngine, EngineError
-from repro.deploy.incremental import read_data_sources
 from repro.deploy.wal import SimulatedCrash
-from repro.graph import GraphBuildError, PlanError, build_graph
+from repro.graph import GraphBuildError, PlanError, build_graph, read_data_sources
 from repro.graph.builder import ResourceGraph, ResourceNode
 from repro.graph.impact import values_digest
 from repro.lang.chunker import iter_chunks

@@ -33,10 +33,9 @@ from repro.deploy import (
     SimulatedCrash,
 )
 from repro.deploy.executor import EXECUTORS
-from repro.deploy.incremental import read_data_sources
 from repro.deploy.reference import REFERENCE_FOR
 from repro.graph import Planner, build_graph
-from repro.graph.plan import ValueResolver
+from repro.graph.plan import ValueResolver, read_data_sources
 from repro.graph.critical_path import clear_analysis_cache
 from repro.lang import Configuration
 from repro.state import StateDocument

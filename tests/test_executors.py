@@ -14,8 +14,7 @@ from repro.deploy import (
     RetryPolicy,
     SequentialExecutor,
 )
-from repro.deploy.incremental import read_data_sources
-from repro.graph import Planner, build_graph
+from repro.graph import Planner, build_graph, read_data_sources
 from repro.lang import Configuration
 from repro.state import StateDocument
 from repro.workloads import microservices, web_tier

@@ -1,11 +1,25 @@
-"""Incremental update pipeline and impact analysis (E2 machinery)."""
+"""Impact analysis, the engine's scoped plan of an edit, and the
+full-refresh baseline it is measured against (E2 machinery)."""
 
-import pytest
+import dataclasses
 
+from repro import perf
 from repro.cloud import CloudGateway
-from repro.deploy import CriticalPathExecutor, UpdatePipeline, refresh_state
-from repro.deploy.incremental import read_data_sources
-from repro.graph import ImpactAnalyzer, Planner, build_graph, diff_configurations
+from repro.core import CloudlessEngine
+from repro.deploy import (
+    CriticalPathExecutor,
+    UpdatePipeline,
+    UpdatePlanResult,
+    refresh_state,
+)
+from repro.graph import (
+    ImpactAnalyzer,
+    Plan,
+    Planner,
+    build_graph,
+    diff_configurations,
+    read_data_sources,
+)
 from repro.lang import Configuration
 from repro.state import StateDocument
 from repro.workloads import microservices
@@ -79,8 +93,8 @@ class TestImpactAnalyzer:
         src = microservices(services=6, vms_per_service=2)
         graph = build_graph(Configuration.parse(src))
         analyzer = ImpactAnalyzer(graph)
-        fraction = analyzer.scope_fraction({"aws_dns_record.svc_0_dns"})
-        assert fraction < 0.1
+        scope = analyzer.impact_scope({"aws_dns_record.svc_0_dns"})
+        assert len(scope) / len(graph.nodes) < 0.1
 
     def test_root_change_taints_all_dependents(self):
         src = microservices(services=3, vms_per_service=1)
@@ -102,11 +116,15 @@ class TestRefresh:
         assert gateway.total_api_calls() - before == len(state)
 
     def test_scoped_refresh_reads_subset(self):
-        gateway = CloudGateway.simulated(seed=20)
-        state = deploy(gateway, microservices(services=2, vms_per_service=1))
-        subset = {str(state.resources()[0].address)}
-        result = refresh_state(gateway, state, addresses=subset)
-        assert result.api_calls == 1
+        """The engine refreshes an edit through its log watch: one read
+        per cloud plane, where the baseline reads every state entry."""
+        src = microservices(services=2, vms_per_service=1)
+        update = plan_both(src, src.replace('zone  = "example.sim"', 'zone  = "z.sim"'))
+        planes = len(CloudGateway.simulated(seed=21).planes)
+        assert update.api_calls == planes
+        refresh = update.baseline.refresh
+        assert refresh.api_calls == len(refresh.refreshed)
+        assert update.api_calls < refresh.api_calls
 
     def test_refresh_pulls_in_drift(self):
         gateway = CloudGateway.simulated(seed=20)
@@ -131,101 +149,114 @@ class TestRefresh:
         assert len(state) == 0
 
 
+@dataclasses.dataclass
+class Update:
+    """One edit planned twice over one deployed program."""
+
+    #: the full-refresh baseline's
+    baseline: UpdatePlanResult
+    #: the engine's
+    plan: Plan
+    #: ``engine.last_plan_scope``: (addresses diffed, graph nodes)
+    scope: tuple
+    #: what the engine's watch + plan cost
+    api_calls: int
+    turnaround_s: float
+
+
+def plan_both(old_src, new_src, deployed=None):
+    """A resident engine applies ``deployed`` (``old_src`` by default),
+    plans ``old_src``, then watches and plans ``new_src``; the
+    full-refresh baseline plans ``new_src`` over the same estate. The
+    engine's plan must be a scoped one, and the two must print the same
+    plan."""
+    engine = CloudlessEngine(seed=21)
+    assert engine.apply(deployed or old_src).ok
+    engine.plan(old_src)
+    started, calls = engine.clock.now, engine.gateway.total_api_calls()
+    engine.watch()
+    perf.reset()
+    perf.enable()
+    try:
+        plan = engine.plan(new_src)
+        assert perf.snapshot()["counters"].get("plan.scoped") == 1
+    finally:
+        perf.disable()
+        perf.reset()
+    api_calls = engine.gateway.total_api_calls() - calls
+    turnaround_s = engine.clock.now - started
+    baseline = UpdatePipeline(engine.gateway).plan_update(
+        Configuration.parse(new_src), engine.state.copy()
+    )
+    assert plan.render() == baseline.plan.render()
+    assert plan.summary() == baseline.plan.summary()
+    return Update(baseline, plan, engine.last_plan_scope, api_calls, turnaround_s)
+
+
 class TestUpdatePipeline:
-    def run_both(self, delta_fn):
-        outcomes = {}
-        for incremental in (False, True):
-            gateway = CloudGateway.simulated(seed=21)
-            old_src = microservices(services=4, vms_per_service=2)
-            state = deploy(gateway, old_src)
-            new_src = delta_fn(old_src)
-            pipeline = UpdatePipeline(gateway, incremental=incremental)
-            outcomes[incremental] = pipeline.plan_update(
-                Configuration.parse(old_src),
-                Configuration.parse(new_src),
-                state,
-            )
-        return outcomes[False], outcomes[True]
+    """The engine's plan of a one-record edit against the baseline's."""
+
+    @staticmethod
+    def edit_zone():
+        old_src = microservices(services=4, vms_per_service=2)
+        return plan_both(
+            old_src, old_src.replace('zone  = "example.sim"', 'zone  = "z.sim"')
+        )
 
     def test_small_delta_small_scope(self):
-        full, scoped = self.run_both(
-            lambda s: s.replace('zone  = "example.sim"', 'zone  = "z.sim"')
-        )
-        assert scoped.scope_size < scoped.plan.graph if False else True
-        assert scoped.scope_size < len(scoped.graph)
-        # both plans agree on what changes
-        assert full.plan.summary()["update"] == scoped.plan.summary()["update"]
+        update = self.edit_zone()
+        diffed, nodes = update.scope
+        assert diffed < nodes == len(update.baseline.graph)
+        assert update.plan.summary()["update"] == 4
 
     def test_incremental_uses_fewer_api_calls(self):
-        full, scoped = self.run_both(
-            lambda s: s.replace('zone  = "example.sim"', 'zone  = "z.sim"')
-        )
-        assert scoped.refresh.api_calls < full.refresh.api_calls / 2
+        update = self.edit_zone()
+        assert update.api_calls < update.baseline.refresh.api_calls / 2
 
     def test_incremental_faster_turnaround(self):
-        full, scoped = self.run_both(
-            lambda s: s.replace('zone  = "example.sim"', 'zone  = "z.sim"')
-        )
-        assert scoped.turnaround_s < full.turnaround_s
+        update = self.edit_zone()
+        assert update.turnaround_s < update.baseline.turnaround_s
 
     def test_plans_equivalent_on_scoped_change(self):
-        full, scoped = self.run_both(
-            lambda s: s.replace('zone  = "example.sim"', 'zone  = "z.sim"')
-        )
-        full_actions = {
-            cid: c.action.value
-            for cid, c in full.plan.changes.items()
-            if c.action.value not in ("noop", "read")
-        }
-        scoped_actions = {
-            cid: c.action.value
-            for cid, c in scoped.plan.changes.items()
-            if c.action.value not in ("noop", "read")
-        }
-        assert full_actions == scoped_actions
+        update = self.edit_zone()
+
+        def actions(plan):
+            return {
+                cid: c.action.value
+                for cid, c in plan.changes.items()
+                if c.action.value not in ("noop", "read")
+            }
+
+        assert actions(update.plan) == actions(update.baseline.plan)
 
 
 class TestSeedingFollowsWhatAnEditReaches:
-    """The incremental plan of an edit is the full plan of it: both
-    pipelines over one deployed program, the same edit."""
-
-    @staticmethod
-    def plan_both(old_src, new_src, variables=None, deployed=None):
-        out = {}
-        for incremental in (False, True):
-            gateway = CloudGateway.simulated(seed=21)
-            state = deploy(gateway, deployed or old_src)
-            out[incremental] = UpdatePipeline(
-                gateway, incremental=incremental
-            ).plan_update(
-                Configuration.parse(old_src),
-                Configuration.parse(new_src),
-                state,
-                variables=variables,
-            )
-        assert out[True].plan.render() == out[False].plan.render()
-        assert out[True].plan.summary() == out[False].plan.summary()
-        return out[False], out[True]
+    """The engine's scoped plan of an edit is the full plan of it:
+    :func:`plan_both` over one deployed program, the same edit."""
 
     def test_a_local_read_through_another_local(self):
         old = (
             'locals {\n  base   = "logs-a"\n  bucket = local.base\n}\n'
             'resource "aws_s3_bucket" "a" {\n  name = local.bucket\n}\n'
         )
-        full, scoped = self.plan_both(old, old.replace("logs-a", "logs-b"))
-        assert full.plan.summary()["update"] == 1
-        assert scoped.delta.changed_locals == {"base"}
-        assert scoped.scope == {"aws_s3_bucket.a"}
+        new = old.replace("logs-a", "logs-b")
+        update = plan_both(old, new)
+        assert update.plan.summary()["update"] == 1
+        delta = diff_configurations(Configuration.parse(old), Configuration.parse(new))
+        assert delta.changed_locals == {"base"}
+        assert update.scope == (1, 1)
 
     def test_a_provider_blocks_region(self):
         old = (
             'provider "aws" {\n  region = "us-east-1"\n}\n'
             'resource "aws_s3_bucket" "a" {\n  name = "logs-a"\n}\n'
         )
-        full, scoped = self.plan_both(old, old.replace("us-east-1", "us-west-2"))
-        assert full.plan.summary()["replace"] == 1
-        assert scoped.delta.changed_providers == {"aws"}
-        assert scoped.scope == {"aws_s3_bucket.a"}
+        new = old.replace("us-east-1", "us-west-2")
+        update = plan_both(old, new)
+        assert update.plan.summary()["replace"] == 1
+        delta = diff_configurations(Configuration.parse(old), Configuration.parse(new))
+        assert delta.changed_providers == {"aws"}
+        assert update.scope == (1, 1)
 
     def test_an_aliased_provider_block_appearing(self):
         old = (
@@ -234,9 +265,9 @@ class TestSeedingFollowsWhatAnEditReaches:
             'resource "aws_s3_bucket" "b" {\n  name = "b"\n}\n'
         )
         new = old + 'provider "aws" {\n  alias  = "west"\n  region = "us-west-2"\n}\n'
-        full, scoped = self.plan_both(old, new)
-        assert full.plan.summary()["replace"] == 1
-        assert scoped.scope == {"aws_s3_bucket.a"}
+        update = plan_both(old, new)
+        assert update.plan.summary()["replace"] == 1
+        assert update.scope == (1, 2)
 
     def test_a_provider_region_read_from_a_changed_local(self):
         old = (
@@ -244,9 +275,11 @@ class TestSeedingFollowsWhatAnEditReaches:
             'provider "aws" {\n  region = local.home\n}\n'
             'resource "aws_s3_bucket" "a" {\n  name = "logs-a"\n}\n'
         )
-        full, scoped = self.plan_both(old, old.replace("us-east-1", "us-west-2"))
-        assert full.plan.summary()["replace"] == 1
-        assert scoped.delta.changed_providers == set()
+        new = old.replace("us-east-1", "us-west-2")
+        update = plan_both(old, new)
+        assert update.plan.summary()["replace"] == 1
+        delta = diff_configurations(Configuration.parse(old), Configuration.parse(new))
+        assert delta.changed_providers == set()
 
     def test_an_ignore_changes_list(self):
         """``lifecycle`` is parsed out of the declaration's body."""
@@ -256,26 +289,22 @@ class TestSeedingFollowsWhatAnEditReaches:
             "  lifecycle {\n    ignore_changes = [versioning]\n  }\n}\n"
         )
         edited = old.replace("versioning = false", "versioning = true")
-        full, scoped = self.plan_both(old, edited)
-        assert full.plan.is_empty
-        full, scoped = self.plan_both(
+        assert plan_both(old, edited).plan.is_empty
+        update = plan_both(
             edited,
             edited.replace("ignore_changes = [versioning]", "ignore_changes = []"),
             deployed=old,
         )
-        assert full.plan.summary()["update"] == 1
+        assert update.plan.summary()["update"] == 1
 
     def test_a_declaration_nobody_created(self):
         """An unchanged declaration with no state entry is a create in
         the full plan, so it is one in the scoped plan."""
         old = 'resource "aws_s3_bucket" "a" {\n  name = "a"\n}\n'
         new = old + 'resource "aws_s3_bucket" "b" {\n  name = "b"\n}\n'
-        gateway = CloudGateway.simulated(seed=21)
-        state = deploy(gateway, old)
-        both = Configuration.parse(new)
-        result = UpdatePipeline(gateway).plan_update(both, both, state)
-        assert result.delta.is_empty
-        assert result.plan.summary()["create"] == 1
+        update = plan_both(new, new, deployed=old)
+        assert update.plan.summary()["create"] == 1
+        assert update.scope == (1, 2)
 
     def test_a_variable_given_another_value(self):
         src = (

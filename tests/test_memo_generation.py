@@ -20,9 +20,8 @@ import pytest
 
 from repro.cloud import CloudGateway
 from repro.core.engine import CloudlessEngine, EngineError
-from repro.deploy.incremental import read_data_sources
 from repro.graph import GraphBuildError, Planner, build_graph
-from repro.graph.plan import Plan
+from repro.graph.plan import Plan, read_data_sources
 from repro.lang import (
     Configuration,
     DictModuleLoader,

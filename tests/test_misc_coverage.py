@@ -136,7 +136,7 @@ class TestPolicyLanguage:
 class TestDataSourceChaining:
     def test_data_to_data_dependency(self, gateway):
         """A data source whose query uses another data source's result."""
-        from repro.deploy.incremental import read_data_sources
+        from repro.graph.plan import read_data_sources
 
         gateway.planes["aws"].external_create(
             "aws_s3_bucket", {"name": "seed-us-east-1"}, "us-east-1"
@@ -158,7 +158,7 @@ class TestDataSourceChaining:
 
     def test_missing_data_lookup_raises(self, gateway):
         from repro.cloud import CloudAPIError
-        from repro.deploy.incremental import read_data_sources
+        from repro.graph.plan import read_data_sources
 
         source = 'data "aws_s3_bucket" "ghost" {\n  name = "nope"\n}\n'
         graph = build_graph(Configuration.parse(source))

@@ -5,7 +5,6 @@ import pytest
 from repro.core import CloudlessEngine
 from repro.persist import (
     WorldFormatError,
-    engine_from_dict,
     engine_to_dict,
     load_world,
     save_world,
@@ -102,9 +101,17 @@ class TestRoundTrip:
             restored.gateway.planes["aws"].count("aws_virtual_machine") == 3
         )
 
-    def test_format_version_checked(self):
-        with pytest.raises(ValueError):
-            engine_from_dict({"format": 999})
+    def test_format_version_checked(self, tmp_path):
+        """A one-document world names its format and is refused; so is
+        a framed one whose frames another format wrote."""
+        path = tmp_path / "w.json"
+        path.write_text('{"format": 999}')
+        with pytest.raises(WorldFormatError, match="999"):
+            load_world(str(path))
+        save_world(deployed_engine(), str(path))
+        path.write_bytes(path.read_bytes().replace(b"clw3 ", b"clw9 "))
+        with pytest.raises(WorldFormatError):
+            load_world(str(path))
 
     def test_unknown_executor_rejected_at_load(self, tmp_path):
         """Typed, and that includes ``"sharded"``: the alias for worlds
@@ -117,8 +124,10 @@ class TestRoundTrip:
             with pytest.raises(WorldFormatError, match=name):
                 load_world(path)
 
-    def test_dict_round_trip_stable(self):
+    def test_dict_round_trip_stable(self, tmp_path):
         engine = deployed_engine()
         once = engine_to_dict(engine)
-        twice = engine_to_dict(engine_from_dict(once))
+        path = str(tmp_path / "w.json")
+        save_world(engine, path)
+        twice = engine_to_dict(load_world(path))
         assert once == twice

@@ -110,8 +110,7 @@ VERB_IMPORTS = {
         ("repro.compilecache.store", "repro.graph.plan", "repro.validate.pipeline"),
         (
             "repro.lang.lexer", "repro.lang.parser", "repro.lang.chunker",
-            "repro.deploy.executor", "repro.deploy.wal", "repro.deploy.recovery",
-            "repro.policy", "repro.drift",
+            "repro.deploy", "repro.policy", "repro.drift",
         ),
     ),
     # an edited program: a partial hit that parses, validates and deploys

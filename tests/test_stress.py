@@ -5,8 +5,7 @@ import pytest
 from repro.cloud import CloudGateway, FaultSpec
 from repro.core import CloudlessEngine
 from repro.deploy import CriticalPathExecutor, RetryPolicy
-from repro.deploy.incremental import read_data_sources
-from repro.graph import Planner, build_graph
+from repro.graph import Planner, build_graph, read_data_sources
 from repro.lang import Configuration
 from repro.state import StateDocument
 from repro.workloads import microservices, sized_estate
@@ -99,7 +98,7 @@ class TestScale:
         graph = build_graph(Configuration.parse(sized_estate(250)))
         analyzer = ImpactAnalyzer(graph)
         leaf = next(n for n in graph.nodes if "dns" in n)
-        assert analyzer.scope_fraction({leaf}) < 0.05
+        assert len(analyzer.impact_scope({leaf})) < 0.05 * len(graph.nodes)
         assert graph.dag.max_width() > 20
 
     def test_destroy_large_estate(self):
