@@ -108,17 +108,9 @@ def cold_child(args: argparse.Namespace) -> int:
     graph = build_graph(config)
     build_s = time.perf_counter() - t0
 
-    planner = Planner(
-        spec_lookup=gateway.try_spec,
-        region_lookup=gateway.region_for,
-        provider_lookup=gateway.provider_of,
-    )
-    state = StateDocument()
-    t0 = time.perf_counter()
-    data = read_data_sources(gateway, graph, state)
-    plan = planner.plan(graph, state, data_values=data)
-    plan_s = time.perf_counter() - t0
-
+    # store before planning, as the engine does: the planner binds a
+    # ValueResolver into the graph's resolver slot, and an artifact
+    # pickled after that names a class the cache's loader refuses
     store_s = 0.0
     if args.cache_dir:
         cache = CompileCache(args.cache_dir)
@@ -132,6 +124,18 @@ def cold_child(args: argparse.Namespace) -> int:
         )
         store_s = time.perf_counter() - t0
         assert ok, "artifact store failed"
+
+    planner = Planner(
+        spec_lookup=gateway.try_spec,
+        region_lookup=gateway.region_for,
+        provider_lookup=gateway.provider_of,
+    )
+    state = StateDocument()
+    t0 = time.perf_counter()
+    data = read_data_sources(gateway, graph, state)
+    plan = planner.plan(graph, state, data_values=data)
+    plan_s = time.perf_counter() - t0
+
     peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
     # the verb validates before it plans. Timed last, after the RSS

@@ -5,8 +5,12 @@ A **scenario** is a declarative value: a workload, a list of
 operator does while it is broken), and the defect-taxonomy classes the
 combination exercises. Scenarios and campaigns round-trip through
 JSON -- ``ScenarioSpec.from_dict(spec.to_dict()) == spec`` -- so a
-campaign file fully names an experiment, and every validation error
-names the offending field (:class:`SpecValidationError`).
+campaign file fully names an experiment. The dataclass declarations
+below are the schema: :class:`~repro.cloud.faults.Spec` derives
+``to_dict`` / ``from_dict`` from their fields and annotations, every
+range check lives in ``__post_init__`` (so constructing a spec and
+loading one refuse the same values), and every validation error names
+the offending field (:class:`SpecValidationError`).
 
 Injections compose the cloud layer's primitives
 (:class:`~repro.cloud.faults.FaultSpec`,
@@ -40,15 +44,10 @@ that would otherwise keep the estate from converging.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, ClassVar, Dict, List, Mapping, Optional, Tuple
+from typing import Annotated, Any, Dict, List, Mapping, Optional, Tuple
 
 from ..cloud.clock import SkewedClock
-from ..cloud.faults import (
-    FaultSpec,
-    OutageSpec,
-    SpecValidationError,
-    _check_fields,
-)
+from ..cloud.faults import FaultSpec, OutageSpec, Spec, SpecValidationError
 from ..cloud.resilience import THROTTLE_CODES
 from ..workloads import (
     scale_estate,
@@ -82,10 +81,11 @@ def _target_planes(engine, providers: List[str]) -> List[Tuple[str, Any]]:
     return out
 
 
-class Injection:
-    """Base class: one named failure mode, armed onto an engine."""
+class Injection(Spec):
+    """Base class: one named failure mode, armed onto an engine.
 
-    kind: ClassVar[str] = ""
+    Each subclass sets ``kind``, the tag its payload carries and
+    :data:`INJECTION_KINDS` files it under."""
 
     def arm(self, engine) -> None:
         raise NotImplementedError
@@ -99,14 +99,6 @@ class Injection:
 
     def defect_classes(self) -> List[str]:
         raise NotImplementedError
-
-    def to_dict(self) -> Dict[str, Any]:
-        raise NotImplementedError
-
-    def __eq__(self, other: Any) -> bool:
-        return (
-            type(other) is type(self) and other.to_dict() == self.to_dict()
-        )
 
 
 @dataclasses.dataclass(eq=False)
@@ -131,25 +123,6 @@ class FaultInjection(Injection):
         if self.fault.error_code in THROTTLE_CODES:
             return ["performance/rate-limit"]
         return ["reliability/transient-error"]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "providers": list(self.providers),
-            "fault": self.fault.to_dict(),
-        }
-
-    _FIELDS = {"providers": (list,), "fault": (dict,)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultInjection":
-        kwargs = _check_fields("FaultInjection", data, cls._FIELDS)
-        if "fault" not in kwargs:
-            raise SpecValidationError("FaultInjection.fault is required")
-        return cls(
-            fault=FaultSpec.from_dict(kwargs["fault"]),
-            providers=list(kwargs.get("providers") or []),
-        )
 
 
 @dataclasses.dataclass(eq=False)
@@ -177,29 +150,6 @@ class TransientRate(Injection):
             "idempotency/duplicate-request",
         ]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "rate": self.rate,
-            "providers": list(self.providers),
-        }
-
-    _FIELDS = {"rate": (int, float), "providers": (list,)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TransientRate":
-        kwargs = _check_fields("TransientRate", data, cls._FIELDS)
-        if "rate" not in kwargs:
-            raise SpecValidationError("TransientRate.rate is required")
-        if not 0.0 <= kwargs["rate"] < 1.0:
-            raise SpecValidationError(
-                f"TransientRate.rate must be in [0, 1), got {kwargs['rate']}"
-            )
-        return cls(
-            rate=float(kwargs["rate"]),
-            providers=list(kwargs.get("providers") or []),
-        )
-
 
 @dataclasses.dataclass(eq=False)
 class OutageInjection(Injection):
@@ -223,28 +173,6 @@ class OutageInjection(Injection):
             return ["availability/partial-outage"]
         return ["availability/service-outage"]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "provider": self.provider,
-            "outage": self.outage.to_dict(),
-        }
-
-    _FIELDS = {"provider": (str,), "outage": (dict,)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "OutageInjection":
-        kwargs = _check_fields("OutageInjection", data, cls._FIELDS)
-        for required in ("provider", "outage"):
-            if required not in kwargs:
-                raise SpecValidationError(
-                    f"OutageInjection.{required} is required"
-                )
-        return cls(
-            provider=kwargs["provider"],
-            outage=OutageSpec.from_dict(kwargs["outage"]),
-        )
-
 
 @dataclasses.dataclass(eq=False)
 class CorrelatedOutage(Injection):
@@ -264,6 +192,11 @@ class CorrelatedOutage(Injection):
     kind = "correlated-outage"
 
     def __post_init__(self) -> None:
+        if not self.zones:
+            raise SpecValidationError(
+                "CorrelatedOutage.zones must be a non-empty list of "
+                "[provider, region] pairs"
+            )
         for i, zone in enumerate(self.zones):
             if not (
                 isinstance(zone, (list, tuple))
@@ -297,48 +230,6 @@ class CorrelatedOutage(Injection):
     def defect_classes(self) -> List[str]:
         return ["availability/service-outage"]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "zones": [list(z) for z in self.zones],
-            "start_s": self.start_s,
-            "duration_s": self.duration_s,
-            "stagger_s": self.stagger_s,
-        }
-
-    _FIELDS = {
-        "zones": (list,),
-        "start_s": (int, float),
-        "duration_s": (int, float),
-        "stagger_s": (int, float),
-    }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CorrelatedOutage":
-        kwargs = _check_fields("CorrelatedOutage", data, cls._FIELDS)
-        zones = kwargs.get("zones")
-        if not zones:
-            raise SpecValidationError(
-                "CorrelatedOutage.zones is required (non-empty list of "
-                "[provider, region] pairs)"
-            )
-        for i, zone in enumerate(zones):
-            if (
-                not isinstance(zone, (list, tuple))
-                or len(zone) != 2
-                or not all(isinstance(z, str) for z in zone)
-            ):
-                raise SpecValidationError(
-                    f"CorrelatedOutage.zones[{i}] must be a "
-                    f"[provider, region] pair, got {zone!r}"
-                )
-        return cls(
-            zones=[list(z) for z in zones],
-            start_s=float(kwargs.get("start_s", 0.0)),
-            duration_s=float(kwargs.get("duration_s", 10000.0)),
-            stagger_s=float(kwargs.get("stagger_s", 0.0)),
-        )
-
 
 @dataclasses.dataclass(eq=False)
 class AsymmetricPartition(Injection):
@@ -357,6 +248,13 @@ class AsymmetricPartition(Injection):
 
     kind = "asymmetric-partition"
 
+    def __post_init__(self) -> None:
+        if self.op_class not in ("read", "write"):
+            raise SpecValidationError(
+                f"AsymmetricPartition.op_class must be 'read' or 'write', "
+                f"got {self.op_class!r}"
+            )
+
     def arm(self, engine) -> None:
         engine.gateway.inject_outage(
             self.provider,
@@ -374,45 +272,6 @@ class AsymmetricPartition(Injection):
 
     def defect_classes(self) -> List[str]:
         return ["availability/partial-outage"]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "provider": self.provider,
-            "region": self.region,
-            "start_s": self.start_s,
-            "end_s": self.end_s,
-            "op_class": self.op_class,
-        }
-
-    _FIELDS = {
-        "provider": (str,),
-        "region": (str,),
-        "start_s": (int, float),
-        "end_s": (int, float),
-        "op_class": (str,),
-    }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "AsymmetricPartition":
-        kwargs = _check_fields("AsymmetricPartition", data, cls._FIELDS)
-        if "provider" not in kwargs:
-            raise SpecValidationError(
-                "AsymmetricPartition.provider is required"
-            )
-        op_class = kwargs.get("op_class", "write")
-        if op_class not in ("read", "write"):
-            raise SpecValidationError(
-                f"AsymmetricPartition.op_class must be 'read' or 'write', "
-                f"got {op_class!r}"
-            )
-        return cls(
-            provider=kwargs["provider"],
-            region=kwargs.get("region", ""),
-            start_s=float(kwargs.get("start_s", 0.0)),
-            end_s=float(kwargs.get("end_s", 10000.0)),
-            op_class=op_class,
-        )
 
 
 @dataclasses.dataclass(eq=False)
@@ -435,6 +294,10 @@ class QuotaStorm(Injection):
     kind = "quota-storm"
 
     def __post_init__(self) -> None:
+        if self.squatters < 0:
+            raise SpecValidationError(
+                f"QuotaStorm.squatters must be >= 0, got {self.squatters}"
+            )
         self._squatter_ids: List[str] = []
         self._armed_region = ""
 
@@ -467,42 +330,6 @@ class QuotaStorm(Injection):
     def defect_classes(self) -> List[str]:
         return ["capacity/quota-exhaustion"]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "provider": self.provider,
-            "rtype": self.rtype,
-            "region": self.region,
-            "squatters": self.squatters,
-            "limit": self.limit,
-        }
-
-    _FIELDS = {
-        "provider": (str,),
-        "rtype": (str,),
-        "region": (str,),
-        "squatters": (int,),
-        "limit": (int,),
-    }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "QuotaStorm":
-        kwargs = _check_fields("QuotaStorm", data, cls._FIELDS)
-        for required in ("provider", "rtype"):
-            if required not in kwargs:
-                raise SpecValidationError(f"QuotaStorm.{required} is required")
-        if kwargs.get("squatters", 4) < 0:
-            raise SpecValidationError(
-                f"QuotaStorm.squatters must be >= 0, got {kwargs['squatters']}"
-            )
-        return cls(
-            provider=kwargs["provider"],
-            rtype=kwargs["rtype"],
-            region=kwargs.get("region", ""),
-            squatters=kwargs.get("squatters", 4),
-            limit=kwargs.get("limit", -1),
-        )
-
 
 @dataclasses.dataclass(eq=False)
 class RateLimitStorm(Injection):
@@ -522,6 +349,10 @@ class RateLimitStorm(Injection):
     kind = "ratelimit-storm"
 
     def __post_init__(self) -> None:
+        if self.busy_s < 0:
+            raise SpecValidationError(
+                f"RateLimitStorm.busy_s must be >= 0, got {self.busy_s}"
+            )
         self._armed_until = 0.0
 
     def arm(self, engine) -> None:
@@ -537,35 +368,6 @@ class RateLimitStorm(Injection):
 
     def defect_classes(self) -> List[str]:
         return ["performance/rate-limit"]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "busy_s": self.busy_s,
-            "op_class": self.op_class,
-            "providers": list(self.providers),
-        }
-
-    _FIELDS = {
-        "busy_s": (int, float),
-        "op_class": (str,),
-        "providers": (list,),
-    }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RateLimitStorm":
-        kwargs = _check_fields("RateLimitStorm", data, cls._FIELDS)
-        if "busy_s" not in kwargs:
-            raise SpecValidationError("RateLimitStorm.busy_s is required")
-        if kwargs["busy_s"] < 0:
-            raise SpecValidationError(
-                f"RateLimitStorm.busy_s must be >= 0, got {kwargs['busy_s']}"
-            )
-        return cls(
-            busy_s=float(kwargs["busy_s"]),
-            op_class=kwargs.get("op_class", "write"),
-            providers=list(kwargs.get("providers") or []),
-        )
 
 
 @dataclasses.dataclass(eq=False)
@@ -585,6 +387,13 @@ class VersionSkew(Injection):
     error_code: str = "InvalidApiVersion"
 
     kind = "version-skew"
+
+    def __post_init__(self) -> None:
+        if self.end_s <= self.start_s:
+            raise SpecValidationError(
+                f"VersionSkew window must be non-empty: "
+                f"[{self.start_s}, {self.end_s})"
+            )
 
     def arm(self, engine) -> None:
         for _, plane in _target_planes(engine, self.providers):
@@ -611,44 +420,6 @@ class VersionSkew(Injection):
 
     def defect_classes(self) -> List[str]:
         return ["interface/version-skew"]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "providers": list(self.providers),
-            "match_type": self.match_type,
-            "match_operation": self.match_operation,
-            "start_s": self.start_s,
-            "end_s": self.end_s,
-            "error_code": self.error_code,
-        }
-
-    _FIELDS = {
-        "providers": (list,),
-        "match_type": (str,),
-        "match_operation": (str,),
-        "start_s": (int, float),
-        "end_s": (int, float),
-        "error_code": (str,),
-    }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "VersionSkew":
-        kwargs = _check_fields("VersionSkew", data, cls._FIELDS)
-        start = float(kwargs.get("start_s", 0.0))
-        end = float(kwargs.get("end_s", 5000.0))
-        if end <= start:
-            raise SpecValidationError(
-                f"VersionSkew window must be non-empty: [{start}, {end})"
-            )
-        return cls(
-            providers=list(kwargs.get("providers") or []),
-            match_type=kwargs.get("match_type", ""),
-            match_operation=kwargs.get("match_operation", ""),
-            start_s=start,
-            end_s=end,
-            error_code=kwargs.get("error_code", "InvalidApiVersion"),
-        )
 
 
 @dataclasses.dataclass(eq=False)
@@ -690,27 +461,6 @@ class ClockSkew(Injection):
     def defect_classes(self) -> List[str]:
         return ["timing/clock-skew"]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "provider": self.provider,
-            "offset_s": self.offset_s,
-        }
-
-    _FIELDS = {"provider": (str,), "offset_s": (int, float)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ClockSkew":
-        kwargs = _check_fields("ClockSkew", data, cls._FIELDS)
-        if "provider" not in kwargs:
-            raise SpecValidationError("ClockSkew.provider is required")
-        offset = float(kwargs.get("offset_s", 120.0))
-        if offset < 0:
-            raise SpecValidationError(
-                f"ClockSkew.offset_s must be >= 0, got {offset}"
-            )
-        return cls(provider=kwargs["provider"], offset_s=offset)
-
 
 INJECTION_KINDS: Dict[str, type] = {
     cls.kind: cls
@@ -729,12 +479,13 @@ INJECTION_KINDS: Dict[str, type] = {
 
 
 def injection_from_dict(data: Mapping[str, Any]) -> Injection:
+    """Decode one injection payload: its ``kind`` picks the class."""
     if not isinstance(data, Mapping):
         raise SpecValidationError(
             f"injection must be a mapping, got {type(data).__name__}"
         )
     kind = data.get("kind")
-    if kind not in INJECTION_KINDS:
+    if not isinstance(kind, str) or kind not in INJECTION_KINDS:
         raise SpecValidationError(
             f"injection.kind must be one of "
             f"{', '.join(sorted(INJECTION_KINDS))}; got {kind!r}"
@@ -834,14 +585,16 @@ def _validate_phase(index: int, phase: Any) -> Dict[str, Any]:
 
 
 @dataclasses.dataclass(eq=False)
-class ScenarioSpec:
+class ScenarioSpec(Spec):
     """One named chaos experiment: workload x injections x phases."""
 
     name: str
     description: str = ""
     workload: str = "web_tier"
     workload_args: Dict[str, Any] = dataclasses.field(default_factory=dict)
-    injections: List[Injection] = dataclasses.field(default_factory=list)
+    injections: List[Annotated[Injection, injection_from_dict]] = (
+        dataclasses.field(default_factory=list)
+    )
     phases: List[Dict[str, Any]] = dataclasses.field(
         default_factory=lambda: [{"op": "apply"}]
     )
@@ -896,53 +649,9 @@ class ScenarioSpec:
                         out.add(klass)
         return sorted(out)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "workload": self.workload,
-            "workload_args": dict(self.workload_args),
-            "injections": [i.to_dict() for i in self.injections],
-            "phases": [dict(p) for p in self.phases],
-            "trials": self.trials,
-            "extra_classes": list(self.extra_classes),
-            "strict_hash": self.strict_hash,
-            "patient_retry": self.patient_retry,
-        }
-
-    _FIELDS = {
-        "name": (str,),
-        "description": (str,),
-        "workload": (str,),
-        "workload_args": (dict,),
-        "injections": (list,),
-        "phases": (list,),
-        "trials": (int,),
-        "extra_classes": (list,),
-        "strict_hash": (bool,),
-        "patient_retry": (bool,),
-    }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        kwargs = _check_fields("ScenarioSpec", data, cls._FIELDS)
-        if "name" not in kwargs:
-            raise SpecValidationError("ScenarioSpec.name is required")
-        kwargs["injections"] = [
-            injection_from_dict(i) for i in kwargs.get("injections") or []
-        ]
-        kwargs.setdefault("phases", [{"op": "apply"}])
-        return cls(**kwargs)
-
-    def __eq__(self, other: Any) -> bool:
-        return (
-            isinstance(other, ScenarioSpec)
-            and other.to_dict() == self.to_dict()
-        )
-
 
 @dataclasses.dataclass(eq=False)
-class CampaignSpec:
+class CampaignSpec(Spec):
     """A named matrix of scenarios; the unit the runner executes.
 
     ``trials`` (when set) overrides every scenario's trial count -- the
@@ -983,20 +692,6 @@ class CampaignSpec:
                 for s in self.scenarios
             ]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "scenarios": [s.to_dict() for s in self.scenarios],
-        }
-
-    _FIELDS = {
-        "name": (str,),
-        "description": (str,),
-        "scenarios": (list,),
-        "trials": (int,),
-    }
-
     @classmethod
     def from_dict(
         cls,
@@ -1005,26 +700,20 @@ class CampaignSpec:
     ) -> "CampaignSpec":
         """Build a campaign; string entries in ``scenarios`` name
         library scenarios (see :mod:`repro.chaos.library`)."""
-        kwargs = _check_fields("CampaignSpec", data, cls._FIELDS)
-        if "name" not in kwargs:
-            raise SpecValidationError("CampaignSpec.name is required")
-        resolved: List[ScenarioSpec] = []
-        for i, entry in enumerate(kwargs.get("scenarios") or []):
-            if isinstance(entry, str):
-                if library is None or entry not in library:
-                    known = ", ".join(sorted(library)) if library else "none"
+        known = library or {}
+        entries = data.get("scenarios") if isinstance(data, Mapping) else None
+        if isinstance(entries, list):
+            for i, entry in enumerate(entries):
+                if isinstance(entry, str) and entry not in known:
                     raise SpecValidationError(
                         f"CampaignSpec.scenarios[{i}]: unknown library "
-                        f"scenario {entry!r} (known: {known})"
+                        f"scenario {entry!r} "
+                        f"(known: {', '.join(sorted(known)) or 'none'})"
                     )
-                resolved.append(library[entry])
-            else:
-                resolved.append(ScenarioSpec.from_dict(entry))
-        kwargs["scenarios"] = resolved
-        return cls(**kwargs)
-
-    def __eq__(self, other: Any) -> bool:
-        return (
-            isinstance(other, CampaignSpec)
-            and other.to_dict() == self.to_dict()
-        )
+            data = {
+                **data,
+                "scenarios": [
+                    known[e] if isinstance(e, str) else e for e in entries
+                ],
+            }
+        return super().from_dict(data)

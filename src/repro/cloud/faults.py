@@ -19,62 +19,165 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Any, Dict, List, Mapping, Optional
+import typing
+from typing import Any, ClassVar, Dict, List, Mapping, Optional, Tuple
 
 OUTAGE_MODES = ("hard", "brownout")
 OP_CLASSES = ("", "read", "write")
 
 
 class SpecValidationError(ValueError):
-    """A declarative fault/outage payload failed validation.
+    """A declarative spec failed validation, constructed or loaded.
 
     The message always names the offending field so campaign files can
     be debugged without reading this module.
     """
 
 
-def _check_fields(
-    kind: str, data: Mapping[str, Any], fields: Dict[str, tuple]
-) -> Dict[str, Any]:
-    """Validate a ``from_dict`` payload against ``fields``.
+def _describe(hint: Any) -> str:
+    """How a validation message names the JSON type ``hint`` takes."""
+    if hint is float:
+        return "int or float"
+    if isinstance(hint, type) and issubclass(hint, Spec):
+        return "dict"
+    origin = typing.get_origin(hint)
+    if origin is typing.Union:
+        return _describe(typing.get_args(hint)[0])
+    return getattr(origin or hint, "__name__", str(hint))
 
-    ``fields`` maps each public field name to the types it accepts;
-    unknown keys, private keys, and wrongly-typed values all raise
-    :class:`SpecValidationError` naming the field.
+
+def _decode(hint: Any, value: Any, where: str) -> Any:
+    """``value`` as a field annotated ``hint`` holds it.
+
+    Raises :class:`SpecValidationError` naming ``where`` when the value
+    is not of the annotated type. ``bool`` never passes as a number,
+    ``None`` passes only an ``Optional[...]`` annotation, and a
+    ``float`` field stores an int as a float.
     """
-    if not isinstance(data, Mapping):
-        raise SpecValidationError(
-            f"{kind} payload must be a mapping, got {type(data).__name__}"
-        )
-    unknown = sorted(set(data) - set(fields))
-    if unknown:
-        raise SpecValidationError(
-            f"{kind}: unknown field(s) {', '.join(repr(u) for u in unknown)}"
-        )
-    out: Dict[str, Any] = {}
-    for name, value in data.items():
-        expected = fields[name]
-        # bool is an int subclass; reject True where a number is wanted
-        if isinstance(value, bool) and bool not in expected:
-            raise SpecValidationError(
-                f"{kind}.{name} must be "
-                f"{' or '.join(t.__name__ for t in expected)}, got {value!r}"
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint is Any or (origin is typing.Union and value is None):
+        return value
+    if origin is typing.Union:  # Optional[X]: the only union a spec declares
+        return _decode(args[0], value, where)
+    if origin is typing.Annotated:  # a decoder named beside the type
+        return args[1](value)
+    if isinstance(hint, type) and issubclass(hint, Spec):
+        if isinstance(value, hint):
+            return value
+        if isinstance(value, Mapping):
+            return hint.from_dict(value)
+    elif origin is list:
+        if isinstance(value, list):
+            return [
+                _decode(args[0], item, f"{where}[{i}]")
+                for i, item in enumerate(value)
+            ]
+    elif origin is dict:
+        if isinstance(value, Mapping):
+            return {
+                key: _decode(args[1], item, f"{where}[{key!r}]")
+                for key, item in value.items()
+            }
+    # bool is an int subclass; reject True where a number is wanted
+    elif isinstance(value, bool) == (hint is bool) and isinstance(
+        value, (int, float) if hint is float else hint
+    ):
+        return float(value) if hint is float else value
+    raise SpecValidationError(
+        f"{where} must be {_describe(hint)}, got {value!r}"
+    )
+
+
+def _encode(value: Any) -> Any:
+    """The JSON form of a field value."""
+    if isinstance(value, Spec):
+        return value.to_dict()
+    if isinstance(value, (list, tuple)):
+        return [_encode(item) for item in value]
+    if isinstance(value, dict):
+        return {k: _encode(v) for k, v in value.items()}
+    return value
+
+
+#: spec class -> {public field: (annotation, required)}, filled on first use
+_SCHEMAS: Dict[type, Dict[str, Tuple[Any, bool]]] = {}
+
+
+def _schema(cls: type) -> Dict[str, Tuple[Any, bool]]:
+    schema = _SCHEMAS.get(cls)
+    if schema is None:
+        hints = typing.get_type_hints(cls, include_extras=True)
+        schema = _SCHEMAS[cls] = {
+            f.name: (
+                hints[f.name],
+                f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING,
             )
-        if value is not None and not isinstance(value, expected):
+            for f in dataclasses.fields(cls)
+            if not f.name.startswith("_")
+        }
+    return schema
+
+
+class Spec:
+    """A declarative value whose dataclass declaration is its schema.
+
+    :meth:`to_dict` and :meth:`from_dict` read the public fields and
+    their annotations: a field without a default is required, an
+    ``Optional`` field may be ``null`` (and is left out when ``None``),
+    and nested specs decode recursively. A ``ValueError`` from
+    ``__post_init__`` is reported as a :class:`SpecValidationError`, so
+    constructing a spec and loading one refuse the same values.
+    """
+
+    #: a tagged variant's name; when set, it leads :meth:`to_dict`
+    kind: ClassVar[str] = ""
+
+    def to_dict(self) -> Dict[str, Any]:
+        out: Dict[str, Any] = {"kind": self.kind} if self.kind else {}
+        for name in _schema(type(self)):
+            value = getattr(self, name)
+            if value is not None:
+                out[name] = _encode(value)
+        return out
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> Any:
+        name = cls.__name__
+        if not isinstance(data, Mapping):
             raise SpecValidationError(
-                f"{kind}.{name} must be "
-                f"{' or '.join(t.__name__ for t in expected)}, got {value!r}"
+                f"{name} payload must be a mapping, got {type(data).__name__}"
             )
-        out[name] = value
-    return out
+        schema = _schema(cls)
+        unknown = sorted(set(data) - set(schema))
+        if unknown:
+            raise SpecValidationError(
+                f"{name}: unknown field(s) "
+                f"{', '.join(repr(u) for u in unknown)}"
+            )
+        kwargs: Dict[str, Any] = {}
+        for field, (hint, required) in schema.items():
+            if field in data:
+                kwargs[field] = _decode(hint, data[field], f"{name}.{field}")
+            elif required:
+                raise SpecValidationError(f"{name}.{field} is required")
+        try:
+            return cls(**kwargs)
+        except SpecValidationError:
+            raise
+        except ValueError as exc:
+            raise SpecValidationError(f"{name}: {exc}") from None
+
+    def __eq__(self, other: Any) -> bool:
+        return type(other) is type(self) and other.to_dict() == self.to_dict()
 
 
 @dataclasses.dataclass
-class FaultSpec:
+class FaultSpec(Spec):
     """One injected failure rule."""
 
     error_code: str
-    message: str
+    message: str = ""  # "" = "<error_code> (injected)"
     match_type: str = ""  # resource type glob-ish match; "" = any
     match_operation: str = ""  # create/update/delete/read; "" = any
     probability: float = 1.0
@@ -96,6 +199,8 @@ class FaultSpec:
     _seen: int = 0
 
     def __post_init__(self) -> None:
+        if not self.message:
+            self.message = f"{self.error_code} (injected)"
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(
                 f"probability must be in [0, 1], got {self.probability}"
@@ -151,45 +256,9 @@ class FaultSpec:
     def strike(self) -> None:
         self._strikes += 1
 
-    # -- declarative form ----------------------------------------------------
-
-    _FIELDS = {
-        "error_code": (str,),
-        "message": (str,),
-        "match_type": (str,),
-        "match_operation": (str,),
-        "probability": (int, float),
-        "transient": (bool,),
-        "max_strikes": (int,),
-        "extra_delay_s": (int, float),
-        "skip_first": (int,),
-        "start_s": (int, float),
-        "end_s": (int, float),
-    }
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Public fields only -- strike/skip accounting never serializes."""
-        out: Dict[str, Any] = {}
-        for name in self._FIELDS:
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultSpec":
-        kwargs = _check_fields("FaultSpec", data, cls._FIELDS)
-        if "error_code" not in kwargs:
-            raise SpecValidationError("FaultSpec.error_code is required")
-        kwargs.setdefault("message", f"{kwargs['error_code']} (injected)")
-        try:
-            return cls(**kwargs)
-        except ValueError as exc:
-            raise SpecValidationError(f"FaultSpec: {exc}")
-
 
 @dataclasses.dataclass
-class OutageSpec:
+class OutageSpec(Spec):
     """A sustained unavailability window on the simulated clock.
 
     * ``region`` scopes the outage to one region; ``""`` takes down the
@@ -260,35 +329,6 @@ class OutageSpec:
         if self.op_class and op_class and self.op_class != op_class:
             return False
         return True
-
-    # -- declarative form ----------------------------------------------------
-
-    _FIELDS = {
-        "start_s": (int, float),
-        "end_s": (int, float),
-        "region": (str,),
-        "match_type": (str,),
-        "mode": (str,),
-        "latency_multiplier": (int, float),
-        "error_code": (str,),
-        "message": (str,),
-        "error_latency_s": (int, float),
-        "op_class": (str,),
-    }
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {name: getattr(self, name) for name in self._FIELDS}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "OutageSpec":
-        kwargs = _check_fields("OutageSpec", data, cls._FIELDS)
-        for required in ("start_s", "end_s"):
-            if required not in kwargs:
-                raise SpecValidationError(f"OutageSpec.{required} is required")
-        try:
-            return cls(**kwargs)
-        except ValueError as exc:
-            raise SpecValidationError(f"OutageSpec: {exc}")
 
 
 @dataclasses.dataclass

@@ -83,7 +83,6 @@ def analyze(
     plan: Plan,
     mean_latency: Callable[[str, str], float],
     execution_dag: Optional[Dag] = None,
-    use_cache: bool = True,
 ) -> CriticalPathAnalysis:
     """Critical-path analysis of a plan's execution DAG."""
     dag = execution_dag if execution_dag is not None else plan.execution_dag()
@@ -94,21 +93,19 @@ def analyze(
         for cid in dag.nodes
     }
 
-    key: Optional[_CacheKey] = None
-    if use_cache:
-        key = (frozenset(dag.iter_edges()), frozenset(durations.items()))
-        plan_cache = getattr(plan, "analysis_cache", None)
-        cached = None
+    key = (frozenset(dag.iter_edges()), frozenset(durations.items()))
+    plan_cache = getattr(plan, "analysis_cache", None)
+    cached = None
+    if plan_cache is not None:
+        cached = plan_cache.get(key)
+    if cached is None:
+        cached = _ANALYSIS_CACHE.get(key)
+    if cached is not None:
+        PERF.count("analyze.cache_hits")
         if plan_cache is not None:
-            cached = plan_cache.get(key)
-        if cached is None:
-            cached = _ANALYSIS_CACHE.get(key)
-        if cached is not None:
-            PERF.count("analyze.cache_hits")
-            if plan_cache is not None:
-                plan_cache[key] = cached
-            return cached
-        PERF.count("analyze.cache_misses")
+            plan_cache[key] = cached
+        return cached
+    PERF.count("analyze.cache_misses")
 
     order = dag.topological_order()
     weight = durations.__getitem__
@@ -121,12 +118,10 @@ def analyze(
         total_work_s=sum(durations.values()),
         max_width=dag.max_width(order=order),
     )
-    if key is not None:
-        plan_cache = getattr(plan, "analysis_cache", None)
-        if plan_cache is not None:
-            plan_cache[key] = analysis
-        _ANALYSIS_CACHE[key] = analysis
-        _ANALYSIS_CACHE.move_to_end(key)
-        while len(_ANALYSIS_CACHE) > _ANALYSIS_CACHE_MAX:
-            _ANALYSIS_CACHE.popitem(last=False)
+    if plan_cache is not None:
+        plan_cache[key] = analysis
+    _ANALYSIS_CACHE[key] = analysis
+    _ANALYSIS_CACHE.move_to_end(key)
+    while len(_ANALYSIS_CACHE) > _ANALYSIS_CACHE_MAX:
+        _ANALYSIS_CACHE.popitem(last=False)
     return analysis

@@ -14,20 +14,27 @@ import pytest
 
 from repro.chaos import (
     DEFECT_CLASSES,
+    AsymmetricPartition,
     CampaignRunner,
     CampaignSpec,
     ClockSkew,
     CorrelatedOutage,
+    FaultInjection,
+    OutageInjection,
     QuotaStorm,
+    RateLimitStorm,
     ScenarioSpec,
     SpecValidationError,
     TransientRate,
+    VersionSkew,
     derive_seed,
     injection_from_dict,
     library,
     trial_count,
     validate_classes,
 )
+from repro.chaos.dsl import INJECTION_KINDS
+from repro.cli import main
 from repro.cloud import CloudGateway
 from repro.cloud.clock import SimClock, SkewedClock
 from repro.cloud.faults import FaultSpec, OutageSpec
@@ -153,16 +160,51 @@ def test_scenario_round_trips_through_json():
         assert clone.injections == spec.injections, name
 
 
-def test_injection_round_trips_preserve_kind():
-    injection = CorrelatedOutage(
-        zones=[["aws", "us-east-1"], ["azure", "eastus"]],
+#: one value per injection kind, with every field off its default
+#: (ints where floats are declared: construction keeps them as given)
+ONE_OF_EACH_KIND = [
+    FaultInjection(
+        fault=FaultSpec(error_code="Throttling", start_s=10, end_s=20.5),
+        providers=["aws"],
+    ),
+    TransientRate(rate=0, providers=["aws", "azure"]),
+    OutageInjection(
+        provider="aws",
+        outage=OutageSpec(start_s=0, end_s=100.0, mode="brownout"),
+    ),
+    CorrelatedOutage(
+        zones=[["aws", "us-east-1"], ("azure", "eastus")],
         start_s=5.0,
-        duration_s=100.0,
+        duration_s=100,
         stagger_s=10.0,
-    )
-    clone = injection_from_dict(injection.to_dict())
-    assert isinstance(clone, CorrelatedOutage)
-    assert clone.to_dict() == injection.to_dict()
+    ),
+    AsymmetricPartition(provider="aws", region="r1", op_class="read"),
+    QuotaStorm(provider="aws", rtype="aws_vpc", squatters=0, limit=2),
+    RateLimitStorm(busy_s=0, op_class="read", providers=["azure"]),
+    VersionSkew(providers=["aws"], match_type="aws_vpc", start_s=1, end_s=2),
+    ClockSkew(provider="azure", offset_s=0),
+]
+
+
+def test_injection_round_trips_preserve_kind():
+    assert sorted(i.kind for i in ONE_OF_EACH_KIND) == sorted(INJECTION_KINDS)
+    for injection in ONE_OF_EACH_KIND:
+        data = json.loads(json.dumps(injection.to_dict()))
+        clone = injection_from_dict(data)
+        assert type(clone) is type(injection), injection.kind
+        assert clone == injection, injection.kind
+        assert clone.to_dict() == injection.to_dict(), injection.kind
+    # a value that would not load back does not construct either
+    for build, field in [
+        (lambda: VersionSkew(start_s=10, end_s=5), "VersionSkew window"),
+        (lambda: QuotaStorm(provider="p", rtype="t", squatters=-1), "squatters"),
+        (lambda: RateLimitStorm(busy_s=-3), "busy_s"),
+        (lambda: AsymmetricPartition(provider="p", op_class="x"), "op_class"),
+        (lambda: CorrelatedOutage(zones=[]), "zones"),
+    ]:
+        with pytest.raises(SpecValidationError) as err:
+            build()
+        assert field in str(err.value)
 
 
 def test_validation_errors_name_the_field():
@@ -191,6 +233,54 @@ def test_validation_errors_name_the_field():
     with pytest.raises(SpecValidationError) as err:
         ClockSkew(provider="aws", offset_s=-5.0)
     assert "offset_s" in str(err.value)
+
+    # JSON null is refused by name wherever the field is not Optional
+    for load, payload, field in [
+        (injection_from_dict, {"kind": "transient-rate", "rate": None}, "rate"),
+        (ScenarioSpec.from_dict, {"name": "x", "trials": None}, "trials"),
+        (
+            injection_from_dict,
+            {"kind": "ratelimit-storm", "busy_s": None},
+            "busy_s",
+        ),
+        (
+            FaultSpec.from_dict,
+            {"error_code": "E", "probability": None},
+            "probability",
+        ),
+        (
+            injection_from_dict,
+            {"kind": "clock-skew", "provider": "aws", "offset_s": None},
+            "offset_s",
+        ),
+        (
+            ScenarioSpec.from_dict,
+            {"name": "x", "workload_args": None},
+            "workload_args",
+        ),
+    ]:
+        with pytest.raises(SpecValidationError) as err:
+            load(payload)
+        assert f".{field} must be" in str(err.value), payload
+
+
+def test_cli_refuses_a_null_field_without_a_traceback(tmp_path, capsys):
+    campaign = {
+        "name": "c",
+        "scenarios": [
+            {
+                "name": "s",
+                "injections": [{"kind": "transient-rate", "rate": None}],
+            }
+        ],
+    }
+    (tmp_path / "f.json").write_text(json.dumps(campaign))
+    code = main(["--chdir", str(tmp_path), "chaos", "--campaign", "f.json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "invalid campaign" in captured.err
+    assert "TransientRate.rate" in captured.err
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_campaign_from_dict_resolves_library_names():
