@@ -13,7 +13,7 @@ Two claims, each gated:
   ``--warm-gate-min-size``.
   What is left is the artifact unpickle, validation and the plan
   itself, all O(estate): the default gate (0.80) is the measured 10k
-  fraction (0.55; 0.68 at 100k, where the unpickle grows faster than
+  fraction (0.62; 0.76 at 100k, where the unpickle grows faster than
   the parse) with headroom for this box's noise, not a claim that the
   warm run is O(changed).
 * **Cold start is bounded**: every cold tier runs in a subprocess and
@@ -21,16 +21,20 @@ Two claims, each gated:
   largest tier (``--rss-size``, default 1M resources) within
   ``--max-rss-gb`` when that gate is armed.
 
+The estate at size ``n`` is the two-cloud pair the trajectory's CLI
+workloads deploy (``benchmarks/trajectory/inputs.py``): an aws
+``scale_estate(n // 2)`` in ``aws.clc`` beside an azure
+``two_region_estate(n - n // 2)`` in ``azure.clc``, so a tier spans
+three (provider, region) partitions on the default gateway.
+
 CI runs the smoke tier::
 
     python benchmarks/bench_p8_coldstart.py --sizes 1000 \
         --rss-size 0 --out /tmp/BENCH_coldstart.json
 
 The checked-in ``BENCH_coldstart.json`` is the run at the default
-sizes (``--sizes 10000,100000``); its ``rss_tier`` is carried over from
-the run that introduced it (PR 8) and says so in ``measured_at`` -- the
-cold path has changed since (PR 20's lexer), so it is a record of that
-commit, not a current number.
+sizes with the peak-RSS tier off (``--sizes 10000,100000 --rss-size
+0``).
 """
 
 from __future__ import annotations
@@ -63,28 +67,18 @@ from repro.graph import Planner, build_graph, read_data_sources
 from repro.graph.critical_path import clear_analysis_cache
 from repro.lang import Configuration
 from repro.state import StateDocument
-from repro.types.schema import SchemaRegistry
-from repro.workloads import scale_estate_sharded
+from repro.workloads import scale_estate, two_region_estate
 
 
 def plan_sha(plan) -> str:
     return hashlib.sha256(plan.render().encode()).hexdigest()
 
 
-def make_engine(
-    seed: int, providers: int, cache_dir: Optional[str] = None
-) -> CloudlessEngine:
-    gateway = CloudGateway.simulated(seed=seed, synthetic=providers)
-    # validation needs the synthetic planes' catalogs, not just the
-    # aws/azure defaults
-    registry = SchemaRegistry(
-        spec for plane in gateway.planes.values() for spec in plane.specs.values()
-    )
-    for name, plane in gateway.planes.items():
-        registry.set_regions(name, plane.regions)
-    return CloudlessEngine(
-        gateway=gateway, registry=registry, cache_dir=cache_dir
-    )
+def estate(size: int) -> Dict[str, str]:
+    return {
+        "aws.clc": scale_estate(size // 2),
+        "azure.clc": two_region_estate(size - size // 2),
+    }
 
 
 # -- cold tier (runs in a subprocess for honest peak-RSS accounting) ----------
@@ -94,11 +88,8 @@ def cold_child(args: argparse.Namespace) -> int:
     """Cold parse+build+plan of one tier; stores the artifact and
     emits phase timings, plan sha, and peak RSS as JSON on stdout."""
     clear_analysis_cache()
-    source = scale_estate_sharded(
-        args.size, providers=args.providers, cross_link_every=5
-    )
-    texts = {"main.clc": source}
-    gateway = CloudGateway.simulated(seed=args.seed, synthetic=args.providers)
+    texts = estate(args.size)
+    gateway = CloudGateway.simulated(seed=args.seed)
 
     t0 = time.perf_counter()
     config = Configuration.parse_streaming(texts)
@@ -143,7 +134,7 @@ def cold_child(args: argparse.Namespace) -> int:
     # stay the measurements they always were.
     validate_s = 0.0
     if args.cache_dir:
-        engine = make_engine(args.seed, args.providers)
+        engine = CloudlessEngine(seed=args.seed)
         t0 = time.perf_counter()
         report = engine.validate(config)
         validate_s = time.perf_counter() - t0
@@ -168,7 +159,7 @@ def cold_child(args: argparse.Namespace) -> int:
 
 
 def run_cold_tier(
-    size: int, providers: int, seed: int, cache_dir: Optional[str]
+    size: int, seed: int, cache_dir: Optional[str]
 ) -> Dict[str, Any]:
     cmd = [
         sys.executable,
@@ -176,8 +167,6 @@ def run_cold_tier(
         "--child",
         "--size",
         str(size),
-        "--providers",
-        str(providers),
         "--seed",
         str(seed),
     ]
@@ -203,14 +192,10 @@ def _counting(module: Any, name: str, calls: Dict[str, int]):
     return lambda: setattr(module, name, real)
 
 
-def run_warm_tier(
-    size: int, providers: int, seed: int, cache_dir: str
-) -> Dict[str, Any]:
+def run_warm_tier(size: int, seed: int, cache_dir: str) -> Dict[str, Any]:
     clear_analysis_cache()
-    source = scale_estate_sharded(
-        size, providers=providers, cross_link_every=5
-    )
-    engine = make_engine(seed, providers, cache_dir)
+    texts = estate(size)
+    engine = CloudlessEngine(seed=seed, cache_dir=cache_dir)
     calls: Dict[str, int] = {}
     undo = [
         _counting(lang_config, "parse_file", calls),
@@ -218,7 +203,7 @@ def run_warm_tier(
     ]
     try:
         t0 = time.perf_counter()
-        compiled = engine.compile(source)
+        compiled = engine.compile(texts)
         t1 = time.perf_counter()
         report = engine.validate(compiled)
         t2 = time.perf_counter()
@@ -254,8 +239,8 @@ def bench(args: argparse.Namespace) -> Dict[str, Any]:
 
     for size in args.sizes:
         with tempfile.TemporaryDirectory(prefix="clc-cache-") as cache_dir:
-            cold = run_cold_tier(size, args.providers, args.seed, cache_dir)
-            warm = run_warm_tier(size, args.providers, args.seed, cache_dir)
+            cold = run_cold_tier(size, args.seed, cache_dir)
+            warm = run_warm_tier(size, args.seed, cache_dir)
         tier = {"size": size, **cold, **warm}
         # like for like: both sides are the steps of `clc plan`
         tier["cold_verb_s"] = round(
@@ -301,7 +286,7 @@ def bench(args: argparse.Namespace) -> Dict[str, Any]:
 
     rss_tier: Optional[Dict[str, Any]] = None
     if args.rss_size:
-        cold = run_cold_tier(args.rss_size, args.providers, args.seed, None)
+        cold = run_cold_tier(args.rss_size, args.seed, None)
         rss_tier = {"size": args.rss_size, **cold}
         rss_gb = cold["peak_rss_kb"] / (1024 * 1024)
         rss_tier["peak_rss_gb"] = round(rss_gb, 2)
@@ -318,9 +303,8 @@ def bench(args: argparse.Namespace) -> Dict[str, Any]:
 
     return {
         "benchmark": "p8_coldstart",
-        "workload": "scale_estate_sharded",
+        "workload": "scale_estate + two_region_estate",
         "seed": args.seed,
-        "providers": args.providers,
         "cpus": cpus,
         "sizes": args.sizes,
         "tiers": tiers,
@@ -332,7 +316,6 @@ def bench(args: argparse.Namespace) -> Dict[str, Any]:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="10000,100000")
-    parser.add_argument("--providers", type=int, default=4)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
         "--max-warm-frac",

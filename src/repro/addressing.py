@@ -48,10 +48,6 @@ class ResourceAddress:
             return self
         return dataclasses.replace(self, instance_key=None)
 
-    @property
-    def is_data(self) -> bool:
-        return self.mode == DATA
-
     def in_module(self, name: str) -> "ResourceAddress":
         """This address re-rooted one module deeper."""
         return dataclasses.replace(self, module_path=(name,) + self.module_path)

@@ -47,6 +47,5 @@ __all__, __getattr__, __dir__ = export_table(
             "is_outage_error",
         ),
         "resources": ("AttributeSpec", "ResourceTypeSpec"),
-        "synthetic": ("SyntheticControlPlane", "synthetic_catalog"),
     },
 )

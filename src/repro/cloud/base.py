@@ -375,7 +375,8 @@ class ControlPlane:
         self._tokens: Dict[str, str] = {}
         #: write operations submitted but not yet resolved by a client.
         #: The cloud side finishes these even if the client dies --
-        #: ``settle()`` models that by resolving every survivor.
+        #: ``CloudGateway.settle_inflight`` models that by resolving
+        #: every survivor.
         self._inflight: List[PendingOperation] = []
         #: brownout latency multiplier for the operation currently being
         #: built (set around the builder call in ``submit``)
@@ -563,27 +564,6 @@ class ControlPlane:
                 self._inflight = [p for p in self._inflight if not p.resolved]
             self._inflight.append(pending)
         return pending
-
-    def settle(self) -> int:
-        """Resolve every submitted-but-unresolved write operation.
-
-        Models the cloud side outliving the client: operations that were
-        accepted before a crash complete (or fail) on the provider even
-        though nobody is listening. Effects land in ``t_complete`` order;
-        errors are swallowed (there is no client to receive them).
-        Returns how many operations were settled.
-        """
-        survivors = [p for p in self._inflight if not p.resolved]
-        self._inflight = []
-        count = 0
-        for pending in sorted(survivors, key=lambda p: p.t_complete):
-            self.clock.advance_to(max(pending.t_complete, self.clock.now))
-            try:
-                pending.resolve()
-            except CloudAPIError:
-                pass
-            count += 1
-        return count
 
     def execute(self, operation: str, rtype: str = "", **kwargs: Any) -> Any:
         """Synchronous convenience: submit, advance the clock, resolve."""

@@ -17,46 +17,29 @@ from .clock import SimClock
 
 
 class CloudGateway:
-    """Routes operations to the control plane that owns a resource type."""
+    """Routes operations to the control plane that owns a resource type.
+
+    ``planes`` is keyed by type prefix: the plane under ``"aws"`` serves
+    every ``aws_*`` type (:meth:`try_provider_of`).
+    """
 
     def __init__(self, planes: Dict[str, ControlPlane], clock: SimClock):
         self.clock = clock
         self.planes = dict(planes)
-        # resolved type -> plane-key routes for planes registered under
-        # a key that is not their type prefix (invalidated per lookup
-        # if the plane disappears or stops serving the type)
-        self._type_routes: Dict[str, str] = {}
         for plane in self.planes.values():
             if plane.clock is not clock:
                 raise ValueError("all control planes must share the gateway clock")
 
     @classmethod
     def simulated(
-        cls,
-        seed: int = 0,
-        clock: Optional[SimClock] = None,
-        synthetic: int = 0,
+        cls, seed: int = 0, clock: Optional[SimClock] = None
     ) -> "CloudGateway":
-        """A gateway with fresh aws+azure planes on one clock.
-
-        ``synthetic=N`` adds N aws-shaped synthetic planes (``syn0``,
-        ``syn1``, ...; see :mod:`repro.cloud.synthetic`), used by
-        ``benchmarks/bench_p8_coldstart.py`` and the watcher's
-        region-outage test.
-        """
+        """A gateway with fresh aws+azure planes on one clock."""
         clock = clock or SimClock()
         planes = {
             "aws": AwsControlPlane(clock=clock, seed=seed),
             "azure": AzureControlPlane(clock=clock, seed=seed + 1000),
         }
-        if synthetic:
-            from .synthetic import SyntheticControlPlane
-
-            for i in range(synthetic):
-                prefix = f"syn{i}"
-                planes[prefix] = SyntheticControlPlane(
-                    prefix, clock=clock, seed=seed + 2000 + i
-                )
         return cls(planes, clock)
 
     # -- routing ----------------------------------------------------------
@@ -64,25 +47,13 @@ class CloudGateway:
     def try_provider_of(self, rtype: str) -> Optional[str]:
         """The plane key owning ``rtype``, or None if no plane serves it.
 
-        Fast path: the type prefix *is* a plane key (aws_vpc -> "aws").
-        Fallback: scan plane catalogs -- a plane may be registered under
-        any key (e.g. a synthetic ``syn0``-prefixed plane mounted as
-        ``"edge"``), so the prefix alone is not authoritative.
+        A type's prefix names its plane (``aws_vpc`` -> ``"aws"``), the
+        provider-prefix convention of Terraform's provider plugins: a
+        plane is mounted under its prefix, so the prefix is the whole
+        routing rule.
         """
         prefix = rtype.split("_", 1)[0]
-        if prefix in self.planes:
-            return prefix
-        cached = self._type_routes.get(rtype)
-        if cached is not None:
-            plane = self.planes.get(cached)
-            if plane is not None and rtype in plane.specs:
-                return cached
-            del self._type_routes[rtype]
-        for name in sorted(self.planes):
-            if rtype in self.planes[name].specs:
-                self._type_routes[rtype] = name
-                return name
-        return None
+        return prefix if prefix in self.planes else None
 
     def provider_of(self, rtype: str) -> str:
         provider = self.try_provider_of(rtype)

@@ -863,8 +863,9 @@ class CloudlessEngine:
         ``_commit_step`` records each entry's managed predecessors at
         commit time; entries adopted by crash recovery never ran a
         commit, so they carry empty dependency lists. Recompute them
-        from the plan graph with the same rule so a recovered state
-        document matches an uninterrupted run's byte for byte.
+        from the plan graph (``ResourceGraph.managed_dependencies``, as
+        the commit does) so a recovered state document matches an
+        uninterrupted run's byte for byte.
         """
         changed = False
         for cid, node in plan.graph.nodes.items():
@@ -873,12 +874,7 @@ class CloudlessEngine:
             entry = self.state.get(node.address)
             if entry is None:
                 continue
-            deps = sorted(
-                p
-                for p in plan.graph.dag.predecessors(cid)
-                if plan.graph.nodes.get(p) is not None
-                and plan.graph.nodes[p].address.mode == "managed"
-            )
+            deps = plan.graph.managed_dependencies(cid)
             if deps and list(entry.dependencies) != deps:
                 self.state.set(entry.replace(dependencies=deps))
                 changed = True

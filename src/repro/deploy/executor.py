@@ -843,12 +843,7 @@ class PlanExecutor:
             plan.resolver.drop_override(change.id)
             return
         assert isinstance(response, dict)
-        deps = sorted(
-            p
-            for p in plan.graph.dag.predecessors(change.id)
-            if plan.graph.nodes.get(p) is not None
-            and plan.graph.nodes[p].address.mode == "managed"
-        )
+        deps = plan.graph.managed_dependencies(change.id)
         provider = change.provider or self.gateway.provider_of(change.rtype)
         region = change.region or self.gateway.region_for(change.rtype, response)
         if op == "create":

@@ -114,18 +114,12 @@ class FullScanDetector:
     def _provider_for(self, entry: Any) -> str:
         """The plane key owning a state entry.
 
-        ``entry.provider`` is authoritative when it names a live plane
-        (it was minted by the gateway at apply time). Otherwise resolve
-        through the gateway's type->plane mapping -- deriving it from
-        the type *prefix* misclassifies planes registered under a
-        different key (e.g. synthetic planes), which would defeat the
-        outage skip-logic below and fabricate phantom deletions.
+        ``entry.provider`` when it names a live plane (the gateway minted
+        it at apply time), else the type prefix, which is the plane key
+        by the gateway's routing rule.
         """
         if entry.provider and entry.provider in self.gateway.planes:
             return entry.provider
-        resolved = self.gateway.try_provider_of(entry.address.type)
-        if resolved is not None:
-            return resolved
         return entry.address.type.split("_", 1)[0]
 
     def scan(self, state: StateDocument) -> DetectionRun:

@@ -131,6 +131,16 @@ class ResourceGraph:
     def data_ids(self) -> List[str]:
         return sorted(nid for nid, n in self.nodes.items() if n.address.mode == DATA)
 
+    def managed_dependencies(self, node_id: str) -> List[str]:
+        """The managed instances ``node_id`` waits for, sorted: what
+        state records as the entry's ``dependencies``."""
+        return sorted(
+            p
+            for p in self.dag.predecessors(node_id)
+            if self.nodes.get(p) is not None
+            and self.nodes[p].address.mode == MANAGED
+        )
+
     def __len__(self) -> int:
         return len(self.nodes)
 

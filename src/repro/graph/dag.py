@@ -14,8 +14,8 @@ Performance notes (the deploy hot path runs through here at
   views over internal storage -- callers must not mutate them.
 * ``topological_order`` is heap-based Kahn's algorithm,
   O((V + E) log V), with deterministic key-based tie-breaking.
-* ``subgraph`` / ``copy`` / ``reversed`` are single-pass over the
-  adjacency maps instead of materializing an edge list.
+* ``copy`` is single-pass over the adjacency maps instead of
+  materializing an edge list.
 """
 
 from __future__ import annotations
@@ -229,22 +229,6 @@ class Dag(Generic[N]):
             seen.add(cur)
             frontier.extend(adj.get(cur, _EMPTY))
         return seen
-
-    def subgraph(self, keep: Set[N]) -> "Dag[N]":
-        """Induced subgraph over ``keep``; single pass, O(V + E)."""
-        out: Dag[N] = Dag()
-        for node, succs in self._succ.items():
-            if node in keep:
-                out._succ[node] = {v for v in succs if v in keep}
-                out._pred[node] = {p for p in self._pred[node] if p in keep}
-        return out
-
-    def reversed(self) -> "Dag[N]":
-        """Edge-reversed copy; single pass, O(V + E)."""
-        out: Dag[N] = Dag()
-        out._succ = {n: set(preds) for n, preds in self._pred.items()}
-        out._pred = {n: set(succs) for n, succs in self._succ.items()}
-        return out
 
     def copy(self) -> "Dag[N]":
         """Independent structural copy; single pass, O(V + E)."""

@@ -245,9 +245,6 @@ class Configuration:
     def managed_resources(self) -> List[ResourceDecl]:
         return [r for r in self.resources.values() if r.mode == "managed"]
 
-    def data_sources(self) -> List[ResourceDecl]:
-        return [r for r in self.resources.values() if r.mode == "data"]
-
     def resource_types(self) -> set:
         return {r.type for r in self.resources.values()}
 

@@ -94,6 +94,25 @@ class PortedProject:
         return DictModuleLoader(dict(self.module_sources))
 
 
+def _adopt_dependencies(project: PortedProject) -> None:
+    """Record on each adopted entry the managed instances the emitted
+    program's graph makes it wait for -- what an apply of the program
+    would record -- so a destroy of the adopted estate deletes
+    dependents first."""
+    from ..graph.builder import build_graph
+    from ..lang.config import Configuration
+
+    graph = build_graph(
+        Configuration.parse(project.sources), loader=project.loader()
+    )
+    for entry in project.state.resources():
+        project.state.set(
+            entry.replace(
+                dependencies=graph.managed_dependencies(str(entry.address))
+            )
+        )
+
+
 def _sanitize(name: str) -> str:
     out = re.sub(r"[^A-Za-z0-9_]", "_", name)
     if not out or out[0].isdigit():
@@ -297,11 +316,13 @@ class StructuredImporter:
                     )
 
         blocks.sort(key=lambda b: (b.kind != "module", b.labels))
-        return PortedProject(
+        project = PortedProject(
             sources={"main.clc": emit_config(blocks) if blocks else ""},
             module_sources=module_sources,
             state=state,
         )
+        _adopt_dependencies(project)
+        return project
 
     # -- naming ----------------------------------------------------------------
 

@@ -13,7 +13,6 @@ __all__, __getattr__, __dir__ = export_table(
             "multi_cloud",
             "random_dag_estate",
             "scale_estate",
-            "scale_estate_sharded",
             "sized_estate",
             "two_region_estate",
             "vpn_site",

@@ -398,106 +398,6 @@ resource "aws_dns_record" "{name}_{i}_dns" {{
     return "\n".join(parts)
 
 
-def scale_estate_sharded(
-    resources: int,
-    name: str = "shard",
-    providers: int = 2,
-    regions_per_provider: int = 2,
-    services_per_vpc: int = 32,
-    cross_link_every: int = 0,
-) -> str:
-    """The multi-plane estate generator: a multi-provider, multi-region
-    estate (``benchmarks/bench_p8_coldstart.py``).
-
-    Service stacks (subnet + 2 nics + 2 vms + lb + dns, plus one VPC
-    per group) are split evenly across ``providers`` synthetic planes
-    (``syn0`` ... -- build the gateway with
-    ``CloudGateway.simulated(synthetic=providers)``) and striped
-    round-robin over each plane's ``regions_per_provider`` regions via
-    ``location``, so the plan spans ``providers x
-    regions_per_provider`` ``(provider, region)`` partitions.
-
-    ``cross_link_every=k`` makes every k-th service on provider ``p>0``
-    tag its dns record with the dns_name of the matching load balancer
-    on provider ``p-1``: a tunable density of cross-partition
-    dependency edges, flowing only from lower to higher provider index.
-    """
-    vms = 2
-    per_service = 3 + 2 * vms
-    services = max(
-        providers,
-        (resources * services_per_vpc)
-        // (per_service * services_per_vpc + 1),
-    )
-    parts: List[str] = []
-    per_provider = [services // providers] * providers
-    for i in range(services % providers):
-        per_provider[i] += 1
-    for p in range(providers):
-        prov = f"syn{p}"
-        prefix = f"{name}_p{p}"
-        for i in range(per_provider[p]):
-            g, k = divmod(i, services_per_vpc)
-            region = f"{prov}-east-1" if i % regions_per_provider == 0 else f"{prov}-west-1"
-            if k == 0:
-                parts.append(
-                    f'''
-resource "{prov}_vpc" "{prefix}_g{g}" {{
-  name       = "{prefix}-g{g}"
-  cidr_block = "10.{g}.0.0/16"
-  location   = "{region}"
-}}
-'''
-                )
-            cross = ""
-            if p > 0 and cross_link_every and i % cross_link_every == 0:
-                upstream = i % per_provider[p - 1]
-                cross = (
-                    f'\n  upstream = syn{p - 1}_load_balancer.'
-                    f"{name}_p{p - 1}_{upstream}_lb.dns_name"
-                )
-            parts.append(
-                f'''
-resource "{prov}_subnet" "{prefix}_{i}" {{
-  name       = "{prefix}-{i}"
-  vpc_id     = {prov}_vpc.{prefix}_g{g}.id
-  cidr_block = cidrsubnet({prov}_vpc.{prefix}_g{g}.cidr_block, 8, {k})
-  location   = "{region}"
-}}
-
-resource "{prov}_network_interface" "{prefix}_{i}_nic" {{
-  count     = {vms}
-  name      = "{prefix}-{i}-nic-${{count.index}}"
-  subnet_id = {prov}_subnet.{prefix}_{i}.id
-  location  = "{region}"
-}}
-
-resource "{prov}_virtual_machine" "{prefix}_{i}_vm" {{
-  count    = {vms}
-  name     = "{prefix}-{i}-vm-${{count.index}}"
-  nic_ids  = [{prov}_network_interface.{prefix}_{i}_nic[count.index].id]
-  location = "{region}"
-  tags     = {{ service = "{prefix}-{i}" }}
-}}
-
-resource "{prov}_load_balancer" "{prefix}_{i}_lb" {{
-  name          = "{prefix}-{i}-lb"
-  subnet_ids    = [{prov}_subnet.{prefix}_{i}.id]
-  target_vm_ids = {prov}_virtual_machine.{prefix}_{i}_vm[*].id
-  location      = "{region}"
-}}
-
-resource "{prov}_dns_record" "{prefix}_{i}_dns" {{
-  name     = "{prefix}-{i}-dns"
-  zone     = "example.sim"
-  value    = {prov}_load_balancer.{prefix}_{i}_lb.dns_name
-  location = "{region}"{cross}
-}}
-'''
-            )
-    return "\n".join(parts)
-
-
 def two_region_estate(
     resources: int,
     name: str = "geo",

@@ -229,6 +229,17 @@ class TestCliLifecycle:
         assert run(project, "plan") == 0
         assert "0 to add" in capsys.readouterr().out
 
+    def test_destroy_after_import(self, project, capsys):
+        """An imported estate destroys dependents first: the adopted
+        state carries the emitted program's dependency edges."""
+        assert run(project, "init", "--seed", "1") == 0
+        assert run(project, "apply") == 0
+        assert run(project, "import") == 0
+        assert run(project, "destroy") == 0
+        capsys.readouterr()
+        run(project, "show")
+        assert "state is empty" in capsys.readouterr().out
+
     def test_missing_world_is_friendly(self, project, capsys):
         assert run(project, "plan") == 1
         assert "init" in capsys.readouterr().err

@@ -498,8 +498,10 @@ class TestGateway:
     def test_routing(self, gateway):
         assert gateway.provider_of("aws_vpc") == "aws"
         assert gateway.provider_of("azure_subnet") == "azure"
-        with pytest.raises(CloudAPIError):
-            gateway.provider_of("gcp_thing")
+        for unserved in ("gcp_thing", "nope_thing"):
+            assert gateway.try_provider_of(unserved) is None
+            with pytest.raises(CloudAPIError):
+                gateway.provider_of(unserved)
 
     def test_shared_clock(self, gateway):
         assert gateway.planes["aws"].clock is gateway.clock

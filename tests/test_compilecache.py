@@ -110,9 +110,11 @@ class TestLookup:
     def test_schema_change_is_a_miss(self, cache, gateway):
         texts = {"main.clc": SOURCE}
         vfp, sfp = store_artifact(cache, gateway, texts)
-        wider = schema_fingerprint(CloudGateway.simulated(seed=3, synthetic=2))
-        assert wider != sfp
-        assert cache.load(texts, vfp, wider) is None
+        narrower = schema_fingerprint(
+            CloudGateway({"aws": gateway.planes["aws"]}, gateway.clock)
+        )
+        assert narrower != sfp
+        assert cache.load(texts, vfp, narrower) is None
 
     def test_cold_cache_is_a_miss(self, cache, gateway):
         texts = {"main.clc": SOURCE}

@@ -35,17 +35,6 @@ class TestStructure:
         assert dag.successors("a") == set()
         assert dag.predecessors("c") == set()
 
-    def test_subgraph(self):
-        dag = chain("a", "b", "c")
-        sub = dag.subgraph({"a", "b"})
-        assert set(sub.nodes) == {"a", "b"}
-        assert sub.successors("a") == {"b"}
-
-    def test_reversed(self):
-        dag = chain("a", "b")
-        rev = dag.reversed()
-        assert rev.successors("b") == {"a"}
-
     def test_nodes_is_a_live_view(self):
         dag = chain("a", "b")
         view = dag.nodes

@@ -2,39 +2,40 @@
 
 Covers the tentpole :class:`DriftWatcher` (durable cursors, bounded
 staleness, coalescing, enforce/adopt/notify/defer-dark auto-reconcile)
-and the three satellite bugfixes: late-added-plane cursor ``KeyError``,
-sequence-based cursors under log compaction, and full-scan provider
-derivation for planes registered under a non-prefix key.
+and the satellite bugfixes: late-added-plane cursor ``KeyError`` and
+sequence-based cursors under log compaction.
 """
 
 import pytest
 
 from repro.addressing import ResourceAddress
 from repro.cloud import FaultSpec
-from repro.cloud.base import CloudAPIError
-from repro.cloud.clock import SimClock
 from repro.cloud.faults import OutageSpec
-from repro.cloud.gateway import CloudGateway
-from repro.cloud.synthetic import SyntheticControlPlane
+from repro.cloud.azure.provider import AzureControlPlane
 from repro.core import CloudlessEngine
 from repro.drift import (
     DEFER_DARK,
     DriftWatcher,
     ENFORCE,
-    FullScanDetector,
     LogWatchDetector,
     NOTIFY,
     classify_defect,
 )
 from repro.drift.detector import DriftFinding
 from repro.perf import PERF
-from repro.state.document import ResourceState
 from repro.workloads import two_region_estate, web_tier
 
 
 def deployed(seed=70, **kwargs):
     engine = CloudlessEngine(seed=seed)
     assert engine.apply(web_tier(**kwargs)).ok
+    return engine
+
+
+def aws_only_deployed(seed):
+    """A web tier deployed through a gateway that has no azure plane."""
+    engine = deployed(seed=seed)
+    del engine.gateway.planes["azure"]
     return engine
 
 
@@ -106,20 +107,20 @@ class TestLateAddedPlane:
     """Satellite 1: planes added after construction don't crash polls."""
 
     def test_late_added_plane_defaults_to_cursor_zero(self):
-        engine = deployed(seed=73)
+        engine = aws_only_deployed(seed=73)
         detector = LogWatchDetector(engine.gateway)
         consume_history(detector, engine.state)
-        plane = SyntheticControlPlane("syn0", clock=engine.clock, seed=9)
-        engine.gateway.planes["syn0"] = plane
+        plane = AzureControlPlane(clock=engine.clock, seed=9)
+        engine.gateway.planes["azure"] = plane
         plane.external_create(
-            "syn0_vpc", {"name": "rogue"}, "syn0-east-1", actor="intern"
+            "azure_resource_group", {"name": "rogue"}, "eastus", actor="intern"
         )
-        run = detector.poll(engine.state)  # used to KeyError on "syn0"
+        run = detector.poll(engine.state)  # used to KeyError on "azure"
         assert [f.kind for f in run.findings] == ["unmanaged"]
-        assert detector.cursors["syn0"] == plane.log.next_cursor
+        assert detector.cursors["azure"] == plane.log.next_cursor
 
     def test_log_watch_across_outage_with_late_added_plane(self):
-        engine = deployed(seed=74)
+        engine = aws_only_deployed(seed=74)
         detector = LogWatchDetector(engine.gateway)
         consume_history(detector, engine.state)
         now = engine.clock.now
@@ -130,10 +131,10 @@ class TestLateAddedPlane:
         engine.gateway.planes["aws"].external_update(
             vm.resource_id, {"size": "large"}, actor="cron"
         )
-        plane = SyntheticControlPlane("syn0", clock=engine.clock, seed=9)
-        engine.gateway.planes["syn0"] = plane
+        plane = AzureControlPlane(clock=engine.clock, seed=9)
+        engine.gateway.planes["azure"] = plane
         plane.external_create(
-            "syn0_vpc", {"name": "edge"}, "syn0-east-1", actor="intern"
+            "azure_resource_group", {"name": "edge"}, "eastus", actor="intern"
         )
         run = detector.poll(engine.state)
         # the dark plane is reported unreachable, the new plane's event
@@ -143,84 +144,6 @@ class TestLateAddedPlane:
         engine.clock.advance_to(now + 301.0)
         run = detector.poll(engine.state)
         assert [f.kind for f in run.findings] == ["modified"]  # late, not lost
-
-
-class TestFullScanProviderDerivation:
-    """Satellite 3: provider comes from the gateway's type->plane map."""
-
-    def _edge_world(self):
-        clock = SimClock()
-        planes = {
-            "edge": SyntheticControlPlane("syn0", clock=clock, seed=3),
-        }
-        gateway = CloudGateway(planes, clock)
-        rid = planes["edge"].external_create(
-            "syn0_vpc", {"name": "edge-net"}, "syn0-east-1", actor="iac"
-        )
-        record = planes["edge"].records[rid]
-        state_entry = ResourceState(
-            address=ResourceAddress(type="syn0_vpc", name="edge"),
-            resource_id=rid,
-            provider="edge",
-            attrs=record.snapshot(),
-            region=record.region,
-        )
-        from repro.state.document import StateDocument
-
-        state = StateDocument()
-        state.set(state_entry)
-        return gateway, state
-
-    def test_try_provider_of_resolves_nonprefix_plane(self):
-        gateway, _ = self._edge_world()
-        assert gateway.try_provider_of("syn0_vpc") == "edge"
-        assert gateway.provider_of("syn0_vpc") == "edge"
-        assert gateway.try_provider_of("nope_thing") is None
-        with pytest.raises(CloudAPIError):
-            gateway.provider_of("nope_thing")
-
-    def test_region_outage_on_nonprefix_plane_no_phantom_deletion(self):
-        gateway, state = self._edge_world()
-        # clean scan first: no drift
-        assert FullScanDetector(gateway).scan(state).findings == []
-        now = gateway.clock.now
-        gateway.inject_outage(
-            "edge",
-            OutageSpec(start_s=now, end_s=now + 500.0, region="syn0-east-1"),
-        )
-        run = FullScanDetector(gateway).scan(state)
-        # the record is hidden by the dark region; deriving the provider
-        # from the type prefix ("syn0", not a plane key) used to defeat
-        # the outage skip-logic and fabricate a "deleted" finding here
-        assert run.findings == []
-        assert "edge/syn0-east-1" in run.unreachable
-
-    def test_synthetic_plane_region_outage_via_simulated_gateway(self):
-        engine = CloudlessEngine(
-            gateway=CloudGateway.simulated(seed=7, synthetic=1)
-        )
-        plane = engine.gateway.planes["syn0"]
-        rid = plane.external_create(
-            "syn0_vpc", {"name": "net"}, "syn0-west-1", actor="iac"
-        )
-        record = plane.records[rid]
-        engine.state.set(
-            ResourceState(
-                address=ResourceAddress(type="syn0_vpc", name="net"),
-                resource_id=rid,
-                provider="syn0",
-                attrs=record.snapshot(),
-                region=record.region,
-            )
-        )
-        now = engine.clock.now
-        engine.gateway.inject_outage(
-            "syn0",
-            OutageSpec(start_s=now, end_s=now + 500.0, region="syn0-west-1"),
-        )
-        run = FullScanDetector(engine.gateway).scan(engine.state)
-        assert run.findings == []
-        assert "syn0/syn0-west-1" in run.unreachable
 
 
 class TestWatcherCoalescing:

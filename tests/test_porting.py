@@ -370,3 +370,54 @@ class TestForEachCompaction:
         # NICs reference different subnets -> must not merge into one block
         assert project.main_source.count('resource "aws_network_interface"') == 2
         assert verify_fidelity(project).ok
+
+
+def build_named_estate(gateway):
+    TestForEachCompaction().build_named_estate(gateway)
+
+
+def build_microservices(gateway):
+    from repro.core.engine import CloudlessEngine
+    from repro.workloads import microservices
+
+    assert CloudlessEngine(gateway=gateway).apply(microservices(3)).ok
+
+
+def graph_dependencies(project):
+    """Per managed instance of the emitted program, the managed
+    instances its graph makes it wait for: what an apply records."""
+    from repro.graph import build_graph
+    from repro.lang import Configuration
+
+    graph = build_graph(
+        Configuration.parse(project.sources), loader=project.loader()
+    )
+    managed = set(graph.managed_ids())
+    return {
+        nid: sorted(p for p in graph.dag.predecessors(nid) if p in managed)
+        for nid in managed
+    }
+
+
+class TestAdoptedDependencies:
+    """An adopted entry records the edges of the program it is adopted
+    into, so deletes of an imported estate run dependents first."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            build_repetitive_estate,
+            build_repeated_stacks,
+            build_named_estate,
+            build_microservices,
+        ],
+    )
+    def test_state_dependencies_are_the_program_graphs(self, gateway, build):
+        build(gateway)
+        project = StructuredImporter().import_estate(gateway)
+        recorded = {
+            str(entry.address): list(entry.dependencies)
+            for entry in project.state.resources()
+        }
+        assert recorded == graph_dependencies(project)
+        assert any(recorded.values())
