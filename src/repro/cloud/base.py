@@ -369,6 +369,10 @@ class ControlPlane:
         #: generation so the recreate gets a fresh id
         self._id_gens: Dict[Tuple[str, str, str], int] = {}
         self.api_calls: Dict[str, int] = {"read": 0, "write": 0}
+        #: API calls this plane served in this process: unlike
+        #: ``api_calls``, never persisted and never deferred, so counting
+        #: them does not replay a plane nobody called
+        self.calls_served = 0
         #: idempotency-token index: token -> minted resource id. A create
         #: retried with the same token returns the original resource
         #: instead of provisioning a duplicate (ClientToken semantics).
@@ -469,6 +473,7 @@ class ControlPlane:
         now = self.clock.now if t_submit is None else t_submit
         op_class = "read" if operation in READ_OPS else "write"
         self.api_calls[op_class] += 1
+        self.calls_served += 1
         t_start = self.limiter.consume(op_class, now)
         spec = self.spec_for(rtype) if rtype else None
 

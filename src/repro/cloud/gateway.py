@@ -143,6 +143,12 @@ class CloudGateway:
     def total_api_calls(self) -> int:
         return sum(p.total_api_calls() for p in self.planes.values())
 
+    def calls_routed(self) -> int:
+        """API calls this process has sent through the planes: what a
+        before/after pair counts, without replaying a plane a world file
+        deferred and nobody called (``total_api_calls`` reads them all)."""
+        return sum(p.calls_served for p in self.planes.values())
+
     def api_calls_by_class(self) -> Dict[str, int]:
         out = {"read": 0, "write": 0}
         for plane in self.planes.values():

@@ -624,6 +624,9 @@ class ResilientGateway:
     def total_api_calls(self) -> int:
         return self.inner.total_api_calls()
 
+    def calls_routed(self) -> int:
+        return self.inner.calls_routed()
+
     def api_calls_by_class(self) -> Dict[str, int]:
         return self.inner.api_calls_by_class()
 

@@ -14,9 +14,9 @@ plan depends on the state, which every apply changes.
 Robustness mirrors :class:`~repro.state.persist.JournalStateStore`: a
 versioned JSON header carries the per-file source digests and the blob
 digest, writes go through a temp-file + fsync + rename, and *any*
-mismatch (torn file, version skew, fingerprint drift, unpicklable
-blob) falls back to a cold build -- a cache can be deleted at any time
-without losing anything but warm-up time.
+mismatch (torn file, version skew, fingerprint drift, a blob that does
+not unpickle when first read) falls back to a cold build -- a cache
+can be deleted at any time without losing anything but warm-up time.
 """
 
 from .._exports import export_table
@@ -25,6 +25,7 @@ __all__, __getattr__, __dir__ = export_table(
     __name__,
     {
         "store": (
+            "ArtifactUnreadable",
             "CacheLookup",
             "CompileCache",
             "schema_fingerprint",

@@ -18,10 +18,15 @@ journal)::
     <N bytes: pickle of (config, graph)>
 
 Everything that decides exact / partial / miss lives in the JSON
-header line, so the decision is made before anything is unpickled; the
-blob is then length- and digest-checked and unpickled once. A plan is
-never journaled: it depends on the state, which every apply changes,
-so the next verb always re-plans against the replayed graph.
+header line, so the decision is made from the header and the blob's
+length and digest alone: :meth:`CompileCache.load` unpickles nothing.
+It returns a :class:`CacheLookup`, a facade whose ``config`` and
+``graph`` unpickle the blob when first read, once. A verb that needs
+no node never pays for it: a ``plan`` of entries the world's plan
+record proves all no-op (``CloudlessEngine.plan``) answers from the
+header and the state. A plan is never journaled: it depends on the
+state, which every apply changes, so the next verb always re-plans
+against the replayed graph.
 
 The verdict is a header field, not a tier: opaque JSON to this module,
 written and judged by :class:`repro.validate.ValidationPipeline`
@@ -37,11 +42,13 @@ the classes an artifact is made of (:data:`ARTIFACT_CLASSES`: AST
 nodes, declarations, spans, the graph and its contexts) and no other
 global, and the pair is type-checked.
 
-A torn tail, header corruption, version skew, fingerprint drift, a
-digest mismatch on either part, or a blob that does not unpickle that
-way to a ``(Configuration, ResourceGraph)`` pair classifies as a miss
-(counted in :attr:`CompileCache.corrupt_rejects`), never an error.
-Exactness is
+A torn tail, header corruption, version skew, fingerprint drift or a
+digest mismatch on either part classifies as a miss (counted in
+:attr:`CompileCache.corrupt_rejects`), never an error. So does a blob
+that does not unpickle that way to a ``(Configuration, ResourceGraph)``
+pair, found out when the facade is first read: the hit is counted
+again as the miss it was (:class:`ArtifactUnreadable`), and the verb
+compiles cold. Exactness is
 decided by whole-file sha256 -- same bytes parse to the same chunks,
 so there is no separate chunk-fingerprint rescan on the hit path (the
 chunker is pure, and chunker changes bump ``FORMAT_VERSION``; so does
@@ -64,7 +71,7 @@ import json
 import os
 import pickle
 import tempfile
-from typing import Any, Dict, FrozenSet, List, Optional
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 FORMAT_VERSION = 5
 
@@ -157,13 +164,21 @@ def _header_sha(fields: Dict[str, Any]) -> str:
     return _sha(json.dumps(fields, sort_keys=True).encode())
 
 
+class ArtifactUnreadable(ValueError):
+    """A hit's blob did not unpickle to an artifact when first read: it
+    was a miss after all, and counts as one."""
+
+
 class CacheLookup:
-    """Outcome of :meth:`CompileCache.load`.
+    """Outcome of :meth:`CompileCache.load`: a facade over the artifact
+    whose ``config`` and ``graph`` are unpickled when first read.
 
     ``kind`` is ``"exact"`` (every file byte-identical: ``config``,
     ``graph`` *and* the recorded ``verdict`` replay as-is) or
     ``"partial"`` (something changed: only ``config``'s chunk-AST table
     is reusable, via ``Configuration.parse_streaming(reuse=...)``).
+    Reading ``config`` or ``graph`` raises :class:`ArtifactUnreadable`
+    if the blob is not an artifact's.
     """
 
     def __init__(
@@ -172,11 +187,14 @@ class CacheLookup:
         blob: bytes,
         verdict: Any = None,
         artifact: Optional[Dict[str, Any]] = None,
+        cache: Optional["CompileCache"] = None,
     ):
         self.kind = kind
         self._blob: Optional[bytes] = blob
-        self.config: Any = None
-        self.graph: Any = None
+        #: ``(config, graph)`` once unpickled
+        self._objects: Optional[Tuple[Any, Any]] = None
+        #: who counts the hit a miss if the blob does not read
+        self._cache = cache
         #: the header's verdict field as read (untrusted JSON); ``None``
         #: when the writer never validated, or on a partial hit
         self.verdict = verdict
@@ -189,10 +207,33 @@ class CacheLookup:
     def exact(self) -> bool:
         return self.kind == "exact"
 
+    @property
+    def config(self) -> Any:
+        return self._read()[0]
+
+    @property
+    def graph(self) -> Any:
+        return self._read()[1]
+
+    def _read(self) -> Tuple[Any, Any]:
+        if self._objects is None:
+            if self._blob is None:
+                raise ArtifactUnreadable("compile-cache blob already refused")
+            try:
+                self._materialize()
+            except Exception as exc:
+                # unpicklable bytes, classes no artifact is made of, not
+                # a (config, graph) pair: all of it is just a cold build
+                self._blob = None
+                if self._cache is not None:
+                    self._cache._reject_late(self.kind)
+                raise ArtifactUnreadable(str(exc)) from exc
+        assert self._objects is not None
+        return self._objects
+
     def _materialize(self) -> None:
-        """Unpickle the digest-checked blob (O(estate)), as data; ``load``
-        runs this once per hit, so a blob that is not an artifact's
-        reads as a miss."""
+        """Unpickle the digest-checked blob (O(estate)), as data; the
+        first read of ``config`` or ``graph`` runs this, once."""
         assert self._blob is not None
         objects = _ArtifactUnpickler(io.BytesIO(self._blob)).load()
         self._blob = None  # the bytes are no longer needed
@@ -208,7 +249,7 @@ class CacheLookup:
             raise ValueError(
                 "corrupt compile-cache blob: expected a (config, graph) pair"
             )
-        self.config, self.graph = objects
+        self._objects = objects
 
 
 class CompileCache:
@@ -273,7 +314,11 @@ class CompileCache:
         ):
             return self._reject()
         exact = header.get("source_sha") == source_shas(sources)
-        lookup = CacheLookup(
+        if exact:
+            self.exact_hits += 1
+        else:
+            self.partial_hits += 1
+        return CacheLookup(
             "exact" if exact else "partial",
             blob,
             verdict=header.get("verdict") if exact else None,
@@ -281,23 +326,21 @@ class CompileCache:
                 "key": self.key_for(sources, variables_fp, schema_fp),
                 "source_sha": header.get("source_sha"),
             },
+            cache=self,
         )
-        try:
-            lookup._materialize()
-        except Exception:
-            # unpicklable bytes, classes no artifact is made of, not a
-            # (config, graph) pair: all of it is just a cold build
-            return self._reject()
-        if exact:
-            self.exact_hits += 1
-        else:
-            self.partial_hits += 1
-        return lookup
 
     def _reject(self) -> None:
         self.corrupt_rejects += 1
         self.misses += 1
         return None
+
+    def _reject_late(self, kind: str) -> None:
+        """A hit of ``kind`` whose blob did not read: a miss after all."""
+        if kind == "exact":
+            self.exact_hits -= 1
+        else:
+            self.partial_hits -= 1
+        self._reject()
 
     @staticmethod
     def _checked_header(

@@ -27,6 +27,7 @@ from ..state.snapshots import SnapshotHistory
 from ..types.schema import SchemaRegistry
 
 if TYPE_CHECKING:  # imported by the verbs that run them, not by every verb
+    from ..compilecache import CacheLookup
     from ..debug.correlate import Diagnosis, IaCDebugger
     from ..deploy.executor import ApplyResult, PlanExecutor
     from ..deploy.recovery import RecoveryReport
@@ -106,6 +107,17 @@ def _same_blocks(was: Mapping[str, Any], now: Mapping[str, Any]) -> bool:
     )
 
 
+def _read_hit(lookup: CacheLookup) -> Optional[Configuration]:
+    """The configuration a cache hit holds, unpickled now, or ``None``
+    if its blob does not read (the cache counts that hit a miss)."""
+    from ..compilecache import ArtifactUnreadable
+
+    try:
+        return lookup.config
+    except ArtifactUnreadable:
+        return None
+
+
 class EngineError(RuntimeError):
     """Lifecycle-level failures (validation denied, admission denied)."""
 
@@ -115,7 +127,8 @@ class Compiled:
     """One verb's sources compiled once (:meth:`CloudlessEngine.compile`);
     every lifecycle verb accepts it in place of the sources."""
 
-    config: Configuration
+    #: ``None`` while ``lookup`` still holds it
+    config: Optional[Configuration]
     #: filename -> source text ("" when only a Configuration was given)
     texts: Dict[str, str]
     variables: Optional[Dict[str, Any]]
@@ -137,6 +150,10 @@ class Compiled:
     #: exact hit's, or the one :meth:`CloudlessEngine._store` wrote):
     #: ``{"key": ..., "source_sha": {file: sha256}}``
     artifact: Optional[Dict[str, Any]] = None
+    #: an exact hit not unpickled yet: ``config`` and ``graph`` are read
+    #: from it when the verb first needs a node
+    #: (:meth:`CloudlessEngine._read_artifact`)
+    lookup: Optional[CacheLookup] = None
 
 
 @dataclasses.dataclass
@@ -240,14 +257,18 @@ class CloudlessEngine:
         #: this engine was loaded or last saved; a save writes a delta
         #: against it
         self._world_base: Any = None
-        #: ``(texts, config)`` of the last compile from source text; the
-        #: next :meth:`compile` reuses what it can of it. Dropped with
+        #: ``(texts, config)`` of the last compile from source text (or,
+        #: until something reads it, ``(texts, the exact cache hit)``);
+        #: the next :meth:`compile` reuses what it can of it. Dropped with
         #: the engine, which is how a re-opened session forgets it.
-        self._last_compile: Optional[Tuple[Dict[str, str], Configuration]] = None
+        self._last_compile: Optional[
+            Tuple[Dict[str, str], Union[Configuration, CacheLookup]]
+        ] = None
         #: what the last plan of a compile of ours was computed from and
-        #: proved no-op; the next plan diffs what is not provably the
-        #: same (:meth:`_plan_scope`). Like ``_last_compile`` it is
-        #: dropped with the engine.
+        #: proved no-op, with what its apply committed and proved; the
+        #: next plan diffs what is not provably the same
+        #: (:meth:`_plan_scope`). Like ``_last_compile`` it is dropped
+        #: with the engine.
         self._plan_basis: Optional[PlanBasis] = None
         #: what the world file this engine was loaded from (or last
         #: saved to) says the last plan proved -- :mod:`repro.persist`'s
@@ -371,29 +392,44 @@ class CloudlessEngine:
             fps = (variables_fingerprint(variables), schema_fingerprint(self.gateway))
         reuse: Optional[Configuration] = None
         if self._last_compile is not None:
-            resident_texts, reuse = self._last_compile
-            if resident_texts == texts:
+            resident_texts, held = self._last_compile
+            if not isinstance(held, Configuration):
+                # the first compile's exact hit, which no verb has read
+                held = _read_hit(held)
+            basis = self._plan_basis
+            if basis is not None and basis.config is None:
+                # woken for that first compile: its configuration
+                if held is None:
+                    self._plan_basis = None
+                else:
+                    basis.config = held
+            if held is not None and resident_texts == texts:
                 PERF.count("compile.resident_exact")
                 return Compiled(
-                    reuse, texts, variables, store_fps=fps, resident=True
+                    held, texts, variables, store_fps=fps, resident=True
                 )
+            reuse = held
             PERF.count("compile.resident_partial")
         else:
             lookup = cache.load(texts, *fps) if fps is not None else None
+            if lookup is not None and not lookup.exact:
+                # partial hit: unchanged chunks skip lex+parse via the
+                # artifact's resident chunk-AST table
+                reuse = _read_hit(lookup)
+                if reuse is None:
+                    lookup = None
             self._wake_plan_basis(lookup, variables)
             if lookup is not None and lookup.exact:
-                self._last_compile = (texts, lookup.config)
+                # config and graph are unpickled when a verb needs a node
+                self._last_compile = (texts, lookup)
                 return Compiled(
-                    lookup.config,
+                    None,
                     texts,
                     variables,
-                    graph=lookup.graph,
                     verdict=lookup.verdict,
                     artifact=lookup.artifact,
+                    lookup=lookup,
                 )
-            # partial hit: unchanged chunks skip lex+parse via the
-            # artifact's resident chunk-AST table
-            reuse = lookup.config if lookup is not None else None
         config = Configuration.parse_streaming(texts, reuse=reuse)
         resident = self._last_compile is not None
         self._last_compile = (texts, config)
@@ -419,26 +455,71 @@ class CloudlessEngine:
         elif lookup.artifact["source_sha"] != record[0]["source_sha"]:
             outcome = "other_sources"
         else:
+            from ..addressing import MANAGED
             from ..graph.impact import PlanBasis
 
             outcome = "woken"
             proof, state = record
             unproven = set(proof["unproven"])
+            noop = {
+                address: entry
+                for address, entry in state.entries_map().items()
+                if address not in unproven
+            }
             self._plan_basis = PlanBasis(
-                config=lookup.config,
+                # an exact hit's is read when a verb needs it
+                config=None if lookup.exact else lookup.config,
                 variables=dict(variables or {}),
                 data_digest=proof["data"],
-                noop={
-                    address: entry
-                    for address, entry in state.entries_map().items()
-                    if address not in unproven
-                },
+                noop=noop,
                 artifact=lookup.artifact,
+                # what the record knows of them: every address it proves
+                # or does not
+                instances=unproven.union(
+                    a for a, entry in noop.items() if entry.address.mode == MANAGED
+                ),
+                nodes=proof.get("nodes"),
             )
         PERF.count(f"plan.basis.{outcome}")
 
+    def _read_artifact(self, compiled: Compiled) -> None:
+        """Unpickle an exact hit's configuration and graph, now that the
+        verb needs a node. A blob that does not read is the miss it
+        would have been at load: the sources compile cold, and the verb
+        writes the artifact again."""
+        lookup = compiled.lookup
+        if lookup is None:
+            return
+        compiled.lookup = None
+        config = _read_hit(lookup)
+        if config is not None:
+            compiled.config, compiled.graph = config, lookup.graph
+        else:
+            from ..compilecache import schema_fingerprint, variables_fingerprint
+            from ..lang.config import Configuration
+
+            compiled.config = Configuration.parse_streaming(compiled.texts)
+            compiled.verdict = compiled.artifact = None
+            compiled.store_fps = (
+                variables_fingerprint(compiled.variables),
+                schema_fingerprint(self.gateway),
+            )
+        last = self._last_compile
+        if last is not None and last[1] is lookup:
+            self._last_compile = (last[0], compiled.config)
+
+    def _ours(self, compiled: Compiled) -> bool:
+        """Whether ``compiled`` is this engine's last compile: only a
+        configuration the engine parsed is known not to be edited in
+        place between two verbs."""
+        return (
+            self._last_compile is not None
+            and compiled.config is self._last_compile[1]
+        )
+
     def _graph(self, compiled: Compiled) -> ResourceGraph:
         """The verb's one graph: validation and the plan both read it."""
+        self._read_artifact(compiled)
         if compiled.graph is None:
             from ..graph.builder import GraphBuildError
 
@@ -521,11 +602,7 @@ class CloudlessEngine:
         # edited in place between two validations, and only a graph
         # nobody has planned on evaluates as validation means it to
         slot = graph.binding_resolver if graph is not None else None
-        ours = (
-            self._last_compile is not None
-            and compiled.config is self._last_compile[1]
-            and getattr(slot, "target", None) is None
-        )
+        ours = self._ours(compiled) and getattr(slot, "target", None) is None
         basis = self._validation_scope(
             self._validation_basis if ours else None, compiled, ours
         )
@@ -600,13 +677,15 @@ class CloudlessEngine:
 
         if self.executor_name not in EXECUTORS:
             raise EngineError(f"unknown executor {self.executor_name!r}")
-        return make_executor(
+        executor = make_executor(
             self.executor_name,
             self.gateway,
             concurrency=self.concurrency,
             retry=self.retry,
             health=self.health,
         )
+        executor.planner = self.planner
+        return executor
 
     # -- lifecycle verbs ---------------------------------------------------------
 
@@ -622,18 +701,33 @@ class CloudlessEngine:
         state: Optional[StateDocument] = None,
     ) -> Plan:
         compiled = self.compile(sources, variables)
-        graph = self._graph(compiled)
-        self._store(compiled)  # with no verdict, if the verb never validated
         working = (state if state is not None else self.state).copy()
-        data_values = read_data_sources(self.resilient, graph, working)
-        # only a configuration this engine parsed is known not to be
-        # edited in place between two plans: any other has no basis
-        ours = (
-            self._last_compile is not None
-            and compiled.config is self._last_compile[1]
-        )
         from ..graph.impact import PlanBasis, values_digest
 
+        basis = self._plan_basis
+        if (
+            compiled.lookup is not None
+            and basis is not None
+            and basis.nodes is not None
+            and basis.artifact == compiled.artifact
+            and basis.data_digest == values_digest({})
+            and not basis.unproven(working)
+        ):
+            # the basis proves every instance of this very artifact's
+            # program no-op, and the program reads no data source:
+            # nothing to diff, so nothing to unpickle
+            PERF.count("plan.scoped")
+            PERF.count("plan.proven")
+            self.last_plan_scope = (0, basis.nodes)
+            return self.planner.plan(
+                functools.partial(self._graph, compiled), working, limit_to=set()
+            )
+        graph = self._graph(compiled)
+        self._store(compiled)  # with no verdict, if the verb never validated
+        data_values = read_data_sources(self.resilient, graph, working)
+        # any configuration but the engine's own has no basis (nor has
+        # one woken for an artifact that did not read after all)
+        ours = self._ours(compiled)
         data_digest = values_digest(data_values)
         scope = self._plan_scope(
             self._plan_basis if ours else None, compiled, graph, working, data_digest
@@ -646,18 +740,24 @@ class CloudlessEngine:
             len(graph),
         )
         if ours:
+            from ..addressing import MANAGED
             from ..graph.plan import Action
 
+            noop, instances = {}, set()
+            for address, change in plan.changes.items():
+                if change.node is None or change.address.mode != MANAGED:
+                    continue
+                instances.add(address)
+                if change.action is Action.NOOP and change.prior is not None:
+                    noop[address] = change.prior
             self._plan_basis = PlanBasis(
                 config=compiled.config,
                 variables=dict(compiled.variables or {}),
                 data_digest=data_digest,
-                noop={
-                    address: change.prior
-                    for address, change in plan.changes.items()
-                    if change.action is Action.NOOP and change.prior is not None
-                },
+                noop=noop,
                 artifact=compiled.artifact,
+                instances=instances,
+                nodes=len(graph),
             )
         return plan
 
@@ -681,6 +781,10 @@ class CloudlessEngine:
         touched."""
         from ..graph.impact import change_scope, diff_configurations
 
+        if basis is not None and basis.config is None:
+            # woken for an exact hit nothing had read: the compile that
+            # woke it is this one, ours, and holds its configuration now
+            basis.config = compiled.config
         if basis is None:
             why = "first"
         elif compiled.config.module_calls or basis.config.module_calls:
@@ -768,6 +872,7 @@ class CloudlessEngine:
                 journal.close()
         assert result.state is not None
         self.state = result.state
+        self._prove_commits(compiled, plan, result)
         self._store_outputs(plan, result)
         self.last_sources = compiled.texts
         self.last_variables = dict(variables or {})
@@ -791,6 +896,40 @@ class CloudlessEngine:
             diagnoses=diagnoses,
             snapshot_version=snapshot_version,
         )
+
+    def _prove_commits(
+        self, compiled: Compiled, plan: Plan, result: ApplyResult
+    ) -> None:
+        """Fold what the apply committed into the basis its plan left.
+        Both checks are the plan's own no-op rule
+        (:meth:`Planner.proves`): the executor checked each entry it
+        committed against the values it sent (``result.proven``), and a
+        no-op below a committed entry is checked against the values it
+        evaluates to now."""
+        from ..graph.plan import ACTIONABLE, Action
+
+        entries = self.state.entries_map()
+        moved = [
+            address
+            for address, change in plan.changes.items()
+            if change.action in ACTIONABLE
+            and change.action is not Action.READ
+            and entries.get(address) is not change.prior
+        ]
+        basis = self._plan_basis
+        if not (moved and basis is not None and self._ours(compiled)):
+            return
+        graph = plan.graph
+
+        def still_noop(address: str, entry: Any) -> bool:
+            node = graph.nodes[address]
+            try:
+                desired = node.evaluate_attrs()
+            except Exception:
+                return False
+            return self.planner.proves(node, desired, entry)
+
+        self._plan_basis = basis.committed(graph, moved, result.proven, still_noop)
 
     def _store_outputs(self, plan: Plan, result: ApplyResult) -> None:
         """Evaluate root-module outputs post-apply into state.outputs."""
@@ -868,6 +1007,8 @@ class CloudlessEngine:
         uninterrupted run's byte for byte.
         """
         changed = False
+        # (dependencies are nothing a plan compares: a proof carries over)
+        proofs = self._plan_basis.noop if self._plan_basis is not None else {}
         for cid, node in plan.graph.nodes.items():
             if node is None or node.address.mode != "managed":
                 continue
@@ -876,7 +1017,10 @@ class CloudlessEngine:
                 continue
             deps = plan.graph.managed_dependencies(cid)
             if deps and list(entry.dependencies) != deps:
-                self.state.set(entry.replace(dependencies=deps))
+                refreshed = entry.replace(dependencies=deps)
+                self.state.set(refreshed)
+                if proofs.get(cid) is entry:
+                    proofs[cid] = refreshed
                 changed = True
         if changed:
             self.state.bump()

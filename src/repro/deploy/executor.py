@@ -44,7 +44,7 @@ from ..cloud.resilience import (
 )
 from ..graph.critical_path import analyze
 from ..graph.dag import Dag
-from ..graph.plan import Action, Plan, PlannedChange
+from ..graph.plan import Action, Plan, PlannedChange, Planner
 from ..lang.diagnostics import CLCEvalError
 from ..lang.values import is_unknown
 from ..perf import PERF
@@ -104,6 +104,9 @@ class ApplyResult:
     #: changes parked behind unreachable partitions (degraded mode);
     #: typed dispositions, not failures -- see :class:`Quarantine`
     quarantined: Dict[str, Quarantine] = dataclasses.field(default_factory=dict)
+    #: address -> the entry a create or update committed, where the
+    #: executor's planner finds it no-op against the values it sent
+    proven: Dict[str, ResourceState] = dataclasses.field(default_factory=dict)
 
     @property
     def makespan_s(self) -> float:
@@ -138,6 +141,8 @@ class _Running:
     #: WAL bookkeeping (unused when no journal is attached): the intent
     #: id logged for the in-flight step, cleared at commit/abort.
     open_iid: Optional[int] = None
+    #: the attribute values a create or update step evaluated and sent
+    sent: Optional[Dict[str, Any]] = None
 
 
 _STEPS = {
@@ -325,6 +330,10 @@ class PlanExecutor:
     """Base discrete-event executor; subclasses pick scheduling order."""
 
     name = "base"
+    #: whose no-op rule a committed create or update is checked by, at
+    #: commit, while the values it sent are at hand
+    #: (:attr:`ApplyResult.proven`); ``None`` proves nothing
+    planner: Optional[Planner] = None
 
     def __init__(
         self,
@@ -391,7 +400,7 @@ class PlanExecutor:
         """
         clock = self.gateway.clock
         started = clock.now
-        calls_before = self.gateway.total_api_calls()
+        calls_before = self.gateway.calls_routed()
         result = ApplyResult(started_at=started, finished_at=started)
         state = plan.state
 
@@ -674,6 +683,13 @@ class PlanExecutor:
                     if paused:
                         drain_paused(part)
             self._commit_step(plan, rc, state, op_name, response, clock.now)
+            if op_name != "delete" and self.planner is not None:
+                entry = state.get(rc.change.address)
+                assert rc.change.node is not None and rc.sent is not None
+                if entry is not None and self.planner.proves(
+                    rc.change.node, rc.sent, entry
+                ):
+                    result.proven[cid] = entry
             if wal is not None and rc.open_iid is not None:
                 committed_id = (
                     response.get("id", "") if isinstance(response, dict) else ""
@@ -734,7 +750,7 @@ class PlanExecutor:
 
         result.finished_at = clock.now
         result.state = state
-        result.api_calls = self.gateway.total_api_calls() - calls_before
+        result.api_calls = self.gateway.calls_routed() - calls_before
         state.bump()
         return result
 
@@ -783,7 +799,7 @@ class PlanExecutor:
                 "delete", rtype, resource_id=prior.resource_id
             )
         # create / update need (re-)evaluated attribute values
-        attrs = self._materialized_attrs(change)
+        attrs = rc.sent = self._materialized_attrs(change)
         region = change.region or self.gateway.region_for(rtype, attrs)
         if op == "create":
             payload = {k: v for k, v in attrs.items() if v is not None}

@@ -40,7 +40,7 @@ def refresh_state(gateway: CloudGateway, state: StateDocument) -> RefreshResult:
     ``state`` in place."""
     clock = gateway.clock
     started = clock.now
-    calls_before = gateway.total_api_calls()
+    calls_before = gateway.calls_routed()
     refreshed: List[str] = []
     drifted: List[str] = []
     missing: List[str] = []
@@ -79,7 +79,7 @@ def refresh_state(gateway: CloudGateway, state: StateDocument) -> RefreshResult:
         refreshed=refreshed,
         drifted=drifted,
         missing=missing,
-        api_calls=gateway.total_api_calls() - calls_before,
+        api_calls=gateway.calls_routed() - calls_before,
         duration_s=clock.now - started,
     )
 

@@ -125,7 +125,7 @@ class FullScanDetector:
     def scan(self, state: StateDocument) -> DetectionRun:
         clock = self.gateway.clock
         started = clock.now
-        calls_before = self.gateway.total_api_calls()
+        calls_before = self.gateway.calls_routed()
         live: Dict[str, Dict[str, Any]] = {}
         live_types: Dict[str, str] = {}
         live_providers: Dict[str, str] = {}
@@ -215,7 +215,7 @@ class FullScanDetector:
                 )
         return DetectionRun(
             findings=findings,
-            api_calls=self.gateway.total_api_calls() - calls_before,
+            api_calls=self.gateway.calls_routed() - calls_before,
             duration_s=clock.now - started,
             finished_at=clock.now,
             unreachable=sorted(unreachable),
@@ -295,7 +295,7 @@ class LogWatchDetector:
         """One poll: read new log events, map external ones to findings."""
         clock = self.gateway.clock
         started = clock.now
-        calls_before = self.gateway.total_api_calls()
+        calls_before = self.gateway.calls_routed()
         findings: List[DriftFinding] = []
         by_provider, unreachable = self.tail()
         for events in by_provider.values():
@@ -305,7 +305,7 @@ class LogWatchDetector:
                     findings.append(finding)
         return DetectionRun(
             findings=findings,
-            api_calls=self.gateway.total_api_calls() - calls_before,
+            api_calls=self.gateway.calls_routed() - calls_before,
             duration_s=clock.now - started,
             finished_at=clock.now,
             unreachable=unreachable,

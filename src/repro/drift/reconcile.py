@@ -102,7 +102,7 @@ class Reconciler:
     def reconcile(
         self, findings: List[DriftFinding], state: StateDocument
     ) -> ReconcileReport:
-        calls_before = self.gateway.total_api_calls()
+        calls_before = self.gateway.calls_routed()
         actions: List[ReconcileAction] = []
         notifications: List[str] = []
         remainder: List[str] = []
@@ -121,7 +121,7 @@ class Reconciler:
         return ReconcileReport(
             actions=actions,
             notifications=notifications,
-            api_calls=self.gateway.total_api_calls() - calls_before,
+            api_calls=self.gateway.calls_routed() - calls_before,
             remainder=remainder,
         )
 

@@ -225,9 +225,9 @@ class DriftWatcher:
         started = clock.now
         if self._started_at is None:
             self._started_at = started
-        calls_before = self.gateway.total_api_calls()
+        calls_before = self.gateway.calls_routed()
         by_provider, unreachable = self.detector.tail()
-        detect_calls = self.gateway.total_api_calls() - calls_before
+        detect_calls = self.gateway.calls_routed() - calls_before
         now = clock.now
 
         lag_s, stale = self._account_staleness(by_provider, now)
@@ -554,7 +554,7 @@ class DriftWatcher:
     def _repair(
         self, actionable: List[ReconcileDecision], state: StateDocument
     ) -> ReconcileReport:
-        calls_before = self.gateway.total_api_calls()
+        calls_before = self.gateway.calls_routed()
         actions: List[ReconcileAction] = []
         notifications: List[str] = []
         remainder: List[str] = []
@@ -578,6 +578,6 @@ class DriftWatcher:
         return ReconcileReport(
             actions=actions,
             notifications=notifications,
-            api_calls=self.gateway.total_api_calls() - calls_before,
+            api_calls=self.gateway.calls_routed() - calls_before,
             remainder=remainder,
         )

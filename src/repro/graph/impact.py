@@ -8,10 +8,11 @@ cloud-level resource state from scratch.
 
 One rule, one caller: :func:`diff_configurations` says which
 declarations are not what they were, :func:`change_scope` turns that
-(plus what the state says and what an earlier plan proved) into the
-addresses a plan must diff. A :class:`~repro.core.engine.CloudlessEngine`
-plans with them against its :class:`PlanBasis` -- the one its own last
-plan left, or the one a world file's record of the last process's woke.
+(plus what the state says and what an earlier plan or apply proved)
+into the addresses a plan must diff. A
+:class:`~repro.core.engine.CloudlessEngine` plans with them against its
+:class:`PlanBasis` -- the one its own last plan or apply left, or the
+one a world file's record of the last process's woke.
 """
 
 from __future__ import annotations
@@ -19,7 +20,17 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Any, Callable, Dict, Mapping, Optional, Set, Tuple
+from typing import (
+    AbstractSet,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from ..addressing import DATA, MANAGED
 from ..lang.ast_nodes import Attribute, Body
@@ -60,8 +71,9 @@ class ConfigDelta:
 
 @dataclasses.dataclass
 class PlanBasis:
-    """What one plan was computed from and what it proved, kept so the
-    next plan re-diffs only what is not provably the same.
+    """What one plan was computed from and what it, and the apply that
+    ran it, proved: kept so the next plan re-diffs only what is not
+    provably the same.
 
     Holds no graph, context or resolver: a configuration, plain values
     and state entries, all of which the engine holds anyway. That is
@@ -69,18 +81,76 @@ class PlanBasis:
     compile-cache artifact's, the entries are a world file's, and the
     rest is the record :mod:`repro.persist` writes beside the state."""
 
-    config: Configuration
+    #: ``None`` for a basis woken for an exact compile-cache hit that
+    #: nothing has read yet: the configuration the engine's last
+    #: compile reads from it
+    config: Optional[Configuration]
     variables: Dict[str, Any]
     #: :func:`values_digest` of the data-source reads it was planned with
     data_digest: str
-    #: address -> the sealed state entry that plan found it ``NOOP``
-    #: against; entries are immutable, so the same entry *is* the same
-    #: resource as it was then
+    #: address -> the sealed state entry the plan found it ``NOOP``
+    #: against, or its apply committed as the plan's rule finds no-op;
+    #: entries are immutable, so the same entry *is* the same resource
+    #: as it was then
     noop: Dict[str, ResourceState]
     #: the compile-cache artifact that holds ``config`` -- ``{"key":
     #: ..., "source_sha": {file: sha256}}`` -- when one does: what a
     #: world file names the proof by
     artifact: Optional[Dict[str, Any]] = None
+    #: the managed instance addresses of ``config``
+    instances: AbstractSet[str] = frozenset()
+    #: the number of nodes in ``config``'s graph, when ``instances``
+    #: lists every one ``config`` declares; ``None`` for a basis woken
+    #: from a record that lists only what its state held, which no plan
+    #: may take as a proof that nothing is left to create
+    nodes: Optional[int] = None
+
+    def unproven(self, state: StateDocument) -> Set[str]:
+        """The managed addresses ``state`` holds or ``config`` declares
+        that this basis does not vouch for: no entry, or not the very
+        entry it was proved against. Empty, there is nothing to diff."""
+        entries = state.entries_map()
+        noop = self.noop
+        out = {
+            address
+            for address in self.instances
+            if (entry := entries.get(address)) is None
+            or noop.get(address) is not entry
+        }
+        out.update(
+            address
+            for address, entry in entries.items()
+            if entry.address.mode == MANAGED and noop.get(address) is not entry
+        )
+        return out
+
+    def committed(
+        self,
+        graph: ResourceGraph,
+        moved: Iterable[str],
+        proven: Mapping[str, ResourceState],
+        still_noop: Callable[[str, ResourceState], bool],
+    ) -> "PlanBasis":
+        """This basis once an apply of its plan has moved the entries
+        at ``moved`` and proved ``proven`` (address -> committed entry).
+        A no-op found below a moved entry was found against the values
+        that entry held: it stays only if ``still_noop`` finds it no-op
+        again on the values it reads now. The proven entries join."""
+        noop = self.noop
+        if noop:
+            below: Set[str] = set()
+            frontier = [address for address in moved if address in graph.dag]
+            while frontier:
+                for succ in graph.dag.successors(frontier.pop()):
+                    if succ not in below:
+                        below.add(succ)
+                        frontier.append(succ)
+            noop = {
+                a: entry
+                for a, entry in noop.items()
+                if a not in below or still_noop(a, entry)
+            }
+        return dataclasses.replace(self, noop={**noop, **proven})
 
 
 def same_values(a: Any, b: Any) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from ..addressing import DATA, MANAGED, ResourceAddress
 from ..lang.context import DeferredResolver
@@ -100,9 +100,24 @@ class UndiffedNoop(PlannedChange):
     """A node a scoped plan left out: ``NOOP`` against ``prior`` on the
     caller's proof, not by evaluating it. It reads like the full plan's
     no-op all the same: ``desired`` is evaluated when first read (the
-    cost estimate reads it), ``region`` is the prior's."""
+    cost estimate reads it), ``region`` is the prior's, and in a plan
+    whose graph is still unread ``node`` is looked up when first read."""
 
     _desired: Optional[Dict[str, Any]] = None
+    _node: Optional[ResourceNode] = None
+    #: the plan whose graph holds ``node``, until it is looked up
+    _plan: Optional["Plan"] = None
+
+    @property
+    def node(self) -> Optional[ResourceNode]:
+        if self._node is None and self._plan is not None:
+            self._node = self._plan.graph.nodes[self.id]
+            self._plan = None
+        return self._node
+
+    @node.setter
+    def node(self, value: Optional[ResourceNode]) -> None:
+        self._node = value
 
     @property
     def desired(self) -> Dict[str, Any]:
@@ -225,21 +240,46 @@ class ValueResolver:
         return Unknown(addr_text)
 
 
+#: a graph, or a function that reads it (:meth:`Planner.plan`)
+GraphSource = Union[ResourceGraph, Callable[[], ResourceGraph]]
+
+
 class Plan:
     """The full set of planned changes plus execution ordering."""
 
-    def __init__(self, graph: ResourceGraph, state: StateDocument):
-        self.graph = graph
+    def __init__(self, graph: GraphSource, state: StateDocument):
+        self._graph = graph
         self.state = state
         self.changes: Dict[str, PlannedChange] = {}
-        self.resolver = ValueResolver(graph, state)
+        self._resolver: Optional[ValueResolver] = None
         #: memoized critical-path analyses for this plan, keyed by
         #: (edge set, durations) -- see repro.graph.critical_path.analyze
         self.analysis_cache: Dict[Any, Any] = {}
+        if not callable(graph):
+            self._bind(graph)
+
+    @property
+    def graph(self) -> ResourceGraph:
+        """The graph planned: read when first asked for, if the plan was
+        given a function that reads it."""
+        if callable(self._graph):
+            self._bind(self._graph())
+        return self._graph
+
+    @property
+    def resolver(self) -> ValueResolver:
+        if self._resolver is None:
+            self.graph  # binds it
+        assert self._resolver is not None
+        return self._resolver
+
+    def _bind(self, graph: ResourceGraph) -> None:
+        self._graph = graph
+        self._resolver = ValueResolver(graph, self.state)
         # point the graph's module contexts at this plan's resolver so
         # attribute evaluation sees state/apply-time values
         if isinstance(graph.binding_resolver, DeferredResolver):
-            graph.binding_resolver.target = self.resolver
+            graph.binding_resolver.target = self._resolver
 
     def add(self, change: PlannedChange) -> None:
         self.changes[change.id] = change
@@ -406,7 +446,7 @@ class Planner:
 
     def plan(
         self,
-        graph: ResourceGraph,
+        graph: GraphSource,
         state: StateDocument,
         data_values: Optional[Dict[str, Dict[str, Any]]] = None,
         limit_to: Optional[Set[str]] = None,
@@ -416,8 +456,32 @@ class Planner:
         ``data_values``: pre-read data source values (addr -> attrs).
         ``limit_to``: impact-scoped planning -- only these addresses
         (plus deletions among them) are diffed; everything else is NOOP.
+
+        ``graph`` may be a function that reads it. A plan with nothing
+        in ``limit_to`` then never calls it: the caller vouches, by the
+        contract of :func:`~repro.graph.impact.change_scope`, that the
+        managed nodes are the state's managed entries and each is no-op
+        against its entry, and that the graph reads no data source. The
+        plan is those entries as :class:`UndiffedNoop`, and the graph is
+        read when something first asks the plan for it.
         """
         plan = Plan(graph, state)
+        if callable(graph):
+            if limit_to is not None and not limit_to:
+                for entry in state.resources():
+                    if entry.address.mode != MANAGED:
+                        continue
+                    change = UndiffedNoop(
+                        action=Action.NOOP,
+                        address=entry.address,
+                        prior=entry,
+                        region=entry.region,
+                        provider=self._provider_lookup(entry.address.type),
+                    )
+                    change._plan = plan
+                    plan.add(change)
+                return plan
+            graph = plan.graph
         for addr_text, attrs in (data_values or {}).items():
             plan.resolver.set_override(addr_text, attrs)
 
@@ -500,12 +564,7 @@ class Planner:
             raise PlanError(f"{node.id}: cannot evaluate attributes: {exc}")
         prior = state.get(node.address)
         rtype = node.address.type
-        spec = self._spec(rtype)
-        region = (
-            self._provider_config_region(node, desired)
-            or self._region_lookup(rtype, desired)
-            or (prior.region if prior else "")
-        )
+        region = self._region(node, desired, prior)
         provider = self._provider_lookup(rtype)
         change = PlannedChange(
             action=Action.NOOP,
@@ -525,6 +584,7 @@ class Planner:
             ]
             return change
 
+        spec = self._spec(rtype)
         ignore = set(node.decl.lifecycle.ignore_changes)
         requires_replace = False
         for name, new_value in sorted(desired.items()):
@@ -564,6 +624,42 @@ class Planner:
             change.action = Action.UPDATE
         return change
 
+    def proves(
+        self, node: ResourceNode, desired: Dict[str, Any], entry: ResourceState
+    ) -> bool:
+        """Whether a plan would find ``node`` no-op against ``entry``,
+        ``desired`` being its attribute values known in full (what an
+        executor evaluated and sent): the rule :meth:`_diff_node` finds a
+        ``NOOP`` by -- configured attributes equal by ``values_equal`` but
+        those ``ignore_changes`` names, and the same region. A value still
+        unknown proves nothing (it equals no value a state entry holds);
+        the very object sent is the same value (a cloud that stored it
+        returns it)."""
+        region = self._region(node, desired, entry)
+        if region and entry.region and region != entry.region:
+            return False
+        ignore = node.decl.lifecycle.ignore_changes
+        attrs = entry.attrs
+        for name, value in desired.items():
+            if value is None or name in ignore:
+                continue
+            held = attrs.get(name)
+            if held is not value and not values_equal(held, value):
+                return False
+        return True
+
+    def _region(
+        self,
+        node: ResourceNode,
+        desired: Dict[str, Any],
+        prior: Optional[ResourceState],
+    ) -> str:
+        return (
+            self._provider_config_region(node, desired)
+            or self._region_lookup(node.address.type, desired)
+            or (prior.region if prior else "")
+        )
+
     def _provider_config_region(
         self, node: ResourceNode, desired: Dict[str, Any]
     ) -> str:
@@ -579,6 +675,8 @@ class Planner:
         if isinstance(location, str) and location:
             return ""  # explicit per-resource location wins
         providers = node.context.config.providers
+        if not providers:
+            return ""
         block = next(
             (
                 providers[key]

@@ -117,6 +117,8 @@ def deep_copy_value(value: Any) -> Any:
 
 def values_equal(a: Any, b: Any) -> bool:
     """Deep structural equality with number coercion (1 == 1.0)."""
+    if type(a) is str or type(b) is str:  # (the common case, decided here)
+        return a == b
     if isinstance(a, Unknown) or isinstance(b, Unknown):
         return a == b
     if isinstance(a, bool) != isinstance(b, bool):

@@ -38,9 +38,12 @@ KNOWN_PROBES: Dict[str, str] = {
     # -- plan: how much of the graph a verb diffed --------------------------
     "plan.scoped": "count: plans that diffed only what the engine's plan basis "
     "could not vouch for (changed declarations and their dependents, state "
-    "entries that are not the ones its last plan -- this process's, or the one "
-    "the world file records -- found no-op)",
+    "entries that are not the ones its last plan or apply -- this process's, or "
+    "the one the world file records -- proved no-op)",
     "plan.scope_nodes": "count: addresses those plans diffed, summed",
+    "plan.proven": "count: scoped plans with nothing to diff and an exact "
+    "artifact hit still unread -- the basis proves every entry no-op and the "
+    "program reads no data source -- so the graph was never unpickled",
     "plan.full": "count: plans that diffed every node; plan.full.<why> says "
     "why -- first (no basis: an engine's first plan, or a Configuration it did "
     "not parse), modules (the program calls modules, whose text the engine "

@@ -44,15 +44,23 @@ nothing: the whole world.
 * **The plan record.** A ``state`` section may carry one optional
   field, ``plan_basis``: which compile-cache artifact the last plan
   was computed from (its key and per-file source digests), a digest of
-  the data-source reads, and the managed addresses that plan does
-  *not* vouch for -- every other entry of the state, as this very
-  commit leaves it, was found no-op. It is written in the section it
-  is about, so the two land or tear together, and it is what lets the
-  next process plan what its edit can touch
+  the data-source reads, and ``unproven``: every managed address that
+  the state holds or that configuration declares, and that neither the
+  plan (a ``NOOP``) nor the apply that ran it (an entry it committed
+  and found no-op against what it sent) vouches for. A planned create
+  that never committed is listed; every other entry of the state, as
+  this very commit leaves it, is proven. ``nodes``, the node count of
+  that configuration's graph, marks a list that covers what the
+  configuration declares: with it, an empty list means the next plan
+  of that artifact has nothing to diff; a record without it lists only
+  addresses its state held, and the next plan walks the graph for
+  what is still to create. It is written in the
+  section it is about, so the two land or tear together, and it is
+  what lets the next process plan what its edit can touch
   (``CloudlessEngine._wake_plan_basis``). Four rules keep it true
   without anyone invalidating it: a verb that planned records what its
-  own basis still holds, any other carries the loaded record minus
-  the entries it moved (:func:`_plan_record`); a commit that writes
+  own basis still holds, any other carries the loaded record plus
+  the entries it moved or removed (:func:`_plan_record`); a commit that writes
   ``state`` without the field voids it; a new proof is recorded only
   for an artifact-backed basis that proves something; and whoever
   finds no usable record plans whole.
@@ -487,31 +495,38 @@ def _plan_record(
     ``None`` for none.
 
     A basis the engine holds for a cache artifact is a proof of its
-    own: it vouches for the entries it found no-op that are still the
-    state's own objects. An engine without one -- it never planned, or
-    compiles without a cache -- carries the record it was loaded with:
-    an entry this process did not move is still the entry that proof
-    was about. Either way the record lists the managed addresses *not*
-    vouched for, and is dropped once that is all of them."""
+    own: it vouches for the entries its plan found no-op, and its apply
+    committed no-op, that are still the state's own objects
+    (``PlanBasis.unproven``). An engine without one -- it never
+    planned, or compiles without a cache -- carries the record it was
+    loaded with: an entry this process did not move or remove is still
+    the entry that proof was about. Either way the record lists every
+    managed address the state holds -- and, when it carries ``nodes``,
+    the configuration declares -- that is *not* vouched for (a planned
+    create that never committed is one), and is dropped when no entry
+    of the state is vouched for."""
     entries = engine.state.entries_map()
     basis = engine._plan_basis
     if basis is not None and basis.artifact is not None:
         proof = {**basis.artifact, "data": basis.data_digest}
-        noop = basis.noop
-        unproven = {a for a, entry in entries.items() if noop.get(a) is not entry}
+        if basis.nodes is not None:
+            proof["nodes"] = basis.nodes
+        unproven = basis.unproven(engine.state)
     elif not isinstance(base.record, str):
         proof = base.record
         if delta is None:
             delta = doc_delta(base.state, engine.state)
-        unproven = set(proof["unproven"])
+        unproven = set(proof["unproven"]).union(delta["removed"])
         unproven.update(item["address"] for item in delta["set"])
     else:
         return None
-    managed = [a for a, entry in entries.items() if entry.address.mode == MANAGED]
-    listed = sorted(unproven.intersection(managed))
-    if len(listed) == len(managed):
+    if all(
+        address in unproven
+        for address, entry in entries.items()
+        if entry.address.mode == MANAGED
+    ):
         return None  # nothing proven
-    return {**proof, "unproven": listed}
+    return {**proof, "unproven": sorted(unproven)}
 
 
 def _record_after(before: Any, written: Optional[Dict[str, Any]]) -> Any:
@@ -533,6 +548,7 @@ def _read_plan_record(state: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         and {"key", "source_sha", "data", "unproven"} <= record.keys()
         and isinstance(record["unproven"], list)
         and all(isinstance(address, str) for address in record["unproven"])
+        and type(record.get("nodes", 0)) is int
     ):
         raise WorldFormatError("malformed plan-basis record in a state section")
     return record

@@ -266,7 +266,7 @@ class ReversibilityAwareRollback:
     ) -> RollbackResult:
         gateway = self.gateway
         started = gateway.clock.now
-        calls_before = gateway.total_api_calls()
+        calls_before = gateway.calls_routed()
         errors: List[str] = []
         remainder: List[str] = []
         remap: Dict[str, str] = {}
@@ -412,7 +412,7 @@ class ReversibilityAwareRollback:
             plan=plan,
             state=current_state,
             duration_s=gateway.clock.now - started,
-            api_calls=gateway.total_api_calls() - calls_before,
+            api_calls=gateway.calls_routed() - calls_before,
             errors=errors,
             remainder=sorted(set(remainder)),
         )
@@ -487,7 +487,7 @@ class NaiveRollback:
     ) -> RollbackResult:
         gateway = self.gateway
         started = gateway.clock.now
-        calls_before = gateway.total_api_calls()
+        calls_before = gateway.calls_routed()
         errors: List[str] = []
         remap: Dict[str, str] = {}
         updates = [a for a in plan.actions if a.kind is RollbackKind.UPDATE]
@@ -549,7 +549,7 @@ class NaiveRollback:
             plan=plan,
             state=current_state,
             duration_s=gateway.clock.now - started,
-            api_calls=gateway.total_api_calls() - calls_before,
+            api_calls=gateway.calls_routed() - calls_before,
             errors=errors,
         )
 

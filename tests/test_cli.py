@@ -484,14 +484,15 @@ class TestOneCompilePerVerb:
             "parse": 1, "chunks": n_chunks, "load": 1, "store": 1,
             "unpickle": 0,
         }
-        # an exact hit (graph and verdict replayed): nothing to journal
-        assert verb("validate") == {
-            "parse": 0, "chunks": 0, "load": 1, "store": 0, "unpickle": 1,
-        }
-        # apply then plan, the day-2 shape: exact hits, nothing rewritten
+        # an exact hit (verdict replayed): nothing to journal, and no
+        # node needed, so nothing unpickled
+        proven = {"parse": 0, "chunks": 0, "load": 1, "store": 0, "unpickle": 0}
+        assert verb("validate") == proven
+        # apply then plan, the day-2 shape: exact hits, nothing rewritten;
+        # the apply proved every entry, so the plan needs no node either
         warm = {"parse": 0, "chunks": 0, "load": 1, "store": 0, "unpickle": 1}
         assert verb("apply") == warm
-        assert verb("plan") == warm
+        assert verb("plan") == proven
 
         # edit one block: only its chunk is parsed, the artifact is
         # rewritten once
@@ -514,7 +515,7 @@ class TestOneCompilePerVerb:
         with apply_dying_at(monkeypatch, 1):
             run(project, "apply")
         assert verb("resume") == warm
-        assert verb("plan") == warm
+        assert verb("plan") == proven
 
     def test_cold_exact_and_partial_plans_print_the_same(self, spied, capsys):
         project, source, verb = spied
@@ -527,8 +528,9 @@ class TestOneCompilePerVerb:
 
         cold, counts = plan_text("--no-cache")
         assert counts["load"] == 0 and counts["parse"] == 1
+        # (the apply proved every entry: the exact hit is never unpickled)
         exact, counts = plan_text()
-        assert counts["parse"] == 0 and counts["unpickle"] == 1
+        assert counts["parse"] == 0 and counts["unpickle"] == 0
         # journal a different text under the same key, so the original
         # comes back as a partial hit
         with open(os.path.join(project, "main.clc"), "w") as handle:

@@ -22,6 +22,7 @@ import pytest
 
 from repro.cloud import CloudGateway
 from repro.compilecache import (
+    ArtifactUnreadable,
     CompileCache,
     schema_fingerprint,
     variables_fingerprint,
@@ -153,6 +154,18 @@ class TestCorruption:
         assert cache.corrupt_rejects == 1
         assert cache.misses == 1 and cache.exact_hits == 0
 
+    def assert_cold_when_read(self, cache, texts, vfp, sfp):
+        """A blob whose digest matches is classified by its header, and
+        refused -- counted a miss -- when first read."""
+        lookup = cache.load(texts, vfp, sfp)
+        assert lookup.exact and cache.exact_hits == 1
+        assert cache.corrupt_rejects == 0
+        for _ in range(2):  # refused once, counted once
+            with pytest.raises(ArtifactUnreadable):
+                lookup.graph
+        assert cache.corrupt_rejects == 1
+        assert cache.misses == 1 and cache.exact_hits == 0
+
     def test_truncated_payload(self, cache, gateway):
         texts, vfp, sfp, path = self.setup_artifact(cache, gateway)
         blob = open(path, "rb").read()
@@ -226,14 +239,14 @@ class TestCorruption:
 
     def test_payload_not_an_artifact(self, cache, gateway):
         """A digest-consistent blob that is not a ``(config, graph)``
-        pair is rejected at load."""
+        pair is rejected when first read."""
         texts, vfp, sfp, path = self.setup_artifact(cache, gateway)
         header, _ = self.read_parts(path)
         blob = pickle.dumps({"not": "an artifact"})
         header["blob_sha"] = _sha(blob)
         header["blob_len"] = len(blob)
         self.write_parts(path, header, blob)
-        self.assert_cold(cache, texts, vfp, sfp)
+        self.assert_cold_when_read(cache, texts, vfp, sfp)
 
     NOT_DATA = ["a pair of numbers", "a call to os.system"]
 
@@ -262,7 +275,7 @@ class TestCorruption:
         texts, vfp, sfp, path = self.setup_artifact(cache, gateway)
         canary = tmp_path / "ran"
         self.plant(path, what, canary)
-        self.assert_cold(cache, texts, vfp, sfp)
+        self.assert_cold_when_read(cache, texts, vfp, sfp)
         assert not canary.exists()
 
     @pytest.mark.parametrize("what", NOT_DATA)
@@ -290,6 +303,60 @@ class TestCorruption:
         assert cli_main(["--chdir", str(project), "plan", "--no-cache"]) == 0
         assert through_the_cache == capsys.readouterr().out
         assert "3 to add" in through_the_cache
+        # and the cold compile replaced it
+        assert self.read_parts(path)[1] != blob
+
+    def test_a_proven_plan_never_reads_the_blob(self, tmp_path, capsys, monkeypatch):
+        """The lazy facade: under an exact header, a blob whose classes
+        the allow-list refuses. A ``plan`` the world's record proves
+        whole answers from the header and the state, and unpickles
+        nothing; a ``plan`` that must diff a node refuses the blob -- a
+        counted miss -- and compiles cold, printing what ``--no-cache``
+        prints."""
+        from repro.cli import main as cli_main
+        from repro.compilecache.store import CacheLookup
+
+        project = tmp_path / "project"
+        project.mkdir()
+        (project / "main.clc").write_text(SOURCE)
+
+        def cli(*argv):
+            capsys.readouterr()
+            assert cli_main(["--chdir", str(project), *argv]) == 0
+            return capsys.readouterr().out
+
+        cli("init")
+        cli("apply")
+        proven = cli("plan")
+        (name,) = os.listdir(project / ".clc-cache")
+        path = str(project / ".clc-cache" / name)
+        canary = tmp_path / "ran"
+        blob = self.plant(path, "a call to os.system", canary)
+
+        reads, caches = [], []
+        materialize, load = CacheLookup._materialize, CompileCache.load
+
+        def counted_materialize(lookup):
+            reads.append(lookup.kind)
+            return materialize(lookup)
+
+        def recorded_load(cache, *args):
+            caches.append(cache)
+            return load(cache, *args)
+
+        monkeypatch.setattr(CacheLookup, "_materialize", counted_materialize)
+        monkeypatch.setattr(CompileCache, "load", recorded_load)
+        assert cli("plan") == proven and "0 to add, 0 to change" in proven
+        assert reads == [] and caches[-1].exact_hits == 1
+        assert caches[-1].corrupt_rejects == 0
+
+        cli("state", "rm", "aws_s3_bucket.logs")  # now there is one to diff
+        diffed = cli("plan")
+        assert reads == ["exact"] and not canary.exists()
+        cache = caches[-1]
+        assert (cache.exact_hits, cache.misses, cache.corrupt_rejects) == (0, 1, 1)
+        assert diffed == cli("plan", "--no-cache")
+        assert "1 to add, 0 to change, 0 to destroy" in diffed
         # and the cold compile replaced it
         assert self.read_parts(path)[1] != blob
 
@@ -343,7 +410,7 @@ class TestCorruption:
         header["blob_sha"] = _sha(blob)
         header["blob_len"] = len(blob)
         self.write_parts(path, header, blob)
-        self.assert_cold(cache, texts, vfp, sfp)
+        self.assert_cold_when_read(cache, texts, vfp, sfp)
 
     def test_exact_header_wrong_blob_digest(self, cache, gateway):
         """The header alone says "exact" (every source sha matches, its
@@ -472,9 +539,11 @@ class TestEngineWarmPath:
         assert (cache.exact_hits, cache.partial_hits, cache.misses) == (1, 0, 0)
         assert engine.validate(compiled).ok and compiled.verdict is not None
         fresh = Configuration.parse_streaming({"main.clc": source})
-        assert ast_dump(compiled.config) == ast_dump(fresh)
-        assert compiled.config.block_fingerprints == fresh.block_fingerprints
-        assert list(compiled.config._chunk_asts) == list(fresh._chunk_asts)
+        # (the verdict replayed: nothing has read the artifact's blob yet)
+        config = compiled.lookup.config
+        assert ast_dump(config) == ast_dump(fresh)
+        assert config.block_fingerprints == fresh.block_fingerprints
+        assert list(config._chunk_asts) == list(fresh._chunk_asts)
         assert engine.plan(compiled).render() == CloudlessEngine(
             gateway=gateway
         ).plan(source).render()

@@ -48,11 +48,14 @@ from hypothesis import strategies as st
 
 import repro.lang.config as lang_config
 from repro import cli, perf
+from repro.cloud import FaultSpec
+from repro.compilecache import CompileCache, source_shas
 from repro.core.engine import CloudlessEngine, EngineError
 from repro.deploy.wal import SimulatedCrash
 from repro.graph import GraphBuildError, PlanError, build_graph, read_data_sources
 from repro.graph.builder import ResourceGraph, ResourceNode
 from repro.graph.impact import values_digest
+from repro.graph.plan import Action
 from repro.lang.chunker import iter_chunks
 from repro.lang.context import ModuleContext, ResourceResolver, _KeyedMapping
 from repro.persist import load_world, save_world
@@ -463,12 +466,13 @@ class TestResidentEqualsFresh:
         assert scopes["first apply"] == [(36, 36)]
         assert scopes["bare plan again"] == [(0, 36)]
         assert scopes["retag"] == [(4, 36)]  # two VMs, their lb, its dns
-        # the state entries the last apply wrote, and what the edit reaches
-        assert scopes["transitive local"] == [(4 + 5, 36)]
+        # what the edit reaches: the entries the last apply wrote, it
+        # proved, and the no-ops below them it checked again
+        assert scopes["transitive local"] == [(5, 36)]
         assert scopes["what-if: variable value"] == [(5, 36)]
         assert scopes["variable value: count shrinks"] == [(3, 35)]
         assert scopes["what-if: provider region"] == [(38, 38)]
-        assert scopes["insert line"] == [(1, 39)]
+        assert scopes["insert line"] == [(0, 39)]  # the added block is proven
         assert scopes["apply the rename"] == [(1, 36)]
 
     def test_a_changed_variable_reaches_locals_through_the_resident_config(self):
@@ -516,6 +520,165 @@ def evaluated(monkeypatch):
         return out
 
     return take
+
+
+LONE_VM = '''
+resource "aws_network_interface" "lone_nic" {
+  name      = "lone-nic"
+  subnet_id = aws_subnet.estate_0.id
+}
+
+resource "aws_virtual_machine" "lone" {
+  name    = "lone-vm"
+  nic_ids = [aws_network_interface.lone_nic.id]
+  tags    = { service = "lone" }
+}
+
+resource "aws_s3_bucket" "lone_logs" {
+  name = "${aws_virtual_machine.lone.tags["service"]}-logs"
+}
+'''
+#: a forced replacement: another image for the lone VM
+REPLACED_VM = LONE_VM.replace(
+    'tags    = { service = "lone" }',
+    'image   = "linux-next"\n  tags    = { service = "lone" }',
+)
+#: an in-place update of a value the bucket reads: the apply's plan
+#: finds the bucket no-op against the old tags, so the bucket converges
+#: one apply later -- and is not proven by the first
+RETAGGED_VM = LONE_VM.replace('service = "lone" }', 'service = "solo" }')
+
+#: scenario -> steps, each run by a process of its own over one world
+#: file and compile cache: ``("apply", text)``; ``("fail", text, rtype)``,
+#: an apply whose creates of ``rtype`` fail terminally;
+#: ``("crash", text, k)``, an apply killed at event boundary ``k``;
+#: ``("resume", text)``; ``("stamp", text, name)``, an apply against a
+#: cloud that stores one more tag on the resource named ``name`` than
+#: it was sent
+PROOF_SCENARIOS = {
+    "greenfield apply": [("apply", PROGRAM + LONE_VM)],
+    "a cloud that stores what it was not sent": [
+        ("stamp", PROGRAM + LONE_VM, "lone-vm"),
+    ],
+    "scoped edit-apply": [
+        ("apply", PROGRAM + LONE_VM),
+        ("apply", retag(PROGRAM, "estate-1", "r1") + RETAGGED_VM),
+        ("apply", retag(PROGRAM, "estate-1", "r1") + RETAGGED_VM),
+    ],
+    "forced replacement": [
+        ("apply", PROGRAM + LONE_VM),
+        ("apply", PROGRAM + REPLACED_VM),
+    ],
+    "half-failed apply": [
+        ("apply", PROGRAM + LONE_VM),
+        ("fail", retag(PROGRAM, "estate-0", "r1") + LONE_VM + EXTRA % (0, 0), "aws_s3_bucket"),
+    ],
+    "crash at step k, then resume": [
+        ("apply", PROGRAM + LONE_VM),
+        ("crash", retag(PROGRAM, "estate-2", "r1") + REPLACED_VM + EXTRA % (0, 0), 3),
+        ("resume", retag(PROGRAM, "estate-2", "r1") + REPLACED_VM + EXTRA % (0, 0)),
+    ],
+}
+
+
+class TestAnApplyProvesWhatItCommits:
+    """The differential for what an apply records as proven: what its
+    plan found no-op, and each entry it committed and found no-op
+    against the values it sent. After every step of every scenario, each
+    entry the world's record proves is no-op in a plan of the whole
+    graph, and the next process's plan -- scoped by that record -- prints
+    what the whole plan prints, byte for byte."""
+
+    VARIABLES = {"env": "prod"}
+
+    @staticmethod
+    def process(world, cache_dir):
+        engine = load_world(world)
+        engine.compile_cache = CompileCache(cache_dir)
+        engine.wal_path = world + ".wal"
+        return engine
+
+    def check(self, world, cache_dir, text):
+        loaded = load_world(world)
+        record = loaded._plan_record
+        unproven, proven = set(), set()
+        # (a record about other sources -- a crashed apply's world keeps
+        # the last one -- proves nothing about these)
+        if not isinstance(record, str) and record[0]["source_sha"] == source_shas(
+            {"main.clc": text}
+        ):
+            unproven = set(record[0]["unproven"])
+            proven = {
+                str(e.address) for e in record[1].resources()
+                if e.address.mode == "managed" and str(e.address) not in unproven
+            }
+        whole = full_plan(loaded, text, self.VARIABLES)
+        noop = {a for a, c in whole.changes.items() if c.action is Action.NOOP}
+        assert proven <= noop, sorted(proven - noop)
+        engine = self.process(world, cache_dir)
+        scoped = engine.plan(text, variables=self.VARIABLES)
+        assert scoped.render() == whole.render()
+        # (a plan that read no graph still counts the graph's nodes)
+        assert engine.last_plan_scope[1] == len(whole.graph)
+        return unproven, scoped
+
+    @pytest.mark.parametrize("scenario", sorted(PROOF_SCENARIOS))
+    def test_the_record_proves_only_what_a_whole_plan_finds_no_op(
+        self, tmp_path, scenario
+    ):
+        world = str(tmp_path / "cloudless.world")
+        cache_dir = str(tmp_path / "cache")
+        save_world(CloudlessEngine(seed=7), world)
+        for step, (kind, text, *arg) in enumerate(PROOF_SCENARIOS[scenario]):
+            engine = self.process(world, cache_dir)
+            if kind == "crash":
+
+                def die(index, at=arg[0]):
+                    if index == at:
+                        raise SimulatedCrash(f"boundary {at}")
+
+                with pytest.raises(SimulatedCrash):
+                    engine.apply(text, variables=self.VARIABLES, crash_hook=die)
+                engine.gateway.settle_inflight()
+            elif kind == "resume":
+                assert engine.resume(text, variables=self.VARIABLES).ok
+            else:
+                if kind == "fail":
+                    engine.gateway.planes["aws"].faults.add_rule(
+                        FaultSpec(
+                            error_code="InsufficientCapacity",
+                            match_type=arg[0],
+                            match_operation="create",
+                            transient=False,
+                            max_strikes=99,
+                        )
+                    )
+                if kind == "stamp":
+                    plane = engine.gateway.planes["aws"]
+                    stored = plane._attrs_with_defaults
+
+                    def stamped(spec, attrs, name=arg[0]):
+                        out = stored(spec, attrs)
+                        if out.get("name") == name:
+                            out["tags"] = {**out["tags"], "stamped": "by-cloud"}
+                        return out
+
+                    plane._attrs_with_defaults = stamped
+                result = engine.apply(text, variables=self.VARIABLES)
+                assert result.ok == (kind != "fail"), str(result.validation)
+                assert result.plan.actionable() or step == 0
+            save_world(engine, world)
+            unproven, scoped = self.check(world, cache_dir, text)
+        if scenario == "half-failed apply":
+            # the create that failed is a planned instance without a proof
+            assert unproven == {"aws_s3_bucket.extra_0"}
+            assert "Plan: 1 to add, 0 to change, 0 to destroy." in scoped.render()
+        elif scenario == "a cloud that stores what it was not sent":
+            # committed, but not as it was sent: no proof
+            assert unproven == {"aws_virtual_machine.lone"}
+            assert "Plan: 0 to add, 1 to change, 0 to destroy." in scoped.render()
+        else:
+            assert unproven == set() and scoped.is_empty
 
 
 class TestPlansWhatTheEditCanTouch:
@@ -1571,7 +1734,8 @@ class TestCacheStillFirst:
 
         warm = CloudlessEngine(seed=7, cache_dir=cache_dir)
         first = warm.compile(PROGRAM, variables={"env": "prod"})
-        assert warm.compile_cache.exact_hits == 1 and first.graph is not None
+        # (an exact hit: its graph is read from the artifact when asked for)
+        assert warm.compile_cache.exact_hits == 1 and first.lookup.graph is not None
         edited = retag(PROGRAM, "estate-1", "r1")
         second = warm.compile(edited, variables={"env": "prod"})
         assert second.store_fps is not None and second.graph is None
@@ -1584,4 +1748,5 @@ class TestCacheStillFirst:
         assert os.listdir(cache_dir)
 
         next_process = CloudlessEngine(seed=7, cache_dir=cache_dir)
-        assert next_process.compile(edited, variables={"env": "prod"}).graph is not None
+        hit = next_process.compile(edited, variables={"env": "prod"}).lookup
+        assert hit.graph is not None

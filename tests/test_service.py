@@ -99,11 +99,12 @@ class TestRequestLifecycle:
             assert out[1].body["declarations"] > 3
             return [(r.body["plan_scope_nodes"], r.body["graph_nodes"]) for r in out]
 
-        unplanned, applied, proven, bare, what_if = run(main())
+        unplanned, applied, first, bare, what_if = run(main())
         assert unplanned == (None, None)
         nodes = applied[1]
-        assert applied == proven == (nodes, nodes) and nodes > 5
-        assert bare == (0, nodes)
+        assert applied == (nodes, nodes) and nodes > 5
+        # the apply proved what it committed: no plan after it diffs
+        assert first == bare == (0, nodes)
         assert 0 < what_if[0] < nodes
 
     def test_unknown_op_is_typed_400(self, tmp_path):

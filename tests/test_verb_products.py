@@ -353,7 +353,8 @@ class TestCounts:
         assert spy() == {"builds": 1, "type_checks": 0, "rule_runs": 0}
         warm = CloudlessEngine(seed=5, cache_dir=cache_dir)
         compiled = warm.compile(ESTATE)
-        assert compiled.graph is not None and compiled.verdict is None
+        # (an exact hit: its graph is read from the artifact when asked for)
+        assert compiled.lookup.graph is not None and compiled.verdict is None
         assert warm.validate(compiled).ok
         # validated on the replayed graph; the artifact is not rewritten
         assert spy() == {"builds": 0, "type_checks": 1, "rule_runs": 1}

@@ -496,8 +496,9 @@ class TestPlanRecord:
         sources = estate(40)
         project = Project(tmp_path / "project", sources)
         assert project("apply") == {"plan.basis.none": 1, **WHOLE_FIRST}
-        # (the cold apply outweighed the empty world: one keyframe)
-        assert plan_records(project.world) == [None]
+        # (the cold apply outweighed the empty world: one keyframe), and
+        # it proved every entry it created
+        assert [r["unproven"] for r in plan_records(project.world)] == [[]]
         sizes = []
         for revision in ("r1", "r2"):
             sources["aws.clc"] = edit_services(sources["aws.clc"], 2, revision)
@@ -506,25 +507,24 @@ class TestPlanRecord:
             sizes.append(os.path.getsize(project.world))
         return project, sizes
 
-    def test_an_apply_records_what_its_plan_did_not_prove(self, day_two):
+    def test_an_apply_proves_what_it_commits(self, day_two):
         project, _sizes = day_two
-        first, second = plan_records(project.world)[1:]
-        # the first edit's apply planned whole; the second woke its record
-        for record in (first, second):
-            assert sorted(record) == ["data", "key", "source_sha", "unproven"]
-            assert len(record["unproven"]) == 4  # two blocks of two VMs
+        records = plan_records(project.world)
+        cold, first, second = records
+        # each edit's apply woke the record before it, and proved the
+        # two blocks of two VMs it updated as well as what it planned no-op
+        graph = len(load_world(project.world).state)
+        for record in records:
+            assert sorted(record) == ["data", "key", "nodes", "source_sha", "unproven"]
+            assert record["unproven"] == [] and record["nodes"] == graph
             assert sorted(record["source_sha"]) == ["aws.clc", "azure.clc"]
-        assert first["key"] == second["key"]
+        assert cold["key"] == first["key"] == second["key"]
         assert first["source_sha"]["aws.clc"] != second["source_sha"]["aws.clc"]
         assert first["source_sha"]["azure.clc"] == second["source_sha"]["azure.clc"]
-        graph = len(load_world(project.world).state)
         moved = project("plan")
-        assert moved == {
-            "plan.basis.woken": 1, "plan.scoped": 1, "plan.scope_nodes": moved["plan.scope_nodes"],
-        }
-        assert 4 <= moved["plan.scope_nodes"] < graph / 4
-        # a plan is read-only: it proved the four and wrote nothing
-        assert plan_records(project.world)[1:] == [first, second]
+        assert moved == {"plan.basis.woken": 1, "plan.scoped": 1, "plan.proven": 1}
+        # a plan is read-only: it diffed nothing and wrote nothing
+        assert plan_records(project.world) == records
 
     def test_the_plain_chain_plans_an_edits_worth(self, tmp_path, capsys):
         """edit -> apply -> plan -> edit -> apply: after the first, each
@@ -533,21 +533,22 @@ class TestPlanRecord:
         project = Project(tmp_path / "project", sources)
         project("apply")
         graph = len(load_world(project.world).state)
-        sources["aws.clc"] = edit_services(sources["aws.clc"], 1, "r1")
-        project.write(sources)
-        assert project("apply") == {"plan.basis.none": 1, **WHOLE_FIRST}
-        capsys.readouterr()
-        chain = [project("plan")]
-        assert "0 to add, 0 to change, 0 to destroy" in capsys.readouterr().out
-        sources["aws.clc"] = edit_services(sources["aws.clc"], 2, "r2")
-        project.write(sources)
-        chain.append(project("apply"))
-        assert "0 to add, 4 to change, 0 to destroy" in capsys.readouterr().out
-        chain.append(project("plan"))
-        for moved in chain:
+        applies, plans = [], []
+        for revision, count in (("r1", 1), ("r2", 2)):
+            sources["aws.clc"] = edit_services(sources["aws.clc"], count, revision)
+            project.write(sources)
+            capsys.readouterr()
+            applies.append(project("apply"))
+            assert f"0 to add, {2 * count} to change, 0 to destroy" in capsys.readouterr().out
+            plans.append(project("plan"))
+            assert "0 to add, 0 to change, 0 to destroy" in capsys.readouterr().out
+        for moved in applies:
             assert moved["plan.basis.woken"] == moved["plan.scoped"] == 1
             assert 0 < moved["plan.scope_nodes"] < graph / 20, (moved, graph)
             assert "plan.full" not in moved
+        # the apply proved what it committed: the plan after it has
+        # nothing to diff
+        assert plans == [{"plan.basis.woken": 1, "plan.scoped": 1, "plan.proven": 1}] * 2
 
     def test_a_verb_that_does_not_plan_carries_the_record_minus_what_it_moved(
         self, day_two
@@ -566,16 +567,15 @@ class TestPlanRecord:
         assert {k: carried[k] for k in ("key", "source_sha", "data")} == {
             k: record[k] for k in ("key", "source_sha", "data")
         }
-        # the entry it added, and the dependent whose entry it re-pointed;
-        # the address it removed is no entry any more
+        # the entry it added, the dependent whose entry it re-pointed,
+        # and the address it removed: an instance with no entry now
         (dependent,) = [
             str(e.address) for e in load_world(project.world).state.resources()
             if "aws_virtual_machine.renamed" in e.dependencies
         ]
-        assert set(carried["unproven"]) == (
-            set(record["unproven"]) - {moved_entry[-1]}
-            | {"aws_virtual_machine.renamed", dependent}
-        )
+        assert set(carried["unproven"]) == set(record["unproven"]) | {
+            moved_entry[-1], "aws_virtual_machine.renamed", dependent
+        }
         # the next plan diffs those and what the move orphaned
         moved = project("plan")
         assert moved["plan.basis.woken"] == 1 and moved["plan.scoped"] == 1
@@ -644,7 +644,8 @@ class TestPlanRecord:
         moved = project("plan")
         assert moved == {"plan.basis.void": 1, **WHOLE_FIRST}
         project("apply")  # re-proves, records again
-        assert plan_records(project.world)[-1]["unproven"] == [str(vm.address)]
+        # (the entry it updated back included)
+        assert plan_records(project.world)[-1]["unproven"] == []
         assert project("plan")["plan.basis.woken"] == 1
 
     def test_a_compaction_keyframe_carries_it(self, day_two):
@@ -655,7 +656,7 @@ class TestPlanRecord:
         assert plan_records(project.world) == [record]
         assert engine._world_base.seq == 0
         moved = project("plan")
-        assert moved["plan.basis.woken"] == 1 and moved["plan.scope_nodes"] < 40
+        assert moved["plan.basis.woken"] == 1 and moved["plan.proven"] == 1
 
     def test_init_force_starts_without_one(self, day_two):
         project, _sizes = day_two
@@ -666,15 +667,15 @@ class TestPlanRecord:
         assert project("plan") == {"plan.basis.none": 1, **WHOLE_FIRST}
 
     def test_only_a_cached_engine_that_proved_something_writes_one(self, tmp_path, capsys):
-        """Not a byte more than the parent wrote: after the cold apply
-        of the benchmark's estate (1,993 creates prove nothing), from
-        ``--no-cache``, and from a service session."""
+        """The cold apply of the benchmark's estate proves the 1,993
+        entries it created, in a record of a few hundred bytes; none
+        from ``--no-cache``, nor from a service session."""
         big = {"aws.clc": scale_estate(1000), "azure.clc": two_region_estate(1000)}
         project = Project(tmp_path / "cold", big)
         project("apply")
         assert len(load_world(project.world).state) == 1993
-        with open(project.world, "rb") as handle:
-            assert b"plan_basis" not in handle.read()
+        (record,) = plan_records(project.world)
+        assert record["unproven"] == [] and len(json.dumps(record)) < 400
 
         sources = estate(40)
         uncached = Project(tmp_path / "uncached", sources)
@@ -691,7 +692,8 @@ class TestPlanRecord:
             session.persist()
             session.engine.plan(sources)
         diffed, graph = session.engine.last_plan_scope
-        assert 0 < diffed < graph / 4  # it does plan by its basis
+        # it plans by its basis, and the apply before proved every entry
+        assert diffed == 0 < graph
         with open(session.home.world_path, "rb") as handle:
             assert b"plan_basis" not in handle.read()
 
@@ -708,20 +710,54 @@ class TestPlanRecord:
             project.drift(f"size-{day}", f"size-{day}")
             project("watch", "--reconcile")
         graph = len(load_world(project.world).state)
-        # the first day planned whole; every later one an edit's worth
-        # (8 blocks of two VMs, each with a dependent or two) plus what
-        # the last day left unproven
-        assert scopes[0] is None and max(scopes[1:]) < graph / 2
+        # every day woke the record the cold apply or the day before
+        # left, and planned an edit's worth (8 blocks of two VMs, each
+        # with a dependent or two) plus what the watch moved
+        assert max(scopes) < graph / 2
         records = [r for r in plan_records(project.world) if r is not None]
         assert records and max(len(json.dumps(r)) for r in records) <= 4096
         size = os.path.getsize(project.world)
         strip_plan_record(project.world)
         assert 0 < size - os.path.getsize(project.world) <= size / 100
 
+    def test_a_record_without_nodes_proves_nothing_left_to_create(
+        self, day_two, capsys
+    ):
+        """A record without ``nodes`` lists only addresses its state
+        held: ``unproven: []`` there does not say that a declared
+        instance the state lacks is proven, so the next plan walks the
+        graph and creates it."""
+        project, _sizes = day_two
+        leaf = "aws_dns_record.scale_0_dns"
+        engine = load_world(project.world)
+        entry = engine.state.entries_map()[leaf]
+        engine.gateway.planes["aws"].external_delete(entry.resource_id)
+        save_world(engine, project.world)
+        project("state", "rm", leaf)
+        commits = commits_of(project.world)
+        record = commits[-1]["state"]["plan_basis"]
+        assert record["unproven"] == [leaf]
+        del record["nodes"]
+        record["unproven"] = []
+        with open(project.world, "wb") as handle:
+            for seq, sections in enumerate(commits):
+                handle.writelines(
+                    persist._commit_frames("D" if seq else "K", sections.items(), seq)
+                )
+        capsys.readouterr()
+        moved = project("plan")
+        assert "plan.proven" not in moved and moved["plan.scoped"] == 1
+        assert "Plan: 1 to add, 0 to change, 0 to destroy." in capsys.readouterr().out
+        project("apply")
+        assert leaf in load_world(project.world).state.entries_map()
+        # that apply planned with the graph: its record says ``nodes``
+        assert plan_records(project.world)[-1]["nodes"] > 0
+
     @pytest.mark.parametrize(
         "record",
         [
             "a string",
+            {"key": "k", "source_sha": {}, "data": "d", "unproven": [], "nodes": "9"},
             {"key": "k", "source_sha": {}, "data": "d"},
             {"key": "k", "source_sha": {}, "data": "d", "unproven": "all"},
             {"key": "k", "source_sha": {}, "data": "d", "unproven": [["a"]]},
@@ -779,8 +815,9 @@ class TestDeferredPlanes:
         project.sources["aws.clc"] = edit_services(project.sources["aws.clc"], 2, "r2")
         project.write(project.sources)
         project("apply")
-        # the executor reads every plane's API-call count, once each
-        assert replays(project.moved) == (2, 2)
+        # an aws-only edit: the executor counts the calls it routes, so
+        # azure, which it never called, stays encoded
+        assert replays(project.moved) == (2, 1)
         project.drift("by-hand")
         project("watch", "--reconcile")
         assert replays(project.moved) == (2, 2)
@@ -861,7 +898,7 @@ class TestDeferredPlanes:
             PERF.disable()
             PERF.reset()
         assert planned == (2, 0)
-        assert applied == (2, 2)
+        assert applied == (2, 1)  # the edit is aws-only
         keyframe = str(tmp_path / "keyframe")
         save_world(load_world(session.home.world_path), keyframe)
         same_world(load_world(keyframe), session.engine)
