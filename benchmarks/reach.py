@@ -2,6 +2,7 @@
 
     python benchmarks/reach.py            # record, print the table and the worklist
     python benchmarks/reach.py --check    # ... and fail on an untriaged function
+                                          # or a stale triage row
 
 Every function and method in ``src/repro`` (found by parsing the
 source) is put in the first of four classes that reaches it:
@@ -36,8 +37,9 @@ product: a closure inside an unreached function is part of its body.
 per entry reached by nothing or only by ``bench``, one per tier-1-only
 entry of at least ``TRIAGE_MIN_LINES`` lines, and one per module for
 the rest. ``--check`` exits 1 when a function reached by nothing has no
-``keep`` row there. A full run takes several minutes on a two-core box
-(tier-1 is about half of it).
+``keep`` row there, and, before it records anything, when a row names
+a function or module the source no longer has. A full run takes
+several minutes on a two-core box (tier-1 is about half of it).
 """
 
 from __future__ import annotations
@@ -408,6 +410,14 @@ def triage(path: str = TRIAGE) -> Dict[str, str]:
     return rows
 
 
+def stale(funcs, rows: Dict[str, str]) -> List[str]:
+    """Triage rows naming a function (``path::qualname``) or a module
+    that ``funcs`` no longer has."""
+    keys = {f.key for f in funcs.values()}
+    modules = {key.split("::")[0] for key in keys}
+    return sorted(entry for entry in rows if entry not in keys | modules)
+
+
 def worklist(funcs, kinds, rows: Dict[str, str]) -> Tuple[List[str], List[str]]:
     """(report lines, entries reached by nothing without a keep row)."""
     lines: List[str] = []
@@ -432,10 +442,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--check",
         action="store_true",
         help=f"exit 1 if a function reached by nothing has no keep row in "
-        f"{os.path.relpath(TRIAGE, ROOT)}",
+        f"{os.path.relpath(TRIAGE, ROOT)}, or a row there names a function "
+        f"the source no longer has",
     )
     args = parser.parse_args(argv)
     funcs = functions()
+    rows = triage()
+    gone = stale(funcs, rows)
+    if args.check and gone:
+        for key in gone:
+            print(f"reach: triage row names what is gone: {key}", file=sys.stderr)
+        return 1
     reached = {}
     with tempfile.TemporaryDirectory(prefix="reach-work-") as work:
         for name, steps in RUNS.items():
@@ -448,7 +465,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 return 1
     kinds = classify(funcs, reached)
     print(table(funcs, kinds))
-    lines, unkept = worklist(funcs, kinds, triage())
+    lines, unkept = worklist(funcs, kinds, rows)
     print()
     print("\n".join(lines))
     if args.check and unkept:

@@ -33,11 +33,11 @@ class TokenBucket:
     without consuming.
     """
 
-    def __init__(self, rate: float, burst: int):
+    def __init__(self, rate: float, burst: float):
         if rate <= 0 or burst <= 0:
             raise ValueError("rate and burst must be positive")
         self.rate = float(rate)
-        self.burst = int(burst)
+        self.burst = burst
         self._tokens = float(burst)
         self._updated_at = 0.0
         self.stats = RateLimitStats()

@@ -134,6 +134,22 @@ class ResourceTypeSpec:
         return self.attributes.get(name)
 
 
+def settable_attrs(
+    spec: Optional[ResourceTypeSpec], attrs: Dict[str, Any]
+) -> Dict[str, Any]:
+    """The attributes of ``attrs`` a create or update may send: ``None``
+    values, attributes ``spec`` does not declare and ones the cloud
+    computes are dropped (with no spec, only ``id`` is known computed)."""
+
+    def sendable(key: str) -> bool:
+        if spec is None:
+            return key != "id"
+        aspec = spec.attr(key)
+        return aspec is not None and not aspec.computed
+
+    return {k: v for k, v in attrs.items() if v is not None and sendable(k)}
+
+
 def spec(
     name: str,
     provider: str,

@@ -9,12 +9,19 @@ Two detectors, one interface:
 * :class:`LogWatchDetector` -- the cloudless design: tail the cloud
   activity logs and flag management events whose actor is not the IaC
   framework. Near-instant detection at one read per poll.
+
+Two functions are the rules the whole drift package shares:
+:func:`findings_from_events` is the only fold from activity-log events
+to findings (one finding per resource, however many events it took;
+``engine.watch()`` and the :class:`~repro.drift.watcher.DriftWatcher`
+both use it), and :func:`changed_attrs` the only comparison of a state
+entry against its live record.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 from ..addressing import ResourceAddress
 from ..cloud.activitylog import ActivityEvent
@@ -27,7 +34,7 @@ from ..cloud.resilience import (
     is_outage_error,
 )
 from ..lang.values import values_equal
-from ..state.document import StateDocument
+from ..state.document import ResourceState, StateDocument
 
 
 @dataclasses.dataclass
@@ -66,6 +73,83 @@ class DetectionRun:
     #: *not* reported as drift: absence of evidence during an outage is
     #: not evidence of deletion.
     unreachable: List[str] = dataclasses.field(default_factory=list)
+
+
+def changed_attrs(held: Mapping[str, Any], live: Mapping[str, Any]) -> List[str]:
+    """The attributes whose state (``held``) and live values differ,
+    sorted."""
+    return sorted(
+        key
+        for key in set(held) | set(live)
+        if not values_equal(held.get(key), live.get(key))
+    )
+
+
+def findings_from_events(
+    by_provider: Dict[str, List[ActivityEvent]],
+    state: StateDocument,
+    now: float,
+) -> List[DriftFinding]:
+    """Fold each resource's external events into at most one finding.
+
+    Events by the IaC framework itself are not drift. The rest are
+    grouped per resource, in the order each resource first appears in
+    its provider's log, and a group is the terminal delete, an
+    out-of-band create, or the union of the attributes it changed
+    (``event_count`` says how many events it covers). A resource
+    created and deleted out of band within one read converges to
+    nothing, so it is no finding.
+    """
+    findings: List[DriftFinding] = []
+    for provider in sorted(by_provider):
+        groups: Dict[str, List[ActivityEvent]] = {}
+        for event in by_provider[provider]:
+            if event.is_external:
+                groups.setdefault(event.resource_id, []).append(event)
+        for resource_id, events in groups.items():
+            finding = _fold(
+                provider, events, state.by_resource_id(resource_id), now
+            )
+            if finding is not None:
+                findings.append(finding)
+    return findings
+
+
+def _fold(
+    provider: str,
+    events: List[ActivityEvent],
+    entry: Optional[ResourceState],
+    now: float,
+) -> Optional[DriftFinding]:
+    last = events[-1]
+    common = dict(
+        resource_id=last.resource_id,
+        resource_type=last.resource_type,
+        detected_at=now,
+        actor=last.actor,
+        provider=provider,
+        event_count=len(events),
+    )
+    if entry is None:
+        if last.operation != "delete" and any(
+            event.operation == "create" for event in events
+        ):
+            return DriftFinding(kind="unmanaged", region=last.region, **common)
+        # never managed, or created then deleted out of band: nothing
+        # to converge
+        return None
+    if last.operation == "delete":
+        kind, changed = "deleted", []
+    else:
+        kind = "modified"
+        changed = sorted({a for event in events for a in event.changed_attrs})
+    return DriftFinding(
+        kind=kind,
+        address=entry.address,
+        changed_attrs=changed,
+        region=last.region or entry.region,
+        **common,
+    )
 
 
 class FullScanDetector:
@@ -184,11 +268,7 @@ class FullScanDetector:
                     )
                 )
                 continue
-            changed = sorted(
-                key
-                for key in set(entry.attrs) | set(snapshot)
-                if not values_equal(entry.attrs.get(key), snapshot.get(key))
-            )
+            changed = changed_attrs(entry.attrs, snapshot)
             if changed:
                 findings.append(
                     DriftFinding(
@@ -292,52 +372,16 @@ class LogWatchDetector:
         return by_provider, unreachable
 
     def poll(self, state: StateDocument) -> DetectionRun:
-        """One poll: read new log events, map external ones to findings."""
+        """One poll: :meth:`tail` the logs and fold the events into
+        findings (:func:`findings_from_events`)."""
         clock = self.gateway.clock
         started = clock.now
         calls_before = self.gateway.calls_routed()
-        findings: List[DriftFinding] = []
         by_provider, unreachable = self.tail()
-        for events in by_provider.values():
-            for event in events:
-                finding = self._finding_from_event(event, state)
-                if finding is not None:
-                    findings.append(finding)
         return DetectionRun(
-            findings=findings,
+            findings=findings_from_events(by_provider, state, clock.now),
             api_calls=self.gateway.calls_routed() - calls_before,
             duration_s=clock.now - started,
             finished_at=clock.now,
             unreachable=unreachable,
-        )
-
-    def _finding_from_event(
-        self, event: ActivityEvent, state: StateDocument
-    ) -> Optional[DriftFinding]:
-        if not event.is_external:
-            return None
-        entry = state.by_resource_id(event.resource_id)
-        if event.operation == "create":
-            return DriftFinding(
-                kind="unmanaged",
-                resource_id=event.resource_id,
-                resource_type=event.resource_type,
-                detected_at=self.gateway.clock.now,
-                actor=event.actor,
-                provider=event.provider,
-                region=event.region,
-            )
-        if entry is None:
-            return None  # external change to a resource we never managed
-        kind = "deleted" if event.operation == "delete" else "modified"
-        return DriftFinding(
-            kind=kind,
-            resource_id=event.resource_id,
-            resource_type=event.resource_type,
-            address=entry.address,
-            changed_attrs=sorted(event.changed_attrs),
-            detected_at=self.gateway.clock.now,
-            actor=event.actor,
-            provider=event.provider,
-            region=event.region,
         )

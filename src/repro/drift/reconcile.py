@@ -19,8 +19,9 @@ from typing import Dict, List, Optional
 from ..cloud.base import CloudAPIError
 from ..cloud.gateway import CloudGateway
 from ..cloud.resilience import ResilientGateway, RetryPolicy
+from ..cloud.resources import settable_attrs
 from ..state.document import ResourceState, StateDocument
-from .detector import DriftFinding
+from .detector import DriftFinding, changed_attrs
 
 ENFORCE = "enforce"
 ADOPT = "adopt"
@@ -131,8 +132,8 @@ class Reconciler:
         state: StateDocument,
         policy: Optional[str] = None,
     ) -> ReconcileAction:
-        """Repair a single finding -- the incremental entry point the
-        event-driven watcher uses as findings arrive, one at a time.
+        """Repair a single finding under ``policy`` (default: the
+        per-kind policy) -- what :meth:`reconcile` runs for each one.
 
         Never raises for cloud-side failures: interruptions and
         terminal faults come back as a not-``ok`` action (with
@@ -188,7 +189,9 @@ class Reconciler:
                     entry = entry.replace(resource_id="")
                     state.set(entry)
                     state.bump()
-                    payload = self._settable_attrs(entry)
+                    payload = settable_attrs(
+                        self.gateway.try_spec(rtype), entry.attrs
+                    )
                     region = entry.region or self.gateway.default_region(rtype)
                     try:
                         response = self.gateway.execute(
@@ -231,12 +234,13 @@ class Reconciler:
             if entry is None:
                 return "no state entry; nothing to do"
             if policy == ENFORCE:
-                payload = self._settable_attrs(entry)
-                region = entry.region or self.gateway.default_region(
-                    entry.address.type
+                rtype = entry.address.type
+                payload = settable_attrs(
+                    self.gateway.try_spec(rtype), entry.attrs
                 )
+                region = entry.region or self.gateway.default_region(rtype)
                 response = self.gateway.execute(
-                    "create", entry.address.type, attrs=payload, region=region
+                    "create", rtype, attrs=payload, region=region
                 )
                 state.set(
                     ResourceState(
@@ -280,11 +284,7 @@ class Reconciler:
         live = self.gateway.find_record(entry.resource_id)
         changed = list(finding.changed_attrs)
         if not changed and live is not None:
-            changed = sorted(
-                key
-                for key in set(entry.attrs) | set(live.attrs)
-                if entry.attrs.get(key) != live.attrs.get(key)
-            )
+            changed = changed_attrs(entry.attrs, live.attrs)
         updatable: Dict[str, object] = {}
         immutable: List[str] = []
         for attr in changed:
@@ -306,17 +306,3 @@ class Reconciler:
                 updatable[attr] = golden
         return updatable, immutable
 
-    def _settable_attrs(self, entry: ResourceState) -> Dict[str, object]:
-        spec = self.gateway.try_spec(entry.address.type)
-        out = {}
-        for key, value in entry.attrs.items():
-            if value is None:
-                continue
-            if spec is not None:
-                aspec = spec.attr(key)
-                if aspec is None or aspec.computed:
-                    continue
-            elif key == "id":
-                continue
-            out[key] = value
-        return out

@@ -2,7 +2,13 @@
 
 :class:`DriftWatcher` replaces periodic :class:`FullScanDetector`
 sweeps with cursor-based tailing of each provider plane's activity log
--- the push-based drift handling the paper advocates:
+-- the push-based drift handling the paper advocates. Turning events
+into findings is not the watcher's job: it reads the logs with
+:meth:`LogWatchDetector.tail` and folds them with
+:func:`~repro.drift.detector.findings_from_events`, the same fold
+behind ``engine.watch()`` (N events against one resource are one
+finding, so reconcile cost tracks *drifted resources*, not event
+volume). On top of that fold the watcher adds:
 
 * **durable cursors** -- per-partition cursors are event *sequence
   numbers* held by the :class:`LogWatchDetector` and persisted by
@@ -14,19 +20,19 @@ sweeps with cursor-based tailing of each provider plane's activity log
   a partition unobserved for longer than ``max_lag_s`` (outage, open
   breaker) is reported stale, and lags surface as ``drift.*`` perf
   counters;
-* **event coalescing** -- N raw log events against one resource
-  collapse into a single finding (the union of changed attributes, or
-  the terminal delete), so reconcile cost tracks *drifted resources*,
-  not event volume;
-* **auto-reconcile** -- each finding is classified through a
+* **carry-over** -- repairs that failed or were interrupted, and
+  findings deferred behind a dark partition, are re-derived against
+  live state and retried in a later cycle;
+* **decisions and repair** -- each finding is classified through a
   reconcile-decision taxonomy (``enforce`` / ``adopt`` / ``notify`` /
-  ``defer-dark``, after the agent-policy split in arxiv 2510.20211) and
-  driven through :class:`Reconciler` incrementally as events arrive.
-  Findings behind a dark partition (status-page outage or open circuit
-  breaker, PR 5's horizons) are deferred, not dropped, and re-admitted
-  once the horizon passes. Every decision also carries a defect class
-  from the IaC defect taxonomy of arxiv 2505.01568, so repair activity
-  can be scored against the defect mix it addressed.
+  ``defer-dark``, after the agent-policy split in arxiv 2510.20211),
+  and the actionable ones go through :meth:`Reconciler.reconcile`, the
+  loop ``engine.reconcile`` runs too. Findings behind a dark partition
+  (status-page outage or open circuit breaker) are deferred, not
+  dropped, and re-admitted once the horizon passes. Every decision
+  also carries a defect class from the IaC defect taxonomy of arxiv
+  2505.01568, so repair activity can be scored against the defect mix
+  it addressed.
 """
 
 from __future__ import annotations
@@ -37,10 +43,15 @@ from typing import Dict, List, Optional, Tuple
 from ..cloud.activitylog import ActivityEvent
 from ..cloud.gateway import CloudGateway
 from ..cloud.resilience import HealthMonitor, ResilientGateway
-from ..lang.values import values_equal
 from ..perf import PERF
 from ..state.document import StateDocument
-from .detector import DetectionRun, DriftFinding, LogWatchDetector
+from .detector import (
+    DetectionRun,
+    DriftFinding,
+    LogWatchDetector,
+    changed_attrs,
+    findings_from_events,
+)
 from .reconcile import (
     ADOPT,
     ENFORCE,
@@ -161,7 +172,7 @@ class DriftWatcher:
     """Continuous reconciliation: tail logs, decide, repair, repeat.
 
     One :meth:`cycle` = tail every plane's activity log past its
-    cursor, account staleness, coalesce events into findings, classify
+    cursor, account staleness, fold the events into findings, classify
     each finding (enforce/adopt/notify/defer-dark), and drive the
     :class:`Reconciler` over the actionable ones. :meth:`run` strings
     cycles together on the simulated clock.
@@ -231,7 +242,7 @@ class DriftWatcher:
         now = clock.now
 
         lag_s, stale = self._account_staleness(by_provider, now)
-        fresh = self._coalesce(by_provider, state, now)
+        fresh = findings_from_events(by_provider, state, now)
         readmitted, still_dark = self._readmit_deferred(state, now)
         retries = self._refresh_pending(state, now)
         findings = self._merge(retries, readmitted, fresh)
@@ -315,87 +326,6 @@ class DriftWatcher:
                 stale.append(provider)
         return lag_s, stale
 
-    # -- coalescing ----------------------------------------------------------
-
-    def _coalesce(
-        self,
-        by_provider: Dict[str, List[ActivityEvent]],
-        state: StateDocument,
-        now: float,
-    ) -> List[DriftFinding]:
-        """Fold each resource's event burst into at most one finding."""
-        findings: List[DriftFinding] = []
-        for provider in sorted(by_provider):
-            groups: Dict[str, List[ActivityEvent]] = {}
-            order: List[str] = []
-            for event in by_provider[provider]:
-                if not event.is_external:
-                    continue
-                if event.resource_id not in groups:
-                    groups[event.resource_id] = []
-                    order.append(event.resource_id)
-                groups[event.resource_id].append(event)
-            for resource_id in order:
-                finding = self._fold(
-                    provider, resource_id, groups[resource_id], state, now
-                )
-                if finding is not None:
-                    findings.append(finding)
-        return findings
-
-    def _fold(
-        self,
-        provider: str,
-        resource_id: str,
-        events: List[ActivityEvent],
-        state: StateDocument,
-        now: float,
-    ) -> Optional[DriftFinding]:
-        last = events[-1]
-        entry = state.by_resource_id(resource_id)
-        if last.operation == "delete":
-            if entry is None:
-                # never managed (or created-then-deleted out of band
-                # within one window): nothing to converge
-                return None
-            return DriftFinding(
-                kind="deleted",
-                resource_id=resource_id,
-                resource_type=last.resource_type,
-                address=entry.address,
-                detected_at=now,
-                actor=last.actor,
-                provider=provider,
-                region=last.region or entry.region,
-                event_count=len(events),
-            )
-        if entry is None:
-            if any(event.operation == "create" for event in events):
-                return DriftFinding(
-                    kind="unmanaged",
-                    resource_id=resource_id,
-                    resource_type=last.resource_type,
-                    detected_at=now,
-                    actor=last.actor,
-                    provider=provider,
-                    region=last.region,
-                    event_count=len(events),
-                )
-            return None  # external change to a resource we never managed
-        changed = sorted({a for event in events for a in event.changed_attrs})
-        return DriftFinding(
-            kind="modified",
-            resource_id=resource_id,
-            resource_type=last.resource_type,
-            address=entry.address,
-            changed_attrs=changed,
-            detected_at=now,
-            actor=last.actor,
-            provider=provider,
-            region=last.region or entry.region,
-            event_count=len(events),
-        )
-
     # -- carryover (deferred + retry) ---------------------------------------
 
     def _readmit_deferred(
@@ -441,11 +371,7 @@ class DriftWatcher:
         if finding.kind == "unmanaged":
             live = self.gateway.find_record(finding.resource_id)
             return dataclasses.replace(finding, detected_at=now) if live else None
-        entry = None
-        if finding.address is not None:
-            entry = state.get(finding.address)
-        if entry is None:
-            entry = state.by_resource_id(finding.resource_id)
+        entry = self.reconciler._entry_for(finding, state)
         if entry is None:
             return None  # no longer managed; nothing to converge
         live = (
@@ -453,35 +379,21 @@ class DriftWatcher:
             if entry.resource_id
             else None
         )
-        if live is None:
-            return DriftFinding(
-                kind="deleted",
-                resource_id=entry.resource_id,
-                resource_type=entry.address.type,
-                address=entry.address,
-                detected_at=now,
-                actor=finding.actor,
-                provider=finding.provider or entry.provider,
-                region=entry.region,
-            )
-        changed = sorted(
-            key
-            for key in set(entry.attrs) | set(live.attrs)
-            if not values_equal(entry.attrs.get(key), live.attrs.get(key))
-        )
-        if not changed:
-            return None  # converged while we weren't looking
-        return DriftFinding(
-            kind="modified",
+        common = dict(
             resource_id=entry.resource_id,
             resource_type=entry.address.type,
             address=entry.address,
-            changed_attrs=changed,
             detected_at=now,
             actor=finding.actor,
             provider=finding.provider or entry.provider,
             region=entry.region,
         )
+        if live is None:
+            return DriftFinding(kind="deleted", **common)
+        changed = changed_attrs(entry.attrs, live.attrs)
+        if not changed:
+            return None  # converged while we weren't looking
+        return DriftFinding(kind="modified", changed_attrs=changed, **common)
 
     @staticmethod
     def _merge(*batches: List[DriftFinding]) -> List[DriftFinding]:
@@ -554,30 +466,14 @@ class DriftWatcher:
     def _repair(
         self, actionable: List[ReconcileDecision], state: StateDocument
     ) -> ReconcileReport:
-        calls_before = self.gateway.calls_routed()
-        actions: List[ReconcileAction] = []
-        notifications: List[str] = []
-        remainder: List[str] = []
-        for decision in actionable:
-            finding = decision.finding
-            action = self.reconciler.reconcile_one(
-                finding, state, policy=decision.decision
-            )
-            decision.action = action
-            actions.append(action)
-            if action.policy == NOTIFY:
-                notifications.append(
-                    f"drift[{finding.kind}] {finding.resource_type} "
-                    f"{finding.resource_id}"
-                    + (f" by {finding.actor}" if finding.actor else "")
-                )
-            if action.interrupted:
-                remainder.append(action.performed)
-            if not action.ok:
-                self._pending.append(finding)
-        return ReconcileReport(
-            actions=actions,
-            notifications=notifications,
-            api_calls=self.gateway.calls_routed() - calls_before,
-            remainder=remainder,
+        """The :class:`Reconciler`'s own loop over the actionable
+        findings (``_decide`` gave each one its per-kind policy); a
+        failed repair is carried into the next cycle's retry."""
+        report = self.reconciler.reconcile(
+            [decision.finding for decision in actionable], state
         )
+        for decision, action in zip(actionable, report.actions):
+            decision.action = action
+            if not action.ok:
+                self._pending.append(decision.finding)
+        return report

@@ -31,7 +31,6 @@ __all__, __getattr__, __dir__ = export_table(
             "STATUS_OF",
             "AdmissionController",
             "TenantQuota",
-            "TokenBucket",
         ),
         "breakers": ("CircuitBreaker", "TenantBreakerBank"),
         "core": ("ControlPlaneService", "ServicePolicy", "ServiceResponse"),

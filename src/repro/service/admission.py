@@ -25,6 +25,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional
 
+from ..cloud.ratelimit import TokenBucket
+
 # -- typed rejection reasons ---------------------------------------------------
 
 REJECT_QUEUE_FULL = "queue-full"  # global admission queue at capacity
@@ -62,29 +64,6 @@ READ_ONLY_OPS = frozenset({"plan", "drift", "stats"})
 SERVICE_OPS = frozenset(
     {"plan", "apply", "drift", "resume", "chaos", "stats"}
 )
-
-
-class TokenBucket:
-    """Classic token bucket: ``rate`` tokens/s, ``burst`` capacity."""
-
-    __slots__ = ("rate", "burst", "tokens", "stamp")
-
-    def __init__(self, rate: float, burst: float, now: float):
-        self.rate = float(rate)
-        self.burst = float(burst)
-        self.tokens = float(burst)
-        self.stamp = now
-
-    def allow(self, now: float, cost: float = 1.0) -> bool:
-        if now > self.stamp:
-            self.tokens = min(
-                self.burst, self.tokens + (now - self.stamp) * self.rate
-            )
-            self.stamp = now
-        if self.tokens >= cost:
-            self.tokens -= cost
-            return True
-        return False
 
 
 @dataclasses.dataclass
@@ -126,10 +105,11 @@ class AdmissionController:
         quota = self.quota_of(tenant)
         bucket = self._buckets.get(tenant)
         if bucket is None or bucket.rate != quota.rate_rps:
-            bucket = TokenBucket(quota.rate_rps, quota.burst, now)
+            bucket = TokenBucket(quota.rate_rps, quota.burst)
             self._buckets[tenant] = bucket
-        if not bucket.allow(now):
+        if bucket.available_at(now) > now:
             return REJECT_RATE_LIMITED
+        bucket.consume(now)
         if tenant_pending >= quota.max_pending:
             return REJECT_TENANT_QUOTA
         if queue_depth >= self.max_queue_depth:

@@ -25,6 +25,7 @@ from ..addressing import ResourceAddress
 from ..cloud.base import CloudAPIError
 from ..cloud.gateway import CloudGateway
 from ..cloud.resilience import ResilientGateway, RetryPolicy
+from ..cloud.resources import settable_attrs
 from ..state.document import ResourceState, StateDocument
 from ..state.snapshots import Snapshot
 
@@ -295,11 +296,9 @@ class ReversibilityAwareRollback:
             entry = current_state.get(action.address)
             if entry is None:
                 continue
-            payload = {
-                k: v
-                for k, v in action.target_attrs.items()
-                if v is not None and k != "id" and self._settable(action, k)
-            }
+            payload = settable_attrs(
+                gateway.try_spec(action.address.type), action.target_attrs
+            )
             try:
                 response = gateway.execute(
                     "update",
@@ -372,8 +371,9 @@ class ReversibilityAwareRollback:
             )
             payload = {
                 k: _remap_ids(v, remap)
-                for k, v in action.target_attrs.items()
-                if v is not None and k != "id" and self._settable(action, k)
+                for k, v in settable_attrs(
+                    gateway.try_spec(rtype), action.target_attrs
+                ).items()
             }
             region = (
                 action.target_attrs.get("location")
@@ -416,13 +416,6 @@ class ReversibilityAwareRollback:
             errors=errors,
             remainder=sorted(set(remainder)),
         )
-
-    def _settable(self, action: RollbackAction, attr: str) -> bool:
-        spec = self.gateway.try_spec(action.address.type)
-        if spec is None:
-            return attr != "id"
-        aspec = spec.attr(attr)
-        return aspec is not None and not aspec.computed
 
 
 class NaiveRollback:

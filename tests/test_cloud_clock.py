@@ -102,6 +102,14 @@ class TestTokenBucket:
         assert bucket.stats.throttled_calls == 1
         assert bucket.stats.total_wait_s > 0
 
+    def test_fractional_burst_is_not_truncated(self):
+        # a service tenant's quota may set burst=2.5: a bucket idle
+        # long enough refills to 2.5 tokens, not 2
+        bucket = TokenBucket(rate=1.0, burst=2.5)
+        bucket.consume(0.0)
+        assert bucket.consume(100.0) == bucket.consume(100.0) == 100.0
+        assert bucket.consume(100.0) == pytest.approx(100.5)
+
     def test_impossible_request(self):
         bucket = TokenBucket(rate=1.0, burst=2)
         with pytest.raises(ValueError):

@@ -1,10 +1,14 @@
-"""Event-driven continuous reconciliation (PR 7).
+"""Event-driven continuous reconciliation.
 
-Covers the tentpole :class:`DriftWatcher` (durable cursors, bounded
-staleness, coalescing, enforce/adopt/notify/defer-dark auto-reconcile)
-and the satellite bugfixes: late-added-plane cursor ``KeyError`` and
-sequence-based cursors under log compaction.
+Covers :class:`DriftWatcher` (durable cursors, bounded staleness,
+enforce/adopt/notify/defer-dark auto-reconcile), the one fold from log
+events to findings behind every watch entry point, and two cursor
+fixes: a plane added after construction starts at cursor 0 instead of
+raising ``KeyError``, and cursors are sequence numbers, so they survive
+log compaction.
 """
+
+import asyncio
 
 import pytest
 
@@ -23,6 +27,7 @@ from repro.drift import (
 )
 from repro.drift.detector import DriftFinding
 from repro.perf import PERF
+from repro.service import ControlPlaneService, ServicePolicy
 from repro.workloads import two_region_estate, web_tier
 
 
@@ -146,46 +151,129 @@ class TestLateAddedPlane:
         assert [f.kind for f in run.findings] == ["modified"]  # late, not lost
 
 
-class TestWatcherCoalescing:
-    def test_event_burst_collapses_to_one_finding(self):
-        engine = deployed(seed=75)
-        watcher = DriftWatcher(engine.gateway, auto_reconcile=False)
-        consume_history(watcher, engine.state)
-        vm = a_vm(engine)
-        plane = engine.gateway.planes["aws"]
-        plane.external_update(vm.resource_id, {"size": "large"}, actor="a")
-        plane.external_update(vm.resource_id, {"size": "xlarge"}, actor="b")
-        plane.external_update(vm.resource_id, {"image": "win"}, actor="c")
-        cycle = watcher.cycle(engine.state)
-        assert len(cycle.findings) == 1
-        finding = cycle.findings[0]
-        assert finding.kind == "modified"
-        assert finding.event_count == 3
-        assert finding.changed_attrs == ["image", "size"]
+# -- one fold, every entry point ---------------------------------------------
+#
+# Each log shape mutates a deployed estate out of band and returns the
+# findings every entry point must report, as (kind, address,
+# changed_attrs, event_count).
 
-    def test_created_then_deleted_out_of_band_is_no_finding(self):
-        engine = deployed(seed=76)
-        watcher = DriftWatcher(engine.gateway, auto_reconcile=False)
-        consume_history(watcher, engine.state)
-        plane = engine.gateway.planes["aws"]
-        rid = plane.external_create(
-            "aws_s3_bucket", {"name": "flash"}, "us-east-1", actor="intern"
-        )
-        plane.external_delete(rid, actor="intern")
-        cycle = watcher.cycle(engine.state)
-        assert cycle.findings == []
 
-    def test_delete_dominates_earlier_updates(self):
-        engine = deployed(seed=77)
-        watcher = DriftWatcher(engine.gateway, auto_reconcile=False)
-        consume_history(watcher, engine.state)
-        db = a_vm(engine, rtype="aws_database_instance")
-        plane = engine.gateway.planes["aws"]
-        plane.external_update(db.resource_id, {"engine": "mysql"}, actor="x")
-        plane.external_delete(db.resource_id, actor="x")
-        cycle = watcher.cycle(engine.state)
-        assert [f.kind for f in cycle.findings] == ["deleted"]
-        assert cycle.findings[0].event_count == 2
+def two_resizes(engine):
+    vm = a_vm(engine)
+    plane = engine.gateway.planes["aws"]
+    plane.external_update(vm.resource_id, {"size": "large"}, actor="a")
+    plane.external_update(vm.resource_id, {"size": "xlarge"}, actor="b")
+    return [("modified", vm.address, ["size"], 2)]
+
+
+def resize_burst(engine):
+    vm = a_vm(engine)
+    plane = engine.gateway.planes["aws"]
+    plane.external_update(vm.resource_id, {"size": "large"}, actor="a")
+    plane.external_update(vm.resource_id, {"size": "xlarge"}, actor="b")
+    plane.external_update(vm.resource_id, {"image": "win"}, actor="c")
+    return [("modified", vm.address, ["image", "size"], 3)]
+
+
+def resize_then_delete(engine):
+    vm = a_vm(engine)
+    plane = engine.gateway.planes["aws"]
+    plane.external_update(vm.resource_id, {"size": "large"}, actor="x")
+    plane.external_delete(vm.resource_id, actor="x")
+    return [("deleted", vm.address, [], 2)]
+
+
+def update_then_delete_db(engine):
+    db = a_vm(engine, rtype="aws_database_instance")
+    plane = engine.gateway.planes["aws"]
+    plane.external_update(db.resource_id, {"engine": "mysql"}, actor="x")
+    plane.external_delete(db.resource_id, actor="x")
+    return [("deleted", db.address, [], 2)]
+
+
+def create_then_delete(engine):
+    plane = engine.gateway.planes["aws"]
+    rid = plane.external_create(
+        "aws_s3_bucket", {"name": "flash"}, "us-east-1", actor="intern"
+    )
+    plane.external_delete(rid, actor="intern")
+    return []
+
+
+SHAPES = [
+    two_resizes,
+    resize_burst,
+    resize_then_delete,
+    update_then_delete_db,
+    create_then_delete,
+]
+
+
+def summary(findings):
+    return [
+        (f.kind, f.address, f.changed_attrs, f.event_count) for f in findings
+    ]
+
+
+def via_watch(shape, tmp_path):
+    engine = deployed(seed=75)
+    assert engine.watch().findings == []  # the apply's own events
+    expected = shape(engine)
+    return expected, summary(engine.watch().findings)
+
+
+def via_watch_continuously(shape, tmp_path):
+    engine = deployed(seed=75)
+    (cycle,) = engine.watch_continuously(auto_reconcile=False)
+    assert cycle.findings == []
+    expected = shape(engine)
+    (cycle,) = engine.watch_continuously(auto_reconcile=False)
+    return expected, summary(cycle.findings)
+
+
+def via_service_drift(shape, tmp_path):
+    """The service's ``drift`` op reports only how many findings."""
+
+    async def main():
+        svc = ControlPlaneService(str(tmp_path), policy=ServicePolicy(apply_pool=1))
+        await svc.start()
+        try:
+            apply = await svc.request("a", "apply", payload={"sources": web_tier()})
+            assert apply.ok
+            assert (await svc.request("a", "drift")).body["findings"] == 0
+            expected = shape(svc.sessions["a"].engine)
+            drift = await svc.request("a", "drift")
+        finally:
+            await svc.stop()
+        return len(expected), drift.body["findings"]
+
+    return asyncio.run(main())
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: s.__name__)
+@pytest.mark.parametrize(
+    "entry",
+    [via_watch, via_watch_continuously, via_service_drift],
+    ids=["watch", "watch_continuously", "service-drift"],
+)
+def test_every_entry_point_folds_a_log_alike(entry, shape, tmp_path):
+    """One finding per drifted resource, from every way in: a burst is
+    the union of its attributes, a delete dominates earlier updates,
+    and a resource created and deleted out of band is no finding."""
+    expected, observed = entry(shape, tmp_path)
+    assert observed == expected
+
+
+def test_watched_resize_then_delete_reconciles_ok():
+    engine = deployed(seed=75)
+    engine.watch()
+    vm = a_vm(engine)
+    golden_size = vm.attrs["size"]
+    resize_then_delete(engine)
+    report = engine.reconcile(engine.watch().findings)
+    assert report.ok
+    entry = engine.state.get(vm.address)
+    assert engine.gateway.find_record(entry.resource_id).attrs["size"] == golden_size
 
 
 class TestWatcherReconcile:

@@ -156,3 +156,21 @@ def test_a_failing_step_stops_the_run_and_is_named(reach, package):
             ],
             root=package,
         )
+
+
+def test_a_row_naming_a_function_the_source_lost_is_stale(reach, package, tmp_path):
+    page = tmp_path / "reach.md"
+    page.write_text(
+        "| entry | lines | reach | verdict | reason |\n"
+        "|---|---|---|---|---|\n"
+        "| `pkg/mod.py::unused` | 2 | nothing | keep | still there |\n"
+        "| `pkg/mod.py::Box.gone` | 2 | nothing | keep | deleted method |\n"
+        "| `pkg/mod.py` | 3 | tier-1 (1) | keep | module row |\n"
+        "| `pkg/old.py` | 3 | tier-1 (1) | keep | deleted module |\n"
+    )
+    rows = reach.triage(str(page))
+    assert len(rows) == 4
+    assert reach.stale(reach.functions(package), rows) == [
+        "pkg/mod.py::Box.gone",
+        "pkg/old.py",
+    ]
