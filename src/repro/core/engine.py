@@ -706,16 +706,18 @@ class CloudlessEngine:
 
         basis = self._plan_basis
         if (
-            compiled.lookup is not None
-            and basis is not None
-            and basis.nodes is not None
-            and basis.artifact == compiled.artifact
-            and basis.data_digest == values_digest({})
-            and not basis.unproven(working)
+            basis is not None
+            # an unread exact hit, or a configuration this engine parsed
+            # (only that one is known not to be edited in place)
+            and (compiled.lookup is not None or self._ours(compiled))
+            and basis.proves_whole(
+                compiled.config, compiled.variables, compiled.artifact, working
+            )
         ):
-            # the basis proves every instance of this very artifact's
-            # program no-op, and the program reads no data source:
-            # nothing to diff, so nothing to unpickle
+            # the basis proves every instance of this very program no-op,
+            # and the program reads no data source: nothing to diff, so
+            # no graph to build or unpickle -- a resident tenant's plan
+            # of what it applied as much as a CLI plan on an exact hit
             PERF.count("plan.scoped")
             PERF.count("plan.proven")
             self.last_plan_scope = (0, basis.nodes)

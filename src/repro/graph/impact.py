@@ -124,6 +124,35 @@ class PlanBasis:
         )
         return out
 
+    def proves_whole(
+        self,
+        config: Optional[Configuration],
+        variables: Optional[Mapping[str, Any]],
+        artifact: Optional[Dict[str, Any]],
+        state: StateDocument,
+    ) -> bool:
+        """Whether this basis proves every managed instance of a compile
+        no-op against ``state``, so that its plan needs no graph: the
+        basis lists every node (``nodes``), read no data source, vouches
+        for every entry ``state`` holds and every instance it declares,
+        and is about this very program. That is the exact compile-cache
+        hit nothing has read (``config`` is ``None``) whose ``artifact``
+        it names, or the very configuration object it holds, calling no
+        module (their text is outside what the engine can diff) under
+        the same variables. The caller vouches that ``config`` was not
+        edited in place since."""
+        if self.nodes is None or self.data_digest != values_digest({}):
+            return False
+        if config is None:
+            about = artifact is not None and artifact == self.artifact
+        else:
+            about = (
+                config is self.config
+                and not config.module_calls
+                and same_values(self.variables, dict(variables or {}))
+            )
+        return about and not self.unproven(state)
+
     def committed(
         self,
         graph: ResourceGraph,

@@ -724,8 +724,11 @@ def read_data_sources(
     :meth:`Planner.plan` takes.
 
     Reads run in dependency order because one data source's query may
-    reference another's result.
+    reference another's result. A graph with no data source reads
+    nothing and is not walked.
     """
+    if not any(node.address.mode == DATA for node in graph.nodes.values()):
+        return {}
     resolver = ValueResolver(graph, state)
     slot = graph.binding_resolver
     if isinstance(slot, DeferredResolver):

@@ -7,7 +7,8 @@ estate, which is the observation the paper's budget example needs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+import math
+from typing import Any, Dict, List, Optional
 
 from ..graph.plan import Action
 from ..lang.values import is_unknown
@@ -69,8 +70,11 @@ class CostEstimator:
         )
 
     def estimate_plan(self, plan: Any) -> float:
-        """Monthly cost of the estate as it would look after the plan."""
-        total = 0.0
+        """Monthly cost of the estate as it would look after the plan:
+        summed exactly rounded, so the same costs sum the same whichever
+        order the plan holds its changes in (a proven plan holds them in
+        state order, a diffed one in graph order)."""
+        costs: List[float] = []
         seen = set()
         for change in plan.changes.values():
             if change.address.mode != "managed":
@@ -80,8 +84,8 @@ class CostEstimator:
                 continue
             attrs = change.desired or (change.prior.attrs if change.prior else {})
             attrs = {k: v for k, v in attrs.items() if not is_unknown(v)}
-            total += self.resource_monthly(change.rtype, attrs)
+            costs.append(self.resource_monthly(change.rtype, attrs))
         for entry in plan.state.resources():
             if str(entry.address) not in seen:
-                total += self.resource_monthly(entry.address.type, entry.attrs)
-        return total
+                costs.append(self.resource_monthly(entry.address.type, entry.attrs))
+        return math.fsum(costs)

@@ -30,6 +30,7 @@ once more: a twin project directory whose world has the record cut out
 before every verb, so every verb there plans whole.
 """
 
+import asyncio
 import contextlib
 import dataclasses
 import gc
@@ -865,6 +866,161 @@ class TestPlansWhatTheEditCanTouch:
                 obj, (ResourceGraph, ResourceNode, ModuleContext, ResourceResolver)
             ), type(obj)
         assert len(seen) > 1000  # it did walk the configuration
+
+
+async def _drift(engine, send):
+    assert (await send("drift", {}))["findings"] == 0
+    return {}
+
+
+async def _repair(engine, send):
+    (vm,) = engine.state.instances_of("aws_virtual_machine", "estate_0_vm")[:1]
+    engine.gateway.planes["aws"].external_update(vm.resource_id, {"size": "xlarge"})
+    report = engine.reconcile(engine.watch().findings)
+    assert [a.ok for a in report.actions] == [True]
+    return {}
+
+
+async def _replace(engine, send):
+    (logs,) = engine.state.instances_of("aws_s3_bucket", "logs")
+    engine.state.set(logs.replace(attrs=dict(logs.attrs)))  # equal, not the same
+    return {}
+
+
+async def _other_variables(engine, send):
+    return {"variables": {"env": "dev"}}
+
+
+async def _other_state(engine, send):
+    other = engine.state.copy()
+    (logs,) = other.instances_of("aws_s3_bucket", "logs")
+    other.set(logs.replace(attrs={**logs.attrs, "name": "by-hand"}))
+    return {"state": other}
+
+
+async def _nothing(engine, send):
+    return {}
+
+
+def _program(products):
+    return PROGRAM
+
+
+def _data(products):
+    return products.data_feeding_locals(1)
+
+
+def _modules(products):
+    return products.module_inputs_and_outputs(1)
+
+
+#: name -> (program, given tests.test_verb_products; its variables; what
+#: happens between two bare plans; graphs the first and the second build)
+PROVEN_CASES = {
+    "applied": (_program, {"env": "prod"}, _nothing, (0, 0)),
+    "drift": (_program, {"env": "prod"}, _drift, (0, 0)),
+    "repaired": (_program, {"env": "prod"}, _repair, (0, 1)),
+    "replaced": (_program, {"env": "prod"}, _replace, (0, 1)),
+    "variables": (_program, {"env": "prod"}, _other_variables, (0, 1)),
+    "state": (_program, {"env": "prod"}, _other_state, (0, 1)),
+    "data": (_data, None, _nothing, (1, 1)),
+    "modules": (_modules, None, _nothing, (1, 1)),
+}
+
+
+class TestAPlanOfWhatIsProvenBuildsNoGraph:
+    """A resident engine's plan of the very configuration its basis
+    proves whole -- the service's bare ``plan`` -- builds no graph and
+    answers what the whole plan answers. Each case applies a program,
+    plans it bare, does something to what the basis proves, and plans
+    bare again: once through a ``ControlPlaneService``, whose ``plan``
+    op sent no sources plans what was applied, and once straight on a
+    ``CloudlessEngine`` (which alone takes a ``state``)."""
+
+    @pytest.mark.parametrize(
+        "via, case",
+        [
+            (via, case)
+            for via in ("engine", "service")
+            for case in PROVEN_CASES
+            if (via, case) != ("service", "state")
+        ],
+    )
+    def test_a_bare_plan_builds_only_what_the_basis_does_not_prove(
+        self, via, case, counters, tmp_path
+    ):
+        import tests.test_verb_products as products
+        from tests.test_service import make_service
+
+        program, variables, between, builds = PROVEN_CASES[case]
+        program = program(products)
+
+        async def direct(engine, kind, payload):
+            """What the service's op does, on ``engine`` itself."""
+            if kind == "apply":
+                assert engine.apply(program, variables=variables).ok
+                return {}
+            if kind == "plan":
+                plan = engine.plan(
+                    engine.last_sources,
+                    variables=payload.get("variables", engine.last_variables),
+                    state=payload.get("state"),
+                )
+                return {"summary": plan.summary(), "plan": plan}
+            if kind == "drift":
+                return {"findings": len(engine.watch().findings)}
+            scope, nodes = engine.last_plan_scope
+            return {"plan_scope_nodes": scope, "graph_nodes": nodes}
+
+        async def bare_plan(engine, send, payload, graphs):
+            counters()
+            got = await send("plan", payload)
+            assert counters().get("graph.builds", 0) == graphs
+            want = full_plan(
+                engine,
+                engine.last_sources,
+                payload.get("variables", engine.last_variables),
+                state=payload.get("state"),
+            )
+            assert got["summary"] == want.summary()
+            if "plan" in got:
+                assert_same_plan(got["plan"], want)
+            stats = await send("stats", {})
+            assert stats["graph_nodes"] == len(want.graph)
+            if not graphs:
+                assert stats["plan_scope_nodes"] == 0
+
+        async def main():
+            if via == "engine":
+                engine = CloudlessEngine(seed=7)
+
+                async def send(kind, payload):
+                    return await direct(engine, kind, payload)
+
+            else:
+                svc = make_service(tmp_path)
+                await svc.start()
+
+                async def send(kind, payload):
+                    if kind == "apply":
+                        payload = {"sources": program, "variables": variables}
+                    response = await svc.request("a", kind, payload=payload)
+                    assert response.ok, response
+                    return response.body
+
+                await send("stats", {})  # opens the tenant's session
+                engine = svc.sessions["a"].engine
+            engine.loader = products.LOADER
+            try:
+                await send("apply", {})
+                await bare_plan(engine, send, {}, builds[0])
+                payload = await between(engine, send)
+                await bare_plan(engine, send, payload, builds[1])
+            finally:
+                if via == "service":
+                    await svc.stop()
+
+        asyncio.run(main())
 
 
 def reachable(roots, seen):

@@ -156,6 +156,44 @@ class TestDataSourceChaining:
         values = read_data_sources(gateway, graph, StateDocument())
         assert values["data.aws_s3_bucket.b"]["name"] == "seed-us-east-1"
 
+    def test_reads_in_dependency_order_not_name_order(self, gateway, monkeypatch):
+        from repro.graph.plan import read_data_sources
+
+        plane = gateway.planes["aws"]
+        plane.external_create("aws_s3_bucket", {"name": "base"}, "us-east-1")
+        plane.external_create("aws_s3_bucket", {"name": "base-copy"}, "us-east-1")
+        source = (
+            'data "aws_s3_bucket" "a" {\n'
+            '  name = "${data.aws_s3_bucket.b.name}-copy"\n'
+            "}\n"
+            'data "aws_s3_bucket" "b" {\n'
+            '  name = "base"\n'
+            "}\n"
+        )
+        asked = []
+        real = gateway.read_data
+
+        def read_data(rtype, attrs, region=""):
+            asked.append(attrs["name"])
+            return real(rtype, attrs, region)
+
+        monkeypatch.setattr(gateway, "read_data", read_data)
+        graph = build_graph(Configuration.parse(source))
+        values = read_data_sources(gateway, graph, StateDocument())
+        assert asked == ["base", "base-copy"]
+        assert values["data.aws_s3_bucket.a"]["name"] == "base-copy"
+
+    def test_a_graph_without_data_sources_is_not_walked(self, gateway, monkeypatch):
+        from repro.graph.plan import read_data_sources
+
+        graph = build_graph(Configuration.parse(web_tier(web_vms=2, app_vms=1)))
+
+        def walk():
+            raise AssertionError("walked a graph with no data source")
+
+        monkeypatch.setattr(graph.dag, "topological_order", walk)
+        assert read_data_sources(gateway, graph, StateDocument()) == {}
+
     def test_missing_data_lookup_raises(self, gateway):
         from repro.cloud import CloudAPIError
         from repro.graph.plan import read_data_sources

@@ -308,8 +308,11 @@ class TestCounts:
         # the service's op: a one-block edit on a resident engine
         assert engine.apply(retag(ESTATE, "estate-1", "r1")).ok
         assert spy() == ONE_OF_EACH
-        # a bare plan never validated and still builds its one
+        # the service's bare plan: what the apply proved needs no graph
         engine.plan(engine.last_sources)
+        assert spy() == NOTHING
+        # a plan of an edit never validated and still builds its one
+        engine.plan(retag(ESTATE, "estate-1", "r2"))
         assert spy() == {"builds": 1, "type_checks": 0, "rule_runs": 0}
 
     def test_validating_twice_in_one_verb_runs_once(self, spy):
