@@ -8,6 +8,7 @@ just wall time.
 
 from __future__ import annotations
 
+import hashlib
 import sys
 from typing import Any, Dict, Iterable, List, Sequence
 
@@ -20,6 +21,13 @@ def deploy_engine(source: str, seed: int = 0, variables=None, **kwargs) -> Cloud
     result = engine.apply(source, variables=variables)
     assert result.ok, f"benchmark setup failed: {result.apply and result.apply.failed}"
     return engine
+
+
+def stable_seed(kind: str, trial: int) -> int:
+    """A case's seed: the same in every process (``hash()`` of a str is
+    salted per process unless ``PYTHONHASHSEED`` pins it)."""
+    digest = hashlib.sha256(f"{kind}/{trial}".encode()).digest()
+    return int.from_bytes(digest[:4], "big") % (2**31)
 
 
 class Table:

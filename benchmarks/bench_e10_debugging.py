@@ -10,8 +10,6 @@ actionable fix suggested, and auto-repair success (fix applied, apply
 retried, deployment green).
 """
 
-import hashlib
-
 import pytest
 
 from repro.core import CloudlessEngine
@@ -19,7 +17,7 @@ from repro.debug import apply_diagnoses
 from repro.lang import Configuration
 from repro.workloads import ConfigMutator, hub_spoke, web_tier
 
-from _support import Table, record
+from _support import Table, record, stable_seed
 
 # fault classes that actually error out at the cloud (deploy-time bugs)
 FAULT_KINDS = [
@@ -32,13 +30,6 @@ FAULT_KINDS = [
     "drop_required",
 ]
 TRIALS = 4
-
-
-def stable_seed(kind, trial):
-    """A case's seed: the same in every process (``hash()`` of a str is
-    salted per process unless ``PYTHONHASHSEED`` pins it)."""
-    digest = hashlib.sha256(f"{kind}/{trial}".encode()).digest()
-    return int.from_bytes(digest[:4], "big") % (2**31)
 
 
 def run_case(kind, trial):

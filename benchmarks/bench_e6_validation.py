@@ -26,7 +26,7 @@ from repro.validate import (
 )
 from repro.workloads import ConfigMutator, hub_spoke, web_tier
 
-from _support import Table, record
+from _support import Table, record, stable_seed
 
 KINDS = [
     "unknown_attr",
@@ -116,7 +116,7 @@ def run_experiment():
     per_kind = {kind: {arm: 0 for arm in arms} for kind in KINDS}
     for kind in KINDS:
         for trial in range(TRIALS_PER_KIND):
-            seed = hash((kind, trial)) % (2**31)
+            seed = stable_seed(kind, trial)
             config = Configuration.parse(base_source())
             mutation = ConfigMutator(seed=seed).apply_kind(config, kind)
             total += 1

@@ -184,8 +184,8 @@ def record(steps: Iterable[Step], root: str = SRC) -> Set[Tuple[str, int]]:
         with open(os.path.join(site, "sitecustomize.py"), "w") as handle:
             handle.write(SITECUSTOMIZE)
         for step in steps:
-            # the E6 / E10 scripts seed their mutations with hash(),
-            # which is salted per process unless pinned
+            # iteration over a set of str is salted per process
+            # unless pinned
             env = dict(os.environ, PYTHONHASHSEED="0")
             path = [root]
             if step.record:

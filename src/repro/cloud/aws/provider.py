@@ -116,7 +116,6 @@ def aws_catalog() -> List[ResourceTypeSpec]:
             delete_s=15.0,
             id_prefix="i-",
             immutable=("image",),
-            shadow=("network_settings",),
             description="Virtual machine instance",
         ),
         spec(

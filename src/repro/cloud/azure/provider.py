@@ -117,7 +117,6 @@ def azure_catalog() -> List[ResourceTypeSpec]:
             delete_s=20.0,
             id_prefix="vm-",
             immutable=("image",),
-            shadow=("network_settings",),
             description="Linux virtual machine",
         ),
         spec(

@@ -91,10 +91,6 @@ class ResourceTypeSpec:
     # attribute changes that cannot be performed in place; the resource
     # must be destroyed and recreated (drives rollback planning, 3.4)
     immutable_attrs: tuple = ()
-    # attributes the cloud lets scripts mutate out-of-band but an IaC
-    # re-apply will NOT see (e.g. runtime network settings); these model
-    # the paper's "modifications not captured in configuration files"
-    shadow_attrs: tuple = ()
 
     def __post_init__(self) -> None:
         # per-kind views, computed once (validation walks them on every
@@ -160,7 +156,6 @@ def spec(
     id_prefix: str = "",
     description: str = "",
     immutable: tuple = (),
-    shadow: tuple = (),
     spread: float = 0.15,
 ) -> ResourceTypeSpec:
     """Terse constructor used by the provider catalogs."""
@@ -181,7 +176,6 @@ def spec(
         id_prefix=id_prefix or name.split("_", 1)[-1][:3] + "-",
         description=description,
         immutable_attrs=immutable,
-        shadow_attrs=shadow,
     )
 
 

@@ -15,7 +15,6 @@ __all__, __getattr__, __dir__ = export_table(
             "ADOPT",
             "ENFORCE",
             "NOTIFY",
-            "ReconcileInterrupted",
             "ReconcileReport",
             "Reconciler",
         ),

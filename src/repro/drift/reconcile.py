@@ -9,42 +9,31 @@ drift kind:
 * ``adopt``   -- accept the cloud's version into state (and flag the
   configuration for regeneration);
 * ``notify``  -- surface the finding to humans, touch nothing.
+
+Enforcement decides and performs nothing itself: a finding's repair is
+:func:`~repro.update.rollback.repair_action` over the attributes it
+names, run by the rollback's phased executor (3.4) as a one-action
+plan with no cascade -- the same rule and the same checkpoints a
+rollback applies to that entry.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..cloud.base import CloudAPIError
 from ..cloud.gateway import CloudGateway
 from ..cloud.resilience import ResilientGateway, RetryPolicy
-from ..cloud.resources import settable_attrs
 from ..state.document import ResourceState, StateDocument
-from .detector import DriftFinding, changed_attrs
+from .detector import DriftFinding
+
+if TYPE_CHECKING:
+    from ..update.rollback import RollbackAction
 
 ENFORCE = "enforce"
 ADOPT = "adopt"
 NOTIFY = "notify"
-
-
-class ReconcileInterrupted(CloudAPIError):
-    """A multi-step repair was cut mid-sequence.
-
-    State has been checkpointed after the last successful cloud call,
-    so re-running detection + reconciliation resumes cleanly (the
-    half-replaced resource surfaces as a ``deleted`` finding).
-    """
-
-    def __init__(self, message: str, cause: CloudAPIError):
-        super().__init__(
-            "ReconcileInterrupted",
-            message,
-            http_status=cause.http_status,
-            resource_type=cause.resource_type,
-            operation=cause.operation,
-        )
-        self.cause = cause
 
 
 @dataclasses.dataclass
@@ -53,10 +42,15 @@ class ReconcileAction:
     policy: str
     performed: str  # human-readable description of what happened
     ok: bool = True
-    #: the repair was cut mid-sequence with state checkpointed -- a
-    #: later detect+reconcile pass (or the watcher's retry queue)
-    #: resumes it
+    #: the repair was cut mid-sequence: the old record is gone, the
+    #: entry is checkpointed without its id and left in the executor's
+    #: remainder -- a later detect+reconcile pass (or the watcher's
+    #: retry queue) resumes it. A repair that failed with the old
+    #: record still live is a terminal failure, not an interruption.
     interrupted: bool = False
+    #: what enforcement ran (the shared per-entry repair rule's verdict);
+    #: None when nothing needed a cloud call
+    repair: Optional["RollbackAction"] = None
 
 
 @dataclasses.dataclass
@@ -64,8 +58,9 @@ class ReconcileReport:
     actions: List[ReconcileAction]
     notifications: List[str]
     api_calls: int
-    #: precise resumable work: repairs interrupted mid-sequence (state
-    #: checkpointed; a fresh detect+reconcile pass picks them up)
+    #: precise resumable work: addresses of repairs interrupted
+    #: mid-sequence (state checkpointed; a fresh detect+reconcile pass
+    #: picks them up)
     remainder: List[str] = dataclasses.field(default_factory=list)
 
     def count(self, policy: str) -> int:
@@ -80,8 +75,9 @@ class Reconciler:
     """Applies a per-kind reconciliation policy to drift findings.
 
     Every cloud call goes through the resilience layer: transient and
-    throttled faults are retried with backoff, and the delete->create
-    replacement path checkpoints state between steps so a terminal
+    throttled faults are retried with backoff, and an enforced repair
+    runs through the rollback's phased executor, which checkpoints
+    state between the steps of a replacement so a terminal
     mid-sequence fault never leaves state pointing at a dead resource.
     """
 
@@ -118,7 +114,7 @@ class Reconciler:
                     + (f" by {finding.actor}" if finding.actor else "")
                 )
             elif action.interrupted:
-                remainder.append(action.performed)
+                remainder.append(str(action.repair.address))
         return ReconcileReport(
             actions=actions,
             notifications=notifications,
@@ -143,14 +139,12 @@ class Reconciler:
             policy = self.policy.get(finding.kind, NOTIFY)
         if policy == NOTIFY:
             return ReconcileAction(finding, NOTIFY, "notified operators")
+        if finding.kind != "unmanaged" and policy == ENFORCE:
+            return self._enforce(finding, state)
+        if finding.kind == "unmanaged" and policy != ADOPT:
+            return ReconcileAction(finding, policy, "no action")
         try:
-            return ReconcileAction(
-                finding, policy, self._apply(finding, policy, state)
-            )
-        except ReconcileInterrupted as exc:
-            return ReconcileAction(
-                finding, policy, exc.message, ok=False, interrupted=True
-            )
+            return ReconcileAction(finding, policy, self._adopt(finding, state))
         except CloudAPIError as exc:
             return ReconcileAction(finding, policy, str(exc), ok=False)
 
@@ -166,143 +160,81 @@ class Reconciler:
                 return entry
         return state.by_resource_id(finding.resource_id)
 
-    def _apply(
-        self, finding: DriftFinding, policy: str, state: StateDocument
-    ) -> str:
-        if finding.kind == "modified":
-            entry = self._entry_for(finding, state)
-            if entry is None:
-                return "no state entry; nothing to do"
-            if policy == ENFORCE:
-                rtype = entry.address.type
-                updatable, immutable = self._split_drift(entry, finding)
-                if immutable:
-                    # the drifted attribute cannot change in place; the
-                    # only way back to golden state is replacement
-                    old_id = entry.resource_id
-                    self.gateway.execute(
-                        "delete", rtype, resource_id=entry.resource_id
-                    )
-                    # checkpoint: the old resource is gone -- state must
-                    # say so *before* the create is attempted, or a
-                    # create fault strands a dead id in golden state
-                    entry = entry.replace(resource_id="")
-                    state.set(entry)
-                    state.bump()
-                    payload = settable_attrs(
-                        self.gateway.try_spec(rtype), entry.attrs
-                    )
-                    region = entry.region or self.gateway.default_region(rtype)
-                    try:
-                        response = self.gateway.execute(
-                            "create", rtype, attrs=payload, region=region
-                        )
-                    except CloudAPIError as exc:
-                        raise ReconcileInterrupted(
-                            f"replacement of {entry.address} interrupted: "
-                            f"deleted {old_id} but create failed "
-                            f"({exc.code}); re-run reconcile to resume",
-                            exc,
-                        ) from exc
-                    state.set(
-                        entry.replace(
-                            resource_id=response["id"], attrs=dict(response)
-                        )
-                    )
-                    return (
-                        "recreated resource (drift on immutable attrs: "
-                        + ", ".join(immutable)
-                        + ")"
-                    )
-                if not updatable:
-                    return "drift already matches golden state"
-                response = self.gateway.execute(
-                    "update",
-                    rtype,
-                    resource_id=entry.resource_id,
-                    attrs=updatable,
-                )
-                state.set(entry.replace(attrs=dict(response)))
-                return "reset cloud attributes to golden state"
-            # adopt: pull the cloud's version into state
+    def _enforce(
+        self, finding: DriftFinding, state: StateDocument
+    ) -> ReconcileAction:
+        """Push the live record back to its state entry: the shared
+        repair rule over the attributes the finding names, executed as
+        a one-action rollback plan (a replacement's dependents are not
+        cascaded)."""
+        from ..update.rollback import (
+            ReversibilityAwareRollback,
+            RollbackPlan,
+            repair_action,
+        )
+
+        entry = self._entry_for(finding, state)
+        if entry is None:
+            return ReconcileAction(
+                finding, ENFORCE, "no state entry; nothing to do"
+            )
+        repair = repair_action(
+            self.gateway, entry, state, finding.changed_attrs or None
+        )
+        if repair is None:
+            return ReconcileAction(
+                finding, ENFORCE, "drift already matches golden state"
+            )
+        result = ReversibilityAwareRollback(self.gateway).execute(
+            RollbackPlan([repair]), state
+        )
+        if not result.ok:
+            return ReconcileAction(
+                finding,
+                ENFORCE,
+                "; ".join(result.errors),
+                ok=False,
+                interrupted=not state.get(entry.address).resource_id,
+                repair=repair,
+            )
+        performed = {
+            "update": "reset cloud attributes to golden state",
+            "replace": f"recreated resource ({'; '.join(repair.reasons)})",
+            "recreate": "recreated deleted resource",
+        }[repair.kind.value]
+        return ReconcileAction(finding, ENFORCE, performed, repair=repair)
+
+    def _adopt(self, finding: DriftFinding, state: StateDocument) -> str:
+        """Pull the cloud's version into state."""
+        if finding.kind == "unmanaged":
+            if finding.address is None:
+                return "flagged for import into configuration"
+            # the caller knows where this resource belongs (crash
+            # recovery resolves the address from the WAL intent):
+            # adopt it into state under that address
             live = self.gateway.find_record(finding.resource_id)
-            if live is not None:
-                state.set(entry.replace(attrs=live.snapshot()))
-            return "adopted cloud attributes into state"
+            if live is None:
+                return "resource vanished before adoption; nothing to do"
+            provider = self.gateway.provider_of(live.type)
+            state.set(
+                ResourceState(
+                    address=finding.address,
+                    resource_id=live.id,
+                    provider=provider,
+                    attrs=live.snapshot(),
+                    region=live.region,
+                    created_at=live.created_at,
+                    updated_at=live.updated_at,
+                )
+            )
+            return f"adopted orphaned resource {live.id} into state"
+        entry = self._entry_for(finding, state)
+        if entry is None:
+            return "no state entry; nothing to do"
         if finding.kind == "deleted":
-            entry = self._entry_for(finding, state)
-            if entry is None:
-                return "no state entry; nothing to do"
-            if policy == ENFORCE:
-                rtype = entry.address.type
-                payload = settable_attrs(
-                    self.gateway.try_spec(rtype), entry.attrs
-                )
-                region = entry.region or self.gateway.default_region(rtype)
-                response = self.gateway.execute(
-                    "create", rtype, attrs=payload, region=region
-                )
-                state.set(
-                    ResourceState(
-                        address=entry.address,
-                        resource_id=response["id"],
-                        provider=entry.provider,
-                        attrs=dict(response),
-                        region=region,
-                    )
-                )
-                return "recreated deleted resource"
             state.remove(entry.address)
             return "removed deleted resource from state"
-        if finding.kind == "unmanaged" and policy == ADOPT:
-            if finding.address is not None:
-                # the caller knows where this resource belongs (crash
-                # recovery resolves the address from the WAL intent):
-                # adopt it into state under that address
-                live = self.gateway.find_record(finding.resource_id)
-                if live is None:
-                    return "resource vanished before adoption; nothing to do"
-                provider = self.gateway.provider_of(live.type)
-                state.set(
-                    ResourceState(
-                        address=finding.address,
-                        resource_id=live.id,
-                        provider=provider,
-                        attrs=live.snapshot(),
-                        region=live.region,
-                        created_at=live.created_at,
-                        updated_at=live.updated_at,
-                    )
-                )
-                return f"adopted orphaned resource {live.id} into state"
-            return "flagged for import into configuration"
-        return "no action"
-
-    def _split_drift(self, entry: ResourceState, finding: DriftFinding):
-        """Golden values for the drifted attrs: (updatable, immutable)."""
-        spec = self.gateway.try_spec(entry.address.type)
-        live = self.gateway.find_record(entry.resource_id)
-        changed = list(finding.changed_attrs)
-        if not changed and live is not None:
-            changed = changed_attrs(entry.attrs, live.attrs)
-        updatable: Dict[str, object] = {}
-        immutable: List[str] = []
-        for attr in changed:
-            golden = entry.attrs.get(attr)
-            if live is not None and live.attrs.get(attr) == golden:
-                continue  # already matches
-            if spec is not None:
-                aspec = spec.attr(attr)
-                if aspec is None or aspec.computed:
-                    continue
-                if attr in spec.immutable_attrs or aspec.forces_replacement:
-                    immutable.append(attr)
-                    continue
-                # golden None means the attr was never set: enforce
-                # resets it (an out-of-band `ingress_rules` opened on a
-                # firewall must close again, not survive as un-enforceable)
-                updatable[attr] = golden
-            elif golden is not None:
-                updatable[attr] = golden
-        return updatable, immutable
-
+        live = self.gateway.find_record(finding.resource_id)
+        if live is not None:
+            state.set(entry.replace(attrs=live.snapshot()))
+        return "adopted cloud attributes into state"

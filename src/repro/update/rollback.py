@@ -13,13 +13,18 @@ infrastructure to its intended previous state." Two planners:
   replacements through dependents, and executes in phases (update ->
   destroy dependents-first -> recreate dependencies-first with id
   remapping) so the estate provably converges.
+
+:func:`repair_action` is the per-entry rule behind that
+classification, and the one drift enforcement (3.5) runs too: the
+:class:`~repro.drift.reconcile.Reconciler` repairs a finding with it
+and this module's phased executor, without the cascade.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set
 
 from ..addressing import ResourceAddress
 from ..cloud.base import CloudAPIError
@@ -95,40 +100,75 @@ def _remap_ids(value: Any, remap: Dict[str, str]) -> Any:
     return value
 
 
-def _configurable_diff(
+def repair_action(
     gateway: CloudGateway,
-    rtype: str,
-    live_attrs: Dict[str, Any],
-    target_attrs: Dict[str, Any],
-) -> Tuple[Dict[str, Any], List[str], List[str]]:
-    """Split live-vs-target divergence into (updates, immutable, shadow)."""
-    spec = gateway.try_spec(rtype)
+    entry: ResourceState,
+    state: StateDocument,
+    names: Optional[List[str]] = None,
+) -> Optional[RollbackAction]:
+    """What brings the live record behind ``entry``'s address in
+    ``state`` back to ``entry`` -- the one repair rule, shared by
+    rollback and drift enforcement. None when nothing diverges.
+
+    Compares ``names`` (default: every attribute either side holds)
+    and applies what the cloud's update call accepts: a computed
+    attribute is skipped, a declared one is reset in place (a ``None``
+    target clears it), and a replacement-forcing or undeclared
+    (out-of-band, "shadow") one needs a replacement. A record that no
+    longer exists is recreated.
+    """
+    current = state.get(entry.address)
+    live = (
+        gateway.find_record(current.resource_id) if current is not None else None
+    )
+    if live is None:
+        return RollbackAction(
+            address=entry.address,
+            kind=RollbackKind.RECREATE,
+            reasons=["resource no longer exists in the cloud"],
+            target_attrs=dict(entry.attrs),
+            dependencies=list(entry.dependencies),
+        )
+    spec = gateway.try_spec(entry.address.type)
+    live_attrs = live.snapshot()
+    keys = set(live_attrs) | set(entry.attrs) if names is None else names
     updates: Dict[str, Any] = {}
     immutable: List[str] = []
     shadow: List[str] = []
-    keys = set(live_attrs) | set(target_attrs)
     for key in sorted(keys):
-        live = live_attrs.get(key)
-        want = target_attrs.get(key)
-        if live == want:
+        want = entry.attrs.get(key)
+        if live_attrs.get(key) == want:
             continue
-        if spec is not None:
-            aspec = spec.attr(key)
-            if aspec is None:
-                # the cloud holds an attribute IaC cannot even express:
-                # an out-of-band (shadow) modification
-                shadow.append(key)
-                continue
-            if aspec.computed:
-                continue
-            if key in spec.immutable_attrs or aspec.forces_replacement:
-                immutable.append(key)
-                continue
-        if want is None:
+        aspec = spec.attr(key) if spec is not None else None
+        if aspec is None:
             shadow.append(key)
+        elif aspec.computed:
             continue
-        updates[key] = want
-    return updates, immutable, shadow
+        elif key in spec.immutable_attrs or aspec.forces_replacement:
+            immutable.append(key)
+        else:
+            updates[key] = want
+    if immutable or shadow:
+        return RollbackAction(
+            address=entry.address,
+            kind=RollbackKind.REPLACE,
+            reasons=[f"immutable attribute {name!r} diverged" for name in immutable]
+            + [
+                f"out-of-band modification {name!r} cannot be reverted in place"
+                for name in shadow
+            ],
+            target_attrs=dict(entry.attrs),
+            dependencies=list(entry.dependencies),
+        )
+    if updates:
+        return RollbackAction(
+            address=entry.address,
+            kind=RollbackKind.UPDATE,
+            reasons=[f"attribute {name!r} diverged" for name in updates],
+            target_attrs=updates,
+            dependencies=list(entry.dependencies),
+        )
+    return None
 
 
 class ReversibilityAwareRollback:
@@ -155,53 +195,9 @@ class ReversibilityAwareRollback:
         target = snapshot.state
         target_addrs = {str(a) for a in target.addresses()}
         for entry in target.resources():
-            current = current_state.get(entry.address)
-            live = (
-                self.gateway.find_record(current.resource_id)
-                if current is not None
-                else None
-            )
-            if live is None:
-                actions.append(
-                    RollbackAction(
-                        address=entry.address,
-                        kind=RollbackKind.RECREATE,
-                        reasons=["resource no longer exists in the cloud"],
-                        target_attrs=dict(entry.attrs),
-                        dependencies=list(entry.dependencies),
-                    )
-                )
-                continue
-            updates, immutable, shadow = _configurable_diff(
-                self.gateway, entry.address.type, live.snapshot(), entry.attrs
-            )
-            if immutable or shadow:
-                reasons = [
-                    f"immutable attribute {name!r} diverged" for name in immutable
-                ] + [
-                    f"out-of-band modification {name!r} cannot be reverted "
-                    f"in place"
-                    for name in shadow
-                ]
-                actions.append(
-                    RollbackAction(
-                        address=entry.address,
-                        kind=RollbackKind.REPLACE,
-                        reasons=reasons,
-                        target_attrs=dict(entry.attrs),
-                        dependencies=list(entry.dependencies),
-                    )
-                )
-            elif updates:
-                actions.append(
-                    RollbackAction(
-                        address=entry.address,
-                        kind=RollbackKind.UPDATE,
-                        reasons=[f"attribute {n!r} diverged" for n in updates],
-                        target_attrs=updates,
-                        dependencies=list(entry.dependencies),
-                    )
-                )
+            action = repair_action(self.gateway, entry, current_state)
+            if action is not None:
+                actions.append(action)
         for entry in current_state.resources():
             if str(entry.address) not in target_addrs:
                 actions.append(
@@ -296,21 +292,15 @@ class ReversibilityAwareRollback:
             entry = current_state.get(action.address)
             if entry is None:
                 continue
-            payload = settable_attrs(
-                gateway.try_spec(action.address.type), action.target_attrs
-            )
             try:
                 response = gateway.execute(
                     "update",
                     action.address.type,
                     resource_id=entry.resource_id,
-                    attrs=payload,
+                    attrs=action.target_attrs,
                 )
-                current_state.set(
-                    entry.replace(
-                        attrs=dict(response), updated_at=gateway.clock.now
-                    )
-                )
+                # a reset restores the entry's own value: no new stamp
+                current_state.set(entry.replace(attrs=dict(response)))
             except CloudAPIError as exc:
                 errors.append(f"{action.address}: {exc}")
 
