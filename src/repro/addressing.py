@@ -140,6 +140,12 @@ class ResourceAddress:
         return address
 
 
+def provider_of_type(rtype: str) -> str:
+    """The provider a resource type names by its prefix (``aws_vpc`` ->
+    ``aws``): the lookup of a planner nobody gave a catalog."""
+    return rtype.split("_", 1)[0]
+
+
 def managed(rtype: str, name: str, key: InstanceKey = None) -> ResourceAddress:
     """Shorthand for a root-module managed resource address."""
     return ResourceAddress(type=rtype, name=name, instance_key=key)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple, Union
+from collections.abc import Mapping
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 from ..cloud.gateway import CloudGateway
 from ..cloud.resilience import (
@@ -87,12 +88,18 @@ def load_verb_modules() -> None:
     its first tenant arrives: imported in the middle of a request, their
     code and constants land between that tenant's objects on the heap,
     and every later op reads 3-4 % slower (``svc_closed``, 11 of 12
-    pairs; docs/performance.md, "The process at both ends")."""
+    pairs; docs/performance.md, "The process at both ends"). The graph
+    builder, and the program front end it imports, come first: where
+    a verb reads a program, they are loaded before the planner."""
+    from ..graph import dag  # noqa: F401
+    from ..graph import builder  # noqa: F401
     from ..deploy import executor, recovery, wal  # noqa: F401
     from ..drift import detector, reconcile, watcher  # noqa: F401
-    from ..graph import builder, impact, plan  # noqa: F401
-    from ..lang import chunker, config, parser  # noqa: F401
+    from ..graph import impact, plan  # noqa: F401
+    from ..lang import ast_nodes, chunker, config, context  # noqa: F401
+    from ..lang import evaluator, functions, parser, references  # noqa: F401
     from ..policy import controller, cost  # noqa: F401
+    from ..types import checker  # noqa: F401
     from ..validate import pipeline  # noqa: F401
     from ..validate.constraints import aws, azure  # noqa: F401
 
@@ -375,14 +382,12 @@ class CloudlessEngine:
         the configuration the world's record is about."""
         if isinstance(sources, Compiled):
             return sources
-        from ..lang.config import Configuration
-
-        if isinstance(sources, Configuration):
-            # originals unavailable
-            texts = {f.filename: "" for f in sources.files}
-            return Compiled(sources, texts, variables)
         if isinstance(sources, str):
             sources = {"main.clc": sources}
+        elif not isinstance(sources, Mapping):
+            # a Configuration: originals unavailable
+            texts = {f.filename: "" for f in sources.files}
+            return Compiled(sources, texts, variables)
         texts = dict(sources)
         cache = self.compile_cache
         fps: Optional[Tuple[str, str]] = None
@@ -392,6 +397,8 @@ class CloudlessEngine:
             fps = (variables_fingerprint(variables), schema_fingerprint(self.gateway))
         reuse: Optional[Configuration] = None
         if self._last_compile is not None:
+            from ..lang.config import Configuration
+
             resident_texts, held = self._last_compile
             if not isinstance(held, Configuration):
                 # the first compile's exact hit, which no verb has read
@@ -412,12 +419,17 @@ class CloudlessEngine:
             PERF.count("compile.resident_partial")
         else:
             lookup = cache.load(texts, *fps) if fps is not None else None
-            if lookup is not None and not lookup.exact:
-                # partial hit: unchanged chunks skip lex+parse via the
-                # artifact's resident chunk-AST table
-                reuse = _read_hit(lookup)
-                if reuse is None:
-                    lookup = None
+            if lookup is None or not lookup.exact:
+                # the program is read, parsed or unpickled: its front
+                # end loads before any of it does
+                from ..lang.config import Configuration
+
+                if lookup is not None:
+                    # partial hit: unchanged chunks skip lex+parse via
+                    # the artifact's resident chunk-AST table
+                    reuse = _read_hit(lookup)
+                    if reuse is None:
+                        lookup = None
             self._wake_plan_basis(lookup, variables)
             if lookup is not None and lookup.exact:
                 # config and graph are unpickled when a verb needs a node

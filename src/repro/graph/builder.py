@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from ..addressing import DATA, MANAGED, InstanceKey, ResourceAddress
+from ..addressing import DATA, MANAGED, InstanceKey, ResourceAddress, provider_of_type
 from ..lang.config import Configuration, ModuleCall, ResourceDecl
 from ..lang.context import DeferredResolver, ModuleContext, ResourceResolver
 from ..lang.diagnostics import CLCEvalError, DiagnosticSink
@@ -27,12 +27,6 @@ ModulePath = Tuple[str, ...]
 
 class GraphBuildError(RuntimeError):
     """Raised when the configuration cannot be expanded into a graph."""
-
-
-def provider_of_type(rtype: str) -> str:
-    """The provider a resource type names by its prefix (``aws_vpc`` ->
-    ``aws``): the lookup of a planner nobody gave a catalog."""
-    return rtype.split("_", 1)[0]
 
 
 @dataclasses.dataclass

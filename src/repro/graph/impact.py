@@ -21,6 +21,7 @@ import dataclasses
 import hashlib
 import json
 from typing import (
+    TYPE_CHECKING,
     AbstractSet,
     Any,
     Callable,
@@ -32,12 +33,13 @@ from typing import (
     Tuple,
 )
 
-from ..addressing import DATA, MANAGED
-from ..lang.ast_nodes import Attribute, Body
-from ..lang.config import Configuration, ResourceDecl
-from ..lang.references import body_references, extract_references
+from ..addressing import DATA, MANAGED, provider_of_type
 from ..state.document import ResourceState, StateDocument
-from .builder import ResourceGraph, provider_of_type
+
+if TYPE_CHECKING:  # imported by the plans that diff a program
+    from ..lang.ast_nodes import Attribute, Body
+    from ..lang.config import Configuration, ResourceDecl
+    from .builder import ResourceGraph
 
 
 @dataclasses.dataclass
@@ -271,6 +273,8 @@ class ImpactAnalyzer:
             # in the addresses that live only in state
         if delta.is_empty or graph.root_context is None:
             return seeds
+        from ..lang.references import body_references, extract_references
+
         config = graph.root_context.config
         # what a changed declaration is mentioned as (Reference.key)
         changed = {("var", "", name) for name in delta.changed_variables}

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
-from ..addressing import DATA, MANAGED, ResourceAddress
-from ..lang.context import DeferredResolver
+from ..addressing import DATA, MANAGED, ResourceAddress, provider_of_type
 from ..lang.values import Unknown, collect_unknown_origins, is_unknown, values_equal
 from ..state.document import ResourceState, StateDocument
-from .builder import ResourceGraph, ResourceNode, provider_of_type
-from .dag import Dag
+
+if TYPE_CHECKING:  # imported by the plans that read their graph
+    from .builder import ResourceGraph, ResourceNode
+    from .dag import Dag
 
 
 class Action(enum.Enum):
@@ -140,8 +141,15 @@ class ValueResolver:
     """
 
     def __init__(self, graph: ResourceGraph, state: StateDocument):
+        from ..lang.context import DeferredResolver
+
         self.graph = graph
         self.state = state
+        slot = graph.binding_resolver
+        #: the slot every context of the graph reads through, when the
+        #: builder left one: what they memoised from our answers is
+        #: stale once we answer otherwise
+        self._slot = slot if isinstance(slot, DeferredResolver) else None
         self.overrides: Dict[str, Dict[str, Any]] = {}
         #: addresses whose state values must NOT be used (planned for
         #: replacement -- their computed attrs change at apply)
@@ -170,9 +178,8 @@ class ValueResolver:
     def _invalidate(self, address: str) -> None:
         # whatever the graph's contexts memoised from our answers
         # (locals, child-module inputs) is stale from here on
-        slot = self.graph.binding_resolver
-        if isinstance(slot, DeferredResolver):
-            slot.touch()
+        if self._slot is not None:
+            self._slot.touch()
         if not self._decl_cache:
             return
         node = self.graph.nodes.get(address)
@@ -241,7 +248,7 @@ class ValueResolver:
 
 
 #: a graph, or a function that reads it (:meth:`Planner.plan`)
-GraphSource = Union[ResourceGraph, Callable[[], ResourceGraph]]
+GraphSource = Union["ResourceGraph", Callable[[], "ResourceGraph"]]
 
 
 class Plan:
@@ -278,8 +285,8 @@ class Plan:
         self._resolver = ValueResolver(graph, self.state)
         # point the graph's module contexts at this plan's resolver so
         # attribute evaluation sees state/apply-time values
-        if isinstance(graph.binding_resolver, DeferredResolver):
-            graph.binding_resolver.target = self._resolver
+        if self._resolver._slot is not None:
+            self._resolver._slot.target = self._resolver
 
     def add(self, change: PlannedChange) -> None:
         self.changes[change.id] = change
@@ -359,6 +366,8 @@ class Plan:
 
     def execution_dag(self) -> Dag[str]:
         """DAG over actionable changes; edge u->v means u runs first."""
+        from .dag import Dag
+
         dag: Dag[str] = Dag()
         actionable_ids = {c.id for c in self.actionable()}
         for cid in actionable_ids:
@@ -730,8 +739,8 @@ def read_data_sources(
     if not any(node.address.mode == DATA for node in graph.nodes.values()):
         return {}
     resolver = ValueResolver(graph, state)
-    slot = graph.binding_resolver
-    if isinstance(slot, DeferredResolver):
+    slot = resolver._slot
+    if slot is not None:
         previous = slot.target
         slot.target = resolver
     else:
@@ -752,6 +761,6 @@ def read_data_sources(
             values[nid] = result
             resolver.set_override(nid, result)
     finally:
-        if isinstance(slot, DeferredResolver):
+        if slot is not None:
             slot.target = previous
     return values

@@ -39,7 +39,6 @@ __all__, __getattr__, __dir__ = export_table(
             "SplatExpr",
             "TemplateExpr",
             "UnaryOp",
-            "walk_expr",
         ),
         "chunker": ("SourceChunk", "chunk_fingerprints", "iter_chunks"),
         "config": (

@@ -199,43 +199,3 @@ class ConfigFile:
 
 Node = Union[Expr, Attribute, Block, Body, ConfigFile]
 
-
-def walk_expr(expr: Expr):
-    """Yield ``expr`` and every sub-expression, depth first."""
-    yield expr
-    if isinstance(expr, TemplateExpr):
-        for part in expr.parts:
-            yield from walk_expr(part)
-    elif isinstance(expr, AttrAccess):
-        yield from walk_expr(expr.obj)
-    elif isinstance(expr, IndexAccess):
-        yield from walk_expr(expr.obj)
-        yield from walk_expr(expr.index)
-    elif isinstance(expr, SplatExpr):
-        yield from walk_expr(expr.obj)
-    elif isinstance(expr, FunctionCall):
-        for arg in expr.args:
-            yield from walk_expr(arg)
-    elif isinstance(expr, UnaryOp):
-        yield from walk_expr(expr.operand)
-    elif isinstance(expr, BinaryOp):
-        yield from walk_expr(expr.left)
-        yield from walk_expr(expr.right)
-    elif isinstance(expr, Conditional):
-        yield from walk_expr(expr.cond)
-        yield from walk_expr(expr.then)
-        yield from walk_expr(expr.otherwise)
-    elif isinstance(expr, ListExpr):
-        for item in expr.items:
-            yield from walk_expr(item)
-    elif isinstance(expr, ObjectExpr):
-        for key, value in expr.entries:
-            yield from walk_expr(key)
-            yield from walk_expr(value)
-    elif isinstance(expr, ForExpr):
-        yield from walk_expr(expr.collection)
-        if expr.result_key is not None:
-            yield from walk_expr(expr.result_key)
-        yield from walk_expr(expr.result_value)
-        if expr.condition is not None:
-            yield from walk_expr(expr.condition)

@@ -110,6 +110,10 @@ class _KeyedMapping(Mapping):
             raise KeyError(key)
         return self._fetch(key)
 
+    def __contains__(self, key: object) -> bool:
+        # ``Mapping``'s fetches the value: ``aws_x.y`` would resolve twice
+        return key in self._keyset
+
     def __iter__(self) -> Iterator[str]:
         return iter(self._keys)
 
@@ -156,6 +160,10 @@ class _LazyLocals(Mapping):
             self._in_progress.discard(name)
         self._cache[name] = value
         return value
+
+    def __contains__(self, name: object) -> bool:
+        # without evaluating the local, as ``Mapping``'s would
+        return name in self._ctx.config.locals
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._ctx.config.locals)

@@ -12,10 +12,8 @@ Three levels, matching the E6 ablation:
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
 
-from ..graph.builder import GraphBuildError, ResourceGraph
-from ..lang.config import Configuration
 from ..lang.diagnostics import (
     CLCError,
     Diagnostic,
@@ -23,9 +21,13 @@ from ..lang.diagnostics import (
     Severity,
     SourceSpan,
 )
-from ..types.checker import DeclTable, TypeChecker
 from ..types.schema import SchemaRegistry
 from .rules import Rule, RuleEngine, ValidationContext
+
+if TYPE_CHECKING:  # imported by the validations that read a program
+    from ..graph.builder import ResourceGraph
+    from ..lang.config import Configuration
+    from ..types.checker import DeclTable
 
 LEVEL_SYNTAX = "syntax"
 LEVEL_TYPES = "types"
@@ -190,6 +192,10 @@ class ValidationPipeline:
         these declarations, variables, locals and declared names, and is
         not computed again; every rule still runs over every instance.
         Without one the run starts from an empty table of its own."""
+        from ..graph.builder import GraphBuildError
+        from ..lang.config import Configuration
+        from ..types.checker import DeclTable, TypeChecker
+
         if table is None:
             table = DeclTable()
         sink = DiagnosticSink()

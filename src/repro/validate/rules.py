@@ -10,16 +10,30 @@ in the same region" *before* any resource exists.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
-from ..graph.builder import ResourceGraph, ResourceNode, build_graph
-from ..lang.config import Configuration
 from ..lang.diagnostics import DiagnosticSink
-from ..lang.references import extract_references
 from ..lang.values import Unknown, is_unknown
 from ..perf import PERF
-from ..types.checker import DeclTable
 from ..types.schema import SchemaRegistry
+
+if TYPE_CHECKING:  # imported by the validations that read a program
+    from ..graph.builder import ResourceGraph, ResourceNode
+    from ..lang.config import Configuration
+    from ..lang.module_loader import ModuleLoader
+    from ..types.checker import DeclTable
+
+
+def build_graph(
+    config: Configuration,
+    variables: Optional[Dict[str, Any]] = None,
+    loader: Optional[ModuleLoader] = None,
+) -> ResourceGraph:
+    """:func:`repro.graph.builder.build_graph`, imported by the
+    validation that builds its own graph."""
+    from ..graph.builder import build_graph as build
+
+    return build(config, variables, loader)
 
 
 def _plain(value: Any) -> bool:
@@ -47,10 +61,14 @@ class ValidationContext:
         self.config = config
         self.graph = graph
         self.registry = registry
+        if table is None:
+            from ..types.checker import DeclTable
+
+            table = DeclTable()
         #: where an instance's evaluated attributes are kept; one that
         #: arrives with entries in it holds what the last validation of
         #: these declarations evaluated
-        self.table = table if table is not None else DeclTable()
+        self.table = table
 
     @classmethod
     def build(
@@ -110,6 +128,8 @@ class ValidationContext:
         attr = node.decl.body.attributes.get(attr_name)
         if attr is None:
             return []
+        from ..lang.references import extract_references
+
         out: List[ResourceNode] = []
         for ref in sorted(extract_references(attr.expr)):
             if ref.kind not in ("resource", "data"):

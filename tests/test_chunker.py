@@ -10,6 +10,8 @@ holds what one did -- and must actually skip re-parsing unchanged
 chunks when given ``reuse=``.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.lang import Configuration
@@ -153,7 +155,19 @@ def _every_span(cfg):
     """Every position a parse hands to later stages: the span of each
     block, attribute and (sub-)expression, of each declaration, and each
     diagnostic with its message."""
-    from repro.lang.ast_nodes import walk_expr
+    from repro.lang.ast_nodes import Expr
+
+    def walk_expr(expr):
+        """``expr`` and every sub-expression, depth first, in field
+        order: an expression's fields hold expressions, lists of them
+        and (key, value) pairs of them."""
+        yield expr
+        for field in dataclasses.fields(expr):
+            value = getattr(expr, field.name)
+            for item in value if isinstance(value, list) else (value,):
+                for part in item if isinstance(item, tuple) else (item,):
+                    if isinstance(part, Expr):
+                        yield from walk_expr(part)
 
     out = []
 

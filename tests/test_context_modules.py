@@ -100,6 +100,39 @@ class TestResolvers:
         )
         assert Evaluator(ctx.scope()).evaluate(cfg.locals["n"].expr) == "eu"
 
+    def test_each_reference_resolves_once(self):
+        """``aws_vpc.v`` is looked up in a mapping of the type's names:
+        answering ``in`` must not fetch the value it is about to fetch."""
+
+        class Counting(StaticResolver):
+            def __init__(self, values):
+                super().__init__(values)
+                self.calls = []
+
+            def resolve(self, module_path, mode, rtype, name, span=None):
+                self.calls.append((mode, rtype, name))
+                return super().resolve(module_path, mode, rtype, name, span)
+
+        cfg = Configuration.parse(
+            'resource "aws_vpc" "v" { name = "x" }\n'
+            'data "aws_region" "r" {}\n'
+            "locals {\n"
+            "  vid  = aws_vpc.v.id\n"
+            "  both = [aws_vpc.v.id, data.aws_region.r.name, local.vid]\n"
+            "}\n"
+        )
+        resolver = Counting(
+            {"aws_vpc.v": {"id": "vpc-9"}, "data.aws_region.r": {"name": "eu"}}
+        )
+        ctx = ModuleContext(cfg, resolver=resolver)
+        value = Evaluator(ctx.scope()).evaluate(cfg.locals["both"].expr)
+        assert value == ["vpc-9", "eu", "vpc-9"]
+        assert sorted(resolver.calls) == [
+            ("data", "aws_region", "r"),
+            ("managed", "aws_vpc", "v"),
+            ("managed", "aws_vpc", "v"),  # the one ``local.vid`` reads
+        ]
+
     def test_unknown_root_identifier(self):
         cfg = Configuration.parse("locals { x = not_a_thing.y.z }\n")
         ctx = ModuleContext(cfg)
