@@ -48,6 +48,13 @@ PATIENT_RETRY = RetryPolicy(max_attempts=6, base_backoff_s=2.0)
 #: covers breaker probe windows and residual retry backoff
 DRAIN_MARGIN_S = 4000.0
 
+#: resumes the drain tries before it gives up, and reconcile <-> resume
+#: passes the repair fixpoint makes
+DRAIN_ATTEMPTS = 6
+
+#: detect + reconcile rounds the drain allows before a scan is clean
+RECONCILE_ROUNDS = 8
+
 
 @dataclasses.dataclass
 class PhaseRecord:
@@ -91,12 +98,6 @@ class TrialResult:
         if self.api_calls_baseline <= 0:
             return 0.0
         return self.api_calls_chaos / self.api_calls_baseline
-
-    @property
-    def makespan_overhead(self) -> float:
-        if self.makespan_baseline_s <= 0:
-            return 0.0
-        return self.makespan_chaos_s / self.makespan_baseline_s
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -198,13 +199,9 @@ class CampaignRunner:
         self,
         campaign: CampaignSpec,
         workdir: Optional[str] = None,
-        drain_attempts: int = 6,
-        reconcile_rounds: int = 8,
     ):
         self.campaign = campaign
         self.workdir = workdir or tempfile.mkdtemp(prefix="chaos-")
-        self.drain_attempts = drain_attempts
-        self.reconcile_rounds = reconcile_rounds
 
     # -- entry points --------------------------------------------------------
 
@@ -641,7 +638,7 @@ class CampaignRunner:
         ctx["externals"] = []
 
         converged = False
-        for _ in range(self.drain_attempts):
+        for _ in range(DRAIN_ATTEMPTS):
             outcome = engine.resume()
             if outcome.ok:
                 converged = True
@@ -657,7 +654,7 @@ class CampaignRunner:
                 engine.clock.advance_by(DRAIN_MARGIN_S)
         if not converged:
             return False
-        clean, _ = self._repair_fixpoint(engine, self.reconcile_rounds)
+        clean, _ = self._repair_fixpoint(engine, RECONCILE_ROUNDS)
         return clean
 
     def _repair_fixpoint(
@@ -670,7 +667,7 @@ class CampaignRunner:
         snapshot captures -- and a rollback tries to restore -- a
         reference to a dead id."""
         total = 0
-        for _ in range(self.drain_attempts):
+        for _ in range(DRAIN_ATTEMPTS):
             clean, repaired = self._reconcile_until_clean(engine, rounds)
             total += repaired
             if not clean:

@@ -248,27 +248,41 @@ GATE_OPEN = "open"  #: firmly down until the next probe time; fail fast
 GATE_WAIT = "wait"  #: a probe is already in flight; hold, don't fail
 
 
+#: the longest a backed-off breaker stays open before its next probe
+MAX_RECOVERY_S = 3600.0
+
+#: the perf counter each breaker state change moves, for the breakers
+#: :class:`HealthMonitor` drives (partitions); the service's tenant
+#: breakers run the same machine and move none of them
+_TRANSITION_COUNTERS = {
+    (BREAKER_CLOSED, BREAKER_OPEN): "resilience.breaker_opened",
+    (BREAKER_HALF_OPEN, BREAKER_OPEN): "resilience.breaker_reopened",
+    (BREAKER_OPEN, BREAKER_HALF_OPEN): "resilience.breaker_half_open",
+    (BREAKER_OPEN, BREAKER_CLOSED): "resilience.breaker_closed",
+    (BREAKER_HALF_OPEN, BREAKER_CLOSED): "resilience.breaker_closed",
+}
+
+
 @dataclasses.dataclass
 class BreakerPolicy:
-    """When a partition breaker trips and how it recovers.
+    """When a breaker trips and how it recovers.
 
-    ``failure_threshold`` consecutive outage-class failures open the
-    breaker; after ``recovery_s`` of sim time it half-opens and admits
-    ``half_open_probes`` probe calls. A failed probe re-opens it with
-    the recovery window multiplied by ``backoff_multiplier`` (capped at
-    ``max_recovery_s``); a successful probe closes it and resets the
-    backoff. All transitions run on the sim clock -- deterministic.
+    ``failure_threshold`` consecutive failures open the breaker; after
+    ``recovery_s`` it half-opens and admits one probe. A failed probe
+    re-opens it with the recovery window multiplied by
+    ``backoff_multiplier`` (capped at ``MAX_RECOVERY_S``); a successful
+    probe closes it and resets the backoff. All transitions run on the
+    caller's clock -- deterministic.
     """
 
     failure_threshold: int = 5
     recovery_s: float = 300.0
     backoff_multiplier: float = 2.0
-    max_recovery_s: float = 3600.0
-    half_open_probes: int = 1
 
 
 class CircuitBreaker:
-    """One partition's breaker; sim-time driven, fully deterministic."""
+    """One breaker (a partition's, or a service tenant's); clock-driven,
+    fully deterministic."""
 
     def __init__(self, key: tuple, policy: Optional[BreakerPolicy] = None):
         self.key = key
@@ -277,37 +291,35 @@ class CircuitBreaker:
         self.consecutive_failures = 0
         self.opened_at = 0.0
         self.open_count = 0  # consecutive opens; drives recovery backoff
-        self._probes_out = 0
+        self._probing = False
 
     @property
     def recovery_s(self) -> float:
         scale = self.policy.backoff_multiplier ** max(0, self.open_count - 1)
-        return min(self.policy.recovery_s * scale, self.policy.max_recovery_s)
+        return min(self.policy.recovery_s * scale, MAX_RECOVERY_S)
 
     def next_probe_at(self) -> float:
         """When the open breaker will admit its next probe."""
         return self.opened_at + self.recovery_s
 
     def gate(self, now: float) -> str:
-        """One dispatch decision; half-open ALLOWs consume a probe slot."""
+        """One dispatch decision; a half-open ALLOW is the probe."""
         if self.state == BREAKER_OPEN:
             if now + 1e-9 >= self.next_probe_at():
                 self.state = BREAKER_HALF_OPEN
-                self._probes_out = 0
-                PERF.count("resilience.breaker_half_open")
+                self._probing = False
             else:
                 return GATE_OPEN
         if self.state == BREAKER_HALF_OPEN:
-            if self._probes_out < self.policy.half_open_probes:
-                self._probes_out += 1
-                PERF.count("resilience.breaker_probes")
+            if not self._probing:
+                self._probing = True
                 return GATE_ALLOW
             return GATE_WAIT
         return GATE_ALLOW
 
     def blocked(self, now: float) -> bool:
         """Pure query: firmly open with no probe due yet? (Never
-        transitions state and never consumes probe slots.)"""
+        transitions state and never consumes the probe.)"""
         return self.state == BREAKER_OPEN and now + 1e-9 < self.next_probe_at()
 
     def record_success(self, now: float) -> None:
@@ -315,8 +327,7 @@ class CircuitBreaker:
         if self.state != BREAKER_CLOSED:
             self.state = BREAKER_CLOSED
             self.open_count = 0
-            self._probes_out = 0
-            PERF.count("resilience.breaker_closed")
+            self._probing = False
 
     def record_failure(self, now: float) -> None:
         if self.state == BREAKER_HALF_OPEN:
@@ -324,8 +335,7 @@ class CircuitBreaker:
             self.state = BREAKER_OPEN
             self.opened_at = now
             self.open_count += 1
-            self._probes_out = 0
-            PERF.count("resilience.breaker_reopened")
+            self._probing = False
             return
         if self.state == BREAKER_CLOSED:
             self.consecutive_failures += 1
@@ -333,7 +343,6 @@ class CircuitBreaker:
                 self.state = BREAKER_OPEN
                 self.opened_at = now
                 self.open_count += 1
-                PERF.count("resilience.breaker_opened")
         # already OPEN: a straggler completion from before the trip;
         # nothing to learn
 
@@ -442,7 +451,11 @@ class HealthMonitor:
             found = self.breakers.get(key)
             if found is None:
                 continue
+            was = found.state
             verdict = found.gate(now)
+            _count_transition(was, found)
+            if verdict == GATE_ALLOW and found.state == BREAKER_HALF_OPEN:
+                PERF.count("resilience.breaker_probes")
             if verdict == GATE_OPEN:
                 return GATE_OPEN
             if verdict == GATE_WAIT:
@@ -506,7 +519,10 @@ class HealthMonitor:
             # an outage failure trips only its own partition's breaker:
             # a dark region must never open the provider-wide breaker,
             # or healthy sibling regions would be blocked with it
-            self.breaker(provider, region).record_failure(now)
+            found = self.breaker(provider, region)
+            was = found.state
+            found.record_failure(now)
+            _count_transition(was, found)
             return
         if ok:
             # successes touch only existing breakers: healthy traffic
@@ -514,7 +530,9 @@ class HealthMonitor:
             for key in self._keys(provider, region):
                 found = self.breakers.get(key)
                 if found is not None:
+                    was = found.state
                     found.record_success(now)
+                    _count_transition(was, found)
 
     # -- introspection -------------------------------------------------------
 
@@ -536,6 +554,12 @@ class HealthMonitor:
                 entry["health"] = stats.as_dict()
             out[label] = entry
         return out
+
+
+def _count_transition(was: str, breaker: CircuitBreaker) -> None:
+    counter = _TRANSITION_COUNTERS.get((was, breaker.state))
+    if counter is not None:
+        PERF.count(counter)
 
 
 # -- the wrapper -------------------------------------------------------------

@@ -15,12 +15,7 @@ from collections.abc import Mapping
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 from ..cloud.gateway import CloudGateway
-from ..cloud.resilience import (
-    BreakerPolicy,
-    HealthMonitor,
-    ResilientGateway,
-    RetryPolicy,
-)
+from ..cloud.resilience import HealthMonitor, ResilientGateway, RetryPolicy
 from ..lang.diagnostics import CLCError
 from ..perf import PERF
 from ..state.document import StateDocument
@@ -223,7 +218,6 @@ class CloudlessEngine:
         seed: int = 0,
         wal_path: Optional[str] = None,
         health: Optional[HealthMonitor] = None,
-        breaker_policy: Optional[BreakerPolicy] = None,
         cache_dir: Optional[str] = None,
     ):
         self.seed = seed
@@ -235,7 +229,7 @@ class CloudlessEngine:
         #: executors gate dispatch on it, the resilient wrapper fails
         #: fast on it, and drift detection skips partitions it marks
         #: unreachable
-        self.health = health or HealthMonitor(policy=breaker_policy)
+        self.health = health or HealthMonitor()
         # one shared resilience wrapper for the synchronous lifecycle
         # verbs (watch/reconcile/rollback/import/data reads); the deploy
         # executors keep the raw gateway -- their event-loop retry must

@@ -39,6 +39,9 @@ from .emitter import (
 
 _NAME_INDEX_RE = re.compile(r"^(?P<prefix>.*?)[-_](?P<index>\d+)$")
 
+#: fewest same-shape records that fold into one counted or keyed block
+MIN_GROUP = 2
+
 
 def enumerate_estate(
     gateway: CloudGateway, retry: Optional[RetryPolicy] = None
@@ -200,13 +203,11 @@ class StructuredImporter:
         registry: Optional[SchemaRegistry] = None,
         enable_grouping: bool = True,
         enable_modules: bool = True,
-        min_group: int = 2,
         min_module_size: int = 3,
     ):
         self.registry = registry or SchemaRegistry.default()
         self.enable_grouping = enable_grouping
         self.enable_modules = enable_modules
-        self.min_group = min_group
         self.min_module_size = min_module_size
 
     # -- entry point -----------------------------------------------------------
@@ -410,7 +411,7 @@ class StructuredImporter:
         bucket_of: Dict[str, Tuple] = {}
         for signature, members in buckets.items():
             ordered = self._ordered_by_name_index(members)
-            if len(members) < self.min_group:
+            if len(members) < MIN_GROUP:
                 singles.extend(members)
                 continue
             if ordered is None:
@@ -461,7 +462,7 @@ class StructuredImporter:
     def _for_each_eligible(self, members: List[_RecordView]) -> bool:
         """Same shape, distinct string names, constant refs, scalar
         variation only -- expressible as for_each keyed by name."""
-        if len(members) < self.min_group:
+        if len(members) < MIN_GROUP:
             return False
         head = members[0]
         names_seen = set()

@@ -20,6 +20,7 @@ __all__, __getattr__, __dir__ = export_table(
             "REJECT_CIRCUIT_OPEN",
             "REJECT_DEADLINE",
             "REJECT_INVALID_PROGRAM",
+            "REJECT_INVALID_REQUEST",
             "REJECT_QUEUE_FULL",
             "REJECT_RATE_LIMITED",
             "REJECT_READ_ONLY",
@@ -32,7 +33,6 @@ __all__, __getattr__, __dir__ = export_table(
             "AdmissionController",
             "TenantQuota",
         ),
-        "breakers": ("CircuitBreaker", "TenantBreakerBank"),
         "core": ("ControlPlaneService", "ServicePolicy", "ServiceResponse"),
         "degradation": (
             "MODE_BROWNOUT",

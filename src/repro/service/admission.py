@@ -13,7 +13,9 @@ Admission composes, in order:
 2. **degradation mode** -- read-only mode sheds mutating ops, brownout
    sheds below the priority floor (:mod:`repro.service.degradation`);
 3. **per-tenant circuit breaker** -- a tenant whose ops keep failing is
-   fast-failed while the breaker cools (:mod:`repro.service.breakers`);
+   fast-failed while the breaker cools (the cloud layer's
+   :class:`~repro.cloud.resilience.CircuitBreaker` under the service's
+   ``TENANT_BREAKER`` policy);
 4. **per-tenant token bucket** -- sustained request rate;
 5. **per-tenant concurrency quota** -- queued + in-flight ceiling;
 6. **global queue bound** -- the backstop that keeps queueing delay
@@ -40,6 +42,7 @@ REJECT_STALE_SESSION = "stale-session"  # zombie fenced out by a newer lease
 REJECT_SHUTDOWN = "shutting-down"  # service stopping/killed
 REJECT_UNKNOWN_OP = "unknown-op"
 REJECT_INVALID_PROGRAM = "invalid-program"  # sources do not parse or evaluate
+REJECT_INVALID_REQUEST = "invalid-request"  # priority / deadline_s not a number
 
 #: rejection reason -> HTTP-style status code (the typed contract the
 #: zero-hangs gate checks: every response carries one of these or 200)
@@ -55,6 +58,7 @@ STATUS_OF: Dict[str, int] = {
     REJECT_STALE_SESSION: 409,
     REJECT_UNKNOWN_OP: 400,
     REJECT_INVALID_PROGRAM: 400,
+    REJECT_INVALID_REQUEST: 400,
 }
 
 #: ops servable in read-only degradation (no estate mutation)

@@ -30,10 +30,13 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional
 
+from ..cloud.resilience import GATE_ALLOW, BreakerPolicy, CircuitBreaker
 from ..core.engine import load_verb_modules
 from ..deploy import SimulatedCrash
 from ..lang.diagnostics import CLCError
@@ -41,15 +44,25 @@ from ..perf import PERF
 from ..workloads.traffic import LatencyHistogram, goodput_fairness_ratio
 from . import admission as adm
 from .admission import AdmissionController, TenantQuota
-from .breakers import TenantBreakerBank
 from .degradation import DegradationLadder
 from .fairness import WeightedFairQueue
 from .tenants import SessionFencedError, TenantSession
 
 
+#: every tenant's breaker: five consecutive failures open it, and it
+#: half-opens for one probe 10 s later, with no backoff between probes
+TENANT_BREAKER = BreakerPolicy(
+    failure_threshold=5, recovery_s=10.0, backoff_multiplier=1.0
+)
+
+
 @dataclasses.dataclass
 class ServicePolicy:
-    """Every tunable of the service tier in one bag."""
+    """Every tunable of the service tier in one bag.
+
+    The tenant breaker (:data:`TENANT_BREAKER`) and the degradation
+    ladder's thresholds (:class:`DegradationLadder`) are constants.
+    """
 
     apply_pool: int = 4  # concurrent engine executions
     max_queue_depth: int = 64  # global admission queue bound
@@ -57,12 +70,6 @@ class ServicePolicy:
     session_ttl_s: float = 30.0
     default_quota: TenantQuota = dataclasses.field(default_factory=TenantQuota)
     quotas: Dict[str, TenantQuota] = dataclasses.field(default_factory=dict)
-    breaker_threshold: int = 5
-    breaker_cooldown_s: float = 10.0
-    brownout_up: float = 0.70
-    brownout_down: float = 0.40
-    read_only_up: float = 0.90
-    read_only_down: float = 0.60
 
 
 @dataclasses.dataclass
@@ -116,15 +123,9 @@ class ControlPlaneService:
             quotas=self.policy.quotas,
             max_queue_depth=self.policy.max_queue_depth,
         )
-        self.breakers = TenantBreakerBank(
-            self.policy.breaker_threshold, self.policy.breaker_cooldown_s
-        )
-        self.ladder = DegradationLadder(
-            brownout_up=self.policy.brownout_up,
-            brownout_down=self.policy.brownout_down,
-            read_only_up=self.policy.read_only_up,
-            read_only_down=self.policy.read_only_down,
-        )
+        #: per-tenant breakers, made on a tenant's first admission
+        self.breakers: Dict[str, CircuitBreaker] = {}
+        self.ladder = DegradationLadder()
         self.queue = WeightedFairQueue()
         self.sessions: Dict[str, TenantSession] = {}
         self._tenant_locks: Dict[str, asyncio.Lock] = {}
@@ -234,6 +235,10 @@ class ControlPlaneService:
         future: "asyncio.Future[ServiceResponse]" = loop.create_future()
         now = self.clock()
         quota = self.admission.quota_of(tenant)
+        valid = _number_or_none(priority) and _number_or_none(deadline_s)
+        if not valid:
+            # refused below; its record holds the defaults instead
+            priority = deadline_s = None
         if priority is None:
             priority = quota.priority
         request = _Request(
@@ -247,7 +252,9 @@ class ControlPlaneService:
                else self.policy.default_deadline_s),
             future=future,
         )
-        reason = self._admit(request, now)
+        reason = (
+            self._admit(request, now) if valid else adm.REJECT_INVALID_REQUEST
+        )
         if reason is not None:
             self._reject(request, reason)
             return future
@@ -274,7 +281,7 @@ class ControlPlaneService:
             return adm.REJECT_READ_ONLY
         if self.ladder.sheds_priority(request.priority):
             return adm.REJECT_BROWNOUT
-        if not self.breakers.of(request.tenant).allow(now):
+        if self._breaker(request.tenant).gate(now) != GATE_ALLOW:
             return adm.REJECT_CIRCUIT_OPEN
         pending = self.queue.pending(request.tenant) + self._inflight.get(
             request.tenant, 0
@@ -282,6 +289,14 @@ class ControlPlaneService:
         return self.admission.check(
             request.tenant, now, len(self.queue), pending
         )
+
+    def _breaker(self, tenant: str) -> CircuitBreaker:
+        found = self.breakers.get(tenant)
+        if found is None:
+            found = self.breakers[tenant] = CircuitBreaker(
+                (tenant,), TENANT_BREAKER
+            )
+        return found
 
     def _update_ladder(self) -> str:
         pressure = len(self.queue) / max(1, self.policy.max_queue_depth)
@@ -367,7 +382,7 @@ class ControlPlaneService:
                 self._reject_with(
                     request, adm.REJECT_STALE_SESSION, {"detail": str(exc)}
                 )
-                self.breakers.of(request.tenant).record_failure(self.clock())
+                self._breaker(request.tenant).record_failure(self.clock())
                 return
             except CLCError as exc:
                 # a typo is the tenant's error, not the service's: typed
@@ -393,7 +408,7 @@ class ControlPlaneService:
                 if session is not None and not session.closed:
                     session.kill()
                 self.failed += 1
-                self.breakers.of(request.tenant).record_failure(self.clock())
+                self._breaker(request.tenant).record_failure(self.clock())
                 if not request.future.done():
                     request.future.set_result(
                         ServiceResponse(
@@ -408,7 +423,7 @@ class ControlPlaneService:
                 return
             except Exception as exc:  # engine bug: typed 500, not a hang
                 self.failed += 1
-                self.breakers.of(request.tenant).record_failure(self.clock())
+                self._breaker(request.tenant).record_failure(self.clock())
                 if not request.future.done():
                     request.future.set_result(
                         ServiceResponse(
@@ -425,7 +440,7 @@ class ControlPlaneService:
         self.completed += 1
         self.goodput[request.tenant] = self.goodput.get(request.tenant, 0) + 1
         self.latency.observe(done - request.enqueued_at)
-        self.breakers.of(request.tenant).record_success()
+        self._breaker(request.tenant).record_success(done)
         if not request.future.done():
             request.future.set_result(
                 ServiceResponse(
@@ -578,8 +593,20 @@ class ControlPlaneService:
             "fairness_ratio": fairness,
             "latency": self.latency.to_dict(),
             "queue_wait": self.queue_wait.to_dict(),
-            "breakers": self.breakers.states(),
+            "breakers": {t: b.state for t, b in self.breakers.items()},
         }
+
+
+def _number_or_none(value: Any) -> bool:
+    """A caller's ``priority`` / ``deadline_s``: a real number that is
+    not a bool and not NaN, or None for the default."""
+    if value is None:
+        return True
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and not math.isnan(value)
+    )
 
 
 def _tenant_seed(tenant: str) -> int:

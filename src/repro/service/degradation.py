@@ -28,27 +28,16 @@ _LADDER = (MODE_NORMAL, MODE_BROWNOUT, MODE_READ_ONLY)
 
 
 class DegradationLadder:
-    """Hysteretic overload-mode state machine."""
+    """Hysteretic overload-mode state machine. The thresholds are
+    constants; a test may pin one on an instance."""
 
-    def __init__(
-        self,
-        brownout_up: float = 0.70,
-        brownout_down: float = 0.40,
-        read_only_up: float = 0.90,
-        read_only_down: float = 0.60,
-        brownout_priority_floor: int = 1,
-    ):
-        if not (0.0 < brownout_down < brownout_up <= 1.0):
-            raise ValueError("brownout thresholds must satisfy 0 < down < up <= 1")
-        if not (brownout_up <= read_only_up <= 1.0):
-            raise ValueError("read-only trip must be at or above brownout trip")
-        if not (0.0 < read_only_down < read_only_up):
-            raise ValueError("read-only release must sit below its trip")
-        self.brownout_up = brownout_up
-        self.brownout_down = brownout_down
-        self.read_only_up = read_only_up
-        self.read_only_down = read_only_down
-        self.brownout_priority_floor = brownout_priority_floor
+    brownout_up = 0.70
+    brownout_down = 0.40
+    read_only_up = 0.90
+    read_only_down = 0.60
+    brownout_priority_floor = 1
+
+    def __init__(self) -> None:
         self.mode = MODE_NORMAL
         self.transitions = 0
 

@@ -97,6 +97,8 @@ class ServiceHTTPD:
                 try:
                     content_length = min(int(value.strip()), _MAX_BODY)
                 except ValueError:
+                    content_length = -1
+                if content_length < 0:
                     return 400, {"error": "bad content-length"}
         if method == "GET" and path == "/healthz":
             stats = self.service.stats()

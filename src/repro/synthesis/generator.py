@@ -48,6 +48,9 @@ class ErrorRates:
         )
 
 
+#: how far grounding in the user's corpus scales every error rate
+RETRIEVAL_FACTOR = 0.35
+
 #: plausible-but-wrong attribute names an ungrounded model produces
 _HALLUCINATED_NAMES = {
     "nic_ids": "network_interfaces",
@@ -72,13 +75,12 @@ class NoisyGenerator:
         registry: Optional[SchemaRegistry] = None,
         rates: Optional[ErrorRates] = None,
         retrieval: Optional[RetrievalCorpus] = None,
-        retrieval_factor: float = 0.35,
         seed: int = 0,
     ):
         self.registry = registry or SchemaRegistry.default()
         base = rates or ErrorRates()
         self.retrieval = retrieval
-        self.rates = base.scaled(retrieval_factor) if retrieval else base
+        self.rates = base.scaled(RETRIEVAL_FACTOR) if retrieval else base
         self.rng = random.Random(seed)
 
     def generate(self, task: SynthesisTask):

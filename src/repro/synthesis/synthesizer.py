@@ -29,6 +29,10 @@ _SCALAR = (str, int, float, bool)
 #: shared (a VM gets its own NIC; everything else is shared substrate)
 _DEDICATED_TYPES = ("network_interface",)
 
+#: share of a type's instances that must set an attribute before its
+#: dominant value can become a convention
+MIN_USAGE = 0.6
+
 
 @dataclasses.dataclass
 class SynthesisResult:
@@ -57,8 +61,7 @@ class RetrievalCorpus:
     personalization, grounded instead of generative).
     """
 
-    def __init__(self, min_usage: float = 0.6, min_dominance: float = 0.6):
-        self.min_usage = min_usage
+    def __init__(self, min_dominance: float = 0.6):
         self.min_dominance = min_dominance
         self.conventions: Dict[Tuple[str, str], Any] = {}
         self.known_attrs: Dict[str, set] = defaultdict(set)
@@ -85,7 +88,7 @@ class RetrievalCorpus:
         for (rtype, attr), count in usage.items():
             if attr == "name" or totals[rtype] == 0:
                 continue
-            if count / totals[rtype] < self.min_usage:
+            if count / totals[rtype] < MIN_USAGE:
                 continue
             counter = values.get((rtype, attr))
             if not counter:

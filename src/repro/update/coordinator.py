@@ -183,7 +183,6 @@ class UpdateCoordinator:
         gateway: Optional[Any] = None,
         retry: Optional[RetryPolicy] = None,
         lease_ttl: Optional[float] = None,
-        heartbeat_every: Optional[float] = None,
         health: Optional[HealthMonitor] = None,
     ):
         if scheduling not in SCHEDULING_POLICIES:
@@ -203,11 +202,10 @@ class UpdateCoordinator:
         )
         self.scheduling = scheduling
         #: leases off (None) keeps the historical event stream exactly:
-        #: no heartbeat events, no expiry events, no fencing
+        #: no heartbeat events, no expiry events, no fencing; a holder
+        #: renews three times per lease
         self.lease_ttl = lease_ttl
-        self.heartbeat_every = heartbeat_every or (
-            lease_ttl / 3.0 if lease_ttl else None
-        )
+        self.heartbeat_every = lease_ttl / 3.0 if lease_ttl else None
         self.database = StateDatabase(state, lock_manager, lease_ttl=lease_ttl)
 
     def _dark_until(self, request: UpdateRequest) -> Optional[float]:

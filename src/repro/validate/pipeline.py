@@ -12,7 +12,7 @@ Three levels, matching the E6 ablation:
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 from ..lang.diagnostics import (
     CLCError,
@@ -22,7 +22,7 @@ from ..lang.diagnostics import (
     SourceSpan,
 )
 from ..types.schema import SchemaRegistry
-from .rules import Rule, RuleEngine, ValidationContext
+from .rules import RuleEngine, ValidationContext
 
 if TYPE_CHECKING:  # imported by the validations that read a program
     from ..graph.builder import ResourceGraph
@@ -109,14 +109,12 @@ class ValidationPipeline:
         self,
         registry: Optional[SchemaRegistry] = None,
         level: str = LEVEL_RULES,
-        extra_rules: Sequence[Rule] = (),
     ):
         if level not in LEVELS:
             raise ValueError(f"level must be one of {LEVELS}")
         self.registry = registry or SchemaRegistry.default()
         self.level = level
         self.engine = RuleEngine.default()
-        self.engine.rules.extend(extra_rules)
 
     # -- the verdict as data -------------------------------------------------
 

@@ -268,36 +268,33 @@ def _tenant_salt(tenant: str) -> int:
 # -- latency accounting --------------------------------------------------------
 
 
+def _geometric_edges(low: float, growth: float, top: float) -> Tuple[float, ...]:
+    edges: List[float] = []
+    edge = low
+    while edge < top:
+        edges.append(edge)
+        edge *= growth
+    return tuple(edges) + (math.inf,)
+
+
 class LatencyHistogram:
     """Log-bucketed latency histogram with tail percentiles.
 
-    Buckets are a fixed geometric grid from ``min_s`` upward (ratio
-    ``growth`` per bucket), so two histograms built with the same
-    parameters merge bucket-for-bucket and percentile math is
-    deterministic: ``percentile(q)`` returns the upper edge of the
-    first bucket whose cumulative count reaches ``q`` of the total --
-    an overestimate by at most one ``growth`` factor, never an
-    underestimate.
+    Every histogram has the one bucket grid ``bounds``: geometric from
+    ``min_s`` (ratio ``growth`` per bucket) up to an hour, then one
+    bucket for everything above. So any two merge bucket-for-bucket and
+    percentile math is deterministic: ``percentile(q)`` returns the
+    upper edge of the first bucket whose cumulative count reaches ``q``
+    of the total -- an overestimate by at most one ``growth`` factor,
+    never an underestimate. ``max_s`` is the largest value observed.
     """
 
-    def __init__(
-        self,
-        min_s: float = 1e-4,
-        max_s: float = 3600.0,
-        growth: float = 1.5,
-    ):
-        if growth <= 1.0:
-            raise ValueError("growth must be > 1")
-        self.min_s = min_s
-        self.growth = growth
-        bounds: List[float] = []
-        edge = min_s
-        while edge < max_s:
-            bounds.append(edge)
-            edge *= growth
-        bounds.append(math.inf)
-        self.bounds = bounds
-        self.counts = [0] * len(bounds)
+    min_s = 1e-4
+    growth = 1.5
+    bounds = _geometric_edges(min_s, growth, 3600.0)
+
+    def __init__(self) -> None:
+        self.counts = [0] * len(self.bounds)
         self.count = 0
         self.total_s = 0.0
         self.max_s = 0.0
@@ -323,8 +320,6 @@ class LatencyHistogram:
             self.max_s = seconds
 
     def merge(self, other: "LatencyHistogram") -> None:
-        if other.bounds != self.bounds:
-            raise ValueError("cannot merge histograms with different grids")
         for i, n in enumerate(other.counts):
             self.counts[i] += n
         self.count += other.count

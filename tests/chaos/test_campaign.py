@@ -339,6 +339,23 @@ def test_unknown_defect_classes_are_rejected():
 # -- the runner ----------------------------------------------------------------
 
 
+def test_the_whole_library_converges_within_its_gates(tmp_path):
+    """The whole scenario library, one trial each, under the seeds the
+    campaign name ``bench-p9`` derives: every trial converges, the
+    campaign spans >= 12 scenarios and >= 6 defect classes, and the
+    chaos arm spends at most 3x the baseline's API calls on average."""
+    specs = library()
+    campaign = CampaignSpec.from_dict(
+        {"name": "bench-p9", "scenarios": sorted(specs), "trials": 1},
+        library=specs,
+    )
+    report = CampaignRunner(campaign, workdir=str(tmp_path)).run()
+    assert report.pass_rate == 1.0, report.violations()
+    assert len(report.results) >= 12
+    assert len(report.coverage()) >= 6
+    assert report.mean_api_overhead <= 3.0
+
+
 def test_runner_reports_structured_trials(tmp_path):
     campaign = CampaignSpec(
         name="unit",

@@ -34,6 +34,7 @@ from repro.cloud.resilience import (
     GATE_WAIT,
 )
 from repro.core import CloudlessEngine
+from repro.service.core import TENANT_BREAKER
 from repro.workloads import two_region_estate, web_tier
 
 OUTAGE = OutageSpec(start_s=0.0, end_s=50000.0, region="westus2")
@@ -185,53 +186,70 @@ class TestControlPlaneOutage:
 
 
 class TestCircuitBreaker:
-    def policy(self):
-        return BreakerPolicy(
-            failure_threshold=3, recovery_s=100.0, backoff_multiplier=2.0
-        )
+    """One state machine under both of its policies: a partition's,
+    which backs off, and the service's per-tenant one, which does not."""
 
-    def test_opens_at_threshold(self):
-        breaker = CircuitBreaker(("azure", "westus2"), self.policy())
-        breaker.record_failure(0.0)
-        breaker.record_failure(1.0)
-        assert breaker.state == BREAKER_CLOSED
-        breaker.record_failure(2.0)
-        assert breaker.state == BREAKER_OPEN
-        assert breaker.gate(3.0) == GATE_OPEN
-        assert breaker.blocked(3.0)
+    @pytest.fixture(
+        params=[
+            BreakerPolicy(
+                failure_threshold=3, recovery_s=100.0, backoff_multiplier=2.0
+            ),
+            TENANT_BREAKER,
+        ],
+        ids=["partition", "tenant"],
+    )
+    def policy(self, request):
+        return request.param
 
-    def test_half_open_probe_and_close(self):
-        breaker = CircuitBreaker(("azure", "westus2"), self.policy())
-        for t in range(3):
+    def tripped(self, policy):
+        """A breaker opened by failures at t = 0, 1, ..., threshold - 1."""
+        breaker = CircuitBreaker(("azure", "westus2"), policy)
+        for t in range(policy.failure_threshold):
             breaker.record_failure(float(t))
-        assert breaker.next_probe_at() == pytest.approx(102.0)
+        return breaker
+
+    def test_opens_at_threshold(self, policy):
+        breaker = CircuitBreaker(("azure", "westus2"), policy)
+        for t in range(policy.failure_threshold - 1):
+            breaker.record_failure(float(t))
+        assert breaker.state == BREAKER_CLOSED
+        breaker.record_failure(float(policy.failure_threshold - 1))
+        assert breaker.state == BREAKER_OPEN
+        assert breaker.gate(float(policy.failure_threshold)) == GATE_OPEN
+        assert breaker.blocked(float(policy.failure_threshold))
+
+    def test_half_open_probe_and_close(self, policy):
+        breaker = self.tripped(policy)
+        probe_at = policy.failure_threshold - 1 + policy.recovery_s
+        assert breaker.next_probe_at() == pytest.approx(probe_at)
         # first gate at/after the probe time half-opens and admits one
         # probe; the second holds (WAIT) instead of failing fast
-        assert breaker.gate(102.0) == GATE_ALLOW
+        assert breaker.gate(probe_at) == GATE_ALLOW
         assert breaker.state == BREAKER_HALF_OPEN
-        assert breaker.gate(102.0) == GATE_WAIT
-        breaker.record_success(110.0)
+        assert breaker.gate(probe_at) == GATE_WAIT
+        breaker.record_success(probe_at + 8.0)
         assert breaker.state == BREAKER_CLOSED
-        assert breaker.gate(110.0) == GATE_ALLOW
+        assert breaker.gate(probe_at + 8.0) == GATE_ALLOW
 
-    def test_failed_probe_backs_off_exponentially(self):
-        breaker = CircuitBreaker(("azure", "westus2"), self.policy())
-        for t in range(3):
-            breaker.record_failure(float(t))
-        assert breaker.gate(102.0) == GATE_ALLOW  # the probe
-        breaker.record_failure(104.0)  # probe failed
+    def test_failed_probe_backs_off_exponentially(self, policy):
+        breaker = self.tripped(policy)
+        probe_at = breaker.next_probe_at()
+        assert breaker.gate(probe_at) == GATE_ALLOW  # the probe
+        breaker.record_failure(probe_at + 2.0)  # probe failed
         assert breaker.state == BREAKER_OPEN
-        # recovery window doubled: 104 + 200
-        assert breaker.next_probe_at() == pytest.approx(304.0)
+        # the window times the multiplier: doubled for a partition,
+        # the same 10 s for a tenant
+        assert breaker.next_probe_at() == pytest.approx(
+            probe_at + 2.0 + policy.recovery_s * policy.backoff_multiplier
+        )
 
-    def test_blocked_is_pure(self):
-        breaker = CircuitBreaker(("azure", "westus2"), self.policy())
-        for t in range(3):
-            breaker.record_failure(float(t))
+    def test_blocked_is_pure(self, policy):
+        breaker = self.tripped(policy)
+        probe_at = breaker.next_probe_at()
         # blocked() past the probe time must not consume the probe slot
-        assert not breaker.blocked(102.0)
+        assert not breaker.blocked(probe_at)
         assert breaker.state == BREAKER_OPEN
-        assert breaker.gate(102.0) == GATE_ALLOW
+        assert breaker.gate(probe_at) == GATE_ALLOW
 
 
 class TestHealthMonitor:

@@ -8,10 +8,12 @@ crash cycle.
 """
 
 import asyncio
+import json
 import math
 
 import pytest
 
+from repro import perf
 from repro.chaos.invariants import canonical_state
 from repro.cloud.clock import SimClock
 from repro.core.engine import CloudlessEngine
@@ -23,6 +25,7 @@ from repro.service import (
     REJECT_CIRCUIT_OPEN,
     REJECT_DEADLINE,
     REJECT_INVALID_PROGRAM,
+    REJECT_INVALID_REQUEST,
     REJECT_QUEUE_FULL,
     REJECT_RATE_LIMITED,
     REJECT_READ_ONLY,
@@ -30,12 +33,12 @@ from repro.service import (
     REJECT_TENANT_QUOTA,
     REJECT_UNKNOWN_OP,
     STATUS_OF,
-    CircuitBreaker,
     ControlPlaneService,
     DegradationLadder,
     ServicePolicy,
     SessionFencedError,
     TenantQuota,
+    ServiceHTTPD,
     TenantSession,
     WeightedFairQueue,
 )
@@ -356,10 +359,7 @@ class TestFairness:
 
 class TestDegradation:
     def test_ladder_hysteresis(self):
-        ladder = DegradationLadder(
-            brownout_up=0.7, brownout_down=0.4,
-            read_only_up=0.9, read_only_down=0.6,
-        )
+        ladder = DegradationLadder()
         assert ladder.update(0.5) == MODE_NORMAL
         assert ladder.update(0.75) == MODE_BROWNOUT
         assert ladder.update(0.5) == MODE_BROWNOUT  # above down-threshold
@@ -367,10 +367,6 @@ class TestDegradation:
         assert ladder.update(0.7) == MODE_READ_ONLY  # above release
         assert ladder.update(0.55) == MODE_BROWNOUT  # one rung at a time
         assert ladder.update(0.3) == MODE_NORMAL
-
-    def test_ladder_validates_thresholds(self):
-        with pytest.raises(ValueError):
-            DegradationLadder(brownout_up=0.4, brownout_down=0.7)
 
     def test_read_only_keeps_drift_up_and_sheds_apply(self, tmp_path):
         async def main():
@@ -411,28 +407,15 @@ class TestDegradation:
 
 
 class TestBreakers:
-    def test_breaker_state_machine(self):
-        breaker = CircuitBreaker(threshold=2, cooldown_s=10.0)
-        assert breaker.allow(0.0)
-        breaker.record_failure(0.0)
-        assert breaker.allow(1.0)
-        breaker.record_failure(1.0)
-        assert breaker.state == "open"
-        assert not breaker.allow(5.0)  # cooling
-        assert breaker.allow(11.0)  # half-open probe
-        assert breaker.state == "half-open"
-        assert not breaker.allow(11.5)  # only one probe
-        breaker.record_failure(11.5)
-        assert breaker.state == "open"
-        assert breaker.allow(22.0)
-        breaker.record_success()
-        assert breaker.state == "closed"
-
     def test_failing_tenant_trips_its_breaker_only(self, tmp_path):
+        """Five failures open the tenant's breaker and no other; the
+        partition breakers' ``resilience.breaker_*`` counters do not
+        hear of it."""
+
         async def main():
-            svc = make_service(tmp_path, breaker_threshold=2)
+            svc = make_service(tmp_path)
             await svc.start()
-            for _ in range(2):
+            for _ in range(5):
                 await svc.request("bad", "apply", payload={"sources": UNAPPLIABLE})
             tripped = await svc.request(
                 "bad", "apply", payload={"sources": SRC}
@@ -441,12 +424,166 @@ class TestBreakers:
                 "good", "apply", payload={"sources": SRC}
             )
             await svc.stop()
-            return tripped, bystander
+            return tripped, bystander, svc.stats()["breakers"]
 
-        tripped, bystander = run(main())
+        perf.PERF.enable()
+        perf.PERF.reset()
+        try:
+            tripped, bystander, breakers = run(main())
+            counters = perf.snapshot()["counters"]
+        finally:
+            perf.PERF.reset()
+            perf.PERF.disable()
         assert tripped.reason == REJECT_CIRCUIT_OPEN
         assert tripped.status == 503
         assert bystander.ok
+        assert breakers == {"bad": "open", "good": "closed"}
+        assert not [k for k in counters if k.startswith("resilience.breaker_")]
+
+    def test_a_straggler_failure_does_not_rearm_the_cooldown(self, tmp_path):
+        """Six failing applies are admitted while the tenant's breaker
+        is closed. The fifth opens it at t=0; the sixth, a straggler,
+        fails at t=5 while it is open. The breaker learns nothing from
+        it, so the tenant is admitted again 10 s after the trip."""
+        now = [0.0]
+
+        def late_failure(_event_index):
+            now[0] = 5.0
+            raise RuntimeError("fails after the trip")
+
+        async def main():
+            svc = ControlPlaneService(
+                str(tmp_path), policy=ServicePolicy(apply_pool=2),
+                clock=lambda: now[0],
+            )
+            await svc.start()
+            failing = [
+                await svc.submit("bad", "apply", payload={"sources": UNAPPLIABLE})
+                for _ in range(5)
+            ]
+            failing.append(
+                await svc.submit(
+                    "bad", "apply",
+                    payload={"sources": SRC, "crash_hook": late_failure},
+                )
+            )
+            failed = await asyncio.gather(*failing)
+            opened_at = svc.breakers["bad"].opened_at
+            now[0] = 9.0
+            cooling = await svc.request("bad", "plan", payload={"sources": SRC})
+            now[0] = 10.0
+            probe = await svc.request("bad", "plan", payload={"sources": SRC})
+            state = svc.breakers["bad"].state
+            await svc.stop()
+            return failed, opened_at, cooling, probe, state
+
+        failed, opened_at, cooling, probe, state = run(main())
+        assert [r.status for r in failed] == [500] * 6
+        assert cooling.reason == REJECT_CIRCUIT_OPEN
+        assert probe.status == 200, (probe.status, probe.reason)
+        assert state == "closed"
+        assert opened_at == 0.0
+
+
+class TestInvalidRequest:
+    BAD = [
+        {"priority": "high"},
+        {"priority": True},
+        {"priority": math.nan},
+        {"deadline_s": "x"},
+        {"deadline_s": False},
+        {"deadline_s": math.nan},
+    ]
+
+    def test_a_malformed_priority_or_deadline_is_its_senders_400(self, tmp_path):
+        """Each malformed value answers its own sender a typed 400 and is
+        never queued: under brownout, where the queue compares
+        priorities, every other tenant's requests are still answered."""
+
+        async def main():
+            svc = make_service(tmp_path)
+            await svc.start()
+            bad = [
+                await svc.request("a", "plan", payload={"sources": SRC}, **kwargs)
+                for kwargs in self.BAD
+            ]
+            default = await svc.request(
+                "a", "plan", payload={"sources": SRC}, priority=None,
+                deadline_s=None,
+            )
+            svc.ladder.mode = MODE_BROWNOUT
+            svc.ladder.brownout_down = 0.0  # pin
+            innocent = [
+                await svc.request(
+                    tenant, "plan", payload={"sources": SRC}, priority=priority
+                )
+                for tenant, priority in (("b", 1), ("c", 0), ("d", 2.5))
+            ]
+            await svc.stop()
+            return bad, default, innocent
+
+        bad, default, innocent = run(main())
+        for response in bad:
+            assert response.status == STATUS_OF[REJECT_INVALID_REQUEST] == 400
+            assert response.reason == REJECT_INVALID_REQUEST
+        assert default.status == 200
+        assert [r.status for r in innocent] == [200, 503, 200]
+        assert innocent[1].reason == REJECT_BROWNOUT
+
+    def test_the_http_edge_answers_malformed_requests_400(self, tmp_path):
+        """Through a real loopback socket: a malformed priority or
+        deadline and a negative Content-Length are typed 400s, and a
+        well-formed request is answered 200."""
+
+        async def exchange(address, head, body=b""):
+            reader, writer = await asyncio.open_connection(*address)
+            writer.write(head.encode("ascii") + b"\r\n\r\n" + body)
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), timeout=30)
+            writer.close()
+            await writer.wait_closed()
+            status_line, _, rest = raw.partition(b"\r\n")
+            return int(status_line.split()[1]), json.loads(rest.split(b"\r\n\r\n", 1)[1])
+
+        def post(tenant, op, payload):
+            body = json.dumps(payload).encode("utf-8")
+            head = (
+                f"POST /v1/{tenant}/{op} HTTP/1.1\r\n"
+                f"Content-Length: {len(body)}"
+            )
+            return head, body
+
+        async def main():
+            svc = make_service(tmp_path)
+            await svc.start()
+            httpd = ServiceHTTPD(svc, port=0)
+            await httpd.start()
+            try:
+                address = httpd.address
+                answers = [
+                    await exchange(address, *post("a", "plan", {"sources": SRC, **bad}))
+                    for bad in ({"priority": "high"}, {"deadline_s": "x"})
+                ]
+                answers.append(
+                    await exchange(
+                        address, "POST /v1/a/plan HTTP/1.1\r\nContent-Length: -5"
+                    )
+                )
+                answers.append(
+                    await exchange(address, *post("a", "plan", {"sources": SRC}))
+                )
+            finally:
+                await httpd.stop()
+                await svc.stop()
+            return answers
+
+        *bad, good = run(main())
+        assert [status for status, _ in bad] == [400, 400, 400]
+        assert [body.get("reason") for _, body in bad[:2]] == [
+            REJECT_INVALID_REQUEST, REJECT_INVALID_REQUEST,
+        ]
+        assert bad[2][1] == {"error": "bad content-length"}
+        assert good[0] == 200 and good[1]["status"] == 200
 
 
 class TestInvalidProgram:
@@ -746,7 +883,7 @@ class TestBarePlan:
             what_if = await svc.request(
                 "a", "plan", payload={"variables": {"cidr": "10.1.0.0/16"}}
             )
-            breaker = svc.breakers.of("a").state
+            breaker = svc.breakers["a"].state
             await svc.stop()
             return applied, bare, what_if, breaker
 

@@ -164,10 +164,6 @@ class TestLatencyHistogram:
         assert left.p99 == whole.p99
         assert left.max_s == whole.max_s
 
-    def test_merge_rejects_mismatched_grids(self):
-        with pytest.raises(ValueError):
-            LatencyHistogram(growth=1.5).merge(LatencyHistogram(growth=2.0))
-
     def test_empty_histogram(self):
         hist = LatencyHistogram()
         assert hist.count == 0
@@ -175,9 +171,9 @@ class TestLatencyHistogram:
         assert hist.mean_s == 0.0
 
     def test_top_bucket_reports_observed_max(self):
-        hist = LatencyHistogram(max_s=1.0)
-        hist.observe(500.0)  # beyond the grid
-        assert hist.percentile(1.0) == 500.0
+        hist = LatencyHistogram()
+        hist.observe(5000.0)  # beyond the grid's hour
+        assert hist.percentile(1.0) == 5000.0
 
     def test_to_dict_round_numbers(self):
         hist = LatencyHistogram()
