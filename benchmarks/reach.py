@@ -12,7 +12,7 @@ source) is put in the first of four classes that reaches it:
   campaign, ``serve`` as ``--selftest``), the five ``examples/`` and
   the E1-E10/F1 scripts as ``__main__``;
 * **tier-1** -- ``python -m pytest`` over ``tests/``;
-* **bench** -- the seven ``bench_p*`` smoke commands of CI's
+* **bench** -- the five ``bench_p*`` smoke commands of CI's
   ``bench-smoke`` job, less their wall-clock gates (a profiled process
   is slower; timing is that job's to check);
 * **nothing** -- none of the above.
@@ -321,8 +321,6 @@ def bench_steps(work: str) -> List[Step]:
               "critical-path", "--reference"),
         bench("bench_p3_state.py", "--sizes", "1000"),
         bench("bench_p4_crash.py", "--resources", "1000"),
-        bench("bench_p5_outage.py", "--resources", "1000", "--gate-makespan", "1.1"),
-        bench("bench_p7_drift.py", "--resources", "1000", "--gate-call-ratio", "0.10"),
         bench("bench_p8_coldstart.py", "--sizes", "1000", "--rss-size", "0"),
         bench("bench_p10_service.py", "--duration", "1.0"),
     ]

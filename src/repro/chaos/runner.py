@@ -28,8 +28,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import random
-import tempfile
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..cloud.base import CloudAPIError
 from ..cloud.resilience import RetryPolicy
@@ -195,13 +194,11 @@ class CampaignReport:
 class CampaignRunner:
     """Executes a :class:`CampaignSpec` and reports convergence."""
 
-    def __init__(
-        self,
-        campaign: CampaignSpec,
-        workdir: Optional[str] = None,
-    ):
+    def __init__(self, campaign: CampaignSpec, workdir: str):
         self.campaign = campaign
-        self.workdir = workdir or tempfile.mkdtemp(prefix="chaos-")
+        #: where trials write their journals and tenant roots; the
+        #: caller owns it and removes it
+        self.workdir = workdir
 
     # -- entry points --------------------------------------------------------
 

@@ -484,6 +484,8 @@ def cmd_chaos(args) -> int:
     invariant was violated, a trial failed, or coverage regressed below
     the baseline.
     """
+    import tempfile
+
     from .chaos import CampaignRunner, CampaignSpec, SpecValidationError
     from .chaos.library import library as chaos_library
 
@@ -537,7 +539,8 @@ def cmd_chaos(args) -> int:
             trials=args.trials,
         )
 
-    report = CampaignRunner(campaign).run()
+    with tempfile.TemporaryDirectory(prefix="chaos-") as workdir:
+        report = CampaignRunner(campaign, workdir).run()
     trials = sum(len(s.trials) for s in report.results)
     coverage = report.coverage()
     print(

@@ -34,7 +34,7 @@ import hashlib
 from typing import Any, Dict, List, Optional
 
 from ..perf import PERF
-from .base import CloudAPIError, ControlPlane, PendingOperation
+from .base import CloudAPIError, ControlPlane
 
 # -- error taxonomy ----------------------------------------------------------
 
@@ -322,6 +322,12 @@ class CircuitBreaker:
         transitions state and never consumes the probe.)"""
         return self.state == BREAKER_OPEN and now + 1e-9 < self.next_probe_at()
 
+    def return_probe(self) -> None:
+        """The probe ended in neither success nor failure: the next
+        gate admits another."""
+        if self.state == BREAKER_HALF_OPEN:
+            self._probing = False
+
     def record_success(self, now: float) -> None:
         self.consecutive_failures = 0
         if self.state != BREAKER_CLOSED:
@@ -570,8 +576,9 @@ class ResilientGateway:
 
     Synchronous calls (``execute``, ``execute_on``, ``read_data``) loop
     on retryable faults, advancing the shared sim clock through each
-    backoff. Everything else -- ``submit``, routing, introspection --
-    delegates to the wrapped gateway untouched.
+    backoff. Everything else -- routing, introspection, and ``submit``,
+    which stays raw because event-loop callers own their retry --
+    delegates to the wrapped gateway untouched (``__getattr__``).
     """
 
     def __init__(
@@ -616,57 +623,8 @@ class ResilientGateway:
 
     # -- delegation ---------------------------------------------------------
 
-    @property
-    def clock(self):
-        return self.inner.clock
-
-    @property
-    def planes(self):
-        return self.inner.planes
-
-    def provider_of(self, rtype: str) -> str:
-        return self.inner.provider_of(rtype)
-
-    def plane_for(self, rtype: str) -> ControlPlane:
-        return self.inner.plane_for(rtype)
-
-    def default_region(self, rtype: str) -> str:
-        return self.inner.default_region(rtype)
-
-    def region_for(self, rtype: str, attrs: Dict[str, Any]) -> str:
-        return self.inner.region_for(rtype, attrs)
-
-    def spec_for(self, rtype: str):
-        return self.inner.spec_for(rtype)
-
-    def try_spec(self, rtype: str):
-        return self.inner.try_spec(rtype)
-
-    def mean_latency(self, rtype: str, operation: str) -> float:
-        return self.inner.mean_latency(rtype, operation)
-
-    def total_api_calls(self) -> int:
-        return self.inner.total_api_calls()
-
-    def calls_routed(self) -> int:
-        return self.inner.calls_routed()
-
-    def api_calls_by_class(self) -> Dict[str, int]:
-        return self.inner.api_calls_by_class()
-
-    def all_records(self) -> List[Any]:
-        return self.inner.all_records()
-
-    def find_record(self, resource_id: str):
-        return self.inner.find_record(resource_id)
-
-    def submit(self, operation: str, rtype: str, **kwargs: Any) -> PendingOperation:
-        """Raw pass-through: event-loop callers own their retry."""
-        return self.inner.submit(operation, rtype, **kwargs)
-
     def __getattr__(self, name: str) -> Any:
-        # anything not wrapped above (persistence hooks, ad-hoc
-        # introspection) behaves exactly like the inner gateway
+        # anything not wrapped below behaves exactly like the inner gateway
         return getattr(self.inner, name)
 
     # -- resilient synchronous operations -----------------------------------

@@ -8,6 +8,9 @@ lifecycle of one request:
    degradation mode -> tenant circuit breaker -> token bucket -> tenant
    quota -> global queue bound. Any failure returns a *typed* rejection
    immediately -- under overload the service sheds, it never hangs.
+   A request the half-open breaker lets through is its probe: success
+   closes the breaker, failure re-opens it, and any other answer (shed,
+   ``deadline-exceeded``, a 400) gives the probe back.
 2. **queueing**: admitted requests enter the weighted-fair queue keyed
    by tenant; stride scheduling guarantees a flooding tenant cannot
    starve the others past its weight share.
@@ -36,7 +39,12 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional
 
-from ..cloud.resilience import GATE_ALLOW, BreakerPolicy, CircuitBreaker
+from ..cloud.resilience import (
+    BREAKER_HALF_OPEN,
+    GATE_ALLOW,
+    BreakerPolicy,
+    CircuitBreaker,
+)
 from ..core.engine import load_verb_modules
 from ..deploy import SimulatedCrash
 from ..lang.diagnostics import CLCError
@@ -99,6 +107,8 @@ class _Request:
     enqueued_at: float
     deadline_at: float
     future: "asyncio.Future[ServiceResponse]"
+    #: holds its tenant breaker's half-open probe
+    probe: bool = False
 
 
 class ControlPlaneService:
@@ -281,8 +291,10 @@ class ControlPlaneService:
             return adm.REJECT_READ_ONLY
         if self.ladder.sheds_priority(request.priority):
             return adm.REJECT_BROWNOUT
-        if self._breaker(request.tenant).gate(now) != GATE_ALLOW:
+        breaker = self._breaker(request.tenant)
+        if breaker.gate(now) != GATE_ALLOW:
             return adm.REJECT_CIRCUIT_OPEN
+        request.probe = breaker.state == BREAKER_HALF_OPEN
         pending = self.queue.pending(request.tenant) + self._inflight.get(
             request.tenant, 0
         )
@@ -314,7 +326,15 @@ class ControlPlaneService:
                 self._finish_rejected(item, adm.REJECT_BROWNOUT)
         return mode
 
-    def _reject(self, request: _Request, reason: str) -> None:
+    def _reject(
+        self,
+        request: _Request,
+        reason: str,
+        body: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        if request.probe:
+            # neither a success nor a failure: the next request probes
+            self._breaker(request.tenant).return_probe()
         self.shed[reason] = self.shed.get(reason, 0) + 1
         PERF.count("service.shed")
         if not request.future.done():
@@ -324,6 +344,7 @@ class ControlPlaneService:
                     op=request.op,
                     status=adm.STATUS_OF[reason],
                     reason=reason,
+                    body=body,
                 )
             )
 
@@ -379,7 +400,7 @@ class ControlPlaneService:
                     self._executor, self._execute, request
                 )
             except SessionFencedError as exc:
-                self._reject_with(
+                self._reject(
                     request, adm.REJECT_STALE_SESSION, {"detail": str(exc)}
                 )
                 self._breaker(request.tenant).record_failure(self.clock())
@@ -389,7 +410,7 @@ class ControlPlaneService:
                 # 400 with the place in the body, and neither `failed`
                 # nor the tenant's breaker hears of it (five typos must
                 # not lock a tenant out of its next valid plan)
-                self._reject_with(
+                self._reject(
                     request,
                     adm.REJECT_INVALID_PROGRAM,
                     {
@@ -450,22 +471,6 @@ class ControlPlaneService:
                     body=body,
                     queued_s=queued,
                     service_s=done - now,
-                )
-            )
-
-    def _reject_with(
-        self, request: _Request, reason: str, body: Dict[str, Any]
-    ) -> None:
-        self.shed[reason] = self.shed.get(reason, 0) + 1
-        PERF.count("service.shed")
-        if not request.future.done():
-            request.future.set_result(
-                ServiceResponse(
-                    tenant=request.tenant,
-                    op=request.op,
-                    status=adm.STATUS_OF[reason],
-                    reason=reason,
-                    body=body,
                 )
             )
 

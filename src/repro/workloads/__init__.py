@@ -23,8 +23,6 @@ __all__, __getattr__, __dir__ = export_table(
             "LatencyHistogram",
             "TenantProfile",
             "TracePoint",
-            "closed_loop_think_times",
-            "diurnal_trace",
             "distribute_demand",
             "goodput_fairness_ratio",
             "mixed_arrivals",

@@ -2,14 +2,13 @@
 
 Two generations of load live here:
 
-* **Demand traces** (``ramp_surge_trace``, ``diurnal_trace``) -- time
-  series of aggregate demand (Mbps, CPU%, requests/s) that drive the
-  custom-metric autoscaling policies from 3.6.
+* **Demand traces** (``ramp_surge_trace``) -- time series of aggregate
+  demand (Mbps, CPU%, requests/s) that drive the custom-metric
+  autoscaling policies from 3.6.
 * **Request-level arrival models** -- the synthetic tenants that hammer
   the multi-tenant control-plane service (:mod:`repro.service`):
   open-loop Poisson arrivals (offered load independent of service
-  speed, the saturation probe), closed-loop think-time clients (load
-  self-throttles with latency), seeded tenant mixes
+  speed, the saturation probe), seeded tenant mixes
   (steady / bursty / adversarial noisy-neighbor), and
   :class:`LatencyHistogram` for p50/p99/p999 tail accounting.
 
@@ -61,28 +60,6 @@ def ramp_surge_trace(
         else:
             cool = (phase - surge_end) / max(1e-9, 1.0 - surge_end)
             demand = peak - (peak - base) * cool
-        demand *= 1.0 + rng.uniform(-noise, noise)
-        out.append(TracePoint(t=t, value=max(0.0, demand)))
-        t += step_s
-    return out
-
-
-def diurnal_trace(
-    duration_s: float = 6 * 3600.0,
-    step_s: float = 60.0,
-    base: float = 200.0,
-    peak: float = 1500.0,
-    period_s: float = 3 * 3600.0,
-    noise: float = 0.08,
-    seed: int = 0,
-) -> List[TracePoint]:
-    """Sinusoidal day/night demand."""
-    rng = random.Random(seed)
-    out: List[TracePoint] = []
-    t = 0.0
-    while t <= duration_s:
-        wave = 0.5 * (1.0 - math.cos(2.0 * math.pi * t / period_s))
-        demand = base + (peak - base) * wave
         demand *= 1.0 + rng.uniform(-noise, noise)
         out.append(TracePoint(t=t, value=max(0.0, demand)))
         t += step_s
@@ -142,25 +119,6 @@ def open_loop_arrivals(
         out.append(Arrival(t=t, tenant=tenant, op=op, priority=priority))
         t += rng.expovariate(rate_rps)
     return out
-
-
-def closed_loop_think_times(
-    mean_think_s: float, n: int, seed: int = 0
-) -> List[float]:
-    """Exponential think times for one closed-loop client.
-
-    A closed-loop client issues a request, waits for the response, then
-    thinks for the next draw before issuing again -- so its offered load
-    is ``concurrency / (latency + think)`` and shrinks as the service
-    slows down. The draws are returned up front so a driver can replay
-    the same client behavior deterministically.
-    """
-    if n <= 0:
-        return []
-    rng = random.Random(seed)
-    if mean_think_s <= 0:
-        return [0.0] * n
-    return [rng.expovariate(1.0 / mean_think_s) for _ in range(n)]
 
 
 @dataclasses.dataclass

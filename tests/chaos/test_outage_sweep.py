@@ -27,7 +27,7 @@ TRIALS = trial_count("OUTAGE_SEEDS", 3)
 
 
 @pytest.fixture(scope="module")
-def outage_report():
+def outage_report(tmp_path_factory):
     campaign = CampaignSpec(
         name="outage-sweep",
         scenarios=[
@@ -36,7 +36,7 @@ def outage_report():
         ],
         trials=TRIALS,
     )
-    return CampaignRunner(campaign).run()
+    return CampaignRunner(campaign, str(tmp_path_factory.mktemp("outage"))).run()
 
 
 def result_of(report, name):

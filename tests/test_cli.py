@@ -2,6 +2,8 @@
 
 import contextlib
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -418,6 +420,24 @@ class TestCollectorPausedForOneShotVerbs:
         monkeypatch.setattr(chaos_library, "library", spying_library)
         assert main(["chaos", "--list"]) == 0
         assert states == [True]
+
+
+class TestChaosLeavesNoTempDir:
+    def test_a_chaos_run_removes_its_workdir(self, tmp_path):
+        """``clc chaos`` journals its trials in a directory under the
+        temp dir and removes it when the campaign is done."""
+        tmpdir = tmp_path / "tmp"
+        tmpdir.mkdir()
+        run = subprocess.run(
+            [sys.executable, "-m", "repro", "chaos", "--scenario", "crash-midway"],
+            env=dict(
+                os.environ, PYTHONPATH=os.pathsep.join(sys.path), TMPDIR=str(tmpdir)
+            ),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stdout + run.stderr
+        assert "chaos campaign PASSED" in run.stdout
+        assert os.listdir(tmpdir) == []
 
 
 class TestOneCompilePerVerb:

@@ -8,6 +8,7 @@ drift detectors and update coordinator, and the CLI's partial exit code.
 """
 
 import os
+from typing import NamedTuple
 
 import pytest
 
@@ -34,6 +35,7 @@ from repro.cloud.resilience import (
     GATE_WAIT,
 )
 from repro.core import CloudlessEngine
+from repro.core.engine import EngineApplyResult, EngineResumeResult
 from repro.service.core import TENANT_BREAKER
 from repro.workloads import two_region_estate, web_tier
 
@@ -356,49 +358,88 @@ class TestFastFail:
 # -- degraded-mode apply ------------------------------------------------------
 
 
+class Degraded(NamedTuple):
+    """One run of the degraded-apply scenario, recorded for reading."""
+
+    full: CloudlessEngine  # fault-free apply of the whole estate
+    reachable: EngineApplyResult  # fault-free apply of the eastus subset
+    dark: EngineApplyResult  # the whole estate applied while westus2 is dark
+    dark_hits: int  # calls that reached the dark region during it
+    hit_budget: int
+    resumed: CloudlessEngine  # the dark arm, resumed after the window
+    resume: EngineResumeResult  # its ``resume`` outcome
+
+
 class TestDegradedApply:
-    def test_partial_apply_quarantines_dark_region(self, tmp_path):
-        engine = make_engine(tmp_path)
-        engine.gateway.inject_outage("azure", OUTAGE)
-        result = engine.apply(two_region_estate(42))
-        assert result.partial and not result.ok
-        assert result.apply.failed == {}
-        assert result.apply.skipped == []
-        assert result.apply.quarantined_partitions() == ["azure/westus2"]
+    """The whole estate applied with westus2 dark, beside two fault-free
+    baselines: the whole estate, and its eastus subset (the exact
+    subgraph the outage leaves reachable). 1,000 resources is the tier
+    the degraded-mode claim is gated at."""
+
+    @pytest.fixture(scope="class", params=[42, 1000])
+    def degraded(self, request, tmp_path_factory):
+        size = request.param
+        src = two_region_estate(size, regions=("eastus", "westus2"))
+        full = CloudlessEngine(seed=0)
+        full_result = full.apply(src)
+        assert full_result.ok
+        reachable = CloudlessEngine(seed=0).apply(
+            two_region_estate(
+                size, regions=("eastus", "westus2"), region_filter=("eastus",)
+            )
+        )
+        assert reachable.ok
+        # dark from the start until long after any apply of the estate
+        outage = OutageSpec(
+            start_s=0.0,
+            end_s=full_result.apply.makespan_s * 4.0 + 50000.0,
+            region="westus2",
+        )
+        wal = tmp_path_factory.mktemp(f"degraded-{size}") / "apply.wal"
+        engine = CloudlessEngine(seed=0, wal_path=str(wal))
+        engine.gateway.inject_outage("azure", outage)
+        dark = engine.apply(src)
+        hits = engine.gateway.planes["azure"].faults.outage_hits
+        # the breaker trips after `failure_threshold` failures; in-flight
+        # operations (bounded by executor concurrency, 10) may also land
+        hit_budget = engine.health.policy.failure_threshold + 2 * 10
+        engine.clock.advance_to(outage.end_s + 4000.0)
+        resume = engine.resume(src)
+        return Degraded(full, reachable, dark, hits, hit_budget, engine, resume)
+
+    def test_partial_apply_quarantines_dark_region(self, degraded):
+        dark = degraded.dark
+        assert dark.partial and not dark.ok
+        assert dark.apply.failed == {}
+        assert dark.apply.skipped == []
+        assert dark.apply.quarantined_partitions() == ["azure/westus2"]
         # every eastus stack converged; every westus2 stack is parked
-        assert len(result.apply.succeeded) == 21
-        assert len(result.apply.quarantined) == 21
-        for quarantine in result.apply.quarantined.values():
+        reachable = len(degraded.reachable.apply.succeeded)
+        assert len(dark.apply.succeeded) == reachable
+        assert len(dark.apply.quarantined) == (
+            len(degraded.full.state.resources()) - reachable
+        )
+        for quarantine in dark.apply.quarantined.values():
             assert quarantine.partition == "azure/westus2"
 
-    def test_no_retry_storm_into_dark_region(self, tmp_path):
-        engine = make_engine(tmp_path)
-        engine.gateway.inject_outage("azure", OUTAGE)
-        engine.apply(two_region_estate(42))
-        hits = engine.gateway.planes["azure"].faults.outage_hits
-        policy = engine.health.policy
-        # breaker trips after `failure_threshold` failures; in-flight
-        # operations (bounded by executor concurrency) may also land
-        assert hits <= policy.failure_threshold + 2 * 10
+    def test_failing_fast_does_not_slow_the_healthy_region(self, degraded):
+        """The degraded makespan is within 1.1x the reachable baseline's."""
+        dark, reachable = degraded.dark.apply, degraded.reachable.apply
+        ratio = dark.makespan_s / reachable.makespan_s
+        assert ratio <= 1.1, ratio
 
-    def test_resume_drains_quarantine_to_canonical_estate(self, tmp_path):
+    def test_no_retry_storm_into_dark_region(self, degraded):
+        assert degraded.dark_hits <= degraded.hit_budget, degraded.dark_hits
+
+    def test_resume_drains_quarantine_to_canonical_estate(self, degraded):
         from repro.chaos import assert_converged_like
 
-        engine = make_engine(tmp_path)
-        engine.gateway.inject_outage("azure", OUTAGE)
-        src = two_region_estate(42)
-        partial = engine.apply(src)
-        assert partial.partial
-        engine.clock.advance_to(OUTAGE.end_s + 4000.0)
-        outcome = engine.resume(src)
+        outcome = degraded.resume
         assert outcome.ok
         # the journal's quarantined intents were recognized as parked
         assert outcome.recovery is not None
         assert outcome.recovery.summary().get("quarantined", 0) >= 1
-
-        baseline = CloudlessEngine(seed=0)
-        assert baseline.apply(src).ok
-        assert_converged_like(engine, baseline)
+        assert_converged_like(degraded.resumed, degraded.full)
 
     def test_healthy_apply_is_untouched_by_breaker_layer(self, tmp_path):
         src = two_region_estate(14)

@@ -485,6 +485,53 @@ class TestBreakers:
         assert opened_at == 0.0
 
 
+    @pytest.mark.parametrize(
+        "ending", [REJECT_INVALID_PROGRAM, REJECT_TENANT_QUOTA, REJECT_DEADLINE]
+    )
+    def test_a_probe_that_neither_succeeds_nor_fails_goes_back(
+        self, tmp_path, ending
+    ):
+        """Five failing applies open the tenant's breaker at t=0. At
+        t=11 its probe is a typo answered 400, is shed by the tenant's
+        quota, or finds its deadline passed: none of these is the
+        tenant's success or failure, so the probe goes back and the
+        valid plan at t=30 is the next probe, answered and closing the
+        breaker."""
+        now = [0.0]
+
+        async def main():
+            svc = ControlPlaneService(
+                str(tmp_path), policy=ServicePolicy(apply_pool=2),
+                clock=lambda: now[0],
+            )
+            await svc.start()
+            for _ in range(5):
+                await svc.request("bad", "apply", payload={"sources": UNAPPLIABLE})
+            now[0] = 11.0
+            if ending == REJECT_TENANT_QUOTA:
+                svc.admission.quotas["bad"] = TenantQuota(max_pending=0)
+            probe = await svc.request(
+                "bad", "plan",
+                payload={"sources": TYPO if ending == REJECT_INVALID_PROGRAM else SRC},
+                deadline_s=0.0 if ending == REJECT_DEADLINE else None,
+            )
+            svc.admission.quotas.pop("bad", None)
+            later = []
+            for t in (30.0, 100.0, 1000.0):
+                now[0] = t
+                later.append(
+                    await svc.request("bad", "plan", payload={"sources": SRC})
+                )
+            state = svc.breakers["bad"].state
+            await svc.stop()
+            return probe, later, state
+
+        probe, later, state = run(main())
+        assert probe.reason == ending
+        assert [(r.status, r.reason) for r in later] == [(200, None)] * 3
+        assert state == "closed"
+
+
 class TestInvalidRequest:
     BAD = [
         {"priority": "high"},

@@ -2,8 +2,8 @@
 
 A load harness that is not deterministic cannot gate CI, and one whose
 percentile math is wrong gates the wrong thing. These tests pin both:
-arrival schedules are pure functions of their seeds, the open/closed
-loop generators have the statistical shape they claim, and histogram
+arrival schedules are pure functions of their seeds, the open-loop
+generator has the statistical shape it claims, and histogram
 percentiles never under-report the tail.
 """
 
@@ -15,7 +15,6 @@ import pytest
 from repro.workloads import (
     Arrival,
     LatencyHistogram,
-    closed_loop_think_times,
     goodput_fairness_ratio,
     mixed_arrivals,
     open_loop_arrivals,
@@ -68,21 +67,6 @@ class TestOpenLoop:
             a.tenant == "acme" and a.op == "drift" and a.priority == 0
             for a in arrivals
         )
-
-
-class TestClosedLoop:
-    def test_deterministic_and_sized(self):
-        a = closed_loop_think_times(0.1, 50, seed=2)
-        assert a == closed_loop_think_times(0.1, 50, seed=2)
-        assert len(a) == 50
-
-    def test_mean_think_time(self):
-        draws = closed_loop_think_times(0.5, 5000, seed=9)
-        assert statistics.mean(draws) == pytest.approx(0.5, rel=0.1)
-
-    def test_zero_think_means_saturating_client(self):
-        assert closed_loop_think_times(0.0, 5) == [0.0] * 5
-        assert closed_loop_think_times(1.0, 0) == []
 
 
 class TestTenantMix:

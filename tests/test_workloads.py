@@ -7,7 +7,6 @@ from repro.validate import LEVEL_RULES, validate
 from repro.workloads import (
     ConfigMutator,
     MutationError,
-    diurnal_trace,
     distribute_demand,
     hub_spoke,
     microservices,
@@ -106,13 +105,6 @@ class TestTraffic:
         assert max(values) > 800
         assert values[0] < 200
         assert values[-1] < 300  # cooled down
-
-    def test_diurnal_periodicity(self):
-        trace = diurnal_trace(duration_s=3600 * 6, period_s=3600 * 3, noise=0.0)
-        values = [p.value for p in trace]
-        # two peaks over two periods
-        assert max(values[: len(values) // 2]) > 1200
-        assert max(values[len(values) // 2 :]) > 1200
 
     def test_traces_deterministic(self):
         a = [p.value for p in ramp_surge_trace(seed=4)]
