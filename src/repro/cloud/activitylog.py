@@ -72,7 +72,10 @@ class ActivityLog:
         actor: str,
         changed_attrs: tuple = (),
     ) -> ActivityEvent:
-        event = ActivityEvent(
+        # every mutation of a plane appends one: built as ``from_fields``
+        # builds, not through the frozen ``__init__``'s setattr per field
+        event = object.__new__(ActivityEvent)
+        event.__dict__.update(
             sequence=self._next_seq,
             timestamp=timestamp,
             provider=self.provider,

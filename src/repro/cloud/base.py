@@ -31,6 +31,17 @@ from .resources import AttributeSpec, ResourceTypeSpec
 READ_OPS = ("read", "list", "log")
 WRITE_OPS = ("create", "update", "delete")
 
+#: operation -> the :class:`ControlPlane` method that builds its
+#: completion event
+_BUILDERS = {
+    "create": "_build_create",
+    "update": "_build_update",
+    "delete": "_build_delete",
+    "read": "_build_read",
+    "log": "_build_read",
+    "list": "_build_list",
+}
+
 #: memoized CIDR parses -- provider overlap checks re-see the same
 #: strings thousands of times at 10k-resource scale
 _NETWORK_CACHE: Dict[Tuple[str, bool], Any] = {}
@@ -537,18 +548,11 @@ class ControlPlane:
                     PendingOperation(operation, rtype, now, t_start, t_complete, fail)
                 )
 
-            builder = {
-                "create": self._build_create,
-                "update": self._build_update,
-                "delete": self._build_delete,
-                "read": self._build_read,
-                "log": self._build_read,
-                "list": self._build_list,
-            }.get(operation)
+            builder = _BUILDERS.get(operation)
             if builder is None:
                 raise ValueError(f"unknown operation {operation!r}")
             return self._track(
-                builder(
+                getattr(self, builder)(
                     spec,
                     now,
                     t_start,
@@ -1124,13 +1128,12 @@ class ControlPlane:
         self, spec: ResourceTypeSpec, attrs: Dict[str, Any]
     ) -> Dict[str, Any]:
         out: Dict[str, Any] = {}
-        for name, aspec in spec.attributes.items():
-            if aspec.computed:
-                continue
-            if name in attrs and attrs[name] is not None:
-                out[name] = attrs[name]
-            elif aspec.default is not None:
-                out[name] = aspec.default
+        for name, default in spec.settable_defaults():
+            value = attrs.get(name)
+            if value is not None:
+                out[name] = value
+            elif default is not None:
+                out[name] = default
         return out
 
     def _computed_attrs(

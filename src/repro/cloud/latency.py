@@ -30,14 +30,17 @@ class LatencyProfile:
     spread: float = 0.15
 
     def mean_for(self, operation: str) -> float:
-        return {
-            "create": self.create_s,
-            "update": self.update_s,
-            "delete": self.delete_s,
-            "read": self.read_s,
-            "list": self.read_s,
-        }.get(operation, self.read_s)
+        return getattr(self, _MEAN_FIELDS.get(operation, "read_s"))
 
+
+#: operation -> the :class:`LatencyProfile` field holding its mean
+_MEAN_FIELDS = {
+    "create": "create_s",
+    "update": "update_s",
+    "delete": "delete_s",
+    "read": "read_s",
+    "list": "read_s",
+}
 
 DEFAULT_PROFILE = LatencyProfile(create_s=5.0, update_s=3.0, delete_s=2.0)
 

@@ -415,7 +415,9 @@ class HealthMonitor:
     asks :meth:`gate` before sending work; completions feed back via
     :meth:`record`. Only outage-class failures (see ``OUTAGE_CODES``
     and timeouts) advance breakers -- a one-off 500 is the retry
-    policy's business, not a reason to declare a region dead.
+    policy's business, not a reason to declare a region dead; it only
+    gives a half-open breaker's probe back
+    (:meth:`CircuitBreaker.return_probe`).
     """
 
     def __init__(self, policy: Optional[BreakerPolicy] = None, window: int = 64):
@@ -453,6 +455,8 @@ class HealthMonitor:
         dispatched operation *is* the probe).
         """
         decision = GATE_ALLOW
+        if not self.breakers:  # nothing ever failed hard: every gate is open
+            return decision
         for key in self._keys(provider, region):
             found = self.breakers.get(key)
             if found is None:
@@ -530,15 +534,23 @@ class HealthMonitor:
             found.record_failure(now)
             _count_transition(was, found)
             return
-        if ok:
-            # successes touch only existing breakers: healthy traffic
-            # must not allocate breaker state per partition
-            for key in self._keys(provider, region):
-                found = self.breakers.get(key)
-                if found is not None:
-                    was = found.state
-                    found.record_success(now)
-                    _count_transition(was, found)
+        # the rest touch only existing breakers: healthy traffic must not
+        # allocate breaker state per partition
+        if not self.breakers:
+            return
+        for key in self._keys(provider, region):
+            found = self.breakers.get(key)
+            if found is None:
+                continue
+            if ok:
+                was = found.state
+                found.record_success(now)
+                _count_transition(was, found)
+            else:
+                # a half-open breaker's probe answered by an error that
+                # says nothing about the partition settles neither way:
+                # it goes back, and the next dispatch probes again
+                found.return_probe()
 
     # -- introspection -------------------------------------------------------
 

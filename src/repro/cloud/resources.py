@@ -10,7 +10,7 @@ provisioning latency profile.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from .latency import LatencyProfile
 
@@ -105,6 +105,15 @@ class ResourceTypeSpec:
         object.__setattr__(
             self, "_reference", [a for a in values if a.ref_target]
         )
+        object.__setattr__(
+            self,
+            "_settable",
+            tuple(
+                (name, a.default)
+                for name, a in self.attributes.items()
+                if not a.computed
+            ),
+        )
 
     def signature(self) -> str:
         """One line naming everything a compile or a validation decides
@@ -125,6 +134,11 @@ class ResourceTypeSpec:
 
     def reference_attrs(self) -> List[AttributeSpec]:
         return self._reference  # type: ignore[attr-defined]
+
+    def settable_defaults(self) -> Tuple[Tuple[str, Any], ...]:
+        """``(name, default)`` of every attribute a create may set, in
+        declaration order."""
+        return self._settable  # type: ignore[attr-defined]
 
     def attr(self, name: str) -> Optional[AttributeSpec]:
         return self.attributes.get(name)

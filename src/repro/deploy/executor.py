@@ -30,7 +30,7 @@ import dataclasses
 import heapq
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..cloud.base import CloudAPIError, PendingOperation
 from ..cloud.clock import EventQueue
@@ -131,10 +131,10 @@ class ApplyResult:
         ]
 
 
-@dataclasses.dataclass
 class _Running:
-    change: PlannedChange
-    steps: List[str]
+    """One dispatched change while it runs (one per operation: the
+    fields that start at their defaults are class attributes)."""
+
     step_idx: int = 0
     attempts: int = 0
     pending: Optional[PendingOperation] = None
@@ -143,15 +143,26 @@ class _Running:
     open_iid: Optional[int] = None
     #: the attribute values a create or update step evaluated and sent
     sent: Optional[Dict[str, Any]] = None
+    #: (provider, region) its operations land in, once first asked
+    #: (:meth:`PlanExecutor._partition`; constant while it runs)
+    part: Optional[Tuple[str, str]] = None
+
+    def __init__(self, change: PlannedChange, steps: Sequence[str]):
+        self.change = change
+        self.steps = steps
 
 
 _STEPS = {
-    Action.CREATE: ["create"],
-    Action.UPDATE: ["update"],
-    Action.DELETE: ["delete"],
-    Action.REPLACE: ["delete", "create"],
-    Action.READ: [],
+    Action.CREATE: ("create",),
+    Action.UPDATE: ("update",),
+    Action.DELETE: ("delete",),
+    Action.REPLACE: ("delete", "create"),
+    Action.READ: (),
 }
+
+
+#: value types that cannot hold an :class:`~repro.lang.values.Unknown`
+_SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
 class _RevStr:
@@ -275,50 +286,54 @@ class _GroupedRateAwareReady(_ReadyQueue):
         self._priority = priority
         self._plan = plan
         self._gateway = gateway
-        #: limiter-identity key -> (limiter or None, heap of (-pri, cid))
+        #: limiter-identity key -> (the limiter's write bucket or None,
+        #: heap of (-pri, cid))
         self._groups: Dict[Any, Tuple[Any, List[Tuple[float, str]]]] = {}
-        self._limiter_by_rtype: Dict[str, Any] = {}
+        #: rtype -> (limiter-identity key, write bucket or None)
+        self._routes: Dict[str, Tuple[Any, Any]] = {}
         self._size = 0
 
-    def _limiter_for(self, rtype: str) -> Any:
-        if rtype not in self._limiter_by_rtype:
-            try:
-                plane = self._gateway.plane_for(rtype)
-            except CloudAPIError:  # no provider routes this type
-                self._limiter_by_rtype[rtype] = None
-            else:
-                self._limiter_by_rtype[rtype] = plane.limiter
-        return self._limiter_by_rtype[rtype]
+    def _route(self, rtype: str) -> Tuple[Any, Any]:
+        try:
+            limiter = self._gateway.plane_for(rtype).limiter
+        except CloudAPIError:  # no provider routes this type
+            route: Tuple[Any, Any] = (None, None)
+        else:
+            route = (id(limiter), limiter.bucket_for("write"))
+        self._routes[rtype] = route
+        return route
 
     def push(self, cid: str) -> None:
-        limiter = self._limiter_for(self._plan.changes[cid].rtype)
-        key = id(limiter) if limiter is not None else None
+        rtype = self._plan.changes[cid].address.type
+        key, bucket = self._routes.get(rtype) or self._route(rtype)
         group = self._groups.get(key)
         if group is None:
-            group = (limiter, [])
-            self._groups[key] = group
-        pri = self._priority.get(cid, 0.0)
-        heapq.heappush(group[1], (-pri, cid))
+            group = self._groups[key] = (bucket, [])
+        heapq.heappush(group[1], (-self._priority.get(cid, 0.0), cid))
         self._size += 1
 
     def pop(self) -> str:
         now = self._gateway.clock.now
-        band = 0.8 * max(-heap[0][0] for _, heap in self._groups.values())
+        groups = self._groups
+        # -min over the tops' (-pri) is max over their priorities
+        band = -0.8 * min([heap[0][0] for _, heap in groups.values()])
         best_key: Any = None
         best: Optional[Tuple[float, float, str]] = None
-        for key, (limiter, heap) in self._groups.items():
+        for key, (bucket, heap) in groups.items():
             neg_pri, cid = heap[0]
             if -neg_pri < band:
                 continue
-            est = limiter.available_at("write", now) if limiter is not None else now
+            # the write bucket's next start, as limiter.available_at
+            # ("write", now) answers it
+            est = bucket.available_at(now) if bucket is not None else now
             cand = (est, neg_pri, cid)
             if best is None or cand < best:
                 best = cand
                 best_key = key
-        limiter, heap = self._groups[best_key]
+        heap = groups[best_key][1]
         cid = heapq.heappop(heap)[1]
         if not heap:
-            del self._groups[best_key]
+            del groups[best_key]
         self._size -= 1
         return cid
 
@@ -420,6 +435,7 @@ class PlanExecutor:
         dead: Set[str] = set()  # failed, skipped, or quarantined
         events = EventQueue(clock)
         health = self.health
+        planner = self.planner
         #: (provider, region) -> change ids held back while that
         #: partition's half-open breaker has its probe in flight
         paused: Dict[Tuple[str, str], List[str]] = {}
@@ -502,6 +518,12 @@ class PlanExecutor:
                 if held not in dead and held not in done:
                     quarantine_change(held, reason, part)
 
+        def partition(rc: _Running) -> Tuple[str, str]:
+            part = rc.part
+            if part is None:
+                part = rc.part = self._partition(rc.change, state)
+            return part
+
         def drain_paused(part: Tuple[str, str]) -> None:
             """Re-gate changes held behind ``part``'s probe (called when
             the probe succeeded and the breaker closed)."""
@@ -512,24 +534,9 @@ class PlanExecutor:
                 if held_rc is not None:
                     submit_step(held, held_rc)
 
-        def start(cid: str) -> None:
-            change = plan.changes[cid]
-            steps = list(_STEPS[change.action])
-            rc = _Running(change=change, steps=steps)
-            if not steps:  # READ: value already resolved at plan time
-                result.operations.append(
-                    OperationRecord(cid, "read", clock.now, clock.now, True)
-                )
-                done.add(cid)
-                result.succeeded.append(cid)
-                release_successors(cid)
-                return
-            running[cid] = rc
-            submit_step(cid, rc)
-
         def submit_step(cid: str, rc: _Running) -> None:
             if health is not None:
-                part = self._partition(rc.change, state)
+                part = partition(rc)
                 if part[0]:
                     verdict = health.gate(part[0], part[1], clock.now)
                     if verdict == GATE_OPEN:
@@ -558,22 +565,16 @@ class PlanExecutor:
                     # deduplicates against the crashed run's resource.
                     token = f"{wal.run_id}/{cid}/{rc.step_idx}"
                 if rc.attempts == 1:
+                    change = rc.change
                     prior_id = ""
-                    if op_name in ("delete", "update"):
-                        prior = (
-                            rc.change.prior
-                            if rc.change.prior
-                            else state.get(rc.change.address)
-                        )
+                    if op_name != "create":  # delete or update
+                        prior = change.prior or state.get(change.address)
                         if prior is not None:
                             prior_id = prior.resource_id
+                    # the change id is the address's text form
                     rc.open_iid = wal.log_intent(
-                        cid,
-                        op_name,
-                        rc.change.rtype,
-                        address=str(rc.change.address),
-                        token=token,
-                        resource_id=prior_id,
+                        cid, op_name, change.address.type,
+                        token=token, resource_id=prior_id,
                     )
             try:
                 pending = self._submit_operation(plan, rc, state, token=token)
@@ -613,7 +614,7 @@ class PlanExecutor:
                     )
                 )
                 if health is not None:
-                    part = self._partition(rc.change, state)
+                    part = partition(rc)
                     outage = is_outage_error(exc)
                     if part[0]:
                         health.record(
@@ -625,6 +626,11 @@ class PlanExecutor:
                             code=exc.code,
                             outage=outage,
                         )
+                        if not outage and paused:
+                            # a probe answered by a non-outage error went
+                            # back to its breaker (HealthMonitor.record):
+                            # re-gate what it held, one of them probes
+                            drain_paused(part)
                     if outage and part[0]:
                         if health.blocked(part[0], part[1], clock.now):
                             # this failure tripped (or re-tripped) the
@@ -664,31 +670,26 @@ class PlanExecutor:
                         PERF.count("resilience.gave_up")
                     finish_change(cid, False, str(exc))
                 return
+            now = clock.now
+            t_submit = rc.pending.t_submit
             result.operations.append(
                 OperationRecord(
-                    cid, op_name, rc.pending.t_submit, clock.now, True,
-                    "", rc.attempts,
+                    cid, op_name, t_submit, now, True, "", rc.attempts
                 )
             )
             if health is not None:
-                part = self._partition(rc.change, state)
+                part = rc.part or partition(rc)
                 if part[0]:
                     health.record(
-                        part[0],
-                        part[1],
-                        ok=True,
-                        now=clock.now,
-                        latency_s=clock.now - rc.pending.t_submit,
+                        part[0], part[1], ok=True, now=now,
+                        latency_s=now - t_submit,
                     )
                     if paused:
                         drain_paused(part)
-            self._commit_step(plan, rc, state, op_name, response, clock.now)
-            if op_name != "delete" and self.planner is not None:
-                entry = state.get(rc.change.address)
+            entry = self._commit_step(plan, rc, state, op_name, response, now)
+            if entry is not None and planner is not None:
                 assert rc.change.node is not None and rc.sent is not None
-                if entry is not None and self.planner.proves(
-                    rc.change.node, rc.sent, entry
-                ):
+                if planner.proves(rc.change.node, rc.sent, entry):
                     result.proven[cid] = entry
             if wal is not None and rc.open_iid is not None:
                 committed_id = (
@@ -700,14 +701,20 @@ class PlanExecutor:
             rc.attempts = 0
             if rc.step_idx < len(rc.steps):
                 submit_step(cid, rc)
-            else:
-                finish_change(cid, True)
+                return
+            # finished (finish_change's success half)
+            del running[cid]
+            done.add(cid)
+            result.succeeded.append(cid)
+            release_successors(cid)
 
         # drive the event loop
         perf_enabled = PERF.enabled
+        concurrency = self.concurrency
+        changes = plan.changes
         event_index = 0
         while True:
-            while len(ready) and len(running) < self.concurrency:
+            while len(running) < concurrency and len(ready):
                 if perf_enabled:
                     t0 = time.perf_counter()
                     cid = ready.pop()
@@ -717,7 +724,18 @@ class PlanExecutor:
                     cid = ready.pop()
                 if cid in dead:
                     continue
-                start(cid)
+                change = changes[cid]
+                steps = _STEPS[change.action]
+                if not steps:  # READ: value already resolved at plan time
+                    result.operations.append(
+                        OperationRecord(cid, "read", clock.now, clock.now, True)
+                    )
+                    done.add(cid)
+                    result.succeeded.append(cid)
+                    release_successors(cid)
+                    continue
+                rc = running[cid] = _Running(change, steps)
+                submit_step(cid, rc)
             if not running:
                 if not len(ready):
                     break
@@ -834,14 +852,16 @@ class PlanExecutor:
             raise _UnresolvedValueError(
                 f"{change.id}: cannot evaluate attributes: {exc}"
             )
-        unknowns = sorted(
-            name for name, value in attrs.items() if is_unknown(value)
-        )
-        if unknowns:
-            raise _UnresolvedValueError(
-                f"{change.id}: attributes still unknown at apply time: "
-                f"{', '.join(unknowns)}"
-            )
+        for value in attrs.values():
+            # a plain scalar holds no unknown: only the rest are looked into
+            if value.__class__ not in _SCALARS and is_unknown(value):
+                unknowns = sorted(
+                    name for name, v in attrs.items() if is_unknown(v)
+                )
+                raise _UnresolvedValueError(
+                    f"{change.id}: attributes still unknown at apply time: "
+                    f"{', '.join(unknowns)}"
+                )
         return attrs
 
     def _commit_step(
@@ -852,39 +872,44 @@ class PlanExecutor:
         op: str,
         response: Any,
         now: float,
-    ) -> None:
+    ) -> Optional[ResourceState]:
+        """Land one completed step in ``state`` and the resolver; the
+        entry a create or update committed, if any."""
         change = rc.change
+        cid = change.id
         if op == "delete":
             state.remove(change.address)
-            plan.resolver.drop_override(change.id)
-            return
+            plan.resolver.drop_override(cid)
+            return None
         assert isinstance(response, dict)
-        deps = plan.graph.managed_dependencies(change.id)
-        provider = change.provider or self.gateway.provider_of(change.rtype)
-        region = change.region or self.gateway.region_for(change.rtype, response)
+        deps = plan.graph.managed_dependencies(cid)
+        # the response is the cloud's fresh snapshot and nobody else's:
+        # the entry keeps it as its attrs, the resolver takes a copy
+        entry: Optional[ResourceState]
         if op == "create":
             entry = ResourceState(
                 address=change.address,
                 resource_id=response["id"],
-                provider=provider,
-                attrs=dict(response),
-                region=region,
+                provider=change.provider or self.gateway.provider_of(change.rtype),
+                attrs=response,
+                region=change.region
+                or self.gateway.region_for(change.rtype, response),
                 created_at=now,
                 updated_at=now,
                 dependencies=deps,
             )
-            state.set(entry)
         else:  # update
             entry = state.get(change.address) or change.prior
             if entry is not None:
-                state.set(
-                    entry.replace(
-                        attrs=dict(response),
-                        updated_at=now,
-                        dependencies=deps or list(entry.dependencies),
-                    )
+                entry = entry.replace(
+                    attrs=response,
+                    updated_at=now,
+                    dependencies=deps or list(entry.dependencies),
                 )
-        plan.resolver.set_override(change.id, dict(response))
+        if entry is not None:
+            state.set(entry)
+        plan.resolver.set_override(cid, response)
+        return entry
 
 
 class _UnresolvedValueError(RuntimeError):

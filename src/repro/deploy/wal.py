@@ -53,6 +53,12 @@ INTENT_OPEN = "open"
 INTENT_COMMITTED = "committed"
 INTENT_ABORTED = "aborted"
 
+#: a string as ``json.dumps`` writes it. Each record is the line
+#: ``json.dumps(record, sort_keys=True, separators=(",", ":"))`` would
+#: write, formatted directly in sorted key order: no dict and no
+#: encoder per record (``tests/test_wal.py`` pins the bytes)
+_quote = json.encoder.encode_basestring_ascii
+
 
 class SimulatedCrash(BaseException):
     """Raised by a crash hook to kill an apply at an event boundary.
@@ -113,13 +119,12 @@ class IntentJournal:
         )
         return self._handle
 
-    def _append(self, record: Dict[str, Any], durable: bool = True) -> None:
+    def _append(self, record: str, durable: bool = True) -> None:
+        """Write one record's line (``record`` is its JSON text)."""
         handle = self._handle
         if handle is None:
             handle = self._open("a")
-        handle.write(
-            json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        )
+        handle.write(record + "\n")
         if self.sync == "none" or not durable:
             return
         handle.flush()
@@ -133,7 +138,10 @@ class IntentJournal:
         self._next_iid = 0
         self._records = {}
         self._open("w")
-        self._append({"rec": "run", "run_id": self.run_id, "wal_version": WAL_VERSION})
+        self._append(
+            f'{{"rec":"run","run_id":{_quote(self.run_id)},'
+            f'"wal_version":{WAL_VERSION}}}'
+        )
         return self.run_id
 
     def log_intent(
@@ -149,32 +157,19 @@ class IntentJournal:
             raise RuntimeError("no active run; call begin_run() first")
         iid = self._next_iid
         self._next_iid += 1
-        record = IntentRecord(
-            iid=iid,
-            cid=cid,
-            address=address or cid,
-            op=op,
-            rtype=rtype,
-            token=token,
-            resource_id=resource_id,
-        )
+        record = IntentRecord(iid, cid, address or cid, op, rtype, token, resource_id)
         self._records[iid] = record
         # empty/derivable fields are omitted on disk; resume() fills the
         # same defaults back in
-        line: Dict[str, Any] = {
-            "rec": "intent",
-            "iid": iid,
-            "cid": cid,
-            "op": op,
-            "rtype": rtype,
-        }
+        line = f'"cid":{_quote(cid)},"iid":{iid},"op":{_quote(op)},"rec":"intent"'
         if record.address != cid:
-            line["address"] = record.address
-        if token:
-            line["token"] = token
+            line = f'"address":{_quote(record.address)},{line}'
         if resource_id:
-            line["resource_id"] = resource_id
-        self._append(line)
+            line += f',"resource_id":{_quote(resource_id)}'
+        line += f',"rtype":{_quote(rtype)}'
+        if token:
+            line += f',"token":{_quote(token)}'
+        self._append("{" + line + "}")
         return iid
 
     def log_commit(self, iid: int, resource_id: str = "") -> None:
@@ -187,7 +182,7 @@ class IntentJournal:
         # the classification label, never the repair -- but a lost
         # *intent* would orphan a resource, hence the barrier above
         self._append(
-            {"rec": "commit", "iid": iid, "resource_id": resource_id},
+            f'{{"iid":{iid},"rec":"commit","resource_id":{_quote(resource_id)}}}',
             durable=False,
         )
 
@@ -196,7 +191,9 @@ class IntentJournal:
         if record is not None:
             record.status = INTENT_ABORTED
             record.error = error
-        self._append({"rec": "abort", "iid": iid, "error": error}, durable=False)
+        self._append(
+            f'{{"error":{_quote(error)},"iid":{iid},"rec":"abort"}}', durable=False
+        )
 
     def mark_clean(self) -> None:
         """The run completed and its state is durable: empty the journal

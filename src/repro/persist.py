@@ -123,6 +123,10 @@ class _NotADelta(Exception):
     """The engine is no longer the one its baseline describes."""
 
 
+class _OverBudget(Exception):
+    """The delta being written outweighs the file's keyframe."""
+
+
 # -- source files: stored once, packed, by content key -----------------------------
 
 
@@ -652,17 +656,50 @@ def _frame(kind: str, name: str, value: Any) -> bytes:
     return header.encode("ascii") + payload + b"\n"
 
 
+def _row_floor(cls: type) -> int:
+    """Bytes a row of dataclass ``cls`` encodes to at least: every field
+    as its quoted name, a colon and a value of one character or more."""
+    return sum(len(field.name) + 4 for field in dataclasses.fields(cls))
+
+
+_RECORD_FLOOR = _row_floor(ResourceRecord)
+_EVENT_FLOOR = _row_floor(ActivityEvent)
+
+
+def _least_bytes(name: str, value: Any) -> int:
+    """A floor under the size of section ``name``'s frame, known before
+    it is encoded: a plane section's rows (:func:`_plane_section`)."""
+    if not name.startswith("plane:"):
+        return 0
+    return len(value["records"]) * _RECORD_FLOOR + len(value["log"]) * _EVENT_FLOOR
+
+
 def _commit_frames(
-    kind: str, sections: Iterable[Tuple[str, Any]], seq: int
+    kind: str,
+    sections: Iterable[Tuple[str, Any]],
+    seq: int,
+    budget: Optional[int] = None,
 ) -> Iterator[bytes]:
     """The sections' frames, then the frame that makes them count: it
-    names their headers, so a commit with one missing or swapped is void."""
+    names their headers, so a commit with one missing or swapped is void.
+    Past ``budget`` bytes it raises :class:`_OverBudget` -- before
+    encoding a section whose floor (:func:`_least_bytes`) is already
+    past it."""
     headers = hashlib.sha256()
+    size = 0
     for name, value in sections:
+        if budget is not None and size + _least_bytes(name, value) > budget:
+            raise _OverBudget
         frame = _frame(kind, name, value)
+        size += len(frame)
+        if budget is not None and size > budget:
+            raise _OverBudget
         headers.update(frame[: frame.index(b"\n")])
         yield frame
-    yield _frame("C", "commit", {"seq": seq, "headers": headers.hexdigest()})
+    frame = _frame("C", "commit", {"seq": seq, "headers": headers.hexdigest()})
+    if budget is not None and size + len(frame) > budget:
+        raise _OverBudget
+    yield frame
 
 
 def _read_frame(data: bytes, pos: int) -> Optional[Tuple[str, str, memoryview, int]]:
@@ -797,16 +834,17 @@ def save_world(engine: CloudlessEngine, path: str) -> None:
         return _write_keyframe(engine, path)
     # a save that dies half-way leaves a baseline nobody should trust
     base.path = None
-    frames: List[bytes] = []
-    size = 0
     try:
-        for frame in _commit_frames("D", _sections(engine, base, False), base.seq + 1):
-            frames.append(frame)
-            size += len(frame)
-            if size > base.budget:  # a cold apply finds out one section in
-                return _compact(engine, path)
+        frames = list(
+            _commit_frames(
+                "D", _sections(engine, base, False), base.seq + 1, base.budget
+            )
+        )
+    except _OverBudget:  # a cold apply finds out one section in, unencoded
+        return _compact(engine, path)
     except _NotADelta:
         return _write_keyframe(engine, path)
+    size = sum(map(len, frames))
     if len(frames) == 1:  # a commit frame and nothing to commit
         base.path = os.path.realpath(path)
     elif _append(path, base, frames):

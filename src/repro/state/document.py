@@ -66,7 +66,7 @@ def deep_value_copy(value: Any) -> Any:
     return value
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(init=False)
 class ResourceState:
     """State entry for one deployed resource instance.
 
@@ -85,6 +85,30 @@ class ResourceState:
     created_at: float = 0.0
     updated_at: float = 0.0
     dependencies: List[str] = dataclasses.field(default_factory=list)
+
+    def __init__(
+        self,
+        address: ResourceAddress,
+        resource_id: str,
+        provider: str,
+        attrs: Dict[str, Any],
+        region: str = "",
+        created_at: float = 0.0,
+        updated_at: float = 0.0,
+        dependencies: Optional[List[str]] = None,
+    ):
+        # one dict update, not a sealed check per field: an apply builds
+        # an entry per operation and a loaded world one per resource
+        self.__dict__.update(
+            address=address,
+            resource_id=resource_id,
+            provider=provider,
+            attrs=attrs,
+            region=region,
+            created_at=created_at,
+            updated_at=updated_at,
+            dependencies=[] if dependencies is None else dependencies,
+        )
 
     def __setattr__(self, name: str, value: Any) -> None:
         if getattr(self, "_sealed", False):
@@ -145,10 +169,7 @@ class ResourceState:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ResourceState":
-        # what ``__init__`` would set, without a sealed check per field:
-        # a loaded world builds one entry per resource
-        entry = object.__new__(cls)
-        entry.__dict__.update(
+        return cls(
             address=ResourceAddress.parse(data["address"]),
             resource_id=data["resource_id"],
             provider=data["provider"],
@@ -158,7 +179,6 @@ class ResourceState:
             updated_at=data.get("updated_at", 0.0),
             dependencies=list(data.get("dependencies", [])),
         )
-        return entry
 
     def copy(self) -> "ResourceState":
         """A private, mutable deep copy (attrs and dependencies owned)."""

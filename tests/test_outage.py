@@ -452,6 +452,63 @@ class TestDegradedApply:
         assert a.apply.api_calls == b.apply.api_calls
 
 
+class TestProbeAnsweredByAnotherError:
+    """A partition breaker's half-open probe that fails with an error
+    saying nothing about the partition (a one-off 500) goes back to its
+    breaker: the probe's retry, or a change it held, probes again."""
+
+    @staticmethod
+    def half_open_engine(error_code: str, transient: bool) -> CloudlessEngine:
+        """westus2's breaker tripped by five outage errors, due to probe,
+        and the next create answered by ``error_code``."""
+        from repro.cloud.faults import FaultSpec
+
+        engine = CloudlessEngine(seed=0)
+        for t in range(engine.health.policy.failure_threshold):
+            engine.health.record(
+                "azure", "westus2", ok=False, now=float(t),
+                code="ServiceUnavailable", outage=True,
+            )
+        assert engine.health.breaker("azure", "westus2").state == BREAKER_OPEN
+        engine.clock.advance_to(1000.0)
+        engine.gateway.planes["azure"].faults.add_rule(
+            FaultSpec(
+                error_code=error_code,
+                match_operation="create",
+                max_strikes=1,
+                transient=transient,
+            )
+        )
+        return engine
+
+    @staticmethod
+    def groups(prefix: str, n: int = 3) -> str:
+        return "".join(
+            f'resource "azure_resource_group" "{prefix}_{g}" {{\n'
+            f'  name     = "{prefix}-{g}-rg"\n'
+            f'  location = "westus2"\n'
+            f"}}\n"
+            for g in range(n)
+        )
+
+    def test_an_engine_keeps_applying_to_the_partition(self):
+        engine = self.half_open_engine("InternalServerError", transient=True)
+        program = ""
+        for round_ in range(3):
+            program += self.groups(f"r{round_}")
+            result = engine.apply(program)
+            assert result.ok, (round_, result.apply.quarantined)
+        assert engine.health.breaker("azure", "westus2").state == BREAKER_CLOSED
+
+    def test_a_failed_probe_does_not_park_what_it_held(self):
+        engine = self.half_open_engine("InvalidParameter", transient=False)
+        result = engine.apply(self.groups("g"))
+        assert len(result.apply.failed) == 1  # the probe: a terminal 400
+        assert not result.apply.quarantined
+        assert len(result.apply.succeeded) == 2
+        assert engine.health.breaker("azure", "westus2").state == BREAKER_CLOSED
+
+
 # -- drift under outage -------------------------------------------------------
 
 

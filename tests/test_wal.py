@@ -174,6 +174,88 @@ class TestIntentJournal:
             IntentJournal(str(tmp_path / "x.wal"), sync="sometimes")
 
 
+class TestRecordBytes:
+    """The journal's bytes, pinned. Every record is the line
+    ``json.dumps(record, sort_keys=True, separators=(",", ":"))`` writes:
+    these lines are what the journal wrote when it built each record as
+    a dict and encoded it that way, so a journal from that program
+    resumes, and a rewrite of how records are built cannot drift."""
+
+    RUN_ID = "0123456789ab"
+    LINES = [
+        '{"rec":"run","run_id":"0123456789ab","wal_version":1}',
+        '{"cid":"aws_vpc.main","iid":0,"op":"create","rec":"intent",'
+        '"rtype":"aws_vpc","token":"0123456789ab/aws_vpc.main/0"}',
+        '{"cid":"aws_subnet.web[\\"a\\\\\\"b\\"]","iid":1,"op":"update",'
+        '"rec":"intent","resource_id":"subnet-0f","rtype":"aws_subnet"}',
+        '{"address":"module.app.aws_instance.app[0]","cid":"aws_instance.app[0]",'
+        '"iid":2,"op":"delete","rec":"intent","resource_id":"i-01",'
+        '"rtype":"aws_instance"}',
+        '{"iid":0,"rec":"commit","resource_id":"vpc-00000001"}',
+        '{"error":"InvalidParameter: \\"cidr\\" \\u00e9\\n\\\\ bad","iid":1,'
+        '"rec":"abort"}',
+        '{"iid":2,"rec":"commit","resource_id":""}',
+    ]
+
+    def write(self, path: str) -> None:
+        journal = IntentJournal(path)
+        journal.begin_run(self.RUN_ID)
+        i0 = journal.log_intent(
+            "aws_vpc.main", "create", "aws_vpc",
+            address="aws_vpc.main", token=f"{self.RUN_ID}/aws_vpc.main/0",
+        )
+        i1 = journal.log_intent(
+            'aws_subnet.web["a\\"b"]', "update", "aws_subnet",
+            resource_id="subnet-0f",
+        )
+        i2 = journal.log_intent(
+            "aws_instance.app[0]", "delete", "aws_instance",
+            address="module.app.aws_instance.app[0]", resource_id="i-01",
+        )
+        journal.log_commit(i0, resource_id="vpc-00000001")
+        journal.log_abort(i1, error='InvalidParameter: "cidr" é\n\\ bad')
+        journal.log_commit(i2)
+        journal.close()
+
+    def test_the_bytes_are_pinned(self, tmp_path):
+        path = str(tmp_path / "apply.wal")
+        self.write(path)
+        with open(path, "rb") as handle:
+            assert handle.read() == "".join(
+                line + "\n" for line in self.LINES
+            ).encode("ascii")
+
+    def test_each_line_is_sorted_compact_json(self):
+        for line in self.LINES:
+            assert json.dumps(
+                json.loads(line), sort_keys=True, separators=(",", ":")
+            ) == line
+
+    def test_a_journal_in_the_pinned_format_resumes(self, tmp_path):
+        path = str(tmp_path / "apply.wal")
+        with open(path, "w", encoding="ascii") as handle:
+            handle.writelines(line + "\n" for line in self.LINES)
+        resumed = IntentJournal.resume(path)
+        assert resumed.run_id == self.RUN_ID
+        records = resumed.records()
+        assert [(r.cid, r.address, r.op, r.rtype, r.status) for r in records] == [
+            ("aws_vpc.main", "aws_vpc.main", "create", "aws_vpc", "committed"),
+            (
+                'aws_subnet.web["a\\"b"]', 'aws_subnet.web["a\\"b"]',
+                "update", "aws_subnet", "aborted",
+            ),
+            (
+                "aws_instance.app[0]", "module.app.aws_instance.app[0]",
+                "delete", "aws_instance", "committed",
+            ),
+        ]
+        assert records[0].token == f"{self.RUN_ID}/aws_vpc.main/0"
+        assert records[0].committed_id == "vpc-00000001"
+        assert records[1].resource_id == "subnet-0f"
+        assert records[1].error == 'InvalidParameter: "cidr" é\n\\ bad'
+        assert resumed.log_intent("aws_vpc.b", "create", "aws_vpc") == 3
+
+
 class TestIdempotencyTokens:
     def test_create_with_same_token_returns_original(self):
         gateway = CloudGateway.simulated(seed=0)
