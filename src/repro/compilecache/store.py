@@ -7,15 +7,35 @@ schema fingerprints -- so an edited file maps to the *same* artifact
 workload, variable set, or provider catalog maps elsewhere.
 
 An artifact is what one set of source texts compiled to: the
-``(config, graph)`` pair and, when the verb that wrote it validated,
-the verdict. File layout (torn-write-safe, modelled on the state
-journal)::
+configuration and the graph and, when the verb that wrote it
+validated, the verdict and the validation basis. File layout
+(torn-write-safe, modelled on the state journal)::
 
-    {"version": 5, "variables_fp": ..., "schema_fp": ...,
+    {"version": 6, "variables_fp": ..., "schema_fp": ...,
      "source_sha": {filename: sha256}, "blob_sha": ..., "blob_len": N,
      "verdict": <validation outcome as JSON data, or null>,
      "header_sha": <sha256 of the other fields>}\n
-    <N bytes: pickle of (config, graph)>
+    <N bytes: pickle of (config, graph, basis)>
+
+``basis`` is the :class:`repro.validate.pipeline.ValidationBasis` the
+writer's validation left (``None`` if it did not validate): per
+declaration, the type stage's diagnostics and the instances' evaluated
+attributes, with the variables and the pipeline they hold under. A
+partial hit hands it to the next validation
+(``CloudlessEngine._validation_scope``), which keeps an entry only
+while its declaration is made of the very parsed objects the entry
+was computed from -- tuples compared by identity first. A reused chunk
+is such an object only if it came out of the same pickle as the
+entry's parts, so the basis is in the config's pickle and not beside
+it.
+
+Every dataclass :data:`ARTIFACT_CLASSES` admits (the AST nodes,
+declarations, lifecycle options, graph nodes, addresses, diagnostics,
+table entries, the basis) is written as its class and its fields in
+``__init__`` order, one :attr:`pickle.Pickler.dispatch_table` entry
+each (:func:`_codec`), so one list says both what an artifact is made
+of and how each part is written: no ``(None, {slot: value})`` state
+per object, and none of the memos an object keeps beside its fields.
 
 Everything that decides exact / partial / miss lives in the JSON
 header line, so the decision is made from the header and the blob's
@@ -39,25 +59,39 @@ header was written with, not who wrote them, and what they unpickle to
 decides what a verb deploys -- and, through the engine's plan basis,
 what a plan may skip. So it is read through an unpickler that admits
 the classes an artifact is made of (:data:`ARTIFACT_CLASSES`: AST
-nodes, declarations, spans, the graph and its contexts) and no other
-global, and the pair is type-checked.
+nodes, declarations, spans, the graph and its contexts, the validation
+table) and no other global, and the triple is type-checked.
+
+The basis is trusted the way the verdict is: as data the program
+wrote, used only where it holds. Its shape is checked when the blob is
+read (:func:`_readable_basis`: a table of entries with tuple parts,
+diagnostics or nothing, plain-data attributes, about this very
+configuration); what is not that shape is :data:`UNREADABLE`, which
+costs the next validation its scope (``validate.full.unreadable``)
+and nothing else -- the chunks and the graph still serve. Whether a
+readable basis still holds (same pipeline, variables, locals and
+declared names) the engine decides, by the rules a resident engine
+uses for its own.
 
 A torn tail, header corruption, version skew, fingerprint drift or a
 digest mismatch on either part classifies as a miss (counted in
 :attr:`CompileCache.corrupt_rejects`), never an error. So does a blob
-that does not unpickle that way to a ``(Configuration, ResourceGraph)``
-pair, found out when the facade is first read: the hit is counted
+that does not unpickle that way to a ``(Configuration, ResourceGraph,
+basis)`` triple, found out when the facade is first read: the hit is counted
 again as the miss it was (:class:`ArtifactUnreadable`), and the verb
 compiles cold. Exactness is
 decided by whole-file sha256 -- same bytes parse to the same chunks,
 so there is no separate chunk-fingerprint rescan on the hit path (the
 chunker is pure, and chunker changes bump ``FORMAT_VERSION``; so does
-a change to the pickled shape or the header -- version 5 adds the
-verdict field and the resolver slot's generation). A chunker rewrite
-that moves no boundary does not: the compiled scanner that replaced
-the per-character one reproduces its chunk tables
-(``tests/golden/lang_corpus.json``) and still serves its artifacts
-(``tests/fixtures/artifact_v5_a3ccd4f.clcc``). Where the old chunker
+a change to the pickled shape or the header -- version 5 added the
+verdict field and the resolver slot's generation, version 6 the basis
+and the encoding by fields, so a version-5 file is a counted miss,
+replaced by the verb that reads it
+(``tests/fixtures/artifact_v5_a3ccd4f.clcc``). A chunker rewrite that
+moves no boundary does not: the compiled scanner that replaced the
+per-character one reproduces its chunk tables
+(``tests/golden/lang_corpus.json``), and what a version-5 file holds
+is span for span what it parses today. Where the old chunker
 misread a string (``$$${``) its table is coarser than today's, which
 costs a later partial hit some reuse and nothing else: a chunk AST is
 looked up by file, start line and text fingerprint.
@@ -65,15 +99,20 @@ looked up by file, start line and text fingerprint.
 
 from __future__ import annotations
 
+import copyreg
+import dataclasses
+import functools
 import hashlib
+import importlib
 import io
 import json
+import operator
 import os
 import pickle
 import tempfile
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 #: artifact filename suffix (one workload key per file)
 SUFFIX = ".clcc"
@@ -95,8 +134,11 @@ ARTIFACT_CLASSES: Dict[str, Optional[FrozenSet[str]]] = {
             "VariableValidation",
         }
     ),
-    # (a sink is empty here: a parse that left diagnostics builds no graph)
-    "repro.lang.diagnostics": frozenset({"DiagnosticSink", "SourceSpan"}),
+    # (a sink is empty here: a parse that left diagnostics builds no
+    # graph; a diagnostic is one the type stage kept for a declaration)
+    "repro.lang.diagnostics": frozenset(
+        {"Diagnostic", "DiagnosticSink", "Severity", "SourceSpan"}
+    ),
     "repro.lang.context": frozenset({"DeferredResolver", "ModuleContext"}),
     # a context keeps the loader its graph was built with: a root
     # directory or a table of texts (a loader class of the embedder's
@@ -107,7 +149,45 @@ ARTIFACT_CLASSES: Dict[str, Optional[FrozenSet[str]]] = {
     "repro.graph.builder": frozenset({"ResourceGraph", "ResourceNode"}),
     "repro.graph.dag": frozenset({"Dag"}),
     "repro.addressing": frozenset({"ResourceAddress"}),
+    # a declaration's ``depends_on``
+    "repro.lang.references": frozenset({"Reference"}),
+    # the validation basis: per declaration, its type diagnostics and
+    # its instances' attributes (plain data, unknowns among them)
+    "repro.validate.pipeline": frozenset({"ValidationBasis"}),
+    "repro.types.checker": frozenset({"DeclEntry", "DeclTable"}),
+    "repro.lang.values": frozenset({"Unknown"}),
 }
+
+
+def _by_fields(cls: type) -> Callable[[Any], Tuple[type, Tuple[Any, ...]]]:
+    """How a dataclass of an artifact is written: its class and its
+    fields in ``__init__`` order, which unpickle through ``cls(*fields)``
+    -- no per-object dict of slot names, and nothing that is not a
+    field (a declaration's reference memo, an address's text)."""
+    names = [field.name for field in dataclasses.fields(cls)]
+    if len(names) < 2:  # an attrgetter of one name returns no tuple
+        raise TypeError(f"{cls.__qualname__}: give it a reduction of its own")
+    get = operator.attrgetter(*names)
+    return lambda obj: (cls, get(obj))
+
+
+@functools.cache
+def _codec() -> Dict[type, Callable[[Any], Any]]:
+    """The pickler's dispatch table: every dataclass
+    :data:`ARTIFACT_CLASSES` admits, written :func:`_by_fields`; the
+    other classes (the configuration, the graph, the contexts, the
+    table, spans) keep their own reduction."""
+    table: Dict[type, Callable[[Any], Any]] = dict(copyreg.dispatch_table)
+    for module, names in ARTIFACT_CLASSES.items():
+        for name, cls in vars(importlib.import_module(module)).items():
+            if (
+                dataclasses.is_dataclass(cls)
+                and isinstance(cls, type)
+                and cls.__module__ == module
+                and (names is None or name in names)
+            ):
+                table[cls] = _by_fields(cls)
+    return table
 
 
 class _ArtifactUnpickler(pickle.Unpickler):
@@ -164,6 +244,58 @@ def _header_sha(fields: Dict[str, Any]) -> str:
     return _sha(json.dumps(fields, sort_keys=True).encode())
 
 
+def _readable_basis(basis: Any, config: Any) -> bool:
+    """Whether the third part of a blob is a validation basis this
+    program could have written about ``config``: data in the shape
+    :class:`repro.validate.pipeline.ValidationBasis` has, or ``None``.
+    Whether it still *holds* is the engine's question
+    (``CloudlessEngine._validation_scope``), asked of a basis that
+    passed this one."""
+    if basis is None:
+        return True
+    from ..lang.diagnostics import Diagnostic, Severity, SourceSpan
+    from ..lang.values import is_plain
+    from ..types.checker import DeclEntry, DeclTable
+    from ..validate.pipeline import ValidationBasis
+
+    def diagnostic(item: Any) -> bool:
+        return (
+            type(item) is Diagnostic
+            and type(item.severity) is Severity
+            and all(
+                type(text) is str for text in (item.message, item.code, item.detail)
+            )
+            and (item.span is None or type(item.span) is SourceSpan)
+        )
+
+    table = getattr(basis, "table", None)
+    if not (
+        type(basis) is ValidationBasis
+        and basis.config is config
+        and type(basis.variables) is dict
+        and type(basis.pipeline) is dict
+        and type(table) is DeclTable
+        and type(table.entries) is dict
+    ):
+        return False
+    for entry in table.entries.values():
+        if type(entry) is not DeclEntry or type(entry.parts) is not tuple:
+            return False
+        types = entry.types
+        if types is not None and not (
+            type(types) is tuple and all(diagnostic(item) for item in types)
+        ):
+            return False
+        if not is_plain(entry._attrs):
+            return False
+    return True
+
+
+#: :attr:`CacheLookup.basis` of a blob whose third part is not a
+#: validation basis
+UNREADABLE = "unreadable"
+
+
 class ArtifactUnreadable(ValueError):
     """A hit's blob did not unpickle to an artifact when first read: it
     was a miss after all, and counts as one."""
@@ -171,14 +303,16 @@ class ArtifactUnreadable(ValueError):
 
 class CacheLookup:
     """Outcome of :meth:`CompileCache.load`: a facade over the artifact
-    whose ``config`` and ``graph`` are unpickled when first read.
+    whose ``config``, ``graph`` and ``basis`` are unpickled when first
+    read.
 
     ``kind`` is ``"exact"`` (every file byte-identical: ``config``,
     ``graph`` *and* the recorded ``verdict`` replay as-is) or
     ``"partial"`` (something changed: only ``config``'s chunk-AST table
-    is reusable, via ``Configuration.parse_streaming(reuse=...)``).
-    Reading ``config`` or ``graph`` raises :class:`ArtifactUnreadable`
-    if the blob is not an artifact's.
+    is reusable, via ``Configuration.parse_streaming(reuse=...)``, and
+    ``basis`` says what the writer's validation computed of it).
+    Reading any of the three raises :class:`ArtifactUnreadable` if the
+    blob is not an artifact's.
     """
 
     def __init__(
@@ -193,6 +327,9 @@ class CacheLookup:
         self._blob: Optional[bytes] = blob
         #: ``(config, graph)`` once unpickled
         self._objects: Optional[Tuple[Any, Any]] = None
+        #: the validation basis once unpickled, ``None``, or
+        #: :data:`UNREADABLE`
+        self._basis: Any = None
         #: who counts the hit a miss if the blob does not read
         self._cache = cache
         #: the header's verdict field as read (untrusted JSON); ``None``
@@ -215,6 +352,15 @@ class CacheLookup:
     def graph(self) -> Any:
         return self._read()[1]
 
+    @property
+    def basis(self) -> Any:
+        """The :class:`repro.validate.pipeline.ValidationBasis` the
+        writer's validation left, its ``config`` this one's; ``None``
+        when the writer did not validate; :data:`UNREADABLE` when the
+        part is not one (the configuration and graph still serve)."""
+        self._read()
+        return self._basis
+
     def _read(self) -> Tuple[Any, Any]:
         if self._objects is None:
             if self._blob is None:
@@ -223,7 +369,8 @@ class CacheLookup:
                 self._materialize()
             except Exception as exc:
                 # unpicklable bytes, classes no artifact is made of, not
-                # a (config, graph) pair: all of it is just a cold build
+                # a (config, graph, basis) triple: all of it is just a
+                # cold build
                 self._blob = None
                 if self._cache is not None:
                     self._cache._reject_late(self.kind)
@@ -233,7 +380,7 @@ class CacheLookup:
 
     def _materialize(self) -> None:
         """Unpickle the digest-checked blob (O(estate)), as data; the
-        first read of ``config`` or ``graph`` runs this, once."""
+        first read of ``config``, ``graph`` or ``basis`` runs this, once."""
         assert self._blob is not None
         objects = _ArtifactUnpickler(io.BytesIO(self._blob)).load()
         self._blob = None  # the bytes are no longer needed
@@ -242,14 +389,22 @@ class CacheLookup:
 
         if not (
             isinstance(objects, tuple)
-            and len(objects) == 2
+            and len(objects) == 3
             and isinstance(objects[0], Configuration)
             and isinstance(objects[1], ResourceGraph)
         ):
             raise ValueError(
-                "corrupt compile-cache blob: expected a (config, graph) pair"
+                "corrupt compile-cache blob: expected a (config, graph, basis) triple"
             )
-        self._objects = objects
+        config, graph, basis = objects
+        try:
+            readable = _readable_basis(basis, config)
+        except Exception:  # a part with no such attribute, say
+            readable = False
+        self._objects = (config, graph)
+        # a basis that is not one costs the next validation its scope,
+        # never the chunks and the graph
+        self._basis = basis if readable else UNREADABLE
 
 
 class CompileCache:
@@ -376,16 +531,20 @@ class CompileCache:
         config: Any,
         graph: Any,
         verdict: Any = None,
+        basis: Any = None,
     ) -> bool:
-        """Journal one compile (``verdict``: JSON data, see the module
-        docstring). Returns False if anything refused to pickle (the
-        cache is strictly best-effort)."""
+        """Journal one compile (``verdict``: JSON data; ``basis``: the
+        validation's :class:`repro.validate.pipeline.ValidationBasis`
+        about ``config``; see the module docstring). Returns False if
+        anything refused to pickle (the cache is strictly best-effort)."""
+        buffer = io.BytesIO()
         try:
-            blob = pickle.dumps(
-                (config, graph), protocol=pickle.HIGHEST_PROTOCOL
-            )
+            pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+            pickler.dispatch_table = _codec()
+            pickler.dump((config, graph, basis))
         except Exception:
             return False
+        blob = buffer.getvalue()
         header: Dict[str, Any] = {
             "version": FORMAT_VERSION,
             "variables_fp": variables_fp,

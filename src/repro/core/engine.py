@@ -285,8 +285,11 @@ class CloudlessEngine:
         #: declaration, and what that holds under; the next validation
         #: computes what is not provably the same
         #: (:meth:`_validation_scope`). Kept from the second compile on:
-        #: a process that compiles once has no next validation.
-        self._validation_basis: Optional[ValidationBasis] = None
+        #: a process that compiles once has no next validation. Its
+        #: first compile may wake one from the artifact it reuses (the
+        #: one the artifact's writer validated from), or learn that the
+        #: artifact's is ``"unreadable"``.
+        self._validation_basis: Union[ValidationBasis, str, None] = None
         #: ``(declarations the last validation type-checked,
         #: declarations in its program)``
         self.last_validation_scope: Optional[Tuple[int, int]] = None
@@ -373,7 +376,10 @@ class CloudlessEngine:
 
         That first compile is also where a plan basis crosses the
         process (:meth:`_wake_plan_basis`): the artifact it reads holds
-        the configuration the world's record is about."""
+        the configuration the world's record is about. A validation
+        basis crosses with a partial hit: the artifact holds what the
+        validation of its configuration computed per declaration, which
+        this compile's validation starts from."""
         if isinstance(sources, Compiled):
             return sources
         if isinstance(sources, str):
@@ -420,10 +426,18 @@ class CloudlessEngine:
 
                 if lookup is not None:
                     # partial hit: unchanged chunks skip lex+parse via
-                    # the artifact's resident chunk-AST table
+                    # the artifact's resident chunk-AST table, and their
+                    # declarations keep what validation computed of them;
+                    # the modules of that part load before it is read,
+                    # as the front end's do
+                    from ..types import checker  # noqa: F401
+                    from ..validate import pipeline  # noqa: F401
+
                     reuse = _read_hit(lookup)
                     if reuse is None:
                         lookup = None
+                    else:
+                        self._validation_basis = lookup.basis
             self._wake_plan_basis(lookup, variables)
             if lookup is not None and lookup.exact:
                 # config and graph are unpickled when a verb needs a node
@@ -540,9 +554,12 @@ class CloudlessEngine:
             PERF.count("graph.builds")
         return compiled.graph
 
-    def _store(self, compiled: Compiled) -> None:
+    def _store(
+        self, compiled: Compiled, basis: Optional[ValidationBasis] = None
+    ) -> None:
         """Write the artifact if it is still to be written: the graph,
-        plus the verdict when the verb validated before it planned."""
+        plus the verdict and the validation's ``basis`` when the verb
+        validated before it planned."""
         # module text is outside the exactness test, so a graph
         # expanded through module calls is never journaled
         if (
@@ -562,6 +579,7 @@ class CloudlessEngine:
                     if compiled.report is not None
                     else None
                 ),
+                basis=basis,
             ):
                 from ..compilecache import source_shas
 
@@ -587,16 +605,19 @@ class CloudlessEngine:
                 PERF.count(f"compilecache.verdict_mismatch.{why}")
         if compiled.report is None:
             PERF.count("validate.runs")
-            compiled.report = self._validate(compiled)
-            # (the table a one-shot validation filled is gone by now:
-            # the artifact is pickled at the verb's memory peak)
-            self._store(compiled)
+            compiled.report, basis = self._validate(compiled)
+            # the next process's validation starts from what this one
+            # computed: the table rides in the artifact
+            self._store(compiled, basis)
         return compiled.report
 
-    def _validate(self, compiled: Compiled) -> ValidationReport:
+    def _validate(
+        self, compiled: Compiled
+    ) -> Tuple[ValidationReport, ValidationBasis]:
         """Validate on the verb's own graph, starting from what the
         last validation left (:meth:`_validation_scope`) and leaving
-        what this one computed, if there will be a next."""
+        what this one computed, if there will be a next: kept by the
+        engine, and returned for the artifact."""
         try:
             graph: Optional[ResourceGraph] = self._graph(compiled)
         except EngineError:
@@ -623,12 +644,16 @@ class CloudlessEngine:
         self.last_validation_scope = (table.checked, len(compiled.config.resources))
         PERF.count("validate.decls_checked", table.checked)
         PERF.count("validate.attrs_evaluated", table.evaluated)
-        if ours and compiled.resident:
-            self._validation_basis = basis
-        return report
+        if ours:
+            # (a first compile's is the artifact's, now spent)
+            self._validation_basis = basis if compiled.resident else None
+        return report, basis
 
     def _validation_scope(
-        self, last: Optional[ValidationBasis], compiled: Compiled, ours: bool
+        self,
+        last: Union[ValidationBasis, str, None],
+        compiled: Compiled,
+        ours: bool,
     ) -> ValidationBasis:
         """What this validation starts from and will leave behind: a
         table holding already what ``last`` computed for the
@@ -658,6 +683,8 @@ class CloudlessEngine:
         )
         if last is None:
             why = "first" if ours else "foreign"
+        elif isinstance(last, str):
+            why = last  # the artifact's was not a basis
         elif config.module_calls or last.config.module_calls:
             why = "modules"
         elif basis.pipeline != last.pipeline:

@@ -113,8 +113,8 @@ class _Referencing:
     verb of a resident engine, so it is kept beside the parts it was
     computed from: a declaration edited in place (the mutators, the
     auto-repair) no longer holds those parts and answers afresh. The memo
-    is no dataclass field and is not pickled -- a compiled artifact is
-    the same bytes with or without it."""
+    is no dataclass field, and a compiled artifact writes a declaration
+    as its fields: the same bytes with or without it."""
 
     #: a module call has no ``provider`` meta-argument
     provider = ""
@@ -158,13 +158,6 @@ class _Referencing:
             # a second builds itself a dict (~770 B a declaration)
             self._references = (parts, found)
         return found
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = self.__dict__
-        if "_references" in state:
-            state = state.copy()
-            del state["_references"]
-        return state
 
 
 @dataclasses.dataclass

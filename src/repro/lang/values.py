@@ -50,6 +50,27 @@ def is_unknown(value: Any) -> bool:
     return False
 
 
+#: the types :func:`is_plain` takes as they are
+_ATOMS = frozenset({type(None), str, int, float, bool, Unknown})
+
+
+def is_plain(value: Any) -> bool:
+    """Whether ``value`` is data through and through: ``None``, text,
+    numbers, unknowns, and lists and dicts of them -- those very types,
+    not a mapping or sequence of some other kind."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        kind = type(item)
+        if kind is dict:
+            stack.extend(item.values())
+        elif kind is list:
+            stack.extend(item)
+        elif kind not in _ATOMS:
+            return False
+    return True
+
+
 def collect_unknown_origins(value: Any) -> set:
     """Every ``Unknown.origin`` reachable inside ``value``."""
     found: set = set()

@@ -71,13 +71,17 @@ KNOWN_PROBES: Dict[str, str] = {
     "parsed parts (type verdicts, validate-time attribute values); every rule "
     "still runs over every instance",
     "validate.full.first": "count: validations that started from nothing: no "
-    "basis yet (an engine keeps one from its second compile on, so a one-shot "
-    "process never does); validate.full.<why> for the others -- foreign (a "
+    "basis yet (an engine keeps one from its second compile on, and a first "
+    "compile wakes one from the artifact of a partial hit, if its writer "
+    "validated); validate.full.<why> for the others -- foreign (a "
     "Configuration the engine did not parse, or a graph already planned on), "
-    "modules (the program calls modules), pipeline (another level, rule set or "
-    "registry), variables (a variable given or declared otherwise), locals (a "
-    "local declared otherwise), declarations (other names declared)",
+    "unreadable (the partial hit's artifact held something that is not a "
+    "basis), modules (the program calls modules), pipeline (another level, "
+    "rule set or registry), variables (a variable given or declared "
+    "otherwise), locals (a local declared otherwise), declarations (other "
+    "names declared)",
     "validate.full.foreign": "count: see validate.full.first",
+    "validate.full.unreadable": "count: see validate.full.first",
     "validate.full.modules": "count: see validate.full.first",
     "validate.full.pipeline": "count: see validate.full.first",
     "validate.full.variables": "count: see validate.full.first",

@@ -9,6 +9,7 @@ a region that does not exist, an invalid CIDR.
 
 from __future__ import annotations
 
+import dataclasses
 import ipaddress
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -39,21 +40,19 @@ from .semantic import (
 _CIDR_FUNCTIONS = {"cidrsubnet", "cidrhost", "cidrnetmask"}
 
 
+@dataclasses.dataclass(slots=True, eq=False)
 class DeclEntry:
     """What validation computed from one declaration."""
 
-    __slots__ = ("parts", "types", "_attrs")
-
-    def __init__(self, parts: Tuple[Any, ...]):
-        #: ``decl.parts()`` when the rest was computed
-        self.parts = parts
-        #: the type stage's diagnostics for it, in order; ``None`` until
-        #: a type check has reached it
-        self.types: Optional[Tuple[Diagnostic, ...]] = None
-        # a declaration expands to one instance with no key or to
-        # instances with keys, never both: the one's attributes, or a
-        # dict of each one's by key
-        self._attrs: Any = None
+    #: ``decl.parts()`` when the rest was computed
+    parts: Tuple[Any, ...]
+    #: the type stage's diagnostics for it, in order; ``None`` until a
+    #: type check has reached it
+    types: Optional[Tuple[Diagnostic, ...]] = None
+    # a declaration expands to one instance with no key or to instances
+    # with keys, never both: the one's attributes, or a dict of each
+    # one's by key
+    _attrs: Any = None
 
     def attrs(self, instance_key: Any) -> Optional[Dict[str, Any]]:
         """An instance's attributes as validation evaluates them

@@ -13,7 +13,7 @@ import dataclasses
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from ..lang.diagnostics import DiagnosticSink
-from ..lang.values import Unknown, is_unknown
+from ..lang.values import is_plain, is_unknown
 from ..perf import PERF
 from ..types.schema import SchemaRegistry
 
@@ -34,18 +34,6 @@ def build_graph(
     from ..graph.builder import build_graph as build
 
     return build(config, variables, loader)
-
-
-def _plain(value: Any) -> bool:
-    """Whether ``value`` is data through and through. A reference to a
-    whole resource type evaluates to a lazy mapping over its module
-    context, and through it the graph: nothing that outlives the verb
-    may hold one."""
-    if isinstance(value, dict):
-        return all(_plain(item) for item in value.values())
-    if isinstance(value, list):
-        return all(_plain(item) for item in value)
-    return value is None or isinstance(value, (str, int, float, Unknown))
 
 
 class ValidationContext:
@@ -102,7 +90,10 @@ class ValidationContext:
             except Exception:
                 attrs = {}
             self.table.evaluated += 1
-            if _plain(attrs):
+            # a reference to a whole resource type evaluates to a lazy
+            # mapping over its module context, and through it the graph:
+            # nothing that outlives the verb may hold one
+            if is_plain(attrs):
                 entry.keep_attrs(node.instance_key, attrs)
         return attrs
 

@@ -6,8 +6,9 @@ config and the expanded graph to disk. The contract under test:
 * exact hit -> the cached config and graph replay without re-parsing;
 * any edit -> partial hit (chunk-AST reuse only), never a stale graph;
 * any corruption -- truncated file, flipped blob byte, version skew
-  (including a v2 file and the previous commit's v3), garbage header, tampered header fields, a blob
-  that is not a ``(config, graph)`` pair -- degrades to a cold build,
+  (including a v2 file and the v3, v4 and v5 files earlier commits
+  wrote), garbage header, tampered header fields, a blob that is not a
+  ``(config, graph, basis)`` triple -- degrades to a cold build,
   mirroring ``tests/test_store_torn.py``;
 * the engine's warm plan and warm apply are byte-identical to cold;
 * a configuration expanded through module calls is never journaled,
@@ -238,8 +239,8 @@ class TestCorruption:
         self.assert_cold(cache, texts, vfp, sfp)
 
     def test_payload_not_an_artifact(self, cache, gateway):
-        """A digest-consistent blob that is not a ``(config, graph)``
-        pair is rejected when first read."""
+        """A digest-consistent blob that is not a ``(config, graph,
+        basis)`` triple is rejected when first read."""
         texts, vfp, sfp, path = self.setup_artifact(cache, gateway)
         header, _ = self.read_parts(path)
         blob = pickle.dumps({"not": "an artifact"})
@@ -379,9 +380,15 @@ class TestCorruption:
                 named.add((module, name))
                 return super().find_class(module, name)
 
+        # (a ``depends_on`` holds references: every artifact of such a
+        # program was a counted miss while the list lacked their class)
+        ordered = SOURCE.replace(
+            'name = "logs-bucket"', 'name       = "logs-bucket"\n  depends_on = [aws_vpc.main]'
+        )
         programs = [
             ({"main.clc": WIDE}, {"env": "prod"}),
             ({"aws.clc": scale_estate(40), "azure.clc": two_region_estate(40)}, None),
+            ({"main.clc": ordered}, None),
         ]
         for number, (texts, variables) in enumerate(programs):
             cache_dir = str(tmp_path / f"cache-{number}")
@@ -488,6 +495,186 @@ class TestSlottedNodesPickle:
         assert len(shared) == len(back._chunk_asts) - 1
 
 
+class TestFieldsCodec:
+    """An artifact writes every dataclass it admits as its class and its
+    fields; read back, the ASTs are what a fresh parse makes."""
+
+    @staticmethod
+    def through_the_codec(obj):
+        import io
+
+        from repro.compilecache.store import _ArtifactUnpickler, _codec
+
+        buffer = io.BytesIO()
+        pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+        pickler.dispatch_table = _codec()
+        pickler.dump(obj)
+        return _ArtifactUnpickler(io.BytesIO(buffer.getvalue())).load()
+
+    def test_the_corpus_reads_back_as_a_fresh_parse(self):
+        from tests.golden.lang_corpus import ast_dump, programs
+
+        for name, sources in programs():
+            if name == "cli_estate":
+                continue  # the next test carries it through the cache
+            back = self.through_the_codec(Configuration.parse_streaming(sources))
+            fresh = Configuration.parse_streaming(sources)
+            assert ast_dump(back) == ast_dump(fresh), name
+            assert back.block_fingerprints == fresh.block_fingerprints, name
+            assert list(back._chunk_asts) == list(fresh._chunk_asts), name
+
+    def test_the_benchmark_estate_through_the_cache(self, tmp_path):
+        """The 1,993-resource estate of the CLI benchmark, validated and
+        stored, then read by a partial hit: the configuration is a fresh
+        parse's, the graph holds the same instances, and the blob is
+        smaller than the default encoding of the same three parts."""
+        from repro.compilecache.store import CompileCache as Cache
+        from repro.workloads import scale_estate, two_region_estate
+        from tests.golden.lang_corpus import ast_dump
+
+        sources = {"aws.clc": scale_estate(1000), "azure.clc": two_region_estate(1000)}
+        gateway = CloudGateway.simulated(seed=3)
+        cache_dir = str(tmp_path / "cache")
+        engine = CloudlessEngine(gateway=gateway, cache_dir=cache_dir)
+        compiled = engine.compile(sources)
+        assert engine.validate(compiled).ok
+        (name,) = os.listdir(cache_dir)
+        header, blob = TestCorruption.read_parts(os.path.join(cache_dir, name))
+
+        edited = dict(sources, **{"aws.clc": sources["aws.clc"] + "\n"})
+        lookup = Cache(cache_dir).load(
+            edited, variables_fingerprint(None), schema_fingerprint(gateway)
+        )
+        assert lookup.kind == "partial"
+        fresh = Configuration.parse_streaming(sources)
+        assert ast_dump(lookup.config) == ast_dump(fresh)
+        assert sorted(lookup.graph.nodes) == sorted(compiled.graph.nodes)
+        assert len(lookup.graph) == 1993
+        assert lookup.basis.config is lookup.config
+        assert lookup.basis.table.entries.keys() == fresh.resources.keys()
+        default = pickle.dumps(
+            (compiled.config, compiled.graph, lookup.basis),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+        assert len(blob) == header["blob_len"] < 0.9 * len(default)
+
+
+class TestTheBasisIsData:
+    """The third part of a blob is read as data too: anything but a
+    validation basis about the blob's own configuration costs the next
+    validation its scope -- counted -- and never the chunks, the graph
+    or the verdict."""
+
+    VARIANTS = [
+        "not a basis", "another configuration", "types in a list",
+        "a severity that is text", "attributes that are not data",
+        "parts in a list", "an entry with no parts",
+    ]
+
+    @staticmethod
+    def spoil(basis, what):
+        from repro.lang.diagnostics import Diagnostic
+        from repro.types.checker import DeclEntry
+
+        if what == "not a basis":
+            return {"not": "a basis"}
+        entries = basis.table.entries
+        entry = entries[("managed", "aws_s3_bucket", "logs")]
+        if what == "another configuration":
+            basis.config = Configuration()
+        elif what == "types in a list":
+            entry.types = list(entry.types)
+        elif what == "a severity that is text":
+            entry.types = (Diagnostic("error", "made up"),)
+        elif what == "attributes that are not data":
+            entry._attrs = {"name": ("a", "tuple")}
+        elif what == "parts in a list":
+            entry.parts = list(entry.parts)
+        else:
+            entries[("managed", "aws_s3_bucket", "logs")] = DeclEntry.__new__(DeclEntry)
+        return basis
+
+    @pytest.mark.parametrize("what", VARIANTS)
+    def test_a_part_that_is_no_basis_validates_whole(self, tmp_path, what):
+        import io
+
+        from repro import perf
+        from repro.compilecache.store import UNREADABLE, _ArtifactUnpickler
+
+        gateway = CloudGateway.simulated(seed=3)
+        cache_dir = str(tmp_path / "cache")
+        assert CloudlessEngine(gateway=gateway, cache_dir=cache_dir).validate(SOURCE).ok
+        (name,) = os.listdir(cache_dir)
+        path = os.path.join(cache_dir, name)
+        header, blob = TestCorruption.read_parts(path)
+        config, graph, basis = _ArtifactUnpickler(io.BytesIO(blob)).load()
+        blob = pickle.dumps((config, graph, self.spoil(basis, what)))
+        header["blob_sha"] = _sha(blob)
+        header["blob_len"] = len(blob)
+        TestCorruption.write_parts(path, header, blob)
+
+        edited = SOURCE.replace('"main-vpc"', '"main-vpc-2"')
+        engine = CloudlessEngine(gateway=gateway, cache_dir=cache_dir)
+        perf.reset()
+        perf.enable()
+        try:
+            compiled = engine.compile(edited)
+            report = engine.validate(compiled)
+            moved = dict(perf.snapshot()["counters"])
+        finally:
+            perf.disable()
+            perf.reset()
+        cache = engine.compile_cache
+        assert (cache.partial_hits, cache.corrupt_rejects, cache.stores) == (1, 0, 1)
+        assert moved["lang.chunks_parsed"] == 1  # the chunks still served
+        assert moved["validate.full.unreadable"] == 1
+        assert engine.last_validation_scope == (3, 3)
+        fresh = CloudlessEngine(gateway=gateway).validation.validate(
+            Configuration.parse_streaming(edited)
+        )
+        assert report.diagnostics == fresh.diagnostics
+        assert report.stage_errors == fresh.stage_errors
+        # the replacement reads
+        lookup = CompileCache(cache_dir).load(
+            {"main.clc": SOURCE}, variables_fingerprint(None), schema_fingerprint(gateway)
+        )
+        assert lookup.kind == "partial" and lookup.basis is not UNREADABLE
+        assert lookup.basis.config is lookup.config
+
+    def test_a_stored_warning_is_carried(self, tmp_path, monkeypatch):
+        """The type stage keeps its diagnostics per declaration, and an
+        artifact holds them: a warning lets the validation pass and so
+        is stored with it (no built-in check warns; this one is
+        planted)."""
+        from repro.lang.diagnostics import Severity
+        from repro.types.checker import TypeChecker
+
+        real = TypeChecker._check_resource
+
+        def warning_too(checker, decl):
+            real(checker, decl)
+            if decl.name == "logs":
+                checker.sink.warning("logs: planted", decl.span, "TEST001")
+
+        monkeypatch.setattr(TypeChecker, "_check_resource", warning_too)
+        gateway = CloudGateway.simulated(seed=3)
+        cache_dir = str(tmp_path / "cache")
+        first = CloudlessEngine(gateway=gateway, cache_dir=cache_dir).validate(SOURCE)
+        assert first.ok and [d.code for d in first.diagnostics] == ["TEST001"]
+
+        edited = SOURCE.replace('"main-vpc"', '"main-vpc-2"')
+        engine = CloudlessEngine(gateway=gateway, cache_dir=cache_dir)
+        compiled = engine.compile(edited)
+        assert compiled.config is not None and engine.compile_cache.partial_hits == 1
+        carried = engine._validation_basis.table.entries[("managed", "aws_s3_bucket", "logs")]
+        (warning,) = carried.types
+        assert warning.severity is Severity.WARNING
+        report = engine.validate(compiled)
+        assert engine.last_validation_scope == (1, 3)
+        assert report.diagnostics == CloudlessEngine(gateway=gateway).validate(edited).diagnostics
+        assert report.diagnostics[0] is warning
+
+
 class TestEngineWarmPath:
     def test_warm_plan_is_byte_identical(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
@@ -510,15 +697,19 @@ class TestEngineWarmPath:
         bare = CloudlessEngine(gateway=CloudGateway.simulated(seed=3))
         assert bare.plan(SOURCE).render() == cold_plan.render()
 
-    def test_the_parent_commits_artifact_is_an_exact_hit(self, tmp_path):
+    def test_a_version_5_artifact_is_a_counted_miss(self, tmp_path):
         """``fixtures/artifact_v5_a3ccd4f.clcc`` was written by the program
         one commit before the compiled scanner replaced the per-character
-        lexer and chunker (tests/fixtures/README.md). The format did not
-        move, so a ``.clc-cache/`` that commit left behind is still
-        served -- and what it holds is what the new lexer, chunker and
-        parser make of the same text, span for span, chunk for chunk."""
+        lexer and chunker (tests/fixtures/README.md). Version 6 moved the
+        blob to ``(config, graph, basis)`` and its encoding to fields, so
+        the file is turned away at the header, counted, and replaced, and
+        the plan is the cold one. What it holds is still, span for span
+        and chunk for chunk, what the current lexer, chunker and parser
+        make of the same text."""
+        import io
         import shutil
 
+        from repro.compilecache.store import _ArtifactUnpickler
         from repro.workloads import web_tier
         from tests.golden.lang_corpus import ast_dump
 
@@ -530,24 +721,29 @@ class TestEngineWarmPath:
         fixture = os.path.join(
             os.path.dirname(__file__), "fixtures", "artifact_v5_a3ccd4f.clcc"
         )
-        with open(fixture, "rb") as handle:
-            assert json.loads(handle.readline())["version"] == FORMAT_VERSION == 5
+        header, blob = TestCorruption.read_parts(fixture)
+        assert header["version"] == 5 != FORMAT_VERSION
         fps = (variables_fingerprint(None), schema_fingerprint(gateway))
-        shutil.copy(fixture, cache.path_for({"main.clc": source}, *fps))
+        path = cache.path_for({"main.clc": source}, *fps)
+        shutil.copy(fixture, path)
 
-        compiled = engine.compile(source)
-        assert (cache.exact_hits, cache.partial_hits, cache.misses) == (1, 0, 0)
-        assert engine.validate(compiled).ok and compiled.verdict is not None
         fresh = Configuration.parse_streaming({"main.clc": source})
-        # (the verdict replayed: nothing has read the artifact's blob yet)
-        config = compiled.lookup.config
+        config, _graph = _ArtifactUnpickler(io.BytesIO(blob)).load()
         assert ast_dump(config) == ast_dump(fresh)
         assert config.block_fingerprints == fresh.block_fingerprints
         assert list(config._chunk_asts) == list(fresh._chunk_asts)
+
+        compiled = engine.compile(source)
+        assert (cache.exact_hits, cache.partial_hits) == (0, 0)
+        assert (cache.misses, cache.corrupt_rejects) == (1, 1)
+        assert engine.validate(compiled).ok and cache.stores == 1
+        assert TestCorruption.read_parts(path)[0]["version"] == FORMAT_VERSION
         assert engine.plan(compiled).render() == CloudlessEngine(
             gateway=gateway
         ).plan(source).render()
-        assert cache.stores == 0
+        healed = CloudlessEngine(gateway=gateway, cache_dir=cache_dir)
+        assert healed.compile(source).verdict is not None
+        assert healed.compile_cache.exact_hits == 1
 
     def test_warm_apply_matches_cold_apply(self, tmp_path):
         cache_dir = str(tmp_path / "cache")

@@ -1336,6 +1336,93 @@ resource "aws_vpc" "net" {
             assert engine._validation_basis is None
 
 
+class TestTheValidationBasisCrossesTheProcess:
+    """The CLI case with the compile cache: one engine per verb on one
+    cache directory. A partial hit's artifact holds what its writer's
+    validation computed, so the next process starts from it under the
+    resident engine's own rules -- and says what a validation from
+    nothing says."""
+
+    @staticmethod
+    def one_verb(cache_dir, text, variables):
+        engine = CloudlessEngine(seed=7, cache_dir=cache_dir)
+        report = engine.validate(text, variables=variables)
+        fresh = CloudlessEngine(seed=7).validation.validate(
+            lang_config.Configuration.parse_streaming({"main.clc": text}),
+            variables=variables,
+        )
+        assert report.diagnostics == fresh.diagnostics
+        assert report.stage_errors == fresh.stage_errors
+        return engine, report
+
+    def test_each_edit_equals_a_validation_from_nothing(self, tmp_path, counters):
+        cache_dir = str(tmp_path / "cache")
+        variables = {"env": "prod"}
+        declared = len(lang_config.Configuration.parse(PROGRAM).resources)
+        engine, report = self.one_verb(cache_dir, PROGRAM, variables)
+        assert report.ok and counters()["validate.full.first"] == 1
+
+        dns = 'resource "aws_dns_record" "estate_0_dns" {\n  name  = "estate-0-dns"'
+        steps = [
+            # (what the edit does, the text, why the validation was whole
+            # or None for scoped, declarations type-checked, error codes)
+            ("a tag", retag(PROGRAM, "estate-1", "r1"), None, 1, []),
+            ("a variable default", None, "variables", declared, []),
+            ("a local", None, "locals", declared, []),
+            ("an added declaration", None, "declarations", declared + 1, []),
+            ("a removed declaration", None, "declarations", declared, []),
+            ("a type error in the edited block", None, None, 1, ["TYPE002", "TYPE004"]),
+            ("its fix", None, None, 1, []),
+            ("a duplicate name an unedited instance reports", None, None, 1, ["GEN001"]),
+        ]
+        text = steps[0][1]
+        edits = {
+            "a variable default": lambda t: t.replace('"example.sim"\n}', '"example.test"\n}', 1),
+            "a local": lambda t: t.replace('}-edge"', '}-rim"'),
+            "an added declaration": lambda t: t + EXTRA % (1, 1),
+            "a removed declaration": lambda t: t[: -len(EXTRA % (1, 1))],
+            "a type error in the edited block": lambda t: t.replace(
+                'zone  = "example.sim"', 'zzzz  = "example.sim"', 1
+            ),
+            "its fix": lambda t: t.replace('zzzz  = "example.sim"', 'zone  = "example.sim"', 1),
+            "a duplicate name an unedited instance reports": lambda t: t.replace(
+                dns, dns.replace('"estate-0-dns"', '"estate-1-dns"')
+            ),
+        }
+        for what, edited, why, checked, codes in steps:
+            text = edited if edited is not None else edits[what](text)
+            engine, report = self.one_verb(cache_dir, text, variables)
+            moved = counters()
+            cache = engine.compile_cache
+            assert (cache.partial_hits, cache.misses, cache.stores) == (1, 0, 1), what
+            assert moved.get("validate.scoped", 0) == (why is None), what
+            if why is not None:
+                assert moved[f"validate.full.{why}"] == 1, what
+            assert engine.last_validation_scope[0] == checked, what
+            assert [d.code for d in report.errors] == codes, what
+        (duplicate,) = report.errors
+        assert duplicate.message.startswith("aws_dns_record.estate_1_dns: ")
+
+        # another --var is another artifact: a miss, validated from nothing
+        engine, report = self.one_verb(cache_dir, text, {"env": "stage"})
+        assert engine.compile_cache.misses == 1
+        assert counters()["validate.full.first"] == 1
+        assert engine.last_validation_scope == (declared, declared)
+
+    def test_a_tag_edit_evaluates_the_edited_instances_only(self, tmp_path, evaluated):
+        cache_dir = str(tmp_path / "cache")
+        self.one_verb(cache_dir, PROGRAM, {"env": "prod"})
+        evaluated()
+        engine = CloudlessEngine(seed=7, cache_dir=cache_dir)
+        assert engine.validate(retag(PROGRAM, "estate-1", "r1"), variables={"env": "prod"}).ok
+        assert evaluated() == [
+            "aws_virtual_machine.estate_1_vm[0]",
+            "aws_virtual_machine.estate_1_vm[1]",
+        ]
+        # and a one-shot process keeps nothing of it
+        assert engine._validation_basis is None
+
+
 class TestMutantSequences:
     """``ConfigMutator`` plants one realistic mistake per step (a bad
     enum, a reference to the wrong type, a dropped attribute, a region

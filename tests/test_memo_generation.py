@@ -393,14 +393,25 @@ resource "aws_subnet" "t" {
         assert new.resource("aws_vpc", "a") is not old.resource("aws_vpc", "a")
 
     def test_the_artifact_does_not_carry_it(self, tmp_path):
+        import io
         import pickle
 
+        from repro.compilecache.store import _ArtifactUnpickler, _codec
+
+        def artifact_bytes(obj):
+            buffer = io.BytesIO()
+            pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+            pickler.dispatch_table = _codec()
+            pickler.dump(obj)
+            return buffer.getvalue()
+
         config = Configuration.parse_streaming({"main.clc": self.TEXT})
-        before = pickle.dumps(config, protocol=pickle.HIGHEST_PROTOCOL)
+        before = artifact_bytes(config)
         graph = build_graph(config)
         assert all("_references" in d.__dict__ for d in config.resources.values())
-        assert pickle.dumps(config, protocol=pickle.HIGHEST_PROTOCOL) == before
-        again = pickle.loads(pickle.dumps((config, graph)))[0]
+        assert artifact_bytes(config) == before
+        blob = artifact_bytes((config, graph))
+        again = _ArtifactUnpickler(io.BytesIO(blob)).load()[0]
         assert not any("_references" in d.__dict__ for d in again.resources.values())
         assert again.resource("aws_subnet", "t").references() == config.resource(
             "aws_subnet", "t"
