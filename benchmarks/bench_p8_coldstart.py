@@ -109,7 +109,7 @@ def cold_child(args: argparse.Namespace) -> int:
         ok = cache.store(
             texts,
             variables_fingerprint(None),
-            schema_fingerprint(gateway),
+            schema_fingerprint(gateway.catalog),
             config,
             graph,
         )

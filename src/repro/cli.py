@@ -178,6 +178,8 @@ def cmd_apply(args) -> int:
     sources = _read_sources(args)
     try:
         result = engine.apply(sources, variables=_parse_vars(args.var))
+    except WorldFormatError:
+        raise  # a plane it would call does not read: refused before the run
     except BaseException:
         # the apply died mid-run (Ctrl-C, crash hook, hard error). The
         # clouds outlive the client: settle the operations they already

@@ -1,7 +1,8 @@
 """Simulated multi-cloud substrate.
 
 Stands in for real AWS/Azure control planes (see DESIGN.md,
-"Substitutions"): typed resources, regions, per-type provisioning
+"Substitutions"): a catalog of typed resources and regions that is
+plain data (:mod:`repro.cloud.resources`), per-type provisioning
 latency, API rate limits, activity logs, quotas, and fault injection --
 all over a discrete-event :class:`SimClock` so experiments run in
 microseconds of wall time.
@@ -13,8 +14,8 @@ __all__, __getattr__, __dir__ = export_table(
     __name__,
     {
         "activitylog": ("ActivityEvent", "ActivityLog"),
-        "aws.provider": ("AWS_REGIONS", "AwsControlPlane", "aws_catalog"),
-        "azure.provider": ("AZURE_LOCATIONS", "AzureControlPlane", "azure_catalog"),
+        "aws.provider": ("AwsControlPlane",),
+        "azure.provider": ("AzureControlPlane",),
         "base": ("CloudAPIError", "ControlPlane", "PendingOperation", "ResourceRecord"),
         "clock": ("EventQueue", "SimClock", "SkewedClock"),
         "faults": (
@@ -46,6 +47,15 @@ __all__, __getattr__, __dir__ = export_table(
             "classify",
             "is_outage_error",
         ),
-        "resources": ("AttributeSpec", "ResourceTypeSpec"),
+        "resources": (
+            "AWS_REGIONS",
+            "AZURE_LOCATIONS",
+            "AttributeSpec",
+            "Catalog",
+            "ResourceTypeSpec",
+            "aws_catalog",
+            "azure_catalog",
+            "simulated_catalog",
+        ),
     },
 )

@@ -1,253 +1,17 @@
 """The "aws"-like simulated provider.
 
-Catalog of ~16 resource types with AWS-flavoured naming, latency
-profiles, and control-plane constraints (CIDR containment/overlap,
+The control plane of the ~16 resource types of
+:func:`~repro.cloud.resources.aws_catalog` (AWS-flavoured naming and
+latency profiles): control-plane constraints (CIDR containment/overlap,
 reference existence with ``Invalid...NotFound`` error codes).
 """
 
 from __future__ import annotations
 
-import ipaddress
-from typing import Any, Dict, List
+from typing import Any, Dict
 
-from ..base import CloudAPIError, ControlPlane, ResourceRecord, parse_network
-from ..resources import ResourceTypeSpec, a, spec
-
-AWS_REGIONS = ["us-east-1", "us-west-2", "eu-west-1", "ap-southeast-1"]
-
-
-def aws_catalog() -> List[ResourceTypeSpec]:
-    """Every resource type the aws-like provider supports."""
-    p = "aws"
-    return [
-        spec(
-            "aws_vpc",
-            p,
-            [
-                a("name", required=True),
-                a("cidr_block", required=True, semantic="cidr", forces_replacement=True),
-                a("tags", type="map"),
-                a("arn", computed=True),
-            ],
-            create_s=4.0,
-            id_prefix="vpc-",
-            immutable=("cidr_block",),
-            description="Isolated virtual network",
-        ),
-        spec(
-            "aws_subnet",
-            p,
-            [
-                a("name", required=True),
-                a("vpc_id", required=True, semantic="ref:aws_vpc", forces_replacement=True),
-                a("cidr_block", required=True, semantic="cidr", forces_replacement=True),
-                a("availability_zone"),
-                a("tags", type="map"),
-            ],
-            create_s=2.5,
-            id_prefix="subnet-",
-            immutable=("vpc_id", "cidr_block"),
-            description="VPC subnet",
-        ),
-        spec(
-            "aws_internet_gateway",
-            p,
-            [a("name", required=True), a("vpc_id", required=True, semantic="ref:aws_vpc")],
-            create_s=3.0,
-            id_prefix="igw-",
-            description="Internet gateway",
-        ),
-        spec(
-            "aws_route_table",
-            p,
-            [
-                a("name", required=True),
-                a("vpc_id", required=True, semantic="ref:aws_vpc"),
-                a("routes", type="list"),
-            ],
-            create_s=2.0,
-            id_prefix="rtb-",
-            description="Routing table",
-        ),
-        spec(
-            "aws_security_group",
-            p,
-            [
-                a("name", required=True),
-                a("vpc_id", required=True, semantic="ref:aws_vpc"),
-                a("ingress_rules", type="list"),
-                a("egress_rules", type="list"),
-            ],
-            create_s=2.0,
-            id_prefix="sg-",
-            description="Stateful firewall",
-        ),
-        spec(
-            "aws_network_interface",
-            p,
-            [
-                a("name", required=True),
-                a("subnet_id", required=True, semantic="ref:aws_subnet"),
-                a("security_group_ids", type="list", semantic="ref_list:aws_security_group"),
-                a("private_ip", computed=True),
-            ],
-            create_s=2.0,
-            id_prefix="eni-",
-            description="Elastic network interface",
-        ),
-        spec(
-            "aws_virtual_machine",
-            p,
-            [
-                a("name", required=True),
-                a("image", default="linux-base", forces_replacement=True),
-                a(
-                    "size",
-                    default="small",
-                    semantic="enum:small|medium|large|xlarge",
-                ),
-                a("nic_ids", type="list", required=True, semantic="ref_list:aws_network_interface"),
-                a("user_data"),
-                a("tags", type="map"),
-                a("public_ip", computed=True),
-            ],
-            create_s=45.0,
-            update_s=20.0,
-            delete_s=15.0,
-            id_prefix="i-",
-            immutable=("image",),
-            description="Virtual machine instance",
-        ),
-        spec(
-            "aws_disk",
-            p,
-            [
-                a("name", required=True),
-                a("size_gb", type="number", required=True),
-                a("disk_type", default="gp", semantic="enum:gp|io"),
-                a("vm_id", semantic="ref:aws_virtual_machine"),
-            ],
-            create_s=8.0,
-            id_prefix="vol-",
-            immutable=("disk_type",),
-            description="Block storage volume",
-        ),
-        spec(
-            "aws_load_balancer",
-            p,
-            [
-                a("name", required=True),
-                a("subnet_ids", type="list", required=True, semantic="ref_list:aws_subnet"),
-                a("target_vm_ids", type="list", semantic="ref_list:aws_virtual_machine"),
-                a("dns_name", computed=True),
-            ],
-            create_s=90.0,
-            update_s=30.0,
-            delete_s=25.0,
-            id_prefix="elb-",
-            description="Managed load balancer",
-        ),
-        spec(
-            "aws_database_instance",
-            p,
-            [
-                a("name", required=True),
-                a("engine", required=True, semantic="enum:postgres|mysql|mariadb", forces_replacement=True),
-                a("size", default="small", semantic="enum:small|medium|large"),
-                a("storage_gb", type="number", default=20),
-                a("subnet_ids", type="list", semantic="ref_list:aws_subnet"),
-                a("password", semantic="password"),
-                a("endpoint", computed=True),
-            ],
-            create_s=300.0,
-            update_s=120.0,
-            delete_s=60.0,
-            id_prefix="db-",
-            immutable=("engine",),
-            description="Managed relational database",
-        ),
-        spec(
-            "aws_s3_bucket",
-            p,
-            [
-                a("name", required=True),
-                a("versioning", type="bool", default=False),
-                a("arn", computed=True),
-            ],
-            create_s=3.0,
-            id_prefix="bkt-",
-            description="Object storage bucket",
-        ),
-        spec(
-            "aws_vpn_gateway",
-            p,
-            [
-                a("name", required=True),
-                a("vpc_id", required=True, semantic="ref:aws_vpc"),
-                a("public_ip", computed=True),
-            ],
-            create_s=600.0,
-            update_s=120.0,
-            delete_s=90.0,
-            id_prefix="vgw-",
-            description="Site-to-site VPN gateway",
-        ),
-        spec(
-            "aws_vpn_tunnel",
-            p,
-            [
-                a("name", required=True),
-                a("gateway_id", required=True, semantic="ref:aws_vpn_gateway"),
-                a("peer_ip", required=True),
-                a("capacity_mbps", type="number", default=500),
-            ],
-            create_s=120.0,
-            update_s=40.0,
-            delete_s=20.0,
-            id_prefix="vpn-",
-            description="VPN tunnel attached to a gateway",
-        ),
-        spec(
-            "aws_autoscaling_group",
-            p,
-            [
-                a("name", required=True),
-                a("min_size", type="number", default=1),
-                a("max_size", type="number", default=4),
-                a("desired_capacity", type="number", default=1),
-                a("subnet_ids", type="list", semantic="ref_list:aws_subnet"),
-                a("instance_size", default="small", semantic="enum:small|medium|large"),
-            ],
-            create_s=30.0,
-            id_prefix="asg-",
-            description="Autoscaling group",
-        ),
-        spec(
-            "aws_iam_role",
-            p,
-            [
-                a("name", required=True),
-                a("policy_json"),
-                a("arn", computed=True),
-            ],
-            create_s=4.0,
-            id_prefix="role-",
-            description="IAM role",
-        ),
-        spec(
-            "aws_dns_record",
-            p,
-            [
-                a("name", required=True),
-                a("zone", required=True),
-                a("value", required=True),
-                a("ttl", type="number", default=300),
-            ],
-            create_s=10.0,
-            id_prefix="rec-",
-            description="DNS record",
-        ),
-    ]
+from ..base import CloudAPIError, ControlPlane, parse_network
+from ..resources import AWS_REGIONS, ResourceTypeSpec, aws_catalog
 
 
 class AwsControlPlane(ControlPlane):

@@ -13,213 +13,10 @@ Implements the constraint examples the paper uses verbatim (3.2):
 from __future__ import annotations
 
 import ipaddress
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from ..base import CloudAPIError, ControlPlane, ResourceRecord, parse_network
-from ..resources import ResourceTypeSpec, a, spec
-
-AZURE_LOCATIONS = ["eastus", "westus2", "westeurope", "southeastasia"]
-
-
-def azure_catalog() -> List[ResourceTypeSpec]:
-    p = "azure"
-    return [
-        spec(
-            "azure_resource_group",
-            p,
-            [a("name", required=True), a("location", required=True, semantic="region")],
-            create_s=2.0,
-            id_prefix="rg-",
-            description="Resource group",
-        ),
-        spec(
-            "azure_virtual_network",
-            p,
-            [
-                a("name", required=True),
-                a("resource_group_id", required=True, semantic="ref:azure_resource_group"),
-                a("location", required=True, semantic="region"),
-                a("address_spaces", type="list", required=True, semantic="cidr_list"),
-            ],
-            create_s=5.0,
-            id_prefix="vnet-",
-            description="Virtual network",
-        ),
-        spec(
-            "azure_subnet",
-            p,
-            [
-                a("name", required=True),
-                a("vnet_id", required=True, semantic="ref:azure_virtual_network", forces_replacement=True),
-                a("address_prefix", required=True, semantic="cidr", forces_replacement=True),
-            ],
-            create_s=3.0,
-            id_prefix="snet-",
-            immutable=("vnet_id", "address_prefix"),
-            description="VNet subnet",
-        ),
-        spec(
-            "azure_network_security_group",
-            p,
-            [
-                a("name", required=True),
-                a("location", required=True, semantic="region"),
-                a("rules", type="list"),
-            ],
-            create_s=3.0,
-            id_prefix="nsg-",
-            description="Network security group",
-        ),
-        spec(
-            "azure_network_interface",
-            p,
-            [
-                a("name", required=True),
-                a("subnet_id", required=True, semantic="ref:azure_subnet"),
-                a("location", required=True, semantic="region"),
-                a("nsg_id", semantic="ref:azure_network_security_group"),
-                a("private_ip", computed=True),
-            ],
-            create_s=3.0,
-            id_prefix="nic-",
-            description="Network interface card",
-        ),
-        spec(
-            "azure_public_ip",
-            p,
-            [
-                a("name", required=True),
-                a("location", required=True, semantic="region"),
-                a("sku", default="basic", semantic="enum:basic|standard"),
-                a("ip_address", computed=True),
-            ],
-            create_s=4.0,
-            id_prefix="pip-",
-            description="Public IP address",
-        ),
-        spec(
-            "azure_virtual_machine",
-            p,
-            [
-                a("name", required=True),
-                a("location", required=True, semantic="region"),
-                a("size", default="Standard_B1s", semantic="enum:Standard_B1s|Standard_D2s|Standard_D4s|Standard_D8s"),
-                a("image", default="ubuntu-lts", forces_replacement=True),
-                a("nic_ids", type="list", required=True, semantic="ref_list:azure_network_interface"),
-                a("admin_username", default="azureuser"),
-                a("admin_password", semantic="password"),
-                a("disable_password_auth", type="bool", default=True),
-                a("os_disk_gb", type="number", default=30),
-                a("private_ip", computed=True),
-            ],
-            create_s=60.0,
-            update_s=25.0,
-            delete_s=20.0,
-            id_prefix="vm-",
-            immutable=("image",),
-            description="Linux virtual machine",
-        ),
-        spec(
-            "azure_disk",
-            p,
-            [
-                a("name", required=True),
-                a("location", required=True, semantic="region"),
-                a("size_gb", type="number", required=True),
-                a("vm_id", semantic="ref:azure_virtual_machine"),
-            ],
-            create_s=6.0,
-            id_prefix="disk-",
-            description="Managed disk",
-        ),
-        spec(
-            "azure_load_balancer",
-            p,
-            [
-                a("name", required=True),
-                a("location", required=True, semantic="region"),
-                a("frontend_ip_id", semantic="ref:azure_public_ip"),
-                a("backend_vm_ids", type="list", semantic="ref_list:azure_virtual_machine"),
-            ],
-            create_s=60.0,
-            update_s=25.0,
-            id_prefix="lb-",
-            description="Load balancer",
-        ),
-        spec(
-            "azure_database",
-            p,
-            [
-                a("name", required=True),
-                a("location", required=True, semantic="region"),
-                a("engine", required=True, semantic="enum:postgres|mysql", forces_replacement=True),
-                a("storage_gb", type="number", default=32),
-                a("admin_password", semantic="password"),
-                a("fqdn", computed=True),
-            ],
-            create_s=240.0,
-            update_s=90.0,
-            delete_s=45.0,
-            id_prefix="sqldb-",
-            immutable=("engine",),
-            description="Managed database",
-        ),
-        spec(
-            "azure_storage_account",
-            p,
-            [
-                a("name", required=True),
-                a("location", required=True, semantic="region"),
-                a("replication", default="LRS", semantic="enum:LRS|ZRS|GRS"),
-            ],
-            create_s=15.0,
-            id_prefix="st-",
-            description="Storage account",
-        ),
-        spec(
-            "azure_vpn_gateway",
-            p,
-            [
-                a("name", required=True),
-                a("location", required=True, semantic="region"),
-                a("vnet_id", required=True, semantic="ref:azure_virtual_network"),
-                a("sku", default="VpnGw1", semantic="enum:VpnGw1|VpnGw2|VpnGw3"),
-                a("public_ip", computed=True),
-            ],
-            create_s=1500.0,
-            update_s=300.0,
-            delete_s=240.0,
-            id_prefix="vgw-",
-            spread=0.25,
-            description="VPN gateway (notoriously slow to provision)",
-        ),
-        spec(
-            "azure_vpn_tunnel",
-            p,
-            [
-                a("name", required=True),
-                a("gateway_id", required=True, semantic="ref:azure_vpn_gateway"),
-                a("peer_ip", required=True),
-                a("capacity_mbps", type="number", default=500),
-            ],
-            create_s=90.0,
-            update_s=30.0,
-            id_prefix="cn-",
-            description="VPN site-to-site connection",
-        ),
-        spec(
-            "azure_vnet_peering",
-            p,
-            [
-                a("name", required=True),
-                a("vnet_a_id", required=True, semantic="ref:azure_virtual_network"),
-                a("vnet_b_id", required=True, semantic="ref:azure_virtual_network"),
-            ],
-            create_s=10.0,
-            id_prefix="peer-",
-            description="VNet peering link",
-        ),
-    ]
+from ..resources import AZURE_LOCATIONS, ResourceTypeSpec, azure_catalog
 
 
 class AzureControlPlane(ControlPlane):

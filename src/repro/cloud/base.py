@@ -407,7 +407,9 @@ class ControlPlane:
     ) -> None:
         """Hold the attributes ``names`` back until one is first read;
         ``replay`` then runs on the freshly constructed ones. A verb that
-        never asks never pays for it."""
+        never asks never pays for it. A replay that raises must have
+        landed nothing: the plane is left deferred, and the next read
+        replays (and raises) again."""
         fresh = {name: self.__dict__.pop(name) for name in names}
         self.__dict__["_deferred"] = (fresh, replay)
 
@@ -424,7 +426,13 @@ class ControlPlane:
             del self.__dict__["_deferred"]
             fresh, replay = deferred
             self.__dict__.update(fresh)
-            replay(self)
+            try:
+                replay(self)
+            except BaseException:
+                for held in fresh:
+                    del self.__dict__[held]
+                self.__dict__["_deferred"] = deferred
+                raise
             return self.__dict__[name]
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 

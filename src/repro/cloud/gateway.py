@@ -14,13 +14,14 @@ from .aws.provider import AwsControlPlane
 from .azure.provider import AzureControlPlane
 from .base import CloudAPIError, ControlPlane, PendingOperation
 from .clock import SimClock
+from .resources import Catalog
 
 
 class CloudGateway:
     """Routes operations to the control plane that owns a resource type.
 
     ``planes`` is keyed by type prefix: the plane under ``"aws"`` serves
-    every ``aws_*`` type (:meth:`try_provider_of`).
+    every ``aws_*`` type (:meth:`Catalog.try_provider_of`).
     """
 
     def __init__(self, planes: Dict[str, ControlPlane], clock: SimClock):
@@ -29,6 +30,12 @@ class CloudGateway:
         for plane in self.planes.values():
             if plane.clock is not clock:
                 raise ValueError("all control planes must share the gateway clock")
+        #: what the planes serve, and where: the routing below is its
+        #: lookups (:class:`~repro.cloud.resources.Catalog`)
+        self.catalog = Catalog(
+            {name: plane.specs for name, plane in self.planes.items()},
+            {name: plane.regions for name, plane in self.planes.items()},
+        )
 
     @classmethod
     def simulated(
@@ -45,39 +52,19 @@ class CloudGateway:
     # -- routing ----------------------------------------------------------
 
     def try_provider_of(self, rtype: str) -> Optional[str]:
-        """The plane key owning ``rtype``, or None if no plane serves it.
-
-        A type's prefix names its plane (``aws_vpc`` -> ``"aws"``), the
-        provider-prefix convention of Terraform's provider plugins: a
-        plane is mounted under its prefix, so the prefix is the whole
-        routing rule.
-        """
-        prefix = rtype.split("_", 1)[0]
-        return prefix if prefix in self.planes else None
+        return self.catalog.try_provider_of(rtype)
 
     def provider_of(self, rtype: str) -> str:
-        provider = self.try_provider_of(rtype)
-        if provider is not None:
-            return provider
-        raise CloudAPIError(
-            "UnknownResourceType",
-            f"No provider is configured for resource type '{rtype}'.",
-            http_status=404,
-            resource_type=rtype,
-        )
+        return self.catalog.provider_of(rtype)
 
     def plane_for(self, rtype: str) -> ControlPlane:
-        return self.planes[self.provider_of(rtype)]
+        return self.planes[self.catalog.provider_of(rtype)]
 
     def default_region(self, rtype: str) -> str:
-        return self.plane_for(rtype).regions[0]
+        return self.catalog.default_region(rtype)
 
     def region_for(self, rtype: str, attrs: Dict[str, Any]) -> str:
-        """The region an instance lands in: location attr, else default."""
-        location = attrs.get("location")
-        if isinstance(location, str) and location:
-            return location
-        return self.default_region(rtype)
+        return self.catalog.region_for(rtype, attrs)
 
     # -- operations ----------------------------------------------------------
 
@@ -92,10 +79,7 @@ class CloudGateway:
 
     def try_spec(self, rtype: str):
         """spec_for, or None for unknown types (planner convenience)."""
-        try:
-            return self.plane_for(rtype).spec_for(rtype)
-        except CloudAPIError:
-            return None
+        return self.catalog.try_spec(rtype)
 
     def read_data(
         self, rtype: str, attrs: Dict[str, Any], region: str = ""

@@ -1,15 +1,28 @@
-"""Resource type specifications for the simulated clouds.
+"""Resource type specifications for the simulated clouds, and their
+catalog.
 
 A :class:`ResourceTypeSpec` is the *cloud-level* schema of one resource
 type: attribute names/types, which attributes the cloud computes, which
 reference other resources (and of what type -- the semantic information
 the paper says IaC-level "stringly" types throw away, 3.2), and the
 provisioning latency profile.
+
+The catalog -- which types each provider serves, and in which regions
+(:func:`aws_catalog`, :func:`azure_catalog`, :class:`Catalog`) -- is
+data, kept apart from the planes that serve it. A compile, a validation and
+a plan decide from it alone: the compile cache's schema fingerprint,
+the :class:`~repro.types.schema.SchemaRegistry`, the planner's spec,
+region and provider lookups. None of them calls a cloud, so a verb that
+calls none (a ``plan`` the world's record proves, ``show``) reads the
+catalog without importing, building or replaying a control plane. The
+planes register their specs from here, and a gateway exposes the
+catalog its planes hold (:attr:`repro.cloud.gateway.CloudGateway.catalog`).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Any, Dict, List, Optional, Tuple
 
 from .latency import LatencyProfile
@@ -213,4 +226,521 @@ def a(
         semantic=semantic,
         forces_replacement=forces_replacement,
         description=description,
+    )
+
+
+# -- the simulated clouds' catalog ------------------------------------------------
+
+AWS_REGIONS = ["us-east-1", "us-west-2", "eu-west-1", "ap-southeast-1"]
+
+
+def aws_catalog() -> List[ResourceTypeSpec]:
+    """Every resource type the aws-like provider supports."""
+    p = "aws"
+    return [
+        spec(
+            "aws_vpc",
+            p,
+            [
+                a("name", required=True),
+                a("cidr_block", required=True, semantic="cidr", forces_replacement=True),
+                a("tags", type="map"),
+                a("arn", computed=True),
+            ],
+            create_s=4.0,
+            id_prefix="vpc-",
+            immutable=("cidr_block",),
+            description="Isolated virtual network",
+        ),
+        spec(
+            "aws_subnet",
+            p,
+            [
+                a("name", required=True),
+                a("vpc_id", required=True, semantic="ref:aws_vpc", forces_replacement=True),
+                a("cidr_block", required=True, semantic="cidr", forces_replacement=True),
+                a("availability_zone"),
+                a("tags", type="map"),
+            ],
+            create_s=2.5,
+            id_prefix="subnet-",
+            immutable=("vpc_id", "cidr_block"),
+            description="VPC subnet",
+        ),
+        spec(
+            "aws_internet_gateway",
+            p,
+            [a("name", required=True), a("vpc_id", required=True, semantic="ref:aws_vpc")],
+            create_s=3.0,
+            id_prefix="igw-",
+            description="Internet gateway",
+        ),
+        spec(
+            "aws_route_table",
+            p,
+            [
+                a("name", required=True),
+                a("vpc_id", required=True, semantic="ref:aws_vpc"),
+                a("routes", type="list"),
+            ],
+            create_s=2.0,
+            id_prefix="rtb-",
+            description="Routing table",
+        ),
+        spec(
+            "aws_security_group",
+            p,
+            [
+                a("name", required=True),
+                a("vpc_id", required=True, semantic="ref:aws_vpc"),
+                a("ingress_rules", type="list"),
+                a("egress_rules", type="list"),
+            ],
+            create_s=2.0,
+            id_prefix="sg-",
+            description="Stateful firewall",
+        ),
+        spec(
+            "aws_network_interface",
+            p,
+            [
+                a("name", required=True),
+                a("subnet_id", required=True, semantic="ref:aws_subnet"),
+                a("security_group_ids", type="list", semantic="ref_list:aws_security_group"),
+                a("private_ip", computed=True),
+            ],
+            create_s=2.0,
+            id_prefix="eni-",
+            description="Elastic network interface",
+        ),
+        spec(
+            "aws_virtual_machine",
+            p,
+            [
+                a("name", required=True),
+                a("image", default="linux-base", forces_replacement=True),
+                a(
+                    "size",
+                    default="small",
+                    semantic="enum:small|medium|large|xlarge",
+                ),
+                a("nic_ids", type="list", required=True, semantic="ref_list:aws_network_interface"),
+                a("user_data"),
+                a("tags", type="map"),
+                a("public_ip", computed=True),
+            ],
+            create_s=45.0,
+            update_s=20.0,
+            delete_s=15.0,
+            id_prefix="i-",
+            immutable=("image",),
+            description="Virtual machine instance",
+        ),
+        spec(
+            "aws_disk",
+            p,
+            [
+                a("name", required=True),
+                a("size_gb", type="number", required=True),
+                a("disk_type", default="gp", semantic="enum:gp|io"),
+                a("vm_id", semantic="ref:aws_virtual_machine"),
+            ],
+            create_s=8.0,
+            id_prefix="vol-",
+            immutable=("disk_type",),
+            description="Block storage volume",
+        ),
+        spec(
+            "aws_load_balancer",
+            p,
+            [
+                a("name", required=True),
+                a("subnet_ids", type="list", required=True, semantic="ref_list:aws_subnet"),
+                a("target_vm_ids", type="list", semantic="ref_list:aws_virtual_machine"),
+                a("dns_name", computed=True),
+            ],
+            create_s=90.0,
+            update_s=30.0,
+            delete_s=25.0,
+            id_prefix="elb-",
+            description="Managed load balancer",
+        ),
+        spec(
+            "aws_database_instance",
+            p,
+            [
+                a("name", required=True),
+                a("engine", required=True, semantic="enum:postgres|mysql|mariadb", forces_replacement=True),
+                a("size", default="small", semantic="enum:small|medium|large"),
+                a("storage_gb", type="number", default=20),
+                a("subnet_ids", type="list", semantic="ref_list:aws_subnet"),
+                a("password", semantic="password"),
+                a("endpoint", computed=True),
+            ],
+            create_s=300.0,
+            update_s=120.0,
+            delete_s=60.0,
+            id_prefix="db-",
+            immutable=("engine",),
+            description="Managed relational database",
+        ),
+        spec(
+            "aws_s3_bucket",
+            p,
+            [
+                a("name", required=True),
+                a("versioning", type="bool", default=False),
+                a("arn", computed=True),
+            ],
+            create_s=3.0,
+            id_prefix="bkt-",
+            description="Object storage bucket",
+        ),
+        spec(
+            "aws_vpn_gateway",
+            p,
+            [
+                a("name", required=True),
+                a("vpc_id", required=True, semantic="ref:aws_vpc"),
+                a("public_ip", computed=True),
+            ],
+            create_s=600.0,
+            update_s=120.0,
+            delete_s=90.0,
+            id_prefix="vgw-",
+            description="Site-to-site VPN gateway",
+        ),
+        spec(
+            "aws_vpn_tunnel",
+            p,
+            [
+                a("name", required=True),
+                a("gateway_id", required=True, semantic="ref:aws_vpn_gateway"),
+                a("peer_ip", required=True),
+                a("capacity_mbps", type="number", default=500),
+            ],
+            create_s=120.0,
+            update_s=40.0,
+            delete_s=20.0,
+            id_prefix="vpn-",
+            description="VPN tunnel attached to a gateway",
+        ),
+        spec(
+            "aws_autoscaling_group",
+            p,
+            [
+                a("name", required=True),
+                a("min_size", type="number", default=1),
+                a("max_size", type="number", default=4),
+                a("desired_capacity", type="number", default=1),
+                a("subnet_ids", type="list", semantic="ref_list:aws_subnet"),
+                a("instance_size", default="small", semantic="enum:small|medium|large"),
+            ],
+            create_s=30.0,
+            id_prefix="asg-",
+            description="Autoscaling group",
+        ),
+        spec(
+            "aws_iam_role",
+            p,
+            [
+                a("name", required=True),
+                a("policy_json"),
+                a("arn", computed=True),
+            ],
+            create_s=4.0,
+            id_prefix="role-",
+            description="IAM role",
+        ),
+        spec(
+            "aws_dns_record",
+            p,
+            [
+                a("name", required=True),
+                a("zone", required=True),
+                a("value", required=True),
+                a("ttl", type="number", default=300),
+            ],
+            create_s=10.0,
+            id_prefix="rec-",
+            description="DNS record",
+        ),
+    ]
+
+
+AZURE_LOCATIONS = ["eastus", "westus2", "westeurope", "southeastasia"]
+
+
+def azure_catalog() -> List[ResourceTypeSpec]:
+    """Every resource type the azure-like provider supports."""
+    p = "azure"
+    return [
+        spec(
+            "azure_resource_group",
+            p,
+            [a("name", required=True), a("location", required=True, semantic="region")],
+            create_s=2.0,
+            id_prefix="rg-",
+            description="Resource group",
+        ),
+        spec(
+            "azure_virtual_network",
+            p,
+            [
+                a("name", required=True),
+                a("resource_group_id", required=True, semantic="ref:azure_resource_group"),
+                a("location", required=True, semantic="region"),
+                a("address_spaces", type="list", required=True, semantic="cidr_list"),
+            ],
+            create_s=5.0,
+            id_prefix="vnet-",
+            description="Virtual network",
+        ),
+        spec(
+            "azure_subnet",
+            p,
+            [
+                a("name", required=True),
+                a("vnet_id", required=True, semantic="ref:azure_virtual_network", forces_replacement=True),
+                a("address_prefix", required=True, semantic="cidr", forces_replacement=True),
+            ],
+            create_s=3.0,
+            id_prefix="snet-",
+            immutable=("vnet_id", "address_prefix"),
+            description="VNet subnet",
+        ),
+        spec(
+            "azure_network_security_group",
+            p,
+            [
+                a("name", required=True),
+                a("location", required=True, semantic="region"),
+                a("rules", type="list"),
+            ],
+            create_s=3.0,
+            id_prefix="nsg-",
+            description="Network security group",
+        ),
+        spec(
+            "azure_network_interface",
+            p,
+            [
+                a("name", required=True),
+                a("subnet_id", required=True, semantic="ref:azure_subnet"),
+                a("location", required=True, semantic="region"),
+                a("nsg_id", semantic="ref:azure_network_security_group"),
+                a("private_ip", computed=True),
+            ],
+            create_s=3.0,
+            id_prefix="nic-",
+            description="Network interface card",
+        ),
+        spec(
+            "azure_public_ip",
+            p,
+            [
+                a("name", required=True),
+                a("location", required=True, semantic="region"),
+                a("sku", default="basic", semantic="enum:basic|standard"),
+                a("ip_address", computed=True),
+            ],
+            create_s=4.0,
+            id_prefix="pip-",
+            description="Public IP address",
+        ),
+        spec(
+            "azure_virtual_machine",
+            p,
+            [
+                a("name", required=True),
+                a("location", required=True, semantic="region"),
+                a("size", default="Standard_B1s", semantic="enum:Standard_B1s|Standard_D2s|Standard_D4s|Standard_D8s"),
+                a("image", default="ubuntu-lts", forces_replacement=True),
+                a("nic_ids", type="list", required=True, semantic="ref_list:azure_network_interface"),
+                a("admin_username", default="azureuser"),
+                a("admin_password", semantic="password"),
+                a("disable_password_auth", type="bool", default=True),
+                a("os_disk_gb", type="number", default=30),
+                a("private_ip", computed=True),
+            ],
+            create_s=60.0,
+            update_s=25.0,
+            delete_s=20.0,
+            id_prefix="vm-",
+            immutable=("image",),
+            description="Linux virtual machine",
+        ),
+        spec(
+            "azure_disk",
+            p,
+            [
+                a("name", required=True),
+                a("location", required=True, semantic="region"),
+                a("size_gb", type="number", required=True),
+                a("vm_id", semantic="ref:azure_virtual_machine"),
+            ],
+            create_s=6.0,
+            id_prefix="disk-",
+            description="Managed disk",
+        ),
+        spec(
+            "azure_load_balancer",
+            p,
+            [
+                a("name", required=True),
+                a("location", required=True, semantic="region"),
+                a("frontend_ip_id", semantic="ref:azure_public_ip"),
+                a("backend_vm_ids", type="list", semantic="ref_list:azure_virtual_machine"),
+            ],
+            create_s=60.0,
+            update_s=25.0,
+            id_prefix="lb-",
+            description="Load balancer",
+        ),
+        spec(
+            "azure_database",
+            p,
+            [
+                a("name", required=True),
+                a("location", required=True, semantic="region"),
+                a("engine", required=True, semantic="enum:postgres|mysql", forces_replacement=True),
+                a("storage_gb", type="number", default=32),
+                a("admin_password", semantic="password"),
+                a("fqdn", computed=True),
+            ],
+            create_s=240.0,
+            update_s=90.0,
+            delete_s=45.0,
+            id_prefix="sqldb-",
+            immutable=("engine",),
+            description="Managed database",
+        ),
+        spec(
+            "azure_storage_account",
+            p,
+            [
+                a("name", required=True),
+                a("location", required=True, semantic="region"),
+                a("replication", default="LRS", semantic="enum:LRS|ZRS|GRS"),
+            ],
+            create_s=15.0,
+            id_prefix="st-",
+            description="Storage account",
+        ),
+        spec(
+            "azure_vpn_gateway",
+            p,
+            [
+                a("name", required=True),
+                a("location", required=True, semantic="region"),
+                a("vnet_id", required=True, semantic="ref:azure_virtual_network"),
+                a("sku", default="VpnGw1", semantic="enum:VpnGw1|VpnGw2|VpnGw3"),
+                a("public_ip", computed=True),
+            ],
+            create_s=1500.0,
+            update_s=300.0,
+            delete_s=240.0,
+            id_prefix="vgw-",
+            spread=0.25,
+            description="VPN gateway (notoriously slow to provision)",
+        ),
+        spec(
+            "azure_vpn_tunnel",
+            p,
+            [
+                a("name", required=True),
+                a("gateway_id", required=True, semantic="ref:azure_vpn_gateway"),
+                a("peer_ip", required=True),
+                a("capacity_mbps", type="number", default=500),
+            ],
+            create_s=90.0,
+            update_s=30.0,
+            id_prefix="cn-",
+            description="VPN site-to-site connection",
+        ),
+        spec(
+            "azure_vnet_peering",
+            p,
+            [
+                a("name", required=True),
+                a("vnet_a_id", required=True, semantic="ref:azure_virtual_network"),
+                a("vnet_b_id", required=True, semantic="ref:azure_virtual_network"),
+            ],
+            create_s=10.0,
+            id_prefix="peer-",
+            description="VNet peering link",
+        ),
+    ]
+
+
+class Catalog:
+    """Per provider: the resource types it serves, by name, and its
+    regions, the default first. Read in place, never copied: a
+    gateway's catalog is a view of its planes' own tables."""
+
+    def __init__(
+        self,
+        specs: Dict[str, Dict[str, ResourceTypeSpec]],
+        regions: Dict[str, List[str]],
+    ):
+        self.specs = specs
+        self.regions = regions
+
+    @property
+    def providers(self) -> List[str]:
+        return list(self.specs)
+
+    def try_provider_of(self, rtype: str) -> Optional[str]:
+        """The provider serving ``rtype``, or None if none does.
+
+        A type's prefix names its provider (``aws_vpc`` -> ``"aws"``),
+        the provider-prefix convention of Terraform's provider plugins:
+        a plane is mounted under its prefix, so the prefix is the whole
+        routing rule.
+        """
+        prefix = rtype.split("_", 1)[0]
+        return prefix if prefix in self.specs else None
+
+    def provider_of(self, rtype: str) -> str:
+        provider = self.try_provider_of(rtype)
+        if provider is not None:
+            return provider
+        # imported on this path only: reading the catalog loads no plane
+        from .base import CloudAPIError
+
+        raise CloudAPIError(
+            "UnknownResourceType",
+            f"No provider is configured for resource type '{rtype}'.",
+            http_status=404,
+            resource_type=rtype,
+        )
+
+    def try_spec(self, rtype: str) -> Optional[ResourceTypeSpec]:
+        """The spec of ``rtype``, or None for a type nobody serves."""
+        specs = self.specs.get(rtype.split("_", 1)[0])
+        return None if specs is None else specs.get(rtype)
+
+    def default_region(self, rtype: str) -> str:
+        return self.regions[self.provider_of(rtype)][0]
+
+    def region_for(self, rtype: str, attrs: Dict[str, Any]) -> str:
+        """The region an instance lands in: location attr, else default."""
+        location = attrs.get("location")
+        if isinstance(location, str) and location:
+            return location
+        return self.default_region(rtype)
+
+
+@functools.lru_cache(maxsize=None)
+def simulated_catalog() -> Catalog:
+    """The catalog of the simulated aws+azure pair, built once per
+    process and shared by every engine that was given no gateway (read
+    it, never change it): what the planes of ``CloudGateway.simulated``
+    hold."""
+    return Catalog(
+        {
+            "aws": {s.name: s for s in aws_catalog()},
+            "azure": {s.name: s for s in azure_catalog()},
+        },
+        {"aws": list(AWS_REGIONS), "azure": list(AZURE_LOCATIONS)},
     )

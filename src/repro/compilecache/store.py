@@ -219,8 +219,10 @@ def variables_fingerprint(variables: Optional[Dict[str, Any]]) -> str:
     return _sha(blob)
 
 
-def schema_fingerprint(gateway: Any) -> str:
-    """Digest of the provider catalogs a compile resolved against.
+def schema_fingerprint(catalog: Any) -> str:
+    """Digest of the provider catalog a compile resolved against (a
+    :class:`repro.cloud.resources.Catalog`; a gateway's is
+    ``gateway.catalog``).
 
     A schema change (new attribute, different id prefix, added
     provider) invalidates every artifact: the expanded graph bakes in
@@ -228,10 +230,10 @@ def schema_fingerprint(gateway: Any) -> str:
     catalog would be silently wrong.
     """
     parts: List[str] = []
-    for provider in sorted(gateway.planes):
-        plane = gateway.planes[provider]
-        for rtype in sorted(plane.specs):
-            parts.append(f"{provider}|{rtype}|{plane.specs[rtype].signature()}")
+    for provider in sorted(catalog.specs):
+        specs = catalog.specs[provider]
+        for rtype in sorted(specs):
+            parts.append(f"{provider}|{rtype}|{specs[rtype].signature()}")
     return _sha("\n".join(parts).encode())
 
 

@@ -12,17 +12,29 @@ from __future__ import annotations
 import dataclasses
 import functools
 from collections.abc import Mapping
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
-from ..cloud.gateway import CloudGateway
-from ..cloud.resilience import HealthMonitor, ResilientGateway, RetryPolicy
+from ..cloud.clock import SimClock
+from ..cloud.resources import Catalog, simulated_catalog
 from ..lang.diagnostics import CLCError
 from ..perf import PERF
 from ..state.document import StateDocument
 from ..state.snapshots import SnapshotHistory
-from ..types.schema import SchemaRegistry
 
 if TYPE_CHECKING:  # imported by the verbs that run them, not by every verb
+    from ..cloud.base import ControlPlane
+    from ..cloud.gateway import CloudGateway
+    from ..cloud.resilience import HealthMonitor, ResilientGateway, RetryPolicy
     from ..compilecache import CacheLookup
     from ..debug.correlate import Diagnosis, IaCDebugger
     from ..deploy.executor import ApplyResult, PlanExecutor
@@ -40,6 +52,7 @@ if TYPE_CHECKING:  # imported by the verbs that run them, not by every verb
     from ..policy.controller import AdmissionDecision, InfrastructureController
     from ..policy.cost import CostEstimator
     from ..porting.importer import PortedProject
+    from ..types.schema import SchemaRegistry
     from ..update.rollback import RollbackResult
     from ..validate.pipeline import (
         ValidationBasis,
@@ -83,9 +96,13 @@ def load_verb_modules() -> None:
     its first tenant arrives: imported in the middle of a request, their
     code and constants land between that tenant's objects on the heap,
     and every later op reads 3-4 % slower (``svc_closed``, 11 of 12
-    pairs; docs/performance.md, "The process at both ends"). The graph
-    builder, and the program front end it imports, come first: where
-    a verb reads a program, they are loaded before the planner."""
+    pairs; docs/performance.md, "The process at both ends"). The clouds
+    and the schema registry come first, where an engine's construction
+    used to import them; then the graph builder, and the program front
+    end it imports: where a verb reads a program, they are loaded
+    before the planner."""
+    from ..cloud import gateway, resilience  # noqa: F401
+    from ..types import schema  # noqa: F401
     from ..graph import dag  # noqa: F401
     from ..graph import builder  # noqa: F401
     from ..deploy import executor, recovery, wal  # noqa: F401
@@ -224,18 +241,26 @@ class CloudlessEngine:
         #: when set, every apply journals its intents here and
         #: :meth:`resume` can recover a crashed run from it
         self.wal_path = wal_path
-        self.gateway = gateway or CloudGateway.simulated(seed=seed)
-        #: one partition-health ledger shared by every layer: the
-        #: executors gate dispatch on it, the resilient wrapper fails
-        #: fast on it, and drift detection skips partitions it marks
-        #: unreachable
-        self.health = health or HealthMonitor()
-        # one shared resilience wrapper for the synchronous lifecycle
-        # verbs (watch/reconcile/rollback/import/data reads); the deploy
-        # executors keep the raw gateway -- their event-loop retry must
-        # stay byte-identical to the golden reference
-        self.resilient = ResilientGateway.wrap(self.gateway, health=self.health)
-        self.registry = registry or SchemaRegistry.default()
+        # the cloud side is built when a verb first calls it (below); a
+        # given part is the engine's from the start
+        if gateway is not None:
+            self.gateway = gateway
+        if health is not None:
+            self.health = health
+        if registry is not None:
+            self.registry = registry
+        #: what the clouds serve, as data: the given gateway's catalog,
+        #: else the simulated pair's. Compile, validation and plan read
+        #: it, not a plane
+        self.catalog: Catalog = (
+            gateway.catalog if gateway is not None else simulated_catalog()
+        )
+        #: the simulated clouds' clock, which a world file's load
+        #: advances before any plane is built; the gateway runs on it
+        self.clock: SimClock = gateway.clock if gateway is not None else SimClock()
+        #: what :func:`repro.persist.load_world` kept of the planes,
+        #: landed on the gateway when it is built
+        self._load_planes: Optional[Callable[[CloudGateway], None]] = None
         self.loader = loader
         self.executor_name = executor
         self.concurrency = concurrency
@@ -248,7 +273,9 @@ class CloudlessEngine:
         #: per-provider log-watch cursors (event sequences), as plain
         #: data: :attr:`watcher` reads and advances this very dict, and a
         #: world file round-trips it without building a detector
-        self.watch_cursors: Dict[str, int] = {name: 0 for name in self.gateway.planes}
+        self.watch_cursors: Dict[str, int] = {
+            name: 0 for name in self.catalog.providers
+        }
         #: lazily-built continuous-reconciliation loop (see
         #: :meth:`watch_continuously`); shares ``self.watcher``'s cursors
         self.continuous_watcher: Optional[DriftWatcher] = None
@@ -303,13 +330,65 @@ class CloudlessEngine:
 
     # -- helpers ------------------------------------------------------------
 
-    @property
-    def clock(self):
-        return self.gateway.clock
-
     # Subsystems are built by the first verb that uses them: a `watch`
-    # never validates, a `plan` never admits or executes, and a process
+    # never validates, a `plan` never admits or executes, a `plan` the
+    # world's record proves or a `show` calls no cloud, and a process
     # imports the modules of the subsystems it builds.
+
+    @functools.cached_property
+    def gateway(self) -> CloudGateway:
+        from ..cloud.gateway import CloudGateway
+
+        gateway = CloudGateway.simulated(seed=self.seed, clock=self.clock)
+        if self._load_planes is not None:
+            self._load_planes(gateway)
+        return gateway
+
+    @functools.cached_property
+    def health(self) -> HealthMonitor:
+        """One partition-health ledger shared by every layer: the
+        executors gate dispatch on it, the resilient wrapper fails fast
+        on it, and drift detection skips partitions it marks
+        unreachable."""
+        from ..cloud.resilience import HealthMonitor
+
+        return HealthMonitor()
+
+    @functools.cached_property
+    def resilient(self) -> ResilientGateway:
+        """One shared resilience wrapper for the synchronous lifecycle
+        verbs (watch/reconcile/rollback/import/data reads); the deploy
+        executors keep the raw gateway -- their event-loop retry must
+        stay byte-identical to the golden reference."""
+        from ..cloud.resilience import ResilientGateway
+
+        return ResilientGateway.wrap(self.gateway, health=self.health)
+
+    @functools.cached_property
+    def registry(self) -> SchemaRegistry:
+        from ..types.schema import SchemaRegistry
+
+        return SchemaRegistry.default()
+
+    def planes_read(self) -> Dict[str, ControlPlane]:
+        """The planes a verb has read: none before the gateway is
+        built, and none a world file still holds encoded
+        (``ControlPlane.deferred``)."""
+        gateway = vars(self).get("gateway")
+        if gateway is None:
+            return {}
+        return {n: p for n, p in gateway.planes.items() if not p.deferred}
+
+    def _read_planes(self, providers: Optional[Iterable[str]] = None) -> None:
+        """Read the planes of ``providers`` (every plane, by default)
+        now. A verb that calls a cloud reads each plane it will call
+        before it writes anything, so a plane a world file holds
+        malformed is refused (:class:`repro.persist.WorldFormatError`)
+        while the world file and the intent journal are untouched."""
+        planes = self.gateway.planes
+        names = planes.keys() if providers is None else planes.keys() & set(providers)
+        for name in sorted(names):
+            planes[name].records  # a deferred plane is replayed on first read
 
     @functools.cached_property
     def validation(self) -> ValidationPipeline:
@@ -321,10 +400,11 @@ class CloudlessEngine:
     def planner(self) -> Planner:
         from ..graph.plan import Planner
 
+        catalog = self.catalog
         return Planner(
-            spec_lookup=self.gateway.try_spec,
-            region_lookup=self.gateway.region_for,
-            provider_lookup=self.gateway.provider_of,
+            spec_lookup=catalog.try_spec,
+            region_lookup=catalog.region_for,
+            provider_lookup=catalog.provider_of,
         )
 
     @functools.cached_property
@@ -394,7 +474,7 @@ class CloudlessEngine:
         if cache is not None:
             from ..compilecache import schema_fingerprint, variables_fingerprint
 
-            fps = (variables_fingerprint(variables), schema_fingerprint(self.gateway))
+            fps = (variables_fingerprint(variables), schema_fingerprint(self.catalog))
         reuse: Optional[Configuration] = None
         if self._last_compile is not None:
             from ..lang.config import Configuration
@@ -522,7 +602,7 @@ class CloudlessEngine:
             compiled.verdict = compiled.artifact = None
             compiled.store_fps = (
                 variables_fingerprint(compiled.variables),
-                schema_fingerprint(self.gateway),
+                schema_fingerprint(self.catalog),
             )
         last = self._last_compile
         if last is not None and last[1] is lookup:
@@ -838,7 +918,7 @@ class CloudlessEngine:
                 delta,
                 state,
                 proven=basis.noop,
-                provider_lookup=self.gateway.provider_of,
+                provider_lookup=self.catalog.provider_of,
             )
             PERF.count("plan.scoped")
             PERF.count("plan.scope_nodes", len(scope))
@@ -884,6 +964,15 @@ class CloudlessEngine:
                     apply=None,
                     diagnoses=[],
                 )
+        from ..graph.plan import ACTIONABLE
+
+        # every plane the run will call is read before the journal is
+        # begun: a malformed one is refused with nothing written
+        self._read_planes(
+            self.catalog.try_provider_of(change.address.type)
+            for change in plan.changes.values()
+            if change.action in ACTIONABLE
+        )
         journal = _journal
         if journal is None and self.wal_path:
             from ..deploy.wal import IntentJournal
@@ -1008,6 +1097,9 @@ class CloudlessEngine:
         """
         if not self.wal_path:
             raise EngineError("resume requires an engine wal_path")
+        # recovery probes every plane: all are read before the journal is
+        # opened, so a malformed one is refused with nothing written
+        self._read_planes()
         from ..deploy.recovery import CrashRecovery
         from ..deploy.wal import IntentJournal
 
@@ -1064,6 +1156,7 @@ class CloudlessEngine:
 
     def watch(self) -> DetectionRun:
         """One drift-detection poll over the activity logs."""
+        self._read_planes()
         run = self.watcher.poll(self.state)
         self._police_drift(run.findings)
         return run
@@ -1089,6 +1182,7 @@ class CloudlessEngine:
         :class:`LogWatchDetector` (one set of cursors, whether you
         ``watch`` once or watch continuously) and partition-health
         ledger."""
+        self._read_planes()
         watcher = self.continuous_watcher
         if watcher is None:
             from ..drift.watcher import DriftWatcher
@@ -1118,6 +1212,7 @@ class CloudlessEngine:
     ) -> ReconcileReport:
         from ..drift.reconcile import Reconciler
 
+        self._read_planes()
         reconciler = Reconciler(self.resilient, policy=policy)
         return reconciler.reconcile(findings, self.state)
 
@@ -1126,6 +1221,7 @@ class CloudlessEngine:
         from ..update.rollback import ReversibilityAwareRollback
 
         snapshot = self.history.get(version)
+        self._read_planes()
         planner = ReversibilityAwareRollback(self.resilient)
         plan = planner.plan(snapshot, self.state)
         result = planner.execute(plan, self.state)

@@ -30,15 +30,22 @@ nothing: the whole world.
   file held when it was loaded or last saved. A save whose baseline is
   not where the file ends any more writes a keyframe.
 * **Deferred planes.** A load verifies every frame and decodes every
-  section, and checks each ``plane:*`` section's shape
-  (:func:`_check_plane`: whatever :func:`plane_from_dict` could trip on
-  is a :class:`WorldFormatError` here, never a traceback mid-verb). It
-  then keeps only a copy of each plane's section bytes: a plane is
-  replayed, commit by commit, the first time one of its persisted
-  attributes (:data:`PLANE_ATTRIBUTES`) is read (``ControlPlane.defer``),
-  and its baseline is marked then. A plane nobody read writes no
-  section; a keyframe reads them all. So a ``plan`` never builds the
-  clouds' records and logs.
+  section but the ``plane:*`` ones, whose bytes it keeps encoded. A
+  plane is decoded, checked (:func:`_check_plane`: whatever
+  :func:`plane_from_dict` could trip on is a :class:`WorldFormatError`,
+  never a traceback) and replayed, commit by commit, the first time one
+  of its persisted attributes (:data:`PLANE_ATTRIBUTES`) is read
+  (``ControlPlane.defer``), and its baseline is marked then; one that
+  does not check lands nothing, stays deferred and is refused again at
+  every read. The engine's gateway is built when a verb first calls
+  it, and the kept sections are handed to its planes then. A verb that
+  calls a cloud reads every plane it will call before it writes
+  anything (``CloudlessEngine._read_planes``: ``apply`` before the
+  intent journal is begun, ``resume``, ``watch``, ``reconcile``,
+  ``rollback``), so a malformed plane section is refused with the
+  world file and its journal untouched. A plane nobody read writes no
+  section; a keyframe reads them all. So a ``plan`` or a ``show``
+  decodes no plane, and imports none of the clouds' code.
 * **Older worlds.** A ``{``-led file is format 2 or older (one JSON
   document) and is refused, typed; no migration reads it any more.
 * **The plan record.** A ``state`` section may carry one optional
@@ -71,6 +78,7 @@ from __future__ import annotations
 import base64
 import binascii
 import dataclasses
+import functools
 import hashlib
 import json
 import operator
@@ -78,15 +86,17 @@ import os
 import tempfile
 import zlib
 from itertools import chain
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .addressing import MANAGED
-from .cloud.activitylog import ActivityEvent
-from .cloud.base import ControlPlane, ResourceRecord
 from .core.engine import EXECUTOR_NAMES, CloudlessEngine
 from .perf import PERF
 from .state.document import StateDocument
 from .state.snapshots import apply_doc_delta, doc_delta, source_key
+
+if TYPE_CHECKING:  # a plane's modules load with the plane
+    from .cloud.base import ControlPlane
+    from .cloud.gateway import CloudGateway
 
 FORMAT_VERSION = 3
 MAGIC = b"clw3"
@@ -190,9 +200,7 @@ class _Base:
             self.keyframe_end = end
             self.sources = {key: self.sources[key] for key in self.stored}
         # a plane still deferred is marked when it is replayed
-        self.planes = {
-            n: _PlaneMark(p) for n, p in engine.gateway.planes.items() if not p.deferred
-        }
+        self.planes = {n: _PlaneMark(p) for n, p in engine.planes_read().items()}
         self.state = engine.state.copy()  # O(1) COW
         self.record = self.staged_record
         engine._plan_record = (
@@ -323,12 +331,22 @@ def _dataclass_rows(cls: type) -> _Shape:
     )
 
 
-_RECORD_ROWS = _dataclass_rows(ResourceRecord)
-_EVENT_ROWS = _dataclass_rows(ActivityEvent)
+@functools.lru_cache(maxsize=None)
+def _plane_rows() -> Tuple[_Shape, _Shape, Any]:
+    """The shapes of a plane section's records and events, and the
+    getter of an event row's ``changed_attrs`` (whose items must be
+    strings too): taken from the dataclasses they are replayed as, so
+    derived when a plane is first read -- a verb that reads none
+    imports neither."""
+    from .cloud.activitylog import ActivityEvent
+    from .cloud.base import ResourceRecord
+
+    events = _dataclass_rows(ActivityEvent)
+    return _dataclass_rows(ResourceRecord), events, events[1]["changed_attrs"][0]
+
+
 _ID_GEN_ROWS = _rows({"rtype": "str", "region": "str", "name": "str", "gen": "int"}, {})
 _QUOTA_ROWS = _rows({"rtype": "str", "region": "str", "limit": "float"}, {})
-#: an event row's ``changed_attrs``, whose items must be strings too
-_CHANGED_ATTRS = _EVENT_ROWS[1]["changed_attrs"][0]
 
 
 def _types(values: Any) -> Set[type]:
@@ -363,14 +381,18 @@ def _str_map(value: Any, kinds: Set[type], keys: Iterable[str] = ()) -> bool:
 
 def _check_plane(data: Any, where: str) -> None:
     """Refuse a plane section :func:`plane_from_dict` could trip on, or
-    that would leave a plane its readers trip on. Every load runs it, so
-    a plane replayed on first read, mid-verb, cannot fail."""
+    that would leave a plane its readers trip on. It runs when the plane
+    is first read, on every section before any lands; a verb that calls
+    a cloud reads its planes before it writes anything, so a plane that
+    fails here fails the verb with nothing written, and what passes
+    replays without raising."""
+    record_rows, event_rows, changed_attrs = _plane_rows()
     get = data.get if type(data) is dict else None
     if not (
         get
-        and _rows_ok(get("records", []), _RECORD_ROWS)
-        and _rows_ok(get("log", []), _EVENT_ROWS)
-        and _types(chain.from_iterable(map(_CHANGED_ATTRS, get("log", [])))) <= {str}
+        and _rows_ok(get("records", []), record_rows)
+        and _rows_ok(get("log", []), event_rows)
+        and _types(chain.from_iterable(map(changed_attrs, get("log", [])))) <= {str}
         and _rows_ok(get("id_gens", []), _ID_GEN_ROWS)
         and _rows_ok(get("quotas", []), _QUOTA_ROWS)
         and type(get("gone", [])) is list
@@ -396,6 +418,9 @@ def plane_from_dict(plane: ControlPlane, data: Dict[str, Any]) -> None:
     """Land one plane section on a plane: a keyframe's on a freshly
     constructed one, a delta's on top of what the file held before.
     What :func:`_check_plane` passes lands without raising."""
+    from .cloud.activitylog import ActivityEvent
+    from .cloud.base import ResourceRecord
+
     plane.seed = data.get("seed", plane.seed)
     for rid in data.get("gone", []):
         plane.records.pop(rid, None)
@@ -444,18 +469,18 @@ def _sections(
     ``base`` was marked, or -- ``full``, a keyframe -- since nothing.
     Lazy, so a writer never holds more than one section's encoding."""
     section = _engine_section(engine)
-    planes = engine.gateway.planes
+    # a delta writes the planes read since the load: one never read is
+    # unchanged, and a gateway never built changed none
+    planes = engine.gateway.planes if full else engine.planes_read()
     if not full and (
         engine.history is not base.history
-        or {n for n, p in planes.items() if not p.deferred} != set(base.planes)
+        or set(planes) != set(base.planes)
         or any(section[k] != base.engine_section[k] for k in _CONSTRUCTION)
     ):
         raise _NotADelta
     if full or section != base.engine_section:
         yield "engine", section
     for name, plane in sorted(planes.items()):
-        if not full and plane.deferred:
-            continue  # never read, so unchanged
         value = _plane_section(plane, None if full else base.planes[name])
         if value is not None:
             yield f"plane:{name}", value
@@ -607,20 +632,35 @@ def engine_to_dict(engine: CloudlessEngine) -> Dict[str, Any]:
     return {"format": FORMAT_VERSION, **dict(_sections(engine, _base_of(engine), True))}
 
 
+def _defer_planes(
+    base: _Base, planes: Dict[str, List[bytes]], path: str, gateway: CloudGateway
+) -> None:
+    """Hand a newly built gateway's planes the sections a load kept."""
+    for name, payloads in planes.items():
+        _defer_plane(gateway.planes[name], base, name, payloads, path)
+
+
 def _defer_plane(
     plane: ControlPlane, base: _Base, name: str, payloads: List[bytes], path: str
 ) -> None:
-    """Keep a plane's checked sections, one per commit, encoded until
-    the plane is first read; then replay them and mark the plane as the
-    file holds it, for the next save to diff against."""
+    """Keep a plane's sections, one per commit, encoded until the plane
+    is first read; then decode and check them all, replay them, and
+    mark the plane as the file holds it, for the next save to diff
+    against."""
 
     def replay(plane: ControlPlane) -> None:
         PERF.count("persist.planes_replayed")
+        where = f"{path}: plane:{name}"
         try:
-            for payload in payloads:
-                plane_from_dict(plane, json.loads(payload))
-        except _MALFORMED as exc:  # what the check at load let through
-            raise WorldFormatError(f"{path}: malformed plane:{name}: {exc!r}") from exc
+            sections = [json.loads(payload) for payload in payloads]
+            for data in sections:
+                _check_plane(data, where)
+            for data in sections:
+                plane_from_dict(plane, data)
+        except WorldFormatError:
+            raise
+        except _MALFORMED as exc:
+            raise WorldFormatError(f"{where}: malformed: {exc!r}") from exc
         if len(payloads) > 1 and list(plane.records) != sorted(plane.records):
             # the same world loads as the same plane however it was cut
             # into commits: records iterate in id order, as a keyframe's do
@@ -630,7 +670,6 @@ def _defer_plane(
         base.planes[name] = _PlaneMark(plane)
 
     plane.defer(PLANE_ATTRIBUTES, replay)
-    PERF.count("persist.planes_deferred")
 
 
 def _refusal(data: bytes) -> WorldFormatError:
@@ -662,16 +701,16 @@ def _row_floor(cls: type) -> int:
     return sum(len(field.name) + 4 for field in dataclasses.fields(cls))
 
 
-_RECORD_FLOOR = _row_floor(ResourceRecord)
-_EVENT_FLOOR = _row_floor(ActivityEvent)
-
-
 def _least_bytes(name: str, value: Any) -> int:
     """A floor under the size of section ``name``'s frame, known before
     it is encoded: a plane section's rows (:func:`_plane_section`)."""
     if not name.startswith("plane:"):
         return 0
-    return len(value["records"]) * _RECORD_FLOOR + len(value["log"]) * _EVENT_FLOOR
+    from .cloud.activitylog import ActivityEvent
+    from .cloud.base import ResourceRecord
+
+    records, events = len(value["records"]), len(value["log"])
+    return records * _row_floor(ResourceRecord) + events * _row_floor(ActivityEvent)
 
 
 def _commit_frames(
@@ -856,8 +895,9 @@ def save_world(engine: CloudlessEngine, path: str) -> None:
 
 def load_world(path: str) -> CloudlessEngine:
     """The engine the world file at ``path`` holds. Every frame is
-    verified and every section decoded and checked here; a cloud plane
-    is replayed when it is first read (module docstring)."""
+    verified and every section but a cloud plane's decoded and checked
+    here; a plane is decoded, checked and replayed when it is first read
+    (module docstring)."""
     with open(path, "rb") as handle:
         data = handle.read()
     if data[:1] == b"{":
@@ -873,19 +913,18 @@ def load_world(path: str) -> CloudlessEngine:
                 engine = _new_engine(**{k: sections["engine"][k] for k in _CONSTRUCTION})
                 base = _base_of(engine)
             for name, payload in frames.items():
-                if name.startswith("plane:") and name[6:] in engine.gateway.planes:
+                if name.startswith("plane:") and name[6:] in engine.catalog.specs:
                     # a copy: the file's buffer goes once the load is done
-                    kept = bytes(payload)
-                    _check_plane(json.loads(kept), f"{path}: {name}")
-                    planes.setdefault(name[6:], []).append(kept)
+                    planes.setdefault(name[6:], []).append(bytes(payload))
             _apply(engine, base, sections)
         _unpack_last_sources(engine, base)
     except WorldFormatError:
         raise
     except _MALFORMED as exc:
         raise WorldFormatError(f"{path}: malformed world record: {exc!r}") from exc
-    for name, payloads in planes.items():
-        _defer_plane(engine.gateway.planes[name], base, name, payloads, path)
+    if planes:
+        PERF.count("persist.planes_deferred", len(planes))
+    engine._load_planes = functools.partial(_defer_planes, base, planes, path)
     base.keyframe_end, base.staged = ends[0], set(base.sources)
     base.committed(engine, path, len(commits) - 1, ends[-1], tail)
     return engine

@@ -29,17 +29,17 @@ class SchemaRegistry:
 
     @classmethod
     def default(cls) -> "SchemaRegistry":
-        """Registry preloaded with both simulated provider catalogs."""
-        from ..cloud.aws.provider import AWS_REGIONS, aws_catalog
-        from ..cloud.azure.provider import AZURE_LOCATIONS, azure_catalog
+        """Registry preloaded with both simulated provider catalogs
+        (:func:`repro.cloud.resources.simulated_catalog`: data, no plane)."""
+        from ..cloud.resources import simulated_catalog
 
+        catalog = simulated_catalog()
         registry = cls()
-        for spec in aws_catalog():
-            registry.register(spec)
-        for spec in azure_catalog():
-            registry.register(spec)
-        registry.set_regions("aws", AWS_REGIONS)
-        registry.set_regions("azure", AZURE_LOCATIONS)
+        for specs in catalog.specs.values():
+            for spec in specs.values():
+                registry.register(spec)
+        for provider, regions in catalog.regions.items():
+            registry.set_regions(provider, regions)
         return registry
 
     # -- registration ------------------------------------------------------

@@ -66,7 +66,7 @@ def cache(tmp_path):
 
 def store_artifact(cache, gateway, texts, variables=None):
     vfp = variables_fingerprint(variables)
-    sfp = schema_fingerprint(gateway)
+    sfp = schema_fingerprint(gateway.catalog)
     config = Configuration.parse_streaming(texts)
     graph = build_graph(config)
     assert cache.store(texts, vfp, sfp, config, graph)
@@ -113,15 +113,29 @@ class TestLookup:
         texts = {"main.clc": SOURCE}
         vfp, sfp = store_artifact(cache, gateway, texts)
         narrower = schema_fingerprint(
-            CloudGateway({"aws": gateway.planes["aws"]}, gateway.clock)
+            CloudGateway({"aws": gateway.planes["aws"]}, gateway.clock).catalog
         )
         assert narrower != sfp
         assert cache.load(texts, vfp, narrower) is None
 
+    def test_the_catalog_fingerprints_as_the_gateway_did(self, gateway):
+        """The digest every artifact key carries did not move when the
+        catalog became data: the simulated pair's, as the program one
+        commit before it (``76331b4``) computed it from a gateway's
+        planes."""
+        from repro.cloud import simulated_catalog
+
+        digest = "6a593ba45da4f88e56e4d528e8c973be37aa648d498183f77d85cd84f2ea6a60"
+        assert schema_fingerprint(simulated_catalog()) == digest
+        assert schema_fingerprint(CloudGateway.simulated().catalog) == digest
+        assert schema_fingerprint(gateway.catalog) == digest
+        assert CloudlessEngine(seed=9).catalog is simulated_catalog()
+        assert CloudlessEngine(gateway=gateway).catalog is gateway.catalog
+
     def test_cold_cache_is_a_miss(self, cache, gateway):
         texts = {"main.clc": SOURCE}
         vfp = variables_fingerprint(None)
-        sfp = schema_fingerprint(gateway)
+        sfp = schema_fingerprint(gateway.catalog)
         assert cache.load(texts, vfp, sfp) is None
         assert cache.misses == 1
 
@@ -215,7 +229,7 @@ class TestCorruption:
         engine = CloudlessEngine(gateway=gateway, cache_dir=cache_dir)
         cache = engine.compile_cache
         texts = {"main.clc": SOURCE}
-        fps = (variables_fingerprint(None), schema_fingerprint(gateway))
+        fps = (variables_fingerprint(None), schema_fingerprint(gateway.catalog))
         fixture = os.path.join(os.path.dirname(__file__), "fixtures", "artifact_v3.clcc")
         assert json.loads(open(fixture, "rb").readline())["version"] == 3
         shutil.copy(fixture, cache.path_for(texts, *fps))
@@ -543,7 +557,7 @@ class TestFieldsCodec:
 
         edited = dict(sources, **{"aws.clc": sources["aws.clc"] + "\n"})
         lookup = Cache(cache_dir).load(
-            edited, variables_fingerprint(None), schema_fingerprint(gateway)
+            edited, variables_fingerprint(None), schema_fingerprint(gateway.catalog)
         )
         assert lookup.kind == "partial"
         fresh = Configuration.parse_streaming(sources)
@@ -636,7 +650,7 @@ class TestTheBasisIsData:
         assert report.stage_errors == fresh.stage_errors
         # the replacement reads
         lookup = CompileCache(cache_dir).load(
-            {"main.clc": SOURCE}, variables_fingerprint(None), schema_fingerprint(gateway)
+            {"main.clc": SOURCE}, variables_fingerprint(None), schema_fingerprint(gateway.catalog)
         )
         assert lookup.kind == "partial" and lookup.basis is not UNREADABLE
         assert lookup.basis.config is lookup.config
@@ -723,7 +737,7 @@ class TestEngineWarmPath:
         )
         header, blob = TestCorruption.read_parts(fixture)
         assert header["version"] == 5 != FORMAT_VERSION
-        fps = (variables_fingerprint(None), schema_fingerprint(gateway))
+        fps = (variables_fingerprint(None), schema_fingerprint(gateway.catalog))
         path = cache.path_for({"main.clc": source}, *fps)
         shutil.copy(fixture, path)
 
@@ -744,6 +758,49 @@ class TestEngineWarmPath:
         healed = CloudlessEngine(gateway=gateway, cache_dir=cache_dir)
         assert healed.compile(source).verdict is not None
         assert healed.compile_cache.exact_hits == 1
+
+    def test_a_version_6_artifact_is_still_an_exact_hit(self, tmp_path):
+        """``fixtures/artifact_v6_76331b4.clcc`` was written by the
+        program one commit before the catalog became data
+        (tests/fixtures/README.md). Nothing on disk moved: the current
+        program looks for it under the name it was written as, and
+        serves it as an exact hit -- verdict replayed, nothing rejected
+        or rewritten -- with the cold plan."""
+        import shutil
+
+        from repro.perf import PERF
+        from repro.workloads import web_tier
+
+        source = web_tier()
+        gateway = CloudGateway.simulated(seed=3)
+        engine = CloudlessEngine(gateway=gateway, cache_dir=str(tmp_path / "cache"))
+        cache = engine.compile_cache
+        fixture = os.path.join(
+            os.path.dirname(__file__), "fixtures", "artifact_v6_76331b4.clcc"
+        )
+        assert TestCorruption.read_parts(fixture)[0]["version"] == FORMAT_VERSION == 6
+        path = cache.path_for(
+            {"main.clc": source},
+            variables_fingerprint(None),
+            schema_fingerprint(engine.catalog),
+        )
+        assert os.path.basename(path) == "5963a09e8ea37da09b7cfcf4369cc944.clcc"
+        shutil.copy(fixture, path)
+        PERF.reset()
+        PERF.enable()
+        try:
+            compiled = engine.compile(source)
+            assert engine.validate(compiled).ok
+            replayed = PERF.counters.get("validate.replayed")
+        finally:
+            PERF.disable()
+            PERF.reset()
+        assert (cache.exact_hits, cache.misses, cache.corrupt_rejects) == (1, 0, 0)
+        assert replayed == 1
+        assert engine.plan(compiled).render() == CloudlessEngine(
+            gateway=gateway
+        ).plan(source).render()
+        assert cache.stores == 0
 
     def test_warm_apply_matches_cold_apply(self, tmp_path):
         cache_dir = str(tmp_path / "cache")

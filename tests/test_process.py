@@ -86,6 +86,13 @@ READS_NO_PROGRAM = (
     "repro.lang.context", "repro.graph", "repro.validate", "repro.policy",
     "repro.deploy", "repro.compilecache", "repro.types.checker",
 )
+#: the clouds' code: a verb that calls no cloud builds no gateway and
+#: reads the catalog (``repro.cloud.resources``), which is data
+CALLS_NO_CLOUD = (
+    "repro.cloud.base", "repro.cloud.gateway", "repro.cloud.resilience",
+    "repro.cloud.faults", "repro.cloud.activitylog", "repro.cloud.ratelimit",
+    "repro.cloud.aws", "repro.cloud.azure",
+)
 NEVER_ON_A_HAPPY_PATH = (
     "repro.debug", "repro.porting", "repro.synthesis", "repro.update",
     "repro.chaos", "repro.service", "repro.workloads", "repro.state.locks",
@@ -103,10 +110,11 @@ VERB_IMPORTS = {
     ),
     "show": (
         ("repro.core.engine", "repro.persist"),
-        READS_NO_PROGRAM + ("repro.drift",),
+        READS_NO_PROGRAM + CALLS_NO_CLOUD + ("repro.drift",),
     ),
     # an exact artifact hit the world's record proves whole: the verdict
-    # is replayed, and no program is read, so no front end is imported
+    # is replayed, and no program is read and no cloud called, so no
+    # front end and no cloud plane is imported
     "plan": (
         ("repro.compilecache.store", "repro.graph.plan", "repro.validate.pipeline"),
         (
@@ -115,7 +123,7 @@ VERB_IMPORTS = {
             "repro.lang.context", "repro.lang.evaluator", "repro.lang.functions",
             "repro.graph.builder", "repro.graph.dag", "repro.types.checker",
             "repro.deploy", "repro.policy", "repro.drift",
-        ),
+        ) + CALLS_NO_CLOUD,
     ),
     # an edited program: a partial hit that parses, validates and deploys
     "apply": (
@@ -129,8 +137,8 @@ VERB_IMPORTS = {
 #: modules (packages count). CI prints every verb's count and fails here.
 WATCH_MODULES_MAX = 36
 #: the ceiling for a ``plan`` the basis proves whole, which reads no
-#: program; CI fails here too
-PLAN_MODULES_MAX = 43
+#: program and calls no cloud; CI fails here too
+PLAN_MODULES_MAX = 33
 
 
 def loaded(modules, name):

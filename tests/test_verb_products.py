@@ -701,7 +701,7 @@ class TestVerdictBytesAreNotTrusted:
         fixture = os.path.join(os.path.dirname(__file__), "fixtures", "artifact_v4.clcc")
         with open(fixture, "rb") as handle:
             assert json.loads(handle.readline())["version"] == 4
-        fps = (variables_fingerprint(None), schema_fingerprint(gateway))
+        fps = (variables_fingerprint(None), schema_fingerprint(gateway.catalog))
         shutil.copy(fixture, cache.path_for({"main.clc": SOURCE}, *fps))
 
         assert engine.validate(SOURCE).ok

@@ -17,10 +17,13 @@ And two passengers. The *plan record* a ``state`` section may carry
 vouch for): it lands or tears with the state it is about, a commit
 that moves the state without it voids it, and it stays a few hundred
 bytes however old the directory is. And *deferred planes*: a load
-checks every cloud plane section and replays a plane when it is first
-read, so a verb that never reads one never pays for it -- and every
-world a test here writes loads, deferred, as it loads with every plane
-replayed at once.
+keeps every cloud plane section encoded, and a plane is decoded,
+checked and replayed when it is first read, so a verb that never reads
+one never pays for it (nor builds the clouds: a proven ``plan`` and
+``show`` build no gateway); a verb that calls a cloud reads its planes
+before it writes anything, so a malformed one is refused with the world
+file and the journal untouched -- and every world a test here writes
+loads, deferred, as it loads with every plane replayed at once.
 """
 
 import hashlib
@@ -805,11 +808,22 @@ class TestDeferredPlanes:
 
         assert {"persist.planes_deferred", "persist.planes_replayed"} <= set(KNOWN_PROBES)
 
-    def test_a_plan_replays_no_plane(self, project):
+    def test_a_plan_replays_no_plane(self, project, monkeypatch):
+        import repro.cli as cli
+
+        engines = []
+
+        def load(path):
+            engines.append(load_world(path))
+            return engines[-1]
+
+        monkeypatch.setattr(cli, "load_world", load)
         project("plan")
         assert replays(project.moved) == (2, 0)
         project("show")
         assert replays(project.moved) == (2, 0)
+        # both planes kept encoded by a gateway nobody built
+        assert [vars(engine).get("gateway") for engine in engines] == [None, None]
 
     def test_apply_and_watch_replay_each_plane_they_touch_once(self, project):
         project.sources["aws.clc"] = edit_services(project.sources["aws.clc"], 2, "r2")
@@ -902,6 +916,68 @@ class TestDeferredPlanes:
         keyframe = str(tmp_path / "keyframe")
         save_world(load_world(session.home.world_path), keyframe)
         same_world(load_world(keyframe), session.engine)
+
+    @pytest.fixture
+    def lying(self, project):
+        """``project`` one commit on: a well-framed ``plane:aws`` section
+        that lies. A load keeps it encoded; the first read of the aws
+        plane refuses it."""
+        with open(project.world, "rb") as handle:
+            data = handle.read()
+        seq = len(commits_of(project.world))
+        with_commit(project.world, data, seq, "plane:aws", {"records": "all of them"})
+        return project
+
+    @pytest.mark.parametrize(
+        "verb", [["apply"], ["watch", "--reconcile"], ["resume"]], ids=" ".join
+    )
+    def test_a_verb_that_calls_a_cloud_refuses_a_lying_plane_first(
+        self, lying, verb, capsys
+    ):
+        """It reads every plane it will call before it writes anything:
+        exit 1, one ``error:`` line, world file and journal as they were."""
+        if verb == ["apply"]:  # an aws edit: the run would call the aws plane
+            lying.sources["aws.clc"] = edit_services(lying.sources["aws.clc"], 2, "r2")
+            lying.write(lying.sources)
+        files = (lying.world, lying.world + ".wal")
+
+        def on_disk():
+            out = []
+            for path in files:
+                with open(path, "rb") as handle:
+                    out.append(handle.read())
+            return out
+
+        before = on_disk()
+        capsys.readouterr()
+        assert cli_main(["--chdir", lying.directory, *verb]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "plane:aws: malformed plane section" in err
+        assert on_disk() == before
+
+    def test_a_proven_plan_of_a_lying_world_prints_what_an_intact_one_does(
+        self, project, tmp_path, capsys
+    ):
+        twin = str(tmp_path / "twin")
+        shutil.copytree(project.directory, twin)
+        world = os.path.join(twin, "cloudless.world")
+        with open(world, "rb") as handle:
+            data = handle.read()
+        with_commit(world, data, len(commits_of(world)), "plane:aws", {"records": "all of them"})
+        printed = []
+        for directory in (project.directory, twin):
+            capsys.readouterr()
+            PERF.reset()
+            PERF.enable()
+            try:
+                assert cli_main(["--chdir", directory, "plan"]) == 0
+                proven = PERF.counters.get("plan.proven")
+            finally:
+                PERF.disable()
+                PERF.reset()
+            printed.append((proven, capsys.readouterr()))
+        assert printed[0] == printed[1] and printed[0][0] == 1
 
     def test_a_deferred_plane_holds_back_what_a_section_writes_and_lands(self):
         """``persist.PLANE_ATTRIBUTES`` names every plane attribute the
@@ -1162,6 +1238,15 @@ class TestUntrustedBytes:
             if name == "sources":
                 load_world(path)  # a blob nothing names is never unpacked
                 continue
+            if name.startswith("plane:"):
+                # decoded when the plane is first read, and refused then
+                # and at every read after it, the plane still deferred
+                plane = load_world(path).gateway.planes["aws"]
+                for _ in range(2):
+                    with pytest.raises(WorldFormatError, match="malformed plane section"):
+                        plane.records
+                assert plane.deferred
+                continue
             with pytest.raises(WorldFormatError):
                 load_world(path)
         # a source blob is outside input too: what it inflates to is bounded
@@ -1179,11 +1264,13 @@ class TestUntrustedBytes:
             lie = {**[c["engine"] for c in commits_of(path) if "engine" in c][-1], **lie}
         with_commit(path, data, len(loads), name, lie)
         with pytest.raises(WorldFormatError):
-            load_world(path)
+            # a plane's at its first read, the engine's at the load
+            load_world(path).gateway.planes["aws"].records
         project = tmp_path / "project"
         project.mkdir()
         shutil.copy(path, project / "cloudless.world")
-        assert cli_main(["--chdir", str(project), "show"]) == 1
+        # ``watch`` reads every plane (``show`` reads none)
+        assert cli_main(["--chdir", str(project), "watch"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
@@ -1201,22 +1288,27 @@ class TestUntrustedBytes:
         lie=st.sampled_from(LIES),
         key=st.text(max_size=6),
     )
-    def test_a_plane_the_load_passes_replays_without_raising(
+    def test_a_lying_plane_is_refused_at_its_first_read_or_usable_after_it(
         self, commits, level, op, pick, lie, key
     ):
-        """The check at load is all that stands between a lie and a
-        replay mid-verb: what it passes replays, and the plane it leaves
+        """The check at a plane's first read is all that stands between
+        a lie and a replay: the load decodes no plane, so it passes the
+        file; the first read refuses the section, typed, and stays
+        refusing it; or what it passes replays, and the plane it leaves
         is one the writer and the watcher can use."""
         path, data, loads = commits
         keyframe = persist._read_commits(data, path)[0][0]
         section = lie_about(json.loads(bytes(keyframe["plane:aws"])), level, op, pick, lie, key)
         with_commit(path, data, len(loads), "plane:aws", section)
+        engine = load_world(path)
         try:
-            engine = load_world(path)
+            for plane in engine.gateway.planes.values():
+                plane.records
         except WorldFormatError:
+            with pytest.raises(WorldFormatError):
+                engine.watch()
+            assert engine.gateway.planes["aws"].deferred
             return
-        for plane in engine.gateway.planes.values():
-            plane.records
         engine_to_dict(engine)
         engine.watch()
 
@@ -1265,6 +1357,37 @@ class TestUntrustedBytes:
 
 
 class TestFormats:
+    def test_a_world_the_parent_commit_wrote_loads_and_plans_as_it_did(
+        self, tmp_path, capsys
+    ):
+        """``fixtures/world_v3_76331b4.world`` was written by the
+        program one commit before planes were decoded on first read
+        (tests/fixtures/README.md), which recorded what it loaded and
+        planned from it. Nothing on disk moved: the format is still 3,
+        and the file loads and plans the same."""
+        assert persist.FORMAT_VERSION == 3
+        project = tmp_path / "project"
+        project.mkdir()
+        world = str(project / "cloudless.world")
+        shutil.copy(os.path.join(FIXTURES, "world_v3_76331b4.world"), world)
+        loaded = json.dumps(engine_to_dict(load_world(world)), sort_keys=True)
+        assert hashlib.sha256(loaded.encode()).hexdigest() == (
+            "fa13baded1bf63b6f81002f795fddb61c34681769a0f21da9bcd338078de4a83"
+        )
+        assert load_world(world).state.content_hash() == (
+            "9177d327c7549fb4441f5735ad05fb627ee58880b0a4187ee1caeb6ff2584185"
+        )
+        printed = []
+        for web_vms in (3, 4):
+            (project / "main.clc").write_text(web_tier(web_vms=web_vms, app_vms=1))
+            capsys.readouterr()
+            assert cli_main(["--chdir", str(project), "plan", "--no-cache"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == "Plan: 0 to add, 0 to change, 0 to destroy.\n"
+        assert hashlib.sha256(printed[1].encode()).hexdigest() == (
+            "5e5dc8073e40e91c63146cb7013016c266239152ef6f37a6e6687b86c85f0ed3"
+        )
+
     def test_a_format_2_world_is_read_once_and_rewritten(self, tmp_path):
         """A ``{``-led world is refused with a typed error that names
         format 2, and the file is left untouched."""
