@@ -38,7 +38,6 @@ __all__, __getattr__, __dir__ = export_table(
         "graph": ("Action", "Plan", "Planner", "build_graph"),
         "lang": ("Configuration", "ModuleContext"),
         "state": ("StateDocument",),
-        "types": ("SchemaRegistry",),
         "validate": ("ValidationPipeline", "validate"),
     },
 )

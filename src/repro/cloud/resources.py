@@ -11,8 +11,8 @@ The catalog -- which types each provider serves, and in which regions
 (:func:`aws_catalog`, :func:`azure_catalog`, :class:`Catalog`) -- is
 data, kept apart from the planes that serve it. A compile, a validation and
 a plan decide from it alone: the compile cache's schema fingerprint,
-the :class:`~repro.types.schema.SchemaRegistry`, the planner's spec,
-region and provider lookups. None of them calls a cloud, so a verb that
+the type checker and the rules, the planner's spec, region and provider
+lookups. None of them calls a cloud, so a verb that
 calls none (a ``plan`` the world's record proves, ``show``) reads the
 catalog without importing, building or replaying a control plane. The
 planes register their specs from here, and a gateway exposes the
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 from typing import Any, Dict, List, Optional, Tuple
 
 from .latency import LatencyProfile
@@ -719,6 +720,38 @@ class Catalog:
         """The spec of ``rtype``, or None for a type nobody serves."""
         specs = self.specs.get(rtype.split("_", 1)[0])
         return None if specs is None else specs.get(rtype)
+
+    @functools.cached_property
+    def _by_type(self) -> Dict[str, ResourceTypeSpec]:
+        return {
+            name: spec for table in self.specs.values() for name, spec in table.items()
+        }
+
+    def attr_spec(self, rtype: str, attr: str) -> Optional[AttributeSpec]:
+        """The spec of ``rtype``'s attribute ``attr``, or None: two dict
+        lookups, on every rule's read of a schema default."""
+        spec = self._by_type.get(rtype)
+        return None if spec is None else spec.attributes.get(attr)
+
+    def regions_of(self, provider: str) -> List[str]:
+        """``provider``'s regions, the default first; none for a
+        provider the catalog does not hold."""
+        return self.regions.get(provider, [])
+
+    @functools.cached_property
+    def validation_digest(self) -> str:
+        """Digest of everything validation reads here (every spec's
+        :meth:`~ResourceTypeSpec.signature` by type name, every
+        provider's regions): a recorded verdict holds only under the
+        catalog that gave it. Hashed once per catalog: a resident engine
+        asks on every validation whether its last one still holds."""
+        specs = self._by_type
+        lines = [specs[rtype].signature() for rtype in sorted(specs)]
+        lines += [
+            f"{provider}@{','.join(regions)}"
+            for provider, regions in sorted(self.regions.items())
+        ]
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
     def default_region(self, rtype: str) -> str:
         return self.regions[self.provider_of(rtype)][0]

@@ -52,7 +52,6 @@ if TYPE_CHECKING:  # imported by the verbs that run them, not by every verb
     from ..policy.controller import AdmissionDecision, InfrastructureController
     from ..policy.cost import CostEstimator
     from ..porting.importer import PortedProject
-    from ..types.schema import SchemaRegistry
     from ..update.rollback import RollbackResult
     from ..validate.pipeline import (
         ValidationBasis,
@@ -97,12 +96,11 @@ def load_verb_modules() -> None:
     code and constants land between that tenant's objects on the heap,
     and every later op reads 3-4 % slower (``svc_closed``, 11 of 12
     pairs; docs/performance.md, "The process at both ends"). The clouds
-    and the schema registry come first, where an engine's construction
-    used to import them; then the graph builder, and the program front
-    end it imports: where a verb reads a program, they are loaded
-    before the planner."""
+    come first, where an engine's construction used to import them;
+    then the graph builder, and the program front end it imports:
+    where a verb reads a program, they are loaded before the
+    planner."""
     from ..cloud import gateway, resilience  # noqa: F401
-    from ..types import schema  # noqa: F401
     from ..graph import dag  # noqa: F401
     from ..graph import builder  # noqa: F401
     from ..deploy import executor, recovery, wal  # noqa: F401
@@ -226,7 +224,6 @@ class CloudlessEngine:
     def __init__(
         self,
         gateway: Optional[CloudGateway] = None,
-        registry: Optional[SchemaRegistry] = None,
         loader: Optional[ModuleLoader] = None,
         executor: str = "critical-path",
         validation_level: str = "rules",
@@ -247,11 +244,9 @@ class CloudlessEngine:
             self.gateway = gateway
         if health is not None:
             self.health = health
-        if registry is not None:
-            self.registry = registry
         #: what the clouds serve, as data: the given gateway's catalog,
-        #: else the simulated pair's. Compile, validation and plan read
-        #: it, not a plane
+        #: else the simulated pair's. Compile, validation, plan, the
+        #: debugger and the importer read it, not a plane
         self.catalog: Catalog = (
             gateway.catalog if gateway is not None else simulated_catalog()
         )
@@ -364,12 +359,6 @@ class CloudlessEngine:
 
         return ResilientGateway.wrap(self.gateway, health=self.health)
 
-    @functools.cached_property
-    def registry(self) -> SchemaRegistry:
-        from ..types.schema import SchemaRegistry
-
-        return SchemaRegistry.default()
-
     def planes_read(self) -> Dict[str, ControlPlane]:
         """The planes a verb has read: none before the gateway is
         built, and none a world file still holds encoded
@@ -394,7 +383,7 @@ class CloudlessEngine:
     def validation(self) -> ValidationPipeline:
         from ..validate.pipeline import ValidationPipeline
 
-        return ValidationPipeline(registry=self.registry, level=self.validation_level)
+        return ValidationPipeline(catalog=self.catalog, level=self.validation_level)
 
     @functools.cached_property
     def planner(self) -> Planner:
@@ -429,7 +418,7 @@ class CloudlessEngine:
     def debugger(self) -> IaCDebugger:
         from ..debug.correlate import IaCDebugger
 
-        return IaCDebugger(self.registry)
+        return IaCDebugger(self.catalog)
 
     def restore_watch_cursors(self, cursors: Mapping[str, int]) -> None:
         """Adopt checkpointed log-watch cursors, never backwards: a
@@ -673,7 +662,7 @@ class CloudlessEngine:
         """The verdict on ``compiled``: reached once per verb, on the
         verb's own graph, or replayed from the artifact that replayed
         the graph when it was reached under this level, these rules and
-        this registry."""
+        this catalog."""
         if compiled.report is None and compiled.verdict is not None:
             from ..validate.pipeline import VerdictMismatch
 
@@ -741,7 +730,7 @@ class CloudlessEngine:
         an empty one when anything else an entry is a function of may
         have moved -- there is no basis, the program calls modules
         (their text is outside what the engine can diff), the pipeline
-        is another (level, rules, registry), a variable was given
+        is another (level, rules, catalog), a variable was given
         another value or is declared otherwise, a local is, or other
         names are declared (a reference to an undeclared one evaluates
         to an error, not to an unknown).
@@ -1256,7 +1245,7 @@ class CloudlessEngine:
                 if config.diagnostics.has_errors():
                     continue
                 examples.append(
-                    DeploymentExample.from_config(config, self.registry)
+                    DeploymentExample.from_config(config, self.catalog)
                 )
             except Exception:
                 continue
@@ -1283,7 +1272,7 @@ class CloudlessEngine:
         shortcut."""
         from ..porting.importer import StructuredImporter
 
-        project = StructuredImporter(self.registry).import_estate(
+        project = StructuredImporter(self.catalog).import_estate(
             self.resilient, via_api=via_api
         )
         if adopt:
@@ -1347,7 +1336,7 @@ class CloudlessEngine:
         from ..porting.importer import StructuredImporter
 
         managed_ids = {entry.resource_id for entry in self.state.resources()}
-        project = StructuredImporter(self.registry).import_estate(
+        project = StructuredImporter(self.catalog).import_estate(
             self.resilient, only_ids=managed_ids
         )
         if adopt:

@@ -15,12 +15,12 @@ import dataclasses
 import ipaddress
 from typing import Any, Dict, List, Optional
 
+from ..cloud.resources import Catalog, simulated_catalog
 from ..deploy.executor import ApplyResult
 from ..graph.builder import ResourceNode
 from ..graph.plan import Plan
 from ..lang.diagnostics import SourceSpan
 from ..lang.values import is_unknown
-from ..types.schema import SchemaRegistry
 
 
 @dataclasses.dataclass
@@ -63,8 +63,8 @@ class Diagnosis:
 class IaCDebugger:
     """Correlates apply-time cloud errors back to the program."""
 
-    def __init__(self, registry: Optional[SchemaRegistry] = None):
-        self.registry = registry or SchemaRegistry.default()
+    def __init__(self, catalog: Optional[Catalog] = None):
+        self.catalog = catalog or simulated_catalog()
 
     # -- entry points ---------------------------------------------------------
 
@@ -195,7 +195,7 @@ class IaCDebugger:
         )
 
     def _reference_not_found(self, plan, change_id, node, code, message):
-        spec = self.registry.spec_for(node.address.type)
+        spec = self.catalog.try_spec(node.address.type)
         ref_attrs = [a.name for a in spec.reference_attrs()] if spec else []
         for attr_name in ref_attrs:
             for target in self._referenced(plan, node, attr_name):
@@ -305,7 +305,7 @@ class IaCDebugger:
 
     def _invalid_value(self, plan, change_id, node, code, message):
         attr = _quoted_token(message, skip=1) or _quoted_token(message)
-        spec = self.registry.spec_for(node.address.type)
+        spec = self.catalog.try_spec(node.address.type)
         fixes: List[FixSuggestion] = []
         if spec is not None and attr:
             aspec = spec.attr(attr)

@@ -94,16 +94,9 @@ def analyze(
     }
 
     key = (frozenset(dag.iter_edges()), frozenset(durations.items()))
-    plan_cache = getattr(plan, "analysis_cache", None)
-    cached = None
-    if plan_cache is not None:
-        cached = plan_cache.get(key)
-    if cached is None:
-        cached = _ANALYSIS_CACHE.get(key)
+    cached = _ANALYSIS_CACHE.get(key)
     if cached is not None:
         PERF.count("analyze.cache_hits")
-        if plan_cache is not None:
-            plan_cache[key] = cached
         return cached
     PERF.count("analyze.cache_misses")
 
@@ -118,8 +111,6 @@ def analyze(
         total_work_s=sum(durations.values()),
         max_width=dag.max_width(order=order),
     )
-    if plan_cache is not None:
-        plan_cache[key] = analysis
     _ANALYSIS_CACHE[key] = analysis
     _ANALYSIS_CACHE.move_to_end(key)
     while len(_ANALYSIS_CACHE) > _ANALYSIS_CACHE_MAX:

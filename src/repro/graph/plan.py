@@ -259,9 +259,6 @@ class Plan:
         self.state = state
         self.changes: Dict[str, PlannedChange] = {}
         self._resolver: Optional[ValueResolver] = None
-        #: memoized critical-path analyses for this plan, keyed by
-        #: (edge set, durations) -- see repro.graph.critical_path.analyze
-        self.analysis_cache: Dict[Any, Any] = {}
         if not callable(graph):
             self._bind(graph)
 
@@ -290,7 +287,6 @@ class Plan:
 
     def add(self, change: PlannedChange) -> None:
         self.changes[change.id] = change
-        self.analysis_cache.clear()
 
     def by_action(self, *actions: Action) -> List[PlannedChange]:
         wanted = set(actions)

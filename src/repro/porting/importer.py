@@ -26,8 +26,8 @@ from ..addressing import ResourceAddress
 from ..cloud.base import ResourceRecord
 from ..cloud.gateway import CloudGateway
 from ..cloud.resilience import ResilientGateway, RetryPolicy
+from ..cloud.resources import Catalog, simulated_catalog
 from ..state.document import ResourceState, StateDocument
-from ..types.schema import SchemaRegistry
 from .emitter import (
     EmittedBlock,
     RawExpr,
@@ -126,10 +126,9 @@ def _sanitize(name: str) -> str:
 class _RecordView:
     """One cloud record with pruned attrs and resolved reference info."""
 
-    def __init__(self, record: ResourceRecord, registry: SchemaRegistry):
+    def __init__(self, record: ResourceRecord, catalog: Catalog):
         self.record = record
-        self.registry = registry
-        spec = registry.spec_for(record.type)
+        spec = catalog.try_spec(record.type)
         self.spec = spec
         self.pruned: Dict[str, Any] = {}
         self.ref_attrs: Dict[str, List[str]] = {}  # attr -> target ids
@@ -158,8 +157,8 @@ class _RecordView:
 class NaiveExporter:
     """Baseline: dump every resource as its own fully-literal block."""
 
-    def __init__(self, registry: Optional[SchemaRegistry] = None):
-        self.registry = registry or SchemaRegistry.default()
+    def __init__(self, catalog: Optional[Catalog] = None):
+        self.catalog = catalog or simulated_catalog()
 
     def export(self, gateway: CloudGateway) -> PortedProject:
         records = sorted(gateway.all_records(), key=lambda r: r.id)
@@ -167,7 +166,7 @@ class NaiveExporter:
         state = StateDocument()
         used: Set[str] = set()
         for i, record in enumerate(records):
-            spec = self.registry.spec_for(record.type)
+            spec = self.catalog.try_spec(record.type)
             name = f"{record.type}_{i}"
             attrs = []
             for key, value in sorted(record.attrs.items()):
@@ -183,7 +182,7 @@ class NaiveExporter:
                 ResourceState(
                     address=address,
                     resource_id=record.id,
-                    provider=self.registry.provider_of(record.type),
+                    provider=self.catalog.provider_of(record.type),
                     attrs=record.snapshot(),
                     region=record.region,
                 )
@@ -200,12 +199,12 @@ class StructuredImporter:
 
     def __init__(
         self,
-        registry: Optional[SchemaRegistry] = None,
+        catalog: Optional[Catalog] = None,
         enable_grouping: bool = True,
         enable_modules: bool = True,
         min_module_size: int = 3,
     ):
-        self.registry = registry or SchemaRegistry.default()
+        self.catalog = catalog or simulated_catalog()
         self.enable_grouping = enable_grouping
         self.enable_modules = enable_modules
         self.min_module_size = min_module_size
@@ -236,7 +235,7 @@ class StructuredImporter:
             records = sorted(gateway.all_records(), key=lambda r: r.id)
         if only_ids is not None:
             records = [r for r in records if r.id in only_ids]
-        views = [_RecordView(r, self.registry) for r in records]
+        views = [_RecordView(r, self.catalog) for r in records]
         by_id = {v.id: v for v in views}
 
         names = self._assign_names(views)
@@ -856,7 +855,7 @@ class StructuredImporter:
                             module_path=(call_name,),
                         ),
                         resource_id=view.id,
-                        provider=self.registry.provider_of(view.type),
+                        provider=self.catalog.provider_of(view.type),
                         attrs=view.record.snapshot(),
                         region=view.record.region,
                     )
@@ -872,7 +871,7 @@ class StructuredImporter:
             ResourceState(
                 address=address,
                 resource_id=view.id,
-                provider=self.registry.provider_of(view.type),
+                provider=self.catalog.provider_of(view.type),
                 attrs=view.record.snapshot(),
                 region=view.record.region,
             )

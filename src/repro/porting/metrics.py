@@ -130,9 +130,9 @@ def verify_fidelity(project: PortedProject) -> FidelityResult:
     A faithful import produces an empty plan: the configuration
     describes exactly the estate the state says exists.
     """
+    from ..cloud.resources import simulated_catalog
     from ..graph.builder import build_graph
     from ..graph.plan import Planner
-    from ..types.schema import SchemaRegistry
 
     try:
         config = Configuration.parse(project.sources)
@@ -144,8 +144,7 @@ def verify_fidelity(project: PortedProject) -> FidelityResult:
                 error=str(config.diagnostics.errors[0]),
             )
         graph = build_graph(config, loader=project.loader())
-        registry = SchemaRegistry.default()
-        planner = Planner(spec_lookup=registry.spec_for)
+        planner = Planner(spec_lookup=simulated_catalog().try_spec)
         plan = planner.plan(graph, project.state)
     except Exception as exc:
         return FidelityResult(

@@ -12,7 +12,10 @@ The POST body (optional) is a JSON object passed through as the op
 payload; ``priority`` and ``deadline_s`` ride as top-level keys. The
 HTTP status code IS the typed admission answer (200/400/409/429/503/
 504), so a load balancer's retry policy can read shed-vs-retry straight
-off the wire.
+off the wire. A request the edge will not read whole is typed too: a
+body shorter than its ``Content-Length`` is 400, one declared over
+1 MiB is 413 before any of it is read, a line past the stream's 64 KiB
+limit is 431.
 """
 
 from __future__ import annotations
@@ -24,6 +27,42 @@ from typing import Any, Dict, Optional, Tuple
 from .core import ControlPlaneService
 
 _MAX_BODY = 1 << 20  # 1 MiB request-body cap
+#: statuses answered with the request still arriving: its rest is read
+#: and dropped before the close, or the close resets the connection
+#: and the client never reads the answer
+_UNREAD = (413, 431)
+#: how long a refused request's rest may keep its connection open
+_LINGER_S = 1.0
+
+
+class _Refused(Exception):
+    """A request answered ``status`` before it was read whole."""
+
+    def __init__(self, status: int, error: str):
+        super().__init__(error)
+        self.status = status
+
+
+async def _line(reader: asyncio.StreamReader) -> str:
+    try:
+        line = await reader.readline()
+    except ValueError:  # the line ran past the stream's limit
+        raise _Refused(431, "header line too long")
+    return line.decode("ascii", "replace")
+
+
+async def _drop_rest(reader: asyncio.StreamReader) -> None:
+    """Read and drop what the client still sends, until it closes or
+    :data:`_LINGER_S` has passed."""
+
+    async def to_eof() -> None:
+        while await reader.read(1 << 16):
+            pass
+
+    try:
+        await asyncio.wait_for(to_eof(), _LINGER_S)
+    except (asyncio.TimeoutError, ConnectionError):
+        pass
 
 
 class ServiceHTTPD:
@@ -64,6 +103,8 @@ class ServiceHTTPD:
     ) -> None:
         try:
             status, body = await self._respond(reader)
+        except _Refused as exc:
+            status, body = exc.status, {"error": str(exc)}
         except Exception as exc:
             status, body = 500, {"error": str(exc)}
         payload = json.dumps(body).encode("utf-8")
@@ -76,30 +117,35 @@ class ServiceHTTPD:
         try:
             writer.write(head + payload)
             await writer.drain()
+            if status in _UNREAD:
+                writer.write_eof()
+                await _drop_rest(reader)
         finally:
             writer.close()
 
     async def _respond(
         self, reader: asyncio.StreamReader
     ) -> Tuple[int, Dict[str, Any]]:
-        request_line = (await reader.readline()).decode("ascii", "replace")
+        request_line = await _line(reader)
         parts = request_line.split()
         if len(parts) < 2:
             return 400, {"error": "malformed request line"}
         method, path = parts[0], parts[1]
         content_length = 0
         while True:
-            line = (await reader.readline()).decode("ascii", "replace")
+            line = await _line(reader)
             if line in ("\r\n", "\n", ""):
                 break
             name, _, value = line.partition(":")
             if name.strip().lower() == "content-length":
                 try:
-                    content_length = min(int(value.strip()), _MAX_BODY)
+                    content_length = int(value.strip())
                 except ValueError:
                     content_length = -1
                 if content_length < 0:
                     return 400, {"error": "bad content-length"}
+        if content_length > _MAX_BODY:
+            return 413, {"error": f"body over {_MAX_BODY} bytes"}
         if method == "GET" and path == "/healthz":
             stats = self.service.stats()
             return 200, {"state": stats["state"], "mode": stats["mode"]}
@@ -110,7 +156,10 @@ class ServiceHTTPD:
             if len(segments) != 3:
                 return 404, {"error": "expected /v1/<tenant>/<op>"}
             _, tenant, op = segments
-            raw = await reader.readexactly(content_length)
+            try:
+                raw = await reader.readexactly(content_length)
+            except asyncio.IncompleteReadError:
+                return 400, {"error": "body shorter than content-length"}
             try:
                 payload = json.loads(raw) if raw else {}
             except ValueError:
@@ -140,7 +189,9 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     409: "Conflict",
+    413: "Content Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",

@@ -154,10 +154,9 @@ class TenantSession:
         # load_world does not restore wal_path (the CLI re-points it per
         # invocation); a session always journals into the tenant home.
         engine.wal_path = home.wal_path
-        # a session serves many ops: its engine builds its clouds and its
-        # registry at open, not inside the first op that calls them
+        # a session serves many ops: its engine builds its clouds at
+        # open, not inside the first op that calls them
         engine.resilient  # the gateway and the health ledger with it
-        engine.registry
         return cls(home, engine, store, plane, grant, ttl_s)
 
     # -- fencing ------------------------------------------------------------

@@ -21,8 +21,8 @@ import dataclasses
 import random
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..cloud.resources import Catalog, simulated_catalog
 from ..porting.emitter import EmittedBlock, RawExpr, emit_config
-from ..types.schema import SchemaRegistry
 from .synthesizer import RetrievalCorpus, _Builder
 from .tasks import SynthesisTask
 
@@ -72,12 +72,12 @@ class NoisyGenerator:
 
     def __init__(
         self,
-        registry: Optional[SchemaRegistry] = None,
+        catalog: Optional[Catalog] = None,
         rates: Optional[ErrorRates] = None,
         retrieval: Optional[RetrievalCorpus] = None,
         seed: int = 0,
     ):
-        self.registry = registry or SchemaRegistry.default()
+        self.catalog = catalog or simulated_catalog()
         base = rates or ErrorRates()
         self.retrieval = retrieval
         self.rates = base.scaled(RETRIEVAL_FACTOR) if retrieval else base
@@ -86,7 +86,7 @@ class NoisyGenerator:
     def generate(self, task: SynthesisTask):
         from .synthesizer import SynthesisResult
 
-        builder = _Builder(self.registry, task, self.retrieval)
+        builder = _Builder(self.catalog, task, self.retrieval)
         for request in task.requests:
             for _ in range(request.count):
                 builder.create(request.rtype, pinned=request.pinned, dedicated=True)
@@ -108,7 +108,7 @@ class NoisyGenerator:
         if block.kind != "resource":
             return
         rtype = block.labels[0]
-        spec = self.registry.spec_for(rtype)
+        spec = self.catalog.try_spec(rtype)
         label = f"{rtype}.{block.labels[1]}"
         rates = self.rates
 
@@ -170,9 +170,7 @@ class NoisyGenerator:
                     break
 
         if self.rng.random() < rates.region_mismatch:
-            regions = self.registry.regions_of(
-                self.registry.provider_of(rtype)
-            )
+            regions = self.catalog.regions_of(self.catalog.provider_of(rtype))
             for i, (key, value) in enumerate(block.attrs):
                 aspec = spec.attr(key) if spec else None
                 if (

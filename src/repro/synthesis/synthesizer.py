@@ -17,10 +17,14 @@ import dataclasses
 from collections import Counter, defaultdict
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..cloud.resources import AttributeSpec, ResourceTypeSpec
+from ..cloud.resources import (
+    AttributeSpec,
+    Catalog,
+    ResourceTypeSpec,
+    simulated_catalog,
+)
 from ..lang.config import Configuration
 from ..porting.emitter import EmittedBlock, RawExpr, emit_config, resource_block
-from ..types.schema import SchemaRegistry
 from .tasks import ResourceRequest, SynthesisTask
 
 _SCALAR = (str, int, float, bool)
@@ -133,14 +137,14 @@ class TypeGuidedSynthesizer:
 
     def __init__(
         self,
-        registry: Optional[SchemaRegistry] = None,
+        catalog: Optional[Catalog] = None,
         corpus: Optional[RetrievalCorpus] = None,
     ):
-        self.registry = registry or SchemaRegistry.default()
+        self.catalog = catalog or simulated_catalog()
         self.corpus = corpus
 
     def synthesize(self, task: SynthesisTask) -> SynthesisResult:
-        builder = _Builder(self.registry, task, self.corpus)
+        builder = _Builder(self.catalog, task, self.corpus)
         for request in task.requests:
             for _ in range(request.count):
                 builder.create(request.rtype, pinned=request.pinned, dedicated=True)
@@ -159,18 +163,15 @@ class _Builder:
 
     def __init__(
         self,
-        registry: SchemaRegistry,
+        catalog: Catalog,
         task: SynthesisTask,
         corpus: Optional[RetrievalCorpus],
     ):
-        self.registry = registry
+        self.catalog = catalog
         self.task = task
         self.corpus = corpus
-        self.region = task.region or (
-            registry.regions_of(task.provider)[0]
-            if registry.regions_of(task.provider)
-            else ""
-        )
+        regions = catalog.regions_of(task.provider)
+        self.region = task.region or (regions[0] if regions else "")
         self.blocks: List[EmittedBlock] = []
         self.shared: Dict[str, str] = {}  # rtype -> block name (shared substrate)
         self.counters: Dict[str, int] = defaultdict(int)
@@ -210,7 +211,7 @@ class _Builder:
     def _instantiate(
         self, rtype: str, pinned: Dict[str, Any], force_new: bool
     ) -> str:
-        spec = self.registry.spec_for(rtype)
+        spec = self.catalog.try_spec(rtype)
         if spec is None:
             raise ValueError(f"unknown resource type {rtype!r}")
         name = self._fresh_name(rtype)
@@ -275,11 +276,11 @@ class _Builder:
 
     def _network_parent(self, rtype: str) -> Optional[Tuple[str, str, bool]]:
         """For a subnet-like type: the parent network ref + cidr attr."""
-        spec = self.registry.spec_for(rtype)
+        spec = self.catalog.try_spec(rtype)
         assert spec is not None
         for aspec in spec.reference_attrs():
             target_type = aspec.ref_target or ""
-            target_spec = self.registry.spec_for(target_type)
+            target_spec = self.catalog.try_spec(target_type)
             if target_spec is None:
                 continue
             for tattr in target_spec.attributes.values():

@@ -12,7 +12,6 @@ __all__, __getattr__, __dir__ = export_table(
             "Observation",
             "SemanticInferencer",
         ),
-        "schema": ("SchemaRegistry",),
         "semantic": (
             "ANY",
             "SemanticType",

@@ -13,6 +13,7 @@ import dataclasses
 import ipaddress
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from ..cloud.resources import Catalog, simulated_catalog
 from ..lang.ast_nodes import (
     AttrAccess,
     Conditional,
@@ -28,13 +29,13 @@ from ..lang.ast_nodes import (
 )
 from ..lang.config import Configuration, ResourceDecl
 from ..lang.diagnostics import Diagnostic, DiagnosticSink
-from .schema import SchemaRegistry
 from .semantic import (
     ANY,
     SemanticType,
     compatible,
     expected_semantic,
     literal_semantic,
+    produced_by_attr,
 )
 
 _CIDR_FUNCTIONS = {"cidrsubnet", "cidrhost", "cidrnetmask"}
@@ -75,7 +76,7 @@ class DeclTable:
     validation that fills it and, kept by a resident engine, where the
     next one starts (:meth:`carry_over`).
 
-    An entry is a function of the parsed block beside it, the registry,
+    An entry is a function of the parsed block beside it, the catalog,
     the variables, the locals and the set of declared names. The table
     vouches for the first only: whoever carries entries from one
     validation into the next answers for the rest."""
@@ -111,15 +112,15 @@ class DeclTable:
 
 
 class TypeChecker:
-    """Checks one configuration against a schema registry."""
+    """Checks one configuration against a catalog of resource types."""
 
     def __init__(
         self,
-        registry: SchemaRegistry,
+        catalog: Catalog,
         config: Configuration,
         table: Optional[DeclTable] = None,
     ):
-        self.registry = registry
+        self.catalog = catalog
         self.config = config
         self.table = table if table is not None else DeclTable()
         self.sink = DiagnosticSink()
@@ -143,7 +144,7 @@ class TypeChecker:
     # -- per-resource checks ----------------------------------------------------
 
     def _check_resource(self, decl: ResourceDecl) -> None:
-        spec = self.registry.spec_for(decl.type)
+        spec = self.catalog.try_spec(decl.type)
         if spec is None:
             if decl.mode == "managed":
                 self.sink.error(
@@ -252,8 +253,8 @@ class TypeChecker:
                     "TYPE007",
                 )
         if expected.kind == "region" and isinstance(value, str):
-            provider = self.registry.provider_of(where.split(".", 1)[0])
-            regions = self.registry.regions_of(provider)
+            provider = self.catalog.provider_of(where.split(".", 1)[0])
+            regions = self.catalog.regions_of(provider)
             if regions and value not in regions:
                 self.sink.error(
                     f"{where}: {value!r} is not a known {provider} region",
@@ -307,16 +308,19 @@ class TypeChecker:
         if root == "var":
             return ANY
         if root == "data" and len(parts) >= 4:
-            return self.registry.produced(parts[1], parts[3])
+            return self._produced(parts[1], parts[3])
         if root in ("count", "each", "module", "path", "data"):
             return ANY
         # resource traversal: TYPE.NAME.attr
-        if len(parts) >= 3 and self.registry.spec_for(root) is not None:
-            return self.registry.produced(root, parts[2])
+        if len(parts) >= 3 and self.catalog.try_spec(root) is not None:
+            return self._produced(root, parts[2])
         if len(parts) >= 3 and self.config.resource(root, parts[1]) is not None:
-            # declared but unknown to the registry
+            # declared but unknown to the catalog
             return ANY
         return ANY
+
+    def _produced(self, rtype: str, attr: str) -> SemanticType:
+        return produced_by_attr(rtype, attr, self.catalog.attr_spec(rtype, attr))
 
     def _infer_local(self, name: str) -> SemanticType:
         if name in self._local_cache:
@@ -352,7 +356,6 @@ def _traversal(expr: Expr) -> Optional[List[str]]:
             return None
 
 
-def check_types(config: Configuration, registry: Optional[SchemaRegistry] = None):
+def check_types(config: Configuration, catalog: Optional[Catalog] = None):
     """Convenience: type-check ``config``, returning the diagnostics."""
-    registry = registry or SchemaRegistry.default()
-    return TypeChecker(registry, config).check()
+    return TypeChecker(catalog or simulated_catalog(), config).check()

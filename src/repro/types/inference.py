@@ -14,11 +14,10 @@ import dataclasses
 from collections import Counter, defaultdict
 from typing import Dict, List, Optional, Tuple
 
-from ..cloud.resources import AttributeSpec, ResourceTypeSpec
+from ..cloud.resources import AttributeSpec, Catalog, ResourceTypeSpec
 from ..lang.ast_nodes import Expr, ListExpr
 from ..lang.config import Configuration
 from .checker import _traversal
-from .schema import SchemaRegistry
 
 
 @dataclasses.dataclass
@@ -138,66 +137,59 @@ class SemanticInferencer:
             )
         return InferenceReport(annotations=annotations, observations=len(observations))
 
-    # -- registry enrichment --------------------------------------------------------
+    # -- catalog enrichment ---------------------------------------------------------
 
-    def enrich(
-        self, registry: SchemaRegistry, report: InferenceReport
-    ) -> SchemaRegistry:
-        """A new registry with learned annotations merged in.
+    def enrich(self, catalog: Catalog, report: InferenceReport) -> Catalog:
+        """A new catalog with learned annotations merged in.
 
         Learned semantics never *overwrite* authoritative catalog
         entries -- they fill gaps (attrs with no semantic, or resource
-        types the registry has never seen).
+        types the catalog has never seen).
         """
-        out = SchemaRegistry()
-        for provider, regions in registry._regions.items():
-            out.set_regions(provider, regions)
+        specs: Dict[str, Dict[str, ResourceTypeSpec]] = defaultdict(dict)
         by_type: Dict[str, List[InferredAnnotation]] = defaultdict(list)
         for ann in report.annotations:
             by_type[ann.rtype].append(ann)
 
-        for rtype in registry.known_types():
-            spec = registry.spec_for(rtype)
-            assert spec is not None
-            new_attrs = dict(spec.attributes)
-            for ann in by_type.get(rtype, []):
-                existing = new_attrs.get(ann.attr)
-                if existing is None:
-                    new_attrs[ann.attr] = AttributeSpec(
-                        ann.attr,
-                        type="list" if ann.semantic.startswith("ref_list") else "string",
-                        semantic=ann.semantic,
-                    )
-                elif not existing.semantic:
-                    new_attrs[ann.attr] = dataclasses.replace(
-                        existing, semantic=ann.semantic
-                    )
-            out.register(dataclasses.replace(spec, attributes=new_attrs))
+        for provider, table in catalog.specs.items():
+            for rtype, spec in table.items():
+                new_attrs = dict(spec.attributes)
+                for ann in by_type.get(rtype, []):
+                    existing = new_attrs.get(ann.attr)
+                    if existing is None:
+                        new_attrs[ann.attr] = _learned_attr(ann)
+                    elif not existing.semantic:
+                        new_attrs[ann.attr] = dataclasses.replace(
+                            existing, semantic=ann.semantic
+                        )
+                specs[provider][rtype] = dataclasses.replace(
+                    spec, attributes=new_attrs
+                )
 
         # brand-new resource types witnessed only in the corpus
         for rtype, anns in sorted(by_type.items()):
-            if registry.spec_for(rtype) is not None:
+            if catalog.try_spec(rtype) is not None:
                 continue
-            attrs = {
-                ann.attr: AttributeSpec(
-                    ann.attr,
-                    type="list" if ann.semantic.startswith("ref_list") else "string",
-                    semantic=ann.semantic,
-                )
-                for ann in anns
-            }
+            attrs = {ann.attr: _learned_attr(ann) for ann in anns}
             attrs["id"] = AttributeSpec("id", computed=True)
-            out.register(
-                ResourceTypeSpec(
-                    name=rtype,
-                    provider=rtype.split("_", 1)[0],
-                    attributes=attrs,
-                    latency=_default_latency(),
-                    id_prefix=f"{rtype[:3]}-",
-                    description="learned from usage corpus",
-                )
+            provider = rtype.split("_", 1)[0]
+            specs[provider][rtype] = ResourceTypeSpec(
+                name=rtype,
+                provider=provider,
+                attributes=attrs,
+                latency=_default_latency(),
+                id_prefix=f"{rtype[:3]}-",
+                description="learned from usage corpus",
             )
-        return out
+        return Catalog(dict(specs), dict(catalog.regions))
+
+
+def _learned_attr(ann: InferredAnnotation) -> AttributeSpec:
+    return AttributeSpec(
+        ann.attr,
+        type="list" if ann.semantic.startswith("ref_list") else "string",
+        semantic=ann.semantic,
+    )
 
 
 def _default_latency():

@@ -24,9 +24,9 @@ import dataclasses
 from collections import defaultdict
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..cloud.resources import Catalog
 from ..lang.config import Configuration
 from ..lang.diagnostics import DiagnosticSink
-from ..types.schema import SchemaRegistry
 from .rules import Rule, RuleInfo, ValidationContext
 
 _SCALAR = (str, int, float, bool)
@@ -52,9 +52,9 @@ class DeploymentExample:
     def from_config(
         cls,
         config: Configuration,
-        registry: Optional[SchemaRegistry] = None,
+        catalog: Optional[Catalog] = None,
     ) -> "DeploymentExample":
-        ctx = ValidationContext.build(config, registry)
+        ctx = ValidationContext.build(config, catalog)
         observations: List[ResourceObservation] = []
         for node in ctx.instances():
             if node.address.mode != "managed":

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
+from ..cloud.resources import Catalog, simulated_catalog
 from ..lang.diagnostics import (
     CLCError,
     Diagnostic,
@@ -21,7 +22,6 @@ from ..lang.diagnostics import (
     Severity,
     SourceSpan,
 )
-from ..types.schema import SchemaRegistry
 from .rules import RuleEngine, ValidationContext
 
 if TYPE_CHECKING:  # imported by the validations that read a program
@@ -107,12 +107,12 @@ class ValidationPipeline:
 
     def __init__(
         self,
-        registry: Optional[SchemaRegistry] = None,
+        catalog: Optional[Catalog] = None,
         level: str = LEVEL_RULES,
     ):
         if level not in LEVELS:
             raise ValueError(f"level must be one of {LEVELS}")
-        self.registry = registry or SchemaRegistry.default()
+        self.catalog = catalog or simulated_catalog()
         self.level = level
         self.engine = RuleEngine.default()
 
@@ -121,11 +121,13 @@ class ValidationPipeline:
     def _basis(self) -> Dict[str, Any]:
         """What a verdict is a function of besides the sources and
         variables it was reached on. A rule's id is its identity (as
-        :meth:`CloudlessEngine.learn_validation_rules` already has it)."""
+        :meth:`CloudlessEngine.learn_validation_rules` already has it).
+        The catalog's digest keeps the name ``registry`` that every
+        verdict on disk already records it under."""
         return {
             "level": self.level,
             "rules": [rule.info.rule_id for rule in self.engine.rules],
-            "registry": self.registry.fingerprint(),
+            "registry": self.catalog.validation_digest,
         }
 
     def verdict(self, report: ValidationReport) -> Dict[str, Any]:
@@ -216,7 +218,7 @@ class ValidationPipeline:
             return ValidationReport(self.level, sink.diagnostics, stage_errors)
 
         # stage 1: semantic types
-        type_sink = TypeChecker(self.registry, config, table).check()
+        type_sink = TypeChecker(self.catalog, config, table).check()
         sink.extend(type_sink)
         stage_errors["types"] = len(type_sink.errors)
         if self.level == LEVEL_TYPES or sink.has_errors():
@@ -225,11 +227,11 @@ class ValidationPipeline:
         # stage 2: cloud-specific rules (needs the expanded graph)
         try:
             ctx = (
-                ValidationContext(config, graph, self.registry, table)
+                ValidationContext(config, graph, self.catalog, table)
                 if graph is not None
                 else ValidationContext.build(
                     config,
-                    self.registry,
+                    self.catalog,
                     variables=variables,
                     loader=loader,
                     table=table,
@@ -248,9 +250,9 @@ class ValidationPipeline:
 def validate(
     config_or_sources: Union[Configuration, str, Dict[str, str]],
     level: str = LEVEL_RULES,
-    registry: Optional[SchemaRegistry] = None,
+    catalog: Optional[Catalog] = None,
 ) -> ValidationReport:
     """Convenience one-shot validation."""
-    return ValidationPipeline(registry=registry, level=level).validate(
+    return ValidationPipeline(catalog=catalog, level=level).validate(
         config_or_sources
     )

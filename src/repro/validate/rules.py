@@ -12,10 +12,10 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
+from ..cloud.resources import Catalog, simulated_catalog
 from ..lang.diagnostics import DiagnosticSink
 from ..lang.values import is_plain, is_unknown
 from ..perf import PERF
-from ..types.schema import SchemaRegistry
 
 if TYPE_CHECKING:  # imported by the validations that read a program
     from ..graph.builder import ResourceGraph, ResourceNode
@@ -43,12 +43,12 @@ class ValidationContext:
         self,
         config: Configuration,
         graph: ResourceGraph,
-        registry: SchemaRegistry,
+        catalog: Catalog,
         table: Optional[DeclTable] = None,
     ):
         self.config = config
         self.graph = graph
-        self.registry = registry
+        self.catalog = catalog
         if table is None:
             from ..types.checker import DeclTable
 
@@ -62,15 +62,14 @@ class ValidationContext:
     def build(
         cls,
         config: Configuration,
-        registry: Optional[SchemaRegistry] = None,
+        catalog: Optional[Catalog] = None,
         variables: Optional[Dict[str, Any]] = None,
         loader=None,
         table: Optional[DeclTable] = None,
     ) -> "ValidationContext":
-        registry = registry or SchemaRegistry.default()
         graph = build_graph(config, variables=variables, loader=loader)
         PERF.count("graph.builds")
-        return cls(config, graph, registry, table)
+        return cls(config, graph, catalog or simulated_catalog(), table)
 
     # -- instance access ---------------------------------------------------
 
@@ -109,7 +108,7 @@ class ValidationContext:
         value = self.known_attr(node, name)
         if value is not None:
             return value
-        aspec = self.registry.attr_spec(node.address.type, name)
+        aspec = self.catalog.attr_spec(node.address.type, name)
         return aspec.default if aspec else None
 
     def referenced_instances(

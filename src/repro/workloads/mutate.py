@@ -14,10 +14,10 @@ import dataclasses
 import random
 from typing import Callable, List, Optional, Tuple
 
+from ..cloud.resources import Catalog, simulated_catalog
 from ..lang.ast_nodes import AttrAccess, Attribute, ListExpr, Literal, ScopeRef
 from ..lang.config import Configuration, ResourceDecl
 from ..lang.diagnostics import SourceSpan
-from ..types.schema import SchemaRegistry
 
 
 @dataclasses.dataclass
@@ -47,9 +47,9 @@ class ConfigMutator:
     """Applies one randomly-chosen applicable mutation to a config."""
 
     def __init__(
-        self, registry: Optional[SchemaRegistry] = None, seed: int = 0
+        self, catalog: Optional[Catalog] = None, seed: int = 0
     ):
-        self.registry = registry or SchemaRegistry.default()
+        self.catalog = catalog or simulated_catalog()
         self.rng = random.Random(seed)
 
     # each entry: (kind, catchable_at, function(config) -> Mutation)
@@ -110,7 +110,7 @@ class ConfigMutator:
     def mutate_bad_enum(self, config: Configuration) -> Mutation:
         sites = []
         for decl in self._managed(config):
-            spec = self.registry.spec_for(decl.type)
+            spec = self.catalog.try_spec(decl.type)
             if spec is None:
                 continue
             for aspec in spec.attributes.values():
@@ -129,7 +129,7 @@ class ConfigMutator:
     def mutate_wrong_ref_type(self, config: Configuration) -> Mutation:
         sites = []
         for decl in self._managed(config):
-            spec = self.registry.spec_for(decl.type)
+            spec = self.catalog.try_spec(decl.type)
             if spec is None:
                 continue
             for aspec in spec.reference_attrs():
@@ -140,8 +140,8 @@ class ConfigMutator:
                     for other in self._managed(config)
                     if other.type != (aspec.ref_target or "")
                     and other.type != decl.type
-                    and self.registry.provider_of(other.type)
-                    == self.registry.provider_of(decl.type)
+                    and self.catalog.try_provider_of(other.type)
+                    == self.catalog.provider_of(decl.type)
                 ]
                 if wrong:
                     sites.append((decl, aspec, wrong))
@@ -172,7 +172,7 @@ class ConfigMutator:
     def mutate_drop_required(self, config: Configuration) -> Mutation:
         sites = []
         for decl in self._managed(config):
-            spec = self.registry.spec_for(decl.type)
+            spec = self.catalog.try_spec(decl.type)
             if spec is None:
                 continue
             for aspec in spec.required_attrs():
@@ -191,7 +191,7 @@ class ConfigMutator:
     def mutate_invalid_cidr(self, config: Configuration) -> Mutation:
         sites = []
         for decl in self._managed(config):
-            spec = self.registry.spec_for(decl.type)
+            spec = self.catalog.try_spec(decl.type)
             if spec is None:
                 continue
             for aspec in spec.attributes.values():
@@ -210,7 +210,7 @@ class ConfigMutator:
     def mutate_bad_region(self, config: Configuration) -> Mutation:
         sites = []
         for decl in self._managed(config):
-            spec = self.registry.spec_for(decl.type)
+            spec = self.catalog.try_spec(decl.type)
             if spec is None:
                 continue
             for aspec in spec.attributes.values():
@@ -238,7 +238,7 @@ class ConfigMutator:
         decl = self._pick(vms)
         current = decl.body.attributes["location"].expr
         current_value = current.value if isinstance(current, Literal) else None
-        regions = self.registry.regions_of("azure")
+        regions = self.catalog.regions_of("azure")
         others = [r for r in regions if r != current_value]
         _set_attr(decl, "location", self.rng.choice(others))
         return Mutation(

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cloud import CloudGateway, SimClock
 from repro.core import CloudlessEngine
-from repro.types import SchemaRegistry
+from repro.cloud.resources import simulated_catalog
 
 
 @pytest.fixture
@@ -20,9 +20,10 @@ def engine():
 
 
 @pytest.fixture(scope="session")
-def registry():
-    """The default schema registry (read-only; session-scoped)."""
-    return SchemaRegistry.default()
+def catalog():
+    """The simulated clouds' catalog of resource types (read-only;
+    shared by the whole process)."""
+    return simulated_catalog()
 
 
 FIGURE2_SOURCE = '''

@@ -132,6 +132,21 @@ class TestLookup:
         assert CloudlessEngine(seed=9).catalog is simulated_catalog()
         assert CloudlessEngine(gateway=gateway).catalog is gateway.catalog
 
+    def test_the_catalog_digests_as_the_registry_did(self, gateway):
+        """The digest every recorded verdict carries (under the name
+        ``registry``) did not move when validation came to read the
+        catalog: the simulated pair's, as the program one commit before
+        it computed it from its schema registry, so every verdict on
+        disk still replays."""
+        from repro.cloud import simulated_catalog
+
+        digest = "a4bd215d1de71125308da22f7ef612c226a0c1ba4c44bfb7166a4b8a1b79251f"
+        assert simulated_catalog().validation_digest == digest
+        assert gateway.catalog.validation_digest == digest
+        pipeline = CloudlessEngine(seed=9).validation
+        assert pipeline.catalog is simulated_catalog()
+        assert pipeline.verdict(pipeline.validate(SOURCE))["registry"] == digest
+
     def test_cold_cache_is_a_miss(self, cache, gateway):
         texts = {"main.clc": SOURCE}
         vfp = variables_fingerprint(None)

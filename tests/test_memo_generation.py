@@ -421,7 +421,7 @@ resource "aws_subnet" "t" {
 class TestValidationFollowsTheParsedBlock:
     """A declaration's type verdict and its instances' validate-time
     attribute values are functions of the parsed block (given the
-    registry, variables, locals and declared names, which whoever
+    catalog, variables, locals and declared names, which whoever
     carries a table over answers for): computed once for the parts a
     declaration holds, and never taken for parts it no longer holds."""
 

@@ -222,8 +222,8 @@ class TestAddressingHelpers:
 
 
 class TestSpecHelpers:
-    def test_attribute_spec_views(self, registry):
-        spec = registry.spec_for("aws_virtual_machine")
+    def test_attribute_spec_views(self, catalog):
+        spec = catalog.try_spec("aws_virtual_machine")
         nic = spec.attr("nic_ids")
         assert nic.ref_target == "aws_network_interface"
         assert nic.is_ref_list
@@ -232,13 +232,13 @@ class TestSpecHelpers:
         assert spec.attr("id").computed
         assert {a.name for a in spec.required_attrs()} >= {"name", "nic_ids"}
 
-    def test_catalogs_are_well_formed(self, registry):
-        for rtype in registry.known_types():
-            spec = registry.spec_for(rtype)
-            assert spec.attr("id") is not None and spec.attr("id").computed
-            assert spec.latency.create_s > 0
-            for aspec in spec.reference_attrs():
-                target = aspec.ref_target
-                assert registry.spec_for(target) is not None, (
-                    f"{rtype}.{aspec.name} references unknown type {target}"
-                )
+    def test_catalogs_are_well_formed(self, catalog):
+        for specs in catalog.specs.values():
+            for rtype, spec in sorted(specs.items()):
+                assert spec.attr("id") is not None and spec.attr("id").computed
+                assert spec.latency.create_s > 0
+                for aspec in spec.reference_attrs():
+                    target = aspec.ref_target
+                    assert catalog.try_spec(target) is not None, (
+                        f"{rtype}.{aspec.name} references unknown type {target}"
+                    )

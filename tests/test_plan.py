@@ -3,17 +3,17 @@
 import pytest
 
 from repro.addressing import ResourceAddress
+from repro.cloud.resources import simulated_catalog
 from repro.graph.builder import build_graph
 from repro.graph.plan import Action, PlanError, Planner
 from repro.lang import Configuration
 from repro.state import ResourceState, StateDocument
-from repro.types import SchemaRegistry
 
-REGISTRY = SchemaRegistry.default()
+CATALOG = simulated_catalog()
 
 
 def make_planner():
-    return Planner(spec_lookup=REGISTRY.spec_for)
+    return Planner(spec_lookup=CATALOG.try_spec)
 
 
 def plan_for(source, state=None):
@@ -109,7 +109,7 @@ class TestActions:
             )
         )
         planner = Planner(
-            spec_lookup=REGISTRY.spec_for,
+            spec_lookup=CATALOG.try_spec,
             region_lookup=lambda rtype, attrs: attrs.get("location", ""),
         )
         graph = build_graph(

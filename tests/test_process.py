@@ -138,7 +138,7 @@ VERB_IMPORTS = {
 WATCH_MODULES_MAX = 36
 #: the ceiling for a ``plan`` the basis proves whole, which reads no
 #: program and calls no cloud; CI fails here too
-PLAN_MODULES_MAX = 33
+PLAN_MODULES_MAX = 30
 
 
 def loaded(modules, name):

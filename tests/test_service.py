@@ -633,6 +633,68 @@ class TestInvalidRequest:
         assert good[0] == 200 and good[1]["status"] == 200
 
 
+class TestHTTPEdgeStatuses:
+    """Through a real loopback socket, a request the edge will not read
+    whole is a typed 4xx that reaches the client, and the edge answers
+    the next request."""
+
+    def exchange_all(self, tmp_path, request):
+        async def send(address, raw):
+            reader, writer = await asyncio.open_connection(*address)
+            writer.write(raw)
+            await writer.drain()
+            writer.write_eof()
+            answer = await asyncio.wait_for(reader.read(), timeout=30)
+            writer.close()
+            await writer.wait_closed()
+            status_line, _, rest = answer.partition(b"\r\n")
+            head, _, body = rest.partition(b"\r\n\r\n")
+            return int(status_line.split()[1]), status_line, json.loads(body)
+
+        async def main():
+            svc = make_service(tmp_path)
+            await svc.start()
+            httpd = ServiceHTTPD(svc, port=0)
+            await httpd.start()
+            try:
+                answer = await send(httpd.address, request)
+                healthz = await send(httpd.address, b"GET /healthz HTTP/1.1\r\n\r\n")
+            finally:
+                await httpd.stop()
+                await svc.stop()
+            return answer, healthz
+
+        answer, healthz = run(main())
+        assert healthz[0] == 200
+        return answer
+
+    def test_an_overlong_header_line_is_431(self, tmp_path):
+        request = (
+            b"GET /healthz HTTP/1.1\r\nX-Padding: " + b"a" * 70_000 + b"\r\n\r\n"
+        )
+        status, line, body = self.exchange_all(tmp_path, request)
+        assert (status, line) == (431, b"HTTP/1.1 431 Request Header Fields Too Large")
+        assert body == {"error": "header line too long"}
+
+    def test_a_body_shorter_than_its_length_is_400(self, tmp_path):
+        request = b"POST /v1/a/plan HTTP/1.1\r\nContent-Length: 100\r\n\r\n{}"
+        status, line, body = self.exchange_all(tmp_path, request)
+        assert (status, line) == (400, b"HTTP/1.1 400 Bad Request")
+        assert body == {"error": "body shorter than content-length"}
+
+    def test_a_body_over_the_cap_is_413_before_it_is_read(self, tmp_path):
+        from repro.service.httpd import _MAX_BODY
+
+        size = 2 * _MAX_BODY
+        request = (
+            f"POST /v1/a/plan HTTP/1.1\r\nContent-Length: {size}\r\n\r\n".encode()
+            + b" " * size
+        )
+        status, line, body = self.exchange_all(tmp_path, request)
+        assert (status, line) == (413, b"HTTP/1.1 413 Content Too Large")
+        assert body == {"error": f"body over {_MAX_BODY} bytes"}
+
+
 class TestInvalidProgram:
     def test_a_typo_is_the_tenants_error_not_the_services(self, tmp_path):
         """A program that does not parse answers a typed 400 with the

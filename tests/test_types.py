@@ -2,15 +2,17 @@
 
 import pytest
 
+from repro.cloud.resources import simulated_catalog
 from repro.lang import Configuration
 from repro.types import (
-    SchemaRegistry,
     SemanticInferencer,
     SemanticType,
     TypeChecker,
     check_types,
     compatible,
+    expected_semantic,
     literal_semantic,
+    produced_by_attr,
 )
 
 
@@ -32,11 +34,15 @@ class TestSemanticModel:
         assert compatible(nic, any_)
         assert compatible(any_, subnet)
 
-    def test_registry_semantics(self, registry):
-        produced = registry.produced("aws_subnet", "id")
+    def test_registry_semantics(self, catalog):
+        produced = produced_by_attr(
+            "aws_subnet", "id", catalog.attr_spec("aws_subnet", "id")
+        )
         assert produced.kind == "resource_id"
         assert produced.detail == "aws_subnet"
-        expected = registry.expected("aws_virtual_machine", "nic_ids")
+        expected = expected_semantic(
+            catalog.attr_spec("aws_virtual_machine", "nic_ids")
+        )
         assert expected.detail == "aws_network_interface"
 
 
@@ -182,8 +188,8 @@ class TestInference:
     def test_enriched_registry_checks_new_types(self):
         inferencer = SemanticInferencer(min_support=2)
         report = inferencer.infer(self.corpus_configs())
-        enriched = inferencer.enrich(SchemaRegistry.default(), report)
-        # the new registry now rejects a wrong-typed reference into a
+        enriched = inferencer.enrich(simulated_catalog(), report)
+        # the new catalog now rejects a wrong-typed reference into a
         # resource type it learned only from the corpus
         bad = Configuration.parse(
             'resource "custom_widget" "w" {\n'
@@ -211,6 +217,8 @@ class TestInference:
             )
         ]
         report = inferencer.infer(bad_corpus)
-        enriched = inferencer.enrich(SchemaRegistry.default(), report)
-        expected = enriched.expected("aws_virtual_machine", "nic_ids")
+        enriched = inferencer.enrich(simulated_catalog(), report)
+        expected = expected_semantic(
+            enriched.attr_spec("aws_virtual_machine", "nic_ids")
+        )
         assert expected.detail == "aws_network_interface"  # unchanged

@@ -19,13 +19,14 @@ import pytest
 import repro.core.engine as engine_module
 import repro.validate.rules as rules_module
 from repro import cli, perf
-from repro.cloud import CloudGateway
+from repro.cloud import CloudGateway, SimClock
+from repro.cloud.aws.provider import AwsControlPlane
+from repro.cloud.azure.provider import AzureControlPlane
 from repro.compilecache.store import _header_sha
 from repro.core.engine import CloudlessEngine, Compiled
 from repro.graph import build_graph
 from repro.lang import Configuration
 from repro.lang.module_loader import DictModuleLoader
-from repro.types import SchemaRegistry
 from repro.types.checker import TypeChecker
 from repro.validate.pipeline import LEVEL_TYPES, VerdictMismatch
 from repro.validate.rules import Rule, RuleEngine, RuleInfo
@@ -465,9 +466,14 @@ class TestReplayIsAsStrictAsValidating:
         assert spy() == {"builds": 0, "type_checks": 1, "rule_runs": 1}
 
     def test_another_registry_validates(self, tmp_path, spy):
-        registry = SchemaRegistry.default()
-        registry.set_regions("aws", ["mars-north-1"])
-        engine = self.warm(str(tmp_path), registry=registry)
+        """Clouds that serve the same types in other regions: the
+        compile is still an exact hit, the verdict is not."""
+        clock = SimClock()
+        planes = {
+            "aws": AwsControlPlane(clock=clock, seed=5, regions=["mars-north-1"]),
+            "azure": AzureControlPlane(clock=clock, seed=1005),
+        }
+        engine = self.warm(str(tmp_path), gateway=CloudGateway(planes, clock))
         spy()
         engine.validate(ESTATE)
         assert engine.compile_cache.exact_hits == 1
