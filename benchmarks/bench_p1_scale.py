@@ -14,9 +14,11 @@ simulated makespan), so the speedup is pure overhead reduction.
 CI runs the smoke tier::
 
     python benchmarks/bench_p1_scale.py --sizes 1000 \
-        --executors critical-path --budget-s 60 --out /tmp/BENCH_scale.json
+        --executors critical-path --budget-s 60 --reference \
+        --out /tmp/BENCH_scale.json
 
-which exits non-zero if any apply exceeds the wall-clock budget.
+which exits non-zero if any apply exceeds the wall-clock budget, or if
+its simulated makespan differs from the reference executor's.
 """
 
 from __future__ import annotations

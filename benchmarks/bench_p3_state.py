@@ -18,7 +18,7 @@ in ``docs/performance.md``). ``--min-checkpoint-speedup`` /
 the smoke tier::
 
     python benchmarks/bench_p3_state.py --sizes 1000 \
-        --min-checkpoint-speedup 3 --min-lookup-speedup 10 \
+        --min-checkpoint-speedup 3 --min-lookup-speedup 5 \
         --out /tmp/BENCH_state.json
 """
 

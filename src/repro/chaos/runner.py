@@ -54,6 +54,9 @@ DRAIN_ATTEMPTS = 6
 #: detect + reconcile rounds the drain allows before a scan is clean
 RECONCILE_ROUNDS = 8
 
+#: rollback passes a ``rollback`` phase makes before it reports errors
+ROLLBACK_ATTEMPTS = 5
+
 
 @dataclasses.dataclass
 class PhaseRecord:
@@ -507,7 +510,7 @@ class CampaignRunner:
         # current state resumes it (mirrors the historical sweep)
         attempts = 0
         result = None
-        for attempts in range(1, phase.get("attempts", 5) + 1):
+        for attempts in range(1, ROLLBACK_ATTEMPTS + 1):
             result = engine.rollback(version)
             if not result.errors:
                 break

@@ -26,7 +26,7 @@ __all__, __getattr__, __dir__ = export_table(
             "SpecValidationError",
         ),
         "gateway": ("CloudGateway",),
-        "latency": ("DEFAULT_PROFILE", "LatencyModel", "LatencyProfile"),
+        "latency": ("DEFAULT_PROFILE", "LatencyProfile"),
         "ratelimit": ("RateLimiterBank", "RateLimitStats", "TokenBucket"),
         "resilience": (
             "BreakerPolicy",

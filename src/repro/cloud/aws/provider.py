@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Dict
 
 from ..base import CloudAPIError, ControlPlane, parse_network
-from ..resources import AWS_REGIONS, ResourceTypeSpec, aws_catalog
+from ..resources import AWS_REGIONS, ResourceTypeSpec
 
 
 class AwsControlPlane(ControlPlane):
@@ -19,15 +19,11 @@ class AwsControlPlane(ControlPlane):
 
     provider = "aws"
     list_page_size = 25
+    rate_limits = {"read": (20.0, 40), "write": (5.0, 10)}
 
     def __init__(self, **kwargs: Any):
         kwargs.setdefault("regions", list(AWS_REGIONS))
-        kwargs.setdefault("rate_limits", {"read": (20.0, 40), "write": (5.0, 10)})
         super().__init__(**kwargs)
-
-    def _register_catalog(self) -> None:
-        for s in aws_catalog():
-            self.register_spec(s)
 
     # -- AWS-style error shapes ------------------------------------------------
 

@@ -16,7 +16,7 @@ import ipaddress
 from typing import Any, Dict
 
 from ..base import CloudAPIError, ControlPlane, ResourceRecord, parse_network
-from ..resources import AZURE_LOCATIONS, ResourceTypeSpec, azure_catalog
+from ..resources import AZURE_LOCATIONS, ResourceTypeSpec
 
 
 class AzureControlPlane(ControlPlane):
@@ -24,16 +24,12 @@ class AzureControlPlane(ControlPlane):
 
     provider = "azure"
     list_page_size = 20
+    # ARM throttles writes notoriously hard
+    rate_limits = {"read": (15.0, 30), "write": (3.0, 8)}
 
     def __init__(self, **kwargs: Any):
         kwargs.setdefault("regions", list(AZURE_LOCATIONS))
-        # ARM throttles writes notoriously hard
-        kwargs.setdefault("rate_limits", {"read": (15.0, 30), "write": (3.0, 8)})
         super().__init__(**kwargs)
-
-    def _register_catalog(self) -> None:
-        for s in azure_catalog():
-            self.register_spec(s)
 
     def _not_found_code(self, ref_type: str) -> str:
         return "ResourceNotFound"

@@ -1,10 +1,11 @@
 """Simulated cloud control plane.
 
 One :class:`ControlPlane` per provider: it owns the resource store, the
-API rate limiters, the latency model, the fault injector, and the
-activity log. Every operation flows through :meth:`submit`, which
-returns a :class:`PendingOperation` carrying the simulated completion
-time -- executors drive these as discrete events.
+API rate limiters, the fault injector, and the activity log, and serves
+its provider's table of :func:`~repro.cloud.resources.simulated_catalog`.
+Every operation flows through :meth:`submit`, which returns a
+:class:`PendingOperation` carrying the simulated completion time --
+executors drive these as discrete events.
 
 The control plane also enforces *cloud-level* constraints (same-region
 rules, reference existence, CIDR overlap, quotas). When they fail, they
@@ -19,14 +20,16 @@ import hashlib
 import ipaddress
 import itertools
 import random
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+)
 
 from .activitylog import ActivityLog
 from .clock import SimClock
 from .faults import FaultInjector
-from .latency import LatencyModel
+from .latency import DEFAULT_PROFILE, LatencyProfile
 from .ratelimit import RateLimiterBank
-from .resources import AttributeSpec, ResourceTypeSpec
+from .resources import AttributeSpec, ResourceTypeSpec, simulated_catalog
 
 READ_OPS = ("read", "list", "log")
 WRITE_OPS = ("create", "update", "delete")
@@ -355,20 +358,25 @@ class ControlPlane:
     provider = "generic"
     #: page size for list() calls -- what makes full scans expensive
     list_page_size = 25
+    #: operation class -> (tokens per second, burst) of its API bucket;
+    #: subclasses set it
+    rate_limits: Dict[str, Tuple[float, int]]
 
     def __init__(
         self,
         clock: Optional[SimClock] = None,
         seed: int = 0,
-        rate_limits: Optional[Dict[str, tuple]] = None,
         regions: Optional[List[str]] = None,
     ):
         self.clock = clock or SimClock()
         self.seed = seed
         self.rng = random.Random(seed)
-        self.specs: Dict[str, ResourceTypeSpec] = {}
-        self.latency = LatencyModel()
-        self.limiter = RateLimiterBank(rate_limits)
+        #: the provider's table of the one catalog: read-only, shared by
+        #: every plane of the process
+        self.specs: Mapping[str, ResourceTypeSpec] = simulated_catalog().specs[
+            self.provider
+        ]
+        self.limiter = RateLimiterBank(self.rate_limits)
         self.faults = FaultInjector(random.Random(seed + 1))
         self.log = ActivityLog(self.provider)
         self.records: RecordStore = RecordStore()
@@ -398,7 +406,6 @@ class ControlPlane:
         self._latency_scale = 1.0
         #: memoized identity-keyed latency draws (pure in their key)
         self._latency_samples: Dict[Tuple[str, str, str], float] = {}
-        self._register_catalog()
 
     # -- deferred restore ------------------------------------------------
 
@@ -438,9 +445,6 @@ class ControlPlane:
 
     # -- subclass hooks ------------------------------------------------------
 
-    def _register_catalog(self) -> None:
-        """Subclasses register their ResourceTypeSpecs here."""
-
     def validate_create(
         self, spec: ResourceTypeSpec, attrs: Dict[str, Any], region: str
     ) -> None:
@@ -454,11 +458,13 @@ class ControlPlane:
     ) -> None:
         """Provider-specific update-time constraints."""
 
-    # -- registration ------------------------------------------------------
+    # -- catalog ------------------------------------------------------------
 
-    def register_spec(self, spec: ResourceTypeSpec) -> None:
-        self.specs[spec.name] = spec
-        self.latency.register(spec.name, spec.latency)
+    def latency_profile(self, rtype: str) -> LatencyProfile:
+        """``rtype``'s latency profile; :data:`DEFAULT_PROFILE` for a
+        type this plane does not serve."""
+        spec = self.specs.get(rtype)
+        return DEFAULT_PROFILE if spec is None else spec.latency
 
     def spec_for(self, rtype: str) -> ResourceTypeSpec:
         spec = self.specs.get(rtype)
@@ -611,7 +617,7 @@ class ControlPlane:
             rng = random.Random(
                 f"{self.provider}|{rtype}|{operation}|{key}|{self.seed}"
             )
-            sample = self.latency.sample(rtype, operation, rng)
+            sample = self.latency_profile(rtype).sample(operation, rng)
             self._latency_samples[cache_key] = sample
         return sample * self._latency_scale
 

@@ -92,7 +92,7 @@ class CloudGateway:
         return plane.read_data(rtype, attrs, region)
 
     def mean_latency(self, rtype: str, operation: str) -> float:
-        return self.plane_for(rtype).latency.mean(rtype, operation)
+        return self.plane_for(rtype).latency_profile(rtype).mean_for(operation)
 
     # -- outages ------------------------------------------------------------
 

@@ -9,7 +9,7 @@ scanning feel the same pressure real tools do.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Dict
 
 
 @dataclasses.dataclass
@@ -102,8 +102,7 @@ class RateLimiterBank:
     operations, like Azure Resource Manager writes, far more harshly).
     """
 
-    def __init__(self, limits: Optional[Dict[str, tuple]] = None):
-        limits = limits or {"read": (20.0, 40), "write": (5.0, 10)}
+    def __init__(self, limits: Dict[str, tuple]):
         self.buckets: Dict[str, TokenBucket] = {
             name: TokenBucket(rate, burst) for name, (rate, burst) in limits.items()
         }

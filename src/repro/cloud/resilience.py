@@ -163,6 +163,14 @@ def _unit_hash(key: str) -> float:
     return int.from_bytes(digest[:8], "big") / 2**64
 
 
+#: each retry waits this many times the one before
+BACKOFF_MULTIPLIER = 2.0
+#: the longest wait :meth:`RetryPolicy.delay_for` asks for, jitter aside
+MAX_BACKOFF_S = 300.0
+#: how much longer a THROTTLED error waits than a TRANSIENT one
+THROTTLE_FACTOR = 2.0
+
+
 @dataclasses.dataclass
 class RetryPolicy:
     """Retry behaviour for transient cloud errors.
@@ -176,13 +184,10 @@ class RetryPolicy:
 
     max_attempts: int = 3
     base_backoff_s: float = 5.0
-    multiplier: float = 2.0
-    max_backoff_s: float = 300.0
     jitter: float = 0.0  # fraction of the delay added deterministically
-    throttle_factor: float = 2.0  # extra backoff for THROTTLED errors
 
     def backoff(self, attempt: int) -> float:
-        return self.base_backoff_s * (self.multiplier ** max(0, attempt - 1))
+        return self.base_backoff_s * (BACKOFF_MULTIPLIER ** max(0, attempt - 1))
 
     def retries(self, error_class: str) -> bool:
         """Is this class of error worth another attempt?"""
@@ -193,8 +198,8 @@ class RetryPolicy:
     ) -> float:
         delay = self.backoff(attempt)
         if error_class == THROTTLED:
-            delay *= self.throttle_factor
-        delay = min(delay, self.max_backoff_s)
+            delay *= THROTTLE_FACTOR
+        delay = min(delay, MAX_BACKOFF_S)
         if self.jitter > 0.0:
             delay += delay * self.jitter * _unit_hash(f"{key}|{attempt}")
         return delay
@@ -363,11 +368,14 @@ class CircuitBreaker:
         }
 
 
+#: how many of a partition's latest operations its error rate covers
+HEALTH_WINDOW = 64
+
+
 @dataclasses.dataclass
 class PartitionHealth:
     """Rolling per-(provider, region) stats the monitor accumulates."""
 
-    window: int = 64
     ops: int = 0
     errors: int = 0
     outage_errors: int = 0
@@ -382,8 +390,8 @@ class PartitionHealth:
             self.errors += 1
             self.last_error_code = code
         self._recent.append(ok)
-        if len(self._recent) > self.window:
-            del self._recent[: len(self._recent) - self.window]
+        if len(self._recent) > HEALTH_WINDOW:
+            del self._recent[: len(self._recent) - HEALTH_WINDOW]
 
     @property
     def error_rate(self) -> float:
@@ -420,9 +428,8 @@ class HealthMonitor:
     (:meth:`CircuitBreaker.return_probe`).
     """
 
-    def __init__(self, policy: Optional[BreakerPolicy] = None, window: int = 64):
+    def __init__(self, policy: Optional[BreakerPolicy] = None):
         self.policy = policy or BreakerPolicy()
-        self.window = window
         self.breakers: Dict[tuple, CircuitBreaker] = {}
         self.health: Dict[tuple, PartitionHealth] = {}
 
@@ -442,7 +449,7 @@ class HealthMonitor:
         key = (provider, region)
         found = self.health.get(key)
         if found is None:
-            found = self.health[key] = PartitionHealth(window=self.window)
+            found = self.health[key] = PartitionHealth()
         return found
 
     # -- dispatch gating -----------------------------------------------------

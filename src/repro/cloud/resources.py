@@ -14,9 +14,10 @@ a plan decide from it alone: the compile cache's schema fingerprint,
 the type checker and the rules, the planner's spec, region and provider
 lookups. None of them calls a cloud, so a verb that
 calls none (a ``plan`` the world's record proves, ``show``) reads the
-catalog without importing, building or replaying a control plane. The
-planes register their specs from here, and a gateway exposes the
-catalog its planes hold (:attr:`repro.cloud.gateway.CloudGateway.catalog`).
+catalog without importing, building or replaying a control plane. Each
+plane serves its provider's table of :func:`simulated_catalog`, the
+same spec objects, and a gateway exposes the catalog its planes hold
+(:attr:`repro.cloud.gateway.CloudGateway.catalog`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
-from typing import Any, Dict, List, Optional, Tuple
+import types
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from .latency import LatencyProfile
 
@@ -681,7 +683,7 @@ class Catalog:
 
     def __init__(
         self,
-        specs: Dict[str, Dict[str, ResourceTypeSpec]],
+        specs: Dict[str, Mapping[str, ResourceTypeSpec]],
         regions: Dict[str, List[str]],
     ):
         self.specs = specs
@@ -767,13 +769,12 @@ class Catalog:
 @functools.lru_cache(maxsize=None)
 def simulated_catalog() -> Catalog:
     """The catalog of the simulated aws+azure pair, built once per
-    process and shared by every engine that was given no gateway (read
-    it, never change it): what the planes of ``CloudGateway.simulated``
-    hold."""
+    process and shared by every engine that was given no gateway: the
+    read-only tables every aws and azure plane serves."""
     return Catalog(
         {
-            "aws": {s.name: s for s in aws_catalog()},
-            "azure": {s.name: s for s in azure_catalog()},
+            "aws": types.MappingProxyType({s.name: s for s in aws_catalog()}),
+            "azure": types.MappingProxyType({s.name: s for s in azure_catalog()}),
         },
         {"aws": list(AWS_REGIONS), "azure": list(AZURE_LOCATIONS)},
     )

@@ -1070,9 +1070,6 @@ class CloudlessEngine:
         self,
         sources: Optional[Sources] = None,
         variables: Optional[Dict[str, Any]] = None,
-        validate_first: bool = True,
-        admit: bool = True,
-        checkpoint: bool = True,
     ) -> "EngineResumeResult":
         """Recover a crashed apply from the intent journal and continue.
 
@@ -1103,9 +1100,6 @@ class CloudlessEngine:
         result = self.apply(
             sources,
             variables=variables,
-            validate_first=validate_first,
-            admit=admit,
-            checkpoint=checkpoint,
             _journal=journal if journal.run_id is not None else None,
         )
         if result.plan is not None:

@@ -31,10 +31,12 @@ truncated away, exactly like the state store's delta journal. Garbage
 *before* the last line is real corruption and raises
 :class:`WALCorruptError`.
 
-Durability is configurable (``sync=``): ``"fsync"`` forces every record
-to disk (media-crash safe), ``"flush"`` (default) pushes to the OS --
-sufficient for the process-crash failure model this PR targets -- and
-``"none"`` leaves buffering to the runtime (benchmark floor).
+Durability has one mode: the run header and every intent are flushed
+to the OS before the call they announce is sent, which survives the
+failure recovery handles, a process crash (what the OS holds outlives
+the process). Commit and abort markers ride the write buffer until the
+next flush; :meth:`IntentJournal.log_commit` says why that is safe.
+Nothing is fsynced: a power loss or media crash can lose the tail.
 """
 
 from __future__ import annotations
@@ -46,8 +48,6 @@ import uuid
 from typing import Any, Dict, IO, List, Optional
 
 WAL_VERSION = 1
-
-SYNC_MODES = ("fsync", "flush", "none")
 
 INTENT_OPEN = "open"
 INTENT_COMMITTED = "committed"
@@ -95,11 +95,8 @@ class IntentRecord:
 class IntentJournal:
     """Append-only write-ahead log of apply intents."""
 
-    def __init__(self, path: str, sync: str = "flush"):
-        if sync not in SYNC_MODES:
-            raise ValueError(f"sync must be one of {SYNC_MODES}, got {sync!r}")
+    def __init__(self, path: str):
         self.path = path
-        self.sync = sync
         self.run_id: Optional[str] = None
         self._next_iid = 0
         self._records: Dict[int, IntentRecord] = {}
@@ -125,11 +122,8 @@ class IntentJournal:
         if handle is None:
             handle = self._open("a")
         handle.write(record + "\n")
-        if self.sync == "none" or not durable:
-            return
-        handle.flush()
-        if self.sync == "fsync":
-            os.fsync(handle.fileno())
+        if durable:
+            handle.flush()
 
     def begin_run(self, run_id: Optional[str] = None) -> str:
         """Start a fresh apply run: truncate the journal, write the
@@ -211,8 +205,6 @@ class IntentJournal:
             handle.seek(0)
             handle.truncate()
         handle.flush()
-        if self.sync == "fsync":
-            os.fsync(handle.fileno())
 
     def close(self) -> None:
         if self._handle is not None:
@@ -222,7 +214,7 @@ class IntentJournal:
     # -- replay ------------------------------------------------------------
 
     @classmethod
-    def resume(cls, path: str, sync: str = "flush") -> "IntentJournal":
+    def resume(cls, path: str) -> "IntentJournal":
         """Load an existing journal for recovery + continuation.
 
         Keeps the previous run id, so tokens minted by the resumed apply
@@ -231,7 +223,7 @@ class IntentJournal:
         Tolerates a torn final line (truncated away); raises
         :class:`WALCorruptError` on mid-file garbage.
         """
-        journal = cls(path, sync=sync)
+        journal = cls(path)
         if not os.path.exists(path):
             return journal
         with open(path, "rb") as handle:

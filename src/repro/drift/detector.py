@@ -338,17 +338,17 @@ class LogWatchDetector:
         """Current per-provider cursors (a copy; safe to persist)."""
         return dict(self._cursors)
 
-    def tail(
-        self, until: Optional[float] = None
-    ) -> Tuple[Dict[str, List[ActivityEvent]], List[str]]:
-        """Read each plane's log past its cursor and advance the cursors.
+    def tail(self) -> Tuple[Dict[str, List[ActivityEvent]], List[str]]:
+        """Read each plane's log past its cursor, up to the time of the
+        call, and advance the cursors.
 
         Returns ``(events by provider, unreachable providers)``. One
         read-class API call per reachable plane; a dark plane's cursor
         is left untouched so its events replay once the outage lifts.
         """
-        clock = self.gateway.clock
-        until = clock.now if until is None else until
+        # the log reads below advance the clock: events they overlap
+        # are the next tail's
+        until = self.gateway.clock.now
         by_provider: Dict[str, List[ActivityEvent]] = {}
         unreachable: List[str] = []
         for provider, plane in sorted(self.gateway.planes.items()):

@@ -97,6 +97,7 @@ def analyze(
     cached = _ANALYSIS_CACHE.get(key)
     if cached is not None:
         PERF.count("analyze.cache_hits")
+        _ANALYSIS_CACHE.move_to_end(key)
         return cached
     PERF.count("analyze.cache_misses")
 
@@ -112,7 +113,6 @@ def analyze(
         max_width=dag.max_width(order=order),
     )
     _ANALYSIS_CACHE[key] = analysis
-    _ANALYSIS_CACHE.move_to_end(key)
     while len(_ANALYSIS_CACHE) > _ANALYSIS_CACHE_MAX:
         _ANALYSIS_CACHE.popitem(last=False)
     return analysis

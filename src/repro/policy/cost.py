@@ -8,7 +8,7 @@ estate, which is the observation the paper's budget example needs.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..graph.plan import Action
 from ..lang.values import is_unknown
@@ -48,15 +48,11 @@ HOURS_PER_MONTH = 730.0
 
 
 class CostEstimator:
-    """Estimates monthly cost of plans and states."""
-
-    def __init__(self, hourly: Optional[Dict[str, float]] = None):
-        self.hourly = dict(HOURLY_BASE)
-        if hourly:
-            self.hourly.update(hourly)
+    """Estimates monthly cost of plans and states at the
+    :data:`HOURLY_BASE` price book."""
 
     def resource_monthly(self, rtype: str, attrs: Dict[str, Any]) -> float:
-        base = self.hourly.get(rtype, 0.0)
+        base = HOURLY_BASE.get(rtype, 0.0)
         size = attrs.get("size") or attrs.get("instance_size") or ""
         multiplier = SIZE_MULTIPLIER.get(str(size), 1.0)
         storage = attrs.get("storage_gb") or attrs.get("size_gb") or 0

@@ -22,6 +22,13 @@ from ..validate.rules import ValidationContext
 
 _SCALAR = (str, int, float, bool)
 
+#: an attribute, or a value, seen in fewer of a type's corpus uses than
+#: this is rare
+RARE_THRESHOLD = 0.2
+#: one seen in at least this many is common: its absence, or another
+#: value in its place, is a deviation
+COMMON_THRESHOLD = 0.9
+
 
 @dataclasses.dataclass
 class OutlierFinding:
@@ -57,12 +64,7 @@ class TemplateModel:
     def __init__(self, templates: Dict[str, TypeTemplate]):
         self.templates = templates
 
-    def score_config(
-        self,
-        config: Configuration,
-        rare_threshold: float = 0.2,
-        common_threshold: float = 0.9,
-    ) -> List[OutlierFinding]:
+    def score_config(self, config: Configuration) -> List[OutlierFinding]:
         ctx = ValidationContext.build(config)
         findings: List[OutlierFinding] = []
         for node in ctx.instances():
@@ -74,7 +76,7 @@ class TemplateModel:
             present = set(node.decl.body.attributes)
             for attr in sorted(present):
                 freq = template.attr_frequency.get(attr, 0.0)
-                if freq < rare_threshold:
+                if freq < RARE_THRESHOLD:
                     findings.append(
                         OutlierFinding(
                             address=node.id,
@@ -86,7 +88,7 @@ class TemplateModel:
                         )
                     )
             for attr, freq in sorted(template.attr_frequency.items()):
-                if freq >= common_threshold and attr not in present:
+                if freq >= COMMON_THRESHOLD and attr not in present:
                     findings.append(
                         OutlierFinding(
                             address=node.id,
@@ -106,7 +108,7 @@ class TemplateModel:
                     continue
                 freq = value_freqs.get(repr(value), 0.0)
                 dominant = max(value_freqs.values())
-                if dominant >= common_threshold and freq < rare_threshold:
+                if dominant >= COMMON_THRESHOLD and freq < RARE_THRESHOLD:
                     findings.append(
                         OutlierFinding(
                             address=node.id,

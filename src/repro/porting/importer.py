@@ -41,6 +41,8 @@ _NAME_INDEX_RE = re.compile(r"^(?P<prefix>.*?)[-_](?P<index>\d+)$")
 
 #: fewest same-shape records that fold into one counted or keyed block
 MIN_GROUP = 2
+#: fewest resources a repeated stack holds before it becomes a module
+MIN_MODULE_SIZE = 3
 
 
 def enumerate_estate(
@@ -202,12 +204,10 @@ class StructuredImporter:
         catalog: Optional[Catalog] = None,
         enable_grouping: bool = True,
         enable_modules: bool = True,
-        min_module_size: int = 3,
     ):
         self.catalog = catalog or simulated_catalog()
         self.enable_grouping = enable_grouping
         self.enable_modules = enable_modules
-        self.min_module_size = min_module_size
 
     # -- entry point -----------------------------------------------------------
 
@@ -700,7 +700,7 @@ class StructuredImporter:
         consumed: Set[str] = set()
         module_index = 0
         for signature, comps in sorted(signatures.items(), key=lambda kv: str(kv[0])):
-            if len(comps) < 2 or len(comps[0]) < self.min_module_size:
+            if len(comps) < 2 or len(comps[0]) < MIN_MODULE_SIZE:
                 continue
             module_index += 1
             mname = f"stack_{module_index}"

@@ -15,7 +15,8 @@ HTTP status code IS the typed admission answer (200/400/409/429/503/
 off the wire. A request the edge will not read whole is typed too: a
 body shorter than its ``Content-Length`` is 400, one declared over
 1 MiB is 413 before any of it is read, a line past the stream's 64 KiB
-limit is 431.
+limit is 431, and one not read whole within 10 s of its connection
+opening is 408.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ _MAX_BODY = 1 << 20  # 1 MiB request-body cap
 _UNREAD = (413, 431)
 #: how long a refused request's rest may keep its connection open
 _LINGER_S = 1.0
+#: how long a request's line, headers and body may take to arrive: a
+#: client that stalls part-way is answered 408, not waited on forever
+_READ_S = 10.0
 
 
 class _Refused(Exception):
@@ -49,6 +53,37 @@ async def _line(reader: asyncio.StreamReader) -> str:
     except ValueError:  # the line ran past the stream's limit
         raise _Refused(431, "header line too long")
     return line.decode("ascii", "replace")
+
+
+async def _within(awaitable: Any, deadline: float) -> Any:
+    """``awaitable``'s result, or 408 once the request's read
+    ``deadline`` (loop time) has passed."""
+    left = deadline - asyncio.get_running_loop().time()
+    try:
+        return await asyncio.wait_for(awaitable, max(left, 0.0))
+    except asyncio.TimeoutError:
+        raise _Refused(408, f"request not read within {_READ_S:g} s")
+
+
+async def _head(reader: asyncio.StreamReader) -> Tuple[str, str, int]:
+    """The request line's method and path, and the declared body length."""
+    parts = (await _line(reader)).split()
+    if len(parts) < 2:
+        raise _Refused(400, "malformed request line")
+    content_length = 0
+    while True:
+        line = await _line(reader)
+        if line in ("\r\n", "\n", ""):
+            break
+        name, _, value = line.partition(":")
+        if name.strip().lower() == "content-length":
+            try:
+                content_length = int(value.strip())
+            except ValueError:
+                content_length = -1
+            if content_length < 0:
+                raise _Refused(400, "bad content-length")
+    return parts[0], parts[1], content_length
 
 
 async def _drop_rest(reader: asyncio.StreamReader) -> None:
@@ -126,24 +161,10 @@ class ServiceHTTPD:
     async def _respond(
         self, reader: asyncio.StreamReader
     ) -> Tuple[int, Dict[str, Any]]:
-        request_line = await _line(reader)
-        parts = request_line.split()
-        if len(parts) < 2:
-            return 400, {"error": "malformed request line"}
-        method, path = parts[0], parts[1]
-        content_length = 0
-        while True:
-            line = await _line(reader)
-            if line in ("\r\n", "\n", ""):
-                break
-            name, _, value = line.partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    content_length = -1
-                if content_length < 0:
-                    return 400, {"error": "bad content-length"}
+        # one deadline for every read of the request; the service call
+        # below runs outside it
+        deadline = asyncio.get_running_loop().time() + _READ_S
+        method, path, content_length = await _within(_head(reader), deadline)
         if content_length > _MAX_BODY:
             return 413, {"error": f"body over {_MAX_BODY} bytes"}
         if method == "GET" and path == "/healthz":
@@ -157,7 +178,7 @@ class ServiceHTTPD:
                 return 404, {"error": "expected /v1/<tenant>/<op>"}
             _, tenant, op = segments
             try:
-                raw = await reader.readexactly(content_length)
+                raw = await _within(reader.readexactly(content_length), deadline)
             except asyncio.IncompleteReadError:
                 return 400, {"error": "body shorter than content-length"}
             try:
@@ -188,6 +209,7 @@ _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
+    408: "Request Timeout",
     409: "Conflict",
     413: "Content Too Large",
     429: "Too Many Requests",

@@ -36,6 +36,9 @@ _DEDICATED_TYPES = ("network_interface",)
 #: share of a type's instances that must set an attribute before its
 #: dominant value can become a convention
 MIN_USAGE = 0.6
+#: share of an attribute's literal values the dominant one must hold to
+#: become a convention
+MIN_DOMINANCE = 0.6
 
 
 @dataclasses.dataclass
@@ -65,8 +68,7 @@ class RetrievalCorpus:
     personalization, grounded instead of generative).
     """
 
-    def __init__(self, min_dominance: float = 0.6):
-        self.min_dominance = min_dominance
+    def __init__(self) -> None:
         self.conventions: Dict[Tuple[str, str], Any] = {}
         self.known_attrs: Dict[str, set] = defaultdict(set)
 
@@ -98,7 +100,7 @@ class RetrievalCorpus:
             if not counter:
                 continue
             value_repr, value_count = counter.most_common(1)[0]
-            if value_count / sum(counter.values()) < self.min_dominance:
+            if value_count / sum(counter.values()) < MIN_DOMINANCE:
                 continue
             self.conventions[(rtype, attr)] = eval(value_repr)  # repr of scalar
         return self

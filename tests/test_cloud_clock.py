@@ -6,7 +6,7 @@ import pytest
 
 from repro.cloud.clock import EventQueue, SimClock
 from repro.cloud.faults import FaultInjector, FaultSpec
-from repro.cloud.latency import DEFAULT_PROFILE, LatencyModel, LatencyProfile
+from repro.cloud.latency import LatencyProfile
 from repro.cloud.ratelimit import RateLimiterBank, TokenBucket
 
 
@@ -126,33 +126,35 @@ class TestRateLimiterBank:
         assert bank.consume("read", 0.0) == 0.0
 
     def test_unknown_class_falls_back(self):
-        bank = RateLimiterBank()
+        bank = RateLimiterBank({"read": (100.0, 100), "write": (1.0, 1)})
         assert bank.consume("mystery", 0.0) == 0.0
+        # the unknown class drew on the write bucket
+        assert bank.consume("write", 0.0) > 0.0
 
 
-class TestLatencyModel:
+class TestLatencyProfile:
     def test_mean(self):
-        model = LatencyModel({"vm": LatencyProfile(40.0, 20.0, 10.0)})
-        assert model.mean("vm", "create") == 40.0
-        assert model.mean("vm", "delete") == 10.0
-        assert model.mean("unknown_type", "create") == DEFAULT_PROFILE.create_s
+        profile = LatencyProfile(40.0, 20.0, 10.0)
+        assert profile.mean_for("create") == 40.0
+        assert profile.mean_for("delete") == 10.0
+        assert profile.mean_for("list") == profile.read_s
 
     def test_sample_determinism(self):
-        model = LatencyModel({"vm": LatencyProfile(40.0, 20.0, 10.0)})
-        a = model.sample("vm", "create", random.Random(7))
-        b = model.sample("vm", "create", random.Random(7))
+        profile = LatencyProfile(40.0, 20.0, 10.0)
+        a = profile.sample("create", random.Random(7))
+        b = profile.sample("create", random.Random(7))
         assert a == b
 
     def test_sample_near_mean(self):
-        model = LatencyModel({"vm": LatencyProfile(40.0, 20.0, 10.0, spread=0.1)})
+        profile = LatencyProfile(40.0, 20.0, 10.0, spread=0.1)
         rng = random.Random(1)
-        samples = [model.sample("vm", "create", rng) for _ in range(200)]
+        samples = [profile.sample("create", rng) for _ in range(200)]
         mean = sum(samples) / len(samples)
         assert 35.0 < mean < 45.0
 
     def test_zero_spread_is_exact(self):
-        model = LatencyModel({"vm": LatencyProfile(40.0, 20.0, 10.0, spread=0.0)})
-        assert model.sample("vm", "create", random.Random(1)) == 40.0
+        profile = LatencyProfile(40.0, 20.0, 10.0, spread=0.0)
+        assert profile.sample("create", random.Random(1)) == 40.0
 
 
 class TestFaultInjector:

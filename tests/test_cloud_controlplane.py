@@ -525,3 +525,34 @@ class TestGateway:
     def test_try_spec(self, gateway):
         assert gateway.try_spec("aws_vpc") is not None
         assert gateway.try_spec("aws_nonsense") is None
+
+    def test_planes_serve_the_one_catalog(self):
+        """Every plane serves its provider's table of the one catalog --
+        the very spec objects, read-only -- and its rate limits are its
+        class's."""
+        from repro.cloud.latency import DEFAULT_PROFILE
+        from repro.cloud.resources import simulated_catalog
+
+        catalog = simulated_catalog()
+        planes = CloudGateway.simulated().planes
+        for other in CloudGateway.simulated(seed=3).planes.values():
+            assert other.specs is planes[other.provider].specs
+        for name, plane in planes.items():
+            assert plane.specs is catalog.specs[name]
+            for rtype, spec in plane.specs.items():
+                assert spec is catalog.try_spec(rtype)
+                assert plane.latency_profile(rtype) is spec.latency
+            with pytest.raises(TypeError):
+                plane.specs[f"{name}_extra"] = spec
+            assert plane.latency_profile(f"{name}_nonsense") is DEFAULT_PROFILE
+        limits = {
+            name: {
+                op_class: (bucket.rate, bucket.burst)
+                for op_class, bucket in plane.limiter.buckets.items()
+            }
+            for name, plane in planes.items()
+        }
+        assert limits == {
+            "aws": {"read": (20.0, 40), "write": (5.0, 10)},
+            "azure": {"read": (15.0, 30), "write": (3.0, 8)},
+        }

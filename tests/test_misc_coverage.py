@@ -53,6 +53,33 @@ class TestCriticalPathAnalysis:
         priorities = [analysis.priorities[n] for n in analysis.critical_path]
         assert priorities == sorted(priorities, reverse=True)
 
+    def test_analysis_cache_evicts_the_least_recently_used(self, gateway):
+        """A hit renews an entry: with the cache full, a hit on the
+        oldest analysis and one insert evict the second oldest."""
+        from repro.graph.critical_path import (
+            _ANALYSIS_CACHE_MAX,
+            clear_analysis_cache,
+        )
+
+        plan = self.make_plan(gateway)
+
+        def analysis(scale):  # a distinct cache key per scale
+            return analyze(
+                plan, lambda rtype, op: scale * gateway.mean_latency(rtype, op)
+            )
+
+        clear_analysis_cache()
+        try:
+            first, second = analysis(1), analysis(2)
+            for scale in range(3, _ANALYSIS_CACHE_MAX + 1):
+                analysis(scale)
+            assert analysis(1) is first  # a hit on the oldest entry
+            analysis(_ANALYSIS_CACHE_MAX + 1)  # one insert past the bound
+            assert analysis(1) is first
+            assert analysis(2) is not second
+        finally:
+            clear_analysis_cache()
+
     def test_empty_plan(self, gateway):
         graph = build_graph(Configuration.parse(""))
         plan = Planner().plan(graph, StateDocument())
@@ -72,12 +99,12 @@ class TestCostEstimator:
         engine.apply(web_tier(web_vms=5, app_vms=1))
         assert estimator.estimate_state(engine.state) > total
 
-    def test_custom_price_book(self):
-        estimator = CostEstimator(hourly={"aws_virtual_machine": 1.0})
-        monthly = estimator.resource_monthly(
-            "aws_virtual_machine", {"size": "small"}
+    def test_price_book(self):
+        monthly = CostEstimator().resource_monthly(
+            "aws_virtual_machine", {"size": "large"}
         )
-        assert monthly == pytest.approx(730.0)
+        # $0.05 an hour, four times over for "large", 730 hours a month
+        assert monthly == pytest.approx(0.05 * 4 * 730.0)
 
     def test_plan_estimate_excludes_deletes(self):
         engine = CloudlessEngine(seed=51)

@@ -269,7 +269,7 @@ class TestModuleExtraction:
 
     def test_varying_values_become_variables(self, gateway):
         build_repeated_stacks(gateway, stacks=2)
-        project = StructuredImporter(min_module_size=3).import_estate(gateway)
+        project = StructuredImporter().import_estate(gateway)
         module_text = next(iter(project.module_sources.values()))["main.clc"]
         assert "variable" in module_text
         assert "var." in module_text

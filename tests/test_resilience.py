@@ -16,7 +16,7 @@ from repro.cloud import (
     TRANSIENT,
     classify,
 )
-from repro.cloud.resilience import _unit_hash
+from repro.cloud.resilience import MAX_BACKOFF_S, THROTTLE_FACTOR, _unit_hash
 
 
 def gateway(seed=7):
@@ -62,10 +62,10 @@ class TestRetryPolicy:
         assert not policy.retries(TIMEOUT)
 
     def test_throttle_inflation_and_cap(self):
-        policy = RetryPolicy(base_backoff_s=100.0, max_backoff_s=150.0)
-        assert policy.delay_for(1, TRANSIENT) == 100.0
-        # 100 * 2.0 throttle factor, capped at 150
-        assert policy.delay_for(1, THROTTLED) == 150.0
+        policy = RetryPolicy(base_backoff_s=200.0)
+        assert policy.delay_for(1, TRANSIENT) == 200.0
+        # 200 * 2.0 throttle factor, capped at 300
+        assert policy.delay_for(1, THROTTLED) == MAX_BACKOFF_S == 300.0
 
     def test_jitter_is_deterministic_and_bounded(self):
         policy = RetryPolicy(base_backoff_s=10.0, jitter=0.25)
@@ -266,8 +266,8 @@ class TestResilientGateway:
             perf.PERF.disable()
 
     def test_throttled_backoff_exceeds_transient(self):
-        policy = RetryPolicy(base_backoff_s=10.0, throttle_factor=3.0)
-        assert policy.delay_for(1, THROTTLED) == 3 * policy.delay_for(
+        policy = RetryPolicy(base_backoff_s=10.0)
+        assert policy.delay_for(1, THROTTLED) == THROTTLE_FACTOR * policy.delay_for(
             1, TRANSIENT
         )
 

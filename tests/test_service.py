@@ -10,6 +10,7 @@ crash cycle.
 import asyncio
 import json
 import math
+import time
 
 import pytest
 
@@ -693,6 +694,52 @@ class TestHTTPEdgeStatuses:
         status, line, body = self.exchange_all(tmp_path, request)
         assert (status, line) == (413, b"HTTP/1.1 413 Content Too Large")
         assert body == {"error": f"body over {_MAX_BODY} bytes"}
+
+    def test_a_stalled_request_is_408_at_the_read_deadline(
+        self, tmp_path, monkeypatch
+    ):
+        """A body that stops short of its length and never ends holds
+        its handler until the read deadline, not forever; the edge then
+        answers the next request."""
+        import repro.service.httpd as httpd
+
+        monkeypatch.setattr(httpd, "_READ_S", 0.5)
+
+        async def main():
+            svc = make_service(tmp_path)
+            await svc.start()
+            edge = ServiceHTTPD(svc, port=0)
+            await edge.start()
+            try:
+                reader, writer = await asyncio.open_connection(*edge.address)
+                started = time.monotonic()
+                writer.write(
+                    b"POST /v1/a/plan HTTP/1.1\r\nContent-Length: 100\r\n\r\n{}"
+                )
+                await writer.drain()  # ... and no end of stream
+                answer = await asyncio.wait_for(reader.read(), timeout=10)
+                waited = time.monotonic() - started
+                writer.close()
+                await writer.wait_closed()
+                reader, writer = await asyncio.open_connection(*edge.address)
+                writer.write(b"GET /healthz HTTP/1.1\r\n\r\n")
+                writer.write_eof()
+                healthz = await asyncio.wait_for(reader.read(), timeout=30)
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                await edge.stop()
+                await svc.stop()
+            return answer, waited, healthz
+
+        answer, waited, healthz = run(main())
+        status_line, _, rest = answer.partition(b"\r\n")
+        assert status_line == b"HTTP/1.1 408 Request Timeout"
+        assert json.loads(rest.partition(b"\r\n\r\n")[2]) == {
+            "error": "request not read within 0.5 s"
+        }
+        assert 0.5 <= waited < 5.0
+        assert healthz.startswith(b"HTTP/1.1 200 OK\r\n")
 
 
 class TestInvalidProgram:

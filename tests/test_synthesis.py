@@ -174,9 +174,8 @@ class TestRetrievalCorpus:
             web_tier(name="w0"),
             web_tier(name="w1").replace('size    = "small"', 'size    = "large"'),
         ]
-        corpus = RetrievalCorpus(min_dominance=0.9).fit(
-            [Configuration.parse(s) for s in sources]
-        )
-        # web VMs are small, app VMs medium, and we flipped one -- no
-        # 90%-dominant value exists
+        corpus = RetrievalCorpus().fit([Configuration.parse(s) for s in sources])
+        # web VMs are small, app VMs medium, and we flipped one corpus's
+        # web VMs: small, medium and large hold 3, 4 and 3 of 10 uses,
+        # none of them MIN_DOMINANCE (unflipped, small holds 6 of 10)
         assert "size" not in corpus.conventions_for("aws_virtual_machine")

@@ -106,8 +106,7 @@ class TestIntentJournal:
         assert os.path.getsize(path) == 0
         assert IntentJournal.resume(path).run_id is None
 
-    @pytest.mark.parametrize("sync", ["fsync", "flush", "none"])
-    def test_mark_clean_empties_the_handle_it_holds(self, tmp_path, monkeypatch, sync):
+    def test_mark_clean_empties_the_handle_it_holds(self, tmp_path, monkeypatch):
         """One open per run: the journal is emptied through the handle
         the run wrote with, buffered markers first, and is on disk
         empty before ``close`` -- what closing and re-opening it for
@@ -124,7 +123,7 @@ class TestIntentJournal:
         monkeypatch.setattr(
             wal.os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd)
         )
-        journal = IntentJournal(path, sync=sync)
+        journal = IntentJournal(path)
         for run in range(2):
             journal.begin_run()
             iid = journal.log_intent("a", "create", "aws_vpc")
@@ -132,7 +131,7 @@ class TestIntentJournal:
             del synced[:]
             journal.mark_clean()
             assert os.path.getsize(path) == 0
-            assert len(synced) == (sync == "fsync")
+            assert synced == []
             assert journal.run_id is None and journal.records() == []
         assert len(opened) == 2  # begin_run, twice
         journal.close()
@@ -140,14 +139,14 @@ class TestIntentJournal:
         # a resumed journal that wrote nothing has no handle to empty
         with real_open(path, "w") as handle:
             handle.write('{"rec":"run","run_id":"r","wal_version":1}\n')
-        resumed = IntentJournal.resume(path, sync=sync)
+        resumed = IntentJournal.resume(path)
         resumed.mark_clean()
         resumed.close()
         assert os.path.getsize(path) == 0
         # ... and one that appended empties what it appended to
         with real_open(path, "w") as handle:
             handle.write('{"rec":"run","run_id":"r","wal_version":1}\n')
-        resumed = IntentJournal.resume(path, sync=sync)
+        resumed = IntentJournal.resume(path)
         resumed.log_intent("b", "create", "aws_vpc")
         resumed.mark_clean()
         assert os.path.getsize(path) == 0
@@ -168,10 +167,6 @@ class TestIntentJournal:
         for line in open(path, "r", encoding="utf-8"):
             record = json.loads(line)
             assert list(record) == sorted(record)
-
-    def test_invalid_sync_mode_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            IntentJournal(str(tmp_path / "x.wal"), sync="sometimes")
 
 
 class TestRecordBytes:
