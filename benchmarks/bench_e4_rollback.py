@@ -59,7 +59,7 @@ def run_experiment():
             ("reversibility-aware", ReversibilityAwareRollback),
         ):
             engine, snapshot = scenario(k, seed=400 + k)
-            planner = planner_cls(engine.gateway)
+            planner = planner_cls(engine.resilient)
             plan = planner.plan(snapshot, engine.state)
             result = planner.execute(plan, engine.state)
             divergence = measure_divergence(

@@ -57,14 +57,14 @@ def run_arm(n_resources, detector_kind, seed):
     calls_before = engine.gateway.total_api_calls()
 
     if detector_kind == "log":
-        detector = LogWatchDetector(engine.gateway)
+        detector = LogWatchDetector(engine.resilient)
         detector.poll(engine.state)  # consume deployment history
         period = POLL_PERIOD_S
     elif detector_kind == "scan-fast":
-        detector = FullScanDetector(engine.gateway)
+        detector = FullScanDetector(engine.resilient)
         period = POLL_PERIOD_S  # scanning at log-watch latency
     else:
-        detector = FullScanDetector(engine.gateway)
+        detector = FullScanDetector(engine.resilient)
         period = SCAN_PERIOD_S
 
     latencies = []

@@ -133,7 +133,7 @@ def run_stack(cloudless: bool, seed=1100):
             engine.clock.advance_by(600.0)  # next scheduled scan
             findings = [
                 f
-                for f in FullScanDetector(engine.gateway).scan(engine.state).findings
+                for f in FullScanDetector(engine.resilient).scan(engine.state).findings
                 if f.kind == "modified"
             ]
         engine.reconcile(findings)
@@ -150,9 +150,9 @@ def run_stack(cloudless: bool, seed=1100):
     )
     snapshot = engine.history.get(v_deployed)
     planner = (
-        ReversibilityAwareRollback(engine.gateway)
+        ReversibilityAwareRollback(engine.resilient)
         if cloudless
-        else NaiveRollback(engine.gateway)
+        else NaiveRollback(engine.resilient)
     )
 
     def run_rollback():

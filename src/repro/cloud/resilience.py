@@ -13,18 +13,21 @@ failures. This module is the one place that policy lives:
 * per-operation **sim-time timeout budgets**: a logical operation that
   burns its budget in retries and hangs surfaces as a precise
   :class:`OperationTimeout` instead of retrying forever.
-* the :class:`ResilientGateway` wrapper, a drop-in for
-  :class:`~repro.cloud.gateway.CloudGateway` whose synchronous
-  ``execute``/``read_data`` survive injected faults. ``submit`` passes
+* the :class:`ResilientGateway`, the cloud client of the synchronous
+  lifecycle verbs: its ``execute``/``execute_on``/``read_data`` survive
+  injected faults, and it carries the partition-health ledger
+  (:class:`HealthMonitor`) those calls gate on. ``submit`` passes
   through untouched -- the deploy executors keep their own event-loop
   retry (driven by the same :class:`RetryPolicy`), so scheduling
   behaviour stays byte-identical to the golden reference.
 
-Every lifecycle verb (reconcile, rollback, import, update
-coordination, drift scans, data reads) routes its cloud calls through
-this layer; retries and backoff time are surfaced via ``repro.perf``
-(``resilience.retries``, ``resilience.backoff_sim_s``, ...) so
-benchmarks can report retry overhead.
+An engine builds one client (``CloudlessEngine.resilient``) and hands
+it, unchanged, to every lifecycle subsystem it builds (reconcile,
+rollback, resume, import, drift scans and watches, data reads): none
+of them chooses a retry policy or a ledger of its own. Retries and
+backoff time are surfaced via ``repro.perf`` (``resilience.retries``,
+``resilience.backoff_sim_s``, ...) so benchmarks can report retry
+overhead.
 """
 
 from __future__ import annotations
@@ -587,17 +590,20 @@ def _count_transition(was: str, breaker: CircuitBreaker) -> None:
         PERF.count(counter)
 
 
-# -- the wrapper -------------------------------------------------------------
+# -- the client --------------------------------------------------------------
 
 
 class ResilientGateway:
-    """Drop-in :class:`CloudGateway` wrapper with unified retry.
+    """A :class:`CloudGateway` behind unified retry and one health ledger.
 
     Synchronous calls (``execute``, ``execute_on``, ``read_data``) loop
     on retryable faults, advancing the shared sim clock through each
-    backoff. Everything else -- routing, introspection, and ``submit``,
-    which stays raw because event-loop callers own their retry --
-    delegates to the wrapped gateway untouched (``__getattr__``).
+    backoff, and fail fast into a partition ``health`` marks dark.
+    Everything else -- routing, introspection, and ``submit``, which
+    stays raw because event-loop callers own their retry -- delegates to
+    the inner gateway untouched (``__getattr__``). Subsystems take one
+    as given and never wrap it again; a caller that wants another
+    policy or a fresh ledger builds its own.
     """
 
     def __init__(
@@ -607,10 +613,6 @@ class ResilientGateway:
         timeouts: Optional[Dict[str, float]] = None,
         health: Optional[HealthMonitor] = None,
     ):
-        if isinstance(gateway, ResilientGateway):
-            if health is None:
-                health = gateway.health
-            gateway = gateway.inner
         self.inner = gateway
         self.retry = retry or DEFAULT_RESILIENT_POLICY
         self.timeouts = dict(DEFAULT_TIMEOUTS)
@@ -620,25 +622,6 @@ class ResilientGateway:
         #: optional partition health/breaker state; when set, calls into
         #: a tripped partition fail fast with PartitionUnavailableError
         self.health = health
-
-    @classmethod
-    def wrap(
-        cls,
-        gateway: Any,
-        retry: Optional[RetryPolicy] = None,
-        timeouts: Optional[Dict[str, float]] = None,
-        health: Optional[HealthMonitor] = None,
-    ) -> "ResilientGateway":
-        """Wrap ``gateway``, or return it as-is if already resilient
-        (so layered subsystems share one stats ledger)."""
-        if (
-            isinstance(gateway, ResilientGateway)
-            and retry is None
-            and timeouts is None
-            and (health is None or health is gateway.health)
-        ):
-            return gateway
-        return cls(gateway, retry=retry, timeouts=timeouts, health=health)
 
     # -- delegation ---------------------------------------------------------
 
@@ -652,13 +635,11 @@ class ResilientGateway:
         """``CloudGateway.execute`` with retry/backoff/timeout."""
         return self._drive(self.inner.plane_for(rtype), operation, rtype, kwargs)
 
-    def execute_on(
-        self, plane: ControlPlane, operation: str, rtype: str = "", **kwargs: Any
-    ) -> Any:
+    def execute_on(self, plane: ControlPlane, operation: str, **kwargs: Any) -> Any:
         """Resilient execute against one specific control plane -- for
         per-plane operations (paginated lists, log reads) that cannot
         route by resource type."""
-        return self._drive(plane, operation, rtype, kwargs)
+        return self._drive(plane, operation, "", kwargs)
 
     def read_data(
         self, rtype: str, attrs: Dict[str, Any], region: str = ""

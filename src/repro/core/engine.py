@@ -34,7 +34,7 @@ from ..state.snapshots import SnapshotHistory
 if TYPE_CHECKING:  # imported by the verbs that run them, not by every verb
     from ..cloud.base import ControlPlane
     from ..cloud.gateway import CloudGateway
-    from ..cloud.resilience import HealthMonitor, ResilientGateway, RetryPolicy
+    from ..cloud.resilience import ResilientGateway, RetryPolicy
     from ..compilecache import CacheLookup
     from ..debug.correlate import Diagnosis, IaCDebugger
     from ..deploy.executor import ApplyResult, PlanExecutor
@@ -231,7 +231,6 @@ class CloudlessEngine:
         retry: Optional[RetryPolicy] = None,
         seed: int = 0,
         wal_path: Optional[str] = None,
-        health: Optional[HealthMonitor] = None,
         cache_dir: Optional[str] = None,
     ):
         self.seed = seed
@@ -242,8 +241,6 @@ class CloudlessEngine:
         # given part is the engine's from the start
         if gateway is not None:
             self.gateway = gateway
-        if health is not None:
-            self.health = health
         #: what the clouds serve, as data: the given gateway's catalog,
         #: else the simulated pair's. Compile, validation, plan, the
         #: debugger and the importer read it, not a plane
@@ -340,24 +337,18 @@ class CloudlessEngine:
         return gateway
 
     @functools.cached_property
-    def health(self) -> HealthMonitor:
-        """One partition-health ledger shared by every layer: the
-        executors gate dispatch on it, the resilient wrapper fails fast
-        on it, and drift detection skips partitions it marks
-        unreachable."""
-        from ..cloud.resilience import HealthMonitor
-
-        return HealthMonitor()
-
-    @functools.cached_property
     def resilient(self) -> ResilientGateway:
-        """One shared resilience wrapper for the synchronous lifecycle
-        verbs (watch/reconcile/rollback/import/data reads); the deploy
-        executors keep the raw gateway -- their event-loop retry must
-        stay byte-identical to the golden reference."""
-        from ..cloud.resilience import ResilientGateway
+        """The engine's one cloud client for the synchronous lifecycle
+        verbs (watch/reconcile/rollback/resume/import/data reads), handed
+        unchanged to every subsystem they build. Its ``health`` is the
+        one partition-health ledger: the executors gate dispatch on it,
+        the client fails fast on it, and drift detection skips
+        partitions it marks unreachable. The deploy executors keep the
+        raw gateway -- their event-loop retry must stay byte-identical to
+        the golden reference."""
+        from ..cloud.resilience import HealthMonitor, ResilientGateway
 
-        return ResilientGateway.wrap(self.gateway, health=self.health)
+        return ResilientGateway(self.gateway, health=HealthMonitor())
 
     def planes_read(self) -> Dict[str, ControlPlane]:
         """The planes a verb has read: none before the gateway is
@@ -784,7 +775,7 @@ class CloudlessEngine:
             self.gateway,
             concurrency=self.concurrency,
             retry=self.retry,
-            health=self.health,
+            health=self.resilient.health,
         )
         executor.planner = self.planner
         return executor
@@ -1092,7 +1083,7 @@ class CloudlessEngine:
         journal = IntentJournal.resume(self.wal_path)
         recovery: Optional[RecoveryReport] = None
         if journal.run_id is not None and journal.records():
-            recovery = CrashRecovery(self.gateway, journal).recover(self.state)
+            recovery = CrashRecovery(self.resilient, journal).recover(self.state)
         if sources is None:
             sources = self.last_sources
         if variables is None:
@@ -1153,7 +1144,6 @@ class CloudlessEngine:
         self,
         cycles: int = 1,
         interval_s: float = 60.0,
-        policy: Optional[Dict[str, str]] = None,
         max_lag_s: float = 900.0,
         auto_reconcile: bool = True,
     ) -> List[WatchCycle]:
@@ -1172,8 +1162,6 @@ class CloudlessEngine:
 
             watcher = self.continuous_watcher = DriftWatcher(
                 self.resilient,
-                health=self.health,
-                policy=policy,
                 max_lag_s=max_lag_s,
                 auto_reconcile=auto_reconcile,
                 detector=self.watcher,
@@ -1181,8 +1169,6 @@ class CloudlessEngine:
         else:
             watcher.max_lag_s = max_lag_s
             watcher.auto_reconcile = auto_reconcile
-            if policy:
-                watcher.reconciler.policy.update(policy)
         out = watcher.run(self.state, cycles=cycles, interval_s=interval_s)
         for cycle in out:
             self._police_drift(cycle.run.findings)

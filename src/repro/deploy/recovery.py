@@ -30,7 +30,7 @@ import dataclasses
 from typing import Dict, List, Optional
 
 from ..addressing import ResourceAddress
-from ..cloud.gateway import CloudGateway
+from ..cloud.resilience import ResilientGateway
 from ..drift.detector import DriftFinding
 from ..drift.reconcile import ADOPT, Reconciler
 from ..state.document import StateDocument
@@ -77,7 +77,7 @@ class RecoveryReport:
 class CrashRecovery:
     """Classify a crashed run's intents and repair state accordingly."""
 
-    def __init__(self, gateway: CloudGateway, journal: IntentJournal):
+    def __init__(self, gateway: ResilientGateway, journal: IntentJournal):
         self.gateway = gateway
         self.journal = journal
         self._adopted: List[str] = []

@@ -26,13 +26,7 @@ from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 from ..addressing import ResourceAddress
 from ..cloud.activitylog import ActivityEvent
 from ..cloud.base import CloudAPIError
-from ..cloud.gateway import CloudGateway
-from ..cloud.resilience import (
-    HealthMonitor,
-    ResilientGateway,
-    RetryPolicy,
-    is_outage_error,
-)
+from ..cloud.resilience import ResilientGateway, is_outage_error
 from ..lang.values import values_equal
 from ..state.document import ResourceState, StateDocument
 
@@ -166,32 +160,23 @@ class FullScanDetector:
     skipped rather than flagged as phantom "deleted" drift.
     """
 
-    def __init__(
-        self,
-        gateway: CloudGateway,
-        retry: Optional[RetryPolicy] = None,
-        health: Optional[HealthMonitor] = None,
-    ):
-        self.gateway = ResilientGateway.wrap(gateway, retry=retry, health=health)
-        self.health = self.gateway.health
+    def __init__(self, gateway: ResilientGateway):
+        self.gateway = gateway
 
     def _unreachable_partition(
         self, provider: str, region: str, now: float, dark_providers: Set[str]
     ) -> Optional[str]:
         """The partition label hiding (provider, region) from this scan,
         or None if the partition is observable."""
+        health = self.gateway.health
         if provider in dark_providers:
             return provider
-        if self.health is not None and self.health.blocked(provider, "", now):
+        if health is not None and health.blocked(provider, "", now):
             return provider
         plane = self.gateway.planes.get(provider)
         if plane is not None and plane.outage_horizon(region, now) is not None:
             return f"{provider}/{region}" if region else provider
-        if (
-            region
-            and self.health is not None
-            and self.health.blocked(provider, region, now)
-        ):
+        if region and health is not None and health.blocked(provider, region, now):
             return f"{provider}/{region}"
         return None
 
@@ -318,13 +303,9 @@ class LogWatchDetector:
     """
 
     def __init__(
-        self,
-        gateway: CloudGateway,
-        retry: Optional[RetryPolicy] = None,
-        health: Optional[HealthMonitor] = None,
-        cursors: Optional[Dict[str, int]] = None,
+        self, gateway: ResilientGateway, cursors: Optional[Dict[str, int]] = None
     ):
-        self.gateway = ResilientGateway.wrap(gateway, retry=retry, health=health)
+        self.gateway = gateway
         #: ``cursors`` is adopted, not copied: its owner (an engine)
         #: checkpoints and restores it as plain data, and a detector
         #: built over restored cursors resumes instead of replaying the

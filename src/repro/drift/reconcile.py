@@ -23,8 +23,7 @@ import dataclasses
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..cloud.base import CloudAPIError
-from ..cloud.gateway import CloudGateway
-from ..cloud.resilience import ResilientGateway, RetryPolicy
+from ..cloud.resilience import ResilientGateway
 from ..state.document import ResourceState, StateDocument
 from .detector import DriftFinding
 
@@ -82,12 +81,9 @@ class Reconciler:
     """
 
     def __init__(
-        self,
-        gateway: CloudGateway,
-        policy: Optional[Dict[str, str]] = None,
-        retry: Optional[RetryPolicy] = None,
+        self, gateway: ResilientGateway, policy: Optional[Dict[str, str]] = None
     ):
-        self.gateway = ResilientGateway.wrap(gateway, retry=retry)
+        self.gateway = gateway
         self.policy = {
             "modified": ENFORCE,
             "deleted": ENFORCE,

@@ -41,8 +41,7 @@ import dataclasses
 from typing import Dict, List, Optional, Tuple
 
 from ..cloud.activitylog import ActivityEvent
-from ..cloud.gateway import CloudGateway
-from ..cloud.resilience import HealthMonitor, ResilientGateway
+from ..cloud.resilience import ResilientGateway
 from ..perf import PERF
 from ..state.document import StateDocument
 from .detector import (
@@ -180,18 +179,15 @@ class DriftWatcher:
 
     def __init__(
         self,
-        gateway: CloudGateway,
+        gateway: ResilientGateway,
         *,
-        health: Optional[HealthMonitor] = None,
-        policy: Optional[Dict[str, str]] = None,
         max_lag_s: float = 900.0,
         auto_reconcile: bool = True,
         detector: Optional[LogWatchDetector] = None,
     ):
-        self.gateway = ResilientGateway.wrap(gateway, health=health)
-        self.health = self.gateway.health
-        self.detector = detector or LogWatchDetector(self.gateway)
-        self.reconciler = Reconciler(self.gateway, policy=policy)
+        self.gateway = gateway
+        self.detector = detector or LogWatchDetector(gateway)
+        self.reconciler = Reconciler(gateway)
         self.max_lag_s = max_lag_s
         self.auto_reconcile = auto_reconcile
         #: when each partition was last successfully observed
@@ -455,8 +451,9 @@ class DriftWatcher:
             horizon = plane.outage_horizon(region or "", now)
             if horizon is not None:
                 horizons.append(horizon)
-        if self.health is not None:
-            horizon = self.health.recovery_horizon(provider, region or "", now)
+        health = self.gateway.health
+        if health is not None:
+            horizon = health.recovery_horizon(provider, region or "", now)
             if horizon is not None:
                 horizons.append(horizon)
         return max(horizons) if horizons else None

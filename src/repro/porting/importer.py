@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from ..addressing import ResourceAddress
 from ..cloud.base import ResourceRecord
 from ..cloud.gateway import CloudGateway
-from ..cloud.resilience import ResilientGateway, RetryPolicy
+from ..cloud.resilience import ResilientGateway
 from ..cloud.resources import Catalog, simulated_catalog
 from ..state.document import ResourceState, StateDocument
 from .emitter import (
@@ -45,9 +45,7 @@ MIN_GROUP = 2
 MIN_MODULE_SIZE = 3
 
 
-def enumerate_estate(
-    gateway: CloudGateway, retry: Optional[RetryPolicy] = None
-) -> List[ResourceRecord]:
+def enumerate_estate(gateway: ResilientGateway) -> List[ResourceRecord]:
     """Enumerate the live estate through the paginated list API.
 
     Unlike ``gateway.all_records()`` -- an in-memory shortcut that costs
@@ -58,12 +56,11 @@ def enumerate_estate(
     snapshots; ``created_at``/``updated_at`` are not part of the list
     response and read as the scan time.
     """
-    resilient = ResilientGateway.wrap(gateway, retry=retry)
     records: List[ResourceRecord] = []
-    for provider, plane in sorted(resilient.planes.items()):
+    for provider, plane in sorted(gateway.planes.items()):
         token: Any = 0
         while token is not None:
-            page = resilient.execute_on(plane, "list", attrs={"page_token": token})
+            page = gateway.execute_on(plane, "list", attrs={"page_token": token})
             regions = page.get("regions") or [""] * len(page["items"])
             for item, rtype, region in zip(page["items"], page["types"], regions):
                 attrs = {k: v for k, v in item.items() if k != "id"}
@@ -73,8 +70,8 @@ def enumerate_estate(
                         type=rtype,
                         region=region,
                         attrs=attrs,
-                        created_at=resilient.clock.now,
-                        updated_at=resilient.clock.now,
+                        created_at=gateway.clock.now,
+                        updated_at=gateway.clock.now,
                     )
                 )
             token = page["next_token"]
@@ -213,10 +210,9 @@ class StructuredImporter:
 
     def import_estate(
         self,
-        gateway: CloudGateway,
+        gateway: ResilientGateway,
         only_ids: Optional[Set[str]] = None,
         via_api: bool = False,
-        retry: Optional[RetryPolicy] = None,
     ) -> PortedProject:
         """Port the live estate (optionally restricted to ``only_ids``).
 
@@ -230,7 +226,7 @@ class StructuredImporter:
         in-memory ``all_records()`` shortcut.
         """
         if via_api:
-            records = enumerate_estate(gateway, retry=retry)
+            records = enumerate_estate(gateway)
         else:
             records = sorted(gateway.all_records(), key=lambda r: r.id)
         if only_ids is not None:

@@ -16,7 +16,9 @@ off the wire. A request the edge will not read whole is typed too: a
 body shorter than its ``Content-Length`` is 400, one declared over
 1 MiB is 413 before any of it is read, a line past the stream's 64 KiB
 limit is 431, and one not read whole within 10 s of its connection
-opening is 408.
+opening is 408. A connection that arrives while 64 others are open is
+503 before any of it is read. An answer given before the request was
+read whole reads and drops the request's rest before the close.
 """
 
 from __future__ import annotations
@@ -28,10 +30,11 @@ from typing import Any, Dict, Optional, Tuple
 from .core import ControlPlaneService
 
 _MAX_BODY = 1 << 20  # 1 MiB request-body cap
-#: statuses answered with the request still arriving: its rest is read
-#: and dropped before the close, or the close resets the connection
-#: and the client never reads the answer
-_UNREAD = (413, 431)
+#: most connections open at once, one past it answered 503 unread: each
+#: holds a handler, a 64 KiB line buffer and up to a 1 MiB body for up
+#: to ``_READ_S``, so stalled clients pin at most about 70 MiB; and the
+#: service queues no more than 64 requests (``max_queue_depth``) anyway
+_MAX_OPEN = 64
 #: how long a refused request's rest may keep its connection open
 _LINGER_S = 1.0
 #: how long a request's line, headers and body may take to arrive: a
@@ -86,6 +89,20 @@ async def _head(reader: asyncio.StreamReader) -> Tuple[str, str, int]:
     return parts[0], parts[1], content_length
 
 
+async def _request(reader: asyncio.StreamReader) -> Tuple[str, str, bytes]:
+    """The request's method, path and body, read whole within
+    :data:`_READ_S` of now."""
+    deadline = asyncio.get_running_loop().time() + _READ_S
+    method, path, content_length = await _within(_head(reader), deadline)
+    if content_length > _MAX_BODY:
+        raise _Refused(413, f"body over {_MAX_BODY} bytes")
+    try:
+        body = await _within(reader.readexactly(content_length), deadline)
+    except asyncio.IncompleteReadError:
+        raise _Refused(400, "body shorter than content-length")
+    return method, path, body
+
+
 async def _drop_rest(reader: asyncio.StreamReader) -> None:
     """Read and drop what the client still sends, until it closes or
     :data:`_LINGER_S` has passed."""
@@ -113,6 +130,8 @@ class ServiceHTTPD:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
+        #: connections open now, refused ones too (:data:`_MAX_OPEN`)
+        self._open = 0
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
@@ -136,37 +155,42 @@ class ServiceHTTPD:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self._open += 1
         try:
-            status, body = await self._respond(reader)
-        except _Refused as exc:
-            status, body = exc.status, {"error": str(exc)}
-        except Exception as exc:
-            status, body = 500, {"error": str(exc)}
-        payload = json.dumps(body).encode("utf-8")
-        head = (
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            f"Connection: close\r\n\r\n"
-        ).encode("ascii")
-        try:
+            whole = False  # was the request read whole before its answer?
+            try:
+                if self._open > _MAX_OPEN:
+                    raise _Refused(503, "too many open connections")
+                method, path, raw = await _request(reader)
+                whole = True
+                status, body = await self._respond(method, path, raw)
+            except _Refused as exc:
+                status, body = exc.status, {"error": str(exc)}
+            except Exception as exc:
+                status, body = 500, {"error": str(exc)}
+            payload = json.dumps(body).encode("utf-8")
+            head = (
+                f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
+                f"Content-Type: application/json\r\n"
+                f"Content-Length: {len(payload)}\r\n"
+                f"Connection: close\r\n\r\n"
+            ).encode("ascii")
             writer.write(head + payload)
             await writer.drain()
-            if status in _UNREAD:
+            if not whole:
+                # closing on unread bytes resets the connection, and the
+                # client never reads the answer: drop them first
                 writer.write_eof()
                 await _drop_rest(reader)
         finally:
             writer.close()
+            self._open -= 1
 
     async def _respond(
-        self, reader: asyncio.StreamReader
+        self, method: str, path: str, raw: bytes
     ) -> Tuple[int, Dict[str, Any]]:
-        # one deadline for every read of the request; the service call
-        # below runs outside it
-        deadline = asyncio.get_running_loop().time() + _READ_S
-        method, path, content_length = await _within(_head(reader), deadline)
-        if content_length > _MAX_BODY:
-            return 413, {"error": f"body over {_MAX_BODY} bytes"}
+        """The answer to a request read whole; the service call runs
+        outside the read deadline."""
         if method == "GET" and path == "/healthz":
             stats = self.service.stats()
             return 200, {"state": stats["state"], "mode": stats["mode"]}
@@ -177,10 +201,6 @@ class ServiceHTTPD:
             if len(segments) != 3:
                 return 404, {"error": "expected /v1/<tenant>/<op>"}
             _, tenant, op = segments
-            try:
-                raw = await _within(reader.readexactly(content_length), deadline)
-            except asyncio.IncompleteReadError:
-                return 400, {"error": "body shorter than content-length"}
             try:
                 payload = json.loads(raw) if raw else {}
             except ValueError:

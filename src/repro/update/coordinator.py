@@ -14,7 +14,7 @@ from typing import Any, Callable, Dict, List, Optional, Set
 
 from ..cloud.base import CloudAPIError, WRITE_OPS
 from ..cloud.clock import EventQueue, SimClock
-from ..cloud.resilience import HealthMonitor, ResilientGateway, RetryPolicy
+from ..cloud.resilience import ResilientGateway
 from ..state.document import StateDocument
 from ..state.locks import LockManager
 from ..state.transactions import (
@@ -180,26 +180,15 @@ class UpdateCoordinator:
         lock_manager: LockManager,
         clock: Optional[SimClock] = None,
         scheduling: str = "fifo",
-        gateway: Optional[Any] = None,
-        retry: Optional[RetryPolicy] = None,
+        gateway: Optional[ResilientGateway] = None,
         lease_ttl: Optional[float] = None,
-        health: Optional[HealthMonitor] = None,
     ):
         if scheduling not in SCHEDULING_POLICIES:
             raise ValueError(
                 f"scheduling must be one of {SCHEDULING_POLICIES}"
             )
-        self.gateway = (
-            ResilientGateway.wrap(gateway, retry=retry, health=health)
-            if gateway is not None
-            else None
-        )
-        self.health = (
-            self.gateway.health if self.gateway is not None else health
-        )
-        self.clock = clock or (
-            self.gateway.clock if self.gateway is not None else SimClock()
-        )
+        self.gateway = gateway
+        self.clock = clock or (gateway.clock if gateway is not None else SimClock())
         self.scheduling = scheduling
         #: leases off (None) keeps the historical event stream exactly:
         #: no heartbeat events, no expiry events, no fencing; a holder
@@ -216,18 +205,18 @@ class UpdateCoordinator:
         page (an active hard outage knows its end time) and the circuit
         breakers (an open breaker knows its next probe time).
         """
+        if self.gateway is None:
+            return None
         now = self.clock.now
+        health = self.gateway.health
         resume_at: Optional[float] = None
         for provider, region in sorted(request.partitions):
             candidates: List[float] = []
-            if self.gateway is not None:
-                horizon = self.gateway.partition_dark(provider, region, now)
-                if horizon is not None:
-                    candidates.append(horizon)
-            if self.health is not None and self.health.blocked(
-                provider, region, now
-            ):
-                probe_at = self.health.next_probe_at(provider, region)
+            horizon = self.gateway.partition_dark(provider, region, now)
+            if horizon is not None:
+                candidates.append(horizon)
+            if health is not None and health.blocked(provider, region, now):
+                probe_at = health.next_probe_at(provider, region)
                 if probe_at is not None:
                     candidates.append(probe_at)
             for at in candidates:

@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional, Set
 from ..addressing import ResourceAddress
 from ..cloud.base import CloudAPIError
 from ..cloud.gateway import CloudGateway
-from ..cloud.resilience import ResilientGateway, RetryPolicy
+from ..cloud.resilience import ResilientGateway
 from ..cloud.resources import settable_attrs
 from ..state.document import ResourceState, StateDocument
 from ..state.snapshots import Snapshot
@@ -181,10 +181,8 @@ class ReversibilityAwareRollback:
     silent corruption.
     """
 
-    def __init__(
-        self, gateway: CloudGateway, retry: Optional[RetryPolicy] = None
-    ):
-        self.gateway = ResilientGateway.wrap(gateway, retry=retry)
+    def __init__(self, gateway: ResilientGateway):
+        self.gateway = gateway
 
     # -- planning --------------------------------------------------------------
 
@@ -416,10 +414,8 @@ class NaiveRollback:
     API errors instead of planned replacements.
     """
 
-    def __init__(
-        self, gateway: CloudGateway, retry: Optional[RetryPolicy] = None
-    ):
-        self.gateway = ResilientGateway.wrap(gateway, retry=retry)
+    def __init__(self, gateway: ResilientGateway):
+        self.gateway = gateway
 
     def plan(self, snapshot: Snapshot, current_state: StateDocument) -> RollbackPlan:
         actions: List[RollbackAction] = []

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cloud import ResilientGateway
 from repro.core import CloudlessEngine
 from repro.drift import (
     ADOPT,
@@ -20,6 +21,12 @@ def deployed(seed=50, **kwargs):
     return engine
 
 
+def client(engine):
+    """A client of ``engine``'s clouds of its own: default retry, fresh
+    stats, no health ledger (``engine.resilient`` keeps the engine's)."""
+    return ResilientGateway(engine.gateway)
+
+
 def a_vm(engine):
     return next(
         e
@@ -31,7 +38,7 @@ def a_vm(engine):
 class TestFullScan:
     def test_clean_estate_no_findings(self):
         engine = deployed()
-        run = FullScanDetector(engine.gateway).scan(engine.state)
+        run = FullScanDetector(client(engine)).scan(engine.state)
         assert run.findings == []
 
     def test_detects_modification(self):
@@ -40,7 +47,7 @@ class TestFullScan:
         engine.gateway.planes["aws"].external_update(
             vm.resource_id, {"size": "large"}
         )
-        run = FullScanDetector(engine.gateway).scan(engine.state)
+        run = FullScanDetector(client(engine)).scan(engine.state)
         kinds = {(f.kind, f.resource_id) for f in run.findings}
         assert ("modified", vm.resource_id) in kinds
         finding = next(f for f in run.findings if f.kind == "modified")
@@ -53,15 +60,15 @@ class TestFullScan:
         rogue = engine.gateway.planes["aws"].external_create(
             "aws_s3_bucket", {"name": "rogue"}, "us-east-1"
         )
-        run = FullScanDetector(engine.gateway).scan(engine.state)
+        run = FullScanDetector(client(engine)).scan(engine.state)
         kinds = {f.kind for f in run.findings}
         assert kinds == {"deleted", "unmanaged"}
 
     def test_scan_cost_scales_with_estate(self):
         small = deployed(seed=51, web_vms=1, app_vms=1)
         big = deployed(seed=52, web_vms=8, app_vms=8)
-        small_run = FullScanDetector(small.gateway).scan(small.state)
-        big_run = FullScanDetector(big.gateway).scan(big.state)
+        small_run = FullScanDetector(client(small)).scan(small.state)
+        big_run = FullScanDetector(client(big)).scan(big.state)
         assert big_run.api_calls >= small_run.api_calls
         assert big_run.duration_s > 0
 
@@ -69,13 +76,13 @@ class TestFullScan:
 class TestLogWatch:
     def test_ignores_iac_activity(self):
         engine = deployed()
-        detector = LogWatchDetector(engine.gateway)
+        detector = LogWatchDetector(client(engine))
         run = detector.poll(engine.state)
         assert run.findings == []  # all events so far were actor=iac
 
     def test_detects_external_update(self):
         engine = deployed()
-        detector = LogWatchDetector(engine.gateway)
+        detector = LogWatchDetector(client(engine))
         detector.poll(engine.state)  # consume history
         vm = a_vm(engine)
         engine.gateway.planes["aws"].external_update(
@@ -91,7 +98,7 @@ class TestLogWatch:
 
     def test_cursor_prevents_rereporting(self):
         engine = deployed()
-        detector = LogWatchDetector(engine.gateway)
+        detector = LogWatchDetector(client(engine))
         detector.poll(engine.state)
         vm = a_vm(engine)
         engine.gateway.planes["aws"].external_update(
@@ -102,7 +109,7 @@ class TestLogWatch:
 
     def test_poll_is_cheap(self):
         engine = deployed(web_vms=6, app_vms=6)
-        detector = LogWatchDetector(engine.gateway)
+        detector = LogWatchDetector(client(engine))
         before = engine.gateway.total_api_calls()
         detector.poll(engine.state)
         # one log read per provider, regardless of estate size
@@ -110,7 +117,7 @@ class TestLogWatch:
 
     def test_detects_external_create_as_unmanaged(self):
         engine = deployed()
-        detector = LogWatchDetector(engine.gateway)
+        detector = LogWatchDetector(client(engine))
         detector.poll(engine.state)
         engine.gateway.planes["aws"].external_create(
             "aws_s3_bucket", {"name": "rogue"}, "us-east-1", actor="intern"
@@ -122,7 +129,7 @@ class TestLogWatch:
 class TestReconciler:
     def drifted_engine(self):
         engine = deployed(seed=53)
-        detector = LogWatchDetector(engine.gateway)
+        detector = LogWatchDetector(client(engine))
         detector.poll(engine.state)
         vm = a_vm(engine)
         engine.gateway.planes["aws"].external_update(
@@ -135,7 +142,7 @@ class TestReconciler:
         engine, vm, findings = self.drifted_engine()
         golden_size = vm.attrs["size"]
         assert golden_size != "large"
-        report = Reconciler(engine.gateway).reconcile(findings, engine.state)
+        report = Reconciler(client(engine)).reconcile(findings, engine.state)
         assert all(a.ok for a in report.actions)
         live = engine.gateway.find_record(vm.resource_id)
         assert live.attrs["size"] == golden_size
@@ -143,7 +150,7 @@ class TestReconciler:
     def test_adopt_pulls_cloud_into_state(self):
         engine, vm, findings = self.drifted_engine()
         report = Reconciler(
-            engine.gateway, policy={"modified": ADOPT}
+            client(engine), policy={"modified": ADOPT}
         ).reconcile(findings, engine.state)
         assert all(a.ok for a in report.actions)
         assert engine.state.by_resource_id(vm.resource_id).attrs["size"] == "large"
@@ -153,21 +160,21 @@ class TestReconciler:
     def test_notify_touches_nothing(self):
         engine, vm, findings = self.drifted_engine()
         report = Reconciler(
-            engine.gateway, policy={"modified": NOTIFY}
+            client(engine), policy={"modified": NOTIFY}
         ).reconcile(findings, engine.state)
         assert report.notifications
         assert report.api_calls == 0
 
     def test_enforce_recreates_deleted(self):
         engine = deployed(seed=54)
-        detector = LogWatchDetector(engine.gateway)
+        detector = LogWatchDetector(client(engine))
         detector.poll(engine.state)
         bucket = next(
             e for e in engine.state.resources() if e.address.type == "aws_database_instance"
         )
         engine.gateway.planes["aws"].external_delete(bucket.resource_id, actor="x")
         findings = detector.poll(engine.state).findings
-        report = Reconciler(engine.gateway).reconcile(findings, engine.state)
+        report = Reconciler(client(engine)).reconcile(findings, engine.state)
         assert all(a.ok for a in report.actions)
         new_entry = engine.state.get(bucket.address)
         assert new_entry.resource_id != bucket.resource_id
@@ -177,21 +184,21 @@ class TestReconciler:
 class TestDetectorEquivalence:
     def test_both_detect_the_same_modification(self):
         engine = deployed(seed=55)
-        log_detector = LogWatchDetector(engine.gateway)
+        log_detector = LogWatchDetector(client(engine))
         log_detector.poll(engine.state)
         vm = a_vm(engine)
         engine.gateway.planes["aws"].external_update(
             vm.resource_id, {"size": "large"}, actor="x"
         )
         log_run = log_detector.poll(engine.state)
-        scan_run = FullScanDetector(engine.gateway).scan(engine.state)
+        scan_run = FullScanDetector(client(engine)).scan(engine.state)
         log_keys = {f.key for f in log_run.findings}
         scan_keys = {f.key for f in scan_run.findings}
         assert log_keys == scan_keys
 
     def test_log_watch_is_cheaper(self):
         engine = deployed(seed=56, web_vms=30, app_vms=30)
-        log_detector = LogWatchDetector(engine.gateway)
+        log_detector = LogWatchDetector(client(engine))
         log_detector.poll(engine.state)
         vm = a_vm(engine)
         engine.gateway.planes["aws"].external_update(
@@ -201,7 +208,7 @@ class TestDetectorEquivalence:
         log_detector.poll(engine.state)
         log_cost = engine.gateway.total_api_calls() - before
         before = engine.gateway.total_api_calls()
-        FullScanDetector(engine.gateway).scan(engine.state)
+        FullScanDetector(client(engine)).scan(engine.state)
         scan_cost = engine.gateway.total_api_calls() - before
         assert log_cost < scan_cost / 2
 
@@ -230,7 +237,7 @@ class TestResilienceRegressions:
             )
         )
         old_id = vm.resource_id
-        run = FullScanDetector(engine.gateway).scan(engine.state)
+        run = FullScanDetector(client(engine)).scan(engine.state)
         report = engine.reconcile(run.findings)
         assert not report.ok
         assert report.remainder  # precise resumable work
@@ -239,7 +246,7 @@ class TestResilienceRegressions:
         assert entry.resource_id == ""  # checkpointed, not the dead id
         assert engine.gateway.find_record(old_id) is None
         # resume: a fresh detect + reconcile pass finishes the repair
-        run2 = FullScanDetector(engine.gateway).scan(engine.state)
+        run2 = FullScanDetector(client(engine)).scan(engine.state)
         report2 = engine.reconcile(run2.findings)
         assert report2.ok
         entry = engine.state.get(vm.address)
@@ -264,7 +271,7 @@ class TestResilienceRegressions:
                 max_strikes=1,
             )
         )
-        run = FullScanDetector(engine.gateway).scan(engine.state)
+        run = FullScanDetector(client(engine)).scan(engine.state)
         report = engine.reconcile(run.findings)
         assert report.ok  # the retry absorbed the fault
         assert engine.resilient.stats.retries >= 1
@@ -275,7 +282,7 @@ class TestResilienceRegressions:
         from repro.cloud import FaultSpec
 
         clean_engine = deployed(seed=58, web_vms=8, app_vms=8)
-        clean = FullScanDetector(clean_engine.gateway).scan(
+        clean = FullScanDetector(client(clean_engine)).scan(
             clean_engine.state
         )
         assert clean.findings == []
@@ -291,7 +298,7 @@ class TestResilienceRegressions:
                 max_strikes=1,
             )
         )
-        run = FullScanDetector(engine.gateway).scan(engine.state)
+        run = FullScanDetector(client(engine)).scan(engine.state)
         # the faulted page was retried with the same token: the scan
         # still covers the whole estate and costs exactly one extra call
         assert run.findings == []

@@ -15,7 +15,7 @@ from typing import Dict, List, NamedTuple, Set, Tuple
 import pytest
 
 from repro.addressing import ResourceAddress
-from repro.cloud import FaultSpec
+from repro.cloud import FaultSpec, ResilientGateway
 from repro.cloud.faults import OutageSpec
 from repro.cloud.azure.provider import AzureControlPlane
 from repro.core import CloudlessEngine
@@ -45,6 +45,12 @@ def aws_only_deployed(seed):
     engine = deployed(seed=seed)
     del engine.gateway.planes["azure"]
     return engine
+
+
+def client(engine):
+    """A client of ``engine``'s clouds of its own: default retry, fresh
+    stats, no health ledger (``engine.resilient`` keeps the engine's)."""
+    return ResilientGateway(engine.gateway)
 
 
 def a_vm(engine, rtype="aws_virtual_machine"):
@@ -83,7 +89,7 @@ class TestCursorSemantics:
 
     def test_poll_cursor_advances_by_sequence_not_index(self):
         engine = deployed(seed=72)
-        detector = LogWatchDetector(engine.gateway)
+        detector = LogWatchDetector(client(engine))
         consume_history(detector, engine.state)
         cursor = detector.cursors["aws"]
         # retention drops the consumed prefix; index-based cursors
@@ -116,7 +122,7 @@ class TestLateAddedPlane:
 
     def test_late_added_plane_defaults_to_cursor_zero(self):
         engine = aws_only_deployed(seed=73)
-        detector = LogWatchDetector(engine.gateway)
+        detector = LogWatchDetector(client(engine))
         consume_history(detector, engine.state)
         plane = AzureControlPlane(clock=engine.clock, seed=9)
         engine.gateway.planes["azure"] = plane
@@ -129,7 +135,7 @@ class TestLateAddedPlane:
 
     def test_log_watch_across_outage_with_late_added_plane(self):
         engine = aws_only_deployed(seed=74)
-        detector = LogWatchDetector(engine.gateway)
+        detector = LogWatchDetector(client(engine))
         consume_history(detector, engine.state)
         now = engine.clock.now
         engine.gateway.inject_outage(
@@ -282,7 +288,7 @@ def test_watched_resize_then_delete_reconciles_ok():
 class TestWatcherReconcile:
     def test_auto_reconcile_enforces_and_notifies(self):
         engine = deployed(seed=78)
-        watcher = DriftWatcher(engine.gateway)
+        watcher = DriftWatcher(client(engine))
         consume_history(watcher, engine.state)
         vm = a_vm(engine)
         golden_size = vm.attrs["size"]
@@ -323,7 +329,7 @@ class TestWatcherReconcile:
     def test_defer_dark_partition_then_repair_after_recovery(self):
         engine = CloudlessEngine(seed=79)
         assert engine.apply(two_region_estate(14)).ok
-        watcher = DriftWatcher(engine.gateway)
+        watcher = DriftWatcher(client(engine))
         consume_history(watcher, engine.state)
         entry = next(
             e
@@ -356,7 +362,7 @@ class TestWatcherReconcile:
     def test_watcher_retries_interrupted_replacement(self):
         """Satellite 4: reconcile remainder resume, watcher-driven."""
         engine = deployed(seed=80)
-        watcher = DriftWatcher(engine.gateway)
+        watcher = DriftWatcher(client(engine))
         consume_history(watcher, engine.state)
         vm = a_vm(engine)
         plane = engine.gateway.planes["aws"]
@@ -392,7 +398,7 @@ class TestWatcherReconcile:
 class TestWatcherStaleness:
     def test_unobserved_partition_goes_stale(self):
         engine = deployed(seed=81)
-        watcher = DriftWatcher(engine.gateway, max_lag_s=100.0)
+        watcher = DriftWatcher(client(engine), max_lag_s=100.0)
         consume_history(watcher, engine.state)
         now = engine.clock.now
         engine.gateway.inject_outage(
@@ -410,7 +416,7 @@ class TestWatcherStaleness:
         PERF.reset()
         try:
             engine = deployed(seed=82)
-            watcher = DriftWatcher(engine.gateway)
+            watcher = DriftWatcher(client(engine))
             consume_history(watcher, engine.state)
             vm = a_vm(engine)
             plane = engine.gateway.planes["aws"]
@@ -543,7 +549,7 @@ class TestTailingBeatsSweeping:
                 seen.add(key)
                 if key in expect:
                     detected.setdefault(expect[key], when)
-        final = FullScanDetector(engine.gateway).scan(engine.state)
+        final = FullScanDetector(client(engine)).scan(engine.state)
         latencies = [detected[i] - fired[i] for i in sorted(detected)]
         return Arm(
             api_calls,
@@ -557,7 +563,7 @@ class TestTailingBeatsSweeping:
     @pytest.fixture(scope="class")
     def arms(self):
         def scanned(engine, interval_s):
-            detector = FullScanDetector(engine.gateway)
+            detector = FullScanDetector(client(engine))
             return self.replay(
                 engine, schedule, interval_s, lambda: detector.scan(engine.state)
             )
@@ -565,7 +571,7 @@ class TestTailingBeatsSweeping:
         sweep = self.estate()
         schedule = self.schedule(sweep)
         tail = self.estate()
-        watcher = DriftWatcher(tail.gateway, auto_reconcile=False)
+        watcher = DriftWatcher(client(tail), auto_reconcile=False)
         consume_history(watcher, tail.state)
         return {
             "sweep": scanned(sweep, self.SWEEP_S),
@@ -604,13 +610,15 @@ class TestCursorPersistence:
             # a fresh process: the world is all it has
             engine = load_world(path)
             watcher = DriftWatcher(
-                engine.gateway, detector=engine.watcher, auto_reconcile=False
+                client(engine),
+                detector=engine.watcher,
+                auto_reconcile=False,
             )
             return engine, watcher
 
         engine = deployed(seed=83)
         path = str(tmp_path / "w.world")
-        watcher = DriftWatcher(engine.gateway, detector=engine.watcher)
+        watcher = DriftWatcher(client(engine), detector=engine.watcher)
         consume_history(watcher, engine.state)
         vm = a_vm(engine)
         engine.gateway.planes["aws"].external_update(

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.cloud import CloudAPIError
+from repro.cloud import CloudAPIError, ResilientGateway
 from repro.cloud.gateway import CloudGateway
 from repro.state import (
     GlobalLockManager,
@@ -186,7 +186,7 @@ class TestCoordinatorWithLeases:
             doc,
             ResourceLockManager(),
             clock=gateway.clock,
-            gateway=gateway,
+            gateway=ResilientGateway(gateway),
             lease_ttl=120.0,
         )
 
@@ -225,7 +225,7 @@ class TestCoordinatorWithLeases:
             doc,
             ResourceLockManager(),
             clock=gateway.clock,
-            gateway=gateway,
+            gateway=ResilientGateway(gateway),
         )
         crasher = self._request(
             "team-dead", gateway.clock.now, {"aws_vpc.main"}, crashes=True
@@ -247,7 +247,7 @@ class TestCoordinatorWithLeases:
                 doc,
                 ResourceLockManager(),
                 clock=gateway.clock,
-                gateway=gateway,
+                gateway=ResilientGateway(gateway),
                 lease_ttl=lease_ttl,
             )
             result = coordinator.run(

@@ -402,7 +402,7 @@ class TestDegradedApply:
         hits = engine.gateway.planes["azure"].faults.outage_hits
         # the breaker trips after `failure_threshold` failures; in-flight
         # operations (bounded by executor concurrency, 10) may also land
-        hit_budget = engine.health.policy.failure_threshold + 2 * 10
+        hit_budget = engine.resilient.health.policy.failure_threshold + 2 * 10
         engine.clock.advance_to(outage.end_s + 4000.0)
         resume = engine.resume(src)
         return Degraded(full, reachable, dark, hits, hit_budget, engine, resume)
@@ -464,12 +464,13 @@ class TestProbeAnsweredByAnotherError:
         from repro.cloud.faults import FaultSpec
 
         engine = CloudlessEngine(seed=0)
-        for t in range(engine.health.policy.failure_threshold):
-            engine.health.record(
+        health = engine.resilient.health
+        for t in range(health.policy.failure_threshold):
+            health.record(
                 "azure", "westus2", ok=False, now=float(t),
                 code="ServiceUnavailable", outage=True,
             )
-        assert engine.health.breaker("azure", "westus2").state == BREAKER_OPEN
+        assert health.breaker("azure", "westus2").state == BREAKER_OPEN
         engine.clock.advance_to(1000.0)
         engine.gateway.planes["azure"].faults.add_rule(
             FaultSpec(
@@ -498,7 +499,8 @@ class TestProbeAnsweredByAnotherError:
             program += self.groups(f"r{round_}")
             result = engine.apply(program)
             assert result.ok, (round_, result.apply.quarantined)
-        assert engine.health.breaker("azure", "westus2").state == BREAKER_CLOSED
+        breaker = engine.resilient.health.breaker("azure", "westus2")
+        assert breaker.state == BREAKER_CLOSED
 
     def test_a_failed_probe_does_not_park_what_it_held(self):
         engine = self.half_open_engine("InvalidParameter", transient=False)
@@ -506,7 +508,8 @@ class TestProbeAnsweredByAnotherError:
         assert len(result.apply.failed) == 1  # the probe: a terminal 400
         assert not result.apply.quarantined
         assert len(result.apply.succeeded) == 2
-        assert engine.health.breaker("azure", "westus2").state == BREAKER_CLOSED
+        breaker = engine.resilient.health.breaker("azure", "westus2")
+        assert breaker.state == BREAKER_CLOSED
 
 
 # -- drift under outage -------------------------------------------------------
@@ -543,7 +546,7 @@ class TestDriftUnderOutage:
             ),
         )
         detector = FullScanDetector(
-            engine.gateway, retry=RetryPolicy(max_attempts=2)
+            ResilientGateway(engine.gateway, retry=RetryPolicy(max_attempts=2))
         )
         run = detector.scan(engine.state)
         assert run.findings == []
@@ -555,7 +558,7 @@ class TestDriftUnderOutage:
         engine = CloudlessEngine(seed=0)
         assert engine.apply(web_tier(web_vms=2, app_vms=1)).ok
         detector = LogWatchDetector(
-            engine.gateway, retry=RetryPolicy(max_attempts=2)
+            ResilientGateway(engine.gateway, retry=RetryPolicy(max_attempts=2))
         )
         detector.poll(engine.state)  # drain the apply's own events
         # an intruder deletes a VM, then the provider goes dark
@@ -592,7 +595,9 @@ class TestCoordinatorDeferral:
         outage = OutageSpec(start_s=0.0, end_s=900.0, region="westus2")
         gateway.inject_outage("azure", outage)
         coordinator = UpdateCoordinator(
-            StateDocument(), ResourceLockManager(), gateway=gateway
+            StateDocument(),
+            ResourceLockManager(),
+            gateway=ResilientGateway(gateway),
         )
         dark = UpdateRequest(
             team="geo-west",
@@ -644,7 +649,8 @@ class TestRecoveryClassification:
         journal.close()
 
         recovery = CrashRecovery(
-            CloudGateway.simulated(seed=3), IntentJournal.resume(path)
+            ResilientGateway(CloudGateway.simulated(seed=3)),
+            IntentJournal.resume(path),
         )
         report = recovery.recover(StateDocument())
         by_cid = {a.intent.cid: a.classification for a in report.actions}

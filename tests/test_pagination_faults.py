@@ -9,7 +9,7 @@ rather than the first call.
 
 import pytest
 
-from repro.cloud import FaultSpec, RetryPolicy
+from repro.cloud import FaultSpec, ResilientGateway, RetryPolicy
 from repro.cloud.gateway import CloudGateway
 from repro.porting.importer import enumerate_estate
 
@@ -28,6 +28,10 @@ def seeded_gateway():
     return gateway, plane
 
 
+def patient(gateway, attempts):
+    return ResilientGateway(gateway, retry=RetryPolicy(max_attempts=attempts))
+
+
 def test_fault_on_second_page_is_retried_with_same_token():
     gateway, plane = seeded_gateway()
     plane.faults.add_rule(
@@ -39,7 +43,7 @@ def test_fault_on_second_page_is_retried_with_same_token():
             skip_first=1,  # first page succeeds, second page faults
         )
     )
-    records = enumerate_estate(gateway, RetryPolicy(max_attempts=4))
+    records = enumerate_estate(patient(gateway, 4))
     assert len(records) == ESTATE
     assert len({r.id for r in records}) == ESTATE  # no duplicates
     assert plane.faults.fired == 1
@@ -56,7 +60,7 @@ def test_fault_on_every_page_once_still_converges():
             max_strikes=3,  # one strike per page of the 3-page scan
         )
     )
-    records = enumerate_estate(gateway, RetryPolicy(max_attempts=4))
+    records = enumerate_estate(patient(gateway, 4))
     assert len(records) == ESTATE
     assert plane.faults.fired == 3
 
@@ -80,7 +84,7 @@ def test_fault_mid_scan_on_multiple_planes():
                 skip_first=1,
             )
         )
-    records = enumerate_estate(gateway, RetryPolicy(max_attempts=4))
+    records = enumerate_estate(patient(gateway, 4))
     assert len(records) == ESTATE + 30
     assert len({r.id for r in records}) == ESTATE + 30
 
@@ -100,7 +104,7 @@ def test_persistent_list_fault_surfaces_after_retries():
     from repro.cloud.base import CloudAPIError
 
     with pytest.raises(CloudAPIError):
-        enumerate_estate(gateway, RetryPolicy(max_attempts=3))
+        enumerate_estate(patient(gateway, 3))
 
 
 def test_probability_miss_consumes_no_strike():

@@ -110,13 +110,6 @@ class TestFaultSpecValidation:
 
 
 class TestResilientGateway:
-    def test_wrap_is_idempotent(self):
-        rg = resilient()
-        assert ResilientGateway.wrap(rg) is rg
-        # re-wrapping with overrides still never double-wraps
-        rg2 = ResilientGateway.wrap(rg, retry=RetryPolicy(max_attempts=2))
-        assert rg2.inner is rg.inner
-
     def test_transient_fault_is_retried_to_success(self):
         rg = resilient()
         rg.planes["aws"].faults.add_rule(
@@ -277,6 +270,74 @@ class TestResilientGateway:
         engine = CloudlessEngine(seed=9)
         assert isinstance(engine.resilient, ResilientGateway)
         assert engine.resilient.inner is engine.gateway
+
+    def test_every_subsystem_an_engine_builds_holds_its_one_client(
+        self, tmp_path, monkeypatch
+    ):
+        """Watch, continuous watch, reconcile, rollback, import over the
+        API and resume's crash recovery each run on ``engine.resilient``
+        itself: one retry policy, one stats ledger, one health ledger."""
+        from repro.core import CloudlessEngine
+        from repro.deploy import CrashRecovery, SimulatedCrash
+        from repro.drift import Reconciler
+        from repro.porting import importer
+        from repro.update import ReversibilityAwareRollback
+        from repro.workloads import web_tier
+
+        built = []
+
+        def spy(cls):
+            init = cls.__init__
+
+            def recording(self, gateway, *args, **kwargs):
+                built.append((cls.__name__, gateway))
+                init(self, gateway, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", recording)
+
+        for cls in (CrashRecovery, Reconciler, ReversibilityAwareRollback):
+            spy(cls)
+        enumerate_estate = importer.enumerate_estate
+
+        def enumerating(gateway):
+            built.append(("enumerate_estate", gateway))
+            return enumerate_estate(gateway)
+
+        monkeypatch.setattr(importer, "enumerate_estate", enumerating)
+
+        def die_at_two(index):
+            if index == 2:
+                raise SimulatedCrash("boundary 2")
+
+        engine = CloudlessEngine(seed=9, wal_path=str(tmp_path / "intents.wal"))
+        text = web_tier()
+        with pytest.raises(SimulatedCrash):
+            engine.apply(text, crash_hook=die_at_two)
+        resumed = engine.resume(text)
+        assert resumed.ok and resumed.recovery.adopted  # a Reconciler adopted
+        engine.watch()
+        engine.watch_continuously()
+        engine.reconcile([])
+        engine.rollback(resumed.result.snapshot_version)
+        engine.import_estate(via_api=True)
+
+        one = engine.resilient
+        watcher = engine.continuous_watcher
+        held = [
+            ("watcher", engine.watcher.gateway),
+            ("continuous_watcher", watcher.gateway),
+            ("its detector", watcher.detector.gateway),
+            ("its reconciler", watcher.reconciler.gateway),
+            *built,
+        ]
+        assert [name for name, gateway in held if gateway is not one] == []
+        adoptions = ["Reconciler"] * len(resumed.recovery.adopted)
+        assert [name for name, _ in built] == ["CrashRecovery", *adoptions] + [
+            "Reconciler",  # the continuous watcher's
+            "Reconciler",  # reconcile's
+            "ReversibilityAwareRollback",
+            "enumerate_estate",
+        ]
 
 
 class TestRetryStatsAndPerfCounters:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cloud import ResilientGateway
 from repro.core import CloudlessEngine
 from repro.update import (
     NaiveRollback,
@@ -19,6 +20,12 @@ def deployed_engine(seed=40, **kwargs):
     return engine, result.snapshot_version
 
 
+def client(engine):
+    """A client of ``engine``'s clouds of its own: default retry, fresh
+    stats, no health ledger (``engine.resilient`` keeps the engine's)."""
+    return ResilientGateway(engine.gateway)
+
+
 def first_vm(engine):
     return next(
         e
@@ -30,7 +37,7 @@ def first_vm(engine):
 class TestPlanning:
     def test_clean_state_plans_nothing(self):
         engine, v1 = deployed_engine()
-        planner = ReversibilityAwareRollback(engine.gateway)
+        planner = ReversibilityAwareRollback(client(engine))
         plan = planner.plan(engine.history.get(v1), engine.state)
         assert len(plan) == 0
 
@@ -40,7 +47,7 @@ class TestPlanning:
         engine.gateway.planes["aws"].external_update(
             vm.resource_id, {"size": "xlarge"}
         )
-        plan = ReversibilityAwareRollback(engine.gateway).plan(
+        plan = ReversibilityAwareRollback(client(engine)).plan(
             engine.history.get(v1), engine.state
         )
         kinds = {str(a.address): a.kind for a in plan.actions}
@@ -53,7 +60,7 @@ class TestPlanning:
         engine.gateway.planes["aws"].external_update(
             vm.resource_id, {"network_settings": "custom-routes"}
         )
-        plan = ReversibilityAwareRollback(engine.gateway).plan(
+        plan = ReversibilityAwareRollback(client(engine)).plan(
             engine.history.get(v1), engine.state
         )
         kinds = {str(a.address): a.kind for a in plan.actions}
@@ -66,7 +73,7 @@ class TestPlanning:
         engine.gateway.planes["aws"].external_update(
             vm.resource_id, {"image": "win-2022"}
         )
-        plan = ReversibilityAwareRollback(engine.gateway).plan(
+        plan = ReversibilityAwareRollback(client(engine)).plan(
             engine.history.get(v1), engine.state
         )
         kinds = {str(a.address): a.kind for a in plan.actions}
@@ -76,7 +83,7 @@ class TestPlanning:
         engine, v1 = deployed_engine()
         vm = first_vm(engine)
         engine.gateway.planes["aws"].external_delete(vm.resource_id)
-        plan = ReversibilityAwareRollback(engine.gateway).plan(
+        plan = ReversibilityAwareRollback(client(engine)).plan(
             engine.history.get(v1), engine.state
         )
         kinds = {str(a.address): a.kind for a in plan.actions}
@@ -85,7 +92,7 @@ class TestPlanning:
     def test_new_resources_plan_delete(self):
         engine, v1 = deployed_engine(web_vms=2)
         engine.apply(web_tier(web_vms=4))
-        plan = ReversibilityAwareRollback(engine.gateway).plan(
+        plan = ReversibilityAwareRollback(client(engine)).plan(
             engine.history.get(v1), engine.state
         )
         deletes = [a for a in plan.actions if a.kind is RollbackKind.DELETE]
@@ -102,7 +109,7 @@ class TestPlanning:
         engine.gateway.planes["aws"].external_update(
             nic.resource_id, {"network_settings": "hacked"}
         )
-        plan = ReversibilityAwareRollback(engine.gateway).plan(
+        plan = ReversibilityAwareRollback(client(engine)).plan(
             engine.history.get(v1), engine.state
         )
         cascaded = [a for a in plan.actions if a.cascaded]
@@ -124,7 +131,7 @@ class TestConvergence:
 
     def test_aware_rollback_converges(self):
         engine, snapshot = self.scenario(seed=41)
-        planner = ReversibilityAwareRollback(engine.gateway)
+        planner = ReversibilityAwareRollback(client(engine))
         plan = planner.plan(snapshot, engine.state)
         result = planner.execute(plan, engine.state)
         assert result.errors == []
@@ -132,14 +139,14 @@ class TestConvergence:
 
     def test_naive_rollback_leaves_divergence(self):
         engine, snapshot = self.scenario(seed=42)
-        planner = NaiveRollback(engine.gateway)
+        planner = NaiveRollback(client(engine))
         plan = planner.plan(snapshot, engine.state)
         planner.execute(plan, engine.state)
         assert measure_divergence(engine.gateway, snapshot, engine.state) > 0
 
     def test_aware_redeploys_only_what_it_must(self):
         engine, snapshot = self.scenario(seed=43)
-        planner = ReversibilityAwareRollback(engine.gateway)
+        planner = ReversibilityAwareRollback(client(engine))
         plan = planner.plan(snapshot, engine.state)
         # only the shadow-drifted VM is redeployed (it has no dependents)
         assert plan.redeployments <= 2
@@ -193,7 +200,7 @@ class TestCrashConsistency:
             )
         )
         before = self.vm_count(engine)
-        planner = ReversibilityAwareRollback(engine.gateway)
+        planner = ReversibilityAwareRollback(client(engine))
         plan = planner.plan(snapshot, engine.state)
         result = planner.execute(plan, engine.state)
         # regression: no duplicate twin under the same address
@@ -218,7 +225,7 @@ class TestCrashConsistency:
                 max_strikes=1,
             )
         )
-        planner = ReversibilityAwareRollback(engine.gateway)
+        planner = ReversibilityAwareRollback(client(engine))
         plan = planner.plan(snapshot, engine.state)
         result = planner.execute(plan, engine.state)
         assert str(vm.address) in result.remainder
@@ -248,7 +255,7 @@ class TestCrashConsistency:
                     max_strikes=1,
                 )
             )
-        planner = ReversibilityAwareRollback(engine.gateway)
+        planner = ReversibilityAwareRollback(client(engine))
         plan = planner.plan(snapshot, engine.state)
         result = planner.execute(plan, engine.state)
         assert result.errors == []

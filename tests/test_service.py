@@ -639,27 +639,30 @@ class TestHTTPEdgeStatuses:
     whole is a typed 4xx that reaches the client, and the edge answers
     the next request."""
 
-    def exchange_all(self, tmp_path, request):
-        async def send(address, raw):
-            reader, writer = await asyncio.open_connection(*address)
-            writer.write(raw)
-            await writer.drain()
-            writer.write_eof()
-            answer = await asyncio.wait_for(reader.read(), timeout=30)
-            writer.close()
-            await writer.wait_closed()
-            status_line, _, rest = answer.partition(b"\r\n")
-            head, _, body = rest.partition(b"\r\n\r\n")
-            return int(status_line.split()[1]), status_line, json.loads(body)
+    HEALTHZ = b"GET /healthz HTTP/1.1\r\n\r\n"
 
+    @staticmethod
+    async def send(address, raw):
+        reader, writer = await asyncio.open_connection(*address)
+        writer.write(raw)
+        await writer.drain()
+        writer.write_eof()
+        answer = await asyncio.wait_for(reader.read(), timeout=30)
+        writer.close()
+        await writer.wait_closed()
+        status_line, _, rest = answer.partition(b"\r\n")
+        head, _, body = rest.partition(b"\r\n\r\n")
+        return int(status_line.split()[1]), status_line, json.loads(body)
+
+    def exchange_all(self, tmp_path, request):
         async def main():
             svc = make_service(tmp_path)
             await svc.start()
             httpd = ServiceHTTPD(svc, port=0)
             await httpd.start()
             try:
-                answer = await send(httpd.address, request)
-                healthz = await send(httpd.address, b"GET /healthz HTTP/1.1\r\n\r\n")
+                answer = await self.send(httpd.address, request)
+                healthz = await self.send(httpd.address, self.HEALTHZ)
             finally:
                 await httpd.stop()
                 await svc.stop()
@@ -694,6 +697,76 @@ class TestHTTPEdgeStatuses:
         status, line, body = self.exchange_all(tmp_path, request)
         assert (status, line) == (413, b"HTTP/1.1 413 Content Too Large")
         assert body == {"error": f"body over {_MAX_BODY} bytes"}
+
+    @pytest.mark.parametrize(
+        "line, status, line_out",
+        [
+            (b"POST /v1/a/b/c", 404, b"HTTP/1.1 404 Not Found"),
+            (b"GET /healthz", 200, b"HTTP/1.1 200 OK"),
+        ],
+    )
+    def test_a_large_body_the_route_does_not_read_still_gets_its_answer(
+        self, tmp_path, line, status, line_out
+    ):
+        """Whatever its status, the answer reaches the client: the edge
+        reads the body whole first, or drops its rest before the close."""
+        size = 900_000
+        request = line + f" HTTP/1.1\r\nContent-Length: {size}\r\n\r\n".encode()
+        answer = self.exchange_all(tmp_path, request + b" " * size)
+        assert answer[:2] == (status, line_out)
+
+    def test_a_connection_past_the_open_bound_is_503_unread(
+        self, tmp_path, monkeypatch
+    ):
+        """Two stalled clients fill a bound of two: a third connection is
+        503 without being read, and once the two have timed out (408)
+        the edge answers again."""
+        import repro.service.httpd as httpd
+
+        monkeypatch.setattr(httpd, "_MAX_OPEN", 2)
+        monkeypatch.setattr(httpd, "_READ_S", 0.5)
+
+        async def settle(edge, open_):
+            for _ in range(500):
+                if edge._open == open_:
+                    return
+                await asyncio.sleep(0.01)
+            raise AssertionError(f"{edge._open} connections open, not {open_}")
+
+        async def main():
+            svc = make_service(tmp_path)
+            await svc.start()
+            edge = ServiceHTTPD(svc, port=0)
+            await edge.start()
+            try:
+                stalled = []
+                for _ in range(2):
+                    reader, writer = await asyncio.open_connection(*edge.address)
+                    writer.write(b"POST /v1/a/plan HTTP/1.1\r\nContent-Length: 100\r\n")
+                    await writer.drain()  # ... and no end of stream
+                    stalled.append((reader, writer))
+                await settle(edge, 2)
+                third = await self.send(edge.address, self.HEALTHZ)
+                timed_out = []
+                for reader, writer in stalled:
+                    timed_out.append(await asyncio.wait_for(reader.read(), 10))
+                    writer.close()
+                    await writer.wait_closed()
+                await settle(edge, 0)
+                healthz = await self.send(edge.address, self.HEALTHZ)
+            finally:
+                await edge.stop()
+                await svc.stop()
+            return third, timed_out, healthz
+
+        third, timed_out, healthz = run(main())
+        assert third == (
+            503,
+            b"HTTP/1.1 503 Service Unavailable",
+            {"error": "too many open connections"},
+        )
+        assert all(a.startswith(b"HTTP/1.1 408 ") for a in timed_out)
+        assert healthz[0] == 200
 
     def test_a_stalled_request_is_408_at_the_read_deadline(
         self, tmp_path, monkeypatch
