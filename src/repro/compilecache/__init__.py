@@ -11,12 +11,13 @@ them instead of rebuilding and re-validating, and an edited run
 re-parses only the chunks that changed. Planning is never cached: a
 plan depends on the state, which every apply changes.
 
-Robustness mirrors :class:`~repro.state.persist.JournalStateStore`: a
-versioned JSON header carries the per-file source digests and the blob
-digest, writes go through a temp-file + fsync + rename, and *any*
-mismatch (torn file, version skew, fingerprint drift, a blob that does
-not unpickle when first read) falls back to a cold build -- a cache
-can be deleted at any time without losing anything but warm-up time.
+Robustness mirrors the world file: a versioned JSON header carries the
+per-file source digests and the blob digest, a blob is written through
+a temp-file + fsync + rename, a day-2 edit appends a sealed stamp after
+it instead (a torn last stamp is dropped), and *any* other mismatch
+(torn blob, version skew, fingerprint drift, a blob that does not
+unpickle when first read) falls back to a cold build -- a cache can be
+deleted at any time without losing anything but warm-up time.
 """
 
 from .._exports import export_table

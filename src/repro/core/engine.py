@@ -525,8 +525,10 @@ class CloudlessEngine:
         The basis is then that artifact's configuration and, for every
         address the record does not exclude, the state entry as it was
         loaded; :meth:`_plan_scope` takes it from there, an exact hit
-        or a partial one alike. Anything else plans whole and counts
-        why."""
+        or a partial one alike. A partial hit's configuration is the
+        blob's, which may be older than the sources the record is
+        about: the names its last stamp re-parsed since (``stale``)
+        are diffed too. Anything else plans whole and counts why."""
         record = self._plan_record
         if isinstance(record, str):
             outcome = record
@@ -536,7 +538,7 @@ class CloudlessEngine:
             outcome = "other_sources"
         else:
             from ..addressing import MANAGED
-            from ..graph.impact import PlanBasis
+            from ..graph.impact import ConfigDelta, PlanBasis
 
             outcome = "woken"
             proof, state = record
@@ -559,13 +561,22 @@ class CloudlessEngine:
                     a for a, entry in noop.items() if entry.address.mode == MANAGED
                 ),
                 nodes=proof.get("nodes"),
+                # a partial hit's configuration is the blob's, and the
+                # record is about the last stamp's sources
+                stale=(
+                    ConfigDelta()
+                    if lookup.exact
+                    else ConfigDelta.from_names(lookup.reparsed)
+                ),
             )
         PERF.count(f"plan.basis.{outcome}")
 
     def _read_artifact(self, compiled: Compiled) -> None:
         """Unpickle an exact hit's configuration and graph, now that the
-        verb needs a node. A blob that does not read is the miss it
-        would have been at load: the sources compile cold, and the verb
+        verb needs a node (a hit by a stamp over a stale blob parses
+        against the blob's chunks and leaves the graph to
+        :meth:`_graph`). A blob that does not read is the miss it would
+        have been at load: the sources compile cold, and the verb
         writes the artifact again."""
         lookup = compiled.lookup
         if lookup is None:
@@ -615,11 +626,15 @@ class CloudlessEngine:
         return compiled.graph
 
     def _store(
-        self, compiled: Compiled, basis: Optional[ValidationBasis] = None
+        self,
+        compiled: Compiled,
+        basis: Optional[ValidationBasis] = None,
+        rebase: bool = False,
     ) -> None:
         """Write the artifact if it is still to be written: the graph,
         plus the verdict and the validation's ``basis`` when the verb
-        validated before it planned."""
+        validated before it planned (``rebase``: as a blob, since that
+        validation could not start from the one the artifact holds)."""
         # module text is outside the exactness test, so a graph
         # expanded through module calls is never journaled
         if (
@@ -640,6 +655,7 @@ class CloudlessEngine:
                     else None
                 ),
                 basis=basis,
+                rebase=rebase,
             ):
                 from ..compilecache import source_shas
 
@@ -665,19 +681,21 @@ class CloudlessEngine:
                 PERF.count(f"compilecache.verdict_mismatch.{why}")
         if compiled.report is None:
             PERF.count("validate.runs")
-            compiled.report, basis = self._validate(compiled)
+            compiled.report, basis, scoped = self._validate(compiled)
             # the next process's validation starts from what this one
-            # computed: the table rides in the artifact
-            self._store(compiled, basis)
+            # computed: the table rides in the artifact's blob, which
+            # one that could not start from the blob's replaces
+            self._store(compiled, basis, rebase=not scoped)
         return compiled.report
 
     def _validate(
         self, compiled: Compiled
-    ) -> Tuple[ValidationReport, ValidationBasis]:
+    ) -> Tuple[ValidationReport, ValidationBasis, bool]:
         """Validate on the verb's own graph, starting from what the
         last validation left (:meth:`_validation_scope`) and leaving
         what this one computed, if there will be a next: kept by the
-        engine, and returned for the artifact."""
+        engine, and returned for the artifact with whether it started
+        from the last one."""
         try:
             graph: Optional[ResourceGraph] = self._graph(compiled)
         except EngineError:
@@ -690,7 +708,7 @@ class CloudlessEngine:
         # nobody has planned on evaluates as validation means it to
         slot = graph.binding_resolver if graph is not None else None
         ours = self._ours(compiled) and getattr(slot, "target", None) is None
-        basis = self._validation_scope(
+        basis, scoped = self._validation_scope(
             self._validation_basis if ours else None, compiled, ours
         )
         table = basis.table
@@ -707,15 +725,16 @@ class CloudlessEngine:
         if ours:
             # (a first compile's is the artifact's, now spent)
             self._validation_basis = basis if compiled.resident else None
-        return report, basis
+        return report, basis, scoped
 
     def _validation_scope(
         self,
         last: Union[ValidationBasis, str, None],
         compiled: Compiled,
         ours: bool,
-    ) -> ValidationBasis:
-        """What this validation starts from and will leave behind: a
+    ) -> Tuple[ValidationBasis, bool]:
+        """What this validation starts from and will leave behind, and
+        whether it starts from ``last``: a
         table holding already what ``last`` computed for the
         declarations that are still made of the same parsed parts, or
         an empty one when anything else an entry is a function of may
@@ -761,9 +780,9 @@ class CloudlessEngine:
         else:
             basis.table.carry_over(last.table, config)
             PERF.count("validate.scoped")
-            return basis
+            return basis, True
         PERF.count(f"validate.full.{why}")
-        return basis
+        return basis, False
 
     def _executor(self) -> PlanExecutor:
         from ..deploy.executor import EXECUTORS, make_executor
@@ -893,6 +912,7 @@ class CloudlessEngine:
             delta = diff_configurations(
                 basis.config, compiled.config, basis.variables, compiled.variables
             )
+            delta.update(basis.stale)
             scope = change_scope(
                 graph,
                 delta,

@@ -70,6 +70,34 @@ class ConfigDelta:
             or self.changed_providers
         )
 
+    def update(self, other: "ConfigDelta") -> None:
+        """Count what ``other`` names as changed too."""
+        self.changed_resources |= other.changed_resources
+        self.changed_locals |= other.changed_locals
+        self.changed_variables |= other.changed_variables
+        self.changed_modules |= other.changed_modules
+        self.changed_providers |= other.changed_providers
+
+    def names(self) -> Dict[str, list]:
+        """The root-module names as JSON data, a compile-cache stamp's
+        ``reparsed`` (:data:`repro.compilecache.store.NAME_TABLES`; a
+        stamped program calls no module)."""
+        return {
+            "resources": sorted(map(list, self.changed_resources)),
+            "locals": sorted(self.changed_locals),
+            "variables": sorted(self.changed_variables),
+            "providers": sorted(self.changed_providers),
+        }
+
+    @classmethod
+    def from_names(cls, names: Mapping[str, list]) -> "ConfigDelta":
+        return cls(
+            changed_resources={tuple(key) for key in names["resources"]},
+            changed_locals=set(names["locals"]),
+            changed_variables=set(names["variables"]),
+            changed_providers=set(names["providers"]),
+        )
+
 
 @dataclasses.dataclass
 class PlanBasis:
@@ -106,6 +134,12 @@ class PlanBasis:
     #: from a record that lists only what its state held, which no plan
     #: may take as a proof that nothing is left to create
     nodes: Optional[int] = None
+    #: what the configuration the proof is about may differ from
+    #: ``config`` in, for a basis woken from a partial hit over a stale
+    #: blob: ``config`` is the blob's, the proof is about the last
+    #: stamp's sources, and this is the stamp's ``reparsed``. A plan
+    #: diffs it beside what differs from ``config``
+    stale: ConfigDelta = dataclasses.field(default_factory=ConfigDelta)
 
     def unproven(self, state: StateDocument) -> Set[str]:
         """The managed addresses ``state`` holds or ``config`` declares
@@ -247,6 +281,29 @@ def diff_configurations(
         if name not in was or name not in now or not same_values(was[name], now[name]):
             delta.changed_variables.add(name)
     return delta
+
+
+def reparsed_since(blob: Configuration, config: Configuration) -> ConfigDelta:
+    """The declarations, locals, variables and providers of either
+    configuration that ``config`` does not hold as ``blob``'s very parsed
+    objects: where ``config`` may differ from ``blob``. By identity
+    alone -- a chunk a re-parse reused is the older parse's block, and
+    what is classified from it shares its span -- so an edited, moved
+    or re-parsed block is named whether or not its text changed."""
+
+    def named(old: Mapping[str, Any], new: Mapping[str, Any]) -> set:
+        return {
+            key
+            for key in old.keys() | new.keys()
+            if key not in old or key not in new or old[key].span is not new[key].span
+        }
+
+    return ConfigDelta(
+        changed_resources=named(blob.resources, config.resources),
+        changed_locals=named(blob.locals, config.locals),
+        changed_variables=named(blob.variables, config.variables),
+        changed_providers=named(blob.providers, config.providers),
+    )
 
 
 class ImpactAnalyzer:

@@ -93,6 +93,12 @@ KNOWN_PROBES: Dict[str, str] = {
     "evaluated afresh, summed",
     "validate.replayed": "count: verdicts an engine replayed from an exact "
     "artifact hit instead of validating",
+    "compilecache.blob_writes": "count: compile artifacts written whole, as a "
+    "pickled blob (a cold compile, a miss, an unreadable blob, an edit that "
+    "re-parsed more chunks than it shares with the blob, or stamps that would "
+    "outweigh it)",
+    "compilecache.stamps": "count: stamps appended after an artifact's blob "
+    "instead (sources' digests, verdict, names re-parsed since the blob)",
     "compilecache.verdict_mismatch": "count: exact hits whose recorded verdict "
     "could not be replayed, so validation ran on the replayed graph; "
     "compilecache.verdict_mismatch.<level|rules|registry|unreadable> says why",

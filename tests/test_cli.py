@@ -514,8 +514,8 @@ class TestOneCompilePerVerb:
         assert verb("apply") == warm
         assert verb("plan") == proven
 
-        # edit one block: only its chunk is parsed, the artifact is
-        # rewritten once
+        # edit one block: only its chunk is parsed, and the artifact is
+        # stamped once (its blob stays the cold plan's)
         edited = source.replace(
             'service = "scale-3" }', 'service = "scale-3b" }'
         )
@@ -527,14 +527,16 @@ class TestOneCompilePerVerb:
         }
 
         # crash an apply of a second edit mid-run; resume compiles once
-        # and finds the artifact the crashed apply journaled
+        # and finds the stamp the crashed apply journaled: an exact hit
+        # over the cold plan's blob, so the two blocks edited since it
+        # are parsed against the blob's chunks, and nothing is stored
         with open(os.path.join(project, "main.clc"), "w") as handle:
             handle.write(
                 edited.replace('service = "scale-1" }', 'service = "scale-1b" }')
             )
         with apply_dying_at(monkeypatch, 1):
             run(project, "apply")
-        assert verb("resume") == warm
+        assert verb("resume") == {**warm, "parse": 1, "chunks": 2}
         assert verb("plan") == proven
 
     def test_cold_exact_and_partial_plans_print_the_same(self, spied, capsys):

@@ -15,11 +15,15 @@ config and the expanded graph to disk. The contract under test:
   so an edited module cannot be served stale.
 """
 
+import functools
 import json
 import os
 import pickle
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cloud import CloudGateway
 from repro.compilecache import (
@@ -28,11 +32,15 @@ from repro.compilecache import (
     schema_fingerprint,
     variables_fingerprint,
 )
-from repro.compilecache.store import FORMAT_VERSION, _header_sha, _sha
+from repro.compilecache.store import FORMAT_VERSION, _header_sha, _sha, source_shas
 from repro.core.engine import CloudlessEngine
 from repro.graph import build_graph
 from repro.lang import Configuration
 from repro.lang.module_loader import DictModuleLoader
+from repro.persist import load_world
+from repro.workloads import scale_estate
+from tests.golden.lang_corpus import ast_dump
+from tests.test_world_log import Project
 
 SOURCE = '''
 resource "aws_vpc" "main" {
@@ -774,13 +782,14 @@ class TestEngineWarmPath:
         assert healed.compile(source).verdict is not None
         assert healed.compile_cache.exact_hits == 1
 
-    def test_a_version_6_artifact_is_still_an_exact_hit(self, tmp_path):
+    def test_a_version_6_artifact_is_a_counted_miss(self, tmp_path):
         """``fixtures/artifact_v6_76331b4.clcc`` was written by the
         program one commit before the catalog became data
-        (tests/fixtures/README.md). Nothing on disk moved: the current
-        program looks for it under the name it was written as, and
-        serves it as an exact hit -- verdict replayed, nothing rejected
-        or rewritten -- with the cold plan."""
+        (tests/fixtures/README.md). The current program still looks for
+        it under the name it was written as, but version 7 put stamps
+        after the blob, so the file is turned away at the header,
+        counted, and replaced by a version-7 blob, and the plan is the
+        cold one."""
         import shutil
 
         from repro.perf import PERF
@@ -788,12 +797,13 @@ class TestEngineWarmPath:
 
         source = web_tier()
         gateway = CloudGateway.simulated(seed=3)
-        engine = CloudlessEngine(gateway=gateway, cache_dir=str(tmp_path / "cache"))
+        cache_dir = str(tmp_path / "cache")
+        engine = CloudlessEngine(gateway=gateway, cache_dir=cache_dir)
         cache = engine.compile_cache
         fixture = os.path.join(
             os.path.dirname(__file__), "fixtures", "artifact_v6_76331b4.clcc"
         )
-        assert TestCorruption.read_parts(fixture)[0]["version"] == FORMAT_VERSION == 6
+        assert TestCorruption.read_parts(fixture)[0]["version"] == 6 != FORMAT_VERSION
         path = cache.path_for(
             {"main.clc": source},
             variables_fingerprint(None),
@@ -806,16 +816,22 @@ class TestEngineWarmPath:
         try:
             compiled = engine.compile(source)
             assert engine.validate(compiled).ok
-            replayed = PERF.counters.get("validate.replayed")
+            counters = dict(PERF.counters)
         finally:
             PERF.disable()
             PERF.reset()
-        assert (cache.exact_hits, cache.misses, cache.corrupt_rejects) == (1, 0, 0)
-        assert replayed == 1
+        assert (cache.exact_hits, cache.partial_hits) == (0, 0)
+        assert (cache.misses, cache.corrupt_rejects) == (1, 1)
+        assert counters.get("validate.replayed") is None
+        assert (cache.blob_writes, cache.stamps) == (1, 0)
+        assert counters["compilecache.blob_writes"] == 1
+        assert TestCorruption.read_parts(path)[0]["version"] == FORMAT_VERSION
         assert engine.plan(compiled).render() == CloudlessEngine(
             gateway=gateway
         ).plan(source).render()
-        assert cache.stores == 0
+        healed = CloudlessEngine(gateway=gateway, cache_dir=cache_dir)
+        assert healed.compile(source).verdict is not None
+        assert healed.compile_cache.exact_hits == 1
 
     def test_warm_apply_matches_cold_apply(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
@@ -868,3 +884,261 @@ module "m" {
         rendered = second.plan(self.ROOT).render()
         assert "bucket-two" in rendered and "bucket-one" not in rendered
         assert second.compile_cache.exact_hits == 0
+
+
+# -- the blob and its stamps -------------------------------------------------
+
+SCALE = scale_estate(60)
+
+
+def tagged(text, service, revision):
+    """Tag one two-instance VM block: two in-place updates."""
+    edited, n = re.subn(
+        r'tags    = \{ service = "%s"(?:, rev = "[^"]*")? \}' % service,
+        f'tags    = {{ service = "{service}", rev = "{revision}" }}',
+        text,
+    )
+    assert n == 1, service
+    return edited
+
+
+def vm_key(service):
+    return ["managed", "aws_virtual_machine", service.replace("-", "_") + "_vm"]
+
+
+class TestStamps:
+    """A day-2 edit stamps the artifact: the blob is written by the
+    compile that parsed most of it, and what was re-parsed since is
+    what the next plan re-diffs beside its own edit."""
+
+    @staticmethod
+    def lookup(project, text):
+        cache = CompileCache(os.path.join(project.directory, ".clc-cache"))
+        lookup = cache.load(
+            {"main.clc": text},
+            variables_fingerprint({}),
+            schema_fingerprint(CloudlessEngine().catalog),
+        )
+        assert lookup is not None
+        return lookup
+
+    @staticmethod
+    def applied(project, capsys):
+        """``apply`` through the CLI; its plan line and the compile-cache
+        writes it counted."""
+        capsys.readouterr()
+        project("apply")
+        (line,) = [l for l in capsys.readouterr().out.splitlines() if l.startswith("Plan:")]
+        writes = {
+            name: project.moved.get(f"compilecache.{name}", 0)
+            for name in ("blob_writes", "stamps")
+        }
+        return line, writes
+
+    def test_every_edit_stamps_and_only_the_cold_apply_writes_a_blob(
+        self, tmp_path, capsys
+    ):
+        project = Project(tmp_path / "project", {"main.clc": SCALE})
+        assert self.applied(project, capsys)[1] == {"blob_writes": 1, "stamps": 0}
+        text = SCALE
+        for cycle in range(5):
+            text = tagged(text, f"scale-{cycle}", f"c{cycle}")
+            project.write({"main.clc": text})
+            line, writes = self.applied(project, capsys)
+            assert line == "Plan: 0 to add, 2 to change, 0 to destroy.", cycle
+            assert writes == {"blob_writes": 0, "stamps": 1}, cycle
+            # the plan of what the apply left reads the stamp only
+            assert project("plan")["plan.proven"] == 1
+            assert project.moved.get("compilecache.stamps", 0) == 0
+        lookup = self.lookup(project, text)
+        assert lookup.exact and not lookup.fresh
+        assert lookup.reparsed["resources"] == [vm_key(f"scale-{c}") for c in range(5)]
+        # the blob is still the cold apply's, and the hit reads as it
+        config = lookup.config
+        assert ast_dump(config) == ast_dump(Configuration.parse_streaming({"main.clc": text}))
+        assert lookup.graph is None  # the verb builds it
+
+        # an edit that re-parses most of the program writes a blob again,
+        # and nothing is re-parsed since it
+        text = "# moved down a line\n" + text
+        project.write({"main.clc": text})
+        assert self.applied(project, capsys) == (
+            "Plan: 0 to add, 0 to change, 0 to destroy.",
+            {"blob_writes": 1, "stamps": 0},
+        )
+        lookup = self.lookup(project, text)
+        assert lookup.exact and lookup.fresh
+        assert not any(lookup.reparsed.values())
+
+    def test_stamps_that_would_outweigh_the_blob_write_one(self, tmp_path):
+        gateway = CloudGateway.simulated(seed=3)
+        cache_dir = str(tmp_path / "cache")
+        assert CloudlessEngine(gateway=gateway, cache_dir=cache_dir).validate(SCALE).ok
+        (name,) = os.listdir(cache_dir)
+        blob_len = TestCorruption.read_parts(os.path.join(cache_dir, name))[0]["blob_len"]
+        text, stamped = SCALE, 0
+        for cycle in range(200):
+            text = tagged(text, "scale-1", f"c{cycle}")
+            engine = CloudlessEngine(gateway=gateway, cache_dir=cache_dir)
+            assert engine.validate(text).ok
+            cache = engine.compile_cache
+            if cache.blob_writes:
+                break
+            assert cache.stamps == 1
+            stamped = os.path.getsize(os.path.join(cache_dir, name)) - blob_len
+        else:
+            raise AssertionError("the stamps outgrew the blob")
+        header, rest = TestCorruption.read_parts(os.path.join(cache_dir, name))
+        assert len(rest) == header["blob_len"]  # a blob, and no stamp
+        assert stamped <= blob_len + len(json.dumps(header)) + 1
+
+    def test_a_restored_block_is_re_diffed(self, tmp_path, capsys):
+        """Edit a block, apply, restore the blob's text, apply: the
+        restored block's chunks are the blob's again, so only the names
+        the stamp re-parsed say that the state holds the edit."""
+        project = Project(tmp_path / "project", {"main.clc": SCALE})
+        self.applied(project, capsys)
+        project.write({"main.clc": tagged(SCALE, "scale-3", "x")})
+        assert self.applied(project, capsys)[0] == "Plan: 0 to add, 2 to change, 0 to destroy."
+        project.write({"main.clc": SCALE})
+        line, writes = self.applied(project, capsys)
+        assert line == "Plan: 0 to add, 2 to change, 0 to destroy."
+        assert project.moved["plan.basis.woken"] == 1 and writes["stamps"] == 1
+        self.assert_converged(project, capsys, SCALE)
+
+    def test_a_moved_block_converges(self, tmp_path, capsys):
+        project = Project(tmp_path / "project", {"main.clc": SCALE})
+        self.applied(project, capsys)
+        # the last service's VM block, edited, to the end of the file:
+        # the two blocks below it move up, and the rest is the blob's
+        block = re.search(r'resource "aws_virtual_machine" "scale_7_vm" \{.*?\n\}\n', SCALE, re.S)
+        moved = SCALE.replace(block.group(0), "") + "\n" + tagged(block.group(0), "scale-7", "x")
+        project.write({"main.clc": moved})
+        assert self.applied(project, capsys) == (
+            "Plan: 0 to add, 2 to change, 0 to destroy.",
+            {"blob_writes": 0, "stamps": 1},
+        )
+        assert vm_key("scale-7") in self.lookup(project, moved).reparsed["resources"]
+        project.write({"main.clc": SCALE})
+        line, writes = self.applied(project, capsys)
+        assert line == "Plan: 0 to add, 2 to change, 0 to destroy."
+        assert project.moved["plan.basis.woken"] == 1 and writes["stamps"] == 1
+        self.assert_converged(project, capsys, SCALE)
+
+    @staticmethod
+    def assert_converged(project, capsys, text):
+        for flags in ((), ("--no-cache",)):
+            capsys.readouterr()
+            project("plan", *flags)
+            assert "Plan: 0 to add, 0 to change, 0 to destroy." in capsys.readouterr().out
+        cold = CloudlessEngine(seed=3)
+        assert cold.apply(text).ok
+        assert load_world(project.world).state.content_hash() == cold.state.content_hash()
+
+    def test_a_stale_blob_plans_what_no_cache_plans_after_state_rm(self, tmp_path, capsys):
+        project = Project(tmp_path / "project", {"main.clc": SCALE})
+        self.applied(project, capsys)
+        text = tagged(SCALE, "scale-2", "x")
+        project.write({"main.clc": text})
+        self.applied(project, capsys)
+        project("state", "rm", "aws_load_balancer.scale_1_lb")
+        assert not self.lookup(project, text).fresh
+
+        def plan(*flags):
+            capsys.readouterr()
+            project("plan", *flags)
+            return capsys.readouterr().out
+
+        stale = plan()
+        assert project.moved["plan.basis.woken"] == 1
+        assert project.moved["graph.builds"] == 1  # the stale blob's hit builds it
+        assert stale == plan("--no-cache")
+        assert "Plan: 1 to add, 1 to change, 0 to destroy." in stale  # and its dns record
+
+
+@functools.cache
+def stamped_artifact():
+    """A cold compile's blob and three stamps over it, one per fresh
+    engine: ``(file bytes, where the blob starts and ends, where each
+    stamp ends, the four texts, their cold plans and AST dumps)``."""
+    import tempfile
+
+    texts = [SCALE]
+    for cycle in range(3):
+        texts.append(tagged(texts[-1], f"scale-{cycle}", f"c{cycle}"))
+    with tempfile.TemporaryDirectory() as cache_dir:
+        for n, text in enumerate(texts):
+            engine = CloudlessEngine(gateway=CloudGateway.simulated(seed=3), cache_dir=cache_dir)
+            assert engine.validate(text).ok
+            assert (engine.compile_cache.stamps, engine.compile_cache.blob_writes) == (
+                (1, 0) if n else (0, 1)
+            )
+        (name,) = os.listdir(cache_dir)
+        with open(os.path.join(cache_dir, name), "rb") as handle:
+            data = handle.read()
+    blob_start = data.index(b"\n") + 1
+    blob_end = blob_start + json.loads(data[:blob_start])["blob_len"]
+    ends, at = [], blob_end
+    for _ in range(3):
+        at = data.index(b"\n", at) + 1
+        ends.append(at)
+    assert ends[-1] == len(data)
+    colds = []
+    for text in texts:
+        config = Configuration.parse_streaming({"main.clc": text})
+        plan = CloudlessEngine(gateway=CloudGateway.simulated(seed=3)).plan(config)
+        colds.append((plan.render(), ast_dump(config)))
+    return data, blob_start, blob_end, ends, texts, colds
+
+
+class TestDamagedStamps:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        damage=st.sampled_from(["truncate", "flip blob", "flip stamps"]),
+        at=st.integers(min_value=0, max_value=10**9),
+        mask=st.integers(min_value=1, max_value=255),
+        which=st.integers(min_value=0, max_value=3),
+    )
+    def test_a_damaged_artifact_reads_as_a_prior_stamp_or_a_counted_miss(
+        self, damage, at, mask, which
+    ):
+        """Whatever the damage, the lookup is the last stamp before it
+        (a torn tail), a partial hit, or a counted miss -- never an
+        error -- and what the verb compiles is the cold compile."""
+        import tempfile
+
+        data, blob_start, blob_end, ends, texts, colds = stamped_artifact()
+        damaged = bytearray(data)
+        if damage == "truncate":
+            where = at % (len(data) + 1)
+            del damaged[where:]
+        else:
+            low, high = (blob_start, blob_end) if damage == "flip blob" else (blob_end, len(data))
+            where = low + at % (high - low)
+            damaged[where] ^= mask
+        # stamps wholly before the damage are untouched
+        untouched = sum(end <= where for end in ends)
+        gateway = CloudGateway.simulated(seed=3)
+        with tempfile.TemporaryDirectory() as cache_dir:
+            engine = CloudlessEngine(gateway=gateway, cache_dir=cache_dir)
+            cache = engine.compile_cache
+            text = {"main.clc": texts[which]}
+            fps = (variables_fingerprint(None), schema_fingerprint(gateway.catalog))
+            with open(cache.path_for(text, *fps), "wb") as handle:
+                handle.write(damaged)
+            lookup = CompileCache(cache_dir).load(text, *fps)
+            compiled = engine.compile(texts[which])
+            rendered = engine.plan(compiled).render()
+        assert (rendered, ast_dump(compiled.config)) == colds[which]
+        if lookup is None:
+            assert cache.misses == 1 and cache.corrupt_rejects == 1
+            return
+        # the stamp it stands for: the last one untouched, or a damaged
+        # one that still says the same (a flipped blank in its JSON)
+        stands_for = [
+            n for n in range(4)
+            if lookup.artifact["source_sha"] == source_shas({"main.clc": texts[n]})
+        ]
+        assert stands_for in ([untouched], [3])
+        assert lookup.exact == (stands_for == [which])
+        assert cache.misses == cache.corrupt_rejects == 0

@@ -1356,7 +1356,9 @@ class TestTheValidationBasisCrossesTheProcess:
             ("an added declaration", None, "declarations", declared + 1, []),
             ("a removed declaration", None, "declarations", declared, []),
             ("a type error in the edited block", None, None, 1, ["TYPE002", "TYPE004"]),
-            ("its fix", None, None, 1, []),
+            # (the type error was stamped over the last blob: the fix
+            # is that blob's own chunk again, nothing to type-check)
+            ("its fix", None, None, 0, []),
             ("a duplicate name an unedited instance reports", None, None, 1, ["GEN001"]),
         ]
         text = steps[0][1]
@@ -1976,4 +1978,6 @@ class TestCacheStillFirst:
 
         next_process = CloudlessEngine(seed=7, cache_dir=cache_dir)
         hit = next_process.compile(edited, variables={"env": "prod"}).lookup
-        assert hit.graph is not None
+        # the edit was stamped over the cold plan's blob: an exact hit
+        # whose graph the verb builds
+        assert hit.exact and not hit.fresh and hit.graph is None
